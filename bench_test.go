@@ -1,54 +1,14 @@
-// Benchmarks regenerating the paper's evaluation artefacts (one benchmark
-// per table/figure; see DESIGN.md §4 for the experiment index) plus
-// functional end-to-end micro-benchmarks of the public API.
-//
-// The figure benchmarks evaluate the calibrated hardware models at the
-// paper's database sizes and report the headline modeled metric via
-// b.ReportMetric; `impir-bench` prints the full tables. The functional
-// benchmarks execute the real engines on scaled databases.
+// Functional micro-benchmarks of the public API: the real engines on
+// scaled databases, for measuring while you work. The paper's modeled
+// figures and tables are deterministic, so internal/bench checks them as
+// unit tests (`impir-bench` prints them); regressions are judged by
+// `go run ./benchmark`.
 package impir
 
 import (
 	"context"
 	"testing"
-
-	"github.com/impir/impir/internal/bench"
 )
-
-func benchmarkFigure(b *testing.B, runner func(bench.Options) *bench.Report) {
-	opts := bench.Options{} // model layer only; functional verification is TestAllFiguresReproduceShapes's job
-	var r *bench.Report
-	for i := 0; i < b.N; i++ {
-		r = runner(opts)
-	}
-	if r == nil || !r.AllChecksPass() {
-		b.Fatalf("%s failed its paper-shape checks", r.ID)
-	}
-	b.ReportMetric(float64(len(r.Rows)), "series-points")
-}
-
-func BenchmarkFig3aBreakdown(b *testing.B)      { benchmarkFigure(b, bench.Fig3a) }
-func BenchmarkFig3bRoofline(b *testing.B)       { benchmarkFigure(b, bench.Fig3b) }
-func BenchmarkFig9aThroughputVsDB(b *testing.B) { benchmarkFigure(b, bench.Fig9a) }
-func BenchmarkFig9bThroughputVsBatch(b *testing.B) {
-	benchmarkFigure(b, bench.Fig9b)
-}
-func BenchmarkFig9cLatencyVsDB(b *testing.B)    { benchmarkFigure(b, bench.Fig9c) }
-func BenchmarkFig9dLatencyVsBatch(b *testing.B) { benchmarkFigure(b, bench.Fig9d) }
-func BenchmarkFig10aPIMBreakdown(b *testing.B)  { benchmarkFigure(b, bench.Fig10a) }
-func BenchmarkFig10bCPUBreakdown(b *testing.B)  { benchmarkFigure(b, bench.Fig10b) }
-func BenchmarkTable1PhaseShares(b *testing.B)   { benchmarkFigure(b, bench.Table1) }
-func BenchmarkFig11aClusterThroughput(b *testing.B) {
-	benchmarkFigure(b, bench.Fig11a)
-}
-func BenchmarkFig11bClusterLatency(b *testing.B) { benchmarkFigure(b, bench.Fig11b) }
-func BenchmarkFig12aEngineThroughput(b *testing.B) {
-	benchmarkFigure(b, bench.Fig12a)
-}
-func BenchmarkFig12bEngineLatency(b *testing.B) { benchmarkFigure(b, bench.Fig12b) }
-func BenchmarkShardScaling(b *testing.B)        { benchmarkFigure(b, bench.ShardScaling) }
-
-// --- Functional end-to-end benchmarks on scaled databases ---
 
 func setupBenchServer(b *testing.B, kind EngineKind, records int) *Server {
 	b.Helper()

@@ -35,18 +35,15 @@ var runners = map[string]func(bench.Options) *bench.Report{
 	"fig11b":  bench.Fig11b,
 	"fig12a":  bench.Fig12a,
 	"fig12b":  bench.Fig12b,
-	"a1":      bench.AblationEvalStrategies,
 	"a2":      bench.AblationTasklets,
 	"a3":      bench.AblationCommunication,
 	"a4":      bench.AblationSingleServer,
 	"a5":      bench.AblationEvalModes,
 	"a6":      bench.AblationResidentVsBatched,
 	"a7":      bench.AblationBandwidthScaling,
-	"shards":    bench.ShardScaling,
-	"keyword":   bench.KeywordLookup,
-	"hedging":   bench.HedgingTail,
-	"batchfuse": bench.BatchFuse,
-	"batchcode": bench.BatchCode,
+	"shards":  bench.ShardScaling,
+	"keyword": bench.KeywordLookup,
+	"hedging": bench.HedgingTail,
 }
 
 func main() {
@@ -131,7 +128,6 @@ func sortedNames() []string {
 	return []string{
 		"fig3a", "fig3b", "fig9a", "fig9b", "fig9c", "fig9d",
 		"fig10a", "fig10b", "table1", "fig11a", "fig11b", "fig12a", "fig12b",
-		"a1", "a2", "a3", "a4", "a5", "a6", "a7", "shards", "keyword", "hedging",
-		"batchfuse", "batchcode",
+		"a2", "a3", "a4", "a5", "a6", "a7", "shards", "keyword", "hedging",
 	}
 }

@@ -8,15 +8,14 @@
 //	impir-loadgen -deployment deployment.json -qps 500 -duration 30s
 //	impir-loadgen -selfserve -qps 200 -workload mixed -json
 //	impir-loadgen -selfserve -ramp -slo-p99 50ms        # find the knee
-//	impir-loadgen -selfserve ... -save BENCH_loadgen.json
-//	impir-loadgen -selfserve ... -baseline BENCH_loadgen.json -threshold 25
 //
 // The generator is open-loop: the arrival schedule never slows down for
 // a struggling server, and latency is measured from each request's
 // scheduled due time (no coordinated omission). -selfserve spins up a
 // deterministic 2-shard replicated deployment in-process over loopback
-// TCP — the profile the CI perf gate runs — so the artifact can include
-// server-side scheduler deltas no wire protocol exposes.
+// TCP, so the artifact can include server-side scheduler deltas no wire
+// protocol exposes. It is an operator tool, not a regression gate: the
+// repository's one performance gate is `go run ./benchmark` (-compare).
 package main
 
 import (
@@ -77,11 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sloP99      = fs.Duration("slo-p99", 0, "ramp SLO: max p99 latency (0 = unchecked)")
 		sloFailures = fs.Float64("slo-failures", 0.01, "ramp SLO: max failure fraction of offered load")
 
-		baselinePath = fs.String("baseline", "", "perf gate: compare the run against this committed baseline")
-		threshold    = fs.Float64("threshold", 25, "perf gate: allowed regression percent per metric")
-		savePath     = fs.String("save", "", "write the run as a new baseline to this path")
-		note         = fs.String("note", "", "provenance note stored in a saved baseline")
-		jsonOut      = fs.Bool("json", false, "write the run artifact as JSON to stdout (progress goes to stderr)")
+		jsonOut = fs.Bool("json", false, "write the run artifact as JSON to stdout (progress goes to stderr)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -231,36 +226,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.PrintHuman(stdout)
 	}
 
-	if *savePath != "" {
-		if err := loadgen.NewBaseline(res, *note).Save(*savePath); err != nil {
-			fmt.Fprintln(stderr, "impir-loadgen: save baseline:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "impir-loadgen: baseline saved to %s\n", *savePath)
-	}
-	if *baselinePath != "" {
-		base, err := loadgen.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "impir-loadgen:", err)
-			return 1
-		}
-		cmp, err := loadgen.Compare(base, res, *threshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "impir-loadgen:", err)
-			return 1
-		}
-		fmt.Fprint(stderr, cmp.String())
-		if cmp.Regressed {
-			return 1
-		}
-	}
 	return 0
 }
 
 // selfserveDeployment is an in-process 2-shard replicated topology over
 // real loopback TCP: shard 0's party 0 runs two replicas (a hedging
 // target), every other party one — five servers total. Deterministic by
-// construction so the CI perf gate always measures the same system.
+// construction, so two runs with the same flags drive the same system.
 type selfserveDeployment struct {
 	deployment impir.Deployment
 	topology   string

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/impir/impir/internal/loadgen"
@@ -52,36 +50,6 @@ func TestSelfserveJSONArtifact(t *testing.T) {
 	}
 	if res.Servers.Aggregate.Submitted == 0 {
 		t.Errorf("server-side scheduler deltas empty: %+v", res.Servers.Aggregate)
-	}
-}
-
-// TestGateSaveCompareRefuse: -save cuts a baseline, an identical profile
-// passes the gate, and a profile with a different fingerprint is refused
-// (exit 1), not silently compared.
-func TestGateSaveCompareRefuse(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "BENCH_loadgen.json")
-
-	var stderr bytes.Buffer
-	if code := run(shortProfile("-json", "-save", base), &bytes.Buffer{}, &stderr); code != 0 {
-		t.Fatalf("save run exit %d: %s", code, stderr.String())
-	}
-
-	// Same profile, generous threshold: the gate must pass.
-	stderr.Reset()
-	if code := run(shortProfile("-json", "-baseline", base, "-threshold", "10000"), &bytes.Buffer{}, &stderr); code != 0 {
-		t.Fatalf("same-profile gate failed (exit %d): %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "verdict: ok") {
-		t.Errorf("gate report missing verdict: %s", stderr.String())
-	}
-
-	// Different fingerprint (different QPS): the gate must refuse.
-	stderr.Reset()
-	if code := run(shortProfile("-json", "-baseline", base, "-qps", "275"), &bytes.Buffer{}, &stderr); code != 1 {
-		t.Fatalf("fingerprint mismatch exited %d, want 1: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "fingerprint") {
-		t.Errorf("refusal did not name the fingerprint: %s", stderr.String())
 	}
 }
 

@@ -62,8 +62,8 @@
 // for n — selected automatically, or forced with WithEncoding) and fan
 // out to all parties in parallel, so retrieval latency is the slowest
 // party rather than the sum. Contexts bound and cancel every network
-// operation. The historical Dial/DialCluster/DialKV/DialKVCluster
-// entry points survive as deprecated wrappers over Open.
+// operation. The historical Dial/DialCluster entry points survive as
+// deprecated wrappers over Open.
 //
 // Open installs store-level policy that every call may override:
 // WithCallTimeout bounds a whole operation, WithRetries grants a
@@ -166,9 +166,9 @@
 // in parallel. One pass's memory traffic serves the whole batch, so in
 // the memory-bound regime the per-query dpXOR cost falls toward 1/B of
 // a solo scan (on the PIM engine, each MRAM chunk crosses the DMA bus
-// once per pass instead of once per query; `impir-bench -experiment
-// batchfuse` measures the slope). SchedulerStats.FusedPasses counts the
-// passes that took the fused path.
+// once per pass instead of once per query; `go run ./benchmark` measures
+// the slope as xorop.batch8_gbps against xorop.scan_gbps).
+// SchedulerStats.FusedPasses counts the passes that took the fused path.
 //
 // Privacy argument: fusion changes only the order in which the server
 // combines work it was already sent. Each query in the fused pass
@@ -194,13 +194,13 @@
 // with SplitDB (or SplitDBByManifest), serve each shard from its own
 // cohort of ≥ 2 non-colluding replicas, and describe the topology in a
 // ShardManifest (JSON round-trip via ParseManifest/LoadManifest for
-// flags and config files). DialCluster then connects a ClusterClient to
-// every cohort:
+// flags and config files). Open then connects a ClusterClient to every
+// cohort:
 //
 //	parts, _ := impir.SplitDB(db, 4)            // per-cohort replicas
 //	m, _ := impir.LoadManifest("cluster.json")  // topology
-//	cc, _ := impir.DialCluster(ctx, m)
-//	record, _ := cc.Retrieve(ctx, 123456)       // global index
+//	store, _ := impir.Open(ctx, impir.DeploymentFromManifest(m))
+//	record, _ := store.Retrieve(ctx, 123456)    // global index
 //
 // Privacy argument: every retrieval sends one well-formed sub-query to
 // EVERY cohort — the real local index to the owning shard, a random
@@ -236,7 +236,7 @@
 //
 //	db, manifest, _ := impir.BuildKVDB(pairs, impir.KVTableOptions{})
 //	// … load db into ≥ 2 replicas, serve …
-//	kv, _ := impir.DialKV(ctx, addrs, manifest)
+//	kv, _ := impir.OpenKV(ctx, impir.FlatDeployment(addrs...).WithKeyword(manifest))
 //	value, err := kv.Get(ctx, key) // ErrNotFound when absent
 //
 // Privacy argument: every lookup retrieves the key's k candidate
@@ -249,8 +249,10 @@
 // probes plus one shared stash scan, again a shape fixed by public
 // parameters alone. Put and Delete probe with the same constant shape
 // and then rewrite the one affected bucket via the wire-update path
-// (public operator actions, like all updates). DialKVCluster runs the
-// identical probes through a ClusterClient for sharded keyword stores.
+// (public operator actions, like all updates). On a sharded deployment
+// OpenKV runs the identical probes through a ClusterClient, so every
+// cohort receives an equal-length sub-batch whether or not it owns a
+// probed bucket.
 //
 // # Multi-message batches
 //

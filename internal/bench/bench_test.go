@@ -68,25 +68,6 @@ func TestKeywordLookupShapes(t *testing.T) {
 	}
 }
 
-// TestBatchFuseShapes: the fused one-pass batch dpXOR experiment — the
-// measured fused-vs-unfused kernel comparison, the modeled engine
-// cross-checks, and the per-engine bit-exactness verification — must
-// all pass.
-func TestBatchFuseShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured 64 MiB scan comparison; skipped in -short")
-	}
-	r := BatchFuse(Options{VerifyRecords: 512})
-	if len(r.Rows) != len(batchFuseSizes) {
-		t.Fatalf("got %d rows, want %d batch sizes", len(r.Rows), len(batchFuseSizes))
-	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			t.Errorf("check failed: %s — %s", c.Name, c.Detail)
-		}
-	}
-}
-
 func TestReportPrint(t *testing.T) {
 	r := Fig3a(Options{})
 	var buf bytes.Buffer

@@ -38,9 +38,9 @@ type Config struct {
 	// hostmodel.CPUPIRBaseline.
 	Host hostmodel.Model
 	// DisableBatchFusion reverts QueryBatch to the historical
-	// one-thread-per-query execution (B independent scans). Used by the
-	// batchfuse experiment to measure the fusion win; production leaves
-	// it off.
+	// one-thread-per-query execution (B independent scans). It is the
+	// reference the fused ≡ unfused tests compare against; production
+	// leaves it off.
 	DisableBatchFusion bool
 }
 

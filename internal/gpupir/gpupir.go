@@ -48,8 +48,8 @@ type Config struct {
 	// (two launches per query: eval grid + reduction grid).
 	KernelOverhead time.Duration
 	// DisableBatchFusion reverts QueryBatch to one grid scan per query
-	// (stream-overlapped). The batchfuse experiment uses it to measure
-	// the fusion win; production leaves it off.
+	// (stream-overlapped). It is the reference the fused ≡ unfused tests
+	// compare against; production leaves it off.
 	DisableBatchFusion bool
 }
 

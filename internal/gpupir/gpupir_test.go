@@ -102,6 +102,18 @@ func TestBatchPipelineModel(t *testing.T) {
 	}
 }
 
+// TestFusedGridScanBeatsPerQueryScans: at the paper's batch point (B=8,
+// 8 GiB) one fused grid pass streams VRAM once, so it must model cheaper
+// than eight solo scans.
+func TestFusedGridScanBeatsPerQueryScans(t *testing.T) {
+	cfg := DefaultConfig()
+	const dbBytes = 8 << 30
+	fused := cfg.ScanBatchDuration(dbBytes, 8)
+	if solo := 8 * cfg.ScanDuration(dbBytes); fused >= solo {
+		t.Errorf("fused B=8 grid scan %v not below 8 solo scans %v", fused, solo)
+	}
+}
+
 func TestVRAMOverflowFallsBackToPCIe(t *testing.T) {
 	small := Config{VRAMBytes: 1 << 10} // 1 KB VRAM: everything overflows
 	e0, db := newLoaded(t, 4096, small)

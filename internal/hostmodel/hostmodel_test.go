@@ -63,6 +63,18 @@ func TestScanDurationContention(t *testing.T) {
 	}
 }
 
+// TestFusedScanBeatsPerQueryScans: at the paper's batch point (B=8, 8 GiB)
+// one fused pass pays the memory stream once, so it must model cheaper
+// than eight solo scans.
+func TestFusedScanBeatsPerQueryScans(t *testing.T) {
+	m := CPUPIRBaseline()
+	const dbBytes = 8 << 30
+	fused := m.FusedScanDuration(dbBytes, 8, m.Threads)
+	if solo := 8 * m.ScanDuration(dbBytes, 1); fused >= solo {
+		t.Errorf("fused B=8 scan %v not below 8 solo scans %v", fused, solo)
+	}
+}
+
 func TestScanDurationCalibration(t *testing.T) {
 	// Fig. 3(a): a single-threaded dpXOR over 4 GB lands in seconds.
 	m := CPUPIRBaseline()

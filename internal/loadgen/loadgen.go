@@ -14,11 +14,9 @@
 // find the pool and its backlog saturated are counted Lost, never
 // dropped silently.
 //
-// On top of a run, Compare gates performance regressions: a committed
-// baseline (BENCH_loadgen.json) pins the metric set of a fingerprinted
-// configuration, and a later run of the SAME fingerprint fails the gate
-// when a metric regresses past a threshold. Saturate ramps the offered
-// QPS until an SLO breaks, locating the knee.
+// On top of a run, Saturate ramps the offered QPS until an SLO breaks,
+// locating the knee. The harness gates nothing: performance regressions
+// are judged by `go run ./benchmark -compare`.
 package loadgen
 
 import (
@@ -69,7 +67,7 @@ type Config struct {
 	OnInterval func(Interval)
 	// ServerStats, when set, is polled at interval boundaries for the
 	// servers' scheduler snapshots — available when the caller runs the
-	// servers in-process (selfserve mode, tests, the CI perf gate).
+	// servers in-process (selfserve mode, tests).
 	ServerStats func() []metrics.SchedulerStats
 	// Scrape, when set alongside ServerStats, fetches each server's
 	// admin /metrics exposition as parsed samples (same server order as

@@ -9,16 +9,14 @@ import (
 )
 
 // ResultSchema versions the machine-readable run artifact. Bump it when
-// a field changes meaning; the perf gate refuses to compare across
-// schema versions.
+// a field changes meaning.
 const ResultSchema = "impir-loadgen/1"
 
-// Fingerprint pins the configuration a run's numbers are only
-// comparable under. Two results (or a result and a baseline) with
-// different fingerprints must never be compared — a p99 at 100 QPS
-// against 4096 records says nothing about one at 500 QPS against a
-// million. Host identity is deliberately absent: baselines are
-// refreshed per hardware class, not per machine.
+// Fingerprint echoes the configuration a run's numbers were taken
+// under, so an artifact read later says what it measured — a p99 at
+// 100 QPS against 4096 records says nothing about one at 500 QPS
+// against a million. Nothing compares it; regressions are judged by
+// `go run ./benchmark -compare`.
 type Fingerprint struct {
 	Workload  string  `json:"workload"`
 	QPS       float64 `json:"qps"`
@@ -213,14 +211,12 @@ type Result struct {
 	KV    *metrics.KVStats   `json:"kv,omitempty"`
 	// BatchCode summarises the batch-code layer's activity over the
 	// measured window — present only when the driven store actually
-	// served coded batches (coded deployments), so existing baselines
-	// keep their fingerprints and byte-identical artifacts.
+	// served coded batches (coded deployments).
 	BatchCode *BatchCodeReport `json:"batch_code,omitempty"`
 	// Ramp carries the saturation-search steps when -ramp ran.
 	Ramp *RampResult `json:"ramp,omitempty"`
 	// Traces condenses the client-side sampled span trees of the run
-	// (runs with -trace-sample only; omitted otherwise so existing
-	// baselines keep their fingerprint).
+	// (runs with -trace-sample only).
 	Traces []TraceSummary `json:"traces,omitempty"`
 }
 
@@ -266,30 +262,6 @@ type TraceSummary struct {
 	// Error carries the root span's error attribute, if the operation
 	// failed.
 	Error string `json:"error,omitempty"`
-}
-
-// BaselineMetrics projects the result onto the named scalar metrics the
-// perf gate compares. Rates are in [0,1]; latencies in microseconds.
-// The tail quantiles (p99, p999) are deliberately reported but NOT
-// gated: on a short CI profile they are the worst handful of samples,
-// and on shared runners they move several-fold between healthy runs —
-// gating them makes the gate cry wolf until it gets ignored. The gated
-// set is what stays stable run-to-run: sustained throughput, the median,
-// and the failure rates (which is where a saturated or rejecting server
-// actually shows up).
-func (r *Result) BaselineMetrics() map[string]float64 {
-	div := func(n uint64) float64 {
-		if r.Counts.Offered == 0 {
-			return 0
-		}
-		return float64(n) / float64(r.Counts.Offered)
-	}
-	return map[string]float64{
-		"achieved_qps": r.AchievedQPS,
-		"p50_us":       r.Latency.P50,
-		"busy_rate":    div(r.Counts.Busy),
-		"error_rate":   div(r.Counts.Timeouts + r.Counts.Errors + r.Counts.Lost),
-	}
 }
 
 // PrintHuman renders the run summary as text.

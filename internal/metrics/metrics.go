@@ -428,7 +428,7 @@ func (s SchedulerStats) AvgCoalesce() float64 {
 // SAME scheduler: cumulative counters subtract (cur - prev), while the
 // gauges — Depth, MaxDepth, Epoch — keep their current value, since a
 // high-water mark or version has no meaningful difference. Interval
-// reporters (loadgen, bench-report) share this one definition so their
+// reporters (loadgen, benchmark/) share this one definition so their
 // per-interval numbers agree.
 func Delta(cur, prev SchedulerStats) SchedulerStats {
 	d := SchedulerStats{

@@ -12,8 +12,8 @@ import (
 )
 
 // benchScheduler drives K concurrent clients through one scheduler and
-// reports the queue metrics bench-report.sh tracks across PRs: average
-// coalesced pass size, mean queue wait, and rejects.
+// reports the queue metrics via b.ReportMetric: average coalesced pass
+// size, mean queue wait, and rejects.
 func benchScheduler(b *testing.B, window time.Duration) {
 	eng, err := cpupir.New(cpupir.Config{Threads: 4})
 	if err != nil {

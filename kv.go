@@ -13,8 +13,8 @@ import (
 
 // Keyword retrieval: the cuckoo-table layer lives in internal/keyword;
 // the root package re-exports it here together with KVClient, the
-// network client that privately looks keys up against any deployment —
-// a plain server pair (DialKV) or a sharded cluster (DialKVCluster).
+// network client that privately looks keys up against any deployment,
+// flat or sharded (OpenKV).
 
 // KVManifest describes a keyword table's geometry and hashing: bucket
 // count and capacity, the reserved stash tail, key/value field sizes,
@@ -89,30 +89,6 @@ type KVClient struct {
 
 	mu    sync.Mutex
 	stats metrics.KVStats
-}
-
-// DialKV connects to the ≥ 2 non-colluding servers of a keyword store
-// and validates the served database against the table manifest.
-//
-// Deprecated: use OpenKV with FlatDeployment(addrs...).WithKeyword(m);
-// OpenKV adds replica sets, hedging, per-call policy, and the
-// interceptor chain.
-func DialKV(ctx context.Context, addrs []string, m KVManifest, opts ...ClientOption) (*KVClient, error) {
-	return OpenKV(ctx, FlatDeployment(addrs...).WithKeyword(m), opts...)
-}
-
-// DialKVCluster connects to a sharded keyword store: the cuckoo table
-// database carved across the shard cohorts of cm (via SplitDB /
-// SplitDBByManifest). Probes fan out through a ClusterClient, so every
-// cohort receives a well-formed equal-length sub-batch whether or not
-// it owns any probed bucket — sharding adds no leak on top of the
-// constant probe shape.
-//
-// Deprecated: use OpenKV with DeploymentFromManifest(cm).WithKeyword(m);
-// OpenKV adds replica sets, hedging, per-call policy, and the
-// interceptor chain.
-func DialKVCluster(ctx context.Context, cm ShardManifest, m KVManifest, opts ...ClientOption) (*KVClient, error) {
-	return OpenKV(ctx, DeploymentFromManifest(cm).WithKeyword(m), opts...)
 }
 
 // newKVClient validates the dialed deployment's geometry against the

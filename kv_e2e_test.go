@@ -24,7 +24,7 @@ func TestKVStoreE2E(t *testing.T) {
 	addrs, servers := startShardCohort(t, db, 2)
 	ctx := context.Background()
 
-	kv, err := DialKV(ctx, addrs, m)
+	kv, err := OpenKV(ctx, FlatDeployment(addrs...).WithKeyword(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func snapshotQueues(servers []*Server) []metrics.SchedulerStats {
 
 // TestKVClusterE2E: the same cuckoo table carved across two shard
 // cohorts via SplitDB must answer identically to the unsharded store —
-// hits, misses, and batches — through DialKVCluster.
+// hits, misses, and batches — through OpenKV on the sharded manifest.
 func TestKVClusterE2E(t *testing.T) {
 	pairs := keyword.GeneratePairs(200, 17)
 	db, m, err := BuildKVDB(pairs, KVTableOptions{Seed: 17})
@@ -123,7 +123,7 @@ func TestKVClusterE2E(t *testing.T) {
 
 	// Unsharded reference deployment.
 	flatAddrs, _ := startShardCohort(t, db, 2)
-	flat, err := DialKV(ctx, flatAddrs, m)
+	flat, err := OpenKV(ctx, FlatDeployment(flatAddrs...).WithKeyword(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestKVClusterE2E(t *testing.T) {
 
 	// Sharded deployment of the same table.
 	cm, _ := startCluster(t, db, 2)
-	sharded, err := DialKVCluster(ctx, cm, m)
+	sharded, err := OpenKV(ctx, DeploymentFromManifest(cm).WithKeyword(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +174,9 @@ func TestKVClusterE2E(t *testing.T) {
 	}
 }
 
-// TestDialKVValidation: dialing with a manifest that does not match the
+// TestOpenKVValidation: opening with a manifest that does not match the
 // served database must fail fast.
-func TestDialKVValidation(t *testing.T) {
+func TestOpenKVValidation(t *testing.T) {
 	pairs := keyword.GeneratePairs(64, 9)
 	db, m, err := BuildKVDB(pairs, KVTableOptions{Seed: 9})
 	if err != nil {
@@ -187,15 +187,15 @@ func TestDialKVValidation(t *testing.T) {
 
 	bad := m
 	bad.ValueSize += 8 // record size no longer matches the served DB
-	if _, err := DialKV(ctx, addrs, bad); err == nil {
+	if _, err := OpenKV(ctx, FlatDeployment(addrs...).WithKeyword(bad)); err == nil {
 		t.Fatal("mismatched manifest accepted")
 	}
 	invalid := m
 	invalid.HashSeeds = nil
-	if _, err := DialKV(ctx, addrs, invalid); err == nil {
+	if _, err := OpenKV(ctx, FlatDeployment(addrs...).WithKeyword(invalid)); err == nil {
 		t.Fatal("invalid manifest accepted")
 	}
-	kv, err := DialKV(ctx, addrs, m)
+	kv, err := OpenKV(ctx, FlatDeployment(addrs...).WithKeyword(m))
 	if err != nil {
 		t.Fatal(err)
 	}
