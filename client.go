@@ -51,7 +51,7 @@ type Client struct {
 	recordSize int
 	policy     policy
 
-	mu    sync.Mutex    // guards conns replacement on redial and ewma
+	mu    sync.Mutex // guards conns replacement on redial and ewma
 	conns [][]*transport.Conn
 	ewma  [][]float64 // observed replica latency, EWMA, nanoseconds; 0 = unknown
 

@@ -54,18 +54,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		engine     = fs.String("engine", "cpu", "selfserve: engine (pim, cpu, gpu)")
 		queueDepth = fs.Int("queue-depth", 0, "selfserve: scheduler admission queue bound (0 = server default)")
 
-		qps      = fs.Float64("qps", 200, "offered open-loop arrival rate")
-		duration = fs.Duration("duration", 10*time.Second, "measured window")
-		warmup   = fs.Duration("warmup", 2*time.Second, "warmup window, discarded from measurement")
-		interval = fs.Duration("interval", 5*time.Second, "progress report cadence (0 disables)")
-		clients  = fs.Int("clients", 64, "simulated client population")
-		workers  = fs.Int("workers", 0, "in-flight operation bound (0 = 2×GOMAXPROCS, min 32)")
-		batch    = fs.Int("batch", 1, "queries per operation (RetrieveBatch/GetBatch above 1)")
-		workload = fs.String("workload", "index", "workload: index, keyword, mixed, or batch (multi-record RetrieveBatch; batch defaults to 8)")
-		conns    = fs.Int("conns", 8, "parallel connection pools for the client population (one wire connection carries one request at a time)")
-		timeout  = fs.Duration("timeout", 5*time.Second, "per-operation deadline (0 = none)")
-		seed     = fs.Int64("seed", 1, "operation stream seed")
-		keysPath = fs.String("keys", "", "keyword corpus file, one key per line (remote keyword workloads)")
+		qps         = fs.Float64("qps", 200, "offered open-loop arrival rate")
+		duration    = fs.Duration("duration", 10*time.Second, "measured window")
+		warmup      = fs.Duration("warmup", 2*time.Second, "warmup window, discarded from measurement")
+		interval    = fs.Duration("interval", 5*time.Second, "progress report cadence (0 disables)")
+		clients     = fs.Int("clients", 64, "simulated client population")
+		workers     = fs.Int("workers", 0, "in-flight operation bound (0 = 2×GOMAXPROCS, min 32)")
+		batch       = fs.Int("batch", 1, "queries per operation (RetrieveBatch/GetBatch above 1)")
+		workload    = fs.String("workload", "index", "workload: index, keyword, mixed, or batch (multi-record RetrieveBatch; batch defaults to 8)")
+		conns       = fs.Int("conns", 8, "parallel connection pools for the client population (one wire connection carries one request at a time)")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-operation deadline (0 = none)")
+		seed        = fs.Int64("seed", 1, "operation stream seed")
+		keysPath    = fs.String("keys", "", "keyword corpus file, one key per line (remote keyword workloads)")
 		traceSample = fs.Float64("trace-sample", 0,
 			"client-side trace sample rate in [0,1]; sampled span trees are summarised into the run artifact (0 = tracing off, no overhead)")
 
@@ -181,11 +181,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var res *loadgen.Result
 	if *ramp {
 		rr, err := loadgen.Saturate(ctx, target, cfg, loadgen.RampConfig{
-			StartQPS:   *qps,
-			MaxQPS:     *rampMax,
-			StepFactor: *rampFactor,
+			StartQPS:     *qps,
+			MaxQPS:       *rampMax,
+			StepFactor:   *rampFactor,
 			StepDuration: *rampStep,
-			SLO:        loadgen.SLO{MaxP99: *sloP99, MaxFailureRate: *sloFailures},
+			SLO:          loadgen.SLO{MaxP99: *sloP99, MaxFailureRate: *sloFailures},
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "impir-loadgen: ramp:", err)

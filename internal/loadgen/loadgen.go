@@ -265,9 +265,9 @@ func Run(ctx context.Context, t Target, cfg Config) (*Result, error) {
 					curCounts := cnt.snapshot()
 					curHist := hist.Snapshot()
 					iv := Interval{
-						T:      now.Sub(start).Seconds(),
-						Warmup: now.Before(measuredStart),
-						Counts: curCounts.sub(prevCounts),
+						T:       now.Sub(start).Seconds(),
+						Warmup:  now.Before(measuredStart),
+						Counts:  curCounts.sub(prevCounts),
 						Latency: quantilesOf(curHist.Sub(prevHist)),
 					}
 					iv.AchievedQPS = float64(iv.Counts.OK) / cfg.Interval.Seconds()

@@ -18,10 +18,10 @@ const ResultSchema = "impir-loadgen/1"
 // against a million. Nothing compares it; regressions are judged by
 // `go run ./benchmark -compare`.
 type Fingerprint struct {
-	Workload  string  `json:"workload"`
-	QPS       float64 `json:"qps"`
-	Clients   int     `json:"clients"`
-	Workers   int     `json:"workers"`
+	Workload string  `json:"workload"`
+	QPS      float64 `json:"qps"`
+	Clients  int     `json:"clients"`
+	Workers  int     `json:"workers"`
 	// Conns is the population's parallel connection-pool count (1 =
 	// shared store); wire connections serialize, so this shapes the
 	// concurrency the servers actually see.

@@ -251,11 +251,13 @@ func benchmarkAccumulateBatch(b *testing.B, numRecords, recordSize, batch, worke
 	}
 }
 
-func BenchmarkAccumulateBatch32B8(b *testing.B)  { benchmarkAccumulateBatch(b, 1<<16, 32, 8, 1, false) }
+func BenchmarkAccumulateBatch32B8(b *testing.B) { benchmarkAccumulateBatch(b, 1<<16, 32, 8, 1, false) }
 func BenchmarkAccumulateBatch32B8PerQuery(b *testing.B) {
 	benchmarkAccumulateBatch(b, 1<<16, 32, 8, 1, true)
 }
-func BenchmarkAccumulateBatch32B32(b *testing.B) { benchmarkAccumulateBatch(b, 1<<16, 32, 32, 1, false) }
+func BenchmarkAccumulateBatch32B32(b *testing.B) {
+	benchmarkAccumulateBatch(b, 1<<16, 32, 32, 1, false)
+}
 func BenchmarkAccumulateBatch32B8Par(b *testing.B) {
 	benchmarkAccumulateBatch(b, 1<<16, 32, 8, 4, false)
 }
