@@ -37,7 +37,6 @@ var runners = map[string]func(bench.Options) *bench.Report{
 	"fig12b":  bench.Fig12b,
 	"a2":      bench.AblationTasklets,
 	"a3":      bench.AblationCommunication,
-	"a4":      bench.AblationSingleServer,
 	"a5":      bench.AblationEvalModes,
 	"a6":      bench.AblationResidentVsBatched,
 	"a7":      bench.AblationBandwidthScaling,
@@ -128,6 +127,6 @@ func sortedNames() []string {
 	return []string{
 		"fig3a", "fig3b", "fig9a", "fig9b", "fig9c", "fig9d",
 		"fig10a", "fig10b", "table1", "fig11a", "fig11b", "fig12a", "fig12b",
-		"a2", "a3", "a4", "a5", "a6", "a7", "shards", "keyword", "hedging",
+		"a2", "a3", "a5", "a6", "a7", "shards", "keyword", "hedging",
 	}
 }

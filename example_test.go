@@ -3,6 +3,7 @@ package impir_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 
@@ -114,4 +115,70 @@ func ExampleDomainFor() {
 	d, _ := impir.DomainFor(1_000_000)
 	fmt.Println(d)
 	// Output: 20
+}
+
+// A keyword store: BuildKVDB packs key→value pairs into an ordinary PIR
+// database served like any other, and OpenKV looks keys up privately.
+// A hit and a miss send byte-identical traffic; only the client learns
+// which it was.
+func ExampleOpenKV() {
+	ctx := context.Background()
+	pairs := []impir.KVPair{
+		{Key: []byte("alice"), Value: []byte("pw-hash-1")},
+		{Key: []byte("bob"), Value: []byte("pw-hash-2")},
+	}
+	db, manifest, _ := impir.BuildKVDB(pairs, impir.KVTableOptions{})
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv, _ := impir.NewServer(impir.ServerConfig{Engine: impir.EngineCPU, Threads: 2})
+		_ = srv.Load(db)
+		defer srv.Close()
+		lis, _ := net.Listen("tcp", "127.0.0.1:0")
+		_ = srv.Serve(lis, uint8(i))
+		addrs[i] = srv.Addr().String()
+	}
+
+	kv, err := impir.OpenKV(ctx, impir.FlatDeployment(addrs...).WithKeyword(manifest))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer kv.Close()
+
+	value, _ := kv.Get(ctx, []byte("bob"))
+	_, err = kv.Get(ctx, []byte("carol"))
+	fmt.Println(string(value), errors.Is(err, impir.ErrNotFound))
+	// Output: pw-hash-2 true
+}
+
+// A sharded deployment: SplitDB carves the database into row ranges,
+// each served by its own two-party cohort, and Open over the shard
+// manifest retrieves by global index, sending every cohort a sub-query.
+func ExampleSplitDB() {
+	ctx := context.Background()
+	db, _ := impir.GenerateHashDB(1024, 5)
+	parts, _ := impir.SplitDB(db, 2)
+	cohorts := make([][]string, len(parts))
+	for s, part := range parts {
+		for party := 0; party < 2; party++ {
+			srv, _ := impir.NewServer(impir.ServerConfig{Engine: impir.EngineCPU, Threads: 2})
+			_ = srv.Load(part)
+			defer srv.Close()
+			lis, _ := net.Listen("tcp", "127.0.0.1:0")
+			_ = srv.Serve(lis, uint8(party))
+			cohorts[s] = append(cohorts[s], srv.Addr().String())
+		}
+	}
+	m, _ := impir.UniformManifest(uint64(db.NumRecords()), db.RecordSize(), cohorts)
+
+	store, err := impir.Open(ctx, impir.DeploymentFromManifest(m))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer store.Close()
+
+	record, _ := store.Retrieve(ctx, 900) // owned by shard 1
+	fmt.Println(bytes.Equal(record, db.Record(900)))
+	// Output: true
 }

@@ -2,9 +2,12 @@
 // information retrieval (Mwaisela et al., MIDDLEWARE 2025) — together
 // with the complete stack it builds on: a tree-based distributed point
 // function (DPF), a functional UPMEM processing-in-memory simulator with
-// a calibrated timing model, CPU and GPU baseline engines, a Paillier
-// single-server PIR for comparison, and a TCP transport for two-server
-// deployments.
+// a calibrated timing model, CPU and GPU baseline engines, and a TCP
+// transport for multi-server deployments. This documentation is the
+// canonical description of the protocol and its features; the README
+// holds the operator pages (server flags, load harness, metric
+// catalogue) and a map from paper sections to packages and benchmark
+// rows.
 //
 // # Protocol
 //
@@ -179,12 +182,7 @@
 // that fuses observes precisely what a server that loops observes, so
 // batching leaks nothing beyond what the unbatched protocol already
 // reveals — the arrival times and count of the queries, which the
-// coalescing window exposed regardless. Choosing between sharding
-// (split the scan), coalescing (share the pass across clients) and
-// fusion (share the memory traffic within a pass): they compose —
-// shards bound single-query latency, coalescing fills passes under
-// concurrent load, and fusion makes wide passes nearly free until the
-// scan turns ALU-bound.
+// coalescing window exposed regardless.
 //
 // # Sharded deployments
 //
@@ -218,8 +216,9 @@
 // Shard when one box's memory bandwidth is the bottleneck (scan-bound,
 // large databases); prefer the scheduler's cross-client coalescing when
 // the bottleneck is query arrival rate on a database that still fits
-// one box — coalescing amortises one scan across clients, sharding
-// splits the scan itself, and the two compose.
+// one box. The three levers compose: shards split the scan and bound
+// single-query latency, coalescing shares one pass across clients, and
+// fusion makes wide passes nearly free until the scan turns ALU-bound.
 //
 // # Keyword retrieval
 //

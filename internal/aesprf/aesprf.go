@@ -1,17 +1,12 @@
-// Package aesprf provides the AES-128-based pseudorandom generators used to
+// Package aesprf provides the AES-128-based pseudorandom generator used to
 // expand GGM tree nodes during DPF evaluation.
 //
-// Two constructions are offered:
+// FixedKeyPRG is the standard fixed-key construction used by production
+// DPF implementations: two AES permutations with fixed public keys are
+// applied in Matyas–Meyer–Oseas mode (G(s) = AES_K0(s)⊕s ‖ AES_K1(s)⊕s),
+// avoiding a per-node AES key schedule.
 //
-//   - FixedKeyPRG: the standard fixed-key construction used by production
-//     DPF implementations. Two AES permutations with fixed public keys are
-//     applied in Matyas–Meyer–Oseas mode (G(s) = AES_K0(s)⊕s ‖ AES_K1(s)⊕s),
-//     avoiding a per-node AES key schedule.
-//   - KeyedPRG: the construction as written in the paper (§3.2), where each
-//     node's seed becomes an AES key and the children are encryptions of
-//     the constants 0 and 1. Slower (per-node key schedule) but literal.
-//
-// Both expose a batch API. On amd64, Go's crypto/aes lowers to the AES-NI
+// It exposes a batch API. On amd64, Go's crypto/aes lowers to the AES-NI
 // instruction set, and issuing many independent blocks back-to-back lets
 // the hardware pipeline overlap rounds — the same batching optimisation
 // IM-PIR applies across GGM nodes at each subtree level.
@@ -29,17 +24,6 @@ const BlockSize = 16
 // Block is a 128-bit seed or ciphertext.
 type Block [BlockSize]byte
 
-// Expander doubles seeds: each 128-bit input yields a left and a right
-// 128-bit child. Implementations must be deterministic and safe for
-// concurrent use.
-type Expander interface {
-	// Expand computes the two children of a single seed.
-	Expand(seed Block) (left, right Block)
-	// ExpandBatch expands seeds[i] into left[i], right[i] for all i.
-	// All three slices must have equal length.
-	ExpandBatch(seeds, left, right []Block)
-}
-
 // Fixed public keys for the MMO construction. Any fixed values work; these
 // are the digits of π and e, a customary nothing-up-my-sleeve choice.
 var (
@@ -53,38 +37,25 @@ var (
 	}
 )
 
-// FixedKeyPRG is the fixed-key MMO length-doubling PRG.
+// FixedKeyPRG is the fixed-key MMO length-doubling PRG. It is
+// deterministic and safe for concurrent use.
 type FixedKeyPRG struct {
 	left  cipher.Block
 	right cipher.Block
 }
 
-var _ Expander = (*FixedKeyPRG)(nil)
-
 // NewFixedKey returns a PRG with the package's standard fixed keys.
 func NewFixedKey() *FixedKeyPRG {
-	g, err := NewFixedKeyWith(fixedKeyLeft, fixedKeyRight)
-	if err != nil {
+	l, errL := aes.NewCipher(fixedKeyLeft[:])
+	r, errR := aes.NewCipher(fixedKeyRight[:])
+	if errL != nil || errR != nil {
 		// Unreachable: the standard keys are valid AES-128 keys.
-		panic(fmt.Sprintf("aesprf: standard keys rejected: %v", err))
+		panic(fmt.Sprintf("aesprf: standard keys rejected: %v, %v", errL, errR))
 	}
-	return g
+	return &FixedKeyPRG{left: l, right: r}
 }
 
-// NewFixedKeyWith returns a PRG using the caller's two fixed AES-128 keys.
-func NewFixedKeyWith(keyLeft, keyRight [BlockSize]byte) (*FixedKeyPRG, error) {
-	l, err := aes.NewCipher(keyLeft[:])
-	if err != nil {
-		return nil, fmt.Errorf("aesprf: left key: %w", err)
-	}
-	r, err := aes.NewCipher(keyRight[:])
-	if err != nil {
-		return nil, fmt.Errorf("aesprf: right key: %w", err)
-	}
-	return &FixedKeyPRG{left: l, right: r}, nil
-}
-
-// Expand implements Expander.
+// Expand computes the two children of a single seed.
 func (g *FixedKeyPRG) Expand(seed Block) (left, right Block) {
 	g.left.Encrypt(left[:], seed[:])
 	g.right.Encrypt(right[:], seed[:])
@@ -93,7 +64,8 @@ func (g *FixedKeyPRG) Expand(seed Block) (left, right Block) {
 	return left, right
 }
 
-// ExpandBatch implements Expander. The loop body issues two independent
+// ExpandBatch expands seeds[i] into left[i], right[i] for all i; the
+// three slices must have equal length. The loop body issues two independent
 // AES block operations per seed with no data dependencies between
 // iterations, which keeps the AES-NI pipeline full.
 func (g *FixedKeyPRG) ExpandBatch(seeds, left, right []Block) {
@@ -105,37 +77,6 @@ func (g *FixedKeyPRG) ExpandBatch(seeds, left, right []Block) {
 	for i := range seeds {
 		xorInto(&left[i], &seeds[i])
 		xorInto(&right[i], &seeds[i])
-	}
-}
-
-// KeyedPRG re-keys AES with each node seed and encrypts the constants 0
-// and 1, matching the paper's PRF_s(x) notation literally.
-type KeyedPRG struct{}
-
-var _ Expander = KeyedPRG{}
-
-// NewKeyed returns the re-keying PRG.
-func NewKeyed() KeyedPRG { return KeyedPRG{} }
-
-// Expand implements Expander.
-func (KeyedPRG) Expand(seed Block) (left, right Block) {
-	c, err := aes.NewCipher(seed[:])
-	if err != nil {
-		// Unreachable: all 16-byte slices are valid AES-128 keys.
-		panic(fmt.Sprintf("aesprf: seed rejected: %v", err))
-	}
-	var zero, one Block
-	one[0] = 1
-	c.Encrypt(left[:], zero[:])
-	c.Encrypt(right[:], one[:])
-	return left, right
-}
-
-// ExpandBatch implements Expander.
-func (g KeyedPRG) ExpandBatch(seeds, left, right []Block) {
-	checkBatch(len(seeds), len(left), len(right))
-	for i := range seeds {
-		left[i], right[i] = g.Expand(seeds[i])
 	}
 }
 

@@ -16,73 +16,60 @@ func randomBlock(t *testing.T) Block {
 	return b
 }
 
-func expanders() map[string]Expander {
-	return map[string]Expander{
-		"fixedkey": NewFixedKey(),
-		"keyed":    NewKeyed(),
-	}
-}
-
 func TestExpandDeterministic(t *testing.T) {
-	for name, g := range expanders() {
-		t.Run(name, func(t *testing.T) {
-			seed := Block{1, 2, 3, 4}
-			l1, r1 := g.Expand(seed)
-			l2, r2 := g.Expand(seed)
-			if l1 != l2 || r1 != r2 {
-				t.Fatal("Expand is not deterministic")
-			}
-		})
-	}
+	t.Run("fixedkey", func(t *testing.T) {
+		g := NewFixedKey()
+		seed := Block{1, 2, 3, 4}
+		l1, r1 := g.Expand(seed)
+		l2, r2 := g.Expand(seed)
+		if l1 != l2 || r1 != r2 {
+			t.Fatal("Expand is not deterministic")
+		}
+	})
 }
 
 func TestExpandChildrenDiffer(t *testing.T) {
-	for name, g := range expanders() {
-		t.Run(name, func(t *testing.T) {
-			seed := randomBlock(t)
-			l, r := g.Expand(seed)
-			if l == r {
-				t.Fatal("left and right children are equal")
-			}
-			if l == seed || r == seed {
-				t.Fatal("child equals seed")
-			}
-		})
-	}
+	t.Run("fixedkey", func(t *testing.T) {
+		seed := randomBlock(t)
+		l, r := NewFixedKey().Expand(seed)
+		if l == r {
+			t.Fatal("left and right children are equal")
+		}
+		if l == seed || r == seed {
+			t.Fatal("child equals seed")
+		}
+	})
 }
 
 func TestDistinctSeedsDistinctChildren(t *testing.T) {
-	for name, g := range expanders() {
-		t.Run(name, func(t *testing.T) {
-			s1, s2 := Block{1}, Block{2}
-			l1, r1 := g.Expand(s1)
-			l2, r2 := g.Expand(s2)
-			if l1 == l2 || r1 == r2 {
-				t.Fatal("distinct seeds produced colliding children")
-			}
-		})
-	}
+	t.Run("fixedkey", func(t *testing.T) {
+		g := NewFixedKey()
+		l1, r1 := g.Expand(Block{1})
+		l2, r2 := g.Expand(Block{2})
+		if l1 == l2 || r1 == r2 {
+			t.Fatal("distinct seeds produced colliding children")
+		}
+	})
 }
 
 func TestExpandBatchMatchesSingle(t *testing.T) {
-	for name, g := range expanders() {
-		t.Run(name, func(t *testing.T) {
-			const n = 33 // deliberately not a power of two
-			seeds := make([]Block, n)
-			for i := range seeds {
-				seeds[i] = randomBlock(t)
+	t.Run("fixedkey", func(t *testing.T) {
+		g := NewFixedKey()
+		const n = 33 // deliberately not a power of two
+		seeds := make([]Block, n)
+		for i := range seeds {
+			seeds[i] = randomBlock(t)
+		}
+		left := make([]Block, n)
+		right := make([]Block, n)
+		g.ExpandBatch(seeds, left, right)
+		for i := range seeds {
+			wl, wr := g.Expand(seeds[i])
+			if left[i] != wl || right[i] != wr {
+				t.Fatalf("batch result %d differs from single expansion", i)
 			}
-			left := make([]Block, n)
-			right := make([]Block, n)
-			g.ExpandBatch(seeds, left, right)
-			for i := range seeds {
-				wl, wr := g.Expand(seeds[i])
-				if left[i] != wl || right[i] != wr {
-					t.Fatalf("batch result %d differs from single expansion", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestExpandBatchEmpty(t *testing.T) {
@@ -97,31 +84,6 @@ func TestExpandBatchLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewFixedKey().ExpandBatch(make([]Block, 2), make([]Block, 1), make([]Block, 2))
-}
-
-func TestNewFixedKeyWithCustomKeys(t *testing.T) {
-	var k0, k1 [BlockSize]byte
-	k0[0], k1[0] = 0xAA, 0xBB
-	g, err := NewFixedKeyWith(k0, k1)
-	if err != nil {
-		t.Fatalf("NewFixedKeyWith: %v", err)
-	}
-	std := NewFixedKey()
-	seed := Block{9}
-	l1, _ := g.Expand(seed)
-	l2, _ := std.Expand(seed)
-	if l1 == l2 {
-		t.Fatal("custom-key PRG matches standard-key PRG")
-	}
-}
-
-func TestConstructionsDiffer(t *testing.T) {
-	seed := Block{7, 7, 7}
-	fl, fr := NewFixedKey().Expand(seed)
-	kl, kr := NewKeyed().Expand(seed)
-	if fl == kl && fr == kr {
-		t.Fatal("fixed-key and keyed constructions coincide (suspicious)")
-	}
 }
 
 // Property: expansion output bytes look balanced — over many random seeds
@@ -214,14 +176,5 @@ func BenchmarkExpandBatch1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ExpandBatch(seeds, left, right)
-	}
-}
-
-func BenchmarkExpandKeyed(b *testing.B) {
-	g := NewKeyed()
-	seed := Block{1, 2, 3}
-	b.SetBytes(2 * BlockSize)
-	for i := 0; i < b.N; i++ {
-		seed, _ = g.Expand(seed)
 	}
 }

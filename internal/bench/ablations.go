@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/impir"
-	"github.com/impir/impir/internal/naivepir"
 	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/pimkernel"
-	"github.com/impir/impir/internal/singleserver"
 )
 
 // The ablations below probe the design choices §3 argues for, beyond the
 // paper's numbered figures: DPU pipeline occupancy (§5.2's "16
-// tasklets"), DPF vs naive query encoding (§2.3), single- vs multi-server
-// server cost (Take-away 1), and the two batch evaluation schedules
-// (§3.4).
+// tasklets"), DPF vs naive query encoding (§2.3), the two batch
+// evaluation schedules (§3.4), database preloading (§3.3) and aggregate
+// MRAM bandwidth (§2.4).
 
 // AblationTasklets sweeps the per-DPU tasklet count through the modeled
 // dpXOR kernel, reproducing the pipeline-occupancy rationale for running
@@ -83,83 +80,6 @@ func AblationCommunication(opts Options) *Report {
 	r.AddCheck("DPF keys are ≥ 10000x smaller at 2^30 records", lastRatio > 1e4,
 		"%.0fx", lastRatio)
 	r.AddNote("both encodings drive the identical dpXOR scan; internal/naivepir cross-checks the results")
-	return r
-}
-
-// AblationSingleServer quantifies Take-away 1: the per-record server cost
-// of FHE-style single-server PIR (Paillier, §2.2) versus the XOR scan of
-// multi-server PIR, measured functionally.
-func AblationSingleServer(opts Options) *Report {
-	r := &Report{
-		ID:      "Ablation A4",
-		Title:   "Server cost per record: single-server (homomorphic) vs multi-server (XOR)",
-		Columns: []string{"scheme", "records", "server time", "per record"},
-	}
-	const numRecords = 64
-	db, err := database.GenerateHashDB(numRecords, 3)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-
-	// Single-server: Paillier homomorphic dot product.
-	client, err := singleserver.NewClient(nil, 512)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-	srv, err := singleserver.NewServer(db)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-	q, err := client.BuildQuery(7, numRecords)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-	resp, err := srv.Answer(q)
-	if err != nil {
-		r.AddCheck("single-server answer", false, "%v", err)
-		return r
-	}
-	singlePerRecord := resp.ServerTime / numRecords
-
-	// Multi-server: one server's XOR scan over a much larger database,
-	// normalised per record.
-	const xorRecords = 1 << 18
-	bigDB, err := database.GenerateHashDB(xorRecords, 4)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-	nq, err := naivepir.Gen(nil, xorRecords, 12345, 2)
-	if err != nil {
-		r.AddCheck("setup", false, "%v", err)
-		return r
-	}
-	start := time.Now()
-	if _, err := naivepir.Answer(bigDB, nq.Shares[0]); err != nil {
-		r.AddCheck("multi-server answer", false, "%v", err)
-		return r
-	}
-	xorTime := time.Since(start)
-	xorPerRecord := xorTime / xorRecords
-
-	r.Rows = append(r.Rows, []string{
-		"single-server (Paillier-512)", fmt.Sprintf("%d", numRecords),
-		resp.ServerTime.Round(time.Microsecond).String(),
-		singlePerRecord.Round(time.Nanosecond).String(),
-	})
-	r.Rows = append(r.Rows, []string{
-		"multi-server (XOR scan)", fmt.Sprintf("%d", xorRecords),
-		xorTime.Round(time.Microsecond).String(),
-		xorPerRecord.Round(time.Nanosecond).String(),
-	})
-	ratio := float64(singlePerRecord) / float64(max64(int64(xorPerRecord), 1))
-	r.AddNote("homomorphic per-record cost is %.0fx the XOR per-record cost on this host "+
-		"(Take-away 1 expects ≥ 100x; wall-clock, so reported, not checked)", ratio)
-	r.AddNote("lightweight XOR work is what maps onto PIM DPUs; modular exponentiation does not")
 	return r
 }
 
@@ -324,7 +244,6 @@ func Ablations(opts Options) []*Report {
 	return []*Report{
 		AblationTasklets(opts),
 		AblationCommunication(opts),
-		AblationSingleServer(opts),
 		AblationEvalModes(opts),
 		AblationResidentVsBatched(opts),
 		AblationBandwidthScaling(opts),
@@ -332,11 +251,4 @@ func Ablations(opts Options) []*Report {
 		KeywordLookup(opts),
 		HedgingTail(opts),
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

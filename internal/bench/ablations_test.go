@@ -4,8 +4,8 @@ import "testing"
 
 func TestAblationsPass(t *testing.T) {
 	reports := Ablations(Options{})
-	if len(reports) != 9 {
-		t.Fatalf("got %d ablation reports, want 9 (6 paper ablations + shard scaling + keyword lookup + hedging tail)", len(reports))
+	if len(reports) != 8 {
+		t.Fatalf("got %d ablation reports, want 8 (5 paper ablations + shard scaling + keyword lookup + hedging tail)", len(reports))
 	}
 	for _, r := range reports {
 		if len(r.Rows) == 0 {

@@ -31,9 +31,6 @@ type Config struct {
 	// Threads is the number of concurrent query workers (the paper uses
 	// 32, the baseline server's hardware thread count). 0 means 32.
 	Threads int
-	// EvalStrategy selects the DPF traversal; zero value means
-	// dpf.StrategyMemoryBounded, matching Google's chunked evaluator.
-	EvalStrategy dpf.Strategy
 	// Host models the baseline machine. Zero value means
 	// hostmodel.CPUPIRBaseline.
 	Host hostmodel.Model
@@ -47,9 +44,8 @@ type Config struct {
 // DefaultConfig returns the paper's baseline configuration.
 func DefaultConfig() Config {
 	return Config{
-		Threads:      32,
-		EvalStrategy: dpf.StrategyMemoryBounded,
-		Host:         hostmodel.CPUPIRBaseline(),
+		Threads: 32,
+		Host:    hostmodel.CPUPIRBaseline(),
 	}
 }
 
@@ -57,14 +53,15 @@ func (c Config) withDefaults() Config {
 	if c.Threads == 0 {
 		c.Threads = 32
 	}
-	if c.EvalStrategy == 0 {
-		c.EvalStrategy = dpf.StrategyMemoryBounded
-	}
 	if c.Host.Threads == 0 {
 		c.Host = hostmodel.CPUPIRBaseline()
 	}
 	return c
 }
+
+// evalStrategy is the DPF traversal every query runs on its one thread,
+// matching Google's chunked evaluator.
+const evalStrategy = dpf.StrategyMemoryBounded
 
 // Engine is the CPU-PIR baseline server engine.
 type Engine struct {
@@ -141,7 +138,7 @@ func (e *Engine) queryOneThread(key *dpf.Key, concurrent int) ([]byte, metrics.B
 
 	// DPF evaluation (single thread per query).
 	start := time.Now()
-	vec, err := key.EvalFull(dpf.FullEvalOptions{Strategy: e.cfg.EvalStrategy, Workers: 1})
+	vec, err := key.EvalFull(dpf.FullEvalOptions{Strategy: evalStrategy, Workers: 1})
 	if err != nil {
 		return nil, bd, fmt.Errorf("cpupir: DPF evaluation: %w", err)
 	}
@@ -217,7 +214,7 @@ func (e *Engine) queryBatchFused(keys []*dpf.Key) ([][]byte, metrics.BatchStats,
 			defer wg.Done()
 			for i := range keyCh {
 				vecs[i], errs[i] = keys[i].EvalFull(dpf.FullEvalOptions{
-					Strategy: e.cfg.EvalStrategy, Workers: 1,
+					Strategy: evalStrategy, Workers: 1,
 				})
 			}
 		}()

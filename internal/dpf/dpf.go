@@ -37,39 +37,8 @@ import (
 // MaxDomain is the largest supported tree depth (log₂ of the index space).
 const MaxDomain = 62
 
-// PRGKind selects the length-doubling PRG construction used by a key pair.
-type PRGKind uint8
-
-const (
-	// PRGFixedKey is the fixed-key Matyas–Meyer–Oseas construction
-	// (fast; no per-node AES key schedule). The default.
-	PRGFixedKey PRGKind = iota + 1
-	// PRGKeyed re-keys AES with each node seed, matching the paper's
-	// PRF_s(x) notation literally.
-	PRGKeyed
-)
-
-func (k PRGKind) String() string {
-	switch k {
-	case PRGFixedKey:
-		return "fixedkey"
-	case PRGKeyed:
-		return "keyed"
-	default:
-		return fmt.Sprintf("PRGKind(%d)", uint8(k))
-	}
-}
-
-func (k PRGKind) expander() (aesprf.Expander, error) {
-	switch k {
-	case PRGFixedKey:
-		return aesprf.NewFixedKey(), nil
-	case PRGKeyed:
-		return aesprf.NewKeyed(), nil
-	default:
-		return nil, fmt.Errorf("dpf: unknown PRG kind %d", uint8(k))
-	}
-}
+// prg is the fixed-key AES length-doubling PRG every key is expanded with.
+var prg = aesprf.NewFixedKey()
 
 // Params configures key generation.
 type Params struct {
@@ -79,9 +48,6 @@ type Params struct {
 	// BetaLen is the payload length in bytes. Zero means a pure
 	// single-bit DPF (the PIR case: β = 1).
 	BetaLen int
-	// PRG selects the node-expansion construction. Zero value means
-	// PRGFixedKey.
-	PRG PRGKind
 	// Rand is the randomness source for seeds. Nil means crypto/rand.
 	Rand io.Reader
 }
@@ -95,12 +61,10 @@ type CorrectionWord struct {
 }
 
 // Key is one party's DPF key. Keys are secret: revealing both keys of a
-// pair reveals α. A key is evaluated with the PRG construction recorded in
-// PRG; evaluating with a different construction yields garbage.
+// pair reveals α.
 type Key struct {
 	Party    uint8 // 0 or 1
 	Domain   uint8 // log₂ of the index space
-	PRG      PRGKind
 	RootSeed aesprf.Block
 	RootT    bool
 	CW       []CorrectionWord // one per tree level
@@ -137,14 +101,6 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 	if len(beta) != p.BetaLen {
 		return nil, nil, fmt.Errorf("%w: have %d, want %d", ErrBetaLen, len(beta), p.BetaLen)
 	}
-	prgKind := p.PRG
-	if prgKind == 0 {
-		prgKind = PRGFixedKey
-	}
-	prg, err := prgKind.expander()
-	if err != nil {
-		return nil, nil, err
-	}
 	rng := p.Rand
 	if rng == nil {
 		rng = rand.Reader
@@ -158,15 +114,15 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		return nil, nil, fmt.Errorf("dpf: read root seed: %w", err)
 	}
 
-	k0 = &Key{Party: 0, Domain: uint8(p.Domain), PRG: prgKind, RootSeed: s0, RootT: false}
-	k1 = &Key{Party: 1, Domain: uint8(p.Domain), PRG: prgKind, RootSeed: s1, RootT: true}
+	k0 = &Key{Party: 0, Domain: uint8(p.Domain), RootSeed: s0, RootT: false}
+	k1 = &Key{Party: 1, Domain: uint8(p.Domain), RootSeed: s1, RootT: true}
 	k0.CW = make([]CorrectionWord, p.Domain)
 	k1.CW = make([]CorrectionWord, p.Domain)
 
 	t0, t1 := false, true
 	for level := 0; level < p.Domain; level++ {
-		s0L, t0L, s0R, t0R := expandNode(prg, s0)
-		s1L, t1L, s1R, t1R := expandNode(prg, s1)
+		s0L, t0L, s0R, t0R := expandNode(s0)
+		s1L, t1L, s1R, t1R := expandNode(s1)
 
 		// α's bit at this level, MSB first.
 		aBit := alpha>>(uint(p.Domain)-1-uint(level))&1 == 1
@@ -225,13 +181,9 @@ func (k *Key) Eval(x uint64) (bit bool, value []byte, err error) {
 	if len(k.CW) != int(k.Domain) {
 		return false, nil, fmt.Errorf("dpf: malformed key: %d correction words for domain %d", len(k.CW), k.Domain)
 	}
-	prg, err := k.PRG.expander()
-	if err != nil {
-		return false, nil, err
-	}
 	s, t := k.RootSeed, k.RootT
 	for level := 0; level < int(k.Domain); level++ {
-		sL, tL, sR, tR := expandNode(prg, s)
+		sL, tL, sR, tR := expandNode(s)
 		if t {
 			cw := &k.CW[level]
 			sL = xorBlocks(sL, cw.Seed)
@@ -259,7 +211,7 @@ func (k *Key) Eval(x uint64) (bit bool, value []byte, err error) {
 
 // expandNode derives the two children of a node, extracting and clearing
 // the control bit from the low bit of each child seed.
-func expandNode(prg aesprf.Expander, s aesprf.Block) (sL aesprf.Block, tL bool, sR aesprf.Block, tR bool) {
+func expandNode(s aesprf.Block) (sL aesprf.Block, tL bool, sR aesprf.Block, tR bool) {
 	sL, sR = prg.Expand(s)
 	tL = sL[0]&1 == 1
 	tR = sR[0]&1 == 1

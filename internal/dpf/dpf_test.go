@@ -3,6 +3,7 @@ package dpf
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -33,26 +34,24 @@ func randomIndex(t *testing.T, domain int) uint64 {
 // TestPointFunctionExhaustive checks the defining DPF property for every
 // index of small domains: Eval(k0,x) ⊕ Eval(k1,x) = 1 iff x = α.
 func TestPointFunctionExhaustive(t *testing.T) {
-	for _, prg := range []PRGKind{PRGFixedKey, PRGKeyed} {
-		for domain := 0; domain <= 8; domain++ {
-			n := uint64(1) << uint(domain)
-			for alpha := uint64(0); alpha < n; alpha++ {
-				k0, k1 := mustGen(t, Params{Domain: domain, PRG: prg}, alpha, nil)
-				for x := uint64(0); x < n; x++ {
-					b0, _, err := k0.Eval(x)
-					if err != nil {
-						t.Fatalf("Eval: %v", err)
-					}
-					b1, _, err := k1.Eval(x)
-					if err != nil {
-						t.Fatalf("Eval: %v", err)
-					}
-					got := b0 != b1
-					want := x == alpha
-					if got != want {
-						t.Fatalf("prg=%v domain=%d alpha=%d x=%d: share XOR = %v, want %v",
-							prg, domain, alpha, x, got, want)
-					}
+	for domain := 0; domain <= 8; domain++ {
+		n := uint64(1) << uint(domain)
+		for alpha := uint64(0); alpha < n; alpha++ {
+			k0, k1 := mustGen(t, Params{Domain: domain}, alpha, nil)
+			for x := uint64(0); x < n; x++ {
+				b0, _, err := k0.Eval(x)
+				if err != nil {
+					t.Fatalf("Eval: %v", err)
+				}
+				b1, _, err := k1.Eval(x)
+				if err != nil {
+					t.Fatalf("Eval: %v", err)
+				}
+				got := b0 != b1
+				want := x == alpha
+				if got != want {
+					t.Fatalf("domain=%d alpha=%d x=%d: share XOR = %v, want %v",
+						domain, alpha, x, got, want)
 				}
 			}
 		}
@@ -210,7 +209,33 @@ func TestDeterministicWithFixedRand(t *testing.T) {
 	if a0.RootSeed != b0.RootSeed || a1.RootSeed != b1.RootSeed {
 		t.Error("Gen with identical randomness produced different keys")
 	}
+
+	// Golden wire bytes: the key format is a protocol contract, so a
+	// change to Gen, the PRG or the codec must show up here.
+	k0, k1, err := Gen(Params{Domain: 4, Rand: src()}, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		key  *Key
+		want string
+	}{
+		{k0, "0100040100000000f3ff4d451e429e182215aaee06a2d64b00" + goldenCWs},
+		{k1, "01010401000000006d1aadc9e5031e4b99bf11ae0a796ebc01" + goldenCWs},
+	} {
+		data, err := tc.key.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(data); got != tc.want {
+			t.Errorf("party %d key bytes changed:\n got %s\nwant %s", i, got, tc.want)
+		}
+	}
 }
+
+// goldenCWs is the four correction words both golden keys share.
+const goldenCWs = "36788f7bfddf5f8d11d9dd8e64cfe34f02d0d9e428b943887723364d77605bfe07" +
+	"03a6682e800ace9f96b1fb5a91996e25ab0386d027c25a03793e9b673f50fb3efdb103"
 
 func TestWireSizeLogarithmic(t *testing.T) {
 	k8, _ := mustGen(t, Params{Domain: 8}, 0, nil)
@@ -331,19 +356,11 @@ func TestUnmarshalRejectsCorruptKeys(t *testing.T) {
 	corrupt("bad party", func(b []byte) []byte { b[1] = 2; return b })
 	corrupt("bad domain", func(b []byte) []byte { b[2] = 200; return b })
 	corrupt("bad prg", func(b []byte) []byte { b[3] = 9; return b })
+	corrupt("retired keyed prg", func(b []byte) []byte { b[3] = 2; return b })
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-1] })
 	corrupt("extended", func(b []byte) []byte { return append(b, 0) })
 	corrupt("bad root bit", func(b []byte) []byte { b[24] = 7; return b })
 	corrupt("bad cw bits", func(b []byte) []byte { b[keyHeaderSize+16] = 0xF; return b })
-}
-
-func TestPRGKindString(t *testing.T) {
-	if PRGFixedKey.String() != "fixedkey" || PRGKeyed.String() != "keyed" {
-		t.Error("unexpected PRGKind strings")
-	}
-	if PRGKind(9).String() == "" {
-		t.Error("unknown kind produced empty string")
-	}
 }
 
 func BenchmarkGen(b *testing.B) {

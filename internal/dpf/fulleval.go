@@ -11,9 +11,8 @@ import (
 
 // Strategy selects how the full-domain evaluation tree is traversed and
 // parallelised. The trade-offs are discussed in §3.2 of the paper (and at
-// length by Lam et al. for GPUs): branch-parallel recomputes shared path
-// prefixes; level-by-level holds entire tree levels in memory; the
-// memory-bounded and subtree approaches bound working-set size.
+// length by Lam et al. for GPUs): both strategies bound working-set size
+// and differ only in chunk size.
 type Strategy int
 
 const (
@@ -21,13 +20,6 @@ const (
 	// expands the tree breadth-first to level L = log₂(workers), then
 	// each worker expands its perfect subtree independently. Default.
 	StrategySubtree Strategy = iota + 1
-	// StrategyBranchParallel assigns leaf ranges to workers which each
-	// recompute the full root-to-leaf path per leaf — simple but
-	// redundant (O(N·log N) PRG calls). Included for the ablation.
-	StrategyBranchParallel
-	// StrategyLevelByLevel expands entire tree levels breadth-first,
-	// holding a full level of seeds in memory (O(N·λ) bytes).
-	StrategyLevelByLevel
 	// StrategyMemoryBounded is Lam et al.'s chunked traversal: depth-
 	// first over fixed-size chunks, each expanded breadth-first, keeping
 	// the working set at O(chunk) regardless of N.
@@ -38,10 +30,6 @@ func (s Strategy) String() string {
 	switch s {
 	case StrategySubtree:
 		return "subtree"
-	case StrategyBranchParallel:
-		return "branch-parallel"
-	case StrategyLevelByLevel:
-		return "level-by-level"
 	case StrategyMemoryBounded:
 		return "memory-bounded"
 	default:
@@ -57,10 +45,6 @@ type FullEvalOptions struct {
 	// effective worker count is rounded down to a power of two and
 	// capped so every worker owns at least one chunk.
 	Workers int
-	// ChunkLeaves bounds the per-worker breadth-first working set for
-	// the subtree and memory-bounded strategies (number of leaves per
-	// chunk). Zero means 1<<14 for subtree, 1<<10 for memory-bounded.
-	ChunkLeaves int
 }
 
 const (
@@ -74,10 +58,6 @@ const (
 func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
 	if len(k.CW) != int(k.Domain) {
 		return nil, fmt.Errorf("dpf: malformed key: %d correction words for domain %d", len(k.CW), k.Domain)
-	}
-	prg, err := k.PRG.expander()
-	if err != nil {
-		return nil, err
 	}
 	n := 1 << uint(k.Domain)
 	out := bitvec.New(n)
@@ -98,21 +78,9 @@ func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
 
 	switch strategy {
 	case StrategySubtree:
-		chunk := opts.ChunkLeaves
-		if chunk <= 0 {
-			chunk = defaultSubtreeChunk
-		}
-		k.evalSubtreeParallel(prg, out, workers, chunk)
-	case StrategyBranchParallel:
-		k.evalBranchParallel(prg, out, workers)
-	case StrategyLevelByLevel:
-		k.evalLevelByLevel(prg, out)
+		k.evalSubtreeParallel(out, workers, defaultSubtreeChunk)
 	case StrategyMemoryBounded:
-		chunk := opts.ChunkLeaves
-		if chunk <= 0 {
-			chunk = defaultBoundedChunk
-		}
-		k.evalSubtreeParallel(prg, out, workers, chunk)
+		k.evalSubtreeParallel(out, workers, defaultBoundedChunk)
 	default:
 		return nil, fmt.Errorf("dpf: unknown strategy %d", strategy)
 	}
@@ -126,35 +94,12 @@ type node struct {
 	t    bool
 }
 
-// descend computes the node at the given depth on the path to leaf base
-// (interpreting only the top `depth` bits of base). Used to seed worker
-// subtrees.
-func (k *Key) descend(prg aesprf.Expander, depth int, leaf uint64) node {
-	s, t := k.RootSeed, k.RootT
-	for level := 0; level < depth; level++ {
-		sL, tL, sR, tR := expandNode(prg, s)
-		if t {
-			cw := &k.CW[level]
-			sL = xorBlocks(sL, cw.Seed)
-			sR = xorBlocks(sR, cw.Seed)
-			tL = tL != cw.TLeft
-			tR = tR != cw.TRight
-		}
-		if leaf>>(uint(k.Domain)-1-uint(level))&1 == 1 {
-			s, t = sR, tR
-		} else {
-			s, t = sL, tL
-		}
-	}
-	return node{seed: s, t: t}
-}
-
 // evalSubtreeParallel implements both StrategySubtree and
 // StrategyMemoryBounded: the only difference between them is chunk size.
 // The master thread expands breadth-first down to the worker level; each
 // worker then walks its perfect subtree depth-first over chunks, expanding
 // each chunk breadth-first with the batched PRG.
-func (k *Key) evalSubtreeParallel(prg aesprf.Expander, out *bitvec.Vector, workers, chunkLeaves int) {
+func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) {
 	domain := int(k.Domain)
 	n := 1 << uint(domain)
 
@@ -178,7 +123,7 @@ func (k *Key) evalSubtreeParallel(prg aesprf.Expander, out *bitvec.Vector, worke
 	}
 
 	// Master pass: expand to the worker level.
-	frontier := k.expandToLevel(prg, wBits)
+	frontier := k.expandToLevel(wBits)
 
 	leavesPerWorker := uint64(n / numWorkers)
 	var wg sync.WaitGroup
@@ -187,7 +132,7 @@ func (k *Key) evalSubtreeParallel(prg aesprf.Expander, out *bitvec.Vector, worke
 		go func(w int) {
 			defer wg.Done()
 			base := uint64(w) * leavesPerWorker
-			k.evalRange(prg, frontier[w], wBits, base, leavesPerWorker, chunkLeaves, out)
+			k.evalRange(frontier[w], wBits, base, leavesPerWorker, chunkLeaves, out)
 		}(w)
 	}
 	wg.Wait()
@@ -195,13 +140,13 @@ func (k *Key) evalSubtreeParallel(prg aesprf.Expander, out *bitvec.Vector, worke
 
 // expandToLevel runs breadth-first expansion from the root down to the
 // given level, returning the 2^level frontier nodes in index order.
-func (k *Key) expandToLevel(prg aesprf.Expander, level int) []node {
+func (k *Key) expandToLevel(level int) []node {
 	cur := []node{{seed: k.RootSeed, t: k.RootT}}
 	for d := 0; d < level; d++ {
 		next := make([]node, 0, 2*len(cur))
 		cw := &k.CW[d]
 		for _, nd := range cur {
-			sL, tL, sR, tR := expandNode(prg, nd.seed)
+			sL, tL, sR, tR := expandNode(nd.seed)
 			if nd.t {
 				sL = xorBlocks(sL, cw.Seed)
 				sR = xorBlocks(sR, cw.Seed)
@@ -218,14 +163,14 @@ func (k *Key) expandToLevel(prg aesprf.Expander, level int) []node {
 // evalRange evaluates the subtree rooted at root (which sits at the given
 // depth and covers `count` leaves starting at leafBase), writing leaf
 // control bits into out. Working-set memory is bounded by chunkLeaves.
-func (k *Key) evalRange(prg aesprf.Expander, root node, depth int, leafBase, count uint64, chunkLeaves int, out *bitvec.Vector) {
+func (k *Key) evalRange(root node, depth int, leafBase, count uint64, chunkLeaves int, out *bitvec.Vector) {
 	if count <= uint64(chunkLeaves) {
-		k.evalChunkBFS(prg, root, depth, leafBase, count, out)
+		k.evalChunkBFS(root, depth, leafBase, count, out)
 		return
 	}
 	// Depth-first split: recurse into the two half-subtrees. Recursion
 	// depth is at most Domain ≤ 62.
-	sL, tL, sR, tR := expandNode(prg, root.seed)
+	sL, tL, sR, tR := expandNode(root.seed)
 	if root.t {
 		cw := &k.CW[depth]
 		sL = xorBlocks(sL, cw.Seed)
@@ -234,15 +179,15 @@ func (k *Key) evalRange(prg aesprf.Expander, root node, depth int, leafBase, cou
 		tR = tR != cw.TRight
 	}
 	half := count / 2
-	k.evalRange(prg, node{sL, tL}, depth+1, leafBase, half, chunkLeaves, out)
-	k.evalRange(prg, node{sR, tR}, depth+1, leafBase+half, half, chunkLeaves, out)
+	k.evalRange(node{sL, tL}, depth+1, leafBase, half, chunkLeaves, out)
+	k.evalRange(node{sR, tR}, depth+1, leafBase+half, half, chunkLeaves, out)
 }
 
 // evalChunkBFS expands one chunk breadth-first from a single node down to
 // the leaves, packing the leaf control bits into out. Uses the batched
 // PRG API so AES blocks pipeline, and double-buffers seed storage so each
 // level reuses the previous level's allocations.
-func (k *Key) evalChunkBFS(prg aesprf.Expander, root node, depth int, leafBase, count uint64, out *bitvec.Vector) {
+func (k *Key) evalChunkBFS(root node, depth int, leafBase, count uint64, out *bitvec.Vector) {
 	domain := int(k.Domain)
 	cnt := int(count)
 
@@ -308,63 +253,9 @@ func packLeafBits(ts []bool, leafBase uint64, out *bitvec.Vector) {
 	}
 }
 
-// evalBranchParallel computes each leaf independently root-to-leaf.
-func (k *Key) evalBranchParallel(prg aesprf.Expander, out *bitvec.Vector, workers int) {
-	n := uint64(1) << uint(k.Domain)
-	if workers < 1 {
-		workers = 1
-	}
-	if uint64(workers) > n/64 {
-		workers = int(max64(1, n/64))
-	}
-	per := (n + uint64(workers) - 1) / uint64(workers)
-	per = (per + 63) / 64 * 64 // word-align worker ranges
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * per
-		if lo >= n {
-			break
-		}
-		hi := min64(lo+per, n)
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			words := out.Words()
-			for x := lo; x < hi; x++ {
-				nd := k.descend(prg, int(k.Domain), x)
-				if nd.t {
-					words[x/64] |= 1 << uint(x%64)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// evalLevelByLevel holds each full tree level in memory.
-func (k *Key) evalLevelByLevel(prg aesprf.Expander, out *bitvec.Vector) {
+// evalLevelByLevel holds each full tree level in memory. Tests compare the
+// production walker against it.
+func (k *Key) evalLevelByLevel(out *bitvec.Vector) {
 	root := node{seed: k.RootSeed, t: k.RootT}
-	k.evalChunkBFS(prg, root, 0, 0, uint64(1)<<uint(k.Domain), out)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	k.evalChunkBFS(root, 0, 0, uint64(1)<<uint(k.Domain), out)
 }

@@ -1,19 +1,14 @@
 package dpf
 
 import (
+	mrand "math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/impir/impir/internal/bitvec"
 )
 
 func allStrategies() []Strategy {
-	return []Strategy{
-		StrategySubtree,
-		StrategyBranchParallel,
-		StrategyLevelByLevel,
-		StrategyMemoryBounded,
-	}
+	return []Strategy{StrategySubtree, StrategyMemoryBounded}
 }
 
 // referenceFull computes the full-domain evaluation one index at a time
@@ -88,22 +83,19 @@ func TestEvalFullSharesXorToOneHot(t *testing.T) {
 	}
 }
 
-// TestEvalFullChunkSizes exercises chunking edge cases: chunk larger than
-// the domain, tiny chunks, non-power-of-two chunks.
+// TestEvalFullChunkSizes exercises chunking edge cases of the walker both
+// strategies share: chunk larger than the domain, tiny chunks,
+// non-power-of-two chunks.
 func TestEvalFullChunkSizes(t *testing.T) {
 	const domain = 12
 	alpha := randomIndex(t, domain)
 	k0, _ := mustGen(t, Params{Domain: domain}, alpha, nil)
 	want := referenceFull(t, k0)
 	for _, chunk := range []int{1, 63, 64, 100, 1 << 10, 1 << 20} {
-		for _, s := range []Strategy{StrategySubtree, StrategyMemoryBounded} {
-			got, err := k0.EvalFull(FullEvalOptions{Strategy: s, Workers: 4, ChunkLeaves: chunk})
-			if err != nil {
-				t.Fatalf("EvalFull(chunk=%d): %v", chunk, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("strategy=%v chunk=%d: share mismatch", s, chunk)
-			}
+		got := bitvec.New(1 << domain)
+		k0.evalSubtreeParallel(got, 4, chunk)
+		if !got.Equal(want) {
+			t.Fatalf("chunk=%d: share mismatch", chunk)
 		}
 	}
 }
@@ -148,62 +140,53 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-// TestEvalFullKeyedPRG: full-domain evaluation must honour the key's PRG
-// construction — keys built with the re-keying PRG evaluate consistently
-// across strategies and XOR to the one-hot vector.
-func TestEvalFullKeyedPRG(t *testing.T) {
-	const domain = 9
-	alpha := randomIndex(t, domain)
-	k0, k1 := mustGen(t, Params{Domain: domain, PRG: PRGKeyed}, alpha, nil)
-
-	want0 := referenceFull(t, k0)
-	for _, s := range allStrategies() {
-		got, err := k0.EvalFull(FullEvalOptions{Strategy: s, Workers: 2})
+// FuzzEvalFull is the differential test for the full-domain walker: for
+// any domain, α, worker count and strategy, EvalFull must equal the
+// level-by-level oracle and, on 64 sampled indices, pointwise Eval.
+func FuzzEvalFull(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint8(1), false, int64(1))
+	f.Add(uint8(1), uint64(1), uint8(2), true, int64(2))
+	f.Add(uint8(6), uint64(13), uint8(4), false, int64(3))
+	f.Add(uint8(7), uint64(100), uint8(7), true, int64(4))
+	f.Add(uint8(12), uint64(4000), uint8(3), false, int64(5))
+	f.Add(uint8(16), uint64(65535), uint8(8), true, int64(6))
+	f.Fuzz(func(t *testing.T, domainRaw uint8, alphaRaw uint64, workersRaw uint8, bounded bool, seed int64) {
+		domain := int(domainRaw) % 17
+		n := 1 << uint(domain)
+		alpha := alphaRaw % uint64(n)
+		opts := FullEvalOptions{Strategy: StrategySubtree, Workers: int(workersRaw)%8 + 1}
+		if bounded {
+			opts.Strategy = StrategyMemoryBounded
+		}
+		rng := mrand.New(mrand.NewSource(seed))
+		k0, k1, err := Gen(Params{Domain: domain, Rand: rng}, alpha, nil)
 		if err != nil {
-			t.Fatalf("EvalFull(%v): %v", s, err)
+			t.Fatal(err)
 		}
-		if !got.Equal(want0) {
-			t.Fatalf("keyed PRG: strategy %v mismatch", s)
+		for _, k := range []*Key{k0, k1} {
+			got, err := k.EvalFull(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bitvec.New(n)
+			k.evalLevelByLevel(want)
+			if !got.Equal(want) {
+				t.Fatalf("domain=%d alpha=%d %+v party %d: walker differs from level-by-level oracle",
+					domain, alpha, opts, k.Party)
+			}
+			for i := 0; i < 64; i++ {
+				x := uint64(rng.Intn(n))
+				bit, _, err := k.Eval(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Bit(int(x)) != bit {
+					t.Fatalf("domain=%d alpha=%d %+v party %d: EvalFull[%d] differs from Eval",
+						domain, alpha, opts, k.Party, x)
+				}
+			}
 		}
-	}
-	v0, err := k0.EvalFull(FullEvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := k1.EvalFull(FullEvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0.Xor(v1)
-	if v0.OnesCount() != 1 || !v0.Bit(int(alpha)) {
-		t.Fatal("keyed PRG keys do not share the one-hot vector")
-	}
-}
-
-// Property: for random domains/alphas, subtree and level-by-level agree.
-func TestQuickStrategiesAgree(t *testing.T) {
-	f := func(domainRaw uint8, alphaRaw uint64, workersRaw uint8) bool {
-		domain := int(domainRaw)%12 + 1
-		alpha := alphaRaw % (1 << uint(domain))
-		workers := int(workersRaw)%8 + 1
-		k0, _, err := Gen(Params{Domain: domain}, alpha, nil)
-		if err != nil {
-			return false
-		}
-		a, err := k0.EvalFull(FullEvalOptions{Strategy: StrategySubtree, Workers: workers})
-		if err != nil {
-			return false
-		}
-		b, err := k0.EvalFull(FullEvalOptions{Strategy: StrategyLevelByLevel})
-		if err != nil {
-			return false
-		}
-		return a.Equal(b)
-	}
-	cfg := &quick.Config{MaxCount: 25}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 func benchmarkEvalFull(b *testing.B, s Strategy, domain, workers int) {
@@ -221,8 +204,4 @@ func benchmarkEvalFull(b *testing.B, s Strategy, domain, workers int) {
 }
 
 func BenchmarkEvalFullSubtree(b *testing.B)       { benchmarkEvalFull(b, StrategySubtree, 18, 4) }
-func BenchmarkEvalFullLevelByLevel(b *testing.B)  { benchmarkEvalFull(b, StrategyLevelByLevel, 18, 1) }
 func BenchmarkEvalFullMemoryBounded(b *testing.B) { benchmarkEvalFull(b, StrategyMemoryBounded, 18, 4) }
-func BenchmarkEvalFullBranchParallel(b *testing.B) {
-	benchmarkEvalFull(b, StrategyBranchParallel, 14, 4)
-}

@@ -13,7 +13,7 @@ import (
 //	0      1     version (currently 1)
 //	1      1     party
 //	2      1     domain
-//	3      1     PRG kind
+//	3      1     PRG id (always 1: fixed-key AES, see package aesprf)
 //	4      4     betaLen (uint32)
 //	8      16    root seed
 //	24     1     root control bit
@@ -21,6 +21,7 @@ import (
 //	...    β     output correction word
 const (
 	keyVersion    = 1
+	keyPRGID      = 1
 	keyHeaderSize = 25
 	cwWireSize    = aesprf.BlockSize + 1
 )
@@ -35,7 +36,7 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 	out[0] = keyVersion
 	out[1] = k.Party
 	out[2] = k.Domain
-	out[3] = uint8(k.PRG)
+	out[3] = keyPRGID
 	binary.LittleEndian.PutUint32(out[4:], uint32(len(k.OutputCW)))
 	copy(out[8:], k.RootSeed[:])
 	if k.RootT {
@@ -59,7 +60,7 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a key produced by MarshalBinary, validating all
-// structural invariants (lengths, version, party, PRG kind).
+// structural invariants (lengths, version, party, PRG id).
 func (k *Key) UnmarshalBinary(data []byte) error {
 	if len(data) < keyHeaderSize {
 		return fmt.Errorf("dpf: unmarshal: short buffer (%d bytes)", len(data))
@@ -75,9 +76,8 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 	if domain > MaxDomain {
 		return fmt.Errorf("%w: %d", ErrDomainRange, domain)
 	}
-	prg := PRGKind(data[3])
-	if _, err := prg.expander(); err != nil {
-		return err
+	if data[3] != keyPRGID {
+		return fmt.Errorf("dpf: unmarshal: unsupported PRG id %d", data[3])
 	}
 	betaLen := int(binary.LittleEndian.Uint32(data[4:]))
 	want := keyHeaderSize + cwWireSize*domain + betaLen
@@ -91,7 +91,6 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 
 	k.Party = party
 	k.Domain = uint8(domain)
-	k.PRG = prg
 	copy(k.RootSeed[:], data[8:24])
 	k.RootT = data[24] == 1
 	k.CW = make([]CorrectionWord, domain)

@@ -71,9 +71,6 @@ type Config struct {
 	Clusters int
 	// EvalWorkers is the host thread count for DPF evaluation. 0 means 8.
 	EvalWorkers int
-	// EvalStrategy is the full-domain evaluation traversal; zero value
-	// means dpf.StrategySubtree (the paper's choice).
-	EvalStrategy dpf.Strategy
 	// EvalMode selects batch evaluation scheduling; zero value means
 	// EvalPerKeyWorkers.
 	EvalMode EvalMode
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EvalWorkers == 0 {
 		c.EvalWorkers = 8
-	}
-	if c.EvalStrategy == 0 {
-		c.EvalStrategy = dpf.StrategySubtree
 	}
 	if c.EvalMode == 0 {
 		c.EvalMode = EvalPerKeyWorkers
@@ -376,7 +370,7 @@ func (e *Engine) validateKey(key *dpf.Key) error {
 func (e *Engine) evalFull(key *dpf.Key, threads int) (*bitvec.Vector, time.Duration, time.Duration, error) {
 	start := time.Now()
 	vec, err := key.EvalFull(dpf.FullEvalOptions{
-		Strategy: e.cfg.EvalStrategy,
+		Strategy: dpf.StrategySubtree, // the paper's choice (§3.2)
 		Workers:  threads,
 	})
 	if err != nil {
