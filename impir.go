@@ -375,8 +375,8 @@ func CredentialHash(password string) [32]byte {
 	return database.CredentialHash(password)
 }
 
-// DomainFor returns the DPF tree depth covering a database of numRecords:
-// ⌈log₂ numRecords⌉. Keys for a database must be generated at exactly
+// DomainFor returns the DPF domain (log₂ of the index space) covering a
+// database of numRecords: ⌈log₂ numRecords⌉. Keys for a database must be generated at exactly
 // this domain; GenerateKeys does so automatically.
 func DomainFor(numRecords int) (int, error) {
 	if numRecords < 1 {

@@ -30,9 +30,9 @@ func recordsFor(sizeGiB float64) int {
 // dbBytes is the padded database size in bytes.
 func dbBytes(n int) int64 { return int64(n) * recordSize }
 
-// keyWireSize mirrors the dpf key encoding: 25-byte header plus 17 bytes
-// per tree level.
-func keyWireSize(domain int) int { return 25 + 17*domain }
+// keyWireSize mirrors the dpf key encoding: 21-byte header, 17 bytes per
+// tree level above the 128-bit leaf blocks, and a 16-byte leaf word.
+func keyWireSize(domain int) int { return 21 + 17*max(domain-7, 0) + 16 }
 
 func domainOf(n int) int {
 	d := 0

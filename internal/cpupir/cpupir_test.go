@@ -142,13 +142,6 @@ func TestValidation(t *testing.T) {
 	if _, _, err := e0.QueryBatch(nil); err == nil {
 		t.Error("QueryBatch(nil) succeeded")
 	}
-	withPayload, _, err := dpf.Gen(dpf.Params{Domain: 9, BetaLen: 2}, 0, []byte{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e0.Query(withPayload); err == nil {
-		t.Error("Query accepted payload key")
-	}
 }
 
 func TestName(t *testing.T) {

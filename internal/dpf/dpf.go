@@ -1,25 +1,33 @@
 // Package dpf implements distributed point functions (DPFs) for two-party
 // multi-server PIR, following the tree-based construction of Gilboa–Ishai
-// (EUROCRYPT'14) with the correction-word optimisation of Boyle–Gilboa–Ishai
-// as used by IM-PIR (§3.1–3.2 of the paper).
+// (EUROCRYPT'14) with the correction-word and early-termination
+// optimisations of Boyle–Gilboa–Ishai (CCS'16) as used by IM-PIR (§3.1–3.2
+// of the paper).
 //
-// A DPF secret-shares a point function P_{α,β} — the function that is β at
-// index α and zero elsewhere — into two keys k₀ and k₁ such that neither
-// key alone reveals α or β, yet for every x:
+// A DPF secret-shares the point function P_α — the function that is 1 at
+// index α and 0 elsewhere — into two keys k₀ and k₁ such that neither key
+// alone reveals α, yet for every x:
 //
-//	Eval(k₀, x) ⊕ Eval(k₁, x) = P_{α,β}(x)
+//	Eval(k₀, x) ⊕ Eval(k₁, x) = P_α(x)
 //
-// For PIR the client generates keys for P_{α,1}, sends one to each server,
-// and each server's full-domain evaluation yields an N-bit share vector
-// whose XOR is the one-hot query vector. Each key consists of a root seed
-// plus log₂(N)+1 correction words — the "two 2-dimensional codewords" of
-// the paper's §3.1 — so keys are O(λ·log N) bits rather than O(N).
+// For PIR the client generates a key pair for α, sends one key to each
+// server, and each server's full-domain evaluation yields an N-bit share
+// vector whose XOR is the one-hot query vector.
 //
 // Evaluation expands a GGM tree: every node holds a 128-bit seed and a
 // control bit, and children are derived with an AES-based length-doubling
 // PRG (see package aesprf). The control bits of the two parties differ
-// exactly on the root-to-α path, so the leaf control bit is the share of
-// P_{α,1}(x). An output correction word extends this to multi-byte β.
+// exactly on the root-to-α path. The tree stops ν = 7 levels above the
+// leaves: each terminal node covers 128 consecutive indices, and its seed s
+// is converted into 128 selector bits with one fixed-key AES call,
+// Conv(s) = AES_Kc(s) ⊕ s. A party outputs Conv(s) ⊕ t·LeafCW. Off the α
+// path both parties hold the same (s, t), so their blocks cancel; on it
+// t₀ ⊕ t₁ = 1 and the blocks XOR to the unit vector e_{α mod 128}. A full
+// evaluation therefore costs ≈ 3N/128 AES calls instead of 2N.
+//
+// A key is a root seed and control bit, max(log₂N − 7, 0) correction words
+// (one per tree level) and one 128-bit leaf correction word, so keys are
+// O(λ·log N) bits rather than O(N).
 package dpf
 
 import (
@@ -34,8 +42,19 @@ import (
 	"github.com/impir/impir/internal/aesprf"
 )
 
-// MaxDomain is the largest supported tree depth (log₂ of the index space).
+// MaxDomain is the largest supported domain (log₂ of the index space).
 const MaxDomain = 62
+
+// leafLevels is ν, the number of tree levels replaced by the leaf
+// conversion: one terminal seed yields 1<<leafLevels selector bits.
+const (
+	leafLevels = 7
+	leafBits   = 1 << leafLevels
+)
+
+// treeDepth is the depth of the GGM tree for a domain: the terminal level
+// sits leafLevels above the leaves, or at the root for small domains.
+func treeDepth(domain int) int { return max(domain-leafLevels, 0) }
 
 // prg is the fixed-key AES length-doubling PRG every key is expanded with.
 var prg = aesprf.NewFixedKey()
@@ -45,9 +64,6 @@ type Params struct {
 	// Domain is log₂ of the index space: keys address indices in
 	// [0, 1<<Domain). Must be in [0, MaxDomain].
 	Domain int
-	// BetaLen is the payload length in bytes. Zero means a pure
-	// single-bit DPF (the PIR case: β = 1).
-	BetaLen int
 	// Rand is the randomness source for seeds. Nil means crypto/rand.
 	Rand io.Reader
 }
@@ -67,12 +83,9 @@ type Key struct {
 	Domain   uint8 // log₂ of the index space
 	RootSeed aesprf.Block
 	RootT    bool
-	CW       []CorrectionWord // one per tree level
-	OutputCW []byte           // length BetaLen; nil for single-bit DPFs
+	CW       []CorrectionWord // one per tree level: max(Domain−7, 0)
+	LeafCW   aesprf.Block     // Conv(s₀) ⊕ Conv(s₁) ⊕ e_{α mod 128}
 }
-
-// BetaLen returns the payload length in bytes (0 for single-bit keys).
-func (k *Key) BetaLen() int { return len(k.OutputCW) }
 
 // NumIndices returns the size of the key's index space, 1<<Domain.
 func (k *Key) NumIndices() uint64 { return 1 << k.Domain }
@@ -82,24 +95,22 @@ var (
 	ErrDomainRange = errors.New("dpf: domain out of range")
 	// ErrAlphaRange indicates α ≥ 2^Domain.
 	ErrAlphaRange = errors.New("dpf: alpha outside index space")
-	// ErrBetaLen indicates β does not match Params.BetaLen.
+	// ErrBetaLen indicates a payload β was supplied: keys share the
+	// single-bit point function (β = 1) only.
 	ErrBetaLen = errors.New("dpf: beta length mismatch")
 )
 
-// Gen produces a key pair for the point function P_{α,β}.
-//
-// With BetaLen == 0, beta must be nil and the generated keys share the
-// single-bit indicator function: the XOR of the two parties' evaluation
-// bits is 1 exactly at α.
+// Gen produces a key pair for the point function P_α: the XOR of the two
+// parties' evaluation bits is 1 exactly at α. beta must be nil.
 func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 	if p.Domain < 0 || p.Domain > MaxDomain {
 		return nil, nil, fmt.Errorf("%w: %d", ErrDomainRange, p.Domain)
 	}
-	if p.Domain < 64 && alpha >= 1<<uint(p.Domain) {
+	if alpha >= 1<<uint(p.Domain) {
 		return nil, nil, fmt.Errorf("%w: alpha=%d domain=%d", ErrAlphaRange, alpha, p.Domain)
 	}
-	if len(beta) != p.BetaLen {
-		return nil, nil, fmt.Errorf("%w: have %d, want %d", ErrBetaLen, len(beta), p.BetaLen)
+	if beta != nil {
+		return nil, nil, fmt.Errorf("%w: have %d bytes, keys carry no payload", ErrBetaLen, len(beta))
 	}
 	rng := p.Rand
 	if rng == nil {
@@ -114,33 +125,29 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		return nil, nil, fmt.Errorf("dpf: read root seed: %w", err)
 	}
 
+	depth := treeDepth(p.Domain)
 	k0 = &Key{Party: 0, Domain: uint8(p.Domain), RootSeed: s0, RootT: false}
 	k1 = &Key{Party: 1, Domain: uint8(p.Domain), RootSeed: s1, RootT: true}
-	k0.CW = make([]CorrectionWord, p.Domain)
-	k1.CW = make([]CorrectionWord, p.Domain)
+	k0.CW = make([]CorrectionWord, depth)
+	k1.CW = make([]CorrectionWord, depth)
 
-	t0, t1 := false, true
-	for level := 0; level < p.Domain; level++ {
-		s0L, t0L, s0R, t0R := expandNode(s0)
-		s1L, t1L, s1R, t1R := expandNode(s1)
+	// n0 and n1 are the two parties' nodes on the root-to-α path.
+	n0, n1 := node{s0, false}, node{s1, true}
+	for level := 0; level < depth; level++ {
+		l0, r0 := expandNode(n0.seed)
+		l1, r1 := expandNode(n1.seed)
 
 		// α's bit at this level, MSB first.
 		aBit := alpha>>(uint(p.Domain)-1-uint(level))&1 == 1
 
-		var sKeep0, sKeep1, sLose0, sLose1 aesprf.Block
-		var tKeep0, tKeep1 bool
+		lose0, lose1 := r0, r1
 		if aBit {
-			sKeep0, tKeep0, sLose0 = s0R, t0R, s0L
-			sKeep1, tKeep1, sLose1 = s1R, t1R, s1L
-		} else {
-			sKeep0, tKeep0, sLose0 = s0L, t0L, s0R
-			sKeep1, tKeep1, sLose1 = s1L, t1L, s1R
+			lose0, lose1 = l0, l1
 		}
-
 		cw := CorrectionWord{
-			Seed:   xorBlocks(sLose0, sLose1),
-			TLeft:  t0L != t1L != !aBit, // t0L ⊕ t1L ⊕ ¬aBit … see note below
-			TRight: t0R != t1R != aBit,
+			Seed:   xorBlocks(lose0.seed, lose1.seed),
+			TLeft:  l0.t != l1.t != !aBit, // t0L ⊕ t1L ⊕ ¬aBit … see note below
+			TRight: r0.t != r1.t != aBit,
 		}
 		// Note: x != y on bools is XOR; the chained form above associates
 		// left-to-right, computing (t0L ⊕ t1L) ⊕ (aBit ⊕ 1) for TLeft and
@@ -148,83 +155,88 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		k0.CW[level] = cw
 		k1.CW[level] = cw
 
-		tKeepCW := cw.TRight
-		if !aBit {
-			tKeepCW = cw.TLeft
+		l0, r0 = k0.correct(l0, r0, n0.t, level)
+		l1, r1 = k1.correct(l1, r1, n1.t, level)
+		n0, n1 = l0, l1
+		if aBit {
+			n0, n1 = r0, r1
 		}
-
-		s0, t0 = applyCorrection(sKeep0, tKeep0, t0, cw.Seed, tKeepCW)
-		s1, t1 = applyCorrection(sKeep1, tKeep1, t1, cw.Seed, tKeepCW)
 	}
 
-	if p.BetaLen > 0 {
-		ocw := make([]byte, p.BetaLen)
-		c0 := convertSeed(s0, p.BetaLen)
-		c1 := convertSeed(s1, p.BetaLen)
-		for i := range ocw {
-			ocw[i] = beta[i] ^ c0[i] ^ c1[i]
-		}
-		k0.OutputCW = ocw
-		k1.OutputCW = append([]byte(nil), ocw...)
-	}
+	leafCW := xorBlocks(convert(n0.seed), convert(n1.seed))
+	j := alpha % leafBits
+	leafCW[j/8] ^= 1 << (j % 8)
+	k0.LeafCW = leafCW
+	k1.LeafCW = leafCW
 	return k0, k1, nil
 }
 
-// Eval returns this party's bit share of P_{α,1}(x) and, for keys carrying
-// a payload, the byte share of β. The XOR of the two parties' bit shares
-// is 1 exactly at x == α; the XOR of the byte shares is β at α and zero
-// elsewhere.
-func (k *Key) Eval(x uint64) (bit bool, value []byte, err error) {
-	if k.Domain < 64 && x >= 1<<uint(k.Domain) {
-		return false, nil, fmt.Errorf("%w: x=%d domain=%d", ErrAlphaRange, x, k.Domain)
+// Eval returns this party's bit share of P_α(x). The XOR of the two
+// parties' shares is 1 exactly at x == α.
+func (k *Key) Eval(x uint64) (bool, error) {
+	if x >= 1<<uint(k.Domain) {
+		return false, fmt.Errorf("%w: x=%d domain=%d", ErrAlphaRange, x, k.Domain)
 	}
-	if len(k.CW) != int(k.Domain) {
-		return false, nil, fmt.Errorf("dpf: malformed key: %d correction words for domain %d", len(k.CW), k.Domain)
+	if err := k.checkShape(); err != nil {
+		return false, err
 	}
-	s, t := k.RootSeed, k.RootT
-	for level := 0; level < int(k.Domain); level++ {
-		sL, tL, sR, tR := expandNode(s)
-		if t {
-			cw := &k.CW[level]
-			sL = xorBlocks(sL, cw.Seed)
-			sR = xorBlocks(sR, cw.Seed)
-			tL = tL != cw.TLeft
-			tR = tR != cw.TRight
-		}
+	nd := node{k.RootSeed, k.RootT}
+	for level := range k.CW {
+		l, r := expandNode(nd.seed)
+		l, r = k.correct(l, r, nd.t, level)
+		nd = l
 		if x>>(uint(k.Domain)-1-uint(level))&1 == 1 {
-			s, t = sR, tR
-		} else {
-			s, t = sL, tL
+			nd = r
 		}
 	}
-	if len(k.OutputCW) == 0 {
-		return t, nil, nil
+	block := k.leafBlock(nd)
+	j := x % leafBits
+	return block[j/8]>>(j%8)&1 == 1, nil
+}
+
+// checkShape rejects keys whose correction-word count does not match
+// their domain.
+func (k *Key) checkShape() error {
+	if len(k.CW) != treeDepth(int(k.Domain)) {
+		return fmt.Errorf("dpf: malformed key: %d correction words for domain %d", len(k.CW), k.Domain)
 	}
-	value = convertSeed(s, len(k.OutputCW))
+	return nil
+}
+
+// expandNode derives the two uncorrected children of a node.
+func expandNode(s aesprf.Block) (l, r node) {
+	sL, sR := prg.Expand(s)
+	return split(sL), split(sR)
+}
+
+// split turns one PRG output half into a node, extracting and clearing the
+// control bit from the low bit of the seed.
+func split(s aesprf.Block) node {
+	t := s[0]&1 == 1
+	s[0] &^= 1
+	return node{s, t}
+}
+
+// correct applies the level's correction word to the uncorrected children
+// of a node whose control bit is t.
+func (k *Key) correct(l, r node, t bool, level int) (node, node) {
 	if t {
-		for i := range value {
-			value[i] ^= k.OutputCW[i]
-		}
+		cw := &k.CW[level]
+		l.seed = xorBlocks(l.seed, cw.Seed)
+		r.seed = xorBlocks(r.seed, cw.Seed)
+		l.t = l.t != cw.TLeft
+		r.t = r.t != cw.TRight
 	}
-	return t, value, nil
+	return l, r
 }
 
-// expandNode derives the two children of a node, extracting and clearing
-// the control bit from the low bit of each child seed.
-func expandNode(s aesprf.Block) (sL aesprf.Block, tL bool, sR aesprf.Block, tR bool) {
-	sL, sR = prg.Expand(s)
-	tL = sL[0]&1 == 1
-	tR = sR[0]&1 == 1
-	sL[0] &^= 1
-	sR[0] &^= 1
-	return sL, tL, sR, tR
-}
-
-func applyCorrection(sKeep aesprf.Block, tKeep, tPrev bool, cwSeed aesprf.Block, cwT bool) (aesprf.Block, bool) {
-	if tPrev {
-		return xorBlocks(sKeep, cwSeed), tKeep != cwT
+// leafBlock is a terminal node's 128 selector bits: Conv(s) ⊕ t·LeafCW.
+func (k *Key) leafBlock(nd node) aesprf.Block {
+	b := convert(nd.seed)
+	if nd.t {
+		b = xorBlocks(b, k.LeafCW)
 	}
-	return sKeep, tKeep
+	return b
 }
 
 func xorBlocks(a, b aesprf.Block) aesprf.Block {
@@ -234,8 +246,9 @@ func xorBlocks(a, b aesprf.Block) aesprf.Block {
 	return a
 }
 
-// convertCipher is a third fixed-key AES permutation used to map leaf
-// seeds to payload bytes, so payload bytes never expose raw tree seeds.
+// convertCipher is a third fixed-key AES permutation, independent of the
+// two PRG keys, that maps terminal seeds to selector blocks so the blocks
+// never expose raw tree seeds.
 var convertCipher = newConvertCipher()
 
 func newConvertCipher() cipher.Block {
@@ -251,21 +264,16 @@ func newConvertCipher() cipher.Block {
 	return c
 }
 
-// convertSeed maps a leaf seed to n pseudorandom payload bytes using the
-// convert cipher in a counter-like mode.
-func convertSeed(s aesprf.Block, n int) []byte {
-	out := make([]byte, 0, (n+15)/16*16)
-	var block [16]byte
-	for ctr := uint64(0); len(out) < n; ctr++ {
-		in := s
-		// Fold the counter into the high bytes so consecutive blocks of a
-		// long payload decorrelate.
-		binary.LittleEndian.PutUint64(in[8:], binary.LittleEndian.Uint64(in[8:])^ctr)
-		convertCipher.Encrypt(block[:], in[:])
-		for i := range block {
-			block[i] ^= in[i]
-		}
-		out = append(out, block[:]...)
-	}
-	return out[:n]
+// convert is Conv(s) = AES_Kc(s) ⊕ s: the 128 selector bits of a terminal
+// seed, bit j in byte j/8 at position j%8.
+func convert(s aesprf.Block) aesprf.Block {
+	var c aesprf.Block
+	convertCipher.Encrypt(c[:], s[:])
+	return xorBlocks(c, s)
+}
+
+// blockWords splits a block into the two little-endian words that hold its
+// bits in bitvec order.
+func blockWords(b *aesprf.Block) (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])
 }

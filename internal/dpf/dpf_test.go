@@ -1,18 +1,19 @@
 package dpf
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"math/big"
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func mustGen(t *testing.T, p Params, alpha uint64, beta []byte) (*Key, *Key) {
+func mustGen(t *testing.T, p Params, alpha uint64) (*Key, *Key) {
 	t.Helper()
-	k0, k1, err := Gen(p, alpha, beta)
+	k0, k1, err := Gen(p, alpha, nil)
 	if err != nil {
 		t.Fatalf("Gen(domain=%d, alpha=%d): %v", p.Domain, alpha, err)
 	}
@@ -37,13 +38,13 @@ func TestPointFunctionExhaustive(t *testing.T) {
 	for domain := 0; domain <= 8; domain++ {
 		n := uint64(1) << uint(domain)
 		for alpha := uint64(0); alpha < n; alpha++ {
-			k0, k1 := mustGen(t, Params{Domain: domain}, alpha, nil)
+			k0, k1 := mustGen(t, Params{Domain: domain}, alpha)
 			for x := uint64(0); x < n; x++ {
-				b0, _, err := k0.Eval(x)
+				b0, err := k0.Eval(x)
 				if err != nil {
 					t.Fatalf("Eval: %v", err)
 				}
-				b1, _, err := k1.Eval(x)
+				b1, err := k1.Eval(x)
 				if err != nil {
 					t.Fatalf("Eval: %v", err)
 				}
@@ -62,14 +63,14 @@ func TestPointFunctionExhaustive(t *testing.T) {
 func TestPointFunctionLargeDomain(t *testing.T) {
 	for _, domain := range []int{16, 20, 32, 47, MaxDomain} {
 		alpha := randomIndex(t, domain)
-		k0, k1 := mustGen(t, Params{Domain: domain}, alpha, nil)
+		k0, k1 := mustGen(t, Params{Domain: domain}, alpha)
 
 		check := func(x uint64, want bool) {
-			b0, _, err := k0.Eval(x)
+			b0, err := k0.Eval(x)
 			if err != nil {
 				t.Fatalf("Eval(%d): %v", x, err)
 			}
-			b1, _, err := k1.Eval(x)
+			b1, err := k1.Eval(x)
 			if err != nil {
 				t.Fatalf("Eval(%d): %v", x, err)
 			}
@@ -95,49 +96,13 @@ func TestPointFunctionLargeDomain(t *testing.T) {
 	}
 }
 
-// TestPayloadBeta checks multi-byte payload reconstruction: the XOR of the
-// value shares is β at α and zero elsewhere.
-func TestPayloadBeta(t *testing.T) {
-	for _, betaLen := range []int{1, 4, 16, 17, 32, 100} {
-		beta := make([]byte, betaLen)
-		if _, err := rand.Read(beta); err != nil {
-			t.Fatalf("rand.Read: %v", err)
-		}
-		const domain = 10
-		alpha := randomIndex(t, domain)
-		k0, k1 := mustGen(t, Params{Domain: domain, BetaLen: betaLen}, alpha, beta)
-
-		for _, x := range []uint64{alpha, 0, 1023, alpha ^ 1} {
-			_, v0, err := k0.Eval(x)
-			if err != nil {
-				t.Fatalf("Eval: %v", err)
-			}
-			_, v1, err := k1.Eval(x)
-			if err != nil {
-				t.Fatalf("Eval: %v", err)
-			}
-			combined := make([]byte, betaLen)
-			for i := range combined {
-				combined[i] = v0[i] ^ v1[i]
-			}
-			if x == alpha {
-				if !bytes.Equal(combined, beta) {
-					t.Fatalf("betaLen=%d: reconstruction at alpha = %x, want %x", betaLen, combined, beta)
-				}
-			} else if !bytes.Equal(combined, make([]byte, betaLen)) {
-				t.Fatalf("betaLen=%d x=%d: nonzero payload off-path: %x", betaLen, x, combined)
-			}
-		}
-	}
-}
-
 // TestKeyShareLooksRandom: a single key's full evaluation must not be the
 // one-hot vector itself (that would leak α trivially). With overwhelming
 // probability roughly half the bits are set.
 func TestKeyShareLooksRandom(t *testing.T) {
 	const domain = 12
 	n := 1 << domain
-	k0, _ := mustGen(t, Params{Domain: domain}, 42, nil)
+	k0, _ := mustGen(t, Params{Domain: domain}, 42)
 	v, err := k0.EvalFull(FullEvalOptions{})
 	if err != nil {
 		t.Fatalf("EvalFull: %v", err)
@@ -158,28 +123,27 @@ func TestGenValidation(t *testing.T) {
 	if _, _, err := Gen(Params{Domain: 4}, 16, nil); err == nil {
 		t.Error("Gen accepted alpha outside index space")
 	}
-	if _, _, err := Gen(Params{Domain: 4, BetaLen: 2}, 0, []byte{1}); err == nil {
-		t.Error("Gen accepted beta shorter than BetaLen")
-	}
-	if _, _, err := Gen(Params{Domain: 4}, 0, []byte{1}); err == nil {
-		t.Error("Gen accepted beta with BetaLen=0")
+	for _, beta := range [][]byte{{1}, {}} {
+		if _, _, err := Gen(Params{Domain: 4}, 0, beta); !errors.Is(err, ErrBetaLen) {
+			t.Errorf("Gen with payload %v: err = %v, want ErrBetaLen", beta, err)
+		}
 	}
 }
 
 func TestEvalValidation(t *testing.T) {
-	k0, _ := mustGen(t, Params{Domain: 4}, 3, nil)
-	if _, _, err := k0.Eval(16); err == nil {
+	k0, _ := mustGen(t, Params{Domain: 12}, 3)
+	if _, err := k0.Eval(1 << 12); err == nil {
 		t.Error("Eval accepted out-of-domain index")
 	}
 	bad := *k0
 	bad.CW = bad.CW[:2]
-	if _, _, err := bad.Eval(0); err == nil {
+	if _, err := bad.Eval(0); err == nil {
 		t.Error("Eval accepted malformed key (truncated CW)")
 	}
 }
 
 func TestKeysDiffer(t *testing.T) {
-	k0, k1 := mustGen(t, Params{Domain: 8}, 5, nil)
+	k0, k1 := mustGen(t, Params{Domain: 8}, 5)
 	if k0.RootSeed == k1.RootSeed {
 		t.Error("both parties share a root seed")
 	}
@@ -187,7 +151,7 @@ func TestKeysDiffer(t *testing.T) {
 		t.Error("both keys claim the same party")
 	}
 	// Regenerating for the same alpha must give fresh keys.
-	k0b, _ := mustGen(t, Params{Domain: 8}, 5, nil)
+	k0b, _ := mustGen(t, Params{Domain: 8}, 5)
 	if k0.RootSeed == k0b.RootSeed {
 		t.Error("two Gen calls produced identical root seeds")
 	}
@@ -212,7 +176,7 @@ func TestDeterministicWithFixedRand(t *testing.T) {
 
 	// Golden wire bytes: the key format is a protocol contract, so a
 	// change to Gen, the PRG or the codec must show up here.
-	k0, k1, err := Gen(Params{Domain: 4, Rand: src()}, 5, nil)
+	k0, k1, err := Gen(Params{Domain: 9, Rand: src()}, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +184,8 @@ func TestDeterministicWithFixedRand(t *testing.T) {
 		key  *Key
 		want string
 	}{
-		{k0, "0100040100000000f3ff4d451e429e182215aaee06a2d64b00" + goldenCWs},
-		{k1, "01010401000000006d1aadc9e5031e4b99bf11ae0a796ebc01" + goldenCWs},
+		{k0, "02000901f3ff4d451e429e182215aaee06a2d64b00" + goldenTail},
+		{k1, "020109016d1aadc9e5031e4b99bf11ae0a796ebc01" + goldenTail},
 	} {
 		data, err := tc.key.MarshalBinary()
 		if err != nil {
@@ -231,30 +195,52 @@ func TestDeterministicWithFixedRand(t *testing.T) {
 			t.Errorf("party %d key bytes changed:\n got %s\nwant %s", i, got, tc.want)
 		}
 	}
-}
 
-// goldenCWs is the four correction words both golden keys share.
-const goldenCWs = "36788f7bfddf5f8d11d9dd8e64cfe34f02d0d9e428b943887723364d77605bfe07" +
-	"03a6682e800ace9f96b1fb5a91996e25ab0386d027c25a03793e9b673f50fb3efdb103"
-
-func TestWireSizeLogarithmic(t *testing.T) {
-	k8, _ := mustGen(t, Params{Domain: 8}, 0, nil)
-	k16, _ := mustGen(t, Params{Domain: 16}, 0, nil)
-	d8, d16 := k8.WireSize(), k16.WireSize()
-	if d16-d8 != 8*cwWireSize {
-		t.Fatalf("wire growth %d bytes for 8 extra levels, want %d", d16-d8, 8*cwWireSize)
-	}
-	data, err := k16.MarshalBinary()
+	// A version-1 key (4-byte payload length, one correction word per
+	// index bit, no leaf word) must be refused, not misread.
+	v1, err := hex.DecodeString(goldenV1Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != k16.WireSize() {
-		t.Fatalf("WireSize() = %d but MarshalBinary produced %d bytes", k16.WireSize(), len(data))
+	var k Key
+	if err := k.UnmarshalBinary(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("UnmarshalBinary(v1 key) = %v, want unsupported version 1", err)
+	}
+}
+
+// goldenTail is the two correction words and the leaf correction word both
+// golden keys share.
+const goldenTail = "f0fa406d87ec9a783e980e18abb0d14c01" +
+	"e8bfa47908bc822df5c8c0d345fa94b702" +
+	"f0f14c9bad8a532bca5cef94dacc2c6d"
+
+// goldenV1Key is a party-0 domain-4 key in the retired version-1 format.
+const goldenV1Key = "0100040100000000f3ff4d451e429e182215aaee06a2d64b00" +
+	"36788f7bfddf5f8d11d9dd8e64cfe34f02d0d9e428b943887723364d77605bfe07" +
+	"03a6682e800ace9f96b1fb5a91996e25ab0386d027c25a03793e9b673f50fb3efdb103"
+
+// TestWireSizeLogarithmic pins the v2 key size: 21 header bytes, 17 per
+// tree level above the 128-bit leaf blocks, and a 16-byte leaf word.
+func TestWireSizeLogarithmic(t *testing.T) {
+	for _, tc := range []struct{ domain, want int }{
+		{0, 37}, {6, 37}, {7, 37}, {8, 54}, {10, 88}, {16, 190},
+	} {
+		k, _ := mustGen(t, Params{Domain: tc.domain}, 0)
+		if got := k.WireSize(); got != tc.want {
+			t.Errorf("domain %d: WireSize() = %d, want %d", tc.domain, got, tc.want)
+		}
+		data, err := k.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != k.WireSize() {
+			t.Fatalf("WireSize() = %d but MarshalBinary produced %d bytes", k.WireSize(), len(data))
+		}
 	}
 }
 
 func TestNumIndices(t *testing.T) {
-	k, _ := mustGen(t, Params{Domain: 10}, 0, nil)
+	k, _ := mustGen(t, Params{Domain: 10}, 0)
 	if k.NumIndices() != 1024 {
 		t.Fatalf("NumIndices() = %d, want 1024", k.NumIndices())
 	}
@@ -271,11 +257,11 @@ func TestQuickPointFunction(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b0, _, err := k0.Eval(x)
+		b0, err := k0.Eval(x)
 		if err != nil {
 			return false
 		}
-		b1, _, err := k1.Eval(x)
+		b1, err := k1.Eval(x)
 		if err != nil {
 			return false
 		}
@@ -290,17 +276,11 @@ func TestQuickPointFunction(t *testing.T) {
 // Property test: marshalling round-trips and the unmarshalled key
 // evaluates identically.
 func TestQuickMarshalRoundTrip(t *testing.T) {
-	f := func(domainRaw uint8, alphaRaw uint64, withBeta bool) bool {
+	f := func(domainRaw uint8, alphaRaw uint64) bool {
 		domain := int(domainRaw)%14 + 1
 		n := uint64(1) << uint(domain)
 		alpha := alphaRaw % n
-		p := Params{Domain: domain}
-		var beta []byte
-		if withBeta {
-			p.BetaLen = 8
-			beta = []byte{1, 2, 3, 4, 5, 6, 7, 8}
-		}
-		k0, _, err := Gen(p, alpha, beta)
+		k0, _, err := Gen(Params{Domain: domain}, alpha, nil)
 		if err != nil {
 			return false
 		}
@@ -312,16 +292,16 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			return false
 		}
+		if back.LeafCW != k0.LeafCW {
+			return false
+		}
 		for x := uint64(0); x < n; x += 1 + n/16 {
-			wb, wv, err := k0.Eval(x)
+			wb, err := k0.Eval(x)
 			if err != nil {
 				return false
 			}
-			gb, gv, err := back.Eval(x)
-			if err != nil {
-				return false
-			}
-			if wb != gb || !bytes.Equal(wv, gv) {
+			gb, err := back.Eval(x)
+			if err != nil || wb != gb {
 				return false
 			}
 		}
@@ -334,7 +314,7 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruptKeys(t *testing.T) {
-	k0, _ := mustGen(t, Params{Domain: 6}, 3, nil)
+	k0, _ := mustGen(t, Params{Domain: 10}, 3)
 	good, err := k0.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +339,7 @@ func TestUnmarshalRejectsCorruptKeys(t *testing.T) {
 	corrupt("retired keyed prg", func(b []byte) []byte { b[3] = 2; return b })
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-1] })
 	corrupt("extended", func(b []byte) []byte { return append(b, 0) })
-	corrupt("bad root bit", func(b []byte) []byte { b[24] = 7; return b })
+	corrupt("bad root bit", func(b []byte) []byte { b[20] = 7; return b })
 	corrupt("bad cw bits", func(b []byte) []byte { b[keyHeaderSize+16] = 0xF; return b })
 }
 
@@ -378,7 +358,7 @@ func BenchmarkEvalSingle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := k0.Eval(uint64(i) & (1<<30 - 1)); err != nil {
+		if _, err := k0.Eval(uint64(i) & (1<<30 - 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,10 +43,12 @@ type FullEvalOptions struct {
 	Strategy Strategy
 	// Workers is the parallelism degree. Zero means GOMAXPROCS. The
 	// effective worker count is rounded down to a power of two and
-	// capped so every worker owns at least one chunk.
+	// capped so every worker owns at least one terminal node.
 	Workers int
 }
 
+// Chunk sizes in output leaves (indices); a chunk holds chunk/128
+// terminal nodes.
 const (
 	defaultSubtreeChunk = 1 << 14
 	defaultBoundedChunk = 1 << 10
@@ -56,35 +58,24 @@ const (
 // packed N-bit share vector v with v[x] = Eval(k, x). This is the
 // server-side "key evaluation" phase of Algorithm 1 (line 13–18).
 func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
-	if len(k.CW) != int(k.Domain) {
-		return nil, fmt.Errorf("dpf: malformed key: %d correction words for domain %d", len(k.CW), k.Domain)
+	if err := k.checkShape(); err != nil {
+		return nil, err
 	}
-	n := 1 << uint(k.Domain)
-	out := bitvec.New(n)
-
-	if k.Domain == 0 {
-		out.SetTo(0, k.RootT)
-		return out, nil
-	}
-
-	strategy := opts.Strategy
-	if strategy == 0 {
-		strategy = StrategySubtree
+	var chunk int
+	switch opts.Strategy {
+	case 0, StrategySubtree:
+		chunk = defaultSubtreeChunk
+	case StrategyMemoryBounded:
+		chunk = defaultBoundedChunk
+	default:
+		return nil, fmt.Errorf("dpf: unknown strategy %d", opts.Strategy)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	switch strategy {
-	case StrategySubtree:
-		k.evalSubtreeParallel(out, workers, defaultSubtreeChunk)
-	case StrategyMemoryBounded:
-		k.evalSubtreeParallel(out, workers, defaultBoundedChunk)
-	default:
-		return nil, fmt.Errorf("dpf: unknown strategy %d", strategy)
-	}
-	out.TrailingWordMask()
+	out := bitvec.New(1 << uint(k.Domain))
+	k.evalSubtreeParallel(out, workers, chunk)
 	return out, nil
 }
 
@@ -98,164 +89,145 @@ type node struct {
 // StrategyMemoryBounded: the only difference between them is chunk size.
 // The master thread expands breadth-first down to the worker level; each
 // worker then walks its perfect subtree depth-first over chunks, expanding
-// each chunk breadth-first with the batched PRG.
+// each chunk breadth-first with the batched PRG and writing every terminal
+// node's 128 selector bits as two words of out.
 func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) {
-	domain := int(k.Domain)
-	n := 1 << uint(domain)
+	words := out.Words()
+	depth := len(k.CW)
+	if depth == 0 {
+		// The root is the only terminal node; its block covers all
+		// ≤ 128 indices.
+		b := k.leafBlock(node{k.RootSeed, k.RootT})
+		lo, hi := blockWords(&b)
+		words[0] = lo
+		if len(words) > 1 {
+			words[1] = hi
+		}
+		out.TrailingWordMask()
+		return
+	}
 
-	// Round workers down to a power of two no larger than the domain
-	// permits; every worker must own ≥ 64 leaves so its output range is
-	// word-aligned in the bit vector.
+	// Round workers down to a power of two no larger than the number of
+	// terminal nodes.
 	wBits := 0
-	for (1<<(wBits+1)) <= workers && wBits+1 <= domain && n>>(wBits+1) >= 64 {
+	for 1<<(wBits+1) <= workers && wBits < depth {
 		wBits++
 	}
-	if n < 128 {
-		wBits = 0
-	}
 	numWorkers := 1 << uint(wBits)
-
-	if chunkLeaves > n/numWorkers {
-		chunkLeaves = n / numWorkers
-	}
-	if chunkLeaves < 64 {
-		chunkLeaves = min(64, n/numWorkers)
-	}
+	perWorker := 1 << uint(depth-wBits)
+	chunkNodes := min(max(chunkLeaves/leafBits, 1), perWorker)
 
 	// Master pass: expand to the worker level.
 	frontier := k.expandToLevel(wBits)
 
-	leavesPerWorker := uint64(n / numWorkers)
 	var wg sync.WaitGroup
-	for w := 0; w < numWorkers; w++ {
+	for w := 1; w < numWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(w) * leavesPerWorker
-			k.evalRange(frontier[w], wBits, base, leavesPerWorker, chunkLeaves, out)
+			wk := k.newWalker(chunkNodes, words)
+			wk.evalRange(frontier[w], wBits, w*perWorker, perWorker)
 		}(w)
 	}
+	wk := k.newWalker(chunkNodes, words)
+	wk.evalRange(frontier[0], wBits, 0, perWorker)
 	wg.Wait()
 }
 
 // expandToLevel runs breadth-first expansion from the root down to the
 // given level, returning the 2^level frontier nodes in index order.
 func (k *Key) expandToLevel(level int) []node {
-	cur := []node{{seed: k.RootSeed, t: k.RootT}}
+	cur := []node{{k.RootSeed, k.RootT}}
 	for d := 0; d < level; d++ {
 		next := make([]node, 0, 2*len(cur))
-		cw := &k.CW[d]
 		for _, nd := range cur {
-			sL, tL, sR, tR := expandNode(nd.seed)
-			if nd.t {
-				sL = xorBlocks(sL, cw.Seed)
-				sR = xorBlocks(sR, cw.Seed)
-				tL = tL != cw.TLeft
-				tR = tR != cw.TRight
-			}
-			next = append(next, node{sL, tL}, node{sR, tR})
+			l, r := expandNode(nd.seed)
+			l, r = k.correct(l, r, nd.t, d)
+			next = append(next, l, r)
 		}
 		cur = next
 	}
 	return cur
 }
 
-// evalRange evaluates the subtree rooted at root (which sits at the given
-// depth and covers `count` leaves starting at leafBase), writing leaf
-// control bits into out. Working-set memory is bounded by chunkLeaves.
-func (k *Key) evalRange(root node, depth int, leafBase, count uint64, chunkLeaves int, out *bitvec.Vector) {
-	if count <= uint64(chunkLeaves) {
-		k.evalChunkBFS(root, depth, leafBase, count, out)
+// walker is one worker's scratch, allocated once per EvalFull call and
+// reused across that worker's chunks: the seeds and control bits of a
+// chunk's current level, and PRG output space of the same size (at least
+// two blocks, for the single-node splits of the depth-first descent).
+type walker struct {
+	k     *Key
+	words []uint64 // output vector storage; terminal node m owns words 2m, 2m+1
+	seeds []aesprf.Block
+	ts    []bool
+	tmp   []aesprf.Block
+}
+
+func (k *Key) newWalker(chunkNodes int, words []uint64) walker {
+	buf := make([]aesprf.Block, chunkNodes+max(chunkNodes, 2))
+	return walker{
+		k:     k,
+		words: words,
+		seeds: buf[:chunkNodes],
+		ts:    make([]bool, chunkNodes),
+		tmp:   buf[chunkNodes:],
+	}
+}
+
+// evalRange evaluates the subtree rooted at root, which sits at the given
+// depth and covers count terminal nodes starting at terminal index first.
+// Working-set memory is bounded by the walker's chunk size.
+func (w *walker) evalRange(root node, depth, first, count int) {
+	if count <= len(w.seeds) {
+		w.evalChunk(root, depth, first, count)
 		return
 	}
 	// Depth-first split: recurse into the two half-subtrees. Recursion
-	// depth is at most Domain ≤ 62.
-	sL, tL, sR, tR := expandNode(root.seed)
-	if root.t {
-		cw := &k.CW[depth]
-		sL = xorBlocks(sL, cw.Seed)
-		sR = xorBlocks(sR, cw.Seed)
-		tL = tL != cw.TLeft
-		tR = tR != cw.TRight
-	}
+	// depth is at most the tree depth ≤ 55.
+	w.seeds[0] = root.seed
+	prg.ExpandBatch(w.seeds[:1], w.tmp[:1], w.tmp[1:2])
+	l, r := w.k.correct(split(w.tmp[0]), split(w.tmp[1]), root.t, depth)
 	half := count / 2
-	k.evalRange(node{sL, tL}, depth+1, leafBase, half, chunkLeaves, out)
-	k.evalRange(node{sR, tR}, depth+1, leafBase+half, half, chunkLeaves, out)
+	w.evalRange(l, depth+1, first, half)
+	w.evalRange(r, depth+1, first+half, half)
 }
 
-// evalChunkBFS expands one chunk breadth-first from a single node down to
-// the leaves, packing the leaf control bits into out. Uses the batched
-// PRG API so AES blocks pipeline, and double-buffers seed storage so each
-// level reuses the previous level's allocations.
-func (k *Key) evalChunkBFS(root node, depth int, leafBase, count uint64, out *bitvec.Vector) {
-	domain := int(k.Domain)
-	cnt := int(count)
-
-	cur := make([]aesprf.Block, 1, cnt)
-	next := make([]aesprf.Block, 0, cnt)
-	tsCur := make([]bool, 1, cnt)
-	tsNext := make([]bool, 0, cnt)
-	left := make([]aesprf.Block, 0, (cnt+1)/2)
-	right := make([]aesprf.Block, 0, (cnt+1)/2)
-	cur[0], tsCur[0] = root.seed, root.t
-
-	for d := depth; d < domain; d++ {
-		width := len(cur)
-		left = left[:width]
-		right = right[:width]
-		prg.ExpandBatch(cur, left, right)
-
-		cw := &k.CW[d]
-		next = next[:2*width]
-		tsNext = tsNext[:2*width]
-		for i := 0; i < width; i++ {
-			sL, sR := left[i], right[i]
-			tL := sL[0]&1 == 1
-			tR := sR[0]&1 == 1
-			sL[0] &^= 1
-			sR[0] &^= 1
-			if tsCur[i] {
-				sL = xorBlocks(sL, cw.Seed)
-				sR = xorBlocks(sR, cw.Seed)
-				tL = tL != cw.TLeft
-				tR = tR != cw.TRight
-			}
-			next[2*i], tsNext[2*i] = sL, tL
-			next[2*i+1], tsNext[2*i+1] = sR, tR
+// evalChunk expands root breadth-first, in place, down to its count
+// terminal nodes, then converts each terminal seed into 128 selector bits
+// written straight into the output words.
+func (w *walker) evalChunk(root node, depth, first, count int) {
+	k, seeds, ts := w.k, w.seeds, w.ts
+	seeds[0], ts[0] = root.seed, root.t
+	for d, width := depth, 1; width < count; d, width = d+1, 2*width {
+		left, right := w.tmp[:width], w.tmp[width:2*width]
+		prg.ExpandBatch(seeds[:width], left, right)
+		// Children of node i go to 2i and 2i+1; walking i downwards never
+		// overwrites a parent still to be read.
+		for i := width - 1; i >= 0; i-- {
+			l, r := k.correct(split(left[i]), split(right[i]), ts[i], d)
+			seeds[2*i], ts[2*i] = l.seed, l.t
+			seeds[2*i+1], ts[2*i+1] = r.seed, r.t
 		}
-		cur, next = next, cur
-		tsCur, tsNext = tsNext, tsCur
 	}
 
-	packLeafBits(tsCur, leafBase, out)
-}
-
-// packLeafBits writes consecutive leaf control bits starting at leafBase
-// into the output vector. When the base is word-aligned and the count is a
-// multiple of 64 the bits are packed a word at a time.
-func packLeafBits(ts []bool, leafBase uint64, out *bitvec.Vector) {
-	if leafBase%64 == 0 && len(ts)%64 == 0 {
-		words := out.Words()
-		wordBase := int(leafBase / 64)
-		for w := 0; w < len(ts)/64; w++ {
-			var word uint64
-			for b := 0; b < 64; b++ {
-				if ts[w*64+b] {
-					word |= 1 << uint(b)
-				}
-			}
-			words[wordBase+w] = word
+	conv := w.tmp[:count]
+	for i := range conv {
+		convertCipher.Encrypt(conv[i][:], seeds[i][:])
+	}
+	cwLo, cwHi := blockWords(&k.LeafCW)
+	out := w.words[2*first : 2*(first+count)]
+	for i := range conv {
+		lo, hi := blockWords(&conv[i])
+		sLo, sHi := blockWords(&seeds[i])
+		lo, hi = lo^sLo, hi^sHi
+		if ts[i] {
+			lo, hi = lo^cwLo, hi^cwHi
 		}
-		return
-	}
-	for i, t := range ts {
-		out.SetTo(int(leafBase)+i, t)
+		out[2*i], out[2*i+1] = lo, hi
 	}
 }
 
-// evalLevelByLevel holds each full tree level in memory. Tests compare the
-// production walker against it.
+// evalLevelByLevel holds the whole terminal level in memory with one
+// worker and one chunk. Tests compare the production walker against it.
 func (k *Key) evalLevelByLevel(out *bitvec.Vector) {
-	root := node{seed: k.RootSeed, t: k.RootT}
-	k.evalChunkBFS(root, 0, 0, uint64(1)<<uint(k.Domain), out)
+	k.evalSubtreeParallel(out, 1, 1<<uint(k.Domain))
 }

@@ -18,7 +18,7 @@ func referenceFull(t *testing.T, k *Key) *bitvec.Vector {
 	n := int(k.NumIndices())
 	out := bitvec.New(n)
 	for x := 0; x < n; x++ {
-		bit, _, err := k.Eval(uint64(x))
+		bit, err := k.Eval(uint64(x))
 		if err != nil {
 			t.Fatalf("Eval(%d): %v", x, err)
 		}
@@ -34,7 +34,7 @@ func TestEvalFullMatchesPointEval(t *testing.T) {
 	domains := []int{0, 1, 2, 5, 6, 7, 10, 13}
 	for _, domain := range domains {
 		alpha := randomIndex(t, domain)
-		k0, k1 := mustGen(t, Params{Domain: domain}, alpha, nil)
+		k0, k1 := mustGen(t, Params{Domain: domain}, alpha)
 		want0 := referenceFull(t, k0)
 		want1 := referenceFull(t, k1)
 		for _, s := range allStrategies() {
@@ -64,7 +64,7 @@ func TestEvalFullMatchesPointEval(t *testing.T) {
 func TestEvalFullSharesXorToOneHot(t *testing.T) {
 	for _, domain := range []int{4, 9, 12, 15} {
 		alpha := randomIndex(t, domain)
-		k0, k1 := mustGen(t, Params{Domain: domain}, alpha, nil)
+		k0, k1 := mustGen(t, Params{Domain: domain}, alpha)
 		v0, err := k0.EvalFull(FullEvalOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -83,15 +83,68 @@ func TestEvalFullSharesXorToOneHot(t *testing.T) {
 	}
 }
 
+// TestEvalFullTruncationBoundary covers the domains around the ν = 7
+// early-termination cut (depth 0 up to depth 2) and the α values at the
+// edges of a 128-bit leaf block: every walker configuration must equal
+// pointwise Eval, and the two parties' vectors must XOR to exactly e_α.
+func TestEvalFullTruncationBoundary(t *testing.T) {
+	for domain := 0; domain <= 9; domain++ {
+		n := uint64(1) << uint(domain)
+		for _, alpha := range []uint64{0, 63, 64, 127, 128, n - 1} {
+			if alpha >= n {
+				continue
+			}
+			k0, k1 := mustGen(t, Params{Domain: domain}, alpha)
+			want0, want1 := referenceFull(t, k0), referenceFull(t, k1)
+			for _, s := range allStrategies() {
+				for _, workers := range []int{1, 2, 3, 8} {
+					opts := FullEvalOptions{Strategy: s, Workers: workers}
+					v0, err := k0.EvalFull(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v1, err := k1.EvalFull(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !v0.Equal(want0) || !v1.Equal(want1) {
+						t.Fatalf("domain=%d alpha=%d %+v: EvalFull differs from pointwise Eval", domain, alpha, opts)
+					}
+					v0.Xor(v1)
+					if v0.OnesCount() != 1 || !v0.Bit(int(alpha)) {
+						t.Fatalf("domain=%d alpha=%d %+v: shares XOR to weight %d, want e_alpha",
+							domain, alpha, opts, v0.OnesCount())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvalFullAllocs pins the per-call allocation count: the walker's
+// scratch is allocated once per worker, not per chunk.
+func TestEvalFullAllocs(t *testing.T) {
+	k0, _ := mustGen(t, Params{Domain: 14}, 12345)
+	opts := FullEvalOptions{Strategy: StrategyMemoryBounded, Workers: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := k0.EvalFull(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("EvalFull(domain 14, memory-bounded, 1 worker) = %v allocations, want ≤ 8", allocs)
+	}
+}
+
 // TestEvalFullChunkSizes exercises chunking edge cases of the walker both
-// strategies share: chunk larger than the domain, tiny chunks,
-// non-power-of-two chunks.
+// strategies share: chunk larger than the domain, chunks smaller than one
+// 128-leaf terminal node, non-power-of-two chunks.
 func TestEvalFullChunkSizes(t *testing.T) {
 	const domain = 12
 	alpha := randomIndex(t, domain)
-	k0, _ := mustGen(t, Params{Domain: domain}, alpha, nil)
+	k0, _ := mustGen(t, Params{Domain: domain}, alpha)
 	want := referenceFull(t, k0)
-	for _, chunk := range []int{1, 63, 64, 100, 1 << 10, 1 << 20} {
+	for _, chunk := range []int{1, 63, 64, 100, 128, 384, 1 << 10, 1 << 20} {
 		got := bitvec.New(1 << domain)
 		k0.evalSubtreeParallel(got, 4, chunk)
 		if !got.Equal(want) {
@@ -101,27 +154,29 @@ func TestEvalFullChunkSizes(t *testing.T) {
 }
 
 func TestEvalFullWorkerExcess(t *testing.T) {
-	// More workers than leaves must still work.
-	k0, _ := mustGen(t, Params{Domain: 3}, 5, nil)
-	want := referenceFull(t, k0)
-	got, err := k0.EvalFull(FullEvalOptions{Workers: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("share mismatch with excess workers")
+	// More workers than leaves, or than terminal nodes, must still work.
+	for _, domain := range []int{3, 9} {
+		k0, _ := mustGen(t, Params{Domain: domain}, 5)
+		want := referenceFull(t, k0)
+		got, err := k0.EvalFull(FullEvalOptions{Workers: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("domain=%d: share mismatch with excess workers", domain)
+		}
 	}
 }
 
 func TestEvalFullUnknownStrategy(t *testing.T) {
-	k0, _ := mustGen(t, Params{Domain: 3}, 0, nil)
+	k0, _ := mustGen(t, Params{Domain: 3}, 0)
 	if _, err := k0.EvalFull(FullEvalOptions{Strategy: Strategy(42)}); err == nil {
 		t.Fatal("EvalFull accepted unknown strategy")
 	}
 }
 
 func TestEvalFullMalformedKey(t *testing.T) {
-	k0, _ := mustGen(t, Params{Domain: 5}, 0, nil)
+	k0, _ := mustGen(t, Params{Domain: 10}, 0)
 	bad := *k0
 	bad.CW = bad.CW[:1]
 	if _, err := bad.EvalFull(FullEvalOptions{}); err == nil {
@@ -151,7 +206,7 @@ func FuzzEvalFull(f *testing.F) {
 	f.Add(uint8(12), uint64(4000), uint8(3), false, int64(5))
 	f.Add(uint8(16), uint64(65535), uint8(8), true, int64(6))
 	f.Fuzz(func(t *testing.T, domainRaw uint8, alphaRaw uint64, workersRaw uint8, bounded bool, seed int64) {
-		domain := int(domainRaw) % 17
+		domain := int(domainRaw) % 25
 		n := 1 << uint(domain)
 		alpha := alphaRaw % uint64(n)
 		opts := FullEvalOptions{Strategy: StrategySubtree, Workers: int(workersRaw)%8 + 1}
@@ -176,7 +231,7 @@ func FuzzEvalFull(f *testing.F) {
 			}
 			for i := 0; i < 64; i++ {
 				x := uint64(rng.Intn(n))
-				bit, _, err := k.Eval(x)
+				bit, err := k.Eval(x)
 				if err != nil {
 					t.Fatal(err)
 				}

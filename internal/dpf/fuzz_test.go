@@ -8,7 +8,7 @@ import (
 // be rejected or produce a key that round-trips and evaluates without
 // panicking — servers feed attacker-controlled bytes into this path.
 func FuzzUnmarshalKey(f *testing.F) {
-	k0, _, err := Gen(Params{Domain: 6}, 13, nil)
+	k0, _, err := Gen(Params{Domain: 10}, 13, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func FuzzUnmarshalKey(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 6, 1})
+	f.Add([]byte{keyVersion, 0, 10, keyPRGID})
 	mutated := append([]byte(nil), seed...)
 	mutated[2] = 60 // larger domain than the payload supports
 	f.Add(mutated)
@@ -29,11 +29,11 @@ func FuzzUnmarshalKey(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Accepted keys must be internally consistent…
-		if len(k.CW) != int(k.Domain) {
-			t.Fatalf("accepted key with %d CWs for domain %d", len(k.CW), k.Domain)
+		if err := k.checkShape(); err != nil {
+			t.Fatalf("accepted key: %v", err)
 		}
 		// …evaluable…
-		if _, _, err := k.Eval(0); err != nil {
+		if _, err := k.Eval(0); err != nil {
 			t.Fatalf("accepted key fails Eval: %v", err)
 		}
 		// …and re-encodable to the identical bytes.

@@ -1,46 +1,46 @@
 package dpf
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/impir/impir/internal/aesprf"
 )
 
-// Wire format (all integers little-endian):
+// Wire format, version 2 (d = max(domain − 7, 0) tree levels):
 //
-//	offset size  field
-//	0      1     version (currently 1)
-//	1      1     party
-//	2      1     domain
-//	3      1     PRG id (always 1: fixed-key AES, see package aesprf)
-//	4      4     betaLen (uint32)
-//	8      16    root seed
-//	24     1     root control bit
-//	25     17·d  correction words: 16-byte seed + 1 packed-bit byte
-//	...    β     output correction word
+//	offset    size  field
+//	0         1     version (currently 2)
+//	1         1     party
+//	2         1     domain
+//	3         1     PRG id (always 1: fixed-key AES, see package aesprf)
+//	4         16    root seed
+//	20        1     root control bit
+//	21        17·d  correction words: 16-byte seed + 1 packed-bit byte
+//	21+17·d   16    leaf correction word (128 selector bits)
+//
+// Version 1 keys (a 4-byte payload length in the header, one correction
+// word per index bit and no leaf word) are rejected as unsupported.
 const (
-	keyVersion    = 1
+	keyVersion    = 2
 	keyPRGID      = 1
-	keyHeaderSize = 25
+	keyHeaderSize = 21
 	cwWireSize    = aesprf.BlockSize + 1
 )
 
 // MarshalBinary encodes the key. The encoding is deterministic and
 // versioned; it is the format sent to PIR servers over the wire.
 func (k *Key) MarshalBinary() ([]byte, error) {
-	if len(k.CW) != int(k.Domain) {
-		return nil, fmt.Errorf("dpf: marshal: %d correction words for domain %d", len(k.CW), k.Domain)
+	if err := k.checkShape(); err != nil {
+		return nil, err
 	}
-	out := make([]byte, keyHeaderSize+cwWireSize*len(k.CW)+len(k.OutputCW))
+	out := make([]byte, k.WireSize())
 	out[0] = keyVersion
 	out[1] = k.Party
 	out[2] = k.Domain
 	out[3] = keyPRGID
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(k.OutputCW)))
-	copy(out[8:], k.RootSeed[:])
+	copy(out[4:], k.RootSeed[:])
 	if k.RootT {
-		out[24] = 1
+		out[20] = 1
 	}
 	off := keyHeaderSize
 	for _, cw := range k.CW {
@@ -55,7 +55,7 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 		out[off+aesprf.BlockSize] = bits
 		off += cwWireSize
 	}
-	copy(out[off:], k.OutputCW)
+	copy(out[off:], k.LeafCW[:])
 	return out, nil
 }
 
@@ -79,21 +79,19 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 	if data[3] != keyPRGID {
 		return fmt.Errorf("dpf: unmarshal: unsupported PRG id %d", data[3])
 	}
-	betaLen := int(binary.LittleEndian.Uint32(data[4:]))
-	want := keyHeaderSize + cwWireSize*domain + betaLen
-	if len(data) != want {
-		return fmt.Errorf("dpf: unmarshal: have %d bytes, want %d (domain=%d betaLen=%d)",
-			len(data), want, domain, betaLen)
+	depth := treeDepth(domain)
+	if want := wireSize(depth); len(data) != want {
+		return fmt.Errorf("dpf: unmarshal: have %d bytes, want %d (domain=%d)", len(data), want, domain)
 	}
-	if data[24] > 1 {
-		return fmt.Errorf("dpf: unmarshal: invalid control bit %d", data[24])
+	if data[20] > 1 {
+		return fmt.Errorf("dpf: unmarshal: invalid control bit %d", data[20])
 	}
 
 	k.Party = party
 	k.Domain = uint8(domain)
-	copy(k.RootSeed[:], data[8:24])
-	k.RootT = data[24] == 1
-	k.CW = make([]CorrectionWord, domain)
+	copy(k.RootSeed[:], data[4:20])
+	k.RootT = data[20] == 1
+	k.CW = make([]CorrectionWord, depth)
 	off := keyHeaderSize
 	for i := range k.CW {
 		copy(k.CW[i].Seed[:], data[off:off+aesprf.BlockSize])
@@ -105,16 +103,14 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 		k.CW[i].TRight = bits&2 == 2
 		off += cwWireSize
 	}
-	if betaLen > 0 {
-		k.OutputCW = append([]byte(nil), data[off:off+betaLen]...)
-	} else {
-		k.OutputCW = nil
-	}
+	copy(k.LeafCW[:], data[off:])
 	return nil
 }
 
 // WireSize returns the marshalled size of the key in bytes without
 // allocating: O(λ·log N), the communication cost per server of one query.
-func (k *Key) WireSize() int {
-	return keyHeaderSize + cwWireSize*len(k.CW) + len(k.OutputCW)
+func (k *Key) WireSize() int { return wireSize(len(k.CW)) }
+
+func wireSize(depth int) int {
+	return keyHeaderSize + cwWireSize*depth + aesprf.BlockSize
 }

@@ -217,9 +217,6 @@ func (e *Engine) validateKey(key *dpf.Key) error {
 	if int(key.Domain) != e.domain {
 		return fmt.Errorf("gpupir: key domain %d does not match database domain %d", key.Domain, e.domain)
 	}
-	if key.BetaLen() != 0 {
-		return fmt.Errorf("gpupir: PIR keys must be single-bit DPFs, got %d-byte payload", key.BetaLen())
-	}
 	return nil
 }
 

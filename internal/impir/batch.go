@@ -101,7 +101,6 @@ func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, erro
 	// launch sequence: the database chunk streams through each DPU once
 	// per pass for the whole group instead of once per query.
 	type fusedGroup struct {
-		cluster int
 		members []int
 		modeled time.Duration
 	}
@@ -109,9 +108,9 @@ func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, erro
 	var groups []fusedGroup
 
 	var clusterWG sync.WaitGroup
-	for ci, c := range e.clusters {
+	for _, c := range e.clusters {
 		clusterWG.Add(1)
-		go func(ci int, c *cluster) {
+		go func(c *cluster) {
 			defer clusterWG.Done()
 			width := c.maxBatch
 			if e.cfg.DisableBatchFusion {
@@ -151,10 +150,10 @@ func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, erro
 					out.result = results[j]
 				}
 				groupMu.Lock()
-				groups = append(groups, fusedGroup{cluster: ci, members: members, modeled: groupModeled})
+				groups = append(groups, fusedGroup{members: members, modeled: groupModeled})
 				groupMu.Unlock()
 			}
-		}(ci, c)
+		}(c)
 	}
 
 	evalWG.Wait()
@@ -175,8 +174,9 @@ func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, erro
 	}
 
 	// Modeled makespan: replay stage-1 readiness through the recorded
-	// fused-group schedule. Groups appended by one cluster keep their
-	// execution order; clusters run independently.
+	// fused groups, in completion order, each on the earliest-free modeled
+	// cluster. Which simulator goroutine ran a group follows host
+	// scheduling, not the modeled machine, so it is not replayed.
 	ready := evalReadyTimes(e.cfg.EvalMode, e.cfg.EvalWorkers, evalDurations)
 	clusterFree := make([]time.Duration, len(e.clusters))
 	var makespan time.Duration
@@ -184,14 +184,15 @@ func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, erro
 		if len(g.members) > 1 {
 			fused = true
 		}
-		start := clusterFree[g.cluster]
+		c := argminDur(clusterFree)
+		start := clusterFree[c]
 		for _, m := range g.members {
 			if ready[m] > start {
 				start = ready[m]
 			}
 		}
 		finish := start + g.modeled
-		clusterFree[g.cluster] = finish
+		clusterFree[c] = finish
 		if finish > makespan {
 			makespan = finish
 		}

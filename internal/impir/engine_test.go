@@ -240,17 +240,6 @@ func TestValidation(t *testing.T) {
 		}
 	})
 
-	t.Run("payload key rejected", func(t *testing.T) {
-		eng, _ := newLoadedEngine(t, testConfig(1), 512)
-		k0, _, err := dpf.Gen(dpf.Params{Domain: 9, BetaLen: 4}, 0, []byte{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := eng.Query(k0); err == nil {
-			t.Error("Query accepted payload-carrying key")
-		}
-	})
-
 	t.Run("nil inputs", func(t *testing.T) {
 		eng, _ := newLoadedEngine(t, testConfig(1), 512)
 		if _, _, err := eng.Query(nil); err == nil {
