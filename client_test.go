@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
@@ -45,28 +44,20 @@ func startDeployment(t *testing.T, db *DB, n int) []string {
 	return addrs
 }
 
-// shimEngine wraps a real engine, letting tests slow down or fail the
-// query path while keeping replicas byte-identical.
+// shimEngine wraps a real engine, letting tests slow down or fail every
+// pass while keeping replicas byte-identical.
 type shimEngine struct {
 	*cpupir.Engine
 	delay time.Duration
 	fail  error
 }
 
-func (e *shimEngine) Query(k *dpf.Key) ([]byte, metrics.Breakdown, error) {
+func (e *shimEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if e.fail != nil {
-		return nil, metrics.Breakdown{}, e.fail
+		return nil, metrics.BatchStats{}, e.fail
 	}
 	time.Sleep(e.delay)
-	return e.Engine.Query(k)
-}
-
-func (e *shimEngine) QueryShare(sh *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	if e.fail != nil {
-		return nil, metrics.Breakdown{}, e.fail
-	}
-	time.Sleep(e.delay)
-	return e.Engine.QueryShare(sh)
+	return e.Engine.Pass(in)
 }
 
 // startShimServer serves db through a shimEngine (behind a scheduler,
@@ -84,8 +75,7 @@ func startShimServer(t *testing.T, db *database.DB, delay time.Duration, fail er
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduler.New(&shimEngine{Engine: eng, delay: delay, fail: fail}, scheduler.Config{})
-	t.Cleanup(func() { sched.Close() })
+	sched := newScheduler(t, &shimEngine{Engine: eng, delay: delay, fail: fail}, scheduler.Config{})
 	srv, err := transport.NewServer(lis, sched, 0, transport.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)

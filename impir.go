@@ -162,16 +162,17 @@
 //
 // # Batched execution
 //
-// A batch pass — a client's explicit RetrieveBatch, or single queries
-// the scheduler coalesced across connections — executes FUSED in every
-// engine: all B selector shares are expanded first, then the database
-// streams through the scan hardware once while B XOR accumulators fill
-// in parallel. One pass's memory traffic serves the whole batch, so in
-// the memory-bound regime the per-query dpXOR cost falls toward 1/B of
-// a solo scan (on the PIM engine, each MRAM chunk crosses the DMA bus
-// once per pass instead of once per query; `go run ./benchmark` measures
-// the slope as xorop.batch8_gbps against xorop.scan_gbps).
-// SchedulerStats.FusedPasses counts the passes that took the fused path.
+// Every engine answers through one pass: expand, then scan. A pass of
+// width B — one query, a RetrieveBatch, or single queries coalesced
+// across connections, each key checked first so a bad one fails only
+// its sender — expands every DPF key into its selector (a share already
+// is one), then streams the database through the scan hardware once
+// while B XOR accumulators fill. In the memory-bound regime the
+// per-query dpXOR cost falls toward 1/B of a solo scan (on the PIM
+// engine each MRAM chunk crosses the DMA bus once per pass, not once per
+// query; `go run ./benchmark` reports xorop.batch8_gbps against
+// xorop.scan_gbps). SchedulerStats.FusedPasses counts passes wider than
+// one.
 //
 // Privacy argument: fusion changes only the order in which the server
 // combines work it was already sent. Each query in the fused pass

@@ -154,17 +154,9 @@ func attachKeywordVerification(r *Report, opts Options) {
 			if err != nil {
 				return nil, false, 0, err
 			}
-			r0, _, err := e0.Query(k0)
+			rec, err := retrieve(e0, e1, k0, k1)
 			if err != nil {
 				return nil, false, 0, err
-			}
-			r1, _, err := e1.Query(k1)
-			if err != nil {
-				return nil, false, 0, err
-			}
-			rec := make([]byte, len(r0))
-			for i := range rec {
-				rec[i] = r0[i] ^ r1[i]
 			}
 			if v, ok, err := m.FindInBucket(rec, key); err != nil {
 				return nil, false, 0, err

@@ -141,11 +141,7 @@ func shardedRetrieve(db *database.DB, shards int, target uint64) ([]byte, time.D
 			return nil, 0, err
 		}
 		start := time.Now()
-		r0, _, err := e0.Query(k0)
-		if err != nil {
-			return nil, 0, err
-		}
-		r1, _, err := e1.Query(k1)
+		r, err := retrieve(e0, e1, k0, k1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -153,10 +149,7 @@ func shardedRetrieve(db *database.DB, shards int, target uint64) ([]byte, time.D
 			slowest = wall
 		}
 		if s == plan.Owner {
-			rec = make([]byte, len(r0))
-			for i := range rec {
-				rec[i] = r0[i] ^ r1[i]
-			}
+			rec = r
 		}
 	}
 	return rec, slowest, nil

@@ -15,11 +15,37 @@ import (
 	"github.com/impir/impir/internal/pim"
 )
 
-// verifyEngine is the minimal engine surface the verifier needs.
+// verifyEngine is the minimal engine surface the functional checks need.
 type verifyEngine interface {
 	Name() string
 	LoadDatabase(*database.DB) error
-	Query(*dpf.Key) ([]byte, metrics.Breakdown, error)
+	Pass(dpf.Batch) ([][]byte, metrics.BatchStats, error)
+}
+
+// answer runs one key through e as a width-1 pass.
+func answer(e verifyEngine, key *dpf.Key) ([]byte, error) {
+	results, _, err := e.Pass(dpf.Batch{Keys: []*dpf.Key{key}})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// retrieve runs the two-server protocol: each replica answers its key,
+// and the XOR of the two subresults is the record.
+func retrieve(e0, e1 verifyEngine, k0, k1 *dpf.Key) ([]byte, error) {
+	r0, err := answer(e0, k0)
+	if err != nil {
+		return nil, err
+	}
+	r1, err := answer(e1, k1)
+	if err != nil {
+		return nil, err
+	}
+	for i := range r0 {
+		r0[i] ^= r1[i]
+	}
+	return r0, nil
 }
 
 // verifyFunctional executes the full protocol on a scaled database with
@@ -73,7 +99,7 @@ func verifyFunctional(numRecords int) (string, error) {
 	var walls []time.Duration
 	for _, e := range engines {
 		start := time.Now()
-		r, _, err := e.Query(k0)
+		r, err := answer(e, k0)
 		if err != nil {
 			return "", fmt.Errorf("%s: query: %w", e.Name(), err)
 		}
@@ -88,17 +114,9 @@ func verifyFunctional(numRecords int) (string, error) {
 	}
 
 	// (a) two-server reconstruction through the PIM engine.
-	r0, _, err := pimEng.Query(k0)
+	rec, err := retrieve(pimEng, pimEng, k0, k1)
 	if err != nil {
 		return "", err
-	}
-	r1, _, err := pimEng.Query(k1)
-	if err != nil {
-		return "", err
-	}
-	rec := make([]byte, len(r0))
-	for i := range rec {
-		rec[i] = r0[i] ^ r1[i]
 	}
 	if !bytes.Equal(rec, db.Record(int(idx))) {
 		return "", fmt.Errorf("two-server reconstruction failed at index %d", idx)

@@ -17,14 +17,14 @@ func TestQueryShareEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, bd, err := e0.QueryShare(q.Shares[0])
+	r0, bd, err := queryShare(e0, q.Shares[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.TotalModeled() <= 0 {
 		t.Error("share query has no modeled cost")
 	}
-	r1, _, err := e1.QueryShare(q.Shares[1])
+	r1, _, err := queryShare(e1, q.Shares[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +38,17 @@ func TestQueryShareEndToEnd(t *testing.T) {
 
 func TestQueryShareValidation(t *testing.T) {
 	e0, _ := newLoaded(t, 128)
-	if _, _, err := e0.QueryShare(nil); err == nil {
+	if _, _, err := queryShare(e0, nil); err == nil {
 		t.Error("nil share accepted")
 	}
-	if _, _, err := e0.QueryShare(bitvec.New(64)); err == nil {
+	if _, _, err := queryShare(e0, bitvec.New(64)); err == nil {
 		t.Error("mis-sized share accepted")
 	}
 	empty, err := New(Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := empty.QueryShare(bitvec.New(64)); err == nil {
+	if _, _, err := queryShare(empty, bitvec.New(64)); err == nil {
 		t.Error("share query before load accepted")
 	}
 }
@@ -56,23 +56,23 @@ func TestQueryShareValidation(t *testing.T) {
 func TestUpdateRecordsDirect(t *testing.T) {
 	e0, _ := newLoaded(t, 128)
 	rec := bytes.Repeat([]byte{0x11}, 32)
-	if err := e0.UpdateRecords(map[uint64][]byte{5: rec}); err != nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{5: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(e0.Database().Record(5), rec) {
 		t.Fatal("update not applied")
 	}
-	if err := e0.UpdateRecords(nil); err == nil {
+	if err := e0.ApplyUpdates(nil); err == nil {
 		t.Error("empty update accepted")
 	}
-	if err := e0.UpdateRecords(map[uint64][]byte{^uint64(0): rec}); err == nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{^uint64(0): rec}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if err := e0.UpdateRecords(map[uint64][]byte{0: rec[:4]}); err == nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{0: rec[:4]}); err == nil {
 		t.Error("short record accepted")
 	}
 	unloaded, _ := New(Config{Threads: 1})
-	if err := unloaded.UpdateRecords(map[uint64][]byte{0: rec}); err == nil {
+	if err := unloaded.ApplyUpdates(map[uint64][]byte{0: rec}); err == nil {
 		t.Error("update before load accepted")
 	}
 }

@@ -146,6 +146,47 @@ func (d *DB) Clone() *DB {
 	return &DB{recordSize: d.recordSize, numRecords: d.numRecords, data: data}
 }
 
+// Replica returns the power-of-two padded copy an engine loads. It never
+// shares storage with d, so every replica loaded from one DB takes §3.3
+// updates independently of the caller and of the other replicas.
+func (d *DB) Replica() *DB {
+	if padded := d.PadToPowerOfTwo(); padded != d {
+		return padded
+	}
+	return d.Clone()
+}
+
+// CheckUpdates validates a §3.3 update set against the database's
+// geometry: a non-empty map from record index to exactly RecordSize
+// bytes.
+func (d *DB) CheckUpdates(updates map[uint64][]byte) error {
+	if len(updates) == 0 {
+		return errors.New("database: empty update set")
+	}
+	for idx, rec := range updates {
+		if idx >= uint64(d.numRecords) {
+			return fmt.Errorf("database: update index %d outside database of %d records", idx, d.numRecords)
+		}
+		if len(rec) != d.recordSize {
+			return fmt.Errorf("database: update for record %d has %d bytes, want the record size %d",
+				idx, len(rec), d.recordSize)
+		}
+	}
+	return nil
+}
+
+// ApplyUpdates validates the whole update set, then writes it, so a bad
+// entry leaves the database untouched.
+func (d *DB) ApplyUpdates(updates map[uint64][]byte) error {
+	if err := d.CheckUpdates(updates); err != nil {
+		return err
+	}
+	for idx, rec := range updates {
+		copy(d.data[int(idx)*d.recordSize:], rec)
+	}
+	return nil
+}
+
 // Digest returns the SHA-256 of the database contents and geometry.
 // Replicated servers compare digests before serving: a silent replica
 // mismatch would break reconstruction correctness (not privacy).

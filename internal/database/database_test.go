@@ -146,6 +146,48 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestReplicaIndependence: a replica is padded and never shares storage
+// with its source, whether or not padding was needed.
+func TestReplicaIndependence(t *testing.T) {
+	for _, n := range []int{5, 8} {
+		db, _ := GenerateHashDB(n, 1)
+		r := db.Replica()
+		if r.NumRecords() != 8 || !bytes.Equal(r.Record(n-1), db.Record(n-1)) {
+			t.Fatalf("%d records: replica has %d records or wrong contents", n, r.NumRecords())
+		}
+		r.SetRecord(0, make([]byte, 32))
+		if bytes.Equal(db.Record(0), r.Record(0)) {
+			t.Fatalf("%d records: mutating the replica changed the source", n)
+		}
+	}
+}
+
+// TestApplyUpdatesAllOrNothing: a set with one bad entry is rejected
+// whole and leaves every record untouched.
+func TestApplyUpdatesAllOrNothing(t *testing.T) {
+	db, _ := GenerateHashDB(16, 1)
+	orig := db.Clone()
+	rec := bytes.Repeat([]byte{0xAB}, 32)
+	for name, bad := range map[string]map[uint64][]byte{
+		"empty":        {},
+		"out of range": {3: rec, 16: rec},
+		"short record": {3: rec, 4: rec[:31]},
+	} {
+		if err := db.ApplyUpdates(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !bytes.Equal(db.Data(), orig.Data()) {
+			t.Fatalf("%s: rejected set was partly applied", name)
+		}
+	}
+	if err := db.ApplyUpdates(map[uint64][]byte{3: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(db.Record(3), rec) || !bytes.Equal(db.Record(4), orig.Record(4)) {
+		t.Fatal("valid update not applied exactly")
+	}
+}
+
 func TestDigest(t *testing.T) {
 	a, _ := GenerateHashDB(32, 7)
 	b, _ := GenerateHashDB(32, 7)

@@ -2,6 +2,7 @@ package dpf
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -108,29 +109,32 @@ func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) 
 	}
 
 	// Round workers down to a power of two no larger than the number of
-	// terminal nodes.
-	wBits := 0
-	for 1<<(wBits+1) <= workers && wBits < depth {
-		wBits++
-	}
-	numWorkers := 1 << uint(wBits)
-	perWorker := 1 << uint(depth-wBits)
+	// terminal nodes: 2^level workers, one per frontier node.
+	level := min(bits.Len(uint(workers))-1, depth)
+	perWorker := 1 << uint(depth-level)
 	chunkNodes := min(max(chunkLeaves/leafBits, 1), perWorker)
+	if level == 0 {
+		// One worker walks the whole tree on the calling goroutine, with
+		// no frontier or goroutine bookkeeping to allocate.
+		wk := k.newWalker(chunkNodes, words)
+		wk.evalRange(node{k.RootSeed, k.RootT}, 0, 0, perWorker)
+		return
+	}
 
 	// Master pass: expand to the worker level.
-	frontier := k.expandToLevel(wBits)
+	frontier := k.expandToLevel(level)
 
 	var wg sync.WaitGroup
-	for w := 1; w < numWorkers; w++ {
+	for w := 1; w < len(frontier); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			wk := k.newWalker(chunkNodes, words)
-			wk.evalRange(frontier[w], wBits, w*perWorker, perWorker)
-		}(w)
+			wk.evalRange(frontier[w], level, w*perWorker, perWorker)
+		}()
 	}
 	wk := k.newWalker(chunkNodes, words)
-	wk.evalRange(frontier[0], wBits, 0, perWorker)
+	wk.evalRange(frontier[0], level, 0, perWorker)
 	wg.Wait()
 }
 

@@ -9,19 +9,12 @@ import (
 	"github.com/impir/impir/internal/dpf"
 )
 
-// TestQueryBatchFusedMatchesUnfused: the fused one-pass grid scan must
-// be byte-equal with a DisableBatchFusion twin (one scan per query), for
-// DPF keys and for raw selector shares, across batch widths.
+// TestQueryBatchFusedMatchesUnfused: a fused grid scan of width B must
+// be byte-equal with B width-1 passes (one serial upload + scan each),
+// for DPF keys and for raw selector shares, across batch widths.
 func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 	const numRecords = 2048
-	fused, db := newLoaded(t, numRecords, Config{})
-	solo, err := New(Config{DisableBatchFusion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.LoadDatabase(db.Clone()); err != nil {
-		t.Fatal(err)
-	}
+	eng, db := newLoaded(t, numRecords, Config{})
 
 	rng := rand.New(rand.NewSource(2027))
 	for _, b := range []int{1, 2, 8, 32} {
@@ -37,36 +30,36 @@ func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 			}
 		}
 
-		kf, statsF, err := fused.QueryBatch(keys)
+		kf, statsK, err := eng.Pass(dpf.Batch{Keys: keys})
 		if err != nil {
-			t.Fatalf("B=%d: fused QueryBatch: %v", b, err)
+			t.Fatalf("B=%d: fused key pass: %v", b, err)
 		}
-		ks, statsS, err := solo.QueryBatch(keys)
+		sf, statsS, err := eng.Pass(dpf.Batch{Shares: shares})
 		if err != nil {
-			t.Fatalf("B=%d: unfused QueryBatch: %v", b, err)
-		}
-		sf, _, err := fused.QueryShareBatch(shares)
-		if err != nil {
-			t.Fatalf("B=%d: fused QueryShareBatch: %v", b, err)
-		}
-		ss, _, err := solo.QueryShareBatch(shares)
-		if err != nil {
-			t.Fatalf("B=%d: unfused QueryShareBatch: %v", b, err)
+			t.Fatalf("B=%d: fused share pass: %v", b, err)
 		}
 		for q := 0; q < b; q++ {
-			if !bytes.Equal(kf[q], ks[q]) {
-				t.Fatalf("B=%d key %d: fused %x != unfused %x", b, q, kf[q][:8], ks[q][:8])
+			ks, soloK, err := eng.Pass(dpf.Batch{Keys: keys[q : q+1]})
+			if err != nil {
+				t.Fatalf("B=%d key %d: unfused pass: %v", b, q, err)
 			}
-			if !bytes.Equal(sf[q], ss[q]) {
-				t.Fatalf("B=%d share %d: fused %x != unfused %x", b, q, sf[q][:8], ss[q][:8])
+			ss, soloS, err := eng.Pass(dpf.Batch{Shares: shares[q : q+1]})
+			if err != nil {
+				t.Fatalf("B=%d share %d: unfused pass: %v", b, q, err)
+			}
+			if !bytes.Equal(kf[q], ks[0]) {
+				t.Fatalf("B=%d key %d: fused %x != unfused %x", b, q, kf[q][:8], ks[0][:8])
+			}
+			if !bytes.Equal(sf[q], ss[0]) {
+				t.Fatalf("B=%d share %d: fused %x != unfused %x", b, q, sf[q][:8], ss[0][:8])
+			}
+			if soloK.Fused || soloS.Fused {
+				t.Errorf("B=%d query %d: width-1 pass reported Fused", b, q)
 			}
 		}
-		// A batch of one takes the per-query path on both engines.
-		if statsF.Fused != (b > 1) {
-			t.Errorf("B=%d: fused engine reported Fused=%v", b, statsF.Fused)
-		}
-		if statsS.Fused {
-			t.Errorf("B=%d: fusion-disabled engine reported Fused", b)
+		// A batch of one takes the single-query path.
+		if statsK.Fused != (b > 1) || statsS.Fused != (b > 1) {
+			t.Errorf("B=%d: pass reported Fused=%v (keys), %v (shares)", b, statsK.Fused, statsS.Fused)
 		}
 	}
 }

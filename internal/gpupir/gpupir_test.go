@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
@@ -34,6 +35,24 @@ func genPair(t *testing.T, domain int, idx uint64) (*dpf.Key, *dpf.Key) {
 	return k0, k1
 }
 
+// query answers one key as a width-1 pass.
+func query(e *Engine, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
+	return pass1(e, dpf.Batch{Keys: []*dpf.Key{key}})
+}
+
+// queryShare answers one selector share as a width-1 pass.
+func queryShare(e *Engine, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
+	return pass1(e, dpf.Batch{Shares: []*bitvec.Vector{share}})
+}
+
+func pass1(e *Engine, in dpf.Batch) ([]byte, metrics.Breakdown, error) {
+	results, stats, err := e.Pass(in)
+	if err != nil {
+		return nil, metrics.Breakdown{}, err
+	}
+	return results[0], stats.PerQuery, nil
+}
+
 func TestEndToEndReconstruction(t *testing.T) {
 	for _, blocks := range []int{1, 3, 16, 128, 100000} {
 		cfg := Config{ThreadBlocks: blocks}
@@ -41,11 +60,11 @@ func TestEndToEndReconstruction(t *testing.T) {
 		e1, _ := newLoaded(t, 1024, cfg)
 		for _, idx := range []uint64{0, 511, 1023} {
 			k0, k1 := genPair(t, db.Domain(), idx)
-			r0, _, err := e0.Query(k0)
+			r0, _, err := query(e0, k0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, _, err := e1.Query(k1)
+			r1, _, err := query(e1, k1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,11 +83,11 @@ func TestTinyDatabase(t *testing.T) {
 	e0, db := newLoaded(t, 32, Config{})
 	e1, _ := newLoaded(t, 32, Config{})
 	k0, k1 := genPair(t, db.Domain(), 5)
-	r0, _, err := e0.Query(k0)
+	r0, _, err := query(e0, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _, err := e1.Query(k1)
+	r1, _, err := query(e1, k1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +106,7 @@ func TestBatchPipelineModel(t *testing.T) {
 	for i := range keys {
 		keys[i], _ = genPair(t, db.Domain(), uint64(i))
 	}
-	_, stats, err := e0.QueryBatch(keys)
+	_, stats, err := e0.Pass(dpf.Batch{Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +137,12 @@ func TestVRAMOverflowFallsBackToPCIe(t *testing.T) {
 	small := Config{VRAMBytes: 1 << 10} // 1 KB VRAM: everything overflows
 	e0, db := newLoaded(t, 4096, small)
 	k0, _ := genPair(t, db.Domain(), 1)
-	_, bdOver, err := e0.Query(k0)
+	_, bdOver, err := query(e0, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := newLoaded(t, 4096, Config{})
-	_, bdFit, err := e1.Query(k0)
+	_, bdFit, err := query(e1, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +163,19 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k0, _ := genPair(t, 5, 0)
-	if _, _, err := eng.Query(k0); err == nil {
-		t.Error("Query before LoadDatabase succeeded")
+	if _, _, err := query(eng, k0); err == nil {
+		t.Error("pass before LoadDatabase succeeded")
 	}
 	if err := eng.LoadDatabase(nil); err == nil {
 		t.Error("LoadDatabase(nil) succeeded")
 	}
 	e0, _ := newLoaded(t, 64, Config{})
 	bad, _ := genPair(t, 3, 0)
-	if _, _, err := e0.Query(bad); err == nil {
-		t.Error("Query accepted wrong-domain key")
+	if _, _, err := query(e0, bad); err == nil {
+		t.Error("pass accepted wrong-domain key")
 	}
-	if _, _, err := e0.QueryBatch(nil); err == nil {
-		t.Error("QueryBatch(nil) succeeded")
+	if _, _, err := e0.Pass(dpf.Batch{}); err == nil {
+		t.Error("empty pass accepted")
 	}
 }
 

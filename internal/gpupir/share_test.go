@@ -18,11 +18,11 @@ func TestQueryShareEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, bd, err := e0.QueryShare(q.Shares[0])
+	r0, bd, err := queryShare(e0, q.Shares[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _, err := e1.QueryShare(q.Shares[1])
+	r1, _, err := queryShare(e1, q.Shares[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +43,17 @@ func TestQueryShareEndToEnd(t *testing.T) {
 
 func TestQueryShareValidation(t *testing.T) {
 	e0, _ := newLoaded(t, 128, Config{})
-	if _, _, err := e0.QueryShare(nil); err == nil {
+	if _, _, err := queryShare(e0, nil); err == nil {
 		t.Error("nil share accepted")
 	}
-	if _, _, err := e0.QueryShare(bitvec.New(16)); err == nil {
+	if _, _, err := queryShare(e0, bitvec.New(16)); err == nil {
 		t.Error("mis-sized share accepted")
 	}
 	empty, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := empty.QueryShare(bitvec.New(16)); err == nil {
+	if _, _, err := queryShare(empty, bitvec.New(16)); err == nil {
 		t.Error("share query before load accepted")
 	}
 }
@@ -61,23 +61,23 @@ func TestQueryShareValidation(t *testing.T) {
 func TestUpdateRecordsDirect(t *testing.T) {
 	e0, _ := newLoaded(t, 128, Config{})
 	rec := bytes.Repeat([]byte{0x22}, 32)
-	if err := e0.UpdateRecords(map[uint64][]byte{9: rec}); err != nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{9: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(e0.Database().Record(9), rec) {
 		t.Fatal("update not applied")
 	}
-	if err := e0.UpdateRecords(nil); err == nil {
+	if err := e0.ApplyUpdates(nil); err == nil {
 		t.Error("empty update accepted")
 	}
-	if err := e0.UpdateRecords(map[uint64][]byte{1 << 20: rec}); err == nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{1 << 20: rec}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if err := e0.UpdateRecords(map[uint64][]byte{0: rec[:4]}); err == nil {
+	if err := e0.ApplyUpdates(map[uint64][]byte{0: rec[:4]}); err == nil {
 		t.Error("short record accepted")
 	}
 	unloaded, _ := New(Config{})
-	if err := unloaded.UpdateRecords(map[uint64][]byte{0: rec}); err == nil {
+	if err := unloaded.ApplyUpdates(map[uint64][]byte{0: rec}); err == nil {
 		t.Error("update before load accepted")
 	}
 }

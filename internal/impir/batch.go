@@ -1,300 +1,128 @@
 package impir
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
+	"github.com/impir/impir/internal/xorop"
 )
 
-// QueryBatch processes a batch of queries through the §3.4 pipeline:
-// host-side eval workers feed a task queue, and one goroutine per DPU
-// cluster drains it (Fig. 8). The returned stats carry both the measured
-// wall-clock makespan and the modeled makespan on the paper's hardware,
-// computed by replaying the per-query phase costs through a deterministic
-// pipeline schedule.
-func (e *Engine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, error) {
-	if len(keys) == 0 {
-		return nil, metrics.BatchStats{}, fmt.Errorf("impir: empty batch")
-	}
-	for i, k := range keys {
-		if err := e.validateKey(k); err != nil {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: batch key %d: %w", i, err)
-		}
-	}
-
-	type evalTask struct {
-		idx int
-		vec *bitvec.Vector
-	}
-	type queryOutcome struct {
-		result      []byte
-		bd          metrics.Breakdown
-		evalModeled time.Duration
-		pimModeled  time.Duration
-		err         error
-	}
-
-	outcomes := make([]queryOutcome, len(keys))
-	taskQueue := make(chan evalTask, len(keys))
-	batchStart := time.Now()
-
-	// ---- Eval stage (Alg. 1 ➋, Fig. 8 ➊-➋) ----
-	var evalWG sync.WaitGroup
-	switch e.cfg.EvalMode {
-	case EvalPerQueryParallel:
-		// One key at a time, all workers cooperating on its subtrees.
-		evalWG.Add(1)
-		go func() {
-			defer evalWG.Done()
-			defer close(taskQueue)
-			for i, key := range keys {
-				vec, wall, modeled, err := e.evalFull(key, e.cfg.EvalWorkers)
-				outcomes[i].bd.AddPhase(metrics.PhaseEval, wall, modeled)
-				outcomes[i].evalModeled = modeled
-				if err != nil {
-					outcomes[i].err = err
-					continue
-				}
-				taskQueue <- evalTask{idx: i, vec: vec}
-			}
-		}()
-	default: // EvalPerKeyWorkers
-		workers := e.cfg.EvalWorkers
-		if workers > len(keys) {
-			workers = len(keys)
-		}
-		keyCh := make(chan int, len(keys))
-		for i := range keys {
-			keyCh <- i
-		}
-		close(keyCh)
-		for w := 0; w < workers; w++ {
-			evalWG.Add(1)
-			go func() {
-				defer evalWG.Done()
-				for i := range keyCh {
-					vec, wall, modeled, err := e.evalFull(keys[i], 1)
-					outcomes[i].bd.AddPhase(metrics.PhaseEval, wall, modeled)
-					outcomes[i].evalModeled = modeled
-					if err != nil {
-						outcomes[i].err = err
-						continue
-					}
-					taskQueue <- evalTask{idx: i, vec: vec}
-				}
-			}()
-		}
-		go func() {
-			evalWG.Wait()
-			close(taskQueue)
-		}()
-	}
-
-	// ---- Cluster stage (Fig. 8 ➌, Alg. 1 ➍-➏) ----
-	// Each cluster goroutine greedily drains the queue into FUSED groups
-	// of up to cluster.maxBatch share vectors and runs them as one dpXOR
-	// launch sequence: the database chunk streams through each DPU once
-	// per pass for the whole group instead of once per query.
-	type fusedGroup struct {
-		members []int
-		modeled time.Duration
-	}
-	var groupMu sync.Mutex
-	var groups []fusedGroup
-
-	var clusterWG sync.WaitGroup
-	for _, c := range e.clusters {
-		clusterWG.Add(1)
-		go func(c *cluster) {
-			defer clusterWG.Done()
-			width := c.maxBatch
-			if e.cfg.DisableBatchFusion {
-				width = 1
-			}
-			for task := range taskQueue {
-				group := []evalTask{task}
-			drain:
-				for len(group) < width {
-					select {
-					case next, ok := <-taskQueue:
-						if !ok {
-							break drain
-						}
-						group = append(group, next)
-					default:
-						break drain
-					}
-				}
-				vecs := make([]*bitvec.Vector, len(group))
-				members := make([]int, len(group))
-				for j, g := range group {
-					vecs[j] = g.vec
-					members[j] = g.idx
-				}
-				results, bd, err := e.runClusterBatch(c, vecs)
-				perBD := bd.Scale(len(group))
-				groupModeled := bd.TotalModeled()
-				for j, g := range group {
-					out := &outcomes[g.idx]
-					out.bd.Add(perBD)
-					out.pimModeled = groupModeled / time.Duration(len(group))
-					if err != nil {
-						out.err = err
-						continue
-					}
-					out.result = results[j]
-				}
-				groupMu.Lock()
-				groups = append(groups, fusedGroup{members: members, modeled: groupModeled})
-				groupMu.Unlock()
-			}
-		}(c)
-	}
-
-	evalWG.Wait()
-	clusterWG.Wait()
-	wallLatency := time.Since(batchStart)
-
-	results := make([][]byte, len(keys))
-	var total metrics.Breakdown
-	evalDurations := make([]time.Duration, len(keys))
-	fused := false
-	for i := range outcomes {
-		if outcomes[i].err != nil {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: query %d: %w", i, outcomes[i].err)
-		}
-		results[i] = outcomes[i].result
-		total.Add(outcomes[i].bd)
-		evalDurations[i] = outcomes[i].evalModeled
-	}
-
-	// Modeled makespan: replay stage-1 readiness through the recorded
-	// fused groups, in completion order, each on the earliest-free modeled
-	// cluster. Which simulator goroutine ran a group follows host
-	// scheduling, not the modeled machine, so it is not replayed.
-	ready := evalReadyTimes(e.cfg.EvalMode, e.cfg.EvalWorkers, evalDurations)
-	clusterFree := make([]time.Duration, len(e.clusters))
-	var makespan time.Duration
-	for _, g := range groups {
-		if len(g.members) > 1 {
-			fused = true
-		}
-		c := argminDur(clusterFree)
-		start := clusterFree[c]
-		for _, m := range g.members {
-			if ready[m] > start {
-				start = ready[m]
-			}
-		}
-		finish := start + g.modeled
-		clusterFree[c] = finish
-		if finish > makespan {
-			makespan = finish
-		}
-	}
-
-	stats := metrics.BatchStats{
-		Queries:        len(keys),
-		PerQuery:       total.Scale(len(keys)),
-		WallLatency:    wallLatency,
-		ModeledLatency: makespan,
-		Fused:          fused,
-	}
-	return results, stats, nil
-}
-
-// QueryShareBatch processes a batch of raw selector-share queries (the
-// explicit-share protocol of QueryShare). Shares are chunked into fused
-// groups of up to each cluster's batch capacity, distributed round-robin
-// across clusters, and each group runs as one dpXOR launch sequence —
-// one database pass for the whole group.
-func (e *Engine) QueryShareBatch(shares []*bitvec.Vector) ([][]byte, metrics.BatchStats, error) {
+// Pass answers B queries through the §3.4 pipeline in one pass. Expand:
+// the host evaluates every key (a lone key with all EvalWorkers
+// cooperating on its subtrees, a wider pass one worker per key; shares
+// need no evaluation). Scan: the selectors split into fused groups of the
+// cluster batch capacity, assigned to the clusters in turn from a
+// round-robin start so concurrent passes fan out, and each group runs as
+// one dpXOR launch sequence — one database pass for the whole group.
+//
+// The returned stats carry the measured wall-clock latency and the
+// modeled makespan on the paper's hardware. The makespan replays Fig. 8:
+// each group enters its cluster once its members' evaluations would have
+// finished on W eval workers and the cluster is free, so the model keeps
+// the eval ‖ scan overlap the paper's pipeline has even though the
+// simulator expands first.
+func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if e.db == nil {
-		return nil, metrics.BatchStats{}, fmt.Errorf("impir: no database loaded")
+		return nil, metrics.BatchStats{}, errors.New("impir: no database loaded")
 	}
-	if len(shares) == 0 {
-		return nil, metrics.BatchStats{}, fmt.Errorf("impir: empty share batch")
+	b := in.Len()
+	start := time.Now()
+	sels, err := in.Expand(e.domain, e.cfg.EvalWorkers, dpf.StrategySubtree) // the paper's choice (§3.2)
+	if err != nil {
+		return nil, metrics.BatchStats{}, fmt.Errorf("impir: %w", err)
 	}
-	for i, share := range shares {
-		if share == nil {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: batch share %d is nil", i)
+	evalWall := time.Since(start)
+	evalDur := make([]time.Duration, b)
+	var total metrics.Breakdown
+	if in.Keys != nil {
+		threads := 1
+		if b == 1 {
+			threads = e.cfg.EvalWorkers
 		}
-		if share.Len() != e.db.NumRecords() {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: batch share %d covers %d records, database has %d",
-				i, share.Len(), e.db.NumRecords())
+		d := e.cfg.Host.EvalDuration(uint64(e.db.NumRecords()), threads)
+		for i := range evalDur {
+			evalDur[i] = d
 		}
+		total.AddPhase(metrics.PhaseEval, evalWall, time.Duration(b)*d)
 	}
 
-	batchStart := time.Now()
-	type shareChunk struct {
-		cluster int
-		lo, hi  int
-	}
-	var chunks []shareChunk
-	for lo, ci := 0, 0; lo < len(shares); ci++ {
-		c := e.clusters[ci%len(e.clusters)]
-		width := c.maxBatch
-		if e.cfg.DisableBatchFusion {
-			width = 1
-		}
-		hi := lo + width
-		if hi > len(shares) {
-			hi = len(shares)
-		}
-		chunks = append(chunks, shareChunk{cluster: ci % len(e.clusters), lo: lo, hi: hi})
-		lo = hi
-	}
-
-	results := make([][]byte, len(shares))
-	chunkBDs := make([]metrics.Breakdown, len(chunks))
-	chunkErrs := make([]error, len(chunks))
-	fused := false
+	// Chunks of the cluster batch capacity, taking the clusters in turn.
+	width := e.clusters[0].maxBatch
+	groups := (b + width - 1) / width
+	first := int(e.rr.Add(uint64(groups)) - uint64(groups))
+	clusterOf := func(g int) int { return (first + g) % len(e.clusters) }
+	results := xorop.NewAccumulators(b, e.db.RecordSize())
+	bds := make([]metrics.Breakdown, groups)
+	errs := make([]error, groups)
 	var wg sync.WaitGroup
-	for k, ch := range chunks {
-		if ch.hi-ch.lo > 1 {
-			fused = true
-		}
+	for g := range groups {
+		lo, hi := g*width, min((g+1)*width, b)
+		c := e.clusters[clusterOf(g)]
 		wg.Add(1)
-		go func(k int, ch shareChunk) {
+		go func() {
 			defer wg.Done()
-			group, bd, err := e.runClusterBatch(e.clusters[ch.cluster], shares[ch.lo:ch.hi])
-			chunkBDs[k] = bd
-			if err != nil {
-				chunkErrs[k] = err
-				return
-			}
-			copy(results[ch.lo:], group)
-		}(k, ch)
+			bds[g], errs[g] = e.runGroup(c, sels[lo:hi], results[lo:hi])
+		}()
 	}
 	wg.Wait()
-	wallLatency := time.Since(batchStart)
-
-	var total metrics.Breakdown
-	clusterBusy := make([]time.Duration, len(e.clusters))
-	var makespan time.Duration
-	for k, ch := range chunks {
-		if chunkErrs[k] != nil {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: share group %d: %w", k, chunkErrs[k])
-		}
-		total.Add(chunkBDs[k])
-		clusterBusy[ch.cluster] += chunkBDs[k].TotalModeled()
-		if clusterBusy[ch.cluster] > makespan {
-			makespan = clusterBusy[ch.cluster]
-		}
+	wall := time.Since(start)
+	if err := errors.Join(errs...); err != nil {
+		return nil, metrics.BatchStats{}, err
 	}
 
+	// Each group occupies the cluster it ran on from the moment its
+	// members' evaluations are done and that cluster is free.
+	ready := evalReadyTimes(EvalPerKeyWorkers, e.cfg.EvalWorkers, evalDur)
+	clusterFree := make([]time.Duration, len(e.clusters))
+	var makespan time.Duration
+	for g, bd := range bds {
+		total.Add(bd)
+		c := clusterOf(g)
+		start := clusterFree[c]
+		for _, r := range ready[g*width : min((g+1)*width, b)] {
+			start = max(start, r)
+		}
+		clusterFree[c] = start + bd.TotalModeled()
+		makespan = max(makespan, clusterFree[c])
+	}
 	return results, metrics.BatchStats{
-		Queries:        len(shares),
-		PerQuery:       total.Scale(len(shares)),
-		WallLatency:    wallLatency,
+		Queries:        b,
+		PerQuery:       total.Scale(b),
+		WallLatency:    wall,
 		ModeledLatency: makespan,
-		Fused:          fused,
+		Fused:          b > 1,
 	}, nil
+}
+
+// EvalMode names the two host-side evaluation schedules of §3.4 that the
+// modeled pipeline and the paper figures compare. The engine's Pass uses
+// both: a lone key runs per-query-parallel, a wider pass per-key.
+type EvalMode int
+
+const (
+	// EvalPerKeyWorkers is the paper's Fig. 8 workflow: W worker threads
+	// each evaluate a different key concurrently (one thread per key)
+	// and feed the shared task queue.
+	EvalPerKeyWorkers EvalMode = iota + 1
+	// EvalPerQueryParallel evaluates one key at a time with all workers
+	// cooperating on its subtree partition (§3.2).
+	EvalPerQueryParallel
+)
+
+func (m EvalMode) String() string {
+	switch m {
+	case EvalPerKeyWorkers:
+		return "per-key-workers"
+	case EvalPerQueryParallel:
+		return "per-query-parallel"
+	default:
+		return fmt.Sprintf("EvalMode(%d)", int(m))
+	}
 }
 
 // ModeledMakespan replays the batch through a deterministic two-stage

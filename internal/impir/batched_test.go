@@ -47,11 +47,11 @@ func TestBatchedModeMatchesResident(t *testing.T) {
 	batched, _ := newLoadedEngine(t, batchedConfig(), numRecords)
 
 	k0, _ := genKeys(t, db.Domain(), 777)
-	r1, bd1, err := resident.Query(k0)
+	r1, bd1, err := query(resident, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, bd2, err := batched.Query(k0)
+	r2, bd2, err := query(batched, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestBatchedModeBatchQueries(t *testing.T) {
 	for i := range keys0 {
 		keys0[i], keys1[i] = genKeys(t, db.Domain(), idx[i])
 	}
-	r0, _, err := e0.QueryBatch(keys0)
+	r0, _, err := e0.Pass(dpf.Batch{Keys: keys0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _, err := e1.QueryBatch(keys1)
+	r1, _, err := e1.Pass(dpf.Batch{Keys: keys1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestConcurrentSingleQueries(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], _, errs[i] = eng.Query(keys[i])
+				results[i], _, errs[i] = query(eng, keys[i])
 			}(i)
 		}
 		wg.Wait()
@@ -41,7 +41,7 @@ func TestConcurrentSingleQueries(t *testing.T) {
 		// Verify each against a reference query on a replica engine.
 		ref, _ := newLoadedEngine(t, testConfig(clusters), 512)
 		for i := range keys {
-			want, _, err := ref.Query(keys[i])
+			want, _, err := query(ref, keys[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = eng.QueryBatch(mkKeys(i * 100))
+			_, _, errs[i] = eng.Pass(dpf.Batch{Keys: mkKeys(i * 100)})
 		}(i)
 	}
 	wg.Wait()

@@ -8,11 +8,13 @@
 // their subresults to reconstruct the record (package impir at the module
 // root wires this together).
 //
-// The engine supports the paper's two batch execution modes (§3.4,
-// Fig. 8): a single DPU cluster holding the database sharded across all
-// DPUs (queries serialise on the cluster but each uses maximal
-// parallelism), or C clusters each holding a full database replica
-// (queries fan out across clusters).
+// Every query runs as one pass (§3.4, Fig. 8): expand (host-side DPF
+// evaluation through dpf's shared front end, Alg. 1 ➋), then scan — fused
+// groups of up to maxBatch selectors scattered to a DPU cluster, one
+// dpXOR launch per group, subresults gathered and folded on the host
+// (➌–➏). The DPUs form a single cluster holding the database sharded
+// across all of them, or C clusters each holding a full replica, over
+// which a pass's groups fan out.
 package impir
 
 import (
@@ -22,41 +24,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
-	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/pimkernel"
 	"github.com/impir/impir/internal/xorop"
 )
-
-// EvalMode selects how a batch's DPF evaluations are parallelised on the
-// host CPU (§3.4).
-type EvalMode int
-
-const (
-	// EvalPerKeyWorkers is the paper's Fig. 8 workflow: W worker threads
-	// each evaluate a different key concurrently (one thread per key)
-	// and feed the shared task queue. Default for batches.
-	EvalPerKeyWorkers EvalMode = iota + 1
-	// EvalPerQueryParallel evaluates one key at a time with all workers
-	// cooperating on its subtree partition (§3.2). Single queries always
-	// use this mode.
-	EvalPerQueryParallel
-)
-
-func (m EvalMode) String() string {
-	switch m {
-	case EvalPerKeyWorkers:
-		return "per-key-workers"
-	case EvalPerQueryParallel:
-		return "per-query-parallel"
-	default:
-		return fmt.Sprintf("EvalMode(%d)", int(m))
-	}
-}
 
 // Config configures an IM-PIR engine.
 type Config struct {
@@ -69,18 +43,12 @@ type Config struct {
 	// database replica (§5.4). 0 or 1 means a single cluster sharding
 	// the DB across all DPUs.
 	Clusters int
-	// EvalWorkers is the host thread count for DPF evaluation. 0 means 8.
+	// EvalWorkers is the host thread count for DPF evaluation: a lone
+	// key gets all of them, wider passes one per key. 0 means 8.
 	EvalWorkers int
-	// EvalMode selects batch evaluation scheduling; zero value means
-	// EvalPerKeyWorkers.
-	EvalMode EvalMode
 	// Host models the PIM server's host CPU for modeled durations. Zero
 	// value means hostmodel.PIMHost.
 	Host hostmodel.Model
-	// DisableBatchFusion forces one dpXOR launch per query even when a
-	// cluster could fuse several selector streams into one database pass.
-	// Exists for A/B benchmarking; production keeps fusion on.
-	DisableBatchFusion bool
 }
 
 // DefaultConfig returns the paper's evaluation configuration: 2048 DPUs,
@@ -107,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EvalWorkers == 0 {
 		c.EvalWorkers = 8
-	}
-	if c.EvalMode == 0 {
-		c.EvalMode = EvalPerKeyWorkers
 	}
 	if c.Host.Threads == 0 {
 		c.Host = hostmodel.PIMHost()
@@ -170,16 +135,16 @@ type cluster struct {
 	mu sync.Mutex
 }
 
-// Engine is an IM-PIR server engine. Query, QueryBatch and the cluster
-// scheduler may be called concurrently; cluster access is serialised
-// internally the way real hardware serialises kernel launches.
+// Engine is an IM-PIR server engine. Passes may run concurrently; cluster
+// access is serialised internally the way real hardware serialises
+// kernel launches.
 type Engine struct {
 	cfg      Config
 	sys      *pim.System
 	db       *database.DB // padded to a power of two
 	domain   int
 	clusters []*cluster
-	rr       atomic.Uint64 // round-robin cluster pick for single queries
+	rr       atomic.Uint64 // round-robin first cluster of each pass
 }
 
 // New builds an engine and its simulated PIM system.
@@ -219,14 +184,7 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 		return fmt.Errorf("impir: record size %d must be a positive multiple of 8 bytes ≤ %d",
 			db.RecordSize(), pim.DMAMaxTransfer)
 	}
-	padded := db.PadToPowerOfTwo()
-	if padded == db {
-		// PadToPowerOfTwo returned the caller's storage; clone so this
-		// replica is independent of the caller's and of other engines
-		// loaded from the same DB (true replica semantics for §3.3
-		// updates).
-		padded = db.Clone()
-	}
+	padded := db.Replica()
 	n := padded.NumRecords()
 	recordSize := padded.RecordSize()
 
@@ -348,41 +306,10 @@ func dbSlice(db *database.DB, startRecord, count int) []byte {
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// validateKey checks a query key against the loaded database.
-func (e *Engine) validateKey(key *dpf.Key) error {
-	if e.db == nil {
-		return errors.New("impir: no database loaded")
-	}
-	if key == nil {
-		return errors.New("impir: nil key")
-	}
-	if int(key.Domain) != e.domain {
-		return fmt.Errorf("impir: key domain %d does not match database domain %d", key.Domain, e.domain)
-	}
-	return nil
-}
-
-// evalFull runs the host-side DPF evaluation phase (Alg. 1 ➋),
-// returning the share vector plus wall and modeled durations.
-func (e *Engine) evalFull(key *dpf.Key, threads int) (*bitvec.Vector, time.Duration, time.Duration, error) {
-	start := time.Now()
-	vec, err := key.EvalFull(dpf.FullEvalOptions{
-		Strategy: dpf.StrategySubtree, // the paper's choice (§3.2)
-		Workers:  threads,
-	})
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("impir: DPF evaluation: %w", err)
-	}
-	wall := time.Since(start)
-	modeled := e.cfg.Host.EvalDuration(uint64(e.db.NumRecords()), threads)
-	return vec, wall, modeled, nil
-}
-
-// selectorFlat packs the share vector into flat little-endian selector
-// bytes padded to the cluster's full capacity (|DPUs|·B_d bits), so both
-// resident chunks and batched pass-slices are simple sub-slices.
-func (c *cluster) selectorFlat(vec *bitvec.Vector) []byte {
-	words := vec.Words()
+// selectorFlat packs a selector into flat little-endian bytes padded to
+// the cluster's full capacity (|DPUs|·B_d bits), so both resident chunks
+// and batched pass-slices are simple sub-slices.
+func (c *cluster) selectorFlat(words []uint64) []byte {
 	flat := make([]byte, len(c.dpuIDs)*c.recordsPerDPU/8)
 	for i, w := range words {
 		off := i * 8
@@ -398,33 +325,20 @@ func (c *cluster) selectorFlat(vec *bitvec.Vector) []byte {
 	return flat
 }
 
-// runCluster executes the PIM phases of one query on one cluster — a
-// width-1 fused pass.
-func (e *Engine) runCluster(c *cluster, vec *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	results, bd, err := e.runClusterBatch(c, []*bitvec.Vector{vec})
-	if err != nil {
-		return nil, bd, err
-	}
-	return results[0], bd, nil
-}
-
-// runClusterBatch executes the PIM phases of a FUSED group of up to
-// c.maxBatch queries on one cluster: scatter every share vector (➌),
-// launch ONE dpXOR kernel carrying all B selector streams (➍), gather
-// the per-stream subresults (➎), and XOR-fold them on the host (➏). In
-// batched mode (database beyond MRAM capacity) the database itself is
-// also streamed through MRAM — once per pass for the whole group, which
-// is the fusion's biggest win: B queries share each chunk's DMA instead
-// of restaging it B times. Returns one subresult per share and the
-// group's combined per-phase breakdown.
-func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, metrics.Breakdown, error) {
+// runGroup executes the PIM phases of a FUSED group of up to c.maxBatch
+// queries on one cluster: scatter every selector (➌), launch ONE dpXOR
+// kernel carrying all the group's selector streams (➍), gather the
+// per-stream subresults (➎), and XOR-fold them on the host into out (➏),
+// one zeroed record per selector. In batched mode (database beyond MRAM
+// capacity) the database itself is also streamed through MRAM — once per
+// pass for the whole group, which is the fusion's biggest win: the
+// queries share each chunk's DMA instead of restaging it per query.
+// Returns the group's combined per-phase breakdown.
+func (e *Engine) runGroup(c *cluster, sels [][]uint64, out [][]byte) (metrics.Breakdown, error) {
 	var bd metrics.Breakdown
-	nq := len(vecs)
-	if nq == 0 {
-		return nil, bd, errors.New("impir: empty cluster group")
-	}
+	nq := len(sels)
 	if nq > c.maxBatch {
-		return nil, bd, fmt.Errorf("impir: fused group of %d exceeds cluster batch capacity %d", nq, c.maxBatch)
+		return bd, fmt.Errorf("impir: fused group of %d exceeds cluster batch capacity %d", nq, c.maxBatch)
 	}
 
 	c.mu.Lock()
@@ -432,12 +346,8 @@ func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, m
 
 	recordSize := e.db.RecordSize()
 	flatSels := make([][]byte, nq)
-	for q, vec := range vecs {
-		flatSels[q] = c.selectorFlat(vec)
-	}
-	results := make([][]byte, nq)
-	for q := range results {
-		results[q] = make([]byte, recordSize)
+	for q, sel := range sels {
+		flatSels[q] = c.selectorFlat(sel)
 	}
 
 	selChunks := make([][]byte, len(c.dpuIDs))
@@ -488,16 +398,16 @@ func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, m
 			start := time.Now()
 			cost, err := e.sys.Scatter(c.dpuIDs, 0, dbChunks)
 			if err != nil {
-				return nil, bd, fmt.Errorf("impir: stage DB pass %d: %w", pass, err)
+				return bd, fmt.Errorf("impir: stage DB pass %d: %w", pass, err)
 			}
 			bd.AddPhase(metrics.PhaseCopyToPIM, time.Since(start), cost.Modeled)
 		}
 
-		// ➌ scatter the group's share-vector chunks.
+		// ➌ scatter the group's selector chunks.
 		start := time.Now()
 		scatterCost, err := e.sys.Scatter(c.dpuIDs, c.selOffset, selChunks)
 		if err != nil {
-			return nil, bd, fmt.Errorf("impir: scatter: %w", err)
+			return bd, fmt.Errorf("impir: scatter: %w", err)
 		}
 		bd.AddPhase(metrics.PhaseCopyToPIM, time.Since(start), scatterCost.Modeled)
 
@@ -505,7 +415,7 @@ func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, m
 		start = time.Now()
 		launchCost, err := e.sys.Launch(c.dpuIDs, pimkernel.DPXOR{}, args)
 		if err != nil {
-			return nil, bd, fmt.Errorf("impir: dpXOR launch: %w", err)
+			return bd, fmt.Errorf("impir: dpXOR launch: %w", err)
 		}
 		bd.AddPhase(metrics.PhaseDpXOR, time.Since(start), launchCost.Modeled)
 
@@ -513,16 +423,16 @@ func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, m
 		start = time.Now()
 		subresults, gatherCost, err := e.sys.Gather(c.dpuIDs, c.outOffset, nq*recordSize)
 		if err != nil {
-			return nil, bd, fmt.Errorf("impir: gather: %w", err)
+			return bd, fmt.Errorf("impir: gather: %w", err)
 		}
 		bd.AddPhase(metrics.PhaseCopyToHost, time.Since(start), gatherCost.Modeled)
 
 		// ➏ aggregate on the host, per stream.
 		start = time.Now()
 		for _, sub := range subresults {
-			for q := range results {
-				if err := xorop.XORBytes(results[q], sub[q*recordSize:(q+1)*recordSize]); err != nil {
-					return nil, bd, fmt.Errorf("impir: aggregate: %w", err)
+			for q := range out {
+				if err := xorop.XORBytes(out[q], sub[q*recordSize:(q+1)*recordSize]); err != nil {
+					return bd, fmt.Errorf("impir: aggregate: %w", err)
 				}
 			}
 		}
@@ -530,49 +440,7 @@ func (e *Engine) runClusterBatch(c *cluster, vecs []*bitvec.Vector) ([][]byte, m
 			e.cfg.Host.XORFoldDuration(nq*len(subresults), recordSize))
 	}
 
-	return results, bd, nil
-}
-
-// Query processes a single PIR query end-to-end: per-query-parallel
-// evaluation, then the PIM phases on one cluster (round-robin when the
-// engine is configured with several, so concurrent callers spread out).
-func (e *Engine) Query(key *dpf.Key) ([]byte, metrics.Breakdown, error) {
-	if err := e.validateKey(key); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	vec, wall, modeled, err := e.evalFull(key, e.cfg.EvalWorkers)
-	if err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	var bd metrics.Breakdown
-	bd.AddPhase(metrics.PhaseEval, wall, modeled)
-
-	c := e.clusters[e.rr.Add(1)%uint64(len(e.clusters))]
-	result, pimBD, err := e.runCluster(c, vec)
-	if err != nil {
-		return nil, bd, err
-	}
-	bd.Add(pimBD)
-	return result, bd, nil
-}
-
-// QueryShare processes a raw selector-share query: the n-server
-// generalisation of §2.3, where the client ships each server an explicit
-// N-bit share instead of a DPF key (O(N) communication, any number of
-// servers ≥ 2). Only the PIM phases run — there is no key to evaluate.
-func (e *Engine) QueryShare(share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	if e.db == nil {
-		return nil, metrics.Breakdown{}, errors.New("impir: no database loaded")
-	}
-	if share == nil {
-		return nil, metrics.Breakdown{}, errors.New("impir: nil share")
-	}
-	if share.Len() != e.db.NumRecords() {
-		return nil, metrics.Breakdown{}, fmt.Errorf("impir: share covers %d records, database has %d",
-			share.Len(), e.db.NumRecords())
-	}
-	c := e.clusters[e.rr.Add(1)%uint64(len(e.clusters))]
-	return e.runCluster(c, share)
+	return bd, nil
 }
 
 // Close releases the engine. (The simulator has no external resources;

@@ -2,9 +2,11 @@ package impir
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/hostmodel"
@@ -53,16 +55,34 @@ func genKeys(t *testing.T, domain int, index uint64) (*dpf.Key, *dpf.Key) {
 	return k0, k1
 }
 
+// query answers one key as a width-1 pass.
+func query(e *Engine, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
+	return pass1(e, dpf.Batch{Keys: []*dpf.Key{key}})
+}
+
+// queryShare answers one selector share as a width-1 pass.
+func queryShare(e *Engine, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
+	return pass1(e, dpf.Batch{Shares: []*bitvec.Vector{share}})
+}
+
+func pass1(e *Engine, in dpf.Batch) ([]byte, metrics.Breakdown, error) {
+	results, stats, err := e.Pass(in)
+	if err != nil {
+		return nil, metrics.Breakdown{}, err
+	}
+	return results[0], stats.PerQuery, nil
+}
+
 // queryBothServers runs the same query on two replica engines and
 // reconstructs the record, the full two-server protocol.
 func queryBothServers(t *testing.T, e0, e1 *Engine, domain int, index uint64) []byte {
 	t.Helper()
 	k0, k1 := genKeys(t, domain, index)
-	r0, _, err := e0.Query(k0)
+	r0, _, err := query(e0, k0)
 	if err != nil {
 		t.Fatalf("server 0 query: %v", err)
 	}
-	r1, _, err := e1.Query(k1)
+	r1, _, err := query(e1, k1)
 	if err != nil {
 		t.Fatalf("server 1 query: %v", err)
 	}
@@ -123,7 +143,7 @@ func TestSingleServerShareIsNotTheRecord(t *testing.T) {
 	// (with overwhelming probability) — sanity check on privacy.
 	e0, db := newLoadedEngine(t, testConfig(1), 256)
 	k0, _ := genKeys(t, db.Domain(), 42)
-	r0, _, err := e0.Query(k0)
+	r0, _, err := query(e0, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +155,7 @@ func TestSingleServerShareIsNotTheRecord(t *testing.T) {
 func TestBreakdownPhases(t *testing.T) {
 	e0, db := newLoadedEngine(t, testConfig(1), 1024)
 	k0, _ := genKeys(t, db.Domain(), 7)
-	_, bd, err := e0.Query(k0)
+	_, bd, err := query(e0, k0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,49 +176,46 @@ func TestBreakdownPhases(t *testing.T) {
 }
 
 func TestQueryBatch(t *testing.T) {
-	for _, mode := range []EvalMode{EvalPerKeyWorkers, EvalPerQueryParallel} {
-		for _, clusters := range []int{1, 2} {
-			cfg := testConfig(clusters)
-			cfg.EvalMode = mode
-			e0, db := newLoadedEngine(t, cfg, 512)
-			e1, _ := newLoadedEngine(t, cfg, 512)
+	for _, clusters := range []int{1, 2} {
+		cfg := testConfig(clusters)
+		e0, db := newLoadedEngine(t, cfg, 512)
+		e1, _ := newLoadedEngine(t, cfg, 512)
 
-			const batch = 9
-			indices := make([]uint64, batch)
-			keys0 := make([]*dpf.Key, batch)
-			keys1 := make([]*dpf.Key, batch)
-			for i := range indices {
-				indices[i] = uint64((i * 57) % 512)
-				keys0[i], keys1[i] = genKeys(t, db.Domain(), indices[i])
-			}
+		const batch = 9
+		indices := make([]uint64, batch)
+		keys0 := make([]*dpf.Key, batch)
+		keys1 := make([]*dpf.Key, batch)
+		for i := range indices {
+			indices[i] = uint64((i * 57) % 512)
+			keys0[i], keys1[i] = genKeys(t, db.Domain(), indices[i])
+		}
 
-			r0, stats0, err := e0.QueryBatch(keys0)
-			if err != nil {
-				t.Fatalf("mode=%v clusters=%d: batch server 0: %v", mode, clusters, err)
+		r0, stats0, err := e0.Pass(dpf.Batch{Keys: keys0})
+		if err != nil {
+			t.Fatalf("clusters=%d: batch server 0: %v", clusters, err)
+		}
+		r1, _, err := e1.Pass(dpf.Batch{Keys: keys1})
+		if err != nil {
+			t.Fatalf("batch server 1: %v", err)
+		}
+		for i := range indices {
+			rec := make([]byte, 32)
+			copy(rec, r0[i])
+			for j := range rec {
+				rec[j] ^= r1[i][j]
 			}
-			r1, _, err := e1.QueryBatch(keys1)
-			if err != nil {
-				t.Fatalf("batch server 1: %v", err)
+			if !bytes.Equal(rec, db.Record(int(indices[i]))) {
+				t.Fatalf("clusters=%d: batch query %d wrong", clusters, i)
 			}
-			for i := range indices {
-				rec := make([]byte, 32)
-				copy(rec, r0[i])
-				for j := range rec {
-					rec[j] ^= r1[i][j]
-				}
-				if !bytes.Equal(rec, db.Record(int(indices[i]))) {
-					t.Fatalf("mode=%v clusters=%d: batch query %d wrong", mode, clusters, i)
-				}
-			}
-			if stats0.Queries != batch {
-				t.Errorf("stats.Queries = %d, want %d", stats0.Queries, batch)
-			}
-			if stats0.ModeledLatency <= 0 || stats0.WallLatency <= 0 {
-				t.Error("batch latencies not positive")
-			}
-			if stats0.ModeledQPS() <= 0 {
-				t.Error("modeled QPS not positive")
-			}
+		}
+		if stats0.Queries != batch {
+			t.Errorf("stats.Queries = %d, want %d", stats0.Queries, batch)
+		}
+		if stats0.ModeledLatency <= 0 || stats0.WallLatency <= 0 {
+			t.Error("batch latencies not positive")
+		}
+		if stats0.ModeledQPS() <= 0 {
+			t.Error("modeled QPS not positive")
 		}
 	}
 }
@@ -227,29 +244,29 @@ func TestValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		k0, _ := genKeys(t, 9, 0)
-		if _, _, err := eng.Query(k0); err == nil {
-			t.Error("Query before LoadDatabase succeeded")
+		if _, _, err := query(eng, k0); err == nil {
+			t.Error("pass before LoadDatabase succeeded")
 		}
 	})
 
 	t.Run("key domain mismatch", func(t *testing.T) {
 		eng, _ := newLoadedEngine(t, testConfig(1), 512) // domain 9
 		k0, _ := genKeys(t, 10, 0)
-		if _, _, err := eng.Query(k0); err == nil {
-			t.Error("Query accepted mismatched key domain")
+		if _, _, err := query(eng, k0); err == nil {
+			t.Error("pass accepted mismatched key domain")
 		}
 	})
 
 	t.Run("nil inputs", func(t *testing.T) {
 		eng, _ := newLoadedEngine(t, testConfig(1), 512)
-		if _, _, err := eng.Query(nil); err == nil {
-			t.Error("Query(nil) succeeded")
+		if _, _, err := query(eng, nil); err == nil {
+			t.Error("nil key accepted")
 		}
 		if err := eng.LoadDatabase(nil); err == nil {
 			t.Error("LoadDatabase(nil) succeeded")
 		}
-		if _, _, err := eng.QueryBatch(nil); err == nil {
-			t.Error("QueryBatch(nil) succeeded")
+		if _, _, err := eng.Pass(dpf.Batch{}); err == nil {
+			t.Error("empty pass accepted")
 		}
 	})
 
@@ -306,38 +323,62 @@ func TestEvalModeString(t *testing.T) {
 	}
 }
 
-// TestClusterThroughputImproves: with fixed per-query PIM work and
-// fusion disabled, more clusters must not reduce modeled batch
-// throughput (Take-away 5 — replica parallelism). With fusion on, the
-// trade-off inverts: one wide cluster fuses the whole batch into a
-// single database pass, while splitting into replicas multiplies the
-// scan traffic — so a single fused cluster must beat its unfused self.
+// TestClusterThroughputImproves: a pass wider than one cluster's batch
+// capacity hands its fused groups to the replica clusters in turn, so
+// with four clusters the modeled makespan is well below the serial sum of
+// the groups' PIM phases, and one cluster's is not (Take-away 5 —
+// replica parallelism). And one wide cluster fuses the whole batch into
+// a single database pass, so it must beat answering the same keys one
+// pass each.
 func TestClusterThroughputImproves(t *testing.T) {
-	qpsFor := func(clusters int, disableFusion bool) float64 {
-		cfg := testConfig(clusters)
-		cfg.EvalWorkers = 8
-		cfg.DisableBatchFusion = disableFusion
-		eng, db := newLoadedEngine(t, cfg, 2048)
-		const batch = 16
+	const batch, capacity = 16, 4
+	keysFor := func(domain int) []*dpf.Key {
 		keys := make([]*dpf.Key, batch)
 		for i := range keys {
-			k0, _ := genKeys(t, db.Domain(), uint64(i*100)%2048)
-			keys[i] = k0
+			keys[i], _ = genKeys(t, domain, uint64(i*100)%2048)
 		}
-		_, stats, err := eng.QueryBatch(keys)
+		return keys
+	}
+	spread := func(clusters int) (makespan, serialPIM time.Duration) {
+		cfg := testConfig(clusters)
+		cfg.EvalWorkers = 8
+		eng, db := newLoadedEngine(t, cfg, 2048)
+		for _, c := range eng.clusters {
+			c.maxBatch = capacity // MRAM was laid out for the wider batch
+		}
+		_, stats, err := eng.Pass(dpf.Batch{Keys: keysFor(db.Domain())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.ModeledQPS()
+		scan := stats.PerQuery.TotalModeled() - stats.PerQuery.Modeled[metrics.PhaseEval]
+		return stats.ModeledLatency, scan * batch
 	}
-	oneUnfused := qpsFor(1, true)
-	fourUnfused := qpsFor(4, true)
-	if fourUnfused < oneUnfused*0.95 {
-		t.Fatalf("unfused: 4 clusters modeled QPS %.1f < 1 cluster %.1f", fourUnfused, oneUnfused)
+	if makespan, serial := spread(4); makespan >= serial/2 {
+		t.Fatalf("4 clusters: makespan %v not below half the serial PIM sum %v", makespan, serial)
 	}
-	oneFused := qpsFor(1, false)
-	if oneFused <= oneUnfused {
-		t.Fatalf("fused single cluster QPS %.1f not above unfused %.1f", oneFused, oneUnfused)
+	if makespan, serial := spread(1); makespan < serial {
+		t.Fatalf("1 cluster: makespan %v below the serial PIM sum %v", makespan, serial)
+	}
+
+	cfg := testConfig(1)
+	cfg.EvalWorkers = 8
+	one, db := newLoadedEngine(t, cfg, 2048)
+	keys := keysFor(db.Domain())
+	_, fused, err := one.Pass(dpf.Batch{Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solo time.Duration
+	for _, k := range keys {
+		_, st, err := one.Pass(dpf.Batch{Keys: []*dpf.Key{k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo += st.ModeledLatency
+	}
+	if !fused.Fused || fused.ModeledLatency >= solo {
+		t.Fatalf("fused single cluster %v (fused=%v) not below %v of per-query passes",
+			fused.ModeledLatency, fused.Fused, solo)
 	}
 }
 
@@ -377,6 +418,53 @@ func TestModeledMakespanSchedule(t *testing.T) {
 			t.Fatalf("parallel makespan = %v, want 11ms", parallel)
 		}
 	})
+}
+
+// TestQueryShareBatch: a pass of shares must agree with width-1 share
+// passes and reject malformed inputs.
+func TestQueryShareBatch(t *testing.T) {
+	const numRecords = 1024
+	eng, _ := newLoadedEngine(t, testConfig(2), numRecords)
+
+	rng := rand.New(rand.NewSource(99))
+	const batch = 9
+	shares := make([]*bitvec.Vector, batch)
+	for q := range shares {
+		v := bitvec.New(numRecords)
+		for i := 0; i < numRecords; i++ {
+			if rng.Intn(2) == 1 {
+				v.Set(i)
+			}
+		}
+		shares[q] = v
+	}
+
+	got, stats, err := eng.Pass(dpf.Batch{Shares: shares})
+	if err != nil {
+		t.Fatalf("share pass: %v", err)
+	}
+	if stats.Queries != batch || !stats.Fused {
+		t.Errorf("stats = %+v, want %d fused queries", stats, batch)
+	}
+	for q, share := range shares {
+		want, _, err := queryShare(eng, share)
+		if err != nil {
+			t.Fatalf("width-1 share pass %d: %v", q, err)
+		}
+		if !bytes.Equal(got[q], want) {
+			t.Fatalf("share %d: batch %x != solo %x", q, got[q][:8], want[:8])
+		}
+	}
+
+	if _, _, err := eng.Pass(dpf.Batch{}); err == nil {
+		t.Error("empty share batch accepted")
+	}
+	if _, _, err := eng.Pass(dpf.Batch{Shares: []*bitvec.Vector{nil}}); err == nil {
+		t.Error("nil share accepted")
+	}
+	if _, _, err := eng.Pass(dpf.Batch{Shares: []*bitvec.Vector{bitvec.New(64)}}); err == nil {
+		t.Error("wrong-length share accepted")
+	}
 }
 
 func TestEngineName(t *testing.T) {

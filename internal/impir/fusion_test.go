@@ -2,16 +2,14 @@ package impir
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/dpf"
 )
 
-// TestQueryBatchFusedMatchesUnfused: the fused multi-stream dpXOR path
-// must be bit-exact with per-query launches, in resident mode and in the
-// streaming (beyond-MRAM) regime.
+// TestQueryBatchFusedMatchesUnfused: the fused multi-stream dpXOR pass
+// must be bit-exact with width-1 passes (one round-robin launch per
+// query), in resident mode and in the streaming (beyond-MRAM) regime.
 func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,14 +21,11 @@ func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfgFused := testConfig(1)
-			tc.tune(&cfgFused)
-			cfgSolo := cfgFused
-			cfgSolo.DisableBatchFusion = true
+			cfg := testConfig(1)
+			tc.tune(&cfg)
 
 			const numRecords = 2048
-			ef, db := newLoadedEngine(t, cfgFused, numRecords)
-			es, _ := newLoadedEngine(t, cfgSolo, numRecords)
+			eng, db := newLoadedEngine(t, cfg, numRecords)
 
 			const batch = 12
 			keys := make([]*dpf.Key, batch)
@@ -38,72 +33,25 @@ func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 				k0, _ := genKeys(t, db.Domain(), uint64(i*151)%numRecords)
 				keys[i] = k0
 			}
-			rf, statsF, err := ef.QueryBatch(keys)
+			rf, statsF, err := eng.Pass(dpf.Batch{Keys: keys})
 			if err != nil {
-				t.Fatalf("fused QueryBatch: %v", err)
-			}
-			rs, statsS, err := es.QueryBatch(keys)
-			if err != nil {
-				t.Fatalf("unfused QueryBatch: %v", err)
-			}
-			for i := range keys {
-				if !bytes.Equal(rf[i], rs[i]) {
-					t.Fatalf("query %d: fused %x != unfused %x", i, rf[i][:8], rs[i][:8])
-				}
+				t.Fatalf("fused pass: %v", err)
 			}
 			if !statsF.Fused {
 				t.Error("fused batch stats not marked Fused")
 			}
-			if statsS.Fused {
-				t.Error("fusion-disabled batch stats marked Fused")
+			for i := range keys {
+				rs, statsS, err := eng.Pass(dpf.Batch{Keys: keys[i : i+1]})
+				if err != nil {
+					t.Fatalf("query %d: unfused pass: %v", i, err)
+				}
+				if !bytes.Equal(rf[i], rs[0]) {
+					t.Fatalf("query %d: fused %x != unfused %x", i, rf[i][:8], rs[0][:8])
+				}
+				if statsS.Fused {
+					t.Errorf("query %d: width-1 pass stats marked Fused", i)
+				}
 			}
 		})
-	}
-}
-
-// TestQueryShareBatch: the share-batch path must agree with per-share
-// QueryShare calls and reject malformed inputs.
-func TestQueryShareBatch(t *testing.T) {
-	const numRecords = 1024
-	eng, _ := newLoadedEngine(t, testConfig(2), numRecords)
-
-	rng := rand.New(rand.NewSource(99))
-	const batch = 9
-	shares := make([]*bitvec.Vector, batch)
-	for q := range shares {
-		v := bitvec.New(numRecords)
-		for i := 0; i < numRecords; i++ {
-			if rng.Intn(2) == 1 {
-				v.Set(i)
-			}
-		}
-		shares[q] = v
-	}
-
-	got, stats, err := eng.QueryShareBatch(shares)
-	if err != nil {
-		t.Fatalf("QueryShareBatch: %v", err)
-	}
-	if stats.Queries != batch || !stats.Fused {
-		t.Errorf("stats = %+v, want %d fused queries", stats, batch)
-	}
-	for q, share := range shares {
-		want, _, err := eng.QueryShare(share)
-		if err != nil {
-			t.Fatalf("QueryShare %d: %v", q, err)
-		}
-		if !bytes.Equal(got[q], want) {
-			t.Fatalf("share %d: batch %x != solo %x", q, got[q][:8], want[:8])
-		}
-	}
-
-	if _, _, err := eng.QueryShareBatch(nil); err == nil {
-		t.Error("empty share batch accepted")
-	}
-	if _, _, err := eng.QueryShareBatch([]*bitvec.Vector{nil}); err == nil {
-		t.Error("nil share accepted")
-	}
-	if _, _, err := eng.QueryShareBatch([]*bitvec.Vector{bitvec.New(64)}); err == nil {
-		t.Error("wrong-length share accepted")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // CPU→DPU transfer of the dirty records; amortised over the window it
 // does not sit on any query's critical path.
 //
-// UpdateRecords must not run concurrently with Query/QueryBatch — the
+// UpdateRecords must not run concurrently with a Pass — the
 // DPUs process queries against a stable database version, exactly the
 // discipline the paper prescribes. Callers above the engine get this
 // for free: the request scheduler (internal/scheduler) quiesces
@@ -24,22 +24,14 @@ func (e *Engine) UpdateRecords(updates map[uint64][]byte) (pim.Cost, error) {
 	if e.db == nil {
 		return pim.Cost{}, errors.New("impir: no database loaded")
 	}
-	if len(updates) == 0 {
-		return pim.Cost{}, errors.New("impir: empty update set")
-	}
-	recordSize := e.db.RecordSize()
-
 	// Validate everything before mutating anything, so a bad entry can
 	// not leave replicas diverged.
+	if err := e.db.ApplyUpdates(updates); err != nil {
+		return pim.Cost{}, fmt.Errorf("impir: %w", err)
+	}
+	recordSize := e.db.RecordSize()
 	indices := make([]uint64, 0, len(updates))
-	for idx, rec := range updates {
-		if idx >= uint64(e.db.NumRecords()) {
-			return pim.Cost{}, fmt.Errorf("impir: update index %d outside [0,%d)", idx, e.db.NumRecords())
-		}
-		if len(rec) != recordSize {
-			return pim.Cost{}, fmt.Errorf("impir: update for record %d has %d bytes, want %d",
-				idx, len(rec), recordSize)
-		}
+	for idx := range updates {
 		indices = append(indices, idx)
 	}
 	slices.Sort(indices)
@@ -50,9 +42,6 @@ func (e *Engine) UpdateRecords(updates map[uint64][]byte) (pim.Cost, error) {
 		rec := updates[uidx]
 		// Safe narrowing: validated above against the int record count.
 		idx := int(uidx)
-		if err := e.db.SetRecord(idx, rec); err != nil {
-			return pim.Cost{}, err
-		}
 		for _, c := range e.clusters {
 			if !c.resident {
 				// Batched clusters restage the database from the host

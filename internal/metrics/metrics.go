@@ -226,7 +226,8 @@ type SchedulerStats struct {
 	// Cancelled counts requests dequeued without an engine pass because
 	// their context died while they waited.
 	Cancelled uint64
-	// Dispatched counts requests that reached an engine pass.
+	// Dispatched counts requests that reached an engine pass, including
+	// single queries whose key the pass's up-front check rejected.
 	Dispatched uint64
 	// Passes counts engine passes executed (a coalesced pass serves many
 	// requests in one).

@@ -26,7 +26,10 @@ func benchScheduler(b *testing.B, window time.Duration) {
 	if err := eng.LoadDatabase(db); err != nil {
 		b.Fatal(err)
 	}
-	s := New(eng, Config{QueueDepth: 1024, CoalesceWindow: window})
+	s, err := New(eng, Config{QueueDepth: 1024, CoalesceWindow: window})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer s.Close()
 
 	const clients = 16

@@ -35,8 +35,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	ready := obs.NewReadiness()
 	ready.Set(obs.CondUpdateQuiesce, true)
 
-	s := New(ge, Config{QueueDepth: 64, Obs: sm, Readiness: ready})
-	defer s.Close()
+	s := newSched(t, ge, Config{QueueDepth: 64, Obs: sm, Readiness: ready})
 	reg.OnScrape(func() {
 		sm.MirrorScheduler(s.Stats())
 		sm.MirrorReadiness(ready)
@@ -101,7 +100,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	// never failed.
 	queryDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Query(context.Background(), nil)
+		_, _, err := s.Query(context.Background(), fakeKey)
 		queryDone <- err
 	}()
 	select {
@@ -150,13 +149,12 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 func TestObsStageObservations(t *testing.T) {
 	reg := obs.NewRegistry()
 	sm := obs.NewServerMetrics(reg)
-	s := New(&fakeEngine{}, Config{QueueDepth: 64, Obs: sm})
-	defer s.Close()
+	s := newSched(t, &fakeEngine{}, Config{QueueDepth: 64, Obs: sm})
 	reg.OnScrape(func() { sm.MirrorScheduler(s.Stats()) })
 
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, _, err := s.Query(ctx, nil); err != nil {
+		if _, _, err := s.Query(ctx, fakeKey); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,10 +9,11 @@
 //     submitter gets ErrBusy immediately instead of stalling the TCP
 //     accept loop (the transport turns ErrBusy into a MsgBusy frame).
 //   - Coalescing: single queries arriving from different connections
-//     within a configurable window are gathered into one §3.4 QueryBatch
+//     within a configurable window are gathered into one §3.4 engine
 //     pass — the batch pipeline's amortisation (Fig. 8 of the paper)
-//     applied across clients, not just within one client's batch. The
-//     subresults are demultiplexed back to each waiter.
+//     applied across clients, not just within one client's batch. Each
+//     key is checked first, so a bad one fails only its own sender, and
+//     the subresults are demultiplexed back to each waiter.
 //   - Cancellation: a request whose context dies while queued is
 //     dequeued and completed with the context error; the engine never
 //     spends a pass on a dead client.
@@ -40,14 +41,13 @@ import (
 )
 
 // Engine is the compute plane under the scheduler: any of the IM-PIR,
-// CPU or GPU engines.
+// CPU or GPU engines. Pass answers every query of its batch in one engine
+// pass — expand, then scan — and returns one subresult per query, in
+// order; a single query is a width-1 pass.
 type Engine interface {
 	Name() string
 	Database() *database.DB
-	Query(*dpf.Key) ([]byte, metrics.Breakdown, error)
-	QueryBatch([]*dpf.Key) ([][]byte, metrics.BatchStats, error)
-	QueryShare(*bitvec.Vector) ([]byte, metrics.Breakdown, error)
-	QueryShareBatch([]*bitvec.Vector) ([][]byte, metrics.BatchStats, error)
+	Pass(dpf.Batch) ([][]byte, metrics.BatchStats, error)
 	ApplyUpdates(updates map[uint64][]byte) error
 }
 
@@ -63,14 +63,14 @@ var (
 // default: a 256-deep queue with coalescing disabled.
 type Config struct {
 	// QueueDepth bounds the admission queue; submissions beyond it fail
-	// with ErrBusy. 0 means 256.
+	// with ErrBusy. 0 means 256; negative is an error.
 	QueueDepth int
 	// CoalesceWindow is how long the dispatcher holds the first single
 	// query of a pass to gather concurrent ones into one batch pass.
 	// 0 disables coalescing: every single query runs as its own pass.
 	CoalesceWindow time.Duration
 	// MaxCoalesce caps how many single queries one coalesced pass may
-	// serve. 0 means 64.
+	// serve. 0 means 64; negative is an error.
 	MaxCoalesce int
 	// Obs, when non-nil, receives per-stage latency observations (queue
 	// wait and engine pass per frame type, per-request engine phase
@@ -83,14 +83,20 @@ type Config struct {
 	Readiness *obs.Readiness
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults() (Config, error) {
+	if c.QueueDepth < 0 {
+		return c, fmt.Errorf("scheduler: QueueDepth %d is negative", c.QueueDepth)
+	}
+	if c.MaxCoalesce < 0 {
+		return c, fmt.Errorf("scheduler: MaxCoalesce %d is negative", c.MaxCoalesce)
+	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
 	if c.MaxCoalesce == 0 {
 		c.MaxCoalesce = 64
 	}
-	return c
+	return c, nil
 }
 
 type reqKind int
@@ -127,15 +133,11 @@ func (k reqKind) frame() string {
 type request struct {
 	kind     reqKind
 	ctx      context.Context
-	key      *dpf.Key
-	keys     []*dpf.Key
-	share    *bitvec.Vector
-	shares   []*bitvec.Vector
+	in       dpf.Batch
 	enqueued time.Time
 
 	done    chan struct{}
 	results [][]byte
-	bd      metrics.Breakdown
 	stats   metrics.BatchStats
 	err     error
 }
@@ -179,16 +181,20 @@ type Scheduler struct {
 }
 
 // New wraps an engine in a scheduler and starts its dispatch loop.
-func New(eng Engine, cfg Config) *Scheduler {
+func New(eng Engine, cfg Config) (*Scheduler, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	s := &Scheduler{
 		eng:   eng,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		quit:  make(chan struct{}),
-		queue: make(chan *request, cfg.withDefaults().QueueDepth),
+		queue: make(chan *request, cfg.QueueDepth),
 	}
 	s.gate.init()
 	go s.loop()
-	return s
+	return s, nil
 }
 
 // Name reports the underlying engine's name.
@@ -253,19 +259,39 @@ func (s *Scheduler) wait(req *request) error {
 // Query schedules one single-query pass (coalescable with concurrent
 // single queries from other submitters).
 func (s *Scheduler) Query(ctx context.Context, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
-	req := &request{kind: reqQuery, ctx: ctx, key: key, enqueued: time.Now(), done: make(chan struct{})}
-	if err := s.submit(req); err != nil {
+	results, stats, err := s.do(ctx, reqQuery, dpf.Batch{Keys: []*dpf.Key{key}})
+	if err != nil {
 		return nil, metrics.Breakdown{}, err
 	}
-	if err := s.wait(req); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return req.results[0], req.bd, nil
+	return results[0], stats.PerQuery, nil
 }
 
 // QueryBatch schedules a client's explicit batch as one pass.
 func (s *Scheduler) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, metrics.BatchStats, error) {
-	req := &request{kind: reqBatch, ctx: ctx, keys: keys, enqueued: time.Now(), done: make(chan struct{})}
+	return s.do(ctx, reqBatch, dpf.Batch{Keys: keys})
+}
+
+// QueryShare schedules one selector-share pass (the naive n-server
+// encoding has no batch pipeline, so shares are never coalesced).
+func (s *Scheduler) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
+	results, stats, err := s.do(ctx, reqShare, dpf.Batch{Shares: []*bitvec.Vector{share}})
+	if err != nil {
+		return nil, metrics.Breakdown{}, err
+	}
+	return results[0], stats.PerQuery, nil
+}
+
+// QueryShareBatch schedules a client's explicit share batch as one
+// request: admission is atomic — the whole batch is accepted or rejected
+// busy, never half-served.
+func (s *Scheduler) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([][]byte, error) {
+	results, _, err := s.do(ctx, reqShareBatch, dpf.Batch{Shares: shares})
+	return results, err
+}
+
+// do submits one request and waits for its pass.
+func (s *Scheduler) do(ctx context.Context, kind reqKind, in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
+	req := &request{kind: kind, ctx: ctx, in: in, enqueued: time.Now(), done: make(chan struct{})}
 	if err := s.submit(req); err != nil {
 		return nil, metrics.BatchStats{}, err
 	}
@@ -273,33 +299,6 @@ func (s *Scheduler) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, 
 		return nil, metrics.BatchStats{}, err
 	}
 	return req.results, req.stats, nil
-}
-
-// QueryShare schedules one selector-share pass (the naive n-server
-// encoding has no batch pipeline, so shares are never coalesced).
-func (s *Scheduler) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	req := &request{kind: reqShare, ctx: ctx, share: share, enqueued: time.Now(), done: make(chan struct{})}
-	if err := s.submit(req); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	if err := s.wait(req); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return req.results[0], req.bd, nil
-}
-
-// QueryShareBatch schedules a client's explicit share batch as one
-// request: admission is atomic — the whole batch is accepted or rejected
-// busy, never half-served.
-func (s *Scheduler) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([][]byte, error) {
-	req := &request{kind: reqShareBatch, ctx: ctx, shares: shares, enqueued: time.Now(), done: make(chan struct{})}
-	if err := s.submit(req); err != nil {
-		return nil, err
-	}
-	if err := s.wait(req); err != nil {
-		return nil, err
-	}
-	return req.results, nil
 }
 
 // Update applies a §3.3 bulk record update with epoch-based quiescing:
@@ -314,7 +313,11 @@ func (s *Scheduler) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector
 // to drain in-flight passes and stall dispatch just to be rejected by
 // the engine afterwards.
 func (s *Scheduler) Update(updates map[uint64][]byte) error {
-	if err := validateUpdates(s.eng.Database(), updates); err != nil {
+	db := s.eng.Database()
+	if db == nil {
+		return errors.New("scheduler: update before a database is loaded")
+	}
+	if err := db.CheckUpdates(updates); err != nil {
 		return err
 	}
 	// Drop the readiness condition for the whole quiesce — including the
@@ -332,26 +335,6 @@ func (s *Scheduler) Update(updates map[uint64][]byte) error {
 		s.cfg.Readiness.Set(obs.CondUpdateQuiesce, true)
 	}
 	return err
-}
-
-// validateUpdates rejects malformed update sets before any quiescing.
-func validateUpdates(db *database.DB, updates map[uint64][]byte) error {
-	if db == nil {
-		return errors.New("scheduler: update before a database is loaded")
-	}
-	if len(updates) == 0 {
-		return errors.New("scheduler: empty update set")
-	}
-	for idx, rec := range updates {
-		if idx >= uint64(db.NumRecords()) {
-			return fmt.Errorf("scheduler: update index %d outside database of %d records", idx, db.NumRecords())
-		}
-		if len(rec) != db.RecordSize() {
-			return fmt.Errorf("scheduler: update for record %d has %d bytes, want the database record size %d",
-				idx, len(rec), db.RecordSize())
-		}
-	}
-	return nil
 }
 
 // Stats snapshots the scheduler's queue counters.
@@ -458,13 +441,13 @@ func (s *Scheduler) dispatch(req *request) {
 	}
 	if req.kind == reqQuery && s.cfg.CoalesceWindow > 0 {
 		batch, next := s.gather(req)
-		s.runCoalesced(batch)
+		s.run(batch)
 		if next != nil {
 			s.dispatch(next)
 		}
 		return
 	}
-	s.runSolo(req)
+	s.run([]*request{req})
 }
 
 // gather holds the first single query for the coalescing window,
@@ -496,9 +479,11 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 	return batch, nil
 }
 
-// beginPass records queue-wait metrics and takes the quiesce gate for
-// one engine pass covering reqs.
-func (s *Scheduler) beginPass(reqs ...*request) {
+// run executes one engine pass for reqs: a lone request of any kind, or
+// a gathered group of single queries. It records queue-wait metrics,
+// takes the quiesce gate, and demultiplexes the subresults back to each
+// waiter in submission order.
+func (s *Scheduler) run(reqs []*request) {
 	now := time.Now()
 	for _, r := range reqs {
 		wait := now.Sub(r.enqueued)
@@ -509,147 +494,79 @@ func (s *Scheduler) beginPass(reqs ...*request) {
 		}
 	}
 	s.dispatched.Add(uint64(len(reqs)))
+	if reqs[0].kind == reqQuery {
+		if reqs = s.checkKeys(reqs); len(reqs) == 0 {
+			return
+		}
+	}
+	in := reqs[0].in
+	if len(reqs) > 1 {
+		in = dpf.Batch{Keys: make([]*dpf.Key, len(reqs))}
+		for i, r := range reqs {
+			in.Keys[i] = r.in.Keys[0]
+		}
+	}
 	s.passes.Add(1)
+	if reqs[0].kind == reqQuery {
+		s.passWidths[metrics.WidthBucket(len(reqs))].Add(1)
+	}
 	s.gate.beginQuery()
-}
+	defer s.gate.endQuery()
 
-// observeServe records the engine-stage metrics and fills the trace of
-// one request served by a pass: the pass duration (shared by every
-// request the pass carried), how many queries the pass served, whether
-// it ran fused, and this request's engine phase attribution. It runs
-// before finish, so a submitter woken by the done close observes a
-// fully written trace.
-func (s *Scheduler) observeServe(r *request, engDur time.Duration, width int, fused bool, bd metrics.Breakdown) {
-	s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageEngine, engDur)
-	s.cfg.Obs.ObserveBreakdown(bd)
-	if tr := obs.FromContext(r.ctx); tr != nil {
-		tr.Engine = engDur
-		tr.PassWidth = width
-		tr.Fused = fused
-		tr.Breakdown = bd
-	}
-}
-
-func (s *Scheduler) endPass() {
-	s.gate.endQuery()
-}
-
-// runCoalesced executes one pass for a gathered batch of single queries
-// and demultiplexes the subresults back to each waiter. A batch of one
-// degenerates to a solo single-query pass.
-func (s *Scheduler) runCoalesced(batch []*request) {
-	if len(batch) == 1 {
-		s.runSolo(batch[0])
-		return
-	}
-	s.beginPass(batch...)
-	defer s.endPass()
-
-	keys := make([]*dpf.Key, len(batch))
-	for i, r := range batch {
-		keys[i] = r.key
-	}
 	engStart := time.Now()
-	results, stats, err := s.eng.QueryBatch(keys)
+	results, stats, err := s.eng.Pass(in)
 	engDur := time.Since(engStart)
 	if err != nil {
-		// One bad key fails the engine's whole batch pass. Rerun each
-		// query solo (still under this pass's gate hold) so the error
-		// reaches only the requests that caused it — a client feeding
-		// invalid keys must not fail other clients' coalesced queries.
-		for _, r := range batch {
-			if cerr := r.ctx.Err(); cerr != nil {
-				s.cancelled.Add(1)
-				s.finish(r, cerr)
-				continue
-			}
-			soloStart := time.Now()
-			result, bd, qerr := s.eng.Query(r.key)
-			if qerr != nil {
-				s.finish(r, qerr)
-				continue
-			}
-			r.results = [][]byte{result}
-			r.bd = bd
-			s.observeServe(r, time.Since(soloStart), 1, false, bd)
-			s.finish(r, nil)
+		for _, r := range reqs {
+			s.finish(r, err)
 		}
 		return
 	}
-	s.coalescedPasses.Add(1)
-	s.coalescedQueries.Add(uint64(len(batch)))
+	if len(reqs) > 1 {
+		s.coalescedPasses.Add(1)
+		s.coalescedQueries.Add(uint64(len(reqs)))
+	}
 	if stats.Fused {
 		s.fusedPasses.Add(1)
 	}
-	s.passWidths[metrics.WidthBucket(len(batch))].Add(1)
-	perQuery := stats.PerQuery
-	for i, r := range batch {
-		r.results = [][]byte{results[i]}
-		r.bd = perQuery
-		s.observeServe(r, engDur, len(batch), stats.Fused, perQuery)
+	for _, r := range reqs {
+		n := r.in.Len()
+		r.results, results = results[:n:n], results[n:]
+		r.stats = stats
+		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageEngine, engDur)
+		s.cfg.Obs.ObserveBreakdown(stats.PerQuery)
+		if tr := obs.FromContext(r.ctx); tr != nil {
+			// Written before finish, so a submitter woken by the done
+			// close observes a fully written trace.
+			tr.Engine = engDur
+			tr.PassWidth = stats.Queries
+			tr.Fused = stats.Fused
+			tr.Breakdown = stats.PerQuery
+		}
 		s.finish(r, nil)
 	}
 }
 
-// runSolo executes one pass for a single request of any kind.
-func (s *Scheduler) runSolo(req *request) {
-	s.beginPass(req)
-	defer s.endPass()
-	engStart := time.Now()
-	switch req.kind {
-	case reqQuery:
-		s.passWidths[metrics.WidthBucket(1)].Add(1)
-		result, bd, err := s.eng.Query(req.key)
-		if err != nil {
-			s.finish(req, err)
-			return
-		}
-		req.results = [][]byte{result}
-		req.bd = bd
-		s.observeServe(req, time.Since(engStart), 1, false, bd)
-		s.finish(req, nil)
-	case reqBatch:
-		results, stats, err := s.eng.QueryBatch(req.keys)
-		if err != nil {
-			s.finish(req, err)
-			return
-		}
-		if stats.Fused {
-			s.fusedPasses.Add(1)
-		}
-		req.results = results
-		req.stats = stats
-		s.observeServe(req, time.Since(engStart), stats.Queries, stats.Fused, stats.PerQuery)
-		s.finish(req, nil)
-	case reqShare:
-		result, bd, err := s.eng.QueryShare(req.share)
-		if err != nil {
-			s.finish(req, err)
-			return
-		}
-		req.results = [][]byte{result}
-		req.bd = bd
-		s.observeServe(req, time.Since(engStart), 1, false, bd)
-		s.finish(req, nil)
-	case reqShareBatch:
-		// One fused engine pass for the whole share batch: the engine
-		// streams the database once for all shares instead of once per
-		// share.
-		results, stats, err := s.eng.QueryShareBatch(req.shares)
-		if err != nil {
-			s.finish(req, err)
-			return
-		}
-		if stats.Fused {
-			s.fusedPasses.Add(1)
-		}
-		req.results = results
-		req.stats = stats
-		s.observeServe(req, time.Since(engStart), stats.Queries, stats.Fused, stats.PerQuery)
-		s.finish(req, nil)
-	default:
-		s.finish(req, fmt.Errorf("scheduler: unknown request kind %d", req.kind))
+// checkKeys runs the engine front end's key check on single queries
+// before their pass: a request whose key the pass would reject fails
+// alone, so a client feeding invalid keys cannot fail the other clients'
+// queries coalesced with it. It returns the surviving requests. With no
+// database loaded there is nothing to check against, and the pass itself
+// fails everyone.
+func (s *Scheduler) checkKeys(reqs []*request) []*request {
+	db := s.eng.Database()
+	if db == nil {
+		return reqs
 	}
+	ok := reqs[:0]
+	for _, r := range reqs {
+		if err := dpf.CheckKey(r.in.Keys[0], db.Domain()); err != nil {
+			s.finish(r, err)
+			continue
+		}
+		ok = append(ok, r)
+	}
+	return ok
 }
 
 // quiesceGate is the epoch mechanism behind Update: query passes hold

@@ -21,14 +21,12 @@ import (
 // fakeEngine gives tests deterministic pass costs and records overlap
 // between updates and query passes.
 type fakeEngine struct {
-	queryDelay time.Duration
-	batchDelay time.Duration // per coalesced pass, regardless of size
+	delay time.Duration // per pass, regardless of width
 
 	passQueries atomic.Int64 // query passes in flight
 	updates     atomic.Int64 // updates in flight
 	overlap     atomic.Bool  // an update overlapped a query pass
-	queryPasses atomic.Int64
-	batchPasses atomic.Int64
+	passes      atomic.Int64
 }
 
 func (f *fakeEngine) Name() string { return "fake" }
@@ -45,6 +43,16 @@ var fakeDB = func() *database.DB {
 	return db
 }()
 
+// fakeKey is a key for fakeDB's domain, so it passes the scheduler's key
+// check.
+var fakeKey = func() *dpf.Key {
+	k, _, err := dpf.Gen(dpf.Params{Domain: fakeDB.Domain()}, 1, nil)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}()
+
 func (f *fakeEngine) Database() *database.DB { return fakeDB }
 func (f *fakeEngine) enter()                 { f.passQueries.Add(1) }
 func (f *fakeEngine) leave()                 { f.passQueries.Add(-1) }
@@ -54,47 +62,17 @@ func (f *fakeEngine) checkOverlap() {
 	}
 }
 
-func (f *fakeEngine) Query(k *dpf.Key) ([]byte, metrics.Breakdown, error) {
+func (f *fakeEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	f.enter()
 	defer f.leave()
 	f.checkOverlap()
-	f.queryPasses.Add(1)
-	time.Sleep(f.queryDelay)
-	return []byte{1}, metrics.Breakdown{}, nil
-}
-
-func (f *fakeEngine) QueryBatch(keys []*dpf.Key) ([][]byte, metrics.BatchStats, error) {
-	f.enter()
-	defer f.leave()
-	f.checkOverlap()
-	f.batchPasses.Add(1)
-	time.Sleep(f.batchDelay)
-	out := make([][]byte, len(keys))
+	f.passes.Add(1)
+	time.Sleep(f.delay)
+	out := make([][]byte, in.Len())
 	for i := range out {
 		out[i] = []byte{byte(i)}
 	}
-	return out, metrics.BatchStats{Queries: len(keys)}, nil
-}
-
-func (f *fakeEngine) QueryShare(sh *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	f.enter()
-	defer f.leave()
-	f.checkOverlap()
-	time.Sleep(f.queryDelay)
-	return []byte{2}, metrics.Breakdown{}, nil
-}
-
-func (f *fakeEngine) QueryShareBatch(shares []*bitvec.Vector) ([][]byte, metrics.BatchStats, error) {
-	f.enter()
-	defer f.leave()
-	f.checkOverlap()
-	f.batchPasses.Add(1)
-	time.Sleep(f.batchDelay)
-	out := make([][]byte, len(shares))
-	for i := range out {
-		out[i] = []byte{2, byte(i)}
-	}
-	return out, metrics.BatchStats{Queries: len(shares), Fused: len(shares) > 1}, nil
+	return out, metrics.BatchStats{Queries: in.Len(), Fused: in.Len() > 1}, nil
 }
 
 func (f *fakeEngine) ApplyUpdates(updates map[uint64][]byte) error {
@@ -103,12 +81,23 @@ func (f *fakeEngine) ApplyUpdates(updates map[uint64][]byte) error {
 	if f.passQueries.Load() > 0 {
 		f.overlap.Store(true)
 	}
-	time.Sleep(f.queryDelay)
+	time.Sleep(f.delay)
 	return nil
 }
 
-// realScheduler builds a scheduler over a small CPU engine.
-func realScheduler(t *testing.T, cfg Config) (*Scheduler, *database.DB) {
+// newSched wraps eng in a scheduler that is closed with the test.
+func newSched(t *testing.T, eng Engine, cfg Config) *Scheduler {
+	t.Helper()
+	s, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// realEngine builds a small CPU engine over a 256-record database.
+func realEngine(t *testing.T) *cpupir.Engine {
 	t.Helper()
 	eng, err := cpupir.New(cpupir.Config{Threads: 4})
 	if err != nil {
@@ -121,9 +110,14 @@ func realScheduler(t *testing.T, cfg Config) (*Scheduler, *database.DB) {
 	if err := eng.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	sched := New(eng, cfg)
-	t.Cleanup(func() { sched.Close() })
-	return sched, eng.Database()
+	return eng
+}
+
+// realScheduler builds a scheduler over a small CPU engine.
+func realScheduler(t *testing.T, cfg Config) (*Scheduler, *database.DB) {
+	t.Helper()
+	eng := realEngine(t)
+	return newSched(t, eng, cfg), eng.Database()
 }
 
 func keyPair(t *testing.T, domain int, idx uint64) (*dpf.Key, *dpf.Key) {
@@ -195,8 +189,7 @@ func TestCoalescedResultsDemultiplexCorrectly(t *testing.T) {
 // as its own engine pass.
 func TestNoCoalescingWithZeroWindow(t *testing.T) {
 	fe := &fakeEngine{}
-	s := New(fe, Config{})
-	defer s.Close()
+	s := newSched(t, fe, Config{})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -204,7 +197,7 @@ func TestNoCoalescingWithZeroWindow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Query(ctx, nil); err != nil {
+			if _, _, err := s.Query(ctx, fakeKey); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -214,7 +207,7 @@ func TestNoCoalescingWithZeroWindow(t *testing.T) {
 	if stats.CoalescedQueries != 0 || stats.CoalescedPasses != 0 {
 		t.Errorf("window=0 coalesced: %+v", stats)
 	}
-	if got := fe.queryPasses.Load(); got != 8 {
+	if got := fe.passes.Load(); got != 8 {
 		t.Errorf("engine ran %d solo passes, want 8", got)
 	}
 }
@@ -222,23 +215,22 @@ func TestNoCoalescingWithZeroWindow(t *testing.T) {
 // TestQueueFullRejectsBusy: with depth 1 and a slow engine, overflow
 // submissions fail fast with ErrBusy instead of blocking.
 func TestQueueFullRejectsBusy(t *testing.T) {
-	fe := &fakeEngine{queryDelay: 300 * time.Millisecond}
-	s := New(fe, Config{QueueDepth: 1})
-	defer s.Close()
+	fe := &fakeEngine{delay: 300 * time.Millisecond}
+	s := newSched(t, fe, Config{QueueDepth: 1})
 
 	ctx := context.Background()
 	release := make(chan struct{})
 	go func() {
-		s.Query(ctx, nil) // occupies the dispatcher
+		s.Query(ctx, fakeKey) // occupies the dispatcher
 		close(release)
 	}()
 	// Wait for the dispatcher to pick it up, then fill the queue.
 	time.Sleep(50 * time.Millisecond)
-	go s.Query(ctx, nil) // fills the single queue slot
+	go s.Query(ctx, fakeKey) // fills the single queue slot
 
 	time.Sleep(20 * time.Millisecond)
 	start := time.Now()
-	_, _, err := s.Query(ctx, nil)
+	_, _, err := s.Query(ctx, fakeKey)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow submission: err = %v, want ErrBusy", err)
 	}
@@ -255,18 +247,17 @@ func TestQueueFullRejectsBusy(t *testing.T) {
 // request waits in the queue must (1) unblock the submitter promptly and
 // (2) never reach the engine.
 func TestCancelledWhileQueuedIsDequeued(t *testing.T) {
-	fe := &fakeEngine{queryDelay: 200 * time.Millisecond}
-	s := New(fe, Config{QueueDepth: 8})
-	defer s.Close()
+	fe := &fakeEngine{delay: 200 * time.Millisecond}
+	s := newSched(t, fe, Config{QueueDepth: 8})
 
 	bg := context.Background()
-	go s.Query(bg, nil) // occupies the dispatcher
+	go s.Query(bg, fakeKey) // occupies the dispatcher
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithCancel(bg)
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := s.Query(ctx, nil) // sits in the queue
+		_, _, err := s.Query(ctx, fakeKey) // sits in the queue
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -283,7 +274,7 @@ func TestCancelledWhileQueuedIsDequeued(t *testing.T) {
 	// Let the dispatcher work through the queue, then confirm the
 	// cancelled request was dropped without an engine pass.
 	time.Sleep(400 * time.Millisecond)
-	if got := fe.queryPasses.Load(); got != 1 {
+	if got := fe.passes.Load(); got != 1 {
 		t.Errorf("engine ran %d passes, want 1 (cancelled request dequeued)", got)
 	}
 	if s.Stats().Cancelled == 0 {
@@ -295,9 +286,8 @@ func TestCancelledWhileQueuedIsDequeued(t *testing.T) {
 // run must never overlap one inside the engine, and each update must
 // bump the epoch.
 func TestUpdateQuiescesInFlightQueries(t *testing.T) {
-	fe := &fakeEngine{queryDelay: 5 * time.Millisecond, batchDelay: 5 * time.Millisecond}
-	s := New(fe, Config{QueueDepth: 128, CoalesceWindow: time.Millisecond})
-	defer s.Close()
+	fe := &fakeEngine{delay: 5 * time.Millisecond}
+	s := newSched(t, fe, Config{QueueDepth: 128, CoalesceWindow: time.Millisecond})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -312,7 +302,7 @@ func TestUpdateQuiescesInFlightQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := s.Query(ctx, nil); err != nil && !errors.Is(err, ErrBusy) {
+				if _, _, err := s.Query(ctx, fakeKey); err != nil && !errors.Is(err, ErrBusy) {
 					t.Error(err)
 					return
 				}
@@ -382,8 +372,8 @@ func TestShareAndBatchThroughScheduler(t *testing.T) {
 // TestDrainAndClose: Drain finishes queued work and fences new
 // submissions; Close completes leftovers with ErrClosed.
 func TestDrainAndClose(t *testing.T) {
-	fe := &fakeEngine{queryDelay: 20 * time.Millisecond}
-	s := New(fe, Config{QueueDepth: 16})
+	fe := &fakeEngine{delay: 20 * time.Millisecond}
+	s := newSched(t, fe, Config{QueueDepth: 16})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -392,7 +382,7 @@ func TestDrainAndClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = s.Query(ctx, nil)
+			_, _, errs[i] = s.Query(ctx, fakeKey)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -408,7 +398,7 @@ func TestDrainAndClose(t *testing.T) {
 			t.Errorf("pre-drain query %d failed: %v", i, err)
 		}
 	}
-	if _, _, err := s.Query(ctx, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := s.Query(ctx, fakeKey); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-drain submission: err = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
@@ -436,11 +426,10 @@ func TestSoloQueryWithWindow(t *testing.T) {
 // TestPreCancelledSubmission: an already-dead context never enters the
 // queue.
 func TestPreCancelledSubmission(t *testing.T) {
-	s := New(&fakeEngine{}, Config{})
-	defer s.Close()
+	s := newSched(t, &fakeEngine{}, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Query(ctx, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.Query(ctx, fakeKey); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if s.Stats().Submitted != 0 {
@@ -448,11 +437,35 @@ func TestPreCancelledSubmission(t *testing.T) {
 	}
 }
 
+// countingEngine records the width of every pass and how many keys of
+// the wrong domain a pass carried.
+type countingEngine struct {
+	Engine
+	mu      sync.Mutex
+	widths  []int
+	badKeys int
+}
+
+func (c *countingEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
+	c.mu.Lock()
+	c.widths = append(c.widths, in.Len())
+	for _, k := range in.Keys {
+		if int(k.Domain) != c.Database().Domain() {
+			c.badKeys++
+		}
+	}
+	c.mu.Unlock()
+	return c.Engine.Pass(in)
+}
+
 // TestBadKeyInCoalescedPassOnlyFailsItsSender: a client feeding an
 // invalid key into a coalesced pass must not fail the other clients'
-// queries gathered into the same pass.
+// queries gathered into the same pass. The key check runs before the
+// pass, so no pass carries the bad key and no good query runs twice.
 func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
-	s0, db := realScheduler(t, Config{CoalesceWindow: 20 * time.Millisecond})
+	eng := &countingEngine{Engine: realEngine(t)}
+	s0 := newSched(t, eng, Config{CoalesceWindow: 20 * time.Millisecond})
+	db := eng.Database()
 	ctx := context.Background()
 
 	const good = 6
@@ -481,6 +494,30 @@ func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
 	for i, err := range goodErrs {
 		if err != nil {
 			t.Errorf("good query %d failed alongside a bad key: %v", i, err)
+		}
+	}
+	width := 0
+	for _, w := range eng.widths {
+		width += w
+	}
+	if eng.badKeys != 0 || width != good {
+		t.Errorf("passes %v carried %d bad keys and %d queries, want 0 and %d",
+			eng.widths, eng.badKeys, width, good)
+	}
+	// The rejected query still counts as dispatched, so the request
+	// counts add up.
+	if st := s0.Stats(); st.Submitted != good+1 || st.Dispatched != st.Submitted {
+		t.Errorf("submitted %d, dispatched %d, want %d each", st.Submitted, st.Dispatched, good+1)
+	}
+}
+
+// TestNegativeConfigRejected: a negative queue depth or coalesce cap is
+// an error, not a panic inside the channel allocation.
+func TestNegativeConfigRejected(t *testing.T) {
+	for _, cfg := range []Config{{QueueDepth: -1}, {MaxCoalesce: -1}} {
+		if s, err := New(&fakeEngine{}, cfg); err == nil {
+			s.Close()
+			t.Errorf("New accepted %+v", cfg)
 		}
 	}
 }
@@ -532,9 +569,8 @@ func TestShareBatchIsOneAdmissionUnit(t *testing.T) {
 // solo passes in bucket 0 and coalesced passes in the bucket of their
 // width, and the buckets must sum to the pass count.
 func TestPassWidthHistogram(t *testing.T) {
-	fe := &fakeEngine{batchDelay: time.Millisecond}
-	s := New(fe, Config{CoalesceWindow: 30 * time.Millisecond, MaxCoalesce: 64})
-	defer s.Close()
+	fe := &fakeEngine{delay: time.Millisecond}
+	s := newSched(t, fe, Config{CoalesceWindow: 30 * time.Millisecond, MaxCoalesce: 64})
 	ctx := context.Background()
 
 	// A burst of concurrent single queries inside one window coalesces
@@ -571,8 +607,7 @@ func TestPassWidthHistogram(t *testing.T) {
 
 	// A solo query with no window lands in bucket 0.
 	fe2 := &fakeEngine{}
-	s2 := New(fe2, Config{})
-	defer s2.Close()
+	s2 := newSched(t, fe2, Config{})
 	k0, _ := keyPair(t, 4, 2)
 	if _, _, err := s2.Query(ctx, k0); err != nil {
 		t.Fatal(err)

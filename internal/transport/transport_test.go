@@ -34,9 +34,18 @@ func newDispatcher(t *testing.T, numRecords int, cfg scheduler.Config) (*schedul
 	if err := eng.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduler.New(eng, cfg)
+	return newScheduler(t, eng, cfg), db
+}
+
+// newScheduler wraps eng in a scheduler that is closed with the test.
+func newScheduler(t *testing.T, eng scheduler.Engine, cfg scheduler.Config) *scheduler.Scheduler {
+	t.Helper()
+	sched, err := scheduler.New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { sched.Close() })
-	return sched, db
+	return sched
 }
 
 func startServer(t *testing.T, numRecords int, party uint8, opts ...ServerOption) (*Server, *database.DB) {
@@ -335,9 +344,7 @@ func TestNewServerValidation(t *testing.T) {
 		t.Error("NewServer accepted nil dispatcher")
 	}
 	eng, _ := cpupir.New(cpupir.Config{})
-	sched := scheduler.New(eng, scheduler.Config{})
-	defer sched.Close()
-	if _, err := NewServer(lis, sched, 0); err == nil {
+	if _, err := NewServer(lis, newScheduler(t, eng, scheduler.Config{}), 0); err == nil {
 		t.Error("NewServer accepted dispatcher without database")
 	}
 }
@@ -705,9 +712,7 @@ func newDispatcherFor(t *testing.T, db *database.DB) *scheduler.Scheduler {
 	if err := eng.LoadDatabase(db.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduler.New(eng, scheduler.Config{})
-	t.Cleanup(func() { sched.Close() })
-	return sched
+	return newScheduler(t, eng, scheduler.Config{})
 }
 
 // TestUpdateOverWireDisabledByDefault: a server that did not opt into

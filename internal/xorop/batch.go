@@ -26,9 +26,21 @@ func AccumulateBatch(accs [][]byte, db []byte, recordSize int, sels [][]uint64) 
 	return AccumulateBatchWorkers(accs, db, recordSize, sels, runtime.GOMAXPROCS(0))
 }
 
+// NewAccumulators returns n zeroed accumulators of recordSize bytes
+// backed by one allocation — the accs of one fused pass.
+func NewAccumulators(n, recordSize int) [][]byte {
+	buf := make([]byte, n*recordSize)
+	accs := make([][]byte, n)
+	for i := range accs {
+		accs[i] = buf[i*recordSize : (i+1)*recordSize : (i+1)*recordSize]
+	}
+	return accs
+}
+
 // AccumulateBatchWorkers is AccumulateBatch with an explicit scan-worker
 // count; workers ≤ 1 runs the fused pass serially (the form the engines'
-// per-block executors use inside their own parallel grids).
+// per-block executors use inside their own parallel grids), and a lone
+// selector on one worker runs Accumulate's kernel.
 func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]uint64, workers int) error {
 	if len(accs) != len(sels) {
 		return fmt.Errorf("xorop: batch has %d accumulators for %d selectors", len(accs), len(sels))
@@ -50,7 +62,11 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 		workers = groups
 	}
 	if workers <= 1 {
-		accumulateBatchRange(accs, db, recordSize, sels, 0, groups)
+		if len(accs) == 1 {
+			accumulate(accs[0], db, recordSize, sels[0])
+		} else {
+			accumulateBatchRange(accs, db, recordSize, sels, 0, groups)
+		}
 		return nil
 	}
 

@@ -28,6 +28,11 @@ func Accumulate(acc, db []byte, recordSize int, sel []uint64) error {
 	if err := validate(acc, db, recordSize, sel); err != nil {
 		return err
 	}
+	accumulate(acc, db, recordSize, sel)
+	return nil
+}
+
+func accumulate(acc, db []byte, recordSize int, sel []uint64) {
 	switch {
 	case recordSize == 32:
 		accumulate32(acc, db, sel)
@@ -36,7 +41,6 @@ func Accumulate(acc, db []byte, recordSize int, sel []uint64) error {
 	default:
 		accumulateScalar(acc, db, recordSize, sel)
 	}
-	return nil
 }
 
 // AccumulateScalar is the straightforward reference implementation:

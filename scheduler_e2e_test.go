@@ -30,8 +30,7 @@ func startShimDeployment(t *testing.T, db *database.DB, delay time.Duration,
 	if err := eng.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduler.New(&shimEngine{Engine: eng, delay: delay}, cfg)
-	t.Cleanup(func() { sched.Close() })
+	sched := newScheduler(t, &shimEngine{Engine: eng, delay: delay}, cfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +92,8 @@ func runConcurrentClients(t *testing.T, addr string, db *database.DB, clients, q
 // TestCoalescingBeatsSerialOverTCP is the acceptance-criterion
 // throughput test: K concurrent single-query clients against one server
 // complete measurably faster with a coalescing window than with the
-// window set to zero. The shim engine charges a fixed cost per solo
-// query pass, so without coalescing K clients pay K serial passes, while
+// window set to zero. The shim engine charges a fixed cost per pass, so
+// without coalescing K clients pay K serial passes, while
 // the coalescing window folds concurrent queries into shared batch
 // passes.
 func TestCoalescingBeatsSerialOverTCP(t *testing.T) {

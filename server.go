@@ -81,14 +81,15 @@ type ServerConfig struct {
 	Threads int
 	// QueueDepth bounds the request scheduler's admission queue; requests
 	// beyond it are rejected with ErrServerBusy (a MsgBusy frame on the
-	// wire) instead of queueing without bound. 0 means 256.
+	// wire) instead of queueing without bound. 0 means 256; negative is
+	// an error.
 	QueueDepth int
 	// CoalesceWindow is how long the scheduler holds a single query to
 	// gather concurrent single queries — across client connections — into
 	// one §3.4 batch pipeline pass. 0 disables coalescing.
 	CoalesceWindow time.Duration
 	// MaxCoalesce caps how many single queries one coalesced pass serves.
-	// 0 means 64.
+	// 0 means 64; negative is an error.
 	MaxCoalesce int
 	// AllowWireUpdates accepts MsgUpdate frames from connected network
 	// clients (Client.Update / ClusterClient.Update). OFF by default:
@@ -193,13 +194,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	ready.Register(obs.CondDBLoaded)
 	ready.Register(obs.CondServing)
 	ready.Set(obs.CondUpdateQuiesce, true)
-	sched := scheduler.New(eng, scheduler.Config{
+	sched, err := scheduler.New(eng, scheduler.Config{
 		QueueDepth:     cfg.QueueDepth,
 		CoalesceWindow: cfg.CoalesceWindow,
 		MaxCoalesce:    cfg.MaxCoalesce,
 		Obs:            sm,
 		Readiness:      ready,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("impir: %w", err)
+	}
 	// Mirror-at-scrape: the impir_scheduler_* counters, database gauges
 	// and the ready gauge are copied from their in-process sources the
 	// moment an exposition is rendered, so a scrape can never disagree

@@ -64,6 +64,12 @@ func TestServerConfigKnobs(t *testing.T) {
 	if _, err := NewServer(ServerConfig{Engine: EngineCPU, Threads: -2}); err == nil {
 		t.Error("negative CPU threads accepted")
 	}
+	if _, err := NewServer(ServerConfig{Engine: EngineCPU, QueueDepth: -1}); err == nil {
+		t.Error("negative queue depth accepted")
+	}
+	if _, err := NewServer(ServerConfig{Engine: EngineCPU, MaxCoalesce: -1}); err == nil {
+		t.Error("negative coalesce cap accepted")
+	}
 }
 
 func TestZeroConfigIsPaperSetup(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
@@ -27,14 +26,24 @@ func startEngineServer(t *testing.T, eng scheduler.Engine) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := scheduler.New(eng, scheduler.Config{})
-	t.Cleanup(func() { sched.Close() })
+	sched := newScheduler(t, eng, scheduler.Config{})
 	srv, err := transport.NewServer(lis, sched, 0, transport.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv.Addr().String()
+}
+
+// newScheduler wraps eng in a scheduler that is closed with the test.
+func newScheduler(t *testing.T, eng scheduler.Engine, cfg scheduler.Config) *scheduler.Scheduler {
+	t.Helper()
+	sched, err := scheduler.New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sched.Close() })
+	return sched
 }
 
 // TestInterceptorOrdering: interceptors run in registration order,
@@ -195,8 +204,8 @@ func TestPerCallOptionsOverrideDefaults(t *testing.T) {
 	}
 }
 
-// flakyEngine fails the first failN query passes, then recovers —
-// the transient-failure shape a retry budget exists for.
+// flakyEngine fails the first failN passes, then recovers — the
+// transient-failure shape a retry budget exists for.
 type flakyEngine struct {
 	*cpupir.Engine
 	mu    sync.Mutex
@@ -204,28 +213,15 @@ type flakyEngine struct {
 	calls int
 }
 
-func (e *flakyEngine) fail() error {
+func (e *flakyEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.calls++
-	if e.calls <= e.failN {
-		return fmt.Errorf("transient outage %d", e.calls)
+	calls := e.calls
+	e.mu.Unlock()
+	if calls <= e.failN {
+		return nil, metrics.BatchStats{}, fmt.Errorf("transient outage %d", calls)
 	}
-	return nil
-}
-
-func (e *flakyEngine) Query(k *dpf.Key) ([]byte, metrics.Breakdown, error) {
-	if err := e.fail(); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return e.Engine.Query(k)
-}
-
-func (e *flakyEngine) QueryShare(sh *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	if err := e.fail(); err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return e.Engine.QueryShare(sh)
+	return e.Engine.Pass(in)
 }
 
 // TestRetryBudget: a WithRetries budget retries transient failures and
@@ -263,6 +259,27 @@ func TestRetryBudget(t *testing.T) {
 	}
 	if st := store.Stats(); st.Retries == 0 {
 		t.Fatalf("no retries counted: %+v", st)
+	}
+
+	// A batch frame reaches the engine through the same pass, so its
+	// transient failure is retried and counted too.
+	batchStore, err := Open(ctx, FlatDeployment(start(1)...), WithDefaultCallOptions(WithRetries(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batchStore.Close()
+	indices := []uint64{3, 11, 200}
+	recs, err := batchStore.RetrieveBatch(ctx, indices)
+	if err != nil {
+		t.Fatalf("batch retry exhausted unexpectedly: %v", err)
+	}
+	for i, idx := range indices {
+		if !bytes.Equal(recs[i], db.Record(int(idx))) {
+			t.Fatalf("batch record %d wrong after a retry", idx)
+		}
+	}
+	if st := batchStore.Stats(); st.Retries != 1 {
+		t.Fatalf("batch retries = %d, want 1: %+v", st.Retries, st)
 	}
 
 	// No budget: the same failure is final.
