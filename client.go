@@ -5,58 +5,50 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
-	"time"
 
+	"github.com/impir/impir/internal/batchcode"
 	"github.com/impir/impir/internal/fanout"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
-	"github.com/impir/impir/internal/transport"
 )
 
-// Client is a connection to one cohort of a PIR deployment: ≥ 2
-// mutually non-colluding parties, each running one or more
-// interchangeable replicas. Open returns a *Client for single-shard
-// deployments; the historical Dial entry point wraps Open's flat path.
+// Client is a connection to a whole PIR deployment; Open returns one for
+// every topology. Every logical call runs one pipeline, below the policy
+// engine (interceptors, timeout, retries), which therefore sees the
+// caller's logical indices whatever the topology:
 //
-// Every retrieval encodes one query share per PARTY and sends each
-// share to that party's fastest-known replica, hedging to the
-// next-fastest replicas when the primary lags (first valid answer per
-// party wins, losers are cancelled) — replicas of one party form one
-// trust domain holding identical data, so hedging trades duplicate work
-// for tail latency without touching the privacy argument. Parties are
-// queried concurrently and a retrieval aborts as a whole when any PARTY
-// fails (all of its replicas) or the context is cancelled: a proper
-// subset of subresults is uniformly random and must never be mistaken
-// for a record.
+//	code     logical indices → served rows: the identity on an uncoded
+//	         deployment, the batch-code planner on a coded one
+//	shard    rows → one sub-batch per shard cohort (a flat deployment is
+//	         a one-shard plan over the servers' padded row count)
+//	fan-out  every cohort at once; within one, one share per party,
+//	         hedged across the party's replicas
+//	decode   subresults XORed into records, mapped back to the indices
 //
-// A Client may be shared by concurrent goroutines; overlapping
-// retrievals are serialised per server connection. A query abandoned
-// mid-flight — by cancellation, a losing hedge, or a peer failure —
-// poisons its connection (the wire protocol has no cancellation frame),
-// but the Client heals itself: the next call transparently redials
-// poisoned connections before fanning out. A replica that stays dead
-// only degrades its party to the surviving replicas; calls keep
-// succeeding as long as every party retains one live replica. A
-// redialed connection is validated against the geometry learned at
-// connect time; the full cross-replica digest check runs only at
-// connect (replica contents may legitimately change between redials via
-// Update).
+// Privacy: every shard cohort receives a well-formed sub-query for every
+// broadcast row — the real local index on the owning shard, a uniform
+// dummy elsewhere — so no cohort learns whether it owned the record, and
+// every cohort's batch has the same shape. A PIR sub-query reveals
+// nothing about its index, and which sub-queries were real, dummy, or
+// served from the side-information cache exists only client-side.
+//
+// A call aborts as a whole when any shard's party fails (all of its
+// replicas) or the context is cancelled: a proper subset of subresults
+// is uniformly random and is never returned. Connections poisoned by an
+// abandoned exchange are redialed before the next call, and a replica
+// that stays dead only degrades its party to the surviving replicas.
+//
+// A Client may be shared by concurrent goroutines.
 type Client struct {
-	parties    [][]string // party → replica addresses
-	tlsCfg     *tls.Config
-	coder      queryCoder
-	geom       geometry
-	recordSize int
-	policy     policy
+	plan   ShardManifest            // shard row ranges; no addresses
+	shards []*cohort                // one per shard, in plan order
+	code   *batchcode.Layout        // nil: the identity code
+	cache  *batchcode.SideInfoCache // nil unless coded with WithSideInfoCache
+	policy policy
 
-	mu    sync.Mutex // guards conns replacement on redial and ewma
-	conns [][]*transport.Conn
-	ewma  [][]float64 // observed replica latency, EWMA, nanoseconds; 0 = unknown
-
-	statsMu sync.Mutex
-	stats   metrics.StoreStats
+	mu    sync.Mutex
+	stats metrics.StoreStats
 }
 
 type clientConfig struct {
@@ -68,32 +60,11 @@ type clientConfig struct {
 	sideInfo int
 }
 
-func resolveClientConfig(opts []ClientOption) clientConfig {
-	cfg := clientConfig{encoding: EncodingAuto, defaults: defaultCallOptions()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
-}
-
-// newPolicy builds the store's call engine from its config, wiring the
-// retry counter to the owning client's stats.
-func (cfg clientConfig) newPolicy(onRetry func()) policy {
-	return policy{unary: cfg.unary, batch: cfg.batch, defaults: cfg.defaults, onRetry: onRetry}
-}
-
-// shardConfig strips the interceptor chain for per-shard sub-clients of
-// a cluster: interceptors run once per logical operation at the top.
-func (cfg clientConfig) shardConfig() clientConfig {
-	cfg.unary, cfg.batch = nil, nil
-	return cfg
-}
-
-// ClientOption customises Open (and the deprecated Dial* wrappers).
+// ClientOption customises Open.
 type ClientOption func(*clientConfig)
 
 // WithEncoding overrides the query encoding. The default, EncodingAuto,
-// picks the DPF encoding for two-party deployments and the naive share
+// picks the DPF encoding for two-party cohorts and the naive share
 // encoding for larger ones.
 func WithEncoding(e Encoding) ClientOption {
 	return func(cfg *clientConfig) { cfg.encoding = e }
@@ -139,88 +110,28 @@ func WithDefaultCallOptions(opts ...CallOption) ClientOption {
 	}
 }
 
-// Dial connects to every server of a flat PIR deployment — one
-// single-replica party per address.
-//
-// Deprecated: use Open with a Deployment (FlatDeployment(addrs...) for
-// this exact topology); Open adds replica sets, hedging, per-call
-// policy, and the interceptor chain, and returns the same *Client for
-// single-shard deployments.
-func Dial(ctx context.Context, addrs []string, opts ...ClientOption) (*Client, error) {
-	cfg := resolveClientConfig(opts)
-	if cfg.encoding == nil {
-		return nil, errors.New("impir: nil encoding")
-	}
-	if len(addrs) < 2 {
-		return nil, fmt.Errorf("impir: a PIR deployment needs ≥ 2 non-colluding servers, got %d address(es)", len(addrs))
-	}
-	return openFlat(ctx, FlatDeployment(addrs...).Shards[0], 0, cfg)
-}
-
-// openFlat connects one cohort: every replica of every party, with
-// cross-replica validation and — when the manifest declares geometry —
-// a handshake check against it.
-func openFlat(ctx context.Context, shard DeploymentShard, recordSize int, cfg clientConfig) (*Client, error) {
-	parties := shard.cohorts()
-	if len(parties) < 2 {
-		return nil, fmt.Errorf("impir: a PIR cohort needs ≥ 2 non-colluding parties, got %d", len(parties))
-	}
-	coder, err := cfg.encoding.resolve(len(parties))
-	if err != nil {
-		return nil, err
-	}
-
-	c := &Client{parties: parties, tlsCfg: cfg.tlsCfg, coder: coder}
-	c.policy = cfg.newPolicy(func() {
+// openClient connects every shard's cohort concurrently and lays the
+// plan and the code over them.
+func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, error) {
+	c := &Client{shards: make([]*cohort, len(d.Shards))}
+	c.policy = policy{unary: cfg.unary, batch: cfg.batch, defaults: cfg.defaults, onRetry: func() {
 		c.bump(func(st *metrics.StoreStats) { st.Retries++ })
-	})
-	c.stats.Shards = make([]metrics.ShardStats, 1)
-
-	// Dial every replica of every party concurrently. A party tolerates
-	// dead replicas at open as it does later: it needs one live replica,
-	// and the dead ones are retried transparently on each call.
-	conns := make([][]*transport.Conn, len(parties))
-	dialErrs := make([][]error, len(parties))
-	c.ewma = make([][]float64, len(parties))
-	var wg sync.WaitGroup
-	for p, replicas := range parties {
-		conns[p] = make([]*transport.Conn, len(replicas))
-		dialErrs[p] = make([]error, len(replicas))
-		c.ewma[p] = make([]float64, len(replicas))
-		for r := range replicas {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				conns[p][r], dialErrs[p][r] = c.dialReplica(ctx, p, r)
-			}()
-		}
-	}
-	wg.Wait()
-	c.conns = conns
-
-	for p := range conns {
-		alive := 0
-		for _, conn := range conns[p] {
-			if conn != nil {
-				alive++
+	}}
+	c.stats.Shards = make([]metrics.ShardStats, len(d.Shards))
+	g, gctx := fanout.WithContext(ctx)
+	for s, shard := range d.Shards {
+		g.Go(func() error {
+			co, err := openCohort(gctx, c, s, shard, d.RecordSize, cfg)
+			if err != nil && len(d.Shards) > 1 {
+				err = fmt.Errorf("impir: shard %d: %w", s, err)
 			}
-		}
-		if alive == 0 {
-			err = fmt.Errorf("impir: %s unreachable: %w", fmtParty(p, len(parties[p])), firstNonNil(dialErrs[p]))
-			break
-		}
+			c.shards[s] = co
+			return err
+		})
 	}
+	err := g.Wait()
 	if err == nil {
-		err = c.validate()
-	}
-	if err == nil && recordSize > 0 && c.recordSize != recordSize {
-		err = fmt.Errorf("impir: servers serve %d-byte records, manifest says %d", c.recordSize, recordSize)
-	}
-	if err == nil && shard.NumRecords > 0 {
-		if want := nextPow2(shard.NumRecords); c.geom.numRecords != want {
-			err = fmt.Errorf("impir: servers serve %d records, manifest range of %d pads to %d",
-				c.geom.numRecords, shard.NumRecords, want)
-		}
+		err = c.layOut(d, cfg.sideInfo)
 	}
 	if err != nil {
 		c.Close()
@@ -229,614 +140,372 @@ func openFlat(ctx context.Context, shard DeploymentShard, recordSize int, cfg cl
 	return c, nil
 }
 
-func firstNonNil(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+// layOut builds the shard plan — a flat deployment's one range is the
+// row count its servers pad to, which the manifest may leave to the
+// handshake — and, on a coded deployment, the batch-code layout,
+// cross-checked against the served geometry.
+func (c *Client) layOut(d Deployment, sideInfo int) error {
+	c.plan = ShardManifest{RecordSize: c.shards[0].recordSize}
+	for s, shard := range d.Shards {
+		n := shard.NumRecords
+		if len(d.Shards) == 1 {
+			n = c.shards[s].geom.numRecords
 		}
+		c.plan.Shards = append(c.plan.Shards, ClusterShard{FirstRecord: shard.FirstRecord, NumRecords: n})
 	}
-	return errors.New("no replicas")
+	if d.BatchCode == nil {
+		return nil
+	}
+	code := *d.BatchCode
+	if c.plan.NumRecords() < code.TotalRows() {
+		return fmt.Errorf("impir: deployment serves %d rows but the batch code lays out %d; the servers are not holding the coded database",
+			c.plan.NumRecords(), code.TotalRows())
+	}
+	if c.plan.RecordSize != code.RecordSize {
+		return fmt.Errorf("impir: deployment serves %d-byte records but the batch code declares %d",
+			c.plan.RecordSize, code.RecordSize)
+	}
+	var err error
+	c.code, err = batchcode.NewLayout(code)
+	c.cache = batchcode.NewSideInfoCache(sideInfo)
+	return err
 }
 
-// validate cross-checks the replicas every connected server presented
-// during its handshake: identical digests and geometry, non-empty
-// database — across parties AND within each party's replica set (a flat
-// cohort serves one database; a replica mismatch silently breaks
-// reconstruction). It also learns the cohort geometry.
-func (c *Client) validate() error {
-	var first *transport.Conn
-	for p, reps := range c.conns {
-		for r, conn := range reps {
-			if conn == nil {
-				continue
-			}
-			if first == nil {
-				first = conn
-				continue
-			}
-			info, finfo := conn.Info(), first.Info()
-			if info.Digest != finfo.Digest {
-				return fmt.Errorf("impir: party %d replica %d holds a different database replica (digest mismatch)", p, r)
-			}
-			if info.NumRecords != finfo.NumRecords || info.RecordSize != finfo.RecordSize ||
-				info.Domain != finfo.Domain {
-				return fmt.Errorf("impir: party %d replica %d disagrees on database geometry", p, r)
-			}
+// NumRecords returns the record count callers address: the logical
+// count of a coded deployment, the total of a sharded one, and the
+// servers' power-of-two padded count of a flat one.
+func (c *Client) NumRecords() uint64 {
+	if c.code != nil {
+		return c.code.Manifest().NumRecords
+	}
+	return c.plan.NumRecords()
+}
+
+// RecordSize returns the record size in bytes.
+func (c *Client) RecordSize() int { return c.plan.RecordSize }
+
+// Shards returns the shard count (1 for a flat deployment).
+func (c *Client) Shards() int { return len(c.shards) }
+
+// Servers returns the number of non-colluding parties in the first
+// shard's cohort (the historical name: with single-replica parties,
+// parties == servers).
+func (c *Client) Servers() int { return len(c.shards[0].parties) }
+
+// Encoding reports the first shard's resolved query encoding ("dpf" or
+// "shares"); each cohort resolves its own from its party count.
+func (c *Client) Encoding() string { return c.shards[0].coder.name() }
+
+// Retrieve privately fetches one record: one well-formed sub-query per
+// shard cohort, one share per party within each, all concurrent. No
+// server learns the index.
+func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption) ([]byte, error) {
+	if err := c.check(index); err != nil {
+		return nil, err
+	}
+	co := c.policy.resolve(opts)
+	rec, err := c.policy.doUnary(ctx, co, index, func(ctx context.Context, index uint64) ([]byte, error) {
+		recs, err := c.fetch(ctx, co, []uint64{index}, false)
+		if err != nil {
+			return nil, err
+		}
+		return recs[0], nil
+	})
+	c.finish(err, func(st *metrics.StoreStats) { st.Retrievals++ })
+	return rec, err
+}
+
+// RetrieveBatch privately fetches several records in one round trip per
+// server. On a coded deployment the batch costs a constant number of
+// sub-queries whatever its size; batches over the declared cap, or whose
+// matching overflows, fall back to one sub-query per record (counted in
+// Stats().CodeFallbacks). An empty batch is a no-op: it returns an
+// empty (non-nil) slice without touching the network, so callers
+// assembling batches programmatically need no zero-length special case.
+func (c *Client) RetrieveBatch(ctx context.Context, indices []uint64, opts ...CallOption) ([][]byte, error) {
+	if len(indices) == 0 {
+		return [][]byte{}, nil
+	}
+	if err := c.check(indices...); err != nil {
+		return nil, err
+	}
+	co := c.policy.resolve(opts)
+	recs, err := c.policy.doBatch(ctx, co, indices, func(ctx context.Context, indices []uint64) ([][]byte, error) {
+		return c.fetch(ctx, co, indices, true)
+	})
+	c.finish(err, func(st *metrics.StoreStats) { st.BatchRetrievals++ })
+	return recs, err
+}
+
+func (c *Client) check(indices ...uint64) error {
+	for _, idx := range indices {
+		if idx >= c.NumRecords() {
+			return fmt.Errorf("impir: index %d outside database of %d records", idx, c.NumRecords())
 		}
 	}
-	if first == nil {
-		return errors.New("impir: no server connections")
-	}
-	info := first.Info()
-	if info.NumRecords == 0 {
-		return errors.New("impir: servers report an empty database")
-	}
-	c.geom = geometry{domain: int(info.Domain), numRecords: info.NumRecords}
-	c.recordSize = int(info.RecordSize)
 	return nil
 }
 
-// dialReplica (re)establishes the connection to party p's replica r
-// under the Client's dial options.
-func (c *Client) dialReplica(ctx context.Context, p, r int) (*transport.Conn, error) {
-	addr := c.parties[p][r]
-	if c.tlsCfg != nil {
-		return transport.DialTLS(ctx, addr, c.tlsCfg)
+// fetch is one attempt of the pipeline below the policy: code, shard,
+// fan out, decode. batch selects the wire frame — false sends every
+// cohort one single query (Retrieve).
+func (c *Client) fetch(ctx context.Context, co callOptions, indices []uint64, batch bool) ([][]byte, error) {
+	rows, local, decode, err := c.encode(indices, batch)
+	if err != nil {
+		return nil, err
 	}
-	return transport.Dial(ctx, addr)
+	plan, err := c.plan.PlanBatch(rows, local)
+	if err != nil {
+		return nil, err
+	}
+	// Every row of the identity code is real; a coded plan's slots may be
+	// dummies or cache hits, which its spans do not tell apart.
+	owners := plan.Owners
+	if c.code != nil {
+		owners = nil
+	}
+	answers := make([][][]byte, len(c.shards))
+	err = c.fanOut(ctx, owners, func(ctx context.Context, s int) (err error) {
+		answers[s], err = c.shards[s].query(ctx, co, plan.Locals[s], batch)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	recs := make([][]byte, len(rows))
+	for i, s := range plan.Owners {
+		recs[i] = answers[s][plan.Pos[i]]
+	}
+	return decode(recs), nil
 }
 
-// liveConns returns a usable connection snapshot, transparently
-// redialing connections a previously abandoned exchange poisoned (or
-// that never came up). With needAll false — the retrieval path — a
-// replica that stays dead leaves a nil slot and only its PARTY must
-// retain a live replica; with needAll true — the update path — every
-// replica must be reachable, because an update must land on all of
-// them. A fresh connection must present the geometry learned at connect
-// time; the digest is deliberately not re-checked (Update legitimately
-// changes it — replica agreement is cross-checked at connect).
-//
-// Dialing happens outside the Client mutex: a slow or unreachable
-// server stalls only the call that needs it, never concurrent calls
-// over healthy connections and never Close.
-func (c *Client) liveConns(ctx context.Context, needAll bool) ([][]*transport.Conn, error) {
-	c.mu.Lock()
-	if c.conns == nil {
-		c.mu.Unlock()
-		return nil, errors.New("impir: client is closed")
+// encode is the code step: it maps logical indices to the rows to
+// fetch, the number of leading rows that stay on their own shard, and
+// how to decode the rows' records. The identity code maps each index to
+// its own row. A coded single retrieval reads the record's first copy —
+// or, on a side-information cache hit, a uniform dummy row, so the wire
+// is the same either way. A coded batch becomes the planner's
+// constant-shape slot vector, whose bucket slots each stay on the shard
+// holding the bucket; a batch the planner cannot place falls back to
+// first copies, one row per record — the public uncoded shape.
+func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]byte) [][]byte, error) {
+	if c.code == nil {
+		return indices, 0, func(recs [][]byte) [][]byte { return recs }, nil
 	}
-	snapshot := snapshotConns(c.conns)
-	c.mu.Unlock()
-
-	var broken []connSlot
-	for p, reps := range snapshot {
-		for r, conn := range reps {
-			if conn == nil || conn.Broken() {
-				broken = append(broken, connSlot{p, r})
-			}
+	gen := c.cache.Generation() // taken before the servers are read
+	// Pin cache hits now so an eviction before decoding cannot lose a
+	// record the plan chose not to fetch.
+	have := make(map[uint64][]byte)
+	for _, idx := range indices {
+		if rec, ok := c.cache.Get(idx); ok {
+			have[idx] = rec
 		}
 	}
-	if len(broken) == 0 {
-		return snapshot, nil
+	m := c.code.Manifest()
+	if rec, ok := have[indices[0]]; ok && !batch {
+		dummy, err := batchcode.RandRow(m.TotalRows())
+		return []uint64{dummy}, 0, func([][]byte) [][]byte {
+			c.bump(func(st *metrics.StoreStats) { st.SideInfoHits++ })
+			return [][]byte{rec}
+		}, err
 	}
+	if batch {
+		plan, ok, err := c.code.PlanBatch(indices, func(idx uint64) bool {
+			_, hit := have[idx]
+			return hit
+		})
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if ok {
+			return plan.Indices, m.Buckets, func(recs [][]byte) [][]byte {
+				out := make([][]byte, len(indices))
+				for i, src := range plan.Sources {
+					switch src.Kind {
+					case batchcode.FromSlot:
+						out[i] = recs[src.Slot]
+						c.cache.Put(indices[i], out[i], gen)
+					case batchcode.FromCache:
+						out[i] = have[indices[i]]
+					case batchcode.FromDup:
+						out[i] = append([]byte(nil), out[src.Dup]...)
+					}
+				}
+				c.bump(func(st *metrics.StoreStats) {
+					st.CodedBatches++
+					st.CodedQueries += uint64(len(plan.Indices))
+					st.CodedDummies += uint64(len(plan.Indices) - plan.Real)
+					st.SideInfoHits += uint64(plan.CacheHits)
+				})
+				return out
+			}, nil
+		}
+	}
+	rows := make([]uint64, len(indices))
+	for i, idx := range indices {
+		rows[i] = c.code.Row(idx, 0)
+	}
+	return rows, 0, func(recs [][]byte) [][]byte {
+		for i, idx := range indices {
+			c.cache.Put(idx, recs[i], gen)
+		}
+		if batch {
+			c.bump(func(st *metrics.StoreStats) { st.CodeFallbacks++ })
+		}
+		return recs
+	}, nil
+}
 
-	fresh := make([]*transport.Conn, len(broken))
-	dialErrs := make([]error, len(broken))
-	var wg sync.WaitGroup
-	for i, s := range broken {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := c.dialReplica(ctx, s.p, s.r)
+// fanOut runs do for every shard cohort; it is the one per-shard fan-out
+// of every call. A one-shard store — a flat deployment — runs its
+// cohort inline on the caller's goroutine and opens no shard span.
+// Otherwise the cohorts run concurrently, each under a "shard" span, and
+// the first failure cancels the rest and fails the call. owners, when
+// given, are the shards owning each real sub-query; they label the spans
+// client-side only — every cohort's wire traffic has the same shape.
+func (c *Client) fanOut(ctx context.Context, owners []int, do func(ctx context.Context, s int) error) error {
+	if len(c.shards) == 1 {
+		return do(ctx, 0)
+	}
+	span := obs.SpanFromContext(ctx)
+	owned := make([]int, len(c.shards))
+	for _, s := range owners {
+		owned[s]++
+	}
+	g, gctx := fanout.WithContext(ctx)
+	for s := range c.shards {
+		g.Go(func() error {
+			ssp := span.StartChild("shard")
+			ssp.SetAttrInt("shard", int64(s))
+			if owners != nil {
+				ssp.SetAttrInt("real", int64(owned[s]))
+				ssp.SetAttrBool("dummy", owned[s] == 0)
+			}
+			err := do(obs.ContextWithSpan(gctx, ssp), s)
 			if err != nil {
-				dialErrs[i] = fmt.Errorf("impir: redial %s replica %d: %w", fmtParty(s.p, len(c.parties[s.p])), s.r, err)
-				return
+				ssp.SetAttr("error", err.Error())
+				err = fmt.Errorf("impir: shard %d: %w", s, err)
 			}
-			info := conn.Info()
-			if info.NumRecords != c.geom.numRecords || int(info.Domain) != c.geom.domain ||
-				int(info.RecordSize) != c.recordSize {
-				conn.Close()
-				dialErrs[i] = fmt.Errorf("impir: redialed party %d replica %d presents a different database geometry", s.p, s.r)
-				return
-			}
-			fresh[i] = conn
-		}()
+			ssp.End()
+			return err
+		})
 	}
-	wg.Wait()
-
-	c.mu.Lock()
-	if c.conns == nil {
-		c.mu.Unlock()
-		for _, conn := range fresh {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-		return nil, errors.New("impir: client is closed")
-	}
-	for i, s := range broken {
-		// A concurrent liveConns may have healed this slot while we
-		// dialed; keep the existing healthy connection and drop ours.
-		if cur := c.conns[s.p][s.r]; cur != nil && !cur.Broken() {
-			if fresh[i] != nil {
-				fresh[i].Close()
-			}
-			continue
-		}
-		if cur := c.conns[s.p][s.r]; cur != nil {
-			cur.Close()
-		}
-		c.conns[s.p][s.r] = fresh[i] // possibly nil: replica stays down
-	}
-	out := snapshotConns(c.conns)
-	c.mu.Unlock()
-
-	for p, reps := range out {
-		alive := 0
-		for _, conn := range reps {
-			if conn != nil && !conn.Broken() {
-				alive++
-			}
-		}
-		if needAll && alive < len(reps) {
-			return nil, fmt.Errorf("impir: not every replica of %s is reachable (updates must land on all replicas): %w",
-				fmtParty(p, len(reps)), firstSlotErr(dialErrs, broken, p))
-		}
-		if alive == 0 {
-			return nil, fmt.Errorf("impir: %s has no live replicas: %w",
-				fmtParty(p, len(reps)), firstSlotErr(dialErrs, broken, p))
-		}
-	}
-	return out, nil
+	return g.Wait()
 }
 
-func snapshotConns(conns [][]*transport.Conn) [][]*transport.Conn {
-	out := make([][]*transport.Conn, len(conns))
-	for p, reps := range conns {
-		out[p] = append([]*transport.Conn(nil), reps...)
+// Update pushes a §3.3 bulk record update: updates maps record index to
+// its new contents (exactly RecordSize bytes each). Each row travels
+// only to the shard that holds it — on a coded deployment, to every
+// coded copy of the record — and there to EVERY replica of every party.
+// Updates are an operator/owner action, not a private query — servers
+// learn which records changed, by design — and each server applies its
+// set atomically under its scheduler's epoch quiescing, so concurrent
+// retrievals never observe a torn update. Updates are never hedged and
+// need every affected replica reachable: a replica skipped by an update
+// would serve stale records as if they were current. Servers reject wire
+// updates unless started with ServerConfig.AllowWireUpdates.
+//
+// Affected replicas update concurrently and the first failure cancels
+// the rest, which can leave replicas diverged. Retry the same update
+// until it succeeds everywhere — the per-server application is
+// idempotent, and a WithRetries budget spends itself on exactly this —
+// or tear the deployment down; a divergence is also caught by the digest
+// cross-check at the next connect.
+func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error {
+	if len(updates) == 0 {
+		return errors.New("impir: empty update set")
 	}
-	return out
-}
-
-// connSlot addresses one replica connection by (party, replica) index.
-type connSlot struct{ p, r int }
-
-func firstSlotErr(errs []error, broken []connSlot, party int) error {
-	for i, s := range broken {
-		if s.p == party && errs[i] != nil {
-			return errs[i]
+	rows := updates
+	if c.code != nil {
+		rows = make(map[uint64][]byte, len(updates)*c.code.Manifest().Choices)
+		for idx, rec := range updates {
+			if err := c.check(idx); err != nil {
+				return err
+			}
+			for j := 0; j < c.code.Manifest().Choices; j++ {
+				rows[c.code.Row(idx, j)] = rec
+			}
 		}
 	}
-	return errors.New("replica down")
-}
-
-// Servers returns the number of non-colluding parties of the cohort
-// (the historical name: with single-replica parties, parties == servers).
-func (c *Client) Servers() int { return len(c.parties) }
-
-// Replicas returns the total replica count across all parties.
-func (c *Client) Replicas() int {
-	n := 0
-	for _, reps := range c.parties {
-		n += len(reps)
+	routed, err := c.plan.RouteUpdate(rows)
+	if err != nil {
+		return err
 	}
-	return n
+	// Drop the records from the side-information cache before the
+	// fan-out, so no hit serves them while replicas change, and again
+	// after it whatever its outcome, so a read that raced the update
+	// cannot cache what it read: its generation predates this Invalidate.
+	c.invalidate(updates)
+	defer c.invalidate(updates)
+	// Updates are operator actions, not queries: no interceptor chain,
+	// only the timeout and the retry budget.
+	co := c.policy.resolve(opts)
+	err = c.policy.withBudget(ctx, co, func(ctx context.Context) error {
+		return c.fanOut(ctx, nil, func(ctx context.Context, s int) error {
+			if routed[s] == nil {
+				return nil
+			}
+			return c.shards[s].update(ctx, routed[s])
+		})
+	})
+	// Routed rows count per LOGICAL update, however many attempts it took.
+	c.bump(func(st *metrics.StoreStats) {
+		for s, sub := range routed {
+			st.Shards[s].UpdateRows += uint64(len(sub))
+		}
+	})
+	c.finish(err, func(st *metrics.StoreStats) { st.Updates++ })
+	return err
 }
 
-// NumRecords returns the (power-of-two padded) record count of the
-// deployment.
-func (c *Client) NumRecords() uint64 { return c.geom.numRecords }
-
-// RecordSize returns the record size in bytes.
-func (c *Client) RecordSize() int { return c.recordSize }
-
-// Encoding reports the resolved query encoding ("dpf" or "shares").
-func (c *Client) Encoding() string { return c.coder.name() }
+func (c *Client) invalidate(updates map[uint64][]byte) {
+	for idx := range updates {
+		c.cache.Invalidate(idx)
+	}
+}
 
 // Stats snapshots the client-side counters.
 func (c *Client) Stats() StoreStats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := c.stats
 	out.Shards = append([]metrics.ShardStats(nil), c.stats.Shards...)
 	return out
 }
 
 func (c *Client) bump(f func(*metrics.StoreStats)) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	f(&c.stats)
 }
 
-// Retrieve privately fetches record index: one query share per party,
-// issued to all parties concurrently (hedged across each party's
-// replicas), XOR of all subresults. No party learns the index; each
-// sees only its pseudorandom share.
-func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption) ([]byte, error) {
-	if index >= c.geom.numRecords {
-		return nil, fmt.Errorf("impir: index %d outside database of %d records", index, c.geom.numRecords)
-	}
-	co := c.policy.resolve(opts)
-	rec, err := c.policy.doUnary(ctx, co, index, func(ctx context.Context, index uint64) ([]byte, error) {
-		return c.retrieve(ctx, co, index)
-	})
+// finish counts one logical call's outcome: ok on success; otherwise an
+// Error, which is also a Busy when server-side backpressure (a MsgBusy
+// admission reject) caused it, so load generators and operators can
+// tell overload apart from breakage.
+func (c *Client) finish(err error, ok func(*metrics.StoreStats)) {
 	c.bump(func(st *metrics.StoreStats) {
 		if err == nil {
-			st.Retrievals++
-		} else {
-			countFailure(st, err)
+			ok(st)
+			return
+		}
+		st.Errors++
+		if errors.Is(err, ErrServerBusy) {
+			st.Busy++
 		}
 	})
-	return rec, err
-}
-
-// retrieve is the core operation under the policy engine: encode, fan
-// out, reconstruct. Shard clients of a ClusterClient are driven here
-// directly with the cluster's resolved options, bypassing their own
-// policy.
-func (c *Client) retrieve(ctx context.Context, co callOptions, index uint64) ([]byte, error) {
-	queries, err := c.coder.encode(c.geom, len(c.parties), index)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	subresults, err := c.fanOut(ctx, co, queries)
-	c.record(1, 0, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([][]byte, len(subresults))
-	for i, rs := range subresults {
-		recs[i] = rs[0]
-	}
-	return Reconstruct(recs...)
-}
-
-// RetrieveBatch privately fetches several records in one round trip per
-// party, under either encoding. An empty batch is a no-op: it returns
-// an empty (non-nil) slice without touching the network, so callers
-// assembling batches programmatically — like the keyword layer's padded
-// probe plans — need no zero-length special case.
-func (c *Client) RetrieveBatch(ctx context.Context, indices []uint64, opts ...CallOption) ([][]byte, error) {
-	if len(indices) == 0 {
-		return [][]byte{}, nil
-	}
-	for _, idx := range indices {
-		if idx >= c.geom.numRecords {
-			return nil, fmt.Errorf("impir: index %d outside database of %d records", idx, c.geom.numRecords)
-		}
-	}
-	co := c.policy.resolve(opts)
-	recs, err := c.policy.doBatch(ctx, co, indices, func(ctx context.Context, indices []uint64) ([][]byte, error) {
-		return c.retrieveBatch(ctx, co, indices)
-	})
-	c.bump(func(st *metrics.StoreStats) {
-		if err == nil {
-			st.BatchRetrievals++
-		} else {
-			countFailure(st, err)
-		}
-	})
-	return recs, err
-}
-
-// retrieveBatch is RetrieveBatch's core operation; see retrieve.
-func (c *Client) retrieveBatch(ctx context.Context, co callOptions, indices []uint64) ([][]byte, error) {
-	queries, err := c.coder.encodeBatch(c.geom, len(c.parties), indices)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	subresults, err := c.fanOut(ctx, co, queries)
-	c.record(0, uint64(len(indices)), time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(indices))
-	for i := range indices {
-		recs := make([][]byte, len(subresults))
-		for s, rs := range subresults {
-			if i >= len(rs) {
-				return nil, fmt.Errorf("impir: party %d returned %d of %d batch subresults", s, len(rs), len(indices))
-			}
-			recs[s] = rs[i]
-		}
-		rec, err := Reconstruct(recs...)
-		if err != nil {
-			return nil, fmt.Errorf("impir: batch item %d: %w", i, err)
-		}
-		out[i] = rec
-	}
-	return out, nil
-}
-
-// record accumulates one round trip's cohort counters.
-func (c *Client) record(queries, batchQueries uint64, d time.Duration, err error) {
-	c.bump(func(st *metrics.StoreStats) {
-		sh := &st.Shards[0]
-		sh.Queries += queries
-		if batchQueries > 0 {
-			sh.Batches++
-			sh.BatchQueries += batchQueries
-		}
-		sh.TotalTime += d
-		if err != nil {
-			sh.Errors++
-		}
-	})
-}
-
-// fanOut issues one pre-encoded query share per party, all parties
-// concurrent, each share hedged across its party's replicas, and
-// collects every party's subresults. The first PARTY failure cancels
-// the remaining queries and fails the whole retrieval — a lone
-// subresult is never returned. Connections poisoned by an earlier
-// abandoned exchange are transparently redialed first.
-func (c *Client) fanOut(ctx context.Context, co callOptions, queries []serverQuery) ([][][]byte, error) {
-	conns, err := c.liveConns(ctx, false)
-	if err != nil {
-		return nil, err
-	}
-	span := obs.SpanFromContext(ctx)
-	subresults := make([][][]byte, len(conns))
-	g, gctx := fanout.WithContext(ctx)
-	for p := range conns {
-		g.Go(func() error {
-			psp := span.StartChild("party")
-			psp.SetAttrInt("party", int64(p))
-			psp.SetAttrInt("replicas", int64(len(conns[p])))
-			rs, err := c.partyDo(obs.ContextWithSpan(gctx, psp), co, p, conns[p], queries[p])
-			if err != nil {
-				psp.SetAttr("error", err.Error())
-				psp.End()
-				return fmt.Errorf("impir: %s: %w", fmtParty(p, len(conns[p])), err)
-			}
-			psp.End()
-			subresults[p] = rs
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return subresults, nil
-}
-
-// partyDo executes one party's share against its replica set:
-// fastest-first by observed latency, hedging to the next replica when
-// the primary lags (or immediately when it fails), first valid answer
-// wins, losers cancelled. Single-replica parties — and calls with
-// hedging off — use the primary alone.
-func (c *Client) partyDo(ctx context.Context, co callOptions, p int, conns []*transport.Conn, q serverQuery) ([][]byte, error) {
-	order, primaryEWMA := c.replicaOrder(p, conns)
-	if len(order) == 0 {
-		return nil, errors.New("no live replicas")
-	}
-	psp := obs.SpanFromContext(ctx)
-	n := 1
-	if co.hedge {
-		n = len(order)
-	}
-	if n == 1 {
-		att := psp.StartChild("attempt")
-		att.SetAttrInt("replica", int64(order[0]))
-		start := time.Now()
-		rs, err := q.do(attemptContext(ctx, att), conns[order[0]])
-		if err == nil {
-			c.observeLatency(p, order[0], time.Since(start), false)
-			att.SetAttr("outcome", "ok")
-		} else {
-			att.SetAttr("outcome", "error")
-			att.SetAttr("error", err.Error())
-		}
-		att.End()
-		return rs, err
-	}
-
-	delay := co.hedgeDelay
-	if delay <= 0 {
-		delay = defaultHedgeDelay
-	}
-	// Adapt upward: hedge when the primary takes twice its usual time,
-	// not merely longer than a fixed floor tuned for someone else's
-	// deployment.
-	if adaptive := 2 * time.Duration(primaryEWMA); adaptive > delay {
-		delay = adaptive
-	}
-	psp.SetAttr("hedge_delay", delay.String())
-
-	rs, winner, err := fanout.Hedge(ctx, n, delay, func(ctx context.Context, i int) ([][]byte, error) {
-		if i > 0 {
-			c.bump(func(st *metrics.StoreStats) { st.Hedges++ })
-		}
-		att := psp.StartChild("attempt")
-		att.SetAttrInt("replica", int64(order[i]))
-		att.SetAttrBool("hedge", i > 0)
-		start := time.Now()
-		rs, err := q.do(attemptContext(ctx, att), conns[order[i]])
-		if err == nil {
-			c.observeLatency(p, order[i], time.Since(start), false)
-			att.SetAttr("outcome", "ok")
-		} else if ctx.Err() != nil {
-			// A cancelled exchange only tells us the replica took AT
-			// LEAST this long — it lost the race, or the whole call was
-			// abandoned early. Feed it in as a lower bound (it can raise
-			// the estimate, never drag it down), which demotes
-			// chronically slow replicas from primary without letting an
-			// early external cancellation make a slow replica look fast.
-			c.observeLatency(p, order[i], time.Since(start), true)
-			if context.Cause(ctx) == fanout.ErrHedgeLost {
-				att.SetAttr("outcome", "lost")
-				att.SetAttrBool("cancelled", true)
-			} else {
-				att.SetAttr("outcome", "cancelled")
-			}
-		} else {
-			att.SetAttr("outcome", "error")
-			att.SetAttr("error", err.Error())
-		}
-		att.End()
-		return rs, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if winner > 0 {
-		c.bump(func(st *metrics.StoreStats) { st.HedgeWins++ })
-	}
-	psp.SetAttrInt("winner_replica", int64(order[winner]))
-	return rs, nil
-}
-
-// attemptContext attaches the attempt span's ID as the wire trace
-// context for this one exchange. Each attempt span draws its ID
-// independently at random, so every party — indeed every replica —
-// receives a different, unlinkable ID; see the privacy argument in
-// impir.go. Untraced calls (nil span) attach nothing and produce the
-// exact legacy wire image.
-func attemptContext(ctx context.Context, att *obs.Span) context.Context {
-	if att == nil {
-		return ctx
-	}
-	return transport.ContextWithTrace(ctx, att.ID(), true)
-}
-
-// replicaOrder returns party p's live replica indices fastest-first by
-// EWMA latency — unmeasured replicas first in listed order (they may
-// well be fast; the first call finds out) — plus the chosen primary's
-// EWMA (0 when unmeasured) for the adaptive hedge delay.
-func (c *Client) replicaOrder(p int, conns []*transport.Conn) ([]int, float64) {
-	c.mu.Lock()
-	ewma := append([]float64(nil), c.ewma[p]...)
-	c.mu.Unlock()
-	order := make([]int, 0, len(conns))
-	for r, conn := range conns {
-		if conn != nil {
-			order = append(order, r)
-		}
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		switch {
-		case ewma[a] < ewma[b]:
-			return -1
-		case ewma[a] > ewma[b]:
-			return 1
-		default:
-			return 0
-		}
-	})
-	if len(order) == 0 {
-		return nil, 0
-	}
-	return order, ewma[order[0]]
-}
-
-// ewmaAlpha weights the latest latency observation; ~1/3 keeps the
-// estimate responsive to mode shifts without thrashing on one outlier.
-const ewmaAlpha = 0.3
-
-// observeLatency folds one latency sample into party p replica r's
-// estimate. A lowerBound sample (from a cancelled exchange, whose true
-// duration is unknown but at least d) may only raise the estimate.
-func (c *Client) observeLatency(p, r int, d time.Duration, lowerBound bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ewma == nil || p >= len(c.ewma) || r >= len(c.ewma[p]) {
-		return
-	}
-	cur := c.ewma[p][r]
-	if lowerBound && cur != 0 && float64(d) <= cur {
-		return
-	}
-	if cur == 0 {
-		c.ewma[p][r] = float64(d)
-	} else {
-		c.ewma[p][r] = (1-ewmaAlpha)*cur + ewmaAlpha*float64(d)
-	}
-}
-
-// Update pushes a §3.3 bulk record update to EVERY replica of every
-// party: updates maps record index to its new contents (exactly
-// RecordSize bytes each). Updates are an operator/owner action, not a
-// private query — servers learn which records changed, by design — and
-// each server applies the set atomically under its scheduler's epoch
-// quiescing, so concurrent Retrieve calls never observe a torn update.
-// Updates are never hedged, and require every replica reachable: a
-// replica skipped by an update would serve stale records as if they
-// were current. Servers reject wire updates unless started with
-// ServerConfig.AllowWireUpdates; see that field for the threat model.
-//
-// All replicas are updated concurrently and the first failure cancels
-// the rest, which can leave replicas diverged (some updated, some not).
-// The caller must then retry the same update until it succeeds
-// everywhere — the per-server application is idempotent, and a retry
-// budget (WithRetries) spends itself on exactly this — or tear the
-// deployment down; a divergence is also caught by the digest
-// cross-check at the next connect.
-func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error {
-	if len(updates) == 0 {
-		return errors.New("impir: empty update set")
-	}
-	for idx, rec := range updates {
-		if idx >= c.geom.numRecords {
-			return fmt.Errorf("impir: update index %d outside database of %d records", idx, c.geom.numRecords)
-		}
-		if len(rec) != c.recordSize {
-			return fmt.Errorf("impir: update for record %d has %d bytes, want the record size %d",
-				idx, len(rec), c.recordSize)
-		}
-	}
-	co := c.policy.resolve(opts)
-	err := c.policy.doUpdate(ctx, co, func(ctx context.Context) error {
-		return c.updateCore(ctx, updates)
-	})
-	c.bump(func(st *metrics.StoreStats) {
-		if err == nil {
-			st.Updates++
-		} else {
-			countFailure(st, err)
-		}
-		st.Shards[0].UpdateRows += uint64(len(updates))
-	})
-	return err
-}
-
-// updateCore pushes one validated update set to every replica.
-func (c *Client) updateCore(ctx context.Context, updates map[uint64][]byte) error {
-	conns, err := c.liveConns(ctx, true)
-	if err != nil {
-		return err
-	}
-	g, gctx := fanout.WithContext(ctx)
-	for p := range conns {
-		for r := range conns[p] {
-			conn := conns[p][r]
-			g.Go(func() error {
-				if err := conn.Update(gctx, updates); err != nil {
-					return fmt.Errorf("impir: update party %d replica %d: %w", p, r, err)
-				}
-				return nil
-			})
-		}
-	}
-	return g.Wait()
 }
 
 // Close closes every server connection. A closed Client stays closed:
 // later calls fail rather than redial.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var err error
-	for _, reps := range c.conns {
-		for _, conn := range reps {
-			if conn != nil {
-				if cerr := conn.Close(); err == nil {
-					err = cerr
-				}
+	for _, sh := range c.shards {
+		if sh != nil {
+			if cerr := sh.close(); err == nil {
+				err = cerr
 			}
 		}
 	}
-	c.conns = nil
 	return err
 }

@@ -80,7 +80,7 @@ func NewClientObs() *ClientObs {
 }
 
 // Option returns the ClientOption installing the bundle's interceptors;
-// pass it to Open (or NewClient/NewClusterClient).
+// pass it to Open.
 func (o *ClientObs) Option() ClientOption {
 	return func(c *clientConfig) {
 		c.unary = append(c.unary, o.interceptUnary)

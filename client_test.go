@@ -22,25 +22,7 @@ import (
 // returns their addresses.
 func startDeployment(t *testing.T, db *DB, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		srv, err := NewServer(testServerConfig(EngineCPU))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if err := srv.Load(db); err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Serve(lis, uint8(i)); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = srv.Addr().String()
-	}
+	addrs, _ := startShardCohort(t, db, n)
 	return addrs
 }
 
@@ -95,7 +77,7 @@ func TestClientRetrieve(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{2, 3} {
 		addrs := startDeployment(t, db, n)
-		cli, err := Dial(ctx, addrs)
+		cli, err := Open(ctx, FlatDeployment(addrs...))
 		if err != nil {
 			t.Fatalf("%d servers: %v", n, err)
 		}
@@ -105,11 +87,11 @@ func TestClientRetrieve(t *testing.T) {
 		if n > 2 {
 			wantEnc = "shares"
 		}
-		if cli.Encoding() != wantEnc {
-			t.Errorf("%d servers: encoding %q, want %q", n, cli.Encoding(), wantEnc)
+		if cli.(*Client).Encoding() != wantEnc {
+			t.Errorf("%d servers: encoding %q, want %q", n, cli.(*Client).Encoding(), wantEnc)
 		}
-		if cli.Servers() != n || cli.RecordSize() != 32 {
-			t.Errorf("%d servers: Servers=%d RecordSize=%d", n, cli.Servers(), cli.RecordSize())
+		if cli.(*Client).Servers() != n || cli.RecordSize() != 32 {
+			t.Errorf("%d servers: Servers=%d RecordSize=%d", n, cli.(*Client).Servers(), cli.RecordSize())
 		}
 
 		for _, idx := range []uint64{0, 350, 699} {
@@ -160,7 +142,7 @@ func TestClientFanOutConcurrency(t *testing.T) {
 		startShimServer(t, db, delay, nil),
 	}
 	ctx := context.Background()
-	cli, err := Dial(ctx, addrs)
+	cli, err := Open(ctx, FlatDeployment(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +173,7 @@ func TestClientContextCancellation(t *testing.T) {
 		startShimServer(t, db, 800*time.Millisecond, nil),
 		startShimServer(t, db, 0, nil),
 	}
-	cli, err := Dial(context.Background(), addrs)
+	cli, err := Open(context.Background(), FlatDeployment(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +205,7 @@ func TestClientContextCancellation(t *testing.T) {
 	// An already-cancelled context must not touch the wire at all.
 	cancelled, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	cli2, err := Dial(context.Background(), []string{addrs[1], addrs[1]})
+	cli2, err := Open(context.Background(), FlatDeployment(addrs[1], addrs[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +227,7 @@ func TestClientOneServerDownAborts(t *testing.T) {
 		startShimServer(t, db, 0, nil),
 		startShimServer(t, db, 50*time.Millisecond, boom),
 	}
-	cli, err := Dial(context.Background(), addrs)
+	cli, err := Open(context.Background(), FlatDeployment(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,17 +251,17 @@ func TestClientOneServerDownAborts(t *testing.T) {
 func TestDialValidation(t *testing.T) {
 	ctx := context.Background()
 
-	if _, err := Dial(ctx, nil); err == nil {
-		t.Error("Dial accepted zero addresses")
+	if _, err := Open(ctx, FlatDeployment()); err == nil {
+		t.Error("Open accepted zero addresses")
 	}
-	if _, err := Dial(ctx, []string{"127.0.0.1:1"}); err == nil {
-		t.Error("Dial accepted a single server")
+	if _, err := Open(ctx, FlatDeployment("127.0.0.1:1")); err == nil {
+		t.Error("Open accepted a single server")
 	}
-	if _, err := Dial(ctx, []string{"a", "b", "c"}, WithEncoding(EncodingDPF)); err == nil {
+	if _, err := Open(ctx, FlatDeployment("a", "b", "c"), WithEncoding(EncodingDPF)); err == nil {
 		t.Error("DPF encoding accepted a 3-server deployment")
 	}
-	if _, err := Dial(ctx, []string{"a", "b"}, WithEncoding(nil)); err == nil {
-		t.Error("Dial accepted a nil encoding")
+	if _, err := Open(ctx, FlatDeployment("a", "b"), WithEncoding(nil)); err == nil {
+		t.Error("Open accepted a nil encoding")
 	}
 
 	// Mismatched replicas across three servers must be rejected.
@@ -287,7 +269,7 @@ func TestDialValidation(t *testing.T) {
 	dbB, _ := GenerateHashDB(128, 2)
 	addrsA := startDeployment(t, dbA, 2)
 	addrsB := startDeployment(t, dbB, 1)
-	if _, err := Dial(ctx, append(addrsA, addrsB...)); err == nil ||
+	if _, err := Open(ctx, FlatDeployment(append(addrsA, addrsB...)...)); err == nil ||
 		!strings.Contains(err.Error(), "replica") {
 		t.Errorf("mismatched replicas: err = %v", err)
 	}
@@ -295,7 +277,7 @@ func TestDialValidation(t *testing.T) {
 	// Mismatched geometry (same content length, different record count).
 	dbC, _ := GenerateHashDB(256, 1)
 	addrsC := startDeployment(t, dbC, 1)
-	if _, err := Dial(ctx, append(addrsA, addrsC...)); err == nil {
+	if _, err := Open(ctx, FlatDeployment(append(addrsA, addrsC...)...)); err == nil {
 		t.Error("mismatched geometry accepted")
 	}
 }
@@ -309,13 +291,13 @@ func TestClientExplicitShareEncodingTwoServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cli, err := Dial(ctx, startDeployment(t, db, 2), WithEncoding(EncodingShares))
+	cli, err := Open(ctx, FlatDeployment(startDeployment(t, db, 2)...), WithEncoding(EncodingShares))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if cli.Encoding() != "shares" {
-		t.Fatalf("encoding = %q", cli.Encoding())
+	if cli.(*Client).Encoding() != "shares" {
+		t.Fatalf("encoding = %q", cli.(*Client).Encoding())
 	}
 	rec, err := cli.Retrieve(ctx, 123)
 	if err != nil {
@@ -334,7 +316,7 @@ func TestThreeServerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cli, err := Dial(ctx, startDeployment(t, db, 3))
+	cli, err := Open(ctx, FlatDeployment(startDeployment(t, db, 3)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +365,7 @@ func TestClientConcurrentHealAfterCancel(t *testing.T) {
 		startShimServer(t, db, 300*time.Millisecond, nil),
 		startShimServer(t, db, 0, nil),
 	}
-	cli, err := Dial(context.Background(), addrs)
+	cli, err := Open(context.Background(), FlatDeployment(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}

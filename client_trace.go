@@ -61,7 +61,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 }
 
 // Option returns the ClientOption installing the tracer's
-// interceptors; pass it to Open (or NewClient/NewClusterClient).
+// interceptors; pass it to Open.
 func (t *Tracer) Option() ClientOption {
 	return func(c *clientConfig) {
 		c.unary = append(c.unary, t.interceptUnary)

@@ -1,23 +1,9 @@
 package impir
 
-import (
-	"context"
-	"fmt"
-	"math/bits"
-	"sync"
-	"time"
-
-	"github.com/impir/impir/internal/cluster"
-	"github.com/impir/impir/internal/fanout"
-	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/obs"
-)
+import "github.com/impir/impir/internal/cluster"
 
 // Sharded deployments: the topology, planning, and database-carving
-// layer lives in internal/cluster; the root package re-exports it here
-// together with ClusterClient, the network client that drives a sharded
-// deployment. Open returns a *ClusterClient for multi-shard deployment
-// manifests.
+// layer lives in internal/cluster; the root package re-exports it here.
 
 // ShardManifest describes a sharded deployment's topology: contiguous
 // row-range shards, each served by a cohort of ≥ 2 non-colluding
@@ -33,9 +19,6 @@ type ShardManifest = cluster.Manifest
 
 // ClusterShard is one row-range shard of a ShardManifest.
 type ClusterShard = cluster.Shard
-
-// ClusterStats is a snapshot of a ClusterClient's per-shard counters.
-type ClusterStats = metrics.ClusterStats
 
 // ParseManifest decodes and validates a JSON shard manifest.
 func ParseManifest(data []byte) (ShardManifest, error) { return cluster.Parse(data) }
@@ -59,384 +42,4 @@ func SplitDB(db *DB, shards int) ([]*DB, error) { return cluster.SplitDB(db, sha
 // SplitDBByManifest carves a database along a manifest's shard ranges.
 func SplitDBByManifest(db *DB, m ShardManifest) ([]*DB, error) {
 	return cluster.SplitByManifest(db, m)
-}
-
-// ClusterClient is a connection to a sharded PIR deployment: one Client
-// per shard cohort, behind one policy engine. Every logical retrieval
-// fans one sub-query out to EVERY cohort concurrently — the real one to
-// the owning shard, well-formed dummies elsewhere — so retrieval
-// latency is the slowest shard's round trip and no cohort learns which
-// shard owned the record (each sees an ordinary PIR query against its
-// own shard either way). Within each cohort, each party's share is
-// hedged across that party's replica set exactly as in a flat Client.
-//
-// Like Client, a retrieval aborts as a whole when any shard fails or
-// the context is cancelled: sub-results from the remaining shards are
-// discarded, never returned. Connections poisoned by an abandoned
-// exchange are transparently redialed by the underlying per-cohort
-// clients.
-//
-// Interceptors, per-call options, and retry budgets apply to the
-// LOGICAL operation: one Retrieve through a ClusterClient runs its
-// interceptor chain once and counts one retry per whole-cluster
-// re-fan-out, however many shards it spans.
-//
-// A ClusterClient may be shared by concurrent goroutines.
-type ClusterClient struct {
-	deployment Deployment
-	plan       ShardManifest // planner view: ranges + one address per party
-	shards     []*Client
-	policy     policy
-
-	mu    sync.Mutex
-	stats metrics.StoreStats
-}
-
-// DialCluster connects to every cohort of a sharded deployment.
-//
-// Deprecated: use Open with a Deployment (DeploymentFromManifest(m) for
-// this exact topology); Open adds replica sets, hedging, per-call
-// policy, and the interceptor chain, and returns the same
-// *ClusterClient for multi-shard deployments.
-func DialCluster(ctx context.Context, m ShardManifest, opts ...ClientOption) (*ClusterClient, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return openCluster(ctx, DeploymentFromManifest(m), resolveClientConfig(opts))
-}
-
-// openCluster connects to every cohort of a multi-shard deployment
-// concurrently — each cohort through the flat open path, with its
-// replica cross-checks and manifest geometry validation.
-func openCluster(ctx context.Context, d Deployment, cfg clientConfig) (*ClusterClient, error) {
-	plan, err := d.ShardManifest()
-	if err != nil {
-		return nil, err
-	}
-	c := &ClusterClient{deployment: d, plan: plan, shards: make([]*Client, len(d.Shards))}
-	c.policy = cfg.newPolicy(func() {
-		c.bump(func(st *metrics.StoreStats) { st.Retries++ })
-	})
-	c.stats.Shards = make([]metrics.ShardStats, len(d.Shards))
-
-	shardCfg := cfg.shardConfig()
-	g, gctx := fanout.WithContext(ctx)
-	for i, shard := range d.Shards {
-		g.Go(func() error {
-			cli, err := openFlat(gctx, shard, d.RecordSize, shardCfg)
-			if err != nil {
-				return fmt.Errorf("impir: shard %d: %w", i, err)
-			}
-			c.shards[i] = cli
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-func nextPow2(n uint64) uint64 {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len64(n-1)
-}
-
-// NumRecords returns the total (unpadded) record count of the cluster.
-func (c *ClusterClient) NumRecords() uint64 { return c.deployment.NumRecords() }
-
-// RecordSize returns the record size in bytes.
-func (c *ClusterClient) RecordSize() int { return c.deployment.RecordSize }
-
-// Shards returns the shard count.
-func (c *ClusterClient) Shards() int { return len(c.shards) }
-
-// Manifest returns the deployment topology as a shard manifest (one
-// representative address per party; see Deployment for the full
-// replica-set view).
-func (c *ClusterClient) Manifest() ShardManifest { return c.plan }
-
-// Deployment returns the full deployment manifest the client was
-// opened with.
-func (c *ClusterClient) Deployment() Deployment { return c.deployment }
-
-// Retrieve privately fetches the record at a global index: one
-// well-formed sub-query per shard cohort, all concurrent, the owning
-// shard's reconstruction returned. No cohort learns the index — each
-// sees an ordinary PIR query against its own shard — and no cohort
-// learns whether it was the one that mattered.
-func (c *ClusterClient) Retrieve(ctx context.Context, global uint64, opts ...CallOption) ([]byte, error) {
-	co := c.policy.resolve(opts)
-	if _, _, err := c.plan.Locate(global); err != nil {
-		return nil, err
-	}
-	rec, err := c.policy.doUnary(ctx, co, global, func(ctx context.Context, global uint64) ([]byte, error) {
-		return c.retrieve(ctx, co, global)
-	})
-	c.bump(func(st *metrics.StoreStats) {
-		if err == nil {
-			st.Retrievals++
-		} else {
-			countFailure(st, err)
-		}
-	})
-	return rec, err
-}
-
-func (c *ClusterClient) retrieve(ctx context.Context, co callOptions, global uint64) ([]byte, error) {
-	plan, err := c.plan.PlanQuery(global)
-	if err != nil {
-		return nil, err
-	}
-	span := obs.SpanFromContext(ctx)
-	recs := make([][]byte, len(c.shards))
-	g, gctx := fanout.WithContext(ctx)
-	for s := range c.shards {
-		g.Go(func() error {
-			// The dummy marking exists ONLY in this client-side span: the
-			// sub-query each non-owner shard receives is indistinguishable
-			// from a real one, and the wire trace context carries no hint.
-			ssp := span.StartChild("shard")
-			ssp.SetAttrInt("shard", int64(s))
-			ssp.SetAttrBool("dummy", s != plan.Owner)
-			start := time.Now()
-			rec, err := c.shards[s].retrieve(obs.ContextWithSpan(gctx, ssp), co, plan.Locals[s])
-			c.record(s, 1, 0, time.Since(start), err)
-			if err != nil {
-				ssp.SetAttr("error", err.Error())
-				ssp.End()
-				return fmt.Errorf("impir: shard %d: %w", s, err)
-			}
-			ssp.End()
-			recs[s] = rec
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return recs[plan.Owner], nil
-}
-
-// RetrieveBatch privately fetches several records by global index in
-// one round trip per cohort. Every cohort receives a batch of exactly
-// len(globals) sub-queries — real where it owns the record, dummies
-// elsewhere — so even the batch shape is identical across shards and
-// leaks nothing about how the targets distribute. An empty batch is a
-// no-op returning an empty (non-nil) slice without touching any
-// cohort, matching Client.RetrieveBatch.
-func (c *ClusterClient) RetrieveBatch(ctx context.Context, globals []uint64, opts ...CallOption) ([][]byte, error) {
-	if len(globals) == 0 {
-		return [][]byte{}, nil
-	}
-	co := c.policy.resolve(opts)
-	for _, g := range globals {
-		if _, _, err := c.plan.Locate(g); err != nil {
-			return nil, err
-		}
-	}
-	recs, err := c.policy.doBatch(ctx, co, globals, func(ctx context.Context, globals []uint64) ([][]byte, error) {
-		return c.retrieveBatch(ctx, co, globals)
-	})
-	c.bump(func(st *metrics.StoreStats) {
-		if err == nil {
-			st.BatchRetrievals++
-		} else {
-			countFailure(st, err)
-		}
-	})
-	return recs, err
-}
-
-func (c *ClusterClient) retrieveBatch(ctx context.Context, co callOptions, globals []uint64) ([][]byte, error) {
-	plan, err := c.plan.PlanBatch(globals)
-	if err != nil {
-		return nil, err
-	}
-	span := obs.SpanFromContext(ctx)
-	owned := make([]int, len(c.shards))
-	if span != nil {
-		for _, o := range plan.Owners {
-			owned[o]++
-		}
-	}
-	perShard := make([][][]byte, len(c.shards))
-	g, gctx := fanout.WithContext(ctx)
-	for s := range c.shards {
-		g.Go(func() error {
-			// Client-side only, as in retrieve: every shard receives the
-			// same batch shape regardless of how many items it owns.
-			ssp := span.StartChild("shard")
-			ssp.SetAttrInt("shard", int64(s))
-			ssp.SetAttrInt("real", int64(owned[s]))
-			ssp.SetAttrBool("dummy", owned[s] == 0)
-			start := time.Now()
-			recs, err := c.shards[s].retrieveBatch(obs.ContextWithSpan(gctx, ssp), co, plan.Locals[s])
-			c.record(s, 0, uint64(len(globals)), time.Since(start), err)
-			if err != nil {
-				ssp.SetAttr("error", err.Error())
-				ssp.End()
-				return fmt.Errorf("impir: shard %d: %w", s, err)
-			}
-			ssp.End()
-			perShard[s] = recs
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(globals))
-	for i, owner := range plan.Owners {
-		out[i] = perShard[owner][i]
-	}
-	return out, nil
-}
-
-// retrieveBatchShards fans PRE-PLANNED per-shard local sub-batches out
-// to every cohort concurrently and returns each cohort's answers. It is
-// the transport layer of the coded batch path (CodedStore), which
-// plans its own per-shard locals — a constant buckets/shard + overflow
-// sub-queries per cohort — instead of PlanBatch's uniform fan-out of
-// the whole batch to every shard; that routing is where the coded
-// per-server win comes from. Every cohort still receives an
-// equal-length batch, so the shape remains identical across shards.
-func (c *ClusterClient) retrieveBatchShards(ctx context.Context, co callOptions, locals [][]uint64) ([][][]byte, error) {
-	if len(locals) != len(c.shards) {
-		return nil, fmt.Errorf("impir: %d shard batches for %d shards", len(locals), len(c.shards))
-	}
-	span := obs.SpanFromContext(ctx)
-	perShard := make([][][]byte, len(c.shards))
-	g, gctx := fanout.WithContext(ctx)
-	for s := range c.shards {
-		g.Go(func() error {
-			// As in retrieveBatch, which slots are real exists only
-			// client-side; each cohort sees an ordinary fixed-shape batch.
-			ssp := span.StartChild("shard")
-			ssp.SetAttrInt("shard", int64(s))
-			ssp.SetAttrBool("coded", true)
-			start := time.Now()
-			recs, err := c.shards[s].retrieveBatch(obs.ContextWithSpan(gctx, ssp), co, locals[s])
-			c.record(s, 0, uint64(len(locals[s])), time.Since(start), err)
-			if err != nil {
-				ssp.SetAttr("error", err.Error())
-				ssp.End()
-				return fmt.Errorf("impir: shard %d: %w", s, err)
-			}
-			ssp.End()
-			perShard[s] = recs
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return perShard, nil
-}
-
-// Update routes a bulk record update, keyed by global index, to the
-// owning cohorts only: each dirty row travels to exactly the shard that
-// holds it — and there to EVERY replica of every party — and each
-// cohort applies its subset atomically under the server-side epoch
-// quiescing, so live retrievals never observe a torn update. Updates
-// are public operator actions — routing them leaks nothing the cohort
-// would not learn by applying them — and servers reject them unless
-// started with ServerConfig.AllowWireUpdates.
-//
-// Cohorts with no dirty rows are not contacted. The affected cohorts
-// update concurrently; the first failure cancels the rest, which can
-// leave cohorts (or replicas within one) diverged — retry the same
-// update until it succeeds everywhere, as with Client.Update (a
-// WithRetries budget does this transparently for transient failures).
-func (c *ClusterClient) Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error {
-	routed, err := c.plan.RouteUpdate(updates)
-	if err != nil {
-		return err
-	}
-	co := c.policy.resolve(opts)
-	err = c.policy.doUpdate(ctx, co, func(ctx context.Context) error {
-		g, gctx := fanout.WithContext(ctx)
-		for s, sub := range routed {
-			g.Go(func() error {
-				if err := c.shards[s].updateCore(gctx, sub); err != nil {
-					// Failed sub-attempts count per attempt (retries
-					// included) — they are real wire traffic.
-					c.bump(func(st *metrics.StoreStats) { st.Shards[s].Errors++ })
-					return fmt.Errorf("impir: shard %d: %w", s, err)
-				}
-				return nil
-			})
-		}
-		return g.Wait()
-	})
-	// Routed-row counters are per LOGICAL update, however many retry
-	// attempts it took (matching Client.Update's accounting).
-	c.bump(func(st *metrics.StoreStats) {
-		for s, sub := range routed {
-			st.Shards[s].UpdateRows += uint64(len(sub))
-		}
-		if err == nil {
-			st.Updates++
-		} else {
-			countFailure(st, err)
-		}
-	})
-	return err
-}
-
-// Stats snapshots the client-side counters: the cluster's own logical
-// and per-shard counters, plus the hedging activity accumulated inside
-// the per-cohort clients.
-func (c *ClusterClient) Stats() ClusterStats {
-	c.mu.Lock()
-	out := c.stats
-	out.Shards = append([]metrics.ShardStats(nil), c.stats.Shards...)
-	c.mu.Unlock()
-	for _, cli := range c.shards {
-		if cli == nil {
-			continue
-		}
-		st := cli.Stats()
-		out.Hedges += st.Hedges
-		out.HedgeWins += st.HedgeWins
-	}
-	return out
-}
-
-// record accumulates one round trip's counters for shard s.
-func (c *ClusterClient) record(s int, queries, batchQueries uint64, d time.Duration, err error) {
-	c.bump(func(st *metrics.StoreStats) {
-		sh := &st.Shards[s]
-		sh.Queries += queries
-		if batchQueries > 0 {
-			sh.Batches++
-			sh.BatchQueries += batchQueries
-		}
-		sh.TotalTime += d
-		if err != nil {
-			sh.Errors++
-		}
-	})
-}
-
-func (c *ClusterClient) bump(f func(*metrics.StoreStats)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f(&c.stats)
-}
-
-// Close closes every cohort's client.
-func (c *ClusterClient) Close() error {
-	var err error
-	for _, cli := range c.shards {
-		if cli != nil {
-			if cerr := cli.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
-	return err
 }

@@ -69,13 +69,13 @@ func TestClusterTwoShardsTwoReplicasE2E(t *testing.T) {
 	ctx := context.Background()
 	m, servers := startCluster(t, db, 2)
 
-	cc, err := DialCluster(ctx, m)
+	cc, err := Open(ctx, DeploymentFromManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	if cc.Shards() != 2 || cc.NumRecords() != 128 || cc.RecordSize() != 32 {
-		t.Fatalf("cluster geometry: %d shards, %d records × %dB", cc.Shards(), cc.NumRecords(), cc.RecordSize())
+	if cc.(*Client).Shards() != 2 || cc.NumRecords() != 128 || cc.RecordSize() != 32 {
+		t.Fatalf("cluster geometry: %d shards, %d records × %dB", cc.(*Client).Shards(), cc.NumRecords(), cc.RecordSize())
 	}
 
 	// Single retrievals from both shards.
@@ -100,7 +100,7 @@ func TestClusterTwoShardsTwoReplicasE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	flatAddrs, _ := startShardCohort(t, db, 2)
-	flat, err := Dial(ctx, flatAddrs)
+	flat, err := Open(ctx, FlatDeployment(flatAddrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestClusterTwoShardsTwoReplicasE2E(t *testing.T) {
 		}
 	}
 
-	// Empty batch: a no-op, matching Client.RetrieveBatch.
+	// Empty batch: a no-op.
 	empty, err := cc.RetrieveBatch(ctx, nil)
 	if err != nil || empty == nil || len(empty) != 0 {
 		t.Fatalf("empty cluster batch: %v, %v (want empty non-nil slice)", empty, err)
@@ -172,7 +172,7 @@ func TestClusterRaggedShardsE2E(t *testing.T) {
 		t.Fatalf("ragged split shapes: %+v", m.Shards)
 	}
 
-	cc, err := DialCluster(ctx, m)
+	cc, err := Open(ctx, DeploymentFromManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +216,12 @@ func TestClusterDialValidation(t *testing.T) {
 		{FirstRecord: 0, NumRecords: 32, Replicas: addrs},
 		{FirstRecord: 32, NumRecords: 32, Replicas: addrs},
 	}}
-	if _, err := DialCluster(ctx, bad); err == nil {
+	if _, err := Open(ctx, DeploymentFromManifest(bad)); err == nil {
 		t.Fatal("geometry-mismatched cohort accepted")
 	}
 
 	// Invalid topology fails before any dialing.
-	if _, err := DialCluster(ctx, ShardManifest{RecordSize: 32}); err == nil {
+	if _, err := Open(ctx, DeploymentFromManifest(ShardManifest{RecordSize: 32})); err == nil {
 		t.Fatal("empty manifest accepted")
 	}
 }

@@ -58,7 +58,7 @@ type DeploymentShard struct {
 	FirstRecord uint64 `json:"first_record"`
 	// NumRecords is the number of records the shard holds. In a
 	// single-shard deployment it may be 0: the geometry is then learned
-	// from the server handshake, exactly as with a direct Dial.
+	// from the server handshake.
 	NumRecords uint64 `json:"num_records"`
 	// Parties are the shard's non-colluding cohort members.
 	Parties []Party `json:"parties"`

@@ -75,11 +75,10 @@ type geometry struct {
 // a fixed deployment size.
 type queryCoder interface {
 	name() string
-	// encode produces one query message per server for a single index.
-	encode(g geometry, servers int, index uint64) ([]serverQuery, error)
-	// encodeBatch produces one batched message per server covering all
-	// indices, answered in one round trip.
-	encodeBatch(g geometry, servers int, indices []uint64) ([]serverQuery, error)
+	// encode produces one query message per server covering every index:
+	// a batch frame, answered in one round trip, when batch is true, and
+	// otherwise a single-query frame for the one index.
+	encode(g geometry, servers int, indices []uint64, batch bool) ([]serverQuery, error)
 }
 
 // serverQuery is one server's portion of an encoded query, executable
@@ -127,25 +126,16 @@ type dpfCoder struct{}
 
 func (dpfCoder) name() string { return "dpf" }
 
-func (dpfCoder) encode(g geometry, servers int, index uint64) ([]serverQuery, error) {
-	k0, k1, err := dpf.Gen(dpf.Params{Domain: g.domain}, index, nil)
-	if err != nil {
-		return nil, err
-	}
-	return []serverQuery{keyQuery{k0}, keyQuery{k1}}, nil
-}
-
-func (dpfCoder) encodeBatch(g geometry, servers int, indices []uint64) ([]serverQuery, error) {
-	keys0 := make([]*dpf.Key, len(indices))
-	keys1 := make([]*dpf.Key, len(indices))
-	for i, idx := range indices {
+func (dpfCoder) encode(g geometry, servers int, indices []uint64, batch bool) ([]serverQuery, error) {
+	keys := make([][]*dpf.Key, 2)
+	for _, idx := range indices {
 		k0, k1, err := dpf.Gen(dpf.Params{Domain: g.domain}, idx, nil)
 		if err != nil {
 			return nil, err
 		}
-		keys0[i], keys1[i] = k0, k1
+		keys[0], keys[1] = append(keys[0], k0), append(keys[1], k1)
 	}
-	return []serverQuery{keyBatchQuery{keys0}, keyBatchQuery{keys1}}, nil
+	return []serverQuery{keyQuery{keys[0], batch}, keyQuery{keys[1], batch}}, nil
 }
 
 // shareCoder encodes queries as explicit selector shares over the padded
@@ -155,67 +145,46 @@ type shareCoder struct{}
 
 func (shareCoder) name() string { return "shares" }
 
-func (shareCoder) encode(g geometry, servers int, index uint64) ([]serverQuery, error) {
-	q, err := naivepir.Gen(nil, int(g.numRecords), index, servers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]serverQuery, servers)
-	for s, share := range q.Shares {
-		out[s] = shareQuery{share}
-	}
-	return out, nil
-}
-
-func (shareCoder) encodeBatch(g geometry, servers int, indices []uint64) ([]serverQuery, error) {
+func (shareCoder) encode(g geometry, servers int, indices []uint64, batch bool) ([]serverQuery, error) {
 	perServer := make([][]*bitvec.Vector, servers)
-	for s := range perServer {
-		perServer[s] = make([]*bitvec.Vector, len(indices))
-	}
-	for i, idx := range indices {
+	for _, idx := range indices {
 		q, err := naivepir.Gen(nil, int(g.numRecords), idx, servers)
 		if err != nil {
 			return nil, err
 		}
 		for s, share := range q.Shares {
-			perServer[s][i] = share
+			perServer[s] = append(perServer[s], share)
 		}
 	}
 	out := make([]serverQuery, servers)
-	for s := range out {
-		out[s] = shareBatchQuery{perServer[s]}
+	for s, shares := range perServer {
+		out[s] = shareQuery{shares, batch}
 	}
 	return out, nil
 }
 
-type keyQuery struct{ key *dpf.Key }
+type keyQuery struct {
+	keys  []*dpf.Key
+	batch bool
+}
 
 func (q keyQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	r, err := c.Query(ctx, q.key)
-	if err != nil {
-		return nil, err
+	if q.batch {
+		return c.QueryBatch(ctx, q.keys)
 	}
-	return [][]byte{r}, nil
+	r, err := c.Query(ctx, q.keys[0])
+	return [][]byte{r}, err
 }
 
-type keyBatchQuery struct{ keys []*dpf.Key }
-
-func (q keyBatchQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	return c.QueryBatch(ctx, q.keys)
+type shareQuery struct {
+	shares []*bitvec.Vector
+	batch  bool
 }
-
-type shareQuery struct{ share *bitvec.Vector }
 
 func (q shareQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	r, err := c.QueryShare(ctx, q.share)
-	if err != nil {
-		return nil, err
+	if q.batch {
+		return c.QueryShareBatch(ctx, q.shares)
 	}
-	return [][]byte{r}, nil
-}
-
-type shareBatchQuery struct{ shares []*bitvec.Vector }
-
-func (q shareBatchQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	return c.QueryShareBatch(ctx, q.shares)
+	r, err := c.QueryShare(ctx, q.shares[0])
+	return [][]byte{r}, err
 }

@@ -4,8 +4,8 @@
 // whole replica, so a single server pair caps out at one machine's
 // memory bandwidth. This example scales *across* boxes instead: the
 // database is carved into contiguous row-range shards, each served by
-// its own cohort of two non-colluding replicas, and the ClusterClient
-// queries EVERY cohort on every retrieval — the real sub-query on the
+// its own cohort of two non-colluding replicas, and the client queries
+// EVERY cohort on every retrieval — the real sub-query on the
 // owning shard, a well-formed dummy elsewhere — so each cohort sees a
 // valid PIR query regardless of the target and learns nothing about
 // which shard mattered. Per-shard scan work falls by the shard factor;
@@ -15,8 +15,8 @@
 // retrieves records from both shards, issues a batch that straddles the
 // shard boundary, then routes a live update to the single cohort that
 // owns the dirty row (riding the server-side epoch quiescing) and reads
-// it back. The manifest JSON printed at the end is exactly what
-// impir-server -manifest / impir-client -manifest consume.
+// it back. The deployment JSON printed at the end is exactly what
+// impir-server -deployment / impir-client -deployment consume.
 //
 //	go run ./examples/sharded
 package main
@@ -61,7 +61,7 @@ func run() error {
 		cohorts[s] = make([]string, 2)
 		for r := 0; r < 2; r++ {
 			// AllowWireUpdates lets this demo route updates from the
-			// ClusterClient; real deployments restrict the update path
+			// client; real deployments restrict the update path
 			// to the database owner (see ServerConfig.AllowWireUpdates).
 			srv, err := impir.NewServer(impir.ServerConfig{Engine: impir.EngineCPU, AllowWireUpdates: true})
 			if err != nil {
@@ -94,7 +94,7 @@ func run() error {
 		return err
 	}
 	defer store.Close()
-	cc := store.(*impir.ClusterClient)
+	cc := store.(*impir.Client) // every deployment opens as *Client
 	fmt.Printf("cluster: %d shards, %d records × %d bytes\n\n", cc.Shards(), cc.NumRecords(), cc.RecordSize())
 
 	// Retrieve one record from each shard: every cohort receives a

@@ -82,7 +82,7 @@ func run() error {
 		return err
 	}
 	defer store.Close()
-	cli := store.(*impir.Client) // flat deployments open as *Client
+	cli := store.(*impir.Client) // every deployment opens as *Client
 	fmt.Printf("\nconnected to %d servers, replicas verified (%d records × %d B, %s encoding)\n",
 		cli.Servers(), cli.NumRecords(), cli.RecordSize(), cli.Encoding())
 

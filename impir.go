@@ -41,9 +41,9 @@
 // # Unified Store API
 //
 // Network deployments go through one entry point: Open, over a unified
-// deployment manifest (deployment.json), returns a Store — Retrieve,
-// RetrieveBatch, Update, Stats, Close — whatever topology the manifest
-// describes. The manifest composes every deployment dimension:
+// deployment manifest (deployment.json), returns a Store — always a
+// *Client: Retrieve, RetrieveBatch, Update, Stats, Close — whatever
+// topology it describes:
 //
 //	Deployment (deployment.json)
 //	└── Shards        contiguous row ranges tiling the record space
@@ -52,21 +52,22 @@
 //	        └── Replicas  ≥ 1 interchangeable servers of ONE party —
 //	                      identical data, hedging/failover targets
 //	└── Keyword       optional cuckoo key→value table over the records
+//	└── BatchCode     optional multi-message code over the records
 //
 //	d, _ := impir.LoadDeployment("deployment.json")
 //	store, _ := impir.Open(ctx, d)
 //	defer store.Close()
 //	record, _ := store.Retrieve(ctx, 42)
 //
-// A single-shard deployment opens as *Client, a multi-shard one as
-// *ClusterClient, and OpenKV returns the key→value view when the
-// manifest carries a keyword table. Queries encode under a pluggable
-// Encoding (DPF key pairs for two parties, naive §2.3 selector shares
-// for n — selected automatically, or forced with WithEncoding) and fan
-// out to all parties in parallel, so retrieval latency is the slowest
-// party rather than the sum. Contexts bound and cancel every network
-// operation. The historical Dial/DialCluster entry points survive as
-// deprecated wrappers over Open.
+// Every call runs one pipeline: a code step maps indices to served rows
+// (the identity unless the manifest declares a batch code), a shard step
+// splits the rows over the shard cohorts (a flat deployment is one
+// shard), every cohort is queried at once, and the parties' subresults
+// are XORed back into records. Queries encode under an Encoding — DPF
+// key pairs for two parties, naive §2.3 selector shares for n, chosen
+// per cohort or forced with WithEncoding — so latency is the slowest
+// party, not the sum. OpenKV returns the key→value view of a manifest
+// carrying a keyword table.
 //
 // Open installs store-level policy that every call may override:
 // WithCallTimeout bounds a whole operation, WithRetries grants a
@@ -74,32 +75,27 @@
 // poisoned connections, and WithHedging/WithHedgeDelay control hedged
 // replica fan-out. WithUnaryInterceptor and WithBatchInterceptor
 // install a gRPC-style interceptor chain — logging, metrics, tracing,
-// caching — running once per logical operation, however many shards,
-// replicas, hedges and retries it spans.
+// caching — that sees the caller's indices and runs once per logical
+// operation, however many shards, coded slots, hedges and retries it
+// spans.
 //
 // # Hedged replica fan-out
 //
 // A party may run several interchangeable replicas. Each query share
 // goes to the party's fastest-known replica (EWMA-ordered); when the
 // primary lags past the hedge delay — adapted upward to 2× its usual
-// latency — or fails outright, the SAME share goes to the party's next
-// replica, the first valid answer wins, and the losers are cancelled.
-// Tail stalls (a GC pause, CPU contention, an update quiesce) are
-// thereby evicted from the critical path: p99 collapses toward p50
-// while healthy-path traffic is unchanged (impir-bench -experiment
-// hedging prices this). A replica that dies degrades its party to the
-// survivors instead of taking retrievals down; updates still require
-// every replica, so a dead replica can never silently serve stale
-// records as current.
+// latency — or fails, the SAME share goes to the party's next replica,
+// the first valid answer wins, and the losers are cancelled, so tail
+// stalls (a GC pause, an update quiesce) leave the critical path. A dead
+// replica degrades its party to the survivors; updates still require
+// every replica, so a dead one never serves stale records as current.
 //
 // Privacy argument: all replicas of one party form ONE trust domain
 // holding identical data, and a hedged attempt carries exactly the
-// share that party was sent anyway — anything its replicas observe,
-// the party could assemble regardless — so hedging cuts tail latency
-// without adding leakage. The manifest's party/replica distinction is
-// the privacy boundary: never list a server under a party it does not
-// trust, as that would hand two shares of the same query to one
-// operator.
+// share that party was sent anyway, so hedging adds no leakage. The
+// manifest's party/replica distinction is the privacy boundary: never
+// list a server under a party it does not trust, as that would hand two
+// shares of one query to one operator.
 //
 // # Server-side scheduling
 //
@@ -108,39 +104,29 @@
 // frame on the wire — instead of unbounded queueing), an optional
 // coalescing window that merges concurrent single queries from
 // different clients into one §3.4 batch-pipeline pass, and epoch-based
-// quiescing that makes Update safe under live query load. See
-// ServerConfig's QueueDepth, CoalesceWindow and MaxCoalesce, and
-// Server.QueueStats for the observed queue behaviour.
+// quiescing that makes Update safe under live query load (ServerConfig's
+// QueueDepth, CoalesceWindow and MaxCoalesce; Server.QueueStats).
 //
 // # Operability
 //
-// Server.ServeAdmin serves an operator plane on its own listener,
-// separate from the binary query protocol: /metrics is a Prometheus
-// text exposition (stdlib-only registry — per-frame request counters,
-// per-stage latency histograms, scheduler counters mirrored at scrape
-// time so they can never disagree with QueueStats, database gauges),
-// /healthz reports the process up, and /readyz reports 200 only while
-// the database is loaded, the query listener accepts, and no update
-// quiesce or drain is underway. ServerConfig.SlowQueryThreshold logs a
-// structured one-line trace (frame, shard, queue wait, engine pass,
-// coalesce width, fused flag, per-phase breakdown) for every dispatch
-// crossing it. On the client, NewClientObs packages the interceptor
-// chain into per-call latency/outcome metrics plus retry/hedge mirrors,
-// scrapeable or snapshotable. Everything exported is an operational
-// aggregate: indices' timing, never their values.
+// Server.ServeAdmin serves an operator plane on its own listener:
+// /metrics (Prometheus text; scheduler counters are mirrored at scrape
+// time so they never disagree with QueueStats), /healthz and /readyz —
+// the README lists the families. ServerConfig.SlowQueryThreshold logs a
+// one-line trace of every dispatch crossing it. On the client,
+// NewClientObs packages the interceptor chain into per-call
+// latency/outcome metrics plus retry/hedge mirrors. Everything exported
+// is an operational aggregate: indices' timing, never their values.
 //
 // # Distributed tracing
 //
 // NewTracer adds the per-query half: a head-sampled root span per
 // logical operation, child spans for every shard sub-query, party, and
-// replica attempt (hedge delay, winner/loser, loser cancellation), and
-// a ring buffer of finished span trees (Tracer.RecentTraces, or
-// mounted as an HTTP handler). Servers keep their own ring — queue
-// wait, engine pass, per-phase breakdown — served as JSON at the admin
-// endpoint's /debug/traces?min_ms=N, populated by client-sampled
-// queries, ServerConfig.TraceSampleRate, and everything over the
-// slow-query threshold. ServerConfig.EnablePprof additionally mounts
-// net/http/pprof under /debug/pprof/ (off by default).
+// replica attempt, and a ring of finished span trees
+// (Tracer.RecentTraces, or mounted as an HTTP handler). Servers keep
+// their own ring — queue wait, engine pass, per-phase breakdown — at
+// the admin endpoint's /debug/traces?min_ms=N, fed by client-sampled
+// queries, ServerConfig.TraceSampleRate and slow queries.
 //
 // Privacy argument: tracing must not weaken the non-collusion model,
 // so NO SHARED TRACE ID EVER CROSSES A PARTY BOUNDARY. The wire trace
@@ -153,12 +139,10 @@
 // linkage lives only client-side: the client's span tree records each
 // attempt's ID, which equals the trace_id of exactly that server's
 // ring entry, so the operator of the CLIENT can join the halves while
-// the servers cannot. Shard dummy marking (dummy=true on non-owner
-// sub-queries) and keyword probe counts exist only in client-side
-// spans and never go on the wire; the wire bytes of a traced query
-// differ from an untraced one only by the negotiated version-2
-// extension, and untraced queries are byte-identical to the legacy
-// protocol.
+// the servers cannot. Shard real/dummy marking and keyword probe counts
+// exist only in client-side spans; a traced query's wire bytes differ
+// from an untraced one's only by the negotiated version-2 extension,
+// and untraced queries are byte-identical to the legacy protocol.
 //
 // # Batched execution
 //
@@ -187,14 +171,12 @@
 //
 // # Sharded deployments
 //
-// A single server pair caps out at one machine's memory bandwidth —
-// all-for-one means every query scans the whole replica. To scale
-// across machines, carve the database into contiguous row-range shards
-// with SplitDB (or SplitDBByManifest), serve each shard from its own
-// cohort of ≥ 2 non-colluding replicas, and describe the topology in a
-// ShardManifest (JSON round-trip via ParseManifest/LoadManifest for
-// flags and config files). Open then connects a ClusterClient to every
-// cohort:
+// One server pair caps out at one machine's memory bandwidth: every
+// query scans the whole replica. To scale across machines, carve the
+// database into row-range shards with SplitDB (or SplitDBByManifest),
+// serve each from its own cohort, and list the shards in the manifest
+// (a ShardManifest, JSON via LoadManifest, lifts with
+// DeploymentFromManifest):
 //
 //	parts, _ := impir.SplitDB(db, 4)            // per-cohort replicas
 //	m, _ := impir.LoadManifest("cluster.json")  // topology
@@ -203,36 +185,28 @@
 //
 // Privacy argument: every retrieval sends one well-formed sub-query to
 // EVERY cohort — the real local index to the owning shard, a random
-// dummy to each other shard — and a PIR query reveals nothing about its
-// index, so no cohort can tell whether it owned the record; batched
-// retrievals send equal-length batches to every cohort so even the
-// batch shape leaks nothing. Per-shard scan work and memory fall by the
-// shard factor while retrieval latency is the slowest cohort's round
-// trip. ClusterClient.Update routes each dirty row to its owning cohort
-// only (updates are public operator actions), riding the per-server
-// epoch quiescing; servers accept wire updates only when started with
-// ServerConfig.AllowWireUpdates, since the query port serves untrusted
-// clients.
+// dummy to each other — and a PIR query reveals nothing about its
+// index, so no cohort can tell whether it owned the record; a batch
+// sends every cohort an equal-length batch, so even its shape leaks
+// nothing. Per-shard scan work falls by the shard factor; latency is the
+// slowest cohort. Update routes each dirty row to its owning cohort only
+// (updates are public operator actions); servers accept wire updates
+// only with ServerConfig.AllowWireUpdates.
 //
-// Shard when one box's memory bandwidth is the bottleneck (scan-bound,
-// large databases); prefer the scheduler's cross-client coalescing when
-// the bottleneck is query arrival rate on a database that still fits
-// one box. The three levers compose: shards split the scan and bound
-// single-query latency, coalescing shares one pass across clients, and
-// fusion makes wide passes nearly free until the scan turns ALU-bound.
+// Shard when one box's memory bandwidth is the bottleneck; coalesce
+// when query arrival rate is. The levers compose: shards split the
+// scan, coalescing shares one pass across clients, and fusion makes wide
+// passes nearly free until the scan turns ALU-bound.
 //
 // # Keyword retrieval
 //
 // Index-PIR answers "record i"; real workloads ask "the value for key
-// K". Publishing a key→index directory to bridge the gap defeats the
-// purpose: the directory grows with the corpus, must be re-shipped on
-// every update, and hands the full corpus fingerprint to every client.
-// The keyword layer stores pairs in a deterministic seeded k-ary
-// cuckoo hash table instead — each key lives in one of k candidate
-// buckets derived from public hash seeds, overflow spills into a
-// small constant-size stash of tail buckets — serialised into an
-// ordinary DB (one bucket = one record), built with BuildKVDB and
-// described by a KVManifest:
+// K", and a published key→index directory would grow with the corpus
+// and hand its fingerprint to every client. The keyword layer instead
+// stores pairs in a deterministic seeded k-ary cuckoo table — each key
+// in one of k candidate buckets derived from public seeds, overflow in
+// a small constant-size stash — serialised into an ordinary DB (one
+// bucket = one record) by BuildKVDB and described by a KVManifest:
 //
 //	db, manifest, _ := impir.BuildKVDB(pairs, impir.KVTableOptions{})
 //	// … load db into ≥ 2 replicas, serve …
@@ -241,67 +215,53 @@
 //
 // Privacy argument: every lookup retrieves the key's k candidate
 // buckets plus the whole stash in one RetrieveBatch. The probe count
-// k+S is a public constant of the manifest — independent of the key
-// bytes and of whether the key is present — and each PIR sub-query
-// hides which bucket it read, so the servers learn neither the key
-// nor hit/miss; a Get that returns ErrNotFound produced byte-identical
-// wire traffic to a hit. GetBatch fetches n keys as n·k candidate
-// probes plus one shared stash scan, again a shape fixed by public
-// parameters alone. Put and Delete probe with the same constant shape
-// and then rewrite the one affected bucket via the wire-update path
-// (public operator actions, like all updates). On a sharded deployment
-// OpenKV runs the identical probes through a ClusterClient, so every
-// cohort receives an equal-length sub-batch whether or not it owns a
-// probed bucket.
+// k+S is a public constant of the manifest, and each PIR sub-query hides
+// which bucket it read, so the servers learn neither the key nor
+// hit/miss: a miss is byte-identical on the wire to a hit. GetBatch
+// fetches n keys as n·k probes plus one shared stash scan. Put and
+// Delete probe with the same shape, then rewrite the one affected bucket
+// through the wire-update path (a public operator action). On a sharded
+// deployment every cohort receives an equal-length sub-batch whether or
+// not it owns a probed bucket.
 //
 // # Multi-message batches
 //
 // Fusion amortises the scan across a batch, but every server still
-// evaluates B selectors per B-record RetrieveBatch, and every cohort
-// of a sharded deployment still receives B sub-queries. The
-// probabilistic batch code removes that linear factor: each logical
-// record is hashed (public seeds, like the keyword table) into r of C
-// candidate buckets, the servers load the coded database — C bucket
-// subdatabases plus a few overflow slots, concatenated —
+// evaluates B selectors per B-record RetrieveBatch. The probabilistic
+// batch code removes that linear factor: each logical record is hashed
+// (public seeds) into r of C candidate buckets, and the servers load the
+// coded database —
 //
 //	logical record i ── h_1(i), …, h_r(i) ──► r of the C buckets
 //	coded DB = bucket_0 ‖ bucket_1 ‖ … ‖ bucket_{C-1} ‖ overflow
 //
-// and the client plans a batch as a matching of records onto distinct
-// buckets (two-choice hashing makes up to max_batch records match with
-// overwhelming probability). Every batch then costs a CONSTANT
-// C+overflow sub-queries — a real coded row where the matching placed
-// a record, a uniformly random row of the slot's bucket everywhere
-// else — so on a bucket-aligned sharded deployment each cohort
-// receives exactly C/shards+overflow sub-queries however large the
-// batch. A deployment opts in by carrying a batch_code section
-// (Deployment.WithBatchCode; derive the manifest with DeriveBatchCode
-// and load EncodeBatchCode's output on the servers), and Open wraps
-// the topology client in a CodedStore. Servers need no protocol
-// change: coded sub-queries are ordinary PIR queries over the coded
-// row space. Keyword lookups ride the same planner — a KVClient.Get
-// over a coded deployment issues its k+S probes as one coded batch.
+// — while the client plans a batch as a matching of records onto
+// distinct buckets (two-choice hashing matches up to max_batch records
+// with overwhelming probability). Every batch then costs a CONSTANT
+// C+overflow sub-queries — a real coded row where the matching placed a
+// record, a uniform row of the slot's bucket elsewhere — and on
+// bucket-aligned shards each cohort receives exactly C/shards+overflow.
+// A deployment opts in with a batch_code section (WithBatchCode; derive
+// it with DeriveBatchCode and serve EncodeBatchCode's output); Open then
+// plans every RetrieveBatch, keyword probes included, through the code.
+// Coded sub-queries are ordinary PIR queries: no protocol change.
 //
 // WithSideInfoCache adds a client-side LRU of retrieved records whose
-// hits are SPENT, not skipped: a slot whose record the cache already
-// holds still carries a uniform dummy query, so an all-hits batch is
-// byte-identical on the wire to an all-misses batch.
+// hits are SPENT, not skipped: a slot whose record the cache holds still
+// carries a uniform dummy query, so an all-hits batch is byte-identical
+// on the wire to an all-misses batch. Update invalidates the records it
+// rewrites, and a read overtaken by an update is never cached.
 //
-// Privacy argument: the coded query shape — slot count, order, and
-// each slot's index domain — is a function of the public manifest
-// alone, never of the batch's size, content, or cache state. Each
-// sub-query is an ordinary PIR query whose index no server learns;
-// dummies are uniform over the same domain as real rows; which slots
-// were real, dummy, or cache-satisfied exists only client-side. The
-// manifest (geometry and hash seeds) and the max_batch cap are public,
-// and the rare matching-overflow fallback re-exposes only the uncoded
-// B-query shape every deployment already has (counted in
-// StoreStats.CodeFallbacks).
+// Privacy argument: the coded query shape — slot count, order, and each
+// slot's index domain — is a function of the public manifest alone,
+// never of the batch's size, content, or cache state. Dummies are
+// uniform over the same domain as real rows; which slots were real,
+// dummy, or cache-satisfied exists only client-side. The rare
+// matching-overflow fallback re-exposes only the uncoded B-query shape
+// every deployment already has (StoreStats.CodeFallbacks).
 //
-// See the examples/ directory for runnable programs, including network
-// deployments over TCP, live updates under load, a sharded deployment
-// (examples/sharded), and directory-free keyword workloads
-// (examples/credcheck, examples/blocklist).
+// The examples/ directory holds runnable programs; the README lists
+// them.
 package impir
 
 import (

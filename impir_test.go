@@ -185,24 +185,8 @@ func TestNetworkDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s0, s1 := newPair(t, EngineCPU, db)
-	lis0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s0.Serve(lis0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Serve(lis1, 1); err != nil {
-		t.Fatal(err)
-	}
-
 	ctx := context.Background()
-	cli, err := Dial(ctx, []string{s0.Addr().String(), s1.Addr().String()})
+	cli, err := Open(ctx, FlatDeployment(startDeployment(t, db, 2)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,32 +227,9 @@ func TestDialRejectsMismatchedReplicas(t *testing.T) {
 	dbA, _ := GenerateHashDB(128, 1)
 	dbB, _ := GenerateHashDB(128, 2) // different content
 
-	s0, err := NewServer(testServerConfig(EngineCPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s0.Close()
-	s1, err := NewServer(testServerConfig(EngineCPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	if err := s0.Load(dbA); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Load(dbB); err != nil {
-		t.Fatal(err)
-	}
-	lis0, _ := net.Listen("tcp", "127.0.0.1:0")
-	lis1, _ := net.Listen("tcp", "127.0.0.1:0")
-	if err := s0.Serve(lis0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Serve(lis1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Dial(context.Background(), []string{s0.Addr().String(), s1.Addr().String()}); err == nil {
-		t.Fatal("Dial accepted mismatched replicas")
+	addrs := append(startDeployment(t, dbA, 1), startDeployment(t, dbB, 1)...)
+	if _, err := Open(context.Background(), FlatDeployment(addrs...)); err == nil {
+		t.Fatal("Open accepted mismatched replicas")
 	}
 }
 

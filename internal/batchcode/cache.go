@@ -11,11 +11,21 @@ import (
 // real assignment and issues a dummy bucket query in its place — the
 // traffic shape is byte-identical with or without the hit, which is
 // what lets the cache exist without weakening privacy.
+//
+// A record read from the servers may be overtaken by an update before it
+// reaches the cache. Generations keep such a record out: a fetch takes
+// Generation before it reads, and Put drops the record when its index
+// was invalidated since. Invalidation stamps live in a fixed table
+// indexed by index modulo its size, so memory stays bounded however many
+// records are updated; indices sharing a stamp can only drop each
+// other's Puts (a lost cache fill, never a stale one).
 type SideInfoCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recent; values are *cacheEntry
 	entries map[uint64]*list.Element
+	gen     uint64   // advanced by every Invalidate
+	stamps  []uint64 // generation of the last Invalidate per index slot
 }
 
 type cacheEntry struct {
@@ -33,6 +43,7 @@ func NewSideInfoCache(capacity int) *SideInfoCache {
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[uint64]*list.Element, capacity),
+		stamps:  make([]uint64, 4*capacity),
 	}
 }
 
@@ -54,9 +65,21 @@ func (c *SideInfoCache) Get(index uint64) ([]byte, bool) {
 	return out, true
 }
 
-// Put stores a copy of the record, evicting the least recently used
-// entry when full.
-func (c *SideInfoCache) Put(index uint64, rec []byte) {
+// Generation returns the current generation: take it before reading a
+// record from the servers and pass it to Put.
+func (c *SideInfoCache) Generation() uint64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// Put stores a copy of a record read at generation gen, evicting the
+// least recently used entry when full. The record is dropped when its
+// index was invalidated after gen was taken: an update overtook the read.
+func (c *SideInfoCache) Put(index uint64, rec []byte, gen uint64) {
 	if c == nil {
 		return
 	}
@@ -64,6 +87,9 @@ func (c *SideInfoCache) Put(index uint64, rec []byte) {
 	copy(cp, rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.stamps[index%uint64(len(c.stamps))] > gen {
+		return
+	}
 	if el, ok := c.entries[index]; ok {
 		el.Value.(*cacheEntry).rec = cp
 		c.order.MoveToFront(el)
@@ -78,13 +104,16 @@ func (c *SideInfoCache) Put(index uint64, rec []byte) {
 }
 
 // Invalidate drops an entry (the record was updated; stale side
-// information would decode wrong answers).
+// information would decode wrong answers) and advances the generation,
+// so a Put of the record read before this call is dropped.
 func (c *SideInfoCache) Invalidate(index uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
+	c.stamps[index%uint64(len(c.stamps))] = c.gen
 	if el, ok := c.entries[index]; ok {
 		c.order.Remove(el)
 		delete(c.entries, index)

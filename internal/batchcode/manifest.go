@@ -26,11 +26,11 @@
 // augmenting-path repair and constant-shape overflow fallback), and an
 // LRU side-information cache whose hits are spent by swapping a real
 // bucket query for a dummy — the wire shape is identical with or
-// without cache hits. The network store driving coded batches —
-// impir.CodedStore — lives in the root package on top of impir.Client
-// and impir.ClusterClient; this package deliberately stays below it in
-// the dependency order so planners and benchmarks can reason about
-// codes without a network stack.
+// without cache hits. The network client driving coded batches —
+// impir.Client, whose code step this package is — lives in the root
+// package; this package deliberately stays below it in the dependency
+// order so planners and benchmarks can reason about codes without a
+// network stack.
 package batchcode
 
 import (

@@ -170,8 +170,8 @@ func (l *Layout) PlanBatch(indices []uint64, cached func(uint64) bool) (*Plan, b
 }
 
 // RandRow draws a uniform row in [0, n) from crypto/rand — the dummy
-// generator shared with the root package's coded store (single-record
-// cache hits and per-shard overflow dummies draw from it too).
+// generator shared with the root package's client, whose single-record
+// cache hits draw from it too.
 func RandRow(n uint64) (uint64, error) { return randIndex(n) }
 
 // randIndex draws a uniform index in [0, n) from crypto/rand. Dummy

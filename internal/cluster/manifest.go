@@ -16,8 +16,8 @@
 // for flags and config files), a query planner mapping global indices
 // to per-shard sub-query plans, and SplitDB to carve a database into
 // shard replicas. The network client driving every cohort concurrently
-// — impir.ClusterClient — lives in the root package on top of
-// impir.Client; this package deliberately stays below it (and below
+// — impir.Client, whose shard step this planner is — lives in the root
+// package; this package deliberately stays below it (and below
 // internal/bench) in the dependency order, so planners and benchmarks
 // can reason about topologies without a network stack.
 package cluster

@@ -21,59 +21,65 @@ type Plan struct {
 }
 
 // BatchPlan is the per-shard plan for one logical batch retrieval.
-// Every shard receives a batch of exactly len(Owners) local indices —
-// equal-length batches on every cohort, so the batch shape leaks
-// nothing about how the requested records distribute across shards.
+// Every broadcast position sends each shard a sub-query — the real local
+// index to its owner, a random dummy elsewhere — so every cohort receives
+// an equal-length batch whose shape leaks nothing about how the
+// requested records distribute across shards. A local position goes to
+// its owner alone; the caller keeps the shape equal by giving every
+// shard the same number of local positions (a coded batch's bucket
+// slots, with buckets aligned to shards).
 type BatchPlan struct {
 	// Owners[i] is the shard owning the i-th requested record.
 	Owners []int
-	// Locals[s][i] is shard s's local index for batch position i — real
-	// when Owners[i] == s, a random dummy otherwise.
+	// Pos[i] is the i-th record's position in Locals[Owners[i]].
+	Pos []int
+	// Locals[s] is shard s's sub-batch of local indices.
 	Locals [][]uint64
 }
 
-// PlanQuery maps a global record index to its sub-query plan.
+// PlanQuery maps a global record index to its sub-query plan: a
+// one-record PlanBatch.
 func (m Manifest) PlanQuery(global uint64) (Plan, error) {
-	owner, local, err := m.Locate(global)
+	bp, err := m.PlanBatch([]uint64{global}, 0)
 	if err != nil {
 		return Plan{}, err
 	}
-	p := Plan{Owner: owner, Locals: make([]uint64, len(m.Shards))}
-	for s, shard := range m.Shards {
-		if s == owner {
-			p.Locals[s] = local
-			continue
-		}
-		dummy, err := randIndex(shard.NumRecords)
-		if err != nil {
-			return Plan{}, err
-		}
-		p.Locals[s] = dummy
+	p := Plan{Owner: bp.Owners[0], Locals: make([]uint64, len(bp.Locals))}
+	for s, locals := range bp.Locals {
+		p.Locals[s] = locals[0]
 	}
 	return p, nil
 }
 
-// PlanBatch maps a batch of global indices to equal-length per-shard
-// sub-query batches.
-func (m Manifest) PlanBatch(globals []uint64) (BatchPlan, error) {
+// PlanBatch maps a batch of global indices to per-shard sub-batches: the
+// first local indices go to their owning shard alone, every later one is
+// broadcast.
+func (m Manifest) PlanBatch(globals []uint64, local int) (BatchPlan, error) {
 	if len(globals) == 0 {
 		return BatchPlan{}, fmt.Errorf("cluster: empty batch")
 	}
 	bp := BatchPlan{
 		Owners: make([]int, len(globals)),
+		Pos:    make([]int, len(globals)),
 		Locals: make([][]uint64, len(m.Shards)),
 	}
-	for s := range m.Shards {
-		bp.Locals[s] = make([]uint64, len(globals))
-	}
 	for i, g := range globals {
-		p, err := m.PlanQuery(g)
+		owner, l, err := m.Locate(g)
 		if err != nil {
 			return BatchPlan{}, err
 		}
-		bp.Owners[i] = p.Owner
-		for s := range m.Shards {
-			bp.Locals[s][i] = p.Locals[s]
+		bp.Owners[i], bp.Pos[i] = owner, len(bp.Locals[owner])
+		for s, shard := range m.Shards {
+			sub := l
+			if s != owner {
+				if i < local {
+					continue
+				}
+				if sub, err = randIndex(shard.NumRecords); err != nil {
+					return BatchPlan{}, err
+				}
+			}
+			bp.Locals[s] = append(bp.Locals[s], sub)
 		}
 	}
 	return bp, nil

@@ -49,7 +49,7 @@ func TestPlanQueryCoversEveryShard(t *testing.T) {
 func TestPlanBatchEqualShapeAcrossShards(t *testing.T) {
 	m := raggedManifest(t)
 	globals := []uint64{0, 4, 9, 2, 7} // straddles all four shards
-	bp, err := m.PlanBatch(globals)
+	bp, err := m.PlanBatch(globals, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,34 @@ func TestPlanBatchEqualShapeAcrossShards(t *testing.T) {
 	}
 	for i, g := range globals {
 		owner, local, _ := m.Locate(g)
-		if bp.Owners[i] != owner || bp.Locals[owner][i] != local {
+		if bp.Owners[i] != owner || bp.Pos[i] != i || bp.Locals[owner][i] != local {
 			t.Fatalf("batch item %d (global %d) misplanned", i, g)
 		}
 	}
-	if _, err := m.PlanBatch(nil); err == nil {
+	if _, err := m.PlanBatch(nil, 0); err == nil {
 		t.Error("empty batch accepted")
+	}
+
+	// One local position per shard, then a broadcast one: each shard
+	// receives its own local row plus the broadcast row, two in all.
+	globals = []uint64{1, 4, 6, 9, 5}
+	bp, err = m.PlanBatch(globals, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, locals := range bp.Locals {
+		if len(locals) != 2 {
+			t.Fatalf("shard %d got %d sub-queries, want its local row plus the broadcast one", s, len(locals))
+		}
+	}
+	for i, g := range globals {
+		owner, local, _ := m.Locate(g)
+		if bp.Owners[i] != owner || bp.Locals[owner][bp.Pos[i]] != local {
+			t.Fatalf("item %d (global %d) misplanned: owner %d pos %d", i, g, bp.Owners[i], bp.Pos[i])
+		}
+	}
+	if bp.Pos[4] != 1 {
+		t.Fatalf("broadcast row at position %d of its owner, want 1", bp.Pos[4])
 	}
 }
 

@@ -23,7 +23,7 @@
 // engine (pim/cpu/gpu), the scheduler's coalescing, and cluster
 // sharding work unchanged underneath; the network client driving the
 // probes — impir.KVClient — lives in the root package on top of
-// impir.Client and impir.ClusterClient.
+// impir.Client.
 package keyword
 
 import (

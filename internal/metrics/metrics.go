@@ -260,7 +260,7 @@ type SchedulerStats struct {
 }
 
 // ShardStats is one shard cohort's cumulative client-side counters, as
-// maintained by the cluster client. Real and dummy sub-queries are
+// maintained by the client. Real and dummy sub-queries are
 // counted together — they are indistinguishable by construction, which
 // is the whole privacy argument, so a per-kind split cannot exist here
 // without breaking it on the wire anyway.
@@ -341,10 +341,6 @@ type StoreStats struct {
 	CodeFallbacks uint64
 	SideInfoHits  uint64
 }
-
-// ClusterStats is the sharded-deployment name StoreStats grew out of.
-// It remains as an alias: every cluster is a store.
-type ClusterStats = StoreStats
 
 // TotalSubQueries sums the sub-queries issued across every shard.
 func (c StoreStats) TotalSubQueries() uint64 {

@@ -142,7 +142,7 @@ func TestSchedulerStats(t *testing.T) {
 }
 
 func TestClusterStats(t *testing.T) {
-	c := ClusterStats{
+	c := StoreStats{
 		Retrievals:      4,
 		BatchRetrievals: 1,
 		Updates:         2,

@@ -14,7 +14,7 @@ import (
 // Keyword retrieval: the cuckoo-table layer lives in internal/keyword;
 // the root package re-exports it here together with KVClient, the
 // network client that privately looks keys up against any deployment,
-// flat or sharded (OpenKV).
+// flat, sharded, or coded (OpenKV).
 
 // KVManifest describes a keyword table's geometry and hashing: bucket
 // count and capacity, the reserved stash tail, key/value field sizes,
@@ -111,8 +111,8 @@ func newKVClient(store Store, m KVManifest) (*KVClient, error) {
 func (c *KVClient) Manifest() KVManifest { return c.m }
 
 // Store returns the underlying index store the client probes — useful
-// for inspecting topology-specific state (a *CodedStore's batch-code
-// counters, say) without reopening the deployment.
+// for its counters (the batch-code ones, say) without reopening the
+// deployment.
 func (c *KVClient) Store() Store { return c.store }
 
 // ProbesPerKey returns the constant bucket count retrieved per key —
@@ -346,8 +346,8 @@ func (c *KVClient) delete(ctx context.Context, key []byte, opts []CallOption) er
 	return ErrNotFound
 }
 
-// rewrite encodes one bucket's slots and pushes it to every replica
-// (or, through a ClusterClient, to the owning cohort only).
+// rewrite encodes one bucket's slots and pushes it to every replica of
+// the owning shard.
 func (c *KVClient) rewrite(ctx context.Context, bucket uint64, slots []keyword.Slot, opts []CallOption) error {
 	rec, err := c.m.EncodeBucket(slots)
 	if err != nil {

@@ -92,8 +92,8 @@ type ServerConfig struct {
 	// 0 means 64; negative is an error.
 	MaxCoalesce int
 	// AllowWireUpdates accepts MsgUpdate frames from connected network
-	// clients (Client.Update / ClusterClient.Update). OFF by default:
-	// the query port serves untrusted PIR clients, and an unauthorised
+	// clients (Client.Update). OFF by default: the query port serves
+	// untrusted PIR clients, and an unauthorised
 	// update would corrupt records or desynchronise replicas. Enable it
 	// only where the update path is restricted to the database owner
 	// (operator-only listener, network ACLs, or mutual TLS). Local

@@ -3,7 +3,6 @@ package impir
 import (
 	"bytes"
 	"context"
-	"net"
 	"testing"
 )
 
@@ -54,34 +53,15 @@ func TestThreeServerDeploymentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addrs := make([]string, 3)
-	for i := range addrs {
-		srv, err := NewServer(testServerConfig(EngineCPU))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if err := srv.Load(db); err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Serve(lis, uint8(i)); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = srv.Addr().String()
-	}
-
+	addrs := startDeployment(t, db, 3)
 	ctx := context.Background()
-	cli, err := Dial(ctx, addrs)
+	cli, err := Open(ctx, FlatDeployment(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if cli.Servers() != 3 {
-		t.Fatalf("Servers() = %d", cli.Servers())
+	if cli.(*Client).Servers() != 3 {
+		t.Fatalf("Servers() = %d", cli.(*Client).Servers())
 	}
 
 	for _, idx := range []uint64{0, 350, 699} {
@@ -100,30 +80,14 @@ func TestThreeServerDeploymentOverTCP(t *testing.T) {
 
 func TestDialMultiServerValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Dial(ctx, []string{"127.0.0.1:1"}); err == nil {
+	if _, err := Open(ctx, FlatDeployment("127.0.0.1:1")); err == nil {
 		t.Error("single server accepted")
 	}
 	// Mismatched replicas across three servers must be rejected.
 	dbA, _ := GenerateHashDB(128, 1)
 	dbB, _ := GenerateHashDB(128, 2)
-	dbs := []*DB{dbA, dbA, dbB}
-	addrs := make([]string, 3)
-	for i := range addrs {
-		srv, err := NewServer(testServerConfig(EngineCPU))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if err := srv.Load(dbs[i]); err != nil {
-			t.Fatal(err)
-		}
-		lis, _ := net.Listen("tcp", "127.0.0.1:0")
-		if err := srv.Serve(lis, uint8(i)); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = srv.Addr().String()
-	}
-	if _, err := Dial(ctx, addrs); err == nil {
+	addrs := append(startDeployment(t, dbA, 2), startDeployment(t, dbB, 1)...)
+	if _, err := Open(ctx, FlatDeployment(addrs...)); err == nil {
 		t.Fatal("mismatched 3-server replicas accepted")
 	}
 }

@@ -13,10 +13,9 @@ import (
 // Store is the unified client surface of an IM-PIR deployment: one
 // policy-bearing handle over whatever topology the deployment manifest
 // describes — a flat server pair, a sharded cluster, replica sets per
-// party, or any combination. Open returns a Store; the concrete type is
-// *Client for single-shard deployments and *ClusterClient for sharded
-// ones, so topology-specific accessors remain reachable by assertion
-// while ordinary code stays topology-blind.
+// party, a batch code, or any combination. Open returns a Store whose
+// concrete type is always *Client; the interface lets callers and tests
+// substitute their own.
 //
 // Every call accepts per-call options overriding the Open-level
 // defaults: timeouts, hedging, and retry budgets resolve per operation,
@@ -31,7 +30,7 @@ type Store interface {
 	// every replica that holds an affected record.
 	Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error
 	// NumRecords returns the record count the store serves (padded for
-	// flat deployments, exact for sharded ones).
+	// flat deployments, exact for sharded ones, logical for coded ones).
 	NumRecords() uint64
 	// RecordSize returns the record size in bytes.
 	RecordSize() int
@@ -44,11 +43,7 @@ type Store interface {
 // StoreStats is a snapshot of a Store's client-side counters.
 type StoreStats = metrics.StoreStats
 
-// Statically bind both topology clients to the Store surface.
-var (
-	_ Store = (*Client)(nil)
-	_ Store = (*ClusterClient)(nil)
-)
+var _ Store = (*Client)(nil)
 
 // Open connects to a whole deployment described by a unified manifest
 // and returns it as one logical Store. It is the single entry point for
@@ -59,51 +54,37 @@ var (
 //	defer store.Close()
 //	record, _ := store.Retrieve(ctx, 42)
 //
-// A single-shard deployment opens as a *Client (geometry learned from —
-// and, when the manifest declares it, validated against — the server
-// handshake); a multi-shard deployment opens as a *ClusterClient; a
-// deployment declaring a batch_code section opens as a *CodedStore
-// wrapping either, routing RetrieveBatch through the multi-message
-// batch planner (and honouring WithSideInfoCache). Options configure
-// the encoding, TLS, the interceptor chain, and the default per-call
-// policy; per-call options on each operation override those defaults.
-// Deployments whose manifest carries a keyword table still open as an
-// index store here — use OpenKV for the key→value view.
+// Every deployment opens as a *Client: a single shard's geometry is
+// learned from — and, when the manifest declares it, validated against
+// — the server handshake, and a deployment declaring a batch_code
+// section routes RetrieveBatch through the multi-message batch planner
+// (honouring WithSideInfoCache). Options configure the encoding, TLS,
+// the interceptor chain, and the default per-call policy; per-call
+// options on each operation override those defaults. Deployments whose
+// manifest carries a keyword table still open as an index store here —
+// use OpenKV for the key→value view.
 func Open(ctx context.Context, d Deployment, opts ...ClientOption) (Store, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := resolveClientConfig(opts)
+	cfg := clientConfig{encoding: EncodingAuto, defaults: callOptions{hedge: true}}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	if cfg.encoding == nil {
 		return nil, errors.New("impir: nil encoding")
 	}
-	var (
-		inner Store
-		err   error
-	)
-	if d.NumShards() == 1 {
-		inner, err = openFlat(ctx, d.Shards[0], d.RecordSize, cfg)
-	} else {
-		inner, err = openCluster(ctx, d, cfg)
-	}
+	c, err := openClient(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if d.BatchCode == nil {
-		return inner, nil
-	}
-	coded, err := newCodedStore(inner, *d.BatchCode, cfg.sideInfo)
-	if err != nil {
-		inner.Close()
-		return nil, err
-	}
-	return coded, nil
+	return c, nil
 }
 
 // OpenKV opens a deployment whose manifest carries a keyword table and
 // returns the key→value view: a KVClient probing the underlying index
 // Store with the constant-shape cuckoo batches. The deployment may be
-// flat or sharded; the keyword layer composes with either.
+// flat, sharded, or coded; the keyword layer composes with each.
 func OpenKV(ctx context.Context, d Deployment, opts ...ClientOption) (*KVClient, error) {
 	if d.Keyword == nil {
 		return nil, errors.New("impir: deployment manifest carries no keyword table (set Deployment.Keyword or use WithKeyword)")
@@ -133,10 +114,6 @@ type callOptions struct {
 	hedge      bool          // hedge across a party's replica set
 	hedgeDelay time.Duration // floor before the first hedge; 0 = defaultHedgeDelay
 	retries    int           // extra whole-operation attempts on transient failure
-}
-
-func defaultCallOptions() callOptions {
-	return callOptions{hedge: true}
 }
 
 // CallOption adjusts the policy of a single Store operation, overriding
@@ -199,13 +176,11 @@ type BatchInvoker func(ctx context.Context, indices []uint64) ([][]byte, error)
 // BatchInterceptor intercepts RetrieveBatch calls; see UnaryInterceptor.
 type BatchInterceptor func(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error)
 
-// policy is the per-store call engine every topology client shares: the
-// interceptor chain, the default call options, and the retry loop. The
-// topology clients are thin views over it — a flat Client resolves a
-// call and hands the core operation here, a ClusterClient does the same
-// and fans the core out to its per-shard clients with the already
-// resolved options (so interceptors and retries run exactly once per
-// logical operation, never once per shard).
+// policy is the Client's call engine: the interceptor chain, the default
+// call options, and the retry loop. The Client resolves a call and hands
+// the whole pipeline here as the core operation, so interceptors and
+// retries run exactly once per logical operation, never once per shard,
+// party, or coded sub-query.
 type policy struct {
 	unary    []UnaryInterceptor
 	batch    []BatchInterceptor
@@ -308,23 +283,6 @@ func (p *policy) doBatch(ctx context.Context, co callOptions, indices []uint64, 
 		}
 	}
 	return inv(ctx, indices)
-}
-
-// doUpdate runs an Update under the timeout and retry budget. Updates
-// carry no interceptor chain: they are operator actions, not queries.
-func (p *policy) doUpdate(ctx context.Context, co callOptions, core func(ctx context.Context) error) error {
-	return p.withBudget(ctx, co, core)
-}
-
-// countFailure classifies a failed logical operation into a store's
-// error counters: every failure is an Error; one caused by server-side
-// backpressure (a MsgBusy admission reject) is also a Busy, so load
-// generators and operators can tell overload apart from breakage.
-func countFailure(st *metrics.StoreStats, err error) {
-	st.Errors++
-	if errors.Is(err, ErrServerBusy) {
-		st.Busy++
-	}
 }
 
 // fmtParty names a party for error messages, with its replica count

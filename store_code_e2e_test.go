@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"net"
-	"sync/atomic"
+	"sync"
 	"testing"
-	"time"
 
 	"github.com/impir/impir/internal/batchcode"
 )
@@ -42,25 +39,7 @@ func startCodedFlat(t *testing.T, db *DB, code CodeManifest) Deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		srv, err := NewServer(ServerConfig{Engine: EngineCPU, Threads: 2, AllowWireUpdates: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if err := srv.Load(coded.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Serve(lis, uint8(i)); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = srv.Addr().String()
-	}
+	addrs, _ := startShardCohort(t, coded, 2)
 	return FlatDeployment(addrs...).WithBatchCode(code)
 }
 
@@ -79,11 +58,10 @@ func TestCodedStoreFlatE2E(t *testing.T) {
 	d := startCodedFlat(t, db, code)
 
 	store := openFromJSON(t, ctx, d)
-	cs, ok := store.(*CodedStore)
-	if !ok {
-		t.Fatalf("Open returned %T, want *CodedStore", store)
+	if _, ok := store.(*Client); !ok {
+		t.Fatalf("Open returned %T, want *Client", store)
 	}
-	if got := cs.NumRecords(); got != n {
+	if got := store.NumRecords(); got != n {
 		t.Fatalf("NumRecords() = %d, want logical %d", got, n)
 	}
 
@@ -147,8 +125,8 @@ func TestCodedStoreShardedE2E(t *testing.T) {
 	d := DeploymentFromManifest(m).WithBatchCode(code)
 
 	store := openFromJSON(t, ctx, d)
-	if _, ok := store.(*CodedStore); !ok {
-		t.Fatalf("Open returned %T, want *CodedStore", store)
+	if _, ok := store.(*Client); !ok {
+		t.Fatalf("Open returned %T, want *Client", store)
 	}
 
 	perShard := uint64(code.Buckets/shards + code.OverflowSlots)
@@ -174,56 +152,6 @@ func TestCodedStoreShardedE2E(t *testing.T) {
 	}
 }
 
-// countingProxy forwards TCP to backend, counting bytes both ways.
-type countingProxy struct {
-	addr     string
-	toServer atomic.Uint64
-	toClient atomic.Uint64
-}
-
-func startCountingProxy(t *testing.T, backend string) *countingProxy {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	p := &countingProxy{addr: lis.Addr().String()}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", backend)
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			go func() {
-				io.Copy(countWriter{up, &p.toServer}, conn)
-				up.Close()
-			}()
-			go func() {
-				io.Copy(countWriter{conn, &p.toClient}, up)
-				conn.Close()
-			}()
-		}
-	}()
-	return p
-}
-
-type countWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (c countWriter) Write(b []byte) (int, error) {
-	n, err := c.w.Write(b)
-	c.n.Add(uint64(n))
-	return n, err
-}
-
 // TestCodedTrafficShapeSideInfo is the privacy acceptance check: a batch
 // whose every record is served from the side-information cache must put
 // the SAME number of bytes on the wire, in both directions, as the cold
@@ -239,17 +167,14 @@ func TestCodedTrafficShapeSideInfo(t *testing.T) {
 	}
 	d := startCodedFlat(t, db, code)
 
-	// Interpose the counting proxy on party 0.
-	proxy := startCountingProxy(t, d.Shards[0].Parties[0].Replicas[0])
-	d.Shards[0].Parties[0].Replicas[0] = proxy.addr
+	// Interpose the counting tap on party 0.
+	tap := startWireTap(t, d.Shards[0].Parties[0].Replicas[0])
+	d.Shards[0].Parties[0].Replicas[0] = tap.addr
 
 	store := openFromJSON(t, ctx, d, WithSideInfoCache(32))
 
 	indices := []uint64{10, 77, 140, 203}
-	settle := func() (uint64, uint64) {
-		time.Sleep(20 * time.Millisecond)
-		return proxy.toServer.Load(), proxy.toClient.Load()
-	}
+	settle := func() (uint64, uint64) { return tap.n[1].Load(), tap.n[3].Load() }
 
 	// Cold batch: all real, fills the cache.
 	if _, err := store.RetrieveBatch(ctx, indices); err != nil {
@@ -288,7 +213,7 @@ func TestCodedTrafficShapeSideInfo(t *testing.T) {
 			coldUp, coldDown, hotUp, hotDown)
 	}
 	if coldUp == 0 || coldDown == 0 {
-		t.Fatal("proxy counted no traffic; test harness is broken")
+		t.Fatal("tap counted no traffic; test harness is broken")
 	}
 }
 
@@ -322,8 +247,8 @@ func TestCodedKeywordE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if _, ok := kv.Store().(*CodedStore); !ok {
-		t.Fatalf("keyword client probes a %T, want *CodedStore", kv.Store())
+	if _, ok := kv.Store().(*Client); !ok {
+		t.Fatalf("keyword client probes a %T, want *Client", kv.Store())
 	}
 
 	for i := 0; i < 10; i++ {
@@ -415,6 +340,46 @@ func TestCodedStoreUpdate(t *testing.T) {
 		if !bytes.Equal(recs[0], fresh) {
 			t.Fatalf("trial %d: coded batch served a stale copy; Update missed a bucket replica", trial)
 		}
+	}
+}
+
+// TestCodedStoreUpdateRacingRetrieve: an Update that completes after a
+// retrieval read the old record, but before the retrieval filled the
+// side-information cache, must not leave the old record cached. The
+// interceptor runs the Update right after the read returns, which makes
+// that interleaving deterministic.
+func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
+	ctx := context.Background()
+	const n, recordSize, idx = 200, 32, 55
+	db := codedTestDB(t, n, recordSize)
+	code, err := batchcode.Derive(n, recordSize, 4, 2, 1, 8, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := bytes.Repeat([]byte{0xCD}, recordSize)
+	var (
+		store Store
+		once  sync.Once
+	)
+	store = openFromJSON(t, ctx, startCodedFlat(t, db, code), WithSideInfoCache(16),
+		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
+			rec, err := invoke(ctx, index)
+			once.Do(func() {
+				if err := store.Update(ctx, map[uint64][]byte{idx: fresh}); err != nil {
+					t.Error(err)
+				}
+			})
+			return rec, err
+		}))
+	if _, err := store.Retrieve(ctx, idx); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.Retrieve(ctx, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec, fresh) {
+		t.Fatal("Retrieve served the record an Update replaced: a read that raced the Update was cached after it")
 	}
 }
 

@@ -77,7 +77,7 @@ func TestOpenShardedTopologyE2E(t *testing.T) {
 	ctx := context.Background()
 
 	store := openFromJSON(t, ctx, DeploymentFromManifest(m))
-	if _, ok := store.(*ClusterClient); !ok {
+	if _, ok := store.(*Client); !ok {
 		t.Fatalf("sharded deployment opened as %T", store)
 	}
 	for _, idx := range []uint64{0, 299, 300, 599} { // both sides of the shard boundary

@@ -308,7 +308,7 @@ func TestRetryBudget(t *testing.T) {
 	}
 }
 
-// TestClusterInterceptorsRunOncePerLogicalOp: through a ClusterClient
+// TestClusterInterceptorsRunOncePerLogicalOp: on a sharded deployment
 // the interceptor chain and retry accounting wrap the LOGICAL operation
 // — once per Retrieve, not once per shard.
 func TestClusterInterceptorsRunOncePerLogicalOp(t *testing.T) {
@@ -331,7 +331,7 @@ func TestClusterInterceptorsRunOncePerLogicalOp(t *testing.T) {
 	}
 	defer store.Close()
 
-	if _, ok := store.(*ClusterClient); !ok {
+	if _, ok := store.(*Client); !ok {
 		t.Fatalf("multi-shard deployment opened as %T", store)
 	}
 	for _, idx := range []uint64{3, 300, 511} {

@@ -97,7 +97,7 @@ func TestUpdateValidationBeforeEngine(t *testing.T) {
 }
 
 // TestUpdateDesynchronisedReplicasDetected: if only one server applies an
-// update, reconstruction silently corrupts — which is exactly why Dial
+// update, reconstruction silently corrupts — which is exactly why Open
 // compares digests at connect time. Verify the digests diverge.
 func TestUpdateDesynchronisedReplicasDetected(t *testing.T) {
 	db, _ := GenerateHashDB(128, 1)
