@@ -151,23 +151,22 @@
 // across connections, each key checked first so a bad one fails only
 // its sender — expands every DPF key into its selector (a share already
 // is one), then streams the database through the scan hardware once
-// while B XOR accumulators fill. In the memory-bound regime the
-// per-query dpXOR cost falls toward 1/B of a solo scan (on the PIM
-// engine each MRAM chunk crosses the DMA bus once per pass, not once per
-// query; `go run ./benchmark` reports xorop.batch8_gbps against
-// xorop.scan_gbps). SchedulerStats.FusedPasses counts passes wider than
-// one.
+// while B XOR accumulators fill: each MRAM chunk crosses the PIM DMA bus
+// once per pass, and the CPU scan XORs a record once per 8 selectors.
+// `go run ./benchmark` reports xorop.batch8_gbps against
+// xorop.scan_gbps; SchedulerStats.FusedPasses counts fused passes.
 //
 // Privacy argument: fusion changes only the order in which the server
-// combines work it was already sent. Each query in the fused pass
-// contributes exactly the selector share the server would have received
-// and expanded anyway; every share still touches every record (the
+// combines work it was already sent. Each query in the pass contributes
+// exactly the selector share the server would have received and
+// expanded anyway; every share still touches every record (the
 // all-for-one scan), the per-query subresults are computed and returned
-// individually, and no cross-query state outlives the pass. A server
-// that fuses observes precisely what a server that loops observes, so
-// batching leaks nothing beyond what the unbatched protocol already
-// reveals — the arrival times and count of the queries, which the
-// coalescing window exposed regardless.
+// individually, and no cross-query state outlives the pass: the CPU
+// scan's subset table, whose slots mix up to 8 queries, is per-pass
+// scratch. A fusing server observes what a looping one observes, so
+// batching leaks nothing beyond what the unbatched protocol reveals —
+// the queries' arrival times and count, which the coalescing window
+// exposed regardless.
 //
 // # Sharded deployments
 //

@@ -2,6 +2,7 @@ package gpupir
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
@@ -186,5 +187,42 @@ func TestName(t *testing.T) {
 	}
 	if err := eng.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// BenchmarkGridScan4096B8 measures the fused grid dpXOR at the scan_large
+// geometry: 16384 records of 4 KiB, 8 random selectors, the default 128
+// blocks, each of which runs xorop's serial fused kernel on its slice.
+func BenchmarkGridScan4096B8(b *testing.B) {
+	const n, recordSize, batch = 16384, 4096, 8
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, n*recordSize)
+	rng.Read(data)
+	db, err := database.FromFlat(data, recordSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.LoadDatabase(db); err != nil {
+		b.Fatal(err)
+	}
+	sels := make([][]uint64, batch)
+	for q := range sels {
+		v := bitvec.New(n)
+		for i := 0; i < n; i++ {
+			v.SetTo(i, rng.Intn(2) == 1)
+		}
+		sels[q] = v.Words()
+	}
+	b.SetBytes(int64(n * recordSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.gridScan(sels); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,8 +20,9 @@ import (
 // zero padding beyond the caller's records.
 const fuzzRecords = 1500
 
-// passEngines builds one engine of every kind and layout FuzzPass covers,
-// each loaded with the same database.
+// passEngines builds one engine of every kind and layout FuzzPass covers.
+// All load the same 32-byte hash database except the last two, a CPU and
+// a GPU engine over 104-byte records.
 func passEngines(t testing.TB) []Engine {
 	db, err := database.GenerateHashDB(fuzzRecords, 31)
 	if err != nil {
@@ -50,9 +51,24 @@ func passEngines(t testing.TB) []Engine {
 	add(impir.New(pimConfig(1, 4<<20))) // resident
 	add(impir.New(pimConfig(1, 8<<10))) // streaming: a DPU's chunk alone fills its MRAM
 	add(impir.New(pimConfig(2, 4<<20))) // two replica clusters
+	hashEngines := len(engines)
+	// 104-byte records (keyword buckets) give xorop's subset-table scan a
+	// record size that is not a power of two.
+	add(cpupir.New(cpupir.Config{Threads: 4}))
+	add(gpupir.New(gpupir.Config{ThreadBlocks: 7}))
+	wide := make([]byte, fuzzRecords*104)
+	rand.New(rand.NewSource(32)).Read(wide)
+	wideDB, err := database.FromFlat(wide, 104)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]Engine, len(engines))
 	for i, e := range engines {
-		if err := e.LoadDatabase(db); err != nil {
+		load := db
+		if i >= hashEngines {
+			load = wideDB
+		}
+		if err := e.LoadDatabase(load); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = e
@@ -61,12 +77,12 @@ func passEngines(t testing.TB) []Engine {
 }
 
 // FuzzPass is the differential test of the one engine pass: for every
-// engine and layout, keys or shares, and widths 1…70 (beyond the PIM
-// engine's per-cluster fused capacity), Pass must return exactly what
-// the unfused oracle computes — one xorop.Accumulate per selector over
-// the engine's database.
+// engine, layout and record size, keys or shares, and widths 1…70
+// (beyond the PIM engine's per-cluster fused capacity), Pass must return
+// exactly what the unfused oracle computes — one xorop.Accumulate per
+// selector over the engine's database.
 func FuzzPass(f *testing.F) {
-	for e := uint8(0); e < 5; e++ {
+	for e := uint8(0); e < 7; e++ {
 		f.Add(e, uint8(0), false, int64(e))
 		f.Add(e, uint8(69), e%2 == 0, int64(e+10))
 	}

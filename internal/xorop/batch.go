@@ -1,7 +1,7 @@
 package xorop
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -10,10 +10,7 @@ import (
 
 // AccumulateBatch is the fused multi-selector dpXOR kernel: it streams the
 // database ONCE and accumulates all B selector results along the way,
-// turning B independent scans (B× memory traffic) into one scan with B×
-// XOR work. Since the scan is memory-bound on every platform the paper
-// measures, the fused pass costs barely more than a single query until
-// the batch is wide enough to become ALU-bound.
+// turning B independent scans (B× memory traffic) into one scan.
 //
 // accs[q] receives the XOR of every record whose bit is set in sels[q];
 // the same validation rules as Accumulate apply to each selector. The
@@ -22,6 +19,12 @@ import (
 // contiguous range and the partials are folded with XORBytes, so results
 // are bit-identical to B independent Accumulate calls regardless of the
 // worker count.
+//
+// Every record size goes through a subset table (the "Four Russians"
+// trick): selectors are taken in groups of k ≤ 8, and each selected
+// record is XORed once per group, into the table slot named by its k
+// selector bits, instead of once per selector. XOR work per record falls
+// from B/2 record XORs on average to ⌈B/8⌉.
 func AccumulateBatch(accs [][]byte, db []byte, recordSize int, sels [][]uint64) error {
 	return AccumulateBatchWorkers(accs, db, recordSize, sels, runtime.GOMAXPROCS(0))
 }
@@ -40,7 +43,8 @@ func NewAccumulators(n, recordSize int) [][]byte {
 // AccumulateBatchWorkers is AccumulateBatch with an explicit scan-worker
 // count; workers ≤ 1 runs the fused pass serially (the form the engines'
 // per-block executors use inside their own parallel grids), and a lone
-// selector on one worker runs Accumulate's kernel.
+// selector on one worker runs Accumulate's kernel. Each worker allocates
+// its own subset table for the pass; nothing outlives the call.
 func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]uint64, workers int) error {
 	if len(accs) != len(sels) {
 		return fmt.Errorf("xorop: batch has %d accumulators for %d selectors", len(accs), len(sels))
@@ -65,7 +69,7 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 		if len(accs) == 1 {
 			accumulate(accs[0], db, recordSize, sels[0])
 		} else {
-			accumulateBatchRange(accs, db, recordSize, sels, 0, groups)
+			batchRangeTable(accs, db, recordSize, sels, 0, groups)
 		}
 		return nil
 	}
@@ -87,12 +91,8 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			priv := make([][]byte, len(accs))
-			buf := make([]byte, len(accs)*recordSize)
-			for q := range priv {
-				priv[q] = buf[q*recordSize : (q+1)*recordSize]
-			}
-			accumulateBatchRange(priv, db, recordSize, sels, lo, hi)
+			priv := NewAccumulators(len(accs), recordSize)
+			batchRangeTable(priv, db, recordSize, sels, lo, hi)
 			partials[w] = priv
 		}(w, lo, hi)
 	}
@@ -110,161 +110,125 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 	return nil
 }
 
-// accumulateBatchRange runs the fused serial kernel over the 64-record
-// groups [gLo, gHi), dispatching to a record-size-specialised path.
-func accumulateBatchRange(accs [][]byte, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
-	switch {
-	case recordSize == 32:
-		batchRange32(accs, db, sels, gLo, gHi)
-	case recordSize%8 == 0:
-		batchRangeWide(accs, db, recordSize, sels, gLo, gHi)
-	default:
-		batchRangeScalar(accs, db, recordSize, sels, gLo, gHi)
+// The subset table's width k is the largest value the three rules below
+// allow, and at least 1.
+const (
+	// maxGroup caps k at 8, so a record's k selector bits form one byte
+	// of an 8×8 bit transpose.
+	maxGroup = 8
+	// maxTableBytes keeps the 2^k slots cache-resident: 2^8 slots of
+	// 4 KiB records are 1 MiB, within one core's L2.
+	maxTableBytes = 1 << 20
+	// minRecordsPerSlot keeps zeroing and folding the table (about three
+	// slot XORs per slot) small next to the range's record XORs; it
+	// limits the 128-record blocks of a GPU-style grid to k = 4.
+	minRecordsPerSlot = 8
+)
+
+// tableWidth returns k for the selectors left, the worker's range length
+// in records and the record size.
+func tableWidth(selectors, numRecords, recordSize int) int {
+	k := 1
+	for k < maxGroup && k < selectors &&
+		recordSize<<(k+1) <= maxTableBytes &&
+		minRecordsPerSlot<<(k+1) <= numRecords {
+		k++
+	}
+	return k
+}
+
+// batchRangeTable is the subset-table kernel over the 64-record groups
+// [gLo, gHi). For each group of k selectors, every record selected by
+// any of them is XORed, with crypto/subtle.XORBytes, into table[idx],
+// where bit q of idx is the record's bit in the group's selector q. The
+// fold then gives accumulator q the XOR of the slots whose index has bit
+// q set. The table is allocated once per call and zeroed between
+// selector groups.
+func batchRangeTable(accs [][]byte, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
+	numRecords := min(gHi<<6, len(db)/recordSize) - gLo<<6
+	kMax := tableWidth(len(sels), numRecords, recordSize)
+	table := make([]byte, recordSize<<kMax)
+	for q0 := 0; q0 < len(sels); {
+		k := min(kMax, len(sels)-q0)
+		slots := table[:recordSize<<k]
+		if q0 > 0 {
+			clear(slots)
+		}
+		fillTable(slots, db, recordSize, sels[q0:q0+k], gLo, gHi)
+		foldTable(accs[q0:q0+k], slots, recordSize)
+		q0 += k
 	}
 }
 
-// batchRange32 is the fused analogue of accumulate32 for the paper's
-// 32-byte records. Per 64-record group the B selector words are OR-ed so
-// an all-zero group costs one compare; then each stream scans its own
-// word with register-resident lanes — the same inner loop as the solo
-// kernel. The group's records span 2 KB, so streams after the first hit
-// L1: the database crosses DRAM once per pass while per-stream XOR work
-// runs at cache speed.
-func batchRange32(accs [][]byte, db []byte, sels [][]uint64, gLo, gHi int) {
-	le := binary.LittleEndian
-	b := len(sels)
-	lanes := make([]uint64, 4*b)
+// fillTable XORs every record of groups [gLo, gHi) selected by any of
+// the k ≤ 8 selectors into the slot its selector bits index. Per 8
+// records, one transpose8 turns the k selector bytes into the 8 records'
+// indices.
+func fillTable(table, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
+	var words [maxGroup]uint64
 	for w := gLo; w < gHi; w++ {
 		var union uint64
-		for q := 0; q < b; q++ {
-			union |= sels[q][w]
+		for q, s := range sels {
+			words[q] = s[w]
+			union |= s[w]
 		}
 		if union == 0 {
 			continue
 		}
 		base := w << 6
-		for q := 0; q < b; q++ {
-			word := sels[q][w]
-			if word == 0 {
+		for j := 0; j < 64; j += 8 {
+			present := uint8(union >> j)
+			if present == 0 {
 				continue
 			}
-			l := lanes[q*4 : q*4+4 : q*4+4]
-			l0, l1, l2, l3 := l[0], l[1], l[2], l[3]
-			for word != 0 {
-				tz := bits.TrailingZeros64(word)
-				word &= word - 1
-				i := base + tz
-				rec := db[i<<5 : i<<5+32 : i<<5+32]
-				l0 ^= le.Uint64(rec[0:8])
-				l1 ^= le.Uint64(rec[8:16])
-				l2 ^= le.Uint64(rec[16:24])
-				l3 ^= le.Uint64(rec[24:32])
+			var m uint64
+			for q := range sels {
+				m |= (words[q] >> j & 0xff) << (8 * q)
 			}
-			l[0], l[1], l[2], l[3] = l0, l1, l2, l3
+			idx := transpose8(m)
+			for present != 0 {
+				r := bits.TrailingZeros8(present)
+				present &= present - 1
+				slot := int(uint8(idx>>(8*r))) * recordSize
+				i := (base + j + r) * recordSize
+				dst := table[slot : slot+recordSize]
+				subtle.XORBytes(dst, dst, db[i:i+recordSize])
+			}
 		}
 	}
-	for q := 0; q < b; q++ {
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row r is byte r of x:
+// bit c of byte r moves to bit r of byte c (three delta swaps, Hacker's
+// Delight §7-3). Row q holds selector q's bits for 8 records, so byte c
+// of the result is record c's table index.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	x ^= t ^ t<<28
+	return x
+}
+
+// foldTable XORs into accs[q] every slot whose index has bit q set. From
+// the top bit down, accumulator q takes the upper half of the remaining
+// slots, and the upper half is then folded onto the lower half (slots i
+// and i+2^q agree on every lower bit): about 2^(k+1) slot XORs in all,
+// against k·2^(k−1) for summing each accumulator's slots directly. Slot 0
+// (selected by none) is never read.
+func foldTable(accs [][]byte, table []byte, recordSize int) {
+	slot := func(i int) []byte { return table[i*recordSize : (i+1)*recordSize] }
+	for q := len(accs) - 1; q >= 0; q-- {
+		half := 1 << q
 		acc := accs[q]
-		l := lanes[q*4:]
-		le.PutUint64(acc[0:8], le.Uint64(acc[0:8])^l[0])
-		le.PutUint64(acc[8:16], le.Uint64(acc[8:16])^l[1])
-		le.PutUint64(acc[16:24], le.Uint64(acc[16:24])^l[2])
-		le.PutUint64(acc[24:32], le.Uint64(acc[24:32])^l[3])
-	}
-}
-
-// batchRangeWide handles any 8-multiple record size with per-selector
-// word lanes, the fused analogue of accumulateWide.
-func batchRangeWide(accs [][]byte, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
-	le := binary.LittleEndian
-	b := len(sels)
-	words := recordSize / 8
-	lanes := make([]uint64, b*words)
-	for w := gLo; w < gHi; w++ {
-		var union uint64
-		for q := 0; q < b; q++ {
-			union |= sels[q][w]
+		for i := half; i < 2*half; i++ {
+			subtle.XORBytes(acc, acc, slot(i))
 		}
-		if union == 0 {
-			continue
-		}
-		base := w << 6
-		for q := 0; q < b; q++ {
-			word := sels[q][w]
-			if word == 0 {
-				continue
-			}
-			lane := lanes[q*words : (q+1)*words : (q+1)*words]
-			for word != 0 {
-				tz := bits.TrailingZeros64(word)
-				word &= word - 1
-				i := base + tz
-				rec := db[i*recordSize:]
-				j := 0
-				for ; j+4 <= words; j += 4 {
-					lane[j] ^= le.Uint64(rec[j*8:])
-					lane[j+1] ^= le.Uint64(rec[j*8+8:])
-					lane[j+2] ^= le.Uint64(rec[j*8+16:])
-					lane[j+3] ^= le.Uint64(rec[j*8+24:])
-				}
-				for ; j < words; j++ {
-					lane[j] ^= le.Uint64(rec[j*8:])
-				}
-			}
+		for i := 1; i < half; i++ {
+			lo := slot(i)
+			subtle.XORBytes(lo, lo, slot(i+half))
 		}
 	}
-	for q := 0; q < b; q++ {
-		acc := accs[q]
-		lane := lanes[q*words:]
-		for j := 0; j < words; j++ {
-			le.PutUint64(acc[j*8:], le.Uint64(acc[j*8:])^lane[j])
-		}
-	}
-}
-
-// batchRangeScalar is the fused fallback for odd record sizes.
-func batchRangeScalar(accs [][]byte, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
-	b := len(sels)
-	numRecords := len(db) / recordSize
-	for w := gLo; w < gHi; w++ {
-		var union uint64
-		for q := 0; q < b; q++ {
-			union |= sels[q][w]
-		}
-		if union == 0 {
-			continue
-		}
-		base := w << 6
-		for q := 0; q < b; q++ {
-			word := sels[q][w]
-			if word == 0 {
-				continue
-			}
-			acc := accs[q]
-			for word != 0 {
-				tz := bits.TrailingZeros64(word)
-				word &= word - 1
-				i := base + tz
-				if i >= numRecords {
-					continue
-				}
-				rec := db[i*recordSize : (i+1)*recordSize]
-				for j := range acc {
-					acc[j] ^= rec[j]
-				}
-			}
-		}
-	}
-}
-
-// CountOpsBatch reports the XOR byte-operations and bytes touched by a
-// fused AccumulateBatch pass: the database and selector streams are read
-// once, while XOR work scales with the total set bits across selectors.
-// Compare with B× CountOps to see the traffic the fusion saves.
-func CountOpsBatch(recordSize, totalSetBits, numRecords, batch int) (ops, bytesTouched int64) {
-	ops = int64(totalSetBits) * int64(recordSize)
-	// One streaming read of every selected record's bytes (the union is at
-	// most every record) plus B selector streams.
-	bytesTouched = int64(numRecords)*int64(recordSize) + int64(batch)*int64(numRecords)/8
-	return ops, bytesTouched
 }

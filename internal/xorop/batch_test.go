@@ -3,6 +3,7 @@ package xorop
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
@@ -27,8 +28,8 @@ func selectorWords(sels []*bitvec.Vector) [][]uint64 {
 
 // TestAccumulateBatchMatchesIndependent is the core fused-kernel
 // contract: one fused pass must be bit-identical to B independent
-// Accumulate calls, for every record-size dispatch path and for both the
-// serial and parallel partitionings.
+// Accumulate calls, for every record size and table width and for both
+// the serial and parallel partitionings.
 func TestAccumulateBatchMatchesIndependent(t *testing.T) {
 	tests := []struct {
 		numRecords int
@@ -46,6 +47,14 @@ func TestAccumulateBatchMatchesIndependent(t *testing.T) {
 		{500, 1, 2},
 		{64, 32, 16},
 		{4096, 32, 32},
+		// Subset-table geometries: the scan_large database, one
+		// kv_sharded_mixed shard, batches crossing the 8-selector group
+		// edge, and a range too short for a full k = 8 table.
+		{16384, 4096, 8},
+		{12112, 104, 6},
+		{3000, 40, 9},
+		{2500, 24, 17},
+		{200, 64, 8},
 	}
 	for _, tt := range tests {
 		name := fmt.Sprintf("n=%d/rs=%d/B=%d", tt.numRecords, tt.recordSize, tt.batch)
@@ -171,19 +180,46 @@ func TestAccumulateWideZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAccumulateBatchTableAllocs pins the subset-table kernel's
+// allocations: each worker allocates one table per pass, so neither the
+// 64 groups of 64 records per worker nor the three selector groups of a
+// width-17 pass may add any.
+func TestAccumulateBatchTableAllocs(t *testing.T) {
+	const n, recordSize = 4096, 4096
+	db := buildDB(n, recordSize, 9)
+	for _, tt := range []struct{ batch, workers, want int }{
+		{8, 1, 1}, {17, 1, 1}, {8, 2, 12}, {17, 2, 12},
+	} {
+		words := selectorWords(batchSelectors(n, tt.batch, 10))
+		accs := NewAccumulators(tt.batch, recordSize)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := AccumulateBatchWorkers(accs, db, recordSize, words, tt.workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tt.want) {
+			t.Errorf("B=%d workers=%d: %.1f allocations per pass, want ≤ %d",
+				tt.batch, tt.workers, allocs, tt.want)
+		}
+	}
+}
+
 // FuzzAccumulateBatch differentially fuzzes the fused kernel against B
-// independent Accumulate calls over random record sizes, record counts,
-// batch widths, and selector contents — including the tail-bit
-// rejection path.
+// independent Accumulate calls over random record sizes, record counts
+// (up to 256 KiB of records), batch widths 1…33 (across the subset
+// table's 8-selector group edges), worker counts and selector contents
+// — including the tail-bit rejection path.
 func FuzzAccumulateBatch(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(0), uint8(4))
 	f.Add(int64(7), uint16(1), uint8(3), uint8(1))
 	f.Add(int64(99), uint16(400), uint8(5), uint8(9))
+	f.Add(int64(3), uint16(4000), uint8(8), uint8(16))
+	f.Add(int64(5), uint16(63), uint8(9), uint8(32))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, sizeSel, batchRaw uint8) {
-		n := int(nRaw)%500 + 1
-		sizes := []int{1, 8, 13, 24, 32, 40, 64, 96}
+		sizes := []int{1, 8, 13, 24, 32, 40, 64, 96, 104, 4096}
 		recordSize := sizes[int(sizeSel)%len(sizes)]
-		batch := int(batchRaw)%9 + 1
+		n := min(int(nRaw)%4096+1, 256<<10/recordSize)
+		batch := int(batchRaw)%33 + 1
 
 		db := buildDB(n, recordSize, seed)
 		words := selectorWords(batchSelectors(n, batch, seed+17))
@@ -195,7 +231,7 @@ func FuzzAccumulateBatch(f *testing.F) {
 				t.Fatalf("Accumulate[%d]: %v", q, err)
 			}
 		}
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 3} {
 			accs := make([][]byte, batch)
 			for q := range accs {
 				accs[q] = make([]byte, recordSize)
@@ -260,6 +296,20 @@ func BenchmarkAccumulateBatch32B32(b *testing.B) {
 }
 func BenchmarkAccumulateBatch32B8Par(b *testing.B) {
 	benchmarkAccumulateBatch(b, 1<<16, 32, 8, 4, false)
+}
+
+// The subset-table kernel at the benchmark's geometries: one scan_large
+// database (64 MiB of 4 KiB records, batch 8) and one kv_sharded_mixed
+// shard (104-byte bucket records, batch 6), serial and on every core.
+func BenchmarkAccumulateBatch4096B8(b *testing.B) { benchmarkWorkers(b, 16384, 4096, 8) }
+func BenchmarkAccumulateBatch104B6(b *testing.B)  { benchmarkWorkers(b, 12112, 104, 6) }
+
+func benchmarkWorkers(b *testing.B, numRecords, recordSize, batch int) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchmarkAccumulateBatch(b, numRecords, recordSize, batch, workers, false)
+		})
+	}
 }
 
 // BenchmarkAccumulateWideAllocs exists to surface allocs/op (must be 0

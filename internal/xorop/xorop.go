@@ -8,6 +8,13 @@
 // pure Go the equivalent is processing records four 64-bit words (256
 // bits) per loop iteration and consuming selectors a machine word at a
 // time, skipping 64 records per zero word and bit-scanning set words.
+//
+// The fused kernel (AccumulateBatch) answers B selectors in one scan
+// through a subset table: per group of k ≤ 8 selectors, an 8×8 bit transpose turns the selector words into one
+// k-bit index per record, each selected record is XORed once into
+// table[index] with crypto/subtle.XORBytes (assembly on amd64 and
+// arm64), and a fold gives selector q the XOR of the slots whose index
+// has bit q set. A record costs ⌈B/8⌉ XORs instead of B/2 on average.
 package xorop
 
 import (
