@@ -217,7 +217,7 @@ func run() error {
 	log.Printf("replica digest %x", digest[:8])
 
 	// The admin endpoint starts before the query listener so /readyz can
-	// answer 503 during the (potentially long) PIM preload of a restarted
+	// answer 503 during the (potentially long) database load of a restarted
 	// replica — an orchestrator sees "up but not ready", not "down".
 	// Admin serving errors after shutdown are expected (ErrServerClosed);
 	// anything earlier is fatal because an operator relying on probes

@@ -1,7 +1,7 @@
 // Quickstart: two-server PIR in a single process.
 //
 // Builds a 4096-record database, replicates it onto two IM-PIR servers
-// (each with a simulated PIM system), retrieves one record privately, and
+// (each with a modeled PIM system), retrieves one record privately, and
 // shows why neither server learns the query: their individual subresults
 // are pseudorandom, and only their XOR is the record. It then serves the
 // same pair over loopback TCP and repeats the retrieval through the
@@ -42,7 +42,7 @@ func run() error {
 	fmt.Printf("database: %d records × %d bytes\n", db.NumRecords(), db.RecordSize())
 
 	// Two non-colluding servers, each holding a full replica. The zero
-	// ServerConfig is the paper's IM-PIR setup; we shrink the simulated
+	// ServerConfig is the paper's IM-PIR setup; we shrink the modeled
 	// PIM machine so the example runs instantly.
 	cfg := impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16, Tasklets: 8}
 	server0, err := impir.NewServer(cfg)

@@ -21,7 +21,6 @@ package cpupir
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/impir/impir/internal/database"
@@ -137,13 +136,9 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 		total.AddPhase(metrics.PhaseEval, evalWall, evalModeled)
 	}
 
-	// A wide pass scans on at most GOMAXPROCS workers: each worker
-	// allocates its own subset table, so workers beyond the cores cost
-	// allocation and buy no parallelism. The model keeps threads.
-	results := xorop.NewAccumulators(b, e.db.RecordSize())
 	start = time.Now()
-	workers := min(threads, runtime.GOMAXPROCS(0))
-	if err := xorop.AccumulateBatchWorkers(results, e.db.Data(), e.db.RecordSize(), sels, workers); err != nil {
+	results, err := xorop.Scan(e.db.Data(), e.db.RecordSize(), sels, threads)
+	if err != nil {
 		return nil, metrics.BatchStats{}, fmt.Errorf("cpupir: dpXOR: %w", err)
 	}
 	scanWall := time.Since(start)

@@ -2,11 +2,13 @@ package gpupir
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/xorop"
 )
 
 // TestQueryBatchFusedMatchesUnfused: a fused grid scan of width B must
@@ -62,4 +64,81 @@ func TestQueryBatchFusedMatchesUnfused(t *testing.T) {
 			t.Errorf("B=%d: pass reported Fused=%v (keys), %v (shares)", b, statsK.Fused, statsS.Fused)
 		}
 	}
+}
+
+// TestPassMatchesGridScan: the host scan Pass answers with must be
+// byte-equal with the thread-block grid the model describes, for grids
+// that split the selector words evenly, raggedly, or not at all.
+func TestPassMatchesGridScan(t *testing.T) {
+	const numRecords = 3000
+	rng := rand.New(rand.NewSource(7))
+	eng, _ := newLoaded(t, numRecords, Config{})
+	db := eng.Database()
+	for _, blocks := range []int{1, 5, 47, 128} {
+		for _, b := range []int{1, 3, 9} {
+			shares := make([]*bitvec.Vector, b)
+			sels := make([][]uint64, b)
+			for q := range shares {
+				shares[q] = bitvec.New(db.NumRecords())
+				for i := 0; i < db.NumRecords(); i++ {
+					shares[q].SetTo(i, rng.Intn(2) == 1)
+				}
+				sels[q] = shares[q].Words()
+			}
+			got, _, err := eng.Pass(dpf.Batch{Shares: shares})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.gridScan(sels, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := range want {
+				if !bytes.Equal(got[q], want[q]) {
+					t.Fatalf("%d blocks, B=%d, selector %d: pass %x != grid %x", blocks, b, q, got[q][:8], want[q][:8])
+				}
+			}
+		}
+	}
+}
+
+// gridScan is the functional CUDA-style grid dpXOR the model describes,
+// kept as the oracle for Pass's host scan: each thread block streams its
+// contiguous DB slice once and accumulates every selector's partial from
+// it, then a second kernel folds the per-block partials into the B
+// subresults. A lone selector is the classic per-query grid scan. The
+// grid has min(blocks, groups) blocks of 64-record selector-word groups.
+func (e *Engine) gridScan(sels [][]uint64, blocks int) ([][]byte, error) {
+	recordSize := e.db.RecordSize()
+	nq := len(sels)
+	results := xorop.NewAccumulators(nq, recordSize)
+	partials := xorop.NewAccumulators(nq, recordSize)
+	numRecords := e.db.NumRecords()
+	groups := max(numRecords/64, 1) // 64-record selector words
+	blocks = min(blocks, groups)
+	groupsPerBlock := (groups + blocks - 1) / blocks
+	data := e.db.Data()
+	blockSels := make([][]uint64, nq)
+	for lo := 0; lo < groups; lo += groupsPerBlock {
+		hi := min(lo+groupsPerBlock, groups)
+		loRec, hiRec := lo*64, min(hi*64, numRecords)
+		for _, p := range partials {
+			clear(p)
+		}
+		for q := range sels {
+			blockSels[q] = sels[q][lo:hi]
+		}
+		// One serial pass per block — the block IS the parallel grain, so
+		// the kernel below runs with a single worker.
+		if err := xorop.AccumulateBatchWorkers(partials, data[loRec*recordSize:hiRec*recordSize],
+			recordSize, blockSels, 1); err != nil {
+			return nil, fmt.Errorf("gpupir: block at group %d: %w", lo, err)
+		}
+		for q := range results {
+			if err := xorop.XORBytes(results[q], partials[q]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return results, nil
 }

@@ -3,19 +3,21 @@
 //
 // The engine answers every query through the same one pass as the other
 // engines — expand (DPF full-domain evaluation, through dpf's shared
-// front end), then scan (the dpXOR) — with the scan organised the way a
-// CUDA implementation would be: a grid of thread blocks each streaming a
-// contiguous slice of the database once for all B selectors of the
-// pass, followed by a device-wide reduction.
-// Execution is functional (bit-exact, cross-checked against the CPU and
-// PIM engines); durations are modeled on the paper's GPU platform, an
-// NVIDIA GeForce RTX 4090 (§5.2: 24 GB VRAM, 1.01 TB/s memory bandwidth),
-// since no GPU is available to this reproduction.
+// front end), then scan (the dpXOR) — and the scan is the same one host
+// scan too: xorop.Scan, on the host's cores. The modeled scan is a CUDA
+// grid of thread blocks each streaming a contiguous slice of the
+// database once for all B selectors of the pass, followed by a
+// device-wide reduction; any such partition XORs to the same bytes, and
+// the package tests keep a functional grid as the oracle that shows it.
+// Durations are modeled on the paper's GPU platform, an NVIDIA GeForce
+// RTX 4090 (§5.2: 24 GB VRAM, 1.01 TB/s memory bandwidth), since no GPU
+// is available to this reproduction.
 package gpupir
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/impir/impir/internal/database"
@@ -24,12 +26,8 @@ import (
 	"github.com/impir/impir/internal/xorop"
 )
 
-// Config describes the modeled GPU and the execution grid.
+// Config describes the modeled GPU.
 type Config struct {
-	// ThreadBlocks is the number of CUDA-style blocks the dpXOR grid
-	// uses; the functional executor partitions the DB accordingly.
-	// 0 means 128 (one per SM on the RTX 4090).
-	ThreadBlocks int
 	// VRAMBytes is device memory; databases beyond it stream over PCIe.
 	// 0 means 24 GB.
 	VRAMBytes int64
@@ -53,7 +51,6 @@ type Config struct {
 // DefaultConfig returns the §5.2 GPU platform model.
 func DefaultConfig() Config {
 	return Config{
-		ThreadBlocks:    128,
 		VRAMBytes:       24 << 30,
 		VRAMBandwidth:   1.01e12,
 		VRAMEfficiency:  0.70,
@@ -65,9 +62,6 @@ func DefaultConfig() Config {
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.ThreadBlocks == 0 {
-		c.ThreadBlocks = d.ThreadBlocks
-	}
 	if c.VRAMBytes == 0 {
 		c.VRAMBytes = d.VRAMBytes
 	}
@@ -90,9 +84,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.ThreadBlocks < 1 {
-		return fmt.Errorf("gpupir: ThreadBlocks %d must be ≥ 1", c.ThreadBlocks)
-	}
 	if c.VRAMBytes < 1 || c.VRAMBandwidth <= 0 || c.PCIeBandwidth <= 0 || c.AESBlocksPerSec <= 0 {
 		return errors.New("gpupir: hardware constants must be positive")
 	}
@@ -202,8 +193,8 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 // selectors, and download the B subresults. A lone query pays upload and
 // eval in series; once several are in flight, CUDA streams overlap the
 // uploads with on-device eval, so the front end costs the slower of the
-// two. Expansion runs on the host's cores; its duration is modeled on
-// the device.
+// two. Expansion and the scan run on the host's cores; their durations
+// are modeled on the device.
 func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if e.db == nil {
 		return nil, metrics.BatchStats{}, errors.New("gpupir: no database loaded")
@@ -226,9 +217,9 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	evalModeled := time.Duration(len(in.Keys)) * e.cfg.EvalDuration(uint64(n))
 
 	start = time.Now()
-	results, err := e.gridScan(sels)
+	results, err := xorop.Scan(e.db.Data(), e.db.RecordSize(), sels, runtime.GOMAXPROCS(0))
 	if err != nil {
-		return nil, metrics.BatchStats{}, err
+		return nil, metrics.BatchStats{}, fmt.Errorf("gpupir: dpXOR: %w", err)
 	}
 	scanWall := time.Since(start)
 	scanModeled := e.cfg.ScanBatchDuration(e.db.SizeBytes(), b)
@@ -252,45 +243,6 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 		ModeledLatency: frontEnd + scanModeled + download,
 		Fused:          b > 1,
 	}, nil
-}
-
-// gridScan runs the CUDA-style grid dpXOR: each thread block streams its
-// contiguous DB slice once and accumulates every selector's partial from
-// it, then a second kernel folds the per-block partials into the B
-// subresults. A lone selector is the classic per-query grid scan.
-func (e *Engine) gridScan(sels [][]uint64) ([][]byte, error) {
-	recordSize := e.db.RecordSize()
-	nq := len(sels)
-	results := xorop.NewAccumulators(nq, recordSize)
-	partials := xorop.NewAccumulators(nq, recordSize)
-	numRecords := e.db.NumRecords()
-	groups := max(numRecords/64, 1) // 64-record selector words
-	blocks := min(e.cfg.ThreadBlocks, groups)
-	groupsPerBlock := (groups + blocks - 1) / blocks
-	data := e.db.Data()
-	blockSels := make([][]uint64, nq)
-	for lo := 0; lo < groups; lo += groupsPerBlock {
-		hi := min(lo+groupsPerBlock, groups)
-		loRec, hiRec := lo*64, min(hi*64, numRecords)
-		for _, p := range partials {
-			clear(p)
-		}
-		for q := range sels {
-			blockSels[q] = sels[q][lo:hi]
-		}
-		// One serial pass per block — the block IS the parallel grain, so
-		// the kernel below runs with a single worker.
-		if err := xorop.AccumulateBatchWorkers(partials, data[loRec*recordSize:hiRec*recordSize],
-			recordSize, blockSels, 1); err != nil {
-			return nil, fmt.Errorf("gpupir: block at group %d: %w", lo, err)
-		}
-		for q := range results {
-			if err := xorop.XORBytes(results[q], partials[q]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return results, nil
 }
 
 // ApplyUpdates applies a §3.3 bulk update between passes: the host

@@ -4,33 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
+	"github.com/impir/impir/internal/pimkernel"
 	"github.com/impir/impir/internal/xorop"
 )
 
 // Pass answers B queries through the §3.4 pipeline in one pass. Expand:
 // the host evaluates every key (a lone key with all EvalWorkers
 // cooperating on its subtrees, a wider pass one worker per key; shares
-// need no evaluation). Scan: the selectors split into fused groups of the
-// cluster batch capacity, assigned to the clusters in turn from a
-// round-robin start so concurrent passes fan out, and each group runs as
-// one dpXOR launch sequence — one database pass for the whole group.
+// need no evaluation). Scan: xorop.Scan, the one fused host dpXOR every
+// engine answers with, on the host's threads, computes every answer.
 //
 // The returned stats carry the measured wall-clock latency and the
-// modeled makespan on the paper's hardware. The makespan replays Fig. 8:
-// each group enters its cluster once its members' evaluations would have
-// finished on W eval workers and the cluster is free, so the model keeps
-// the eval ‖ scan overlap the paper's pipeline has even though the
-// simulator expands first.
+// modeled makespan on the paper's hardware. The model splits the
+// selectors into fused groups of the cluster batch width, assigned to
+// the clusters in turn from a round-robin start so concurrent passes fan
+// out; pimkernel.ReplayCost prices each group as one dpXOR launch
+// sequence — one database pass for the whole group. The makespan replays
+// Fig. 8: each group enters its cluster once its members' evaluations
+// would have finished on W eval workers and the cluster is free, so the
+// model keeps the eval ‖ scan overlap the paper's pipeline has even
+// though the host expands first.
 func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if e.db == nil {
 		return nil, metrics.BatchStats{}, errors.New("impir: no database loaded")
 	}
 	b := in.Len()
+	recordSize := e.db.RecordSize()
 	start := time.Now()
 	sels, err := in.Expand(e.domain, e.cfg.EvalWorkers, dpf.StrategySubtree) // the paper's choice (§3.2)
 	if err != nil {
@@ -51,49 +54,47 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 		total.AddPhase(metrics.PhaseEval, evalWall, time.Duration(b)*d)
 	}
 
-	// Chunks of the cluster batch capacity, taking the clusters in turn.
-	width := e.clusters[0].maxBatch
+	scanStart := time.Now()
+	results, err := xorop.Scan(e.db.Data(), recordSize, sels, e.cfg.Host.Threads)
+	if err != nil {
+		return nil, metrics.BatchStats{}, fmt.Errorf("impir: dpXOR: %w", err)
+	}
+	total.AddPhase(metrics.PhaseDpXOR, time.Since(scanStart), 0)
+
+	// Each group occupies the cluster it is assigned from the moment its
+	// members' evaluations are done and that cluster is free.
+	width := e.width
 	groups := (b + width - 1) / width
 	first := int(e.rr.Add(uint64(groups)) - uint64(groups))
-	clusterOf := func(g int) int { return (first + g) % len(e.clusters) }
-	results := xorop.NewAccumulators(b, e.db.RecordSize())
-	bds := make([]metrics.Breakdown, groups)
-	errs := make([]error, groups)
-	var wg sync.WaitGroup
-	for g := range groups {
-		lo, hi := g*width, min((g+1)*width, b)
-		c := e.clusters[clusterOf(g)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bds[g], errs[g] = e.runGroup(c, sels[lo:hi], results[lo:hi])
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if err := errors.Join(errs...); err != nil {
-		return nil, metrics.BatchStats{}, err
-	}
-
-	// Each group occupies the cluster it ran on from the moment its
-	// members' evaluations are done and that cluster is free.
 	ready := evalReadyTimes(EvalPerKeyWorkers, e.cfg.EvalWorkers, evalDur)
 	clusterFree := make([]time.Duration, len(e.clusters))
 	var makespan time.Duration
-	for g, bd := range bds {
-		total.Add(bd)
-		c := clusterOf(g)
-		start := clusterFree[c]
-		for _, r := range ready[g*width : min((g+1)*width, b)] {
-			start = max(start, r)
+	for g := range groups {
+		lo, hi := g*width, min((g+1)*width, b)
+		c := (first + g) % len(e.clusters)
+		passes, err := pimkernel.ReplayCost(e.cfg.PIM, e.clusters[c], sels[lo:hi])
+		if err != nil {
+			return nil, metrics.BatchStats{}, fmt.Errorf("impir: %w", err)
 		}
-		clusterFree[c] = start + bd.TotalModeled()
+		var bd metrics.Breakdown
+		for _, p := range passes {
+			bd.AddPhase(metrics.PhaseCopyToPIM, 0, p.Stage.Modeled+p.Scatter.Modeled)
+			bd.AddPhase(metrics.PhaseDpXOR, 0, p.Launch.Modeled)
+			bd.AddPhase(metrics.PhaseCopyToHost, 0, p.Gather.Modeled)
+			bd.AddPhase(metrics.PhaseAggregate, 0, e.cfg.Host.XORFoldDuration(p.Folds, recordSize))
+		}
+		total.Add(bd)
+		at := clusterFree[c]
+		for _, r := range ready[lo:hi] {
+			at = max(at, r)
+		}
+		clusterFree[c] = at + bd.TotalModeled()
 		makespan = max(makespan, clusterFree[c])
 	}
 	return results, metrics.BatchStats{
 		Queries:        b,
 		PerQuery:       total.Scale(b),
-		WallLatency:    wall,
+		WallLatency:    time.Since(start),
 		ModeledLatency: makespan,
 		Fused:          b > 1,
 	}, nil

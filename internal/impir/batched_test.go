@@ -24,11 +24,11 @@ func TestBatchedModeEndToEnd(t *testing.T) {
 	e0, db := newLoadedEngine(t, batchedConfig(), numRecords)
 	e1, _ := newLoadedEngine(t, batchedConfig(), numRecords)
 
-	if e0.clusters[0].resident {
+	if e0.clusters[0].Resident() {
 		t.Fatal("engine did not enter batched mode")
 	}
-	if e0.clusters[0].passes < 2 {
-		t.Fatalf("passes = %d, want ≥ 2", e0.clusters[0].passes)
+	if e0.clusters[0].Passes() < 2 {
+		t.Fatalf("passes = %d, want ≥ 2", e0.clusters[0].Passes())
 	}
 
 	for _, idx := range []uint64{0, 63, 64, 2047, numRecords - 1} {

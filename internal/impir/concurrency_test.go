@@ -9,8 +9,8 @@ import (
 )
 
 // TestConcurrentSingleQueries hits one engine with parallel Query calls,
-// as concurrent transport connections do. Cluster serialisation must make
-// this safe and correct.
+// as concurrent transport connections do. A pass only reads the engine's
+// database and layout, so this must be safe and correct.
 func TestConcurrentSingleQueries(t *testing.T) {
 	for _, clusters := range []int{1, 2} {
 		eng, db := newLoadedEngine(t, testConfig(clusters), 512)
@@ -53,7 +53,7 @@ func TestConcurrentSingleQueries(t *testing.T) {
 }
 
 // TestConcurrentBatches: two concurrent batches on the same engine must
-// both succeed — clusters serialise rather than double-book launches.
+// both succeed, sharing the database and the round-robin cluster start.
 func TestConcurrentBatches(t *testing.T) {
 	eng, db := newLoadedEngine(t, testConfig(2), 512)
 	mkKeys := func(off int) []*dpf.Key {

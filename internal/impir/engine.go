@@ -9,27 +9,30 @@
 // root wires this together).
 //
 // Every query runs as one pass (§3.4, Fig. 8): expand (host-side DPF
-// evaluation through dpf's shared front end, Alg. 1 ➋), then scan — fused
-// groups of up to maxBatch selectors scattered to a DPU cluster, one
-// dpXOR launch per group, subresults gathered and folded on the host
-// (➌–➏). The DPUs form a single cluster holding the database sharded
-// across all of them, or C clusters each holding a full replica, over
-// which a pass's groups fan out.
+// evaluation through dpf's shared front end, Alg. 1 ➋), then scan. The
+// answer bytes come from one host scan — xorop.Scan, the fused dpXOR
+// every engine answers with, over the engine's copy of the database —
+// which computes exactly the XOR of
+// selected records that the DPUs' subresults fold to. The cost comes from
+// pimkernel.ReplayCost: the selectors split into fused groups of up to
+// the cluster batch width, and each group is priced as the selector
+// scatter, one dpXOR launch, the subresult gather and the host fold
+// (➌–➏) that the tasklet simulator charges for it on a DPU cluster. The
+// simulator itself runs in pimkernel's tests, as the oracle the replay
+// is held to. The DPUs form a single cluster holding the database
+// sharded across all of them, or C clusters each holding a full replica,
+// over which a pass's groups fan out.
 package impir
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/hostmodel"
-	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/pimkernel"
-	"github.com/impir/impir/internal/xorop"
 )
 
 // Config configures an IM-PIR engine.
@@ -105,59 +108,30 @@ func (c Config) validate() error {
 	return errors.Join(errs...)
 }
 
-// cluster is one group of DPUs holding a complete database replica (or,
-// in batched mode, streaming through it pass by pass).
-type cluster struct {
-	id     int
-	dpuIDs []int
-	// recordsPerDPU is B_d: each DPU's share of the database in records,
-	// a multiple of 64 so selector words never straddle DPUs.
-	recordsPerDPU int
-	// layout offsets (identical on every DPU of the cluster).
-	selOffset int
-	outOffset int
-	// maxBatch is the widest fused batch one DPXOR launch on this cluster
-	// carries (bounded by per-DPU WRAM and the MRAM selector/output
-	// regions sized at load time). 1 means fusion is unavailable.
-	maxBatch int
-	// resident is true when the whole chunk fits in MRAM and was
-	// preloaded (the paper's default "one-shot" mode, §3.3). When false,
-	// queries stream the database through MRAM in `passes` batches of
-	// perPassRecords records per DPU — the §3.3 adaptation for databases
-	// beyond the machine's PIM capacity.
-	resident       bool
-	passes         int
-	perPassRecords int
-	// mu serialises use of the cluster's DPUs: hardware executes one
-	// kernel per DPU at a time, so concurrent queries (e.g. from
-	// concurrent transport connections) queue here rather than
-	// double-booking a launch.
-	mu sync.Mutex
-}
-
-// Engine is an IM-PIR server engine. Passes may run concurrently; cluster
-// access is serialised internally the way real hardware serialises
-// kernel launches.
+// Engine is an IM-PIR server engine. Passes may run concurrently: each
+// only reads the database, and its modeled makespan charges the clusters
+// as if the pass had them to itself.
 type Engine struct {
-	cfg      Config
-	sys      *pim.System
-	db       *database.DB // padded to a power of two
-	domain   int
-	clusters []*cluster
-	rr       atomic.Uint64 // round-robin first cluster of each pass
+	cfg    Config
+	db     *database.DB // padded to a power of two
+	domain int
+	// clusters lay the database out on the DPUs: the whole of it per
+	// cluster, sharded across the cluster's DPUs in 64-record multiples.
+	clusters []pimkernel.Geometry
+	// width is the widest fused group one dpXOR launch carries, bounded
+	// by per-DPU WRAM and the MRAM selector/output regions sized at load
+	// time. 1 means fusion is unavailable.
+	width int
+	rr    atomic.Uint64 // round-robin first cluster of each pass
 }
 
-// New builds an engine and its simulated PIM system.
+// New builds an engine for the configured PIM machine.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sys, err := pim.NewSystem(cfg.PIM)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{cfg: cfg, sys: sys}, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Name identifies the engine in benchmark reports.
@@ -166,16 +140,14 @@ func (e *Engine) Name() string { return "IM-PIR" }
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// System exposes the underlying PIM system (tests and the roofline
-// instrumentation use it).
-func (e *Engine) System() *pim.System { return e.sys }
-
 // Database returns the loaded (padded) database, or nil.
 func (e *Engine) Database() *database.DB { return e.db }
 
-// LoadDatabase shards the database across every cluster's DPUs and
-// preloads the chunks into MRAM (§3.3 "Database preloading"). Preloading
-// is a one-time cost excluded from query latency, as in the paper (§5.1).
+// LoadDatabase lays the database out across every cluster's DPUs: each
+// DPU's share, the fused batch width, and whether the chunks stay
+// resident in MRAM (§3.3 "Database preloading", a one-time cost excluded
+// from query latency as in the paper, §5.1) or stream through it pass by
+// pass. The engine keeps the database on the host, where passes scan it.
 func (e *Engine) LoadDatabase(db *database.DB) error {
 	if db == nil {
 		return errors.New("impir: nil database")
@@ -213,7 +185,6 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 			break
 		}
 	}
-	passes := 1
 	if !resident {
 		for b := wramBatch; b >= 1; b-- {
 			if fit := maxRecordsFitting(e.cfg.PIM.MRAMPerDPU, recordSize, b); fit >= 64 {
@@ -226,42 +197,22 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 			return fmt.Errorf("impir: MRAM of %d bytes cannot hold even one 64-record batch of %d-byte records",
 				e.cfg.PIM.MRAMPerDPU, recordSize)
 		}
-		passes = (recordsPerDPU + perPass - 1) / perPass
 	}
 
-	// MRAM layout: [db chunk | maxBatch selector streams | maxBatch
-	// subresults], 8-aligned.
-	selOffset := align8(perPass * recordSize)
-	outOffset := align8(selOffset + maxBatch*perPass/8)
-
-	clusters := make([]*cluster, e.cfg.Clusters)
+	clusters := make([]pimkernel.Geometry, e.cfg.Clusters)
 	for ci := range clusters {
-		c := &cluster{
-			id:             ci,
-			dpuIDs:         make([]int, dpusPerCluster),
-			recordsPerDPU:  recordsPerDPU,
-			selOffset:      selOffset,
-			outOffset:      outOffset,
-			maxBatch:       maxBatch,
-			resident:       resident,
-			passes:         passes,
-			perPassRecords: perPass,
+		clusters[ci] = pimkernel.Geometry{
+			FirstDPU:      ci * dpusPerCluster,
+			DPUs:          dpusPerCluster,
+			RecordSize:    recordSize,
+			RecordsPerDPU: recordsPerDPU,
+			PassRecords:   perPass,
 		}
-		for i := 0; i < dpusPerCluster; i++ {
-			dpuID := ci*dpusPerCluster + i
-			c.dpuIDs[i] = dpuID
-			if resident {
-				if err := e.sys.Preload(dpuID, 0, dbSlice(padded, i*recordsPerDPU, recordsPerDPU)); err != nil {
-					return fmt.Errorf("impir: preload cluster %d dpu %d: %w", ci, i, err)
-				}
-			}
-		}
-		clusters[ci] = c
 	}
-
 	e.db = padded
 	e.domain = padded.Domain()
 	e.clusters = clusters
+	e.width = maxBatch
 	return nil
 }
 
@@ -286,163 +237,8 @@ func maxRecordsFitting(mram, recordSize, batch int) int {
 	return lo * 64
 }
 
-// dbSlice returns the flat bytes for `count` records starting at the
-// given global record index, zero-padded past the end of the database.
-func dbSlice(db *database.DB, startRecord, count int) []byte {
-	recordSize := db.RecordSize()
-	data := db.Data()
-	start := startRecord * recordSize
-	want := count * recordSize
-	if start >= len(data) {
-		return make([]byte, want)
-	}
-	if start+want <= len(data) {
-		return data[start : start+want]
-	}
-	out := make([]byte, want)
-	copy(out, data[start:])
-	return out
-}
-
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// selectorFlat packs a selector into flat little-endian bytes padded to
-// the cluster's full capacity (|DPUs|·B_d bits), so both resident chunks
-// and batched pass-slices are simple sub-slices.
-func (c *cluster) selectorFlat(words []uint64) []byte {
-	flat := make([]byte, len(c.dpuIDs)*c.recordsPerDPU/8)
-	for i, w := range words {
-		off := i * 8
-		flat[off] = byte(w)
-		flat[off+1] = byte(w >> 8)
-		flat[off+2] = byte(w >> 16)
-		flat[off+3] = byte(w >> 24)
-		flat[off+4] = byte(w >> 32)
-		flat[off+5] = byte(w >> 40)
-		flat[off+6] = byte(w >> 48)
-		flat[off+7] = byte(w >> 56)
-	}
-	return flat
-}
-
-// runGroup executes the PIM phases of a FUSED group of up to c.maxBatch
-// queries on one cluster: scatter every selector (➌), launch ONE dpXOR
-// kernel carrying all the group's selector streams (➍), gather the
-// per-stream subresults (➎), and XOR-fold them on the host into out (➏),
-// one zeroed record per selector. In batched mode (database beyond MRAM
-// capacity) the database itself is also streamed through MRAM — once per
-// pass for the whole group, which is the fusion's biggest win: the
-// queries share each chunk's DMA instead of restaging it per query.
-// Returns the group's combined per-phase breakdown.
-func (e *Engine) runGroup(c *cluster, sels [][]uint64, out [][]byte) (metrics.Breakdown, error) {
-	var bd metrics.Breakdown
-	nq := len(sels)
-	if nq > c.maxBatch {
-		return bd, fmt.Errorf("impir: fused group of %d exceeds cluster batch capacity %d", nq, c.maxBatch)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	recordSize := e.db.RecordSize()
-	flatSels := make([][]byte, nq)
-	for q, sel := range sels {
-		flatSels[q] = c.selectorFlat(sel)
-	}
-
-	selChunks := make([][]byte, len(c.dpuIDs))
-	var dbChunks [][]byte
-	if !c.resident {
-		dbChunks = make([][]byte, len(c.dpuIDs))
-	}
-
-	for pass := 0; pass < c.passes; pass++ {
-		passBase := pass * c.perPassRecords
-		passRecords := c.perPassRecords
-		if passBase+passRecords > c.recordsPerDPU {
-			// Final pass covers the tail of each DPU's share (both are
-			// 64-multiples, so the clamp stays kernel-aligned).
-			passRecords = c.recordsPerDPU - passBase
-		}
-		argBlock := pimkernel.DPXORArgs{
-			DBOffset:     0,
-			NumRecords:   uint64(passRecords),
-			RecordSize:   uint64(recordSize),
-			SelOffset:    uint64(c.selOffset),
-			OutOffset:    uint64(c.outOffset),
-			NumSelectors: uint64(nq),
-		}.Marshal()
-		args := make([][]byte, len(c.dpuIDs))
-		selStride := passRecords / 8
-		for i := range c.dpuIDs {
-			recStart := i*c.recordsPerDPU + passBase
-			selStart := recStart / 8
-			args[i] = argBlock
-			// The kernel reads stream q at SelOffset + q×(passRecords/8);
-			// pack each DPU's B per-pass selector slices back to back so
-			// one scatter stages the whole group.
-			combined := make([]byte, nq*selStride)
-			for q := range flatSels {
-				copy(combined[q*selStride:], flatSels[q][selStart:selStart+selStride])
-			}
-			selChunks[i] = combined
-			if !c.resident {
-				dbChunks[i] = dbSlice(e.db, recStart, passRecords)
-			}
-		}
-
-		// Batched mode only: stage this pass's database chunks ONCE for
-		// the whole fused group (§3.3's adaptation; in resident mode the
-		// DB was preloaded for free).
-		if !c.resident {
-			start := time.Now()
-			cost, err := e.sys.Scatter(c.dpuIDs, 0, dbChunks)
-			if err != nil {
-				return bd, fmt.Errorf("impir: stage DB pass %d: %w", pass, err)
-			}
-			bd.AddPhase(metrics.PhaseCopyToPIM, time.Since(start), cost.Modeled)
-		}
-
-		// ➌ scatter the group's selector chunks.
-		start := time.Now()
-		scatterCost, err := e.sys.Scatter(c.dpuIDs, c.selOffset, selChunks)
-		if err != nil {
-			return bd, fmt.Errorf("impir: scatter: %w", err)
-		}
-		bd.AddPhase(metrics.PhaseCopyToPIM, time.Since(start), scatterCost.Modeled)
-
-		// ➍ one dpXOR kernel launch carrying all B selector streams.
-		start = time.Now()
-		launchCost, err := e.sys.Launch(c.dpuIDs, pimkernel.DPXOR{}, args)
-		if err != nil {
-			return bd, fmt.Errorf("impir: dpXOR launch: %w", err)
-		}
-		bd.AddPhase(metrics.PhaseDpXOR, time.Since(start), launchCost.Modeled)
-
-		// ➎ gather the per-DPU, per-stream subresults in one transfer.
-		start = time.Now()
-		subresults, gatherCost, err := e.sys.Gather(c.dpuIDs, c.outOffset, nq*recordSize)
-		if err != nil {
-			return bd, fmt.Errorf("impir: gather: %w", err)
-		}
-		bd.AddPhase(metrics.PhaseCopyToHost, time.Since(start), gatherCost.Modeled)
-
-		// ➏ aggregate on the host, per stream.
-		start = time.Now()
-		for _, sub := range subresults {
-			for q := range out {
-				if err := xorop.XORBytes(out[q], sub[q*recordSize:(q+1)*recordSize]); err != nil {
-					return bd, fmt.Errorf("impir: aggregate: %w", err)
-				}
-			}
-		}
-		bd.AddPhase(metrics.PhaseAggregate, time.Since(start),
-			e.cfg.Host.XORFoldDuration(nq*len(subresults), recordSize))
-	}
-
-	return bd, nil
-}
-
-// Close releases the engine. (The simulator has no external resources;
-// Close exists for API symmetry with real deployments.)
+// Close releases the engine. (It holds no external resources; Close
+// exists for API symmetry with real deployments.)
 func (e *Engine) Close() error { return nil }

@@ -298,11 +298,11 @@ func TestValidation(t *testing.T) {
 		if err := eng.LoadDatabase(db); err != nil {
 			t.Fatalf("LoadDatabase should stream oversized DBs (§3.3): %v", err)
 		}
-		if eng.clusters[0].resident {
+		if eng.clusters[0].Resident() {
 			t.Fatal("oversized DB loaded as resident")
 		}
-		if eng.clusters[0].passes < 2 {
-			t.Fatalf("passes = %d, want ≥ 2", eng.clusters[0].passes)
+		if eng.clusters[0].Passes() < 2 {
+			t.Fatalf("passes = %d, want ≥ 2", eng.clusters[0].Passes())
 		}
 	})
 }
@@ -343,9 +343,7 @@ func TestClusterThroughputImproves(t *testing.T) {
 		cfg := testConfig(clusters)
 		cfg.EvalWorkers = 8
 		eng, db := newLoadedEngine(t, cfg, 2048)
-		for _, c := range eng.clusters {
-			c.maxBatch = capacity // MRAM was laid out for the wider batch
-		}
+		eng.width = capacity // MRAM was laid out for the wider batch
 		_, stats, err := eng.Pass(dpf.Batch{Keys: keysFor(db.Domain())})
 		if err != nil {
 			t.Fatal(err)

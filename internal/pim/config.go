@@ -16,6 +16,13 @@
 //     local wall-clock, since the point of the paper is how the algorithm
 //     behaves on PIM hardware constants, not on the simulating host.
 //
+// The serving path does not run it. The IM-PIR engine answers with one
+// host scan and prices the pass with pimkernel.ReplayCost, which charges
+// each phase what this simulator charges from the geometry and selector
+// words alone; the simulator running the dpXOR kernel is the oracle the
+// pimkernel tests hold that replay to, byte for byte and nanosecond for
+// nanosecond. Ablation A7's Stream kernel still runs here.
+//
 // The paper's machine — 20 modules / 2560 DPUs at 350 MHz, of which 2048
 // are used — is DefaultConfig. Tests use small topologies.
 package pim

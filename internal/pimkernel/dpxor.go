@@ -1,18 +1,20 @@
-// Package pimkernel contains the DPU programs IM-PIR launches on the
-// simulated UPMEM system. The central kernel is DPXOR: the selective-XOR
+// Package pimkernel holds IM-PIR's DPU programs for the simulated UPMEM
+// system and the cost model of the central one, dpXOR: the selective-XOR
 // scan of a DPU's database chunk with two-stage parallel reduction across
 // tasklets (Algorithm 1, lines 28–45, and §3.3 of the paper).
+//
+// Where bytes and cost come from: an engine answers a pass with one host
+// scan (xorop), which computes exactly what the DPUs would, and prices it
+// with ReplayCost, which charges each phase what the tasklet simulator
+// charges from the geometry and the selector words alone. The dpXOR
+// kernel itself — real Go tasklets on pim.System, the executable
+// statement of Algorithm 1 — lives in this package's tests as the oracle
+// that FuzzReplayCost holds the replay to, answer bytes and cost alike.
+// Stream, the bandwidth probe behind ablation A7, still runs on the
+// simulator.
 package pimkernel
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math/bits"
-
-	"github.com/impir/impir/internal/pim"
-	"github.com/impir/impir/internal/xorop"
-)
+import "github.com/impir/impir/internal/pim"
 
 // Per-record instruction estimates for the DPU timing model, in DPU
 // instructions (≈ cycles at saturated pipeline occupancy). The DPU is a
@@ -31,87 +33,10 @@ const (
 	cyclesPerWordXOR = 24
 )
 
-// DPXORArgs is the per-DPU argument block of the DPXOR kernel. Offsets
-// are MRAM byte offsets within the executing DPU.
-type DPXORArgs struct {
-	// DBOffset is where this DPU's database chunk begins.
-	DBOffset uint64
-	// NumRecords is the number of records in this DPU's chunk.
-	NumRecords uint64
-	// RecordSize is the record size in bytes (multiple of 8, ≤ 2048).
-	RecordSize uint64
-	// SelOffset is where the packed selector bits for the chunk begin.
-	SelOffset uint64
-	// OutOffset is where the master tasklet writes the chunk subresults
-	// (NumSelectors × RecordSize bytes, one per selector stream).
-	OutOffset uint64
-	// NumSelectors is the number of fused selector streams this launch
-	// carries (the batch width B). Stream q's packed bits live at
-	// SelOffset + q×(NumRecords/8) and its subresult is written to
-	// OutOffset + q×RecordSize. 0 means 1 (a pre-fusion argument block).
-	NumSelectors uint64
-}
-
 // MaxSelectorsPerLaunch bounds the fused batch width one DPXOR launch
 // accepts; real WRAM capacity binds far earlier for most record sizes
 // (see MaxFusedSelectors).
 const MaxSelectorsPerLaunch = 64
-
-const argsSize = 6 * 8
-
-// batch returns the effective selector-stream count (≥ 1).
-func (a DPXORArgs) batch() int {
-	if a.NumSelectors == 0 {
-		return 1
-	}
-	return int(a.NumSelectors)
-}
-
-// Marshal encodes the argument block for pim.System.Launch.
-func (a DPXORArgs) Marshal() []byte {
-	out := make([]byte, argsSize)
-	binary.LittleEndian.PutUint64(out[0:], a.DBOffset)
-	binary.LittleEndian.PutUint64(out[8:], a.NumRecords)
-	binary.LittleEndian.PutUint64(out[16:], a.RecordSize)
-	binary.LittleEndian.PutUint64(out[24:], a.SelOffset)
-	binary.LittleEndian.PutUint64(out[32:], a.OutOffset)
-	binary.LittleEndian.PutUint64(out[40:], uint64(a.batch()))
-	return out
-}
-
-func parseArgs(raw []byte) (DPXORArgs, error) {
-	if len(raw) != argsSize {
-		return DPXORArgs{}, fmt.Errorf("pimkernel: args block is %d bytes, want %d", len(raw), argsSize)
-	}
-	return DPXORArgs{
-		DBOffset:     binary.LittleEndian.Uint64(raw[0:]),
-		NumRecords:   binary.LittleEndian.Uint64(raw[8:]),
-		RecordSize:   binary.LittleEndian.Uint64(raw[16:]),
-		SelOffset:    binary.LittleEndian.Uint64(raw[24:]),
-		OutOffset:    binary.LittleEndian.Uint64(raw[32:]),
-		NumSelectors: binary.LittleEndian.Uint64(raw[40:]),
-	}, nil
-}
-
-// Validate checks the argument block against kernel limits.
-func (a DPXORArgs) Validate() error {
-	switch {
-	case a.RecordSize == 0 || a.RecordSize%pim.DMAAlign != 0:
-		return fmt.Errorf("pimkernel: record size %d must be a positive multiple of %d", a.RecordSize, pim.DMAAlign)
-	case a.RecordSize > pim.DMAMaxTransfer:
-		return fmt.Errorf("pimkernel: record size %d exceeds one DMA transfer (%d)", a.RecordSize, pim.DMAMaxTransfer)
-	case a.DBOffset%pim.DMAAlign != 0 || a.SelOffset%pim.DMAAlign != 0 || a.OutOffset%pim.DMAAlign != 0:
-		return errors.New("pimkernel: MRAM offsets must be 8-byte aligned")
-	case a.NumRecords%64 != 0:
-		// Selector words must not straddle tasklet boundaries; the engine
-		// pads chunks to 64-record multiples.
-		return fmt.Errorf("pimkernel: record count %d must be a multiple of 64", a.NumRecords)
-	case a.NumSelectors > MaxSelectorsPerLaunch:
-		return fmt.Errorf("pimkernel: %d selector streams exceed the per-launch limit %d",
-			a.NumSelectors, MaxSelectorsPerLaunch)
-	}
-	return nil
-}
 
 // ModelCost estimates the per-DPU instruction and DMA-byte counts of a
 // DPXOR execution over a chunk of numRecords records, assuming the
@@ -162,13 +87,7 @@ func selBlockGroupsFor(batch int) int {
 // at least 1 (a solo launch must always work) and at most
 // MaxSelectorsPerLaunch.
 func MaxFusedSelectors(cfg pim.Config, recordSize int) int {
-	recsPerDMA := pim.DMAMaxTransfer / recordSize
-	if recsPerDMA > 64 {
-		recsPerDMA = 64
-	}
-	for recsPerDMA&(recsPerDMA-1) != 0 {
-		recsPerDMA &= recsPerDMA - 1
-	}
+	recsPerDMA := recordsPerDMA(recordSize)
 	t := cfg.TaskletsPerDPU
 	for b := MaxSelectorsPerLaunch; b > 1; b-- {
 		selBuf := b * selBlockGroupsFor(b) * 8
@@ -180,200 +99,14 @@ func MaxFusedSelectors(cfg pim.Config, recordSize int) int {
 	return 1
 }
 
-// DPXOR is the dpXOR kernel. One instance is stateless and reusable
-// across launches and DPUs.
-type DPXOR struct{}
-
-var _ pim.Kernel = DPXOR{}
-
-// Name implements pim.Kernel.
-func (DPXOR) Name() string { return "dpxor" }
-
-// Run implements pim.Kernel. Every tasklet scans an interleaved share of
-// the DPU's records (stage 1 of the parallel reduction), accumulating
-// one partial per fused selector stream, and tasklet 0 folds the
-// partials and writes the per-stream DPU subresults to MRAM (stage 2).
-// A fused launch (NumSelectors > 1) DMAs each MRAM record sub-chunk
-// ONCE and XORs it into every selecting stream's partial — the B-query
-// pass costs one chunk's worth of MRAM traffic instead of B.
-func (k DPXOR) Run(ctx *pim.TaskletCtx) error {
-	args, err := parseArgs(ctx.Args())
-	if err != nil {
-		return err
+// recordsPerDMA is how many records one WRAM record fetch covers: as many
+// as fit one DMA transfer, at most a 64-record selector word, rounded
+// down to a power of two so sub-chunks keep selector bit offsets
+// word-regular.
+func recordsPerDMA(recordSize int) int {
+	r := min(pim.DMAMaxTransfer/recordSize, 64)
+	for r&(r-1) != 0 {
+		r &= r - 1
 	}
-	if err := args.Validate(); err != nil {
-		return err
-	}
-	recordSize := int(args.RecordSize)
-	numRecords := int(args.NumRecords)
-	b := args.batch()
-	t := ctx.NumTasklets()
-	tid := ctx.TaskletID()
-
-	// Partition records across tasklets in 64-record groups so each
-	// selector word belongs to exactly one tasklet: B_t = ⌈B_d/T⌉
-	// rounded to 64 (Alg. 1 line 5).
-	groups := numRecords / 64
-	groupsPerTasklet := (groups + t - 1) / t
-	firstGroup := tid * groupsPerTasklet
-	lastGroup := firstGroup + groupsPerTasklet
-	if lastGroup > groups {
-		lastGroup = groups
-	}
-
-	partials, err := ctx.SharedWRAM("dpxor.partials", t*b*recordSize)
-	if err != nil {
-		return err
-	}
-	accs := make([][]byte, b)
-	for q := 0; q < b; q++ {
-		off := (tid*b + q) * recordSize
-		accs[q] = partials[off : off+recordSize]
-	}
-
-	if firstGroup < lastGroup {
-		if err := k.scanRange(ctx, args, accs, firstGroup, lastGroup); err != nil {
-			return err
-		}
-	}
-
-	// Stage 2: wait for every tasklet's partials, then the master tasklet
-	// folds them per stream (Alg. 1 MASTERXOR).
-	if !ctx.Barrier() {
-		return errors.New("pimkernel: launch aborted")
-	}
-	if tid != 0 {
-		return nil
-	}
-	out, err := ctx.AllocWRAM(recordSize)
-	if err != nil {
-		return err
-	}
-	for q := 0; q < b; q++ {
-		for i := range out {
-			out[i] = 0
-		}
-		for i := 0; i < t; i++ {
-			off := (i*b + q) * recordSize
-			if err := xorop.XORBytes(out, partials[off:off+recordSize]); err != nil {
-				return err
-			}
-		}
-		ctx.ChargeCycles(int64(t) * int64(recordSize/8) * cyclesPerWordXOR)
-		if err := writeMRAMChunked(ctx, int(args.OutOffset)+q*recordSize, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanRange processes the tasklet's 64-record groups: for each group, DMA
-// the B selector words and — unless every stream's word is zero — the
-// records into WRAM once, then XOR-accumulate the selected records into
-// each stream's partial.
-func (DPXOR) scanRange(ctx *pim.TaskletCtx, args DPXORArgs, accs [][]byte, firstGroup, lastGroup int) error {
-	recordSize := int(args.RecordSize)
-	b := args.batch()
-	// Stream q's selector bits start at SelOffset + q × stride.
-	selStride := int(args.NumRecords) / 8
-
-	// Records are fetched in sub-chunks of ≤ one DMA transfer.
-	recsPerDMA := pim.DMAMaxTransfer / recordSize
-	if recsPerDMA > 64 {
-		recsPerDMA = 64
-	}
-	// Power-of-two sub-chunks keep selector bit offsets word-regular.
-	for recsPerDMA&(recsPerDMA-1) != 0 {
-		recsPerDMA &= recsPerDMA - 1
-	}
-
-	recBuf, err := ctx.AllocWRAM(recsPerDMA * recordSize)
-	if err != nil {
-		return err
-	}
-	// Selector words are fetched in blocks to amortise DMA setup. The
-	// block shrinks as the batch widens so the combined B-stream buffer
-	// keeps the historical 512-byte WRAM footprint.
-	selBlockGroups := selBlockGroupsFor(b)
-	selBuf, err := ctx.AllocWRAM(b * selBlockGroups * 8)
-	if err != nil {
-		return err
-	}
-
-	for blockStart := firstGroup; blockStart < lastGroup; blockStart += selBlockGroups {
-		blockEnd := blockStart + selBlockGroups
-		if blockEnd > lastGroup {
-			blockEnd = lastGroup
-		}
-		nWords := blockEnd - blockStart
-		for q := 0; q < b; q++ {
-			dst := selBuf[q*selBlockGroups*8:]
-			if err := ctx.ReadMRAM(int(args.SelOffset)+q*selStride+blockStart*8, dst[:nWords*8]); err != nil {
-				return err
-			}
-		}
-
-		for g := 0; g < nWords; g++ {
-			group := blockStart + g
-			var union uint64
-			for q := 0; q < b; q++ {
-				union |= binary.LittleEndian.Uint64(selBuf[(q*selBlockGroups+g)*8:])
-			}
-			ctx.ChargeCycles(int64(b) * 64 * cyclesRecordCheck)
-			if union == 0 {
-				// No stream selects any record of this group: the DMA
-				// fetch of the records can be skipped entirely. (This
-				// leaks only the server's own pseudorandom shares, never
-				// the query.)
-				continue
-			}
-			baseRecord := group * 64
-			for sub := 0; sub < 64; sub += recsPerDMA {
-				subUnion := union >> uint(sub)
-				if recsPerDMA < 64 {
-					subUnion &= (1 << uint(recsPerDMA)) - 1
-				}
-				if subUnion == 0 {
-					continue
-				}
-				// ONE record DMA serves every stream of the batch.
-				recOff := int(args.DBOffset) + (baseRecord+sub)*recordSize
-				if err := ctx.ReadMRAM(recOff, recBuf[:recsPerDMA*recordSize]); err != nil {
-					return err
-				}
-				for q := 0; q < b; q++ {
-					word := binary.LittleEndian.Uint64(selBuf[(q*selBlockGroups+g)*8:])
-					subSel := word >> uint(sub)
-					if recsPerDMA < 64 {
-						subSel &= (1 << uint(recsPerDMA)) - 1
-					}
-					if subSel == 0 {
-						continue
-					}
-					sel := [1]uint64{subSel}
-					if err := xorop.Accumulate(accs[q], recBuf[:recsPerDMA*recordSize], recordSize, sel[:]); err != nil {
-						return err
-					}
-					setBits := bits.OnesCount64(subSel)
-					ctx.ChargeCycles(int64(setBits) * int64(recordSize/8) * cyclesPerWordXOR)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// writeMRAMChunked writes a WRAM buffer to MRAM honouring the DMA
-// transfer-size limit.
-func writeMRAMChunked(ctx *pim.TaskletCtx, offset int, buf []byte) error {
-	for off := 0; off < len(buf); off += pim.DMAMaxTransfer {
-		end := off + pim.DMAMaxTransfer
-		if end > len(buf) {
-			end = len(buf)
-		}
-		if err := ctx.WriteMRAM(offset+off, buf[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r
 }

@@ -47,7 +47,7 @@ func passEngines(t testing.TB) []Engine {
 		engines = append(engines, e)
 	}
 	add(cpupir.New(cpupir.Config{Threads: 4}))
-	add(gpupir.New(gpupir.Config{ThreadBlocks: 7}))
+	add(gpupir.New(gpupir.Config{}))
 	add(impir.New(pimConfig(1, 4<<20))) // resident
 	add(impir.New(pimConfig(1, 8<<10))) // streaming: a DPU's chunk alone fills its MRAM
 	add(impir.New(pimConfig(2, 4<<20))) // two replica clusters
@@ -55,7 +55,7 @@ func passEngines(t testing.TB) []Engine {
 	// 104-byte records (keyword buckets) give xorop's subset-table scan a
 	// record size that is not a power of two.
 	add(cpupir.New(cpupir.Config{Threads: 4}))
-	add(gpupir.New(gpupir.Config{ThreadBlocks: 7}))
+	add(gpupir.New(gpupir.Config{}))
 	wide := make([]byte, fuzzRecords*104)
 	rand.New(rand.NewSource(32)).Read(wide)
 	wideDB, err := database.FromFlat(wide, 104)

@@ -1,9 +1,9 @@
 // Package scheduler is the asynchronous dispatch layer between the
 // network transport and a PIR engine. Engines process one pass at a time
-// (the PIM clusters serialise kernel launches the way real hardware
-// does), so under concurrent load the question is not "how fast is one
-// query" but "how is the next pass filled". The scheduler owns that
-// decision:
+// (each pass streams the whole database, and on real hardware the PIM
+// clusters serialise kernel launches), so under concurrent load the
+// question is not "how fast is one query" but "how is the next pass
+// filled". The scheduler owns that decision:
 //
 //   - Admission: a bounded queue absorbs bursts; when it is full the
 //     submitter gets ErrBusy immediately instead of stalling the TCP

@@ -40,6 +40,23 @@ func NewAccumulators(n, recordSize int) [][]byte {
 	return accs
 }
 
+// Scan is the one functional scan every engine's pass answers with: it
+// returns the B subresults of sels over db, each the XOR of the records
+// its selector names. It runs on min(threads, GOMAXPROCS) workers, since
+// each worker allocates its own subset table and workers beyond the
+// cores buy no parallelism, and a lone selector runs on one worker (§5.1:
+// "a single CPU thread for each query").
+func Scan(db []byte, recordSize int, sels [][]uint64, threads int) ([][]byte, error) {
+	if len(sels) == 1 {
+		threads = 1
+	}
+	accs := NewAccumulators(len(sels), recordSize)
+	if err := AccumulateBatchWorkers(accs, db, recordSize, sels, min(threads, runtime.GOMAXPROCS(0))); err != nil {
+		return nil, err
+	}
+	return accs, nil
+}
+
 // AccumulateBatchWorkers is AccumulateBatch with an explicit scan-worker
 // count; workers ≤ 1 runs the fused pass serially (the form the engines'
 // per-block executors use inside their own parallel grids), and a lone

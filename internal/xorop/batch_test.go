@@ -126,6 +126,31 @@ func TestAccumulateBatchEmpty(t *testing.T) {
 	}
 }
 
+// TestScan: the engines' one functional scan must return exactly B
+// independent Accumulate results, on any thread budget, and reject what
+// the fused kernel rejects.
+func TestScan(t *testing.T) {
+	const n, recordSize = 1000, 40
+	db := buildDB(n, recordSize, 11)
+	for _, batch := range []int{1, 3, 9} {
+		sels := batchSelectors(n, batch, 12)
+		for _, threads := range []int{1, 4} {
+			got, err := Scan(db, recordSize, selectorWords(sels), threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q, sel := range sels {
+				if want := naiveAccumulate(db, recordSize, sel); !bytes.Equal(got[q], want) {
+					t.Fatalf("B=%d threads=%d selector %d: scan %x != naive %x", batch, threads, q, got[q][:8], want[:8])
+				}
+			}
+		}
+	}
+	if _, err := Scan(db, recordSize, [][]uint64{make([]uint64, 1)}, 1); err == nil {
+		t.Error("Scan accepted a selector shorter than the database")
+	}
+}
+
 func TestAccumulateBatchValidation(t *testing.T) {
 	db := buildDB(64, 32, 3)
 	good := bitvec.New(64).Words()

@@ -18,6 +18,7 @@
 package xorop
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -175,25 +176,14 @@ func accumulateWide(acc, db []byte, recordSize int, sel []uint64) {
 	}
 }
 
-// XORBytes sets dst = dst ⊕ src. The slices must be the same length.
-// Used to fold partial results (tasklet partials, DPU subresults, the
-// final two-server reconstruction).
+// XORBytes sets dst = dst ⊕ src with crypto/subtle.XORBytes. The slices
+// must be the same length. Used to fold partial results (scan workers'
+// partials, DPU subresults, the final two-server reconstruction).
 func XORBytes(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("xorop: xor length mismatch %d != %d", len(dst), len(src))
 	}
-	n := len(dst)
-	le := binary.LittleEndian
-	i := 0
-	for ; i+32 <= n; i += 32 {
-		le.PutUint64(dst[i:], le.Uint64(dst[i:])^le.Uint64(src[i:]))
-		le.PutUint64(dst[i+8:], le.Uint64(dst[i+8:])^le.Uint64(src[i+8:]))
-		le.PutUint64(dst[i+16:], le.Uint64(dst[i+16:])^le.Uint64(src[i+16:]))
-		le.PutUint64(dst[i+24:], le.Uint64(dst[i+24:])^le.Uint64(src[i+24:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 	return nil
 }
 

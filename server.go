@@ -286,7 +286,8 @@ func shrinkPIM(cfg pim.Config, n int) pim.Config {
 }
 
 // Load replicates the database into the server's engine. For the PIM
-// engine this preloads DPU MRAM, a one-time cost outside the query path.
+// engine this also lays it out on the modeled DPUs' MRAM, a one-time
+// cost outside the query path.
 // A successful load satisfies the db-loaded readiness condition.
 func (s *Server) Load(db *DB) error {
 	if err := s.eng.LoadDatabase(db); err != nil {
