@@ -159,43 +159,53 @@ func TestClusterTwoShardsTwoReplicasE2E(t *testing.T) {
 }
 
 // TestClusterRaggedShardsE2E: N % S != 0 — 10 records over 3 shards
-// (4,3,3) — retrieves every record correctly and batches straddle the
-// uneven boundaries.
+// (4,3,3) and over 4 shards (3,3,2,2) — retrieves every record correctly
+// and batches straddle the uneven boundaries.
 func TestClusterRaggedShardsE2E(t *testing.T) {
 	db, err := GenerateHashDB(10, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	m, _ := startCluster(t, db, 3)
-	if m.Shards[0].NumRecords != 4 || m.Shards[2].NumRecords != 3 {
-		t.Fatalf("ragged split shapes: %+v", m.Shards)
-	}
+	for _, tc := range []struct {
+		shards int
+		sizes  []uint64
+	}{
+		{3, []uint64{4, 3, 3}},
+		{4, []uint64{3, 3, 2, 2}},
+	} {
+		m, _ := startCluster(t, db, tc.shards)
+		for s, want := range tc.sizes {
+			if m.Shards[s].NumRecords != want {
+				t.Fatalf("%d shards: ragged split shapes: %+v", tc.shards, m.Shards)
+			}
+		}
 
-	cc, err := Open(ctx, DeploymentFromManifest(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-
-	for idx := uint64(0); idx < 10; idx++ {
-		rec, err := cc.Retrieve(ctx, idx)
+		cc, err := Open(ctx, DeploymentFromManifest(m))
 		if err != nil {
-			t.Fatalf("Retrieve(%d): %v", idx, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(rec, db.Record(int(idx))) {
-			t.Fatalf("Retrieve(%d) wrong record", idx)
-		}
-	}
+		defer cc.Close()
 
-	batch := []uint64{3, 4, 6, 7, 9, 0} // crosses both ragged boundaries
-	recs, err := cc.RetrieveBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, idx := range batch {
-		if !bytes.Equal(recs[i], db.Record(int(idx))) {
-			t.Fatalf("batch item %d (global %d) wrong", i, idx)
+		for idx := uint64(0); idx < 10; idx++ {
+			rec, err := cc.Retrieve(ctx, idx)
+			if err != nil {
+				t.Fatalf("%d shards: Retrieve(%d): %v", tc.shards, idx, err)
+			}
+			if !bytes.Equal(rec, db.Record(int(idx))) {
+				t.Fatalf("%d shards: Retrieve(%d) wrong record", tc.shards, idx)
+			}
+		}
+
+		batch := []uint64{3, 4, 6, 7, 9, 0} // crosses the ragged boundaries
+		recs, err := cc.RetrieveBatch(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, idx := range batch {
+			if !bytes.Equal(recs[i], db.Record(int(idx))) {
+				t.Fatalf("%d shards: batch item %d (global %d) wrong", tc.shards, i, idx)
+			}
 		}
 	}
 }

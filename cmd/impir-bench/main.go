@@ -1,17 +1,21 @@
 // Command impir-bench regenerates the paper's evaluation artefacts: every
-// figure of §5 plus Table 1, printed as aligned text tables with the
-// paper-shape checks evaluated inline.
+// figure of §5 plus Table 1, the ablations and the scale-out experiments,
+// evaluated from the cost models at the paper's configuration and printed
+// as aligned text tables with the paper-shape checks evaluated inline. It
+// exits non-zero if any check fails.
 //
 // Usage:
 //
 //	impir-bench                         # all experiments
 //	impir-bench -experiment fig9a       # one experiment
-//	impir-bench -verify-records 16384   # bigger functional verification
-//	impir-bench -verify-records 0       # model layer only (fast)
+//	impir-bench -csv out/               # also write each data series as CSV
+//	impir-bench -json                   # JSON reports on stdout
+//
+// The -json output of all experiments is byte for byte the golden file
+// internal/bench/testdata/figures.golden.json.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,30 +25,6 @@ import (
 	"github.com/impir/impir/internal/bench"
 )
 
-var runners = map[string]func(bench.Options) *bench.Report{
-	"fig3a":   bench.Fig3a,
-	"fig3b":   bench.Fig3b,
-	"fig9a":   bench.Fig9a,
-	"fig9b":   bench.Fig9b,
-	"fig9c":   bench.Fig9c,
-	"fig9d":   bench.Fig9d,
-	"fig10a":  bench.Fig10a,
-	"fig10b":  bench.Fig10b,
-	"table1":  bench.Table1,
-	"fig11a":  bench.Fig11a,
-	"fig11b":  bench.Fig11b,
-	"fig12a":  bench.Fig12a,
-	"fig12b":  bench.Fig12b,
-	"a2":      bench.AblationTasklets,
-	"a3":      bench.AblationCommunication,
-	"a5":      bench.AblationEvalModes,
-	"a6":      bench.AblationResidentVsBatched,
-	"a7":      bench.AblationBandwidthScaling,
-	"shards":  bench.ShardScaling,
-	"keyword": bench.KeywordLookup,
-	"hedging": bench.HedgingTail,
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "impir-bench:", err)
@@ -53,11 +33,13 @@ func main() {
 }
 
 func run(args []string) error {
+	var names []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
 	fs := flag.NewFlagSet("impir-bench", flag.ContinueOnError)
 	experiment := fs.String("experiment", "all",
-		"experiment to run: all, or one of "+strings.Join(sortedNames(), ", "))
-	verifyRecords := fs.Int("verify-records", 1<<12,
-		"records in the scaled functional verification database (0 to skip)")
+		"experiment to run: all, or one of "+strings.Join(names, ", "))
 	csvDir := fs.String("csv", "",
 		"directory to also write each experiment's data series as CSV")
 	jsonOut := fs.Bool("json", false,
@@ -66,18 +48,15 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := bench.Options{VerifyRecords: *verifyRecords}
-
 	var reports []*bench.Report
-	if *experiment == "all" {
-		reports = append(bench.All(opts), bench.Ablations(opts)...)
-	} else {
-		runner, ok := runners[strings.ToLower(*experiment)]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (want all or one of %s)",
-				*experiment, strings.Join(sortedNames(), ", "))
+	for _, e := range bench.Experiments {
+		if *experiment == "all" || strings.EqualFold(*experiment, e.Name) {
+			reports = append(reports, e.Run())
 		}
-		reports = []*bench.Report{runner(opts)}
+	}
+	if len(reports) == 0 {
+		return fmt.Errorf("unknown experiment %q (want all or one of %s)",
+			*experiment, strings.Join(names, ", "))
 	}
 
 	failures := 0
@@ -95,9 +74,7 @@ func run(args []string) error {
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
+		if err := bench.WriteJSON(os.Stdout, reports); err != nil {
 			return err
 		}
 	}
@@ -121,12 +98,4 @@ func writeCSV(dir string, r *bench.Report) error {
 		return err
 	}
 	return f.Close()
-}
-
-func sortedNames() []string {
-	return []string{
-		"fig3a", "fig3b", "fig9a", "fig9b", "fig9c", "fig9d",
-		"fig10a", "fig10b", "table1", "fig11a", "fig11b", "fig12a", "fig12b",
-		"a2", "a3", "a5", "a6", "a7", "shards", "keyword", "hedging",
-	}
 }

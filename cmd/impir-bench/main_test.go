@@ -11,8 +11,7 @@ import (
 )
 
 func TestRunSingleExperiment(t *testing.T) {
-	// Model layer only (verify-records 0) keeps this fast.
-	if err := run([]string{"-experiment", "fig3b", "-verify-records", "0"}); err != nil {
+	if err := run([]string{"-experiment", "fig3b"}); err != nil {
 		t.Fatalf("run(fig3b): %v", err)
 	}
 }
@@ -29,20 +28,9 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-func TestRunnerNamesRegistered(t *testing.T) {
-	for _, name := range sortedNames() {
-		if _, ok := runners[name]; !ok {
-			t.Errorf("experiment %q listed but not registered", name)
-		}
-	}
-	if len(runners) != len(sortedNames()) {
-		t.Errorf("%d runners registered but %d listed", len(runners), len(sortedNames()))
-	}
-}
-
 func TestRunWritesCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-experiment", "table1", "-verify-records", "0", "-csv", dir}); err != nil {
+	if err := run([]string{"-experiment", "table1", "-csv", dir}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(dir + "/table-1.csv")
@@ -63,7 +51,7 @@ func TestRunJSONReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run([]string{"-experiment", "table1", "-verify-records", "0", "-json"})
+	runErr := run([]string{"-experiment", "table1", "-json"})
 	w.Close()
 	os.Stdout = old
 	if runErr != nil {
@@ -94,7 +82,7 @@ func TestRunJSONReports(t *testing.T) {
 		t.Errorf("report content missing: %+v", rep)
 	}
 	if !rep.AllPass {
-		t.Error("table1 model-layer checks failed in JSON run")
+		t.Error("table1 checks failed in JSON run")
 	}
 	if strings.Contains(string(data), "== Table 1") {
 		t.Error("-json also printed the text table to stdout")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/impir"
 	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/pimkernel"
@@ -18,7 +19,7 @@ import (
 // AblationTasklets sweeps the per-DPU tasklet count through the modeled
 // dpXOR kernel, reproducing the pipeline-occupancy rationale for running
 // 16 tasklets ("above 11 is recommended", §5.2).
-func AblationTasklets(opts Options) *Report {
+func AblationTasklets() *Report {
 	r := &Report{
 		ID:      "Ablation A2",
 		Title:   "dpXOR kernel time vs DPU tasklet count (pipeline occupancy)",
@@ -58,7 +59,7 @@ func AblationTasklets(opts Options) *Report {
 
 // AblationCommunication compares per-server query sizes of the DPF
 // encoding (O(λ log N)) against the naive Figure 2 encoding (O(N)).
-func AblationCommunication(opts Options) *Report {
+func AblationCommunication() *Report {
 	r := &Report{
 		ID:      "Ablation A3",
 		Title:   "Query communication per server: DPF vs naive secret-sharing (§2.3)",
@@ -67,7 +68,7 @@ func AblationCommunication(opts Options) *Report {
 	var lastRatio float64
 	for _, domain := range []int{16, 20, 25, 30} {
 		n := 1 << domain
-		dpfBytes := keyWireSize(domain)
+		dpfBytes := dpf.KeyWireSize(domain)
 		naiveBytes := n / 8
 		lastRatio = float64(naiveBytes) / float64(dpfBytes)
 		r.Rows = append(r.Rows, []string{
@@ -85,7 +86,7 @@ func AblationCommunication(opts Options) *Report {
 
 // AblationEvalModes compares the two §3.4 batch-evaluation schedules
 // through the modeled pipeline at 1 GiB.
-func AblationEvalModes(opts Options) *Report {
+func AblationEvalModes() *Report {
 	r := &Report{
 		ID:      "Ablation A5",
 		Title:   "Batch evaluation scheduling (§3.4): per-key workers vs per-query-parallel",
@@ -121,7 +122,7 @@ func AblationEvalModes(opts Options) *Report {
 // preloading by comparing the modeled per-query cost of the resident
 // ("one-shot") mode against the streaming fallback that restages the
 // database through MRAM on every query.
-func AblationResidentVsBatched(opts Options) *Report {
+func AblationResidentVsBatched() *Report {
 	r := &Report{
 		ID:      "Ablation A6",
 		Title:   "Database preloading (§3.3): resident one-shot vs per-query streaming",
@@ -161,7 +162,7 @@ func AblationResidentVsBatched(opts Options) *Report {
 // property the CPU's shared memory bus cannot match. The small points run
 // functionally on the simulator; the full-machine points use the same
 // analytic model the simulator charges.
-func AblationBandwidthScaling(opts Options) *Report {
+func AblationBandwidthScaling() *Report {
 	r := &Report{
 		ID:      "Ablation A7",
 		Title:   "Aggregate MRAM bandwidth vs DPU count (§2.4, STREAM-style probe)",
@@ -236,19 +237,5 @@ func fmtBW(bytesPerSec float64) string {
 		return fmt.Sprintf("%.2f GB/s", bytesPerSec/1e9)
 	default:
 		return fmt.Sprintf("%.0f MB/s", bytesPerSec/1e6)
-	}
-}
-
-// Ablations runs all ablation experiments.
-func Ablations(opts Options) []*Report {
-	return []*Report{
-		AblationTasklets(opts),
-		AblationCommunication(opts),
-		AblationEvalModes(opts),
-		AblationResidentVsBatched(opts),
-		AblationBandwidthScaling(opts),
-		ShardScaling(opts),
-		KeywordLookup(opts),
-		HedgingTail(opts),
 	}
 }

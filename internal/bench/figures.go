@@ -6,38 +6,49 @@ import (
 
 	"github.com/impir/impir/internal/impir"
 	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/roofline"
 )
 
-// Options configures the experiment runners.
-type Options struct {
-	// VerifyRecords sets the scaled database size (in records) for the
-	// functional verification layer; 0 skips verification.
-	VerifyRecords int
+// Experiment is one named report runner.
+type Experiment struct {
+	// Name selects the experiment (impir-bench -experiment).
+	Name string
+	// Run evaluates the models and returns the report.
+	Run func() *Report
 }
 
-// DefaultOptions verifies on a 4096-record database.
-func DefaultOptions() Options { return Options{VerifyRecords: 1 << 12} }
+// Experiments lists every experiment in report order: the paper's
+// figures and Table 1, then the ablations and scale-out experiments.
+var Experiments = []Experiment{
+	{"fig3a", Fig3a},
+	{"fig3b", Fig3b},
+	{"fig9a", Fig9a},
+	{"fig9b", Fig9b},
+	{"fig9c", Fig9c},
+	{"fig9d", Fig9d},
+	{"fig10a", Fig10a},
+	{"fig10b", Fig10b},
+	{"table1", Table1},
+	{"fig11a", Fig11a},
+	{"fig11b", Fig11b},
+	{"fig12a", Fig12a},
+	{"fig12b", Fig12b},
+	{"a2", AblationTasklets},
+	{"a3", AblationCommunication},
+	{"a5", AblationEvalModes},
+	{"a6", AblationResidentVsBatched},
+	{"a7", AblationBandwidthScaling},
+	{"shards", ShardScaling},
+	{"keyword", KeywordLookup},
+	{"hedging", HedgingTail},
+}
 
 func fmtMS(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
 func fmtS(d time.Duration) string  { return fmt.Sprintf("%.3f", d.Seconds()) }
 func fmtQPS(v float64) string      { return fmt.Sprintf("%.1f", v) }
 
-func attachVerification(r *Report, opts Options) {
-	if opts.VerifyRecords <= 0 {
-		return
-	}
-	note, err := verifyFunctional(opts.VerifyRecords)
-	if err != nil {
-		r.AddCheck("functional verification (scaled DB)", false, "%v", err)
-		return
-	}
-	r.AddCheck("functional verification (scaled DB)", true, "%s", note)
-}
-
 // Fig3a regenerates Figure 3(a): single-query Gen/Eval/dpXOR times on the
 // CPU baseline for 1–4 GB databases (single thread, no batch contention).
-func Fig3a(opts Options) *Report {
+func Fig3a() *Report {
 	r := &Report{
 		ID:      "Figure 3a",
 		Title:   "DPF-PIR execution-time breakdown on CPU (single query, single thread)",
@@ -66,48 +77,98 @@ func Fig3a(opts Options) *Report {
 	r.AddCheck("server time at 4 GB is seconds-scale (paper: ≈3 s)",
 		evals[last]+scans[last] > time.Second && evals[last]+scans[last] < 10*time.Second,
 		"total = %.2f s", (evals[last] + scans[last]).Seconds())
-	attachVerification(r, opts)
 	return r
+}
+
+// roofline is a machine's roofline envelope: a flat compute roof and a
+// memory-bandwidth diagonal. Kernels whose operational intensity (useful
+// operations per byte moved) falls left of the ridge point are
+// memory-bound — the observation that motivates moving dpXOR into memory.
+type roofline struct {
+	name          string
+	peakOpsPerSec float64 // 64-bit-word operations/s across all cores
+	bytesPerSec   float64 // DRAM bandwidth
+}
+
+// cpuRoofline is the paper's baseline server: 32 hardware threads at
+// 2.1 GHz (≈ one useful 64-bit op per cycle each) against ~60 GB/s of
+// realised DRAM bandwidth.
+var cpuRoofline = roofline{name: "cpu-pir-baseline", peakOpsPerSec: 33.6e9, bytesPerSec: 60e9}
+
+// ridge is the intensity (op/B) where the diagonal meets the roof.
+func (m roofline) ridge() float64 { return m.peakOpsPerSec / m.bytesPerSec }
+
+// attainable evaluates the roofline: min(peak, intensity × bandwidth).
+func (m roofline) attainable(intensity float64) float64 {
+	return min(m.peakOpsPerSec, intensity*m.bytesPerSec)
+}
+
+func (m roofline) memoryBound(intensity float64) bool { return intensity < m.ridge() }
+
+// kernel is one modeled kernel placed on the roofline.
+type kernel struct {
+	name  string
+	ops   float64 // useful operations of one execution
+	bytes float64 // memory traffic of one execution
+	d     time.Duration
+}
+
+func (k kernel) intensity() float64 { return k.ops / k.bytes }
+func (k kernel) achieved() float64  { return k.ops / k.d.Seconds() }
+
+// dpxorKernel is the selective-XOR scan: one 64-bit XOR per selected
+// 8-byte word (DPF shares select half the records), against streaming
+// the database once plus one selector bit per record.
+func dpxorKernel(dbBytes int64, d time.Duration) kernel {
+	return kernel{name: "dpXOR", ops: float64(dbBytes) / 8 * 0.5,
+		bytes: float64(dbBytes) + float64(dbBytes)/64/8, d: d}
+}
+
+// ggmKernel is GGM tree expansion over `nodes` internal nodes: each costs
+// two AES-128 blocks (≈ 12 instructions each with AES-NI) and moves its
+// 16-byte seed in and two 16-byte children out. Full-domain Eval expands
+// ≈ N nodes; client Gen expands O(log N), on cache-resident data.
+func ggmKernel(name string, nodes float64, d time.Duration) kernel {
+	return kernel{name: name, ops: nodes * 2 * 12, bytes: nodes * 48, d: d}
 }
 
 // Fig3b regenerates Figure 3(b): the roofline placement of Eval and dpXOR
 // on the CPU baseline — both memory-bound, dpXOR deepest.
-func Fig3b(opts Options) *Report {
+func Fig3b() *Report {
 	r := &Report{
 		ID:      "Figure 3b",
 		Title:   "Roofline model: operational intensity of PIR server kernels",
 		Columns: []string{"kernel", "OI (op/B)", "achieved (Gop/s)", "attainable (Gop/s)", "region"},
 	}
-	machine := roofline.CPUBaselineMachine()
+	machine := cpuRoofline
 	m := paperCPU()
 	n := recordsFor(4)
-	kernels := []roofline.Kernel{
-		roofline.GenKernel(domainOf(n), m.Host.KeyGenDuration(domainOf(n))),
-		roofline.EvalKernel(uint64(n), m.Host.EvalDuration(uint64(n), 1)),
-		roofline.DpXORKernel(dbBytes(n), 0.5, m.Host.ScanDuration(dbBytes(n), 1)),
+	kernels := []kernel{
+		ggmKernel("Gen", float64(domainOf(n)), m.Host.KeyGenDuration(domainOf(n))),
+		ggmKernel("Eval", float64(n), m.Host.EvalDuration(uint64(n), 1)),
+		dpxorKernel(dbBytes(n), m.Host.ScanDuration(dbBytes(n), 1)),
 	}
 	for _, k := range kernels {
 		region := "compute-bound"
-		if machine.MemoryBound(k.Intensity()) {
+		if machine.memoryBound(k.intensity()) {
 			region = "memory-bound"
 		}
 		r.Rows = append(r.Rows, []string{
-			k.Name,
-			fmt.Sprintf("%.4f", k.Intensity()),
-			fmt.Sprintf("%.2f", k.AchievedOpsPerSec()/1e9),
-			fmt.Sprintf("%.2f", machine.AttainableOpsPerSec(k.Intensity())/1e9),
+			k.name,
+			fmt.Sprintf("%.4f", k.intensity()),
+			fmt.Sprintf("%.2f", k.achieved()/1e9),
+			fmt.Sprintf("%.2f", machine.attainable(k.intensity())/1e9),
 			region,
 		})
 	}
 	eval, dpxor := kernels[1], kernels[2]
-	r.AddCheck("dpXOR is memory-bound", machine.MemoryBound(dpxor.Intensity()),
-		"OI %.4f < ridge %.4f", dpxor.Intensity(), machine.RidgeIntensity())
-	r.AddCheck("Eval is memory-bound", machine.MemoryBound(eval.Intensity()),
-		"OI %.4f < ridge %.4f", eval.Intensity(), machine.RidgeIntensity())
-	r.AddCheck("dpXOR has the lowest operational intensity", dpxor.Intensity() < eval.Intensity(),
-		"dpXOR %.4f vs Eval %.4f", dpxor.Intensity(), eval.Intensity())
-	r.AddNote("ridge point of %s: %.3f op/B", machine.Name, machine.RidgeIntensity())
-	attachVerification(r, opts)
+	r.AddCheck("dpXOR is memory-bound", machine.memoryBound(dpxor.intensity()),
+		"OI %.4f < ridge %.4f", dpxor.intensity(), machine.ridge())
+	r.AddCheck("Eval is memory-bound", machine.memoryBound(eval.intensity()),
+		"OI %.4f < ridge %.4f", eval.intensity(), machine.ridge())
+	r.AddCheck("dpXOR has the lowest operational intensity", dpxor.intensity() < eval.intensity(),
+		"dpXOR %.4f vs Eval %.4f", dpxor.intensity(), eval.intensity())
+	r.AddNote("ridge point of %s: %.3f op/B", machine.name, machine.ridge())
 	return r
 }
 
@@ -129,7 +190,7 @@ func fig9Data(batch int) (cpuQPS, pimQPS []float64, cpuLat, pimLat []time.Durati
 }
 
 // Fig9a regenerates Figure 9(a): throughput vs DB size at batch 32.
-func Fig9a(opts Options) *Report {
+func Fig9a() *Report {
 	const batch = 32
 	r := &Report{
 		ID:      "Figure 9a",
@@ -155,12 +216,11 @@ func Fig9a(opts Options) *Report {
 		"%.2fx", speedups[last])
 	r.AddCheck("speedup grows with DB size", speedups[last] > speedups[0],
 		"%.2fx → %.2fx", speedups[0], speedups[last])
-	attachVerification(r, opts)
 	return r
 }
 
 // Fig9c regenerates Figure 9(c): latency vs DB size at batch 32.
-func Fig9c(opts Options) *Report {
+func Fig9c() *Report {
 	const batch = 32
 	r := &Report{
 		ID:      "Figure 9c",
@@ -182,14 +242,13 @@ func Fig9c(opts Options) *Report {
 		"IM-PIR x%.1f vs CPU x%.1f", pimSlope, cpuSlope)
 	r.AddCheck("IM-PIR latency lower at every size", pimLat[0] < cpuLat[0] && pimLat[last] < cpuLat[last],
 		"at 8 GB: %.2f s vs %.2f s", pimLat[last].Seconds(), cpuLat[last].Seconds())
-	attachVerification(r, opts)
 	return r
 }
 
 var fig9Batches = []int{4, 8, 16, 32, 64, 128, 256, 512}
 
 // Fig9b regenerates Figure 9(b): throughput vs batch size at DB = 1 GB.
-func Fig9b(opts Options) *Report {
+func Fig9b() *Report {
 	r := &Report{
 		ID:      "Figure 9b",
 		Title:   "Throughput vs batch size (DB = 1 GiB)",
@@ -215,12 +274,11 @@ func Fig9b(opts Options) *Report {
 	r.AddCheck("mean advantage ≈ 2.6x (paper: 2.6x on average)",
 		meanAdvantage > 1.8 && meanAdvantage < 4.5,
 		"mean IM-PIR QPS / mean CPU QPS = %.2fx", meanAdvantage)
-	attachVerification(r, opts)
 	return r
 }
 
 // Fig9d regenerates Figure 9(d): latency vs batch size at DB = 1 GB.
-func Fig9d(opts Options) *Report {
+func Fig9d() *Report {
 	r := &Report{
 		ID:      "Figure 9d",
 		Title:   "Latency vs batch size (DB = 1 GiB)",
@@ -243,7 +301,6 @@ func Fig9d(opts Options) *Report {
 		cpuLat[0].Seconds(), cpuLat[last].Seconds(), pimLat[0].Seconds(), pimLat[last].Seconds())
 	r.AddCheck("IM-PIR latency lower throughout", pimLat[last] < cpuLat[last],
 		"at batch 512: %.2f s vs %.2f s", pimLat[last].Seconds(), cpuLat[last].Seconds())
-	attachVerification(r, opts)
 	return r
 }
 
@@ -260,7 +317,7 @@ func fig10PIM() pimModel {
 }
 
 // Fig10a regenerates Figure 10(a): IM-PIR per-phase latency, 1–32 GB.
-func Fig10a(opts Options) *Report {
+func Fig10a() *Report {
 	r := &Report{
 		ID:    "Figure 10a",
 		Title: "Latency breakdown of IM-PIR server phases",
@@ -292,12 +349,11 @@ func Fig10a(opts Options) *Report {
 	r.AddCheck("total at 32 GB is sub-second (paper: ≈0.7 s)",
 		bd32.TotalModeled() > 300*time.Millisecond && bd32.TotalModeled() < 1500*time.Millisecond,
 		"%.0f ms", float64(bd32.TotalModeled().Milliseconds()))
-	attachVerification(r, opts)
 	return r
 }
 
 // Fig10b regenerates Figure 10(b): CPU-PIR per-phase latency, 1–32 GB.
-func Fig10b(opts Options) *Report {
+func Fig10b() *Report {
 	r := &Report{
 		ID:      "Figure 10b",
 		Title:   "Latency breakdown of CPU-PIR server phases",
@@ -318,12 +374,11 @@ func Fig10b(opts Options) *Report {
 		})
 	}
 	r.AddCheck("dpXOR is the dominant CPU-PIR phase at every size (Take-away 4)", dpxorDominant, "")
-	attachVerification(r, opts)
 	return r
 }
 
 // Table1 regenerates Table 1: mean per-phase share of query latency.
-func Table1(opts Options) *Report {
+func Table1() *Report {
 	r := &Report{
 		ID:    "Table 1",
 		Title: "Average per-phase contribution to server-side query latency",
@@ -372,7 +427,6 @@ func Table1(opts Options) *Report {
 	r.AddCheck("CPU-PIR: dpXOR ≈ 83% (paper: 83.36%)",
 		cpuShares[metrics.PhaseDpXOR] > 0.70 && cpuShares[metrics.PhaseDpXOR] < 0.92,
 		"%.1f%%", cpuShares[metrics.PhaseDpXOR]*100)
-	attachVerification(r, opts)
 	return r
 }
 
@@ -398,7 +452,7 @@ func fig11Sweep() map[int]map[int]time.Duration {
 }
 
 // Fig11a regenerates Figure 11(a): clustering effect on throughput.
-func Fig11a(opts Options) *Report {
+func Fig11a() *Report {
 	r := &Report{
 		ID:      "Figure 11a",
 		Title:   "DPU clustering: throughput vs batch size (DB = 1 GiB)",
@@ -423,12 +477,11 @@ func Fig11a(opts Options) *Report {
 		}
 	}
 	r.AddCheck("throughput non-decreasing in cluster count at large batch", monotonic, "")
-	attachVerification(r, opts)
 	return r
 }
 
 // Fig11b regenerates Figure 11(b): clustering effect on latency.
-func Fig11b(opts Options) *Report {
+func Fig11b() *Report {
 	r := &Report{
 		ID:      "Figure 11b",
 		Title:   "DPU clustering: batch latency vs batch size (DB = 1 GiB)",
@@ -447,7 +500,6 @@ func Fig11b(opts Options) *Report {
 		sweep[8][bigBatch] < sweep[1][bigBatch],
 		"1 cluster %.3f s vs 8 clusters %.3f s",
 		sweep[1][bigBatch].Seconds(), sweep[8][bigBatch].Seconds())
-	attachVerification(r, opts)
 	return r
 }
 
@@ -470,7 +522,7 @@ func fig12Sweep() (cpuMS, gpuMS, pimMS []time.Duration) {
 }
 
 // Fig12a regenerates Figure 12(a): CPU vs PIM vs GPU throughput.
-func Fig12a(opts Options) *Report {
+func Fig12a() *Report {
 	const batch = 32
 	r := &Report{
 		ID:      "Figure 12a",
@@ -496,12 +548,11 @@ func Fig12a(opts Options) *Report {
 		"the paper's observation that GPUs excel when memory bandwidth is not the bottleneck")
 	r.AddNote("0.75 GB pads to the same 2^25-record power-of-two layout as 1 GB, " +
 		"so those rows coincide (all engines pad identically)")
-	attachVerification(r, opts)
 	return r
 }
 
 // Fig12b regenerates Figure 12(b): CPU vs PIM vs GPU latency.
-func Fig12b(opts Options) *Report {
+func Fig12b() *Report {
 	const batch = 32
 	r := &Report{
 		ID:      "Figure 12b",
@@ -519,24 +570,7 @@ func Fig12b(opts Options) *Report {
 		pimMS[last] < gpuMS[last] && gpuMS[last] < cpuMS[last],
 		"PIM %.3f / GPU %.3f / CPU %.3f s",
 		pimMS[last].Seconds(), gpuMS[last].Seconds(), cpuMS[last].Seconds())
-	attachVerification(r, opts)
 	return r
-}
-
-// All runs every experiment. Functional verification is executed once and
-// shared, since it is engine-level rather than per-figure.
-func All(opts Options) []*Report {
-	first := opts
-	rest := opts
-	rest.VerifyRecords = 0
-	reports := []*Report{Fig3a(first)}
-	for _, f := range []func(Options) *Report{
-		Fig3b, Fig9a, Fig9b, Fig9c, Fig9d, Fig10a, Fig10b, Table1,
-		Fig11a, Fig11b, Fig12a, Fig12b,
-	} {
-		reports = append(reports, f(rest))
-	}
-	return reports
 }
 
 func minF(xs []float64) float64 {

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"github.com/impir/impir/internal/cpupir"
-	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/keyword"
 )
 
@@ -17,7 +14,7 @@ import (
 // same corpus (the time overhead side — a lookup privately retrieves
 // k candidate buckets plus the stash instead of one record, and every
 // probe is a full-table scan under all-for-one).
-func KeywordLookup(opts Options) *Report {
+func KeywordLookup() *Report {
 	r := &Report{
 		ID:    "Keyword lookup",
 		Title: "Keyword PIR: effective load factor and modeled lookup latency vs table size",
@@ -92,88 +89,5 @@ func KeywordLookup(opts Options) *Report {
 	r.AddCheck("modeled lookup time grows with table size (every probe is a full scan)", monotone,
 		"%v → %v", lookups[0].Round(time.Microsecond), lookups[len(lookups)-1].Round(time.Microsecond))
 	r.AddNote("lookup = k candidates + stash probes per key, each a full-table dpXOR on the paper's PIM configuration; index-PIR = one probe over a 32B-record corpus of equal cardinality")
-	attachKeywordVerification(r, opts)
 	return r
-}
-
-// pow2At pads n up to the next power of two, matching what the engines
-// do before serving.
-func pow2At(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// attachKeywordVerification executes the keyword protocol for real at
-// a scaled-down size: a cuckoo table served by a two-engine cohort,
-// one DPF sub-query per probe bucket, reconstruction, and the client-
-// side bucket search — a hit must return its value and a miss must
-// come back empty, both through identical probe counts.
-func attachKeywordVerification(r *Report, opts Options) {
-	if opts.VerifyRecords <= 0 {
-		return
-	}
-	pairs := keyword.GeneratePairs(opts.VerifyRecords, 2027)
-	table, err := keyword.BuildTable(pairs, keyword.Options{Seed: 2027})
-	if err != nil {
-		r.AddCheck("functional keyword verification", false, "%v", err)
-		return
-	}
-	db, err := table.DB()
-	if err != nil {
-		r.AddCheck("functional keyword verification", false, "%v", err)
-		return
-	}
-	padded := db.PadToPowerOfTwo()
-
-	e0, err := cpupir.New(cpupir.Config{Threads: 2})
-	if err == nil {
-		err = e0.LoadDatabase(padded)
-	}
-	e1, err2 := cpupir.New(cpupir.Config{Threads: 2})
-	if err == nil {
-		err = err2
-	}
-	if err == nil {
-		err = e1.LoadDatabase(padded.Clone())
-	}
-	if err != nil {
-		r.AddCheck("functional keyword verification", false, "%v", err)
-		return
-	}
-
-	m := table.Manifest
-	probe := func(key []byte) ([]byte, bool, time.Duration, error) {
-		start := time.Now()
-		var found []byte
-		hit := false
-		for _, b := range m.ProbeIndices(key) {
-			k0, k1, err := dpf.Gen(dpf.Params{Domain: padded.Domain()}, b, nil)
-			if err != nil {
-				return nil, false, 0, err
-			}
-			rec, err := retrieve(e0, e1, k0, k1)
-			if err != nil {
-				return nil, false, 0, err
-			}
-			if v, ok, err := m.FindInBucket(rec, key); err != nil {
-				return nil, false, 0, err
-			} else if ok && !hit {
-				found, hit = v, true
-			}
-		}
-		return found, hit, time.Since(start), nil
-	}
-
-	target := pairs[opts.VerifyRecords/2]
-	v, hit, wall, err := probe(target.Key)
-	ok := err == nil && hit && bytes.Equal(v, target.Value)
-	r.AddCheck("functional keyword verification (hit)", ok,
-		"%d probes over %d buckets in %v (err=%v)", m.ProbesPerKey(), m.TotalBuckets(), wall.Round(time.Microsecond), err)
-
-	_, hit, wall2, err := probe([]byte("absent-key"))
-	r.AddCheck("functional keyword verification (miss, identical probe count)", err == nil && !hit,
-		"%d probes in %v (err=%v)", m.ProbesPerKey(), wall2.Round(time.Microsecond), err)
 }

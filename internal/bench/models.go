@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/gpupir"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/impir"
@@ -18,8 +19,11 @@ const gib = float64(1 << 30)
 
 // recordsFor converts a database size in GiB to a power-of-two-padded
 // record count (the engines pad, so the models must too).
-func recordsFor(sizeGiB float64) int {
-	n := int(sizeGiB * gib / recordSize)
+func recordsFor(sizeGiB float64) int { return pow2At(int(sizeGiB * gib / recordSize)) }
+
+// pow2At pads n up to the next power of two, matching what the engines
+// do before serving.
+func pow2At(n int) int {
 	p := 1
 	for p < n {
 		p <<= 1
@@ -29,10 +33,6 @@ func recordsFor(sizeGiB float64) int {
 
 // dbBytes is the padded database size in bytes.
 func dbBytes(n int) int64 { return int64(n) * recordSize }
-
-// keyWireSize mirrors the dpf key encoding: 21-byte header, 17 bytes per
-// tree level above the 128-bit leaf blocks, and a 16-byte leaf word.
-func keyWireSize(domain int) int { return 21 + 17*max(domain-7, 0) + 16 }
 
 func domainOf(n int) int {
 	d := 0
@@ -153,7 +153,7 @@ func paperGPU() gpuModel {
 func (m gpuModel) phases(numRecords int) metrics.Breakdown {
 	var bd metrics.Breakdown
 	domain := domainOf(numRecords)
-	bd.AddPhase(metrics.PhaseCopyToPIM, 0, m.GPU.UploadDuration(keyWireSize(domain)))
+	bd.AddPhase(metrics.PhaseCopyToPIM, 0, m.GPU.UploadDuration(dpf.KeyWireSize(domain)))
 	bd.AddPhase(metrics.PhaseEval, 0, m.GPU.EvalDuration(uint64(numRecords)))
 	bd.AddPhase(metrics.PhaseDpXOR, 0, m.GPU.ScanDuration(dbBytes(numRecords)))
 	bd.AddPhase(metrics.PhaseCopyToHost, 0, m.GPU.DownloadDuration(recordSize))

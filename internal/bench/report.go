@@ -1,21 +1,20 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§5). Each runner produces a Report holding the same rows or
-// series the paper plots, computed from the calibrated hardware models at
-// the paper's database sizes, plus a functional verification run at a
-// scaled-down size proving the code actually executes the protocol it is
-// modelling.
+// evaluation (§5), plus the ablations and scale-out experiments. Each
+// experiment evaluates the per-phase cost models (hostmodel, pim.Config,
+// pimkernel.ModelCost, gpupir.Config) at the paper's configuration —
+// 0.5–32 GB databases, 2048 DPUs, a 32-thread baseline — and produces a
+// Report holding the rows or series the paper plots and the paper-shape
+// checks evaluated on them.
 //
-// Two layers per experiment:
+// The reports are deterministic, and testdata/figures.golden.json pins
+// them byte for byte (TestFiguresGolden). After a cost-model change,
+// regenerate the file and review which paper cells moved:
 //
-//  1. Model layer: the per-phase cost models (hostmodel, pim.Config,
-//     pimkernel.ModelCost, gpupir.Config) are evaluated at the paper's
-//     configuration — 0.5–32 GB databases, 2048 DPUs, 32-thread baseline
-//     — which no laptop could execute functionally. These produce the
-//     reported series.
-//  2. Verification layer: the same engines run for real on a small
-//     database; the harness checks end-to-end reconstruction and records
-//     wall-clock numbers, demonstrating the models sit on top of a
-//     working implementation rather than a spreadsheet.
+//	go test ./internal/bench -run TestFiguresGolden -update
+//	git diff internal/bench/testdata/figures.golden.json
+//
+// That the engines behind the models answer correctly is the business of
+// their own tests and the end-to-end tests of the root package.
 package bench
 
 import (
@@ -38,7 +37,7 @@ type Report struct {
 	Rows [][]string
 	// Checks are the paper-shape assertions evaluated on the data.
 	Checks []Check
-	// Notes carry configuration details and verification results.
+	// Notes carry configuration details.
 	Notes []string
 }
 
@@ -89,7 +88,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 }
 
 // ReportSchema versions the machine-readable report form emitted by
-// WriteJSON / impir-bench -json.
+// WriteJSON (impir-bench -json).
 const ReportSchema = "impir-bench/1"
 
 // reportJSON is the wire shape of one report: the same fields Print
@@ -129,11 +128,12 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// WriteJSON emits the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
+// WriteJSON emits the reports as one indented JSON array: the form of
+// impir-bench -json and of the golden file.
+func WriteJSON(w io.Writer, reports []*Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(reports)
 }
 
 // FileStem returns a filesystem-friendly name for the report

@@ -237,6 +237,17 @@ func TestWireSizeLogarithmic(t *testing.T) {
 			t.Fatalf("WireSize() = %d but MarshalBinary produced %d bytes", k.WireSize(), len(data))
 		}
 	}
+	for d := 0; d <= MaxDomain; d++ {
+		k, _ := mustGen(t, Params{Domain: d}, 0)
+		data, err := k.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := KeyWireSize(d); got != k.WireSize() || got != len(data) {
+			t.Errorf("domain %d: KeyWireSize = %d, WireSize() = %d, marshalled %d bytes",
+				d, got, k.WireSize(), len(data))
+		}
+	}
 }
 
 func TestNumIndices(t *testing.T) {

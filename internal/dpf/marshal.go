@@ -79,8 +79,7 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 	if data[3] != keyPRGID {
 		return fmt.Errorf("dpf: unmarshal: unsupported PRG id %d", data[3])
 	}
-	depth := treeDepth(domain)
-	if want := wireSize(depth); len(data) != want {
+	if want := KeyWireSize(domain); len(data) != want {
 		return fmt.Errorf("dpf: unmarshal: have %d bytes, want %d (domain=%d)", len(data), want, domain)
 	}
 	if data[20] > 1 {
@@ -91,7 +90,7 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 	k.Domain = uint8(domain)
 	copy(k.RootSeed[:], data[4:20])
 	k.RootT = data[20] == 1
-	k.CW = make([]CorrectionWord, depth)
+	k.CW = make([]CorrectionWord, treeDepth(domain))
 	off := keyHeaderSize
 	for i := range k.CW {
 		copy(k.CW[i].Seed[:], data[off:off+aesprf.BlockSize])
@@ -109,8 +108,11 @@ func (k *Key) UnmarshalBinary(data []byte) error {
 
 // WireSize returns the marshalled size of the key in bytes without
 // allocating: O(λ·log N), the communication cost per server of one query.
-func (k *Key) WireSize() int { return wireSize(len(k.CW)) }
+func (k *Key) WireSize() int { return KeyWireSize(int(k.Domain)) }
 
-func wireSize(depth int) int {
-	return keyHeaderSize + cwWireSize*depth + aesprf.BlockSize
+// KeyWireSize is the marshalled size in bytes of a key over 2^domain
+// indices: the header, one correction word per tree level and the leaf
+// word.
+func KeyWireSize(domain int) int {
+	return keyHeaderSize + cwWireSize*treeDepth(domain) + aesprf.BlockSize
 }

@@ -53,6 +53,22 @@ func batchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
 	return seededEngine(tb, cfg, 65536, 256, 8, 31)
 }
 
+// keyedBatchPIMEngine loads the batch_pim geometry and returns it with a
+// width-8 pass of seeded party-0 DPF keys, so the pass pays host Eval.
+func keyedBatchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
+	eng, _ := batchPIMEngine(tb)
+	rng := rand.New(rand.NewSource(33))
+	var in dpf.Batch
+	for range 8 {
+		k0, _, err := dpf.Gen(dpf.Params{Domain: 16, Rand: rng}, uint64(rng.Intn(65536)), nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		in.Keys = append(in.Keys, k0)
+	}
+	return eng, in
+}
+
 // streamingEngine loads a 1 MiB database that streams through MRAM: two
 // clusters of 6 DPUs on ranks of 8, so the first cluster sits in rank 0
 // and the second straddles ranks 0 and 1; each DPU holds 704 records in
@@ -73,7 +89,8 @@ func streamingEngine(tb testing.TB) (*Engine, dpf.Batch) {
 // existed: replaying the cost from geometry and selector words must not
 // move a single nanosecond of the paper-hardware model. The rows are the
 // benchmark's batch_pim pass (resident, one cluster) and a streaming pass
-// whose groups span two clusters.
+// whose groups span two clusters. The keyed row, captured on the replay,
+// pins the schedule of a pass whose groups wait on host Eval.
 func TestModeledBatchPIMGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -89,6 +106,13 @@ func TestModeledBatchPIMGolden(t *testing.T) {
 			metrics.PhaseCopyToHost: 236533,
 			metrics.PhaseAggregate:  10239,
 		}, 16594794},
+		{"keyed_batch_pim", keyedBatchPIMEngine, true, 6, [metrics.NumPhases]time.Duration{
+			metrics.PhaseEval:       291271,
+			metrics.PhaseCopyToPIM:  196376,
+			metrics.PhaseDpXOR:      1630102,
+			metrics.PhaseCopyToHost: 236533,
+			metrics.PhaseAggregate:  10239,
+		}, 16877288},
 		{"streaming_2_clusters", streamingEngine, false, 6, [metrics.NumPhases]time.Duration{
 			metrics.PhaseCopyToPIM:  2907017,
 			metrics.PhaseDpXOR:      1983979,
@@ -106,14 +130,23 @@ func TestModeledBatchPIMGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sels := make([]*bitvec.Vector, 0, in.Len())
+			for _, k := range in.Keys {
+				v, err := k.EvalFull(dpf.FullEvalOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sels = append(sels, v)
+			}
+			sels = append(sels, in.Shares...)
 			db := eng.Database()
-			for q, share := range in.Shares {
+			for q, sel := range sels {
 				want := make([]byte, db.RecordSize())
-				if err := xorop.Accumulate(want, db.Data(), db.RecordSize(), share.Words()); err != nil {
+				if err := xorop.Accumulate(want, db.Data(), db.RecordSize(), sel.Words()); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got[q], want) {
-					t.Fatalf("share %d: pass %x != oracle %x", q, got[q][:8], want[:8])
+					t.Fatalf("query %d: pass %x != oracle %x", q, got[q][:8], want[:8])
 				}
 			}
 			if stats.PerQuery.Modeled != tc.modeled {
