@@ -121,7 +121,7 @@ func (k kernel) achieved() float64  { return k.ops / k.d.Seconds() }
 // the database once plus one selector bit per record.
 func dpxorKernel(dbBytes int64, d time.Duration) kernel {
 	return kernel{name: "dpXOR", ops: float64(dbBytes) / 8 * 0.5,
-		bytes: float64(dbBytes) + float64(dbBytes)/64/8, d: d}
+		bytes: float64(dbBytes) + float64(dbBytes)/recordSize/8, d: d}
 }
 
 // ggmKernel is GGM tree expansion over `nodes` internal nodes: each costs
