@@ -28,6 +28,26 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunnerNamesRegistered: every experiment has a runner and a name
+// that -experiment selects it by alone: non-empty, not "all", and unique
+// under the case folding run applies.
+func TestRunnerNamesRegistered(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range bench.Experiments {
+		if e.Run == nil {
+			t.Errorf("experiment %q has no runner", e.Name)
+		}
+		key := strings.ToLower(e.Name)
+		if key == "" || key == "all" {
+			t.Errorf("experiment name %q cannot be selected alone", e.Name)
+		}
+		if seen[key] {
+			t.Errorf("experiment name %q listed twice", e.Name)
+		}
+		seen[key] = true
+	}
+}
+
 func TestRunWritesCSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-experiment", "table1", "-csv", dir}); err != nil {

@@ -14,6 +14,59 @@ var update = flag.Bool("update", false, "rewrite testdata/figures.golden.json")
 
 const goldenPath = "testdata/figures.golden.json"
 
+// requireShapes fails t unless r has data rows and every paper-shape
+// check of r passes.
+func requireShapes(t *testing.T, r *Report) {
+	t.Helper()
+	if len(r.Rows) == 0 {
+		t.Errorf("%s: no data rows", r.ID)
+	}
+	for _, c := range r.Checks {
+		if !c.OK {
+			t.Errorf("%s: check failed: %s — %s", r.ID, c.Name, c.Detail)
+		}
+	}
+	if !r.AllChecksPass() {
+		t.Errorf("%s: AllChecksPass() = false", r.ID)
+	}
+}
+
+// isPaperFigure reports whether e regenerates one of the paper's §5
+// figures or Table 1, as opposed to an ablation or scale-out experiment.
+func isPaperFigure(e Experiment) bool {
+	return strings.HasPrefix(e.Name, "fig") || strings.HasPrefix(e.Name, "table")
+}
+
+// TestAllFiguresReproduceShapes: every regenerated figure and Table 1
+// has rows and passes all its paper-shape checks.
+func TestAllFiguresReproduceShapes(t *testing.T) {
+	n := 0
+	for _, e := range Experiments {
+		if isPaperFigure(e) {
+			requireShapes(t, e.Run())
+			n++
+		}
+	}
+	if n != 13 {
+		t.Fatalf("got %d figure reports, want 13 (12 figures + Table 1)", n)
+	}
+}
+
+// TestAblationsPass: every ablation and scale-out experiment has rows and
+// passes all its checks.
+func TestAblationsPass(t *testing.T) {
+	n := 0
+	for _, e := range Experiments {
+		if !isPaperFigure(e) {
+			requireShapes(t, e.Run())
+			n++
+		}
+	}
+	if n != 8 {
+		t.Fatalf("got %d ablation reports, want 8 (5 paper ablations + shard scaling + keyword lookup + hedging tail)", n)
+	}
+}
+
 // TestFiguresGolden is the reproduction gate: every experiment renders,
 // through the writer impir-bench -json uses, byte for byte to the golden
 // file, every report has rows, and every paper-shape check passes. With
@@ -23,14 +76,7 @@ func TestFiguresGolden(t *testing.T) {
 	var reports []*Report
 	for _, e := range Experiments {
 		r := e.Run()
-		if len(r.Rows) == 0 {
-			t.Errorf("%s: no data rows", r.ID)
-		}
-		for _, c := range r.Checks {
-			if !c.OK {
-				t.Errorf("%s: check failed: %s — %s", r.ID, c.Name, c.Detail)
-			}
-		}
+		requireShapes(t, r)
 		reports = append(reports, r)
 	}
 	var got bytes.Buffer
@@ -192,5 +238,34 @@ func TestAchievedBelowRoofline(t *testing.T) {
 	if achieved := dpxor.achieved(); achieved > cpuRoofline.attainable(dpxor.intensity()) {
 		t.Errorf("dpXOR achieved %.2e exceeds roofline bound %.2e",
 			achieved, cpuRoofline.attainable(dpxor.intensity()))
+	}
+}
+
+// TestFigure3bShape checks the figure's qualitative claims on the
+// baseline machine: dpXOR and Eval are memory-bound and dpXOR has the
+// lower operational intensity.
+func TestFigure3bShape(t *testing.T) {
+	m := cpuRoofline
+	dpxor := dpxorKernel(1<<30, 500*time.Millisecond)
+	eval := ggmKernel("Eval", 1<<25, 150*time.Millisecond)
+
+	if !m.memoryBound(dpxor.intensity()) {
+		t.Errorf("dpXOR OI %.3f not memory-bound (ridge %.3f)", dpxor.intensity(), m.ridge())
+	}
+	if !m.memoryBound(eval.intensity()) {
+		t.Errorf("Eval OI %.3f not memory-bound (ridge %.3f)", eval.intensity(), m.ridge())
+	}
+	if dpxor.intensity() >= eval.intensity() {
+		t.Errorf("dpXOR OI %.3f should be below Eval OI %.3f", dpxor.intensity(), eval.intensity())
+	}
+}
+
+// TestGenKernelTiny: client Gen expands O(log N) GGM nodes, so its work
+// is negligible next to full-domain Eval over N leaves.
+func TestGenKernelTiny(t *testing.T) {
+	g := ggmKernel("Gen", 30, 3*time.Microsecond)
+	e := ggmKernel("Eval", 1<<30, time.Second)
+	if g.ops >= e.ops/1e6 {
+		t.Error("Gen ops should be negligible next to Eval")
 	}
 }
