@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,6 +123,38 @@ func TestBuildDeploymentDatabaseShards(t *testing.T) {
 	}
 	if _, err := buildDeploymentDatabase(path, 0, "hash", 128, 7); err == nil {
 		t.Fatal("record-count mismatch against the manifest accepted")
+	}
+
+	// A cluster manifest passed as -deployment (the "replicas" shorthand)
+	// carves the same shard bytes the cluster package does.
+	m, err := impir.UniformManifest(1000, 32, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1", "f:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = m.JSON(); err != nil {
+		t.Fatal(err)
+	}
+	clusterPath := filepath.Join(dir, "cluster.json")
+	if err := os.WriteFile(clusterPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full, err = buildDatabase("hash", 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, want := range []int{334, 333, 333} {
+		got, err := buildDeploymentDatabase(clusterPath, s, "hash", 1000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := shardDatabase(full, clusterPath, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRecords() != want || !bytes.Equal(got.Data(), ref.Data()) {
+			t.Fatalf("shard %d: -deployment cluster.json carved %d records, want %d identical to the cluster carve",
+				s, got.NumRecords(), want)
+		}
 	}
 }
 
