@@ -22,6 +22,9 @@ import (
 // allocation. With SlowThreshold set, every operation is traced and
 // the ring additionally keeps unsampled ones that ran at least that
 // long — the client-side mirror of the server's slow-query tracing.
+// The servers learn only the head decision: an operation traced just
+// for the threshold reaches them as unsampled and stays out of their
+// rings.
 //
 //	tr := impir.NewTracer(impir.TracerConfig{SampleRate: 0.01})
 //	store, _ := impir.Open(ctx, d, tr.Option())
@@ -47,8 +50,6 @@ type TracerConfig struct {
 	// This trades the zero-allocation unsampled path for never missing
 	// a slow operation.
 	SlowThreshold time.Duration
-	// RingSize bounds the trace ring (0 means obs.DefaultTraceRingSize).
-	RingSize int
 }
 
 // NewTracer builds a tracing bundle.
@@ -56,7 +57,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return &Tracer{
 		sampler: obs.NewSampler(cfg.SampleRate),
 		slow:    cfg.SlowThreshold,
-		ring:    obs.NewTraceRing(cfg.RingSize),
+		ring:    obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
 }
 
@@ -72,53 +73,53 @@ func (t *Tracer) Option() ClientOption {
 // begin opens the root span for one logical operation, or returns nil
 // when the operation is not traced. The no-tracing check runs before
 // any ID is drawn, keeping the disabled path allocation free.
-func (t *Tracer) begin(ctx context.Context, op string) (*obs.Span, bool) {
+func (t *Tracer) begin(ctx context.Context, op string) *obs.Span {
 	if !t.sampler.Enabled() && t.slow <= 0 {
-		return nil, false
+		return nil
 	}
 	traceID := obs.NewTraceID()
 	sampled := t.sampler.SampleTrace(traceID)
 	if !sampled && t.slow <= 0 {
-		return nil, false
+		return nil
 	}
-	span := obs.NewRootSpan(traceID, op)
+	span := obs.NewRootSpan(traceID, op, sampled)
 	span.SetAttrBool("sampled", sampled)
 	for _, a := range obs.OpAttrsFromContext(ctx) {
 		span.SetAttr(a.Key, a.Value)
 	}
-	return span, sampled
+	return span
 }
 
 // finish ends the root span and decides ring admission: sampled
 // operations always, unsampled ones only over the slow threshold.
-func (t *Tracer) finish(span *obs.Span, sampled bool, err error) {
+func (t *Tracer) finish(span *obs.Span, err error) {
 	if err != nil {
 		span.SetAttr("error", err.Error())
 	}
 	span.End()
-	if sampled || (t.slow > 0 && span.Duration() >= t.slow) {
+	if span.Sampled() || (t.slow > 0 && span.Duration() >= t.slow) {
 		t.ring.Add(span)
 	}
 }
 
 func (t *Tracer) interceptUnary(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-	span, sampled := t.begin(ctx, opRetrieve)
+	span := t.begin(ctx, opRetrieve)
 	if span == nil {
 		return invoke(ctx, index)
 	}
 	rec, err := invoke(obs.ContextWithSpan(ctx, span), index)
-	t.finish(span, sampled, err)
+	t.finish(span, err)
 	return rec, err
 }
 
 func (t *Tracer) interceptBatch(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error) {
-	span, sampled := t.begin(ctx, opRetrieveBatch)
+	span := t.begin(ctx, opRetrieveBatch)
 	if span == nil {
 		return invoke(ctx, indices)
 	}
 	span.SetAttrInt("batch_size", int64(len(indices)))
 	recs, err := invoke(obs.ContextWithSpan(ctx, span), indices)
-	t.finish(span, sampled, err)
+	t.finish(span, err)
 	return recs, err
 }
 

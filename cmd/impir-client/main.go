@@ -11,13 +11,14 @@
 // valid answer per party wins); -no-hedge disables it and -retries
 // grants a transient-failure retry budget.
 //
-// The pre-manifest flags remain for quick experiments: -servers for a
-// flat deployment, -manifest for a sharded one, -kv for a keyword
-// table — each equivalent to the corresponding deployment manifest:
+// A cluster manifest (cluster.json) is a valid -deployment too. The
+// pre-manifest flags remain for quick experiments: -servers for a flat
+// deployment, -kv for a keyword table — each equivalent to the
+// corresponding deployment manifest:
 //
+//	impir-client -deployment cluster.json -index 123
 //	impir-client -servers 127.0.0.1:7100,127.0.0.1:7101 -index 123
 //	impir-client -servers a:7100,b:7100,c:7100 -index 123   # 3-server shares
-//	impir-client -manifest cluster.json -index 123
 //	impir-client -servers a:7100,b:7100 -kv table.json get key-00000123
 package main
 
@@ -44,11 +45,9 @@ func main() {
 func run() error {
 	var (
 		deploymentPath = flag.String("deployment", "",
-			"unified deployment manifest JSON; drives any topology (replaces -servers/-manifest/-kv)")
+			"unified deployment manifest JSON (or a cluster manifest); drives any topology (replaces -servers/-kv)")
 		servers = flag.String("servers", "127.0.0.1:7100,127.0.0.1:7101",
 			"comma-separated addresses of the non-colluding servers (≥ 2)")
-		manifestPath = flag.String("manifest", "",
-			"cluster manifest JSON for a sharded deployment (replaces -servers)")
 		indexFlag = flag.String("index", "0", "record index (or comma-separated indices) to retrieve")
 		kvPath    = flag.String("kv", "",
 			"keyword-table manifest JSON; switches to key→value mode: impir-client -kv table.json get <key> [key...]")
@@ -91,12 +90,6 @@ func run() error {
 		if d, err = impir.LoadDeployment(*deploymentPath); err != nil {
 			return err
 		}
-	case *manifestPath != "":
-		m, err := impir.LoadManifest(*manifestPath)
-		if err != nil {
-			return err
-		}
-		d = impir.DeploymentFromManifest(m)
 	default:
 		addrs := parseAddrs(*servers)
 		if len(addrs) < 2 {

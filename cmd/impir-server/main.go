@@ -14,16 +14,6 @@
 // Deployments with more than two servers (the naive share encoding) run
 // one impir-server per party with -party 0..n-1.
 //
-// Sharded deployments pass a cluster manifest and a shard index: the
-// server synthesises the full database, carves out its shard's row
-// range, and serves only that slice — one process per (shard, replica):
-//
-//	impir-server -manifest cluster.json -shard 0 -party 0 -listen 127.0.0.1:7100 &
-//	impir-server -manifest cluster.json -shard 0 -party 1 -listen 127.0.0.1:7101 &
-//	impir-server -manifest cluster.json -shard 1 -party 0 -listen 127.0.0.1:7200 &
-//	impir-server -manifest cluster.json -shard 1 -party 1 -listen 127.0.0.1:7201 &
-//	impir-client -manifest cluster.json -index 123
-//
 // Keyword stores serve a cuckoo key→value table instead of an indexed
 // database: with -kv-manifest the server synthesises -records
 // deterministic key→value pairs from -seed, builds the cuckoo table
@@ -47,11 +37,13 @@
 //	impir-server -deployment deployment.json -shard 1 -party 0 -listen 127.0.0.1:7200 &
 //	impir-server -deployment deployment.json -shard 1 -party 1 -listen 127.0.0.1:7201 &
 //	impir-client -deployment deployment.json -index 123
+//
+// A cluster manifest (cluster.json) is a valid -deployment too: each
+// shard's "replicas" list reads as one single-replica party per server.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -60,7 +52,6 @@ import (
 	"os/signal"
 	"reflect"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -69,23 +60,6 @@ import (
 	"github.com/impir/impir/internal/cluster"
 	"github.com/impir/impir/internal/keyword"
 )
-
-// jsonLogf renders transport log lines for -log-format=json: lines the
-// transport already rendered as JSON objects (slow-query traces under
-// JSONLogs) pass through verbatim, anything else is wrapped, so stderr
-// stays one JSON object per line and log pipelines never need a regex.
-func jsonLogf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if strings.HasPrefix(msg, "{") {
-		fmt.Fprintln(os.Stderr, msg)
-		return
-	}
-	b, err := json.Marshal(map[string]string{"msg": msg})
-	if err != nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, string(b))
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -108,9 +82,7 @@ func run() error {
 
 		deploymentPath = flag.String("deployment", "",
 			"unified deployment manifest JSON (deployment.json); the server carves its -shard row range and, with a keyword section, serves the cuckoo table")
-		manifestPath = flag.String("manifest", "",
-			"cluster manifest JSON; the server carves its shard's row range out of the synthetic database (deprecated: use -deployment)")
-		shard = flag.Int("shard", 0, "this server's shard index in the manifest (with -deployment or -manifest)")
+		shard = flag.Int("shard", 0, "this server's shard index in the -deployment manifest")
 
 		kvManifestPath = flag.String("kv-manifest", "",
 			"serve a keyword (key→value) store: build a cuckoo table from -records synthetic pairs (seeded by -seed, replacing -workload) and write the table manifest JSON to this path")
@@ -130,31 +102,20 @@ func run() error {
 		adminAddr = flag.String("admin-addr", "",
 			"serve the operator endpoint (GET /metrics, /healthz, /readyz, /debug/traces) on this address; empty disables it")
 		slowQuery = flag.Duration("slow-query", 0,
-			"log a structured trace for any query frame taking at least this long end-to-end (0 = off)")
+			"log the span tree (one JSON line) of any query frame taking at least this long end-to-end (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0,
 			"head-sample this fraction of queries arriving without a client trace context into the /debug/traces ring (0 = only client-sampled and slow queries, 1 = all)")
-		traceRing = flag.Int("trace-ring", 0,
-			"trace ring buffer capacity (0 = 256)")
 		pprofOn = flag.Bool("pprof", false,
 			"mount net/http/pprof under /debug/pprof/ on the admin endpoint")
-		logFormat = flag.String("log-format", "text",
-			"slow-query/trace log rendering: text (logfmt) or json (one object per line)")
 	)
 	flag.Parse()
 
 	if *party < 0 || *party > 255 {
 		return fmt.Errorf("party %d must be in 0..255", *party)
 	}
-	if *logFormat != "text" && *logFormat != "json" {
-		return fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat)
-	}
 	kind, err := impir.ParseEngineKind(*engine)
 	if err != nil {
 		return err
-	}
-
-	if *deploymentPath != "" && *manifestPath != "" {
-		return fmt.Errorf("-deployment replaces -manifest; pass one")
 	}
 
 	var db *impir.DB
@@ -170,20 +131,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *manifestPath != "" {
-		db, err = shardDatabase(db, *manifestPath, *shard)
-		if err != nil {
-			return err
-		}
-	}
 
-	// Sharded invocations stamp slow-query traces with their shard so an
+	// Sharded invocations stamp traces with their shard so an
 	// operator tailing logs from many processes can tell them apart.
 	traceShard := ""
-	if *deploymentPath != "" || *manifestPath != "" {
+	if *deploymentPath != "" {
 		traceShard = strconv.Itoa(*shard)
 	}
-	scfg := impir.ServerConfig{
+	srv, err := impir.NewServer(impir.ServerConfig{
 		Engine:             kind,
 		DPUs:               *dpus,
 		Clusters:           *clusters,
@@ -195,14 +150,8 @@ func run() error {
 		SlowQueryThreshold: *slowQuery,
 		TraceShard:         traceShard,
 		TraceSampleRate:    *traceSample,
-		TraceRingSize:      *traceRing,
 		EnablePprof:        *pprofOn,
-	}
-	if *logFormat == "json" {
-		scfg.JSONLogs = true
-		scfg.SlowQueryLogf = jsonLogf
-	}
-	srv, err := impir.NewServer(scfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -331,28 +280,6 @@ func buildDeploymentDatabase(path string, shard int, workload string, records in
 	}
 	log.Printf("serving shard %d/%d: global records [%d,%d)",
 		shard, d.NumShards(), d.Shards[shard].FirstRecord, d.Shards[shard].End())
-	return part, nil
-}
-
-// shardDatabase carves shard's row range out of the full database per
-// the manifest, so independently started shard servers with the same
-// -records/-seed flags hold byte-identical cohort replicas.
-func shardDatabase(db *impir.DB, manifestPath string, shard int) (*impir.DB, error) {
-	m, err := cluster.Load(manifestPath)
-	if err != nil {
-		return nil, err
-	}
-	if shard < 0 || shard >= m.NumShards() {
-		return nil, fmt.Errorf("shard %d outside manifest of %d shards", shard, m.NumShards())
-	}
-	// ExtractShard carves only this server's range — no point holding
-	// all S shard copies in memory just to keep one.
-	part, err := cluster.ExtractShard(db, m, shard)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("serving shard %d/%d: global records [%d,%d)",
-		shard, m.NumShards(), m.Shards[shard].FirstRecord, m.Shards[shard].End())
 	return part, nil
 }
 

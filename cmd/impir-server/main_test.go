@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/impir/impir"
+	"github.com/impir/impir/internal/cluster"
 	"github.com/impir/impir/internal/keyword"
 )
 
@@ -147,7 +148,7 @@ func TestBuildDeploymentDatabaseShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := shardDatabase(full, clusterPath, s)
+		ref, err := cluster.ExtractShard(full, m, s)
 		if err != nil {
 			t.Fatal(err)
 		}

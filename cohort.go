@@ -471,17 +471,17 @@ func (c *cohort) partyDo(ctx context.Context, co callOptions, p int, conns []*tr
 	return rs, nil
 }
 
-// attemptContext attaches the attempt span's ID as the wire trace
-// context for this one exchange. Each attempt span draws its ID
-// independently at random, so every party — indeed every replica —
-// receives a different, unlinkable ID; see the privacy argument in
-// impir.go. Untraced calls (nil span) attach nothing and produce the
-// exact legacy wire image.
+// attemptContext attaches the attempt span's ID and the operation's
+// head-sampling decision as the wire trace context for this one
+// exchange. Each attempt span draws its ID independently at random, so
+// every party — indeed every replica — receives a different,
+// unlinkable ID; see the privacy argument in impir.go. Untraced calls
+// (nil span) attach nothing and produce the exact legacy wire image.
 func attemptContext(ctx context.Context, att *obs.Span) context.Context {
 	if att == nil {
 		return ctx
 	}
-	return transport.ContextWithTrace(ctx, att.ID(), true)
+	return transport.ContextWithTrace(ctx, att.ID(), att.Sampled())
 }
 
 // replicaOrder returns party p's live replica indices fastest-first by

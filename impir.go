@@ -112,8 +112,9 @@
 // Server.ServeAdmin serves an operator plane on its own listener:
 // /metrics (Prometheus text; scheduler counters are mirrored at scrape
 // time so they never disagree with QueueStats), /healthz and /readyz —
-// the README lists the families. ServerConfig.SlowQueryThreshold logs a
-// one-line trace of every dispatch crossing it. On the client,
+// the README lists the families. ServerConfig.SlowQueryThreshold logs
+// the span tree of every dispatch crossing it as one JSON line — the
+// same object /debug/traces serves for that query. On the client,
 // NewClientObs packages the interceptor chain into per-call
 // latency/outcome metrics plus retry/hedge mirrors. Everything exported
 // is an operational aggregate: indices' timing, never their values.
@@ -123,10 +124,13 @@
 // NewTracer adds the per-query half: a head-sampled root span per
 // logical operation, child spans for every shard sub-query, party, and
 // replica attempt, and a ring of finished span trees
-// (Tracer.RecentTraces, or mounted as an HTTP handler). Servers keep
-// their own ring — queue wait, engine pass, per-phase breakdown — at
-// the admin endpoint's /debug/traces?min_ms=N, fed by client-sampled
-// queries, ServerConfig.TraceSampleRate and slow queries.
+// (Tracer.RecentTraces, or mounted as an HTTP handler). A server
+// traces a query as one span tree too: a server.<frame> root under the
+// party-local span ID, with queue-wait and engine-pass children (the
+// engine's per-phase breakdown as attributes). It keeps the trees in
+// its own ring at the admin endpoint's /debug/traces?min_ms=N, fed by
+// client-sampled queries, ServerConfig.TraceSampleRate and slow
+// queries.
 //
 // Privacy argument: tracing must not weaken the non-collusion model,
 // so NO SHARED TRACE ID EVER CROSSES A PARTY BOUNDARY. The wire trace
@@ -135,10 +139,16 @@
 // (indeed two replicas) never receive the same ID, and because the IDs
 // are independent uniform draws, colluding servers comparing their
 // contexts learn nothing about whether two queries belong to the same
-// operation beyond the arrival timing they already observe. The
-// linkage lives only client-side: the client's span tree records each
-// attempt's ID, which equals the trace_id of exactly that server's
-// ring entry, so the operator of the CLIENT can join the halves while
+// operation beyond the arrival timing they already observe. Besides
+// the ID, the context carries one sampled bit: whether the client's
+// head sampler picked the operation (an operation traced only for
+// TracerConfig.SlowThreshold sends it clear). Every party of one
+// operation sees the same bit, exactly as every party sees whether a
+// context is present at all, which under head sampling alone already
+// implies the bit; it depends on the sampling rate and a random draw,
+// never on the index. The linkage lives only client-side: the client's
+// span tree records each attempt's ID, which equals the span_id of
+// exactly that server's ring entry, so the operator of the CLIENT can join the halves while
 // the servers cannot. Shard real/dummy marking and keyword probe counts
 // exist only in client-side spans; a traced query's wire bytes differ
 // from an untraced one's only by the negotiated version-2 extension,

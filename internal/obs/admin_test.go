@@ -103,7 +103,7 @@ func TestAdminEndpoints(t *testing.T) {
 
 func TestAdminTraceAndPprofEndpoints(t *testing.T) {
 	ring := NewTraceRing(4)
-	s := NewRootSpan(NewTraceID(), "server.query")
+	s := NewRootSpan(NewTraceID(), "server.query", true)
 	s.endAt(7 * time.Millisecond)
 	ring.Add(s)
 

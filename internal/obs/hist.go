@@ -3,7 +3,8 @@
 // serving /metrics, /healthz and /readyz, the shared HDR-style latency
 // histogram (one implementation behind both the load generator's
 // quantiles and the server's exported latency histograms), and the
-// per-query trace context the slow-query log is assembled from.
+// span trees that trace one query on client and server — the server's
+// ring and its slow-query log both render them.
 //
 // Everything here observes the PIR machinery from the outside: nothing
 // in this package sees a query index, a key, or a selector share — only

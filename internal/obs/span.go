@@ -21,9 +21,9 @@ import (
 // attempt's span ID doubles as the wire trace context sent to that one
 // server — and ONLY that server: no shared trace ID ever crosses a
 // party boundary, so colluding servers gain zero linkability beyond
-// the timing they already observe. The server joins the propagated
-// span ID onto its existing Trace and records the finished trace into
-// a TraceRing served as JSON from the admin endpoint; the client keeps
+// the timing they already observe. The server opens its root span
+// under the propagated span ID and records the finished tree into a
+// TraceRing served as JSON from the admin endpoint; the client keeps
 // its own ring of whole span trees. Linking a client attempt span to
 // the server-side trace it caused is done by the party-local span ID.
 
@@ -143,6 +143,7 @@ type Span struct {
 	mu       sync.Mutex
 	traceID  TraceID // zero for server-side (party-local) spans
 	id       SpanID
+	sampled  bool // the head-sampling decision, fixed at the root
 	name     string
 	start    time.Time
 	duration time.Duration
@@ -152,18 +153,41 @@ type Span struct {
 }
 
 // NewRootSpan opens the root span of a client operation, started now.
-func NewRootSpan(traceID TraceID, name string) *Span {
-	return &Span{traceID: traceID, id: NewSpanID(), name: name, start: time.Now()}
+// sampled records whether the head sampler picked the operation, as
+// opposed to tracing it only in case it turns out slow.
+func NewRootSpan(traceID TraceID, name string, sampled bool) *Span {
+	return &Span{traceID: traceID, id: NewSpanID(), sampled: sampled, name: name, start: time.Now()}
+}
+
+// NewServerSpan opens a party-local root span (no trace ID) under a
+// given ID — the one propagated on the wire, when there was one —
+// started at start.
+func NewServerSpan(id SpanID, name string, start time.Time, sampled bool) *Span {
+	return &Span{id: id, sampled: sampled, name: name, start: start}
 }
 
 // StartChild opens a child span with a fresh random ID, started now.
 // On a nil receiver it returns nil, so an unsampled path needs no
 // checks anywhere below the root.
 func (s *Span) StartChild(name string) *Span {
+	return s.addChild(name, time.Now())
+}
+
+// AddChild records an already finished child that started at start
+// and ran for d. On a nil receiver it returns nil.
+func (s *Span) AddChild(name string, start time.Time, d time.Duration) *Span {
+	c := s.addChild(name, start)
+	if c != nil {
+		c.endAt(d)
+	}
+	return c
+}
+
+func (s *Span) addChild(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{traceID: s.traceID, id: NewSpanID(), name: name, start: time.Now()}
+	c := &Span{traceID: s.traceID, id: NewSpanID(), sampled: s.sampled, name: name, start: start}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -183,7 +207,7 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// endAt closes a reconstructed span with an explicit duration.
+// endAt closes a span with an explicit duration.
 func (s *Span) endAt(d time.Duration) {
 	s.mu.Lock()
 	s.ended = true
@@ -231,6 +255,10 @@ func (s *Span) ID() SpanID {
 	}
 	return s.id
 }
+
+// Sampled reports whether the operation's head sampler picked it
+// (false on a nil span). Children inherit the root's decision.
+func (s *Span) Sampled() bool { return s != nil && s.sampled }
 
 // Duration returns the stamped duration (0 while the span is open).
 func (s *Span) Duration() time.Duration {
@@ -299,7 +327,8 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.Snapshot())
 }
 
-// DefaultTraceRingSize is the ring capacity when none is configured.
+// DefaultTraceRingSize is the capacity of every server and client
+// trace ring.
 const DefaultTraceRingSize = 256
 
 // TraceRing is a lock-protected ring buffer of recently finished trace

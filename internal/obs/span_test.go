@@ -12,7 +12,7 @@ import (
 )
 
 func TestSpanTreeSnapshot(t *testing.T) {
-	root := NewRootSpan(NewTraceID(), "client.retrieve")
+	root := NewRootSpan(NewTraceID(), "client.retrieve", true)
 	root.SetAttr("op", "retrieve")
 	root.SetAttrInt("batch_size", 4)
 	root.SetAttrBool("sampled", true)
@@ -43,13 +43,40 @@ func TestSpanTreeSnapshot(t *testing.T) {
 	if child.SpanID == sn.SpanID {
 		t.Fatalf("child reused root span ID %q", child.SpanID)
 	}
+	if !att.Sampled() {
+		t.Fatal("grandchild lost the root's sampling decision")
+	}
 	if _, err := json.Marshal(root); err != nil {
 		t.Fatalf("marshal span tree: %v", err)
 	}
 }
 
+// TestServerSpanRecordsFinishedChildren: a server root carries the
+// given ID and no trace ID, and AddChild records stages that already
+// ran, inheriting the root's sampling decision.
+func TestServerSpanRecordsFinishedChildren(t *testing.T) {
+	id := NewSpanID()
+	start := time.Now()
+	root := NewServerSpan(id, "server.query", start, false)
+	q := root.AddChild("queue", start, 2*time.Millisecond)
+	root.End()
+	if q.Sampled() || root.Sampled() {
+		t.Fatal("unsampled server span reports sampled")
+	}
+	sn := root.Snapshot()
+	if sn.SpanID != id.String() || sn.TraceID != "" || !sn.Start.Equal(start) {
+		t.Fatalf("server root identity = %+v, want span %s from %v and no trace ID", sn, id, start)
+	}
+	if len(sn.Children) != 1 || sn.Children[0].Open || sn.Children[0].DurUS != 2000 {
+		t.Fatalf("recorded child = %+v, want one closed 2ms queue span", sn.Children)
+	}
+	if !NewServerSpan(id, "server.query", start, true).AddChild("engine", start, 0).Sampled() {
+		t.Fatal("child of a sampled server span reports unsampled")
+	}
+}
+
 func TestSpanEndKeepsFirstStamp(t *testing.T) {
-	s := NewRootSpan(NewTraceID(), "op")
+	s := NewRootSpan(NewTraceID(), "op", true)
 	s.endAt(5 * time.Millisecond)
 	s.End() // second end must not re-stamp
 	if d := s.Duration(); d != 5*time.Millisecond {
@@ -62,11 +89,14 @@ func TestSpanNilSafe(t *testing.T) {
 	if c := s.StartChild("child"); c != nil {
 		t.Fatalf("nil.StartChild returned %v, want nil", c)
 	}
+	if c := s.AddChild("child", time.Now(), time.Second); c != nil {
+		t.Fatalf("nil.AddChild returned %v, want nil", c)
+	}
 	s.SetAttr("k", "v")
 	s.SetAttrInt("n", 1)
 	s.SetAttrBool("b", true)
 	s.End()
-	if !s.ID().IsZero() || s.Duration() != 0 {
+	if !s.ID().IsZero() || s.Duration() != 0 || s.Sampled() {
 		t.Fatalf("nil span leaked identity or duration")
 	}
 	ctx := ContextWithSpan(context.Background(), nil)
@@ -145,7 +175,7 @@ func TestSamplerFractionalDeterministic(t *testing.T) {
 func TestTraceRingEvictionOrder(t *testing.T) {
 	r := NewTraceRing(4)
 	for i := 0; i < 6; i++ {
-		s := NewRootSpan(NewTraceID(), "op"+strconv.Itoa(i))
+		s := NewRootSpan(NewTraceID(), "op"+strconv.Itoa(i), true)
 		s.End()
 		r.Add(s)
 	}
@@ -167,7 +197,7 @@ func TestTraceRingEvictionOrder(t *testing.T) {
 func TestTraceRingMinFilter(t *testing.T) {
 	r := NewTraceRing(8)
 	for i, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond} {
-		s := NewRootSpan(NewTraceID(), "op"+strconv.Itoa(i))
+		s := NewRootSpan(NewTraceID(), "op"+strconv.Itoa(i), true)
 		s.endAt(d)
 		r.Add(s)
 	}
@@ -194,9 +224,9 @@ func TestTraceRingServeHTTP(t *testing.T) {
 		t.Fatalf("empty ring body %q: err=%v parsed=%v", rec.Body.String(), err, spans)
 	}
 
-	slow := NewRootSpan(NewTraceID(), "slow")
+	slow := NewRootSpan(NewTraceID(), "slow", true)
 	slow.endAt(20 * time.Millisecond)
-	fast := NewRootSpan(NewTraceID(), "fast")
+	fast := NewRootSpan(NewTraceID(), "fast", true)
 	fast.endAt(time.Millisecond)
 	r.Add(slow)
 	r.Add(fast)
@@ -239,7 +269,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s := NewRootSpan(NewTraceID(), fmt.Sprintf("w%d.%d", w, i))
+				s := NewRootSpan(NewTraceID(), fmt.Sprintf("w%d.%d", w, i), true)
 				c := s.StartChild("leaf")
 				s.End()
 				r.Add(s)

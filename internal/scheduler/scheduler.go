@@ -74,8 +74,9 @@ type Config struct {
 	MaxCoalesce int
 	// Obs, when non-nil, receives per-stage latency observations (queue
 	// wait and engine pass per frame type, per-request engine phase
-	// attribution) and has per-query obs.Trace contexts filled in. Nil
-	// keeps the scheduler un-instrumented at zero cost.
+	// attribution). Nil keeps the scheduler un-instrumented at zero cost.
+	// Tracing is independent of it: a request whose context carries an
+	// obs.Span gets queue and engine children on that span.
 	Obs *obs.ServerMetrics
 	// Readiness, when non-nil, has its update-quiesce condition dropped
 	// while an Update holds the quiesce gate, so /readyz steers an
@@ -489,9 +490,7 @@ func (s *Scheduler) run(reqs []*request) {
 		wait := now.Sub(r.enqueued)
 		s.totalWaitNanos.Add(wait.Nanoseconds())
 		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageQueue, wait)
-		if tr := obs.FromContext(r.ctx); tr != nil {
-			tr.QueueWait = wait
-		}
+		obs.SpanFromContext(r.ctx).AddChild("queue", r.enqueued, wait)
 	}
 	s.dispatched.Add(uint64(len(reqs)))
 	if reqs[0].kind == reqQuery {
@@ -535,13 +534,15 @@ func (s *Scheduler) run(reqs []*request) {
 		r.stats = stats
 		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageEngine, engDur)
 		s.cfg.Obs.ObserveBreakdown(stats.PerQuery)
-		if tr := obs.FromContext(r.ctx); tr != nil {
-			// Written before finish, so a submitter woken by the done
-			// close observes a fully written trace.
-			tr.Engine = engDur
-			tr.PassWidth = stats.Queries
-			tr.Fused = stats.Fused
-			tr.Breakdown = stats.PerQuery
+		span := obs.SpanFromContext(r.ctx)
+		span.SetAttrInt("width", int64(stats.Queries))
+		span.SetAttrBool("fused", stats.Fused)
+		if eng := span.AddChild("engine", engStart, engDur); eng != nil {
+			for i := 0; i < metrics.NumPhases; i++ {
+				if w := stats.PerQuery.Wall[i]; w > 0 {
+					eng.SetAttr(metrics.Phase(i).String(), w.String())
+				}
+			}
 		}
 		s.finish(r, nil)
 	}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,6 +293,74 @@ func TestServerJoinsWireTraceContext(t *testing.T) {
 	if n := ring.Len(); n != 1 {
 		t.Fatalf("untraced query changed the ring: len=%d, want 1", n)
 	}
+
+	// A slow query logs its span tree: the same JSON object the ring
+	// serves for it, under the propagated ID.
+	t.Run("slow query log", func(t *testing.T) {
+		var (
+			mu    sync.Mutex
+			lines []string
+		)
+		logf := func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		slowLines := func() []string {
+			mu.Lock()
+			defer mu.Unlock()
+			var out []string
+			for _, l := range lines {
+				if _, rest, ok := strings.Cut(l, "slow query: "); ok {
+					out = append(out, rest)
+				}
+			}
+			return out
+		}
+		ring := obs.NewTraceRing(8)
+		srv, db := startServer(t, 256, 0, WithTraceRing(ring), WithSlowQuery(time.Nanosecond), WithLogf(logf))
+		conn, err := Dial(context.Background(), srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		spanID := obs.NewSpanID()
+		k0, _ := genPair(t, db.Domain(), 7)
+		if _, err := conn.Query(ContextWithTrace(context.Background(), spanID, true), k0); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for len(slowLines()) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("slow query never logged")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		got := slowLines()
+		if len(got) != 1 {
+			t.Fatalf("one query logged %d slow-query lines: %q", len(got), got)
+		}
+		var sn obs.SpanSnapshot
+		if err := json.Unmarshal([]byte(got[0]), &sn); err != nil {
+			t.Fatalf("slow-query line is not a JSON span: %v\n%s", err, got[0])
+		}
+		if sn.Name != "server.query" {
+			t.Fatalf("slow-query span = %q, want server.query", sn.Name)
+		}
+		names := map[string]bool{}
+		for _, c := range sn.Children {
+			names[c.Name] = true
+		}
+		if !names["queue"] || !names["engine"] {
+			t.Fatalf("slow-query span children = %v, want queue and engine stages", sn.Children)
+		}
+		if ring.Len() != 1 {
+			t.Fatalf("ring holds %d traces, want the one slow query", ring.Len())
+		}
+		if ringID := ring.Snapshot(0)[0].ID().String(); sn.SpanID != spanID.String() || sn.SpanID != ringID {
+			t.Fatalf("slow-query span_id %s, want the propagated %s and the ring's %s", sn.SpanID, spanID, ringID)
+		}
+	})
 }
 
 // newTestDB builds a small database purely for key generation in tests

@@ -12,6 +12,7 @@ package transport
 import (
 	"context"
 	"crypto/tls"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -71,7 +72,6 @@ type Server struct {
 	shard        string
 	traces       *obs.TraceRing
 	sampler      obs.Sampler
-	jsonLogs     bool
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -106,16 +106,17 @@ func WithObserver(m *obs.ServerMetrics) ServerOption {
 	return func(s *Server) { s.obs = m }
 }
 
-// WithSlowQuery logs a structured one-line trace (frame type, shard,
-// queue wait, pass width, fused?, engine breakdown) for every query
-// frame whose end-to-end dispatch takes at least threshold. 0 disables
+// WithSlowQuery logs the span tree of every query frame whose
+// end-to-end dispatch takes at least threshold, as one line of JSON:
+// the root's shard, pass width and fused flag, and its queue and engine
+// children with the engine's per-phase wall times. 0 disables
 // slow-query tracing.
 func WithSlowQuery(threshold time.Duration) ServerOption {
 	return func(s *Server) { s.slowQuery = threshold }
 }
 
-// WithShard stamps slow-query traces with the serving shard's label in
-// a sharded deployment. Unset means unsharded (no shard in the trace).
+// WithShard sets the shard attribute of every trace's root span in a
+// sharded deployment. Unset means unsharded (no shard attribute).
 func WithShard(shard string) ServerOption {
 	return func(s *Server) { s.shard = shard }
 }
@@ -134,12 +135,6 @@ func WithTraceRing(r *obs.TraceRing) ServerOption {
 // legacy traffic. Queries whose context says sampled are always kept.
 func WithTraceSampler(sampler obs.Sampler) ServerOption {
 	return func(s *Server) { s.sampler = sampler }
-}
-
-// WithJSONLogs renders slow-query trace lines as single-line JSON
-// objects instead of logfmt, for structured log pipelines.
-func WithJSONLogs() ServerOption {
-	return func(s *Server) { s.jsonLogs = true }
 }
 
 // NewServer starts serving the dispatcher on the listener. party is this
@@ -311,12 +306,11 @@ func (s *Server) handle(conn net.Conn) {
 		name := frameName(f.t)
 		start := time.Now()
 		s.obs.IncRequest(name)
-		dctx := ctx
-		var tr *obs.Trace
+		var root *obs.Span
 		payload := f.payload
 		if isQueryFrame(f.t) {
 			var err error
-			tr, payload, err = s.beginTrace(name, start, f.flags, f.payload)
+			root, payload, err = s.beginTrace(name, start, f.flags, f.payload)
 			if err != nil {
 				s.obs.IncFailure(name)
 				werr := pirproto.WriteFrame(conn, pirproto.MsgError, []byte(err.Error()))
@@ -326,11 +320,9 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				continue
 			}
-			if tr != nil {
-				dctx = obs.NewContext(ctx, tr)
-			}
 		}
-		err := s.dispatch(dctx, conn, f.t, payload)
+		err := s.dispatch(obs.ContextWithSpan(ctx, root), conn, f.t, payload)
+		root.End()
 		total := time.Since(start)
 		s.obs.ObserveStage(name, obs.StageTotal, total)
 		if err != nil {
@@ -350,36 +342,28 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		// Only a successfully served request's trace may be read: the
-		// scheduler finished writing it before completing the request
-		// (the done-channel close orders the accesses). An errored or
-		// abandoned request's trace could still be written mid-pass.
-		if tr != nil {
-			tr.Total = total
-			slow := s.slowQuery > 0 && total >= s.slowQuery
-			if tr.Sampled || slow {
-				s.traces.Add(tr.Span())
-			}
-			if slow {
-				if s.jsonLogs {
-					s.logf("%s", tr.JSON())
-				} else {
-					s.logf("transport: slow query: %s", tr)
-				}
-			}
+		slow := root != nil && s.slowQuery > 0 && total >= s.slowQuery
+		if root.Sampled() || slow {
+			s.traces.Add(root)
+		}
+		if slow {
+			// A span tree holds only strings, integers and a wall-clock
+			// time, so it always marshals.
+			line, _ := json.Marshal(root)
+			s.logf("transport: slow query: %s", line)
 		}
 		s.addInflight(-1)
 	}
 }
 
-// beginTrace decides whether a query frame gets a Trace and joins the
-// wire trace context onto it: a propagated context's span ID becomes
-// the trace's party-local ID, a context-less query is head-sampled by
-// the server's own sampler. Returns a nil trace (and the payload
-// unchanged) when nothing — sampling, slow-query logging, or a wire
-// context — wants one, which keeps the untraced hot path allocation
-// free.
-func (s *Server) beginTrace(name string, start time.Time, flags byte, payload []byte) (*obs.Trace, []byte, error) {
+// beginTrace decides whether a query frame is traced and opens its
+// root span, server.<frame>: a propagated wire context's span ID
+// becomes the root's party-local ID, a context-less query is
+// head-sampled by the server's own sampler. Returns a nil span (and the
+// payload unchanged) when nothing — sampling, slow-query logging, or a
+// wire context — wants one, which keeps the untraced hot path
+// allocation free.
+func (s *Server) beginTrace(name string, start time.Time, flags byte, payload []byte) (*obs.Span, []byte, error) {
 	var (
 		spanID  obs.SpanID
 		sampled bool
@@ -401,10 +385,14 @@ func (s *Server) beginTrace(name string, start time.Time, flags byte, payload []
 	}
 	if spanID.IsZero() {
 		// Pure slow-query tracing: mint an ID anyway so the log line and
-		// the ring entry for the same query carry the same trace_id.
+		// the ring entry for the same query carry the same span_id.
 		spanID = obs.NewSpanID()
 	}
-	return &obs.Trace{Frame: name, Shard: s.shard, Start: start, SpanID: spanID, Sampled: sampled}, payload, nil
+	root := obs.NewServerSpan(spanID, "server."+name, start, sampled)
+	if s.shard != "" {
+		root.SetAttr("shard", s.shard)
+	}
+	return root, payload, nil
 }
 
 // frameName labels a wire frame type for metrics and traces, matching

@@ -99,14 +99,16 @@ type ServerConfig struct {
 	// (operator-only listener, network ACLs, or mutual TLS). Local
 	// Server.Update calls are always allowed.
 	AllowWireUpdates bool
-	// SlowQueryThreshold logs a structured one-line trace (frame type,
-	// shard, queue wait, pass width, fused?, engine phase breakdown) for
-	// every wire query frame whose end-to-end dispatch takes at least
-	// this long. 0 disables slow-query tracing.
+	// SlowQueryThreshold logs the span tree of every wire query frame
+	// whose end-to-end dispatch takes at least this long, as one line of
+	// JSON — the object /debug/traces serves for that query (shard, pass
+	// width, fused flag, queue wait, engine pass and its phase
+	// breakdown) — and keeps it in the trace ring. 0 disables
+	// slow-query tracing.
 	SlowQueryThreshold time.Duration
-	// TraceShard labels slow-query traces with this server's shard in a
-	// sharded deployment (e.g. "0"). Empty means unsharded — the label
-	// is omitted from traces.
+	// TraceShard labels traces with this server's shard in a sharded
+	// deployment (e.g. "0"). Empty means unsharded — the label is
+	// omitted from traces.
 	TraceShard string
 	// SlowQueryLogf directs slow-query trace lines and other transport
 	// logs (default: the standard logger).
@@ -116,16 +118,10 @@ type ServerConfig struct {
 	// only client-sampled and slow queries, 1 keeps everything. Sampled
 	// traces are served as JSON at the admin endpoint's /debug/traces.
 	TraceSampleRate float64
-	// TraceRingSize bounds the trace ring buffer (0 means
-	// obs.DefaultTraceRingSize, 256).
-	TraceRingSize int
 	// EnablePprof mounts the net/http/pprof profiling handlers under
 	// /debug/pprof/ on the admin endpoint. Off by default — profiles can
 	// stall a loaded process, so they are an explicit operator opt-in.
 	EnablePprof bool
-	// JSONLogs renders slow-query trace lines as single-line JSON
-	// objects instead of logfmt.
-	JSONLogs bool
 }
 
 // engine abstracts the three compute planes: the scheduler-facing query
@@ -168,7 +164,6 @@ type Server struct {
 	traceShard       string
 	logf             func(format string, args ...any)
 	sampler          obs.Sampler
-	jsonLogs         bool
 
 	// Operability plane: every server carries a metrics registry, a
 	// readiness tracker, a trace ring and an admin endpoint, whether or
@@ -215,7 +210,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			sm.SetDB(db.NumRecords(), db.RecordSize())
 		}
 	})
-	traces := obs.NewTraceRing(cfg.TraceRingSize)
+	traces := obs.NewTraceRing(obs.DefaultTraceRingSize)
 	adminOpts := []obs.AdminOption{obs.WithTraceRing(traces)}
 	if cfg.EnablePprof {
 		adminOpts = append(adminOpts, obs.WithPprof())
@@ -228,7 +223,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		traceShard:       cfg.TraceShard,
 		logf:             cfg.SlowQueryLogf,
 		sampler:          obs.NewSampler(cfg.TraceSampleRate),
-		jsonLogs:         cfg.JSONLogs,
 		reg:              reg,
 		sm:               sm,
 		ready:            ready,
@@ -381,9 +375,6 @@ func (s *Server) Serve(lis net.Listener, party uint8) error {
 	}
 	if s.logf != nil {
 		opts = append(opts, transport.WithLogf(s.logf))
-	}
-	if s.jsonLogs {
-		opts = append(opts, transport.WithJSONLogs())
 	}
 	srv, err := transport.NewServer(lis, s.sched, party, opts...)
 	if err != nil {

@@ -329,3 +329,55 @@ func TestTracingDisabledByDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowThresholdTracingSendsUnsampled: a client tracing only for its
+// slow threshold traces every operation locally but head-samples none,
+// so its wire trace contexts say unsampled and the servers ring nothing.
+func TestSlowThresholdTracingSendsUnsampled(t *testing.T) {
+	db, err := GenerateHashDB(128, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var servers []*Server
+	var addrs []string
+	for party := uint8(0); party < 2; party++ {
+		srv, err := NewServer(ServerConfig{Engine: EngineCPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		if err := srv.Load(db.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Serve(lis, party); err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, srv)
+		addrs = append(addrs, srv.Addr().String())
+	}
+	ctx := context.Background()
+	tracer := NewTracer(TracerConfig{SlowThreshold: time.Hour})
+	store, err := Open(ctx, FlatDeployment(addrs...), tracer.Option())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for i := uint64(0); i < 10; i++ {
+		if _, err := store.Retrieve(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(tracer.RecentTraces(0)); n != 0 {
+		t.Fatalf("client ringed %d fast unsampled traces", n)
+	}
+	time.Sleep(50 * time.Millisecond)
+	for i, srv := range servers {
+		if n := len(srv.RecentTraces(0)); n != 0 {
+			t.Fatalf("server %d ringed %d traces the client never sampled", i, n)
+		}
+	}
+}
