@@ -240,9 +240,9 @@ func TestTraceExtensionIsOnlyWireDifference(t *testing.T) {
 }
 
 // TestServerJoinsWireTraceContext sends a traced query to a real server
-// and checks the propagated span ID comes back as the trace_id of the
+// and checks the propagated span ID comes back as the span_id of the
 // server's ring-buffer entry — the party-local half the client links to
-// its attempt span.
+// its attempt span — and of its slow-query log line.
 func TestServerJoinsWireTraceContext(t *testing.T) {
 	ring := obs.NewTraceRing(8)
 	srv, db := startServer(t, 256, 0, WithTraceRing(ring))
