@@ -159,12 +159,17 @@ func (v *Vector) maskTail() {
 // MarshalBinary encodes the vector as an 8-byte little-endian length
 // followed by the packed words.
 func (v *Vector) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 8+8*len(v.words))
-	binary.LittleEndian.PutUint64(out, uint64(v.n))
-	for i, w := range v.words {
-		binary.LittleEndian.PutUint64(out[8+8*i:], w)
+	return v.AppendBinary(make([]byte, 0, 8+8*len(v.words)))
+}
+
+// AppendBinary appends the MarshalBinary encoding of the vector to dst,
+// so a share can be encoded straight into the frame that carries it.
+func (v *Vector) AppendBinary(dst []byte) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
+	for _, w := range v.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // UnmarshalBinary decodes a vector produced by MarshalBinary.

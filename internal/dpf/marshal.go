@@ -30,10 +30,22 @@ const (
 // MarshalBinary encodes the key. The encoding is deterministic and
 // versioned; it is the format sent to PIR servers over the wire.
 func (k *Key) MarshalBinary() ([]byte, error) {
-	if err := k.checkShape(); err != nil {
+	out, err := k.AppendBinary(make([]byte, 0, k.WireSize()))
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, k.WireSize())
+	return out, nil
+}
+
+// AppendBinary appends the MarshalBinary encoding of the key to dst, so
+// a key can be encoded straight into the frame that carries it.
+func (k *Key) AppendBinary(dst []byte) ([]byte, error) {
+	if err := k.checkShape(); err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = append(dst, make([]byte, k.WireSize())...)
+	out := dst[start:]
 	out[0] = keyVersion
 	out[1] = k.Party
 	out[2] = k.Domain
@@ -56,7 +68,7 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 		off += cwWireSize
 	}
 	copy(out[off:], k.LeafCW[:])
-	return out, nil
+	return dst, nil
 }
 
 // UnmarshalBinary decodes a key produced by MarshalBinary, validating all

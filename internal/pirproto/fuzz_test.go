@@ -32,7 +32,8 @@ func FuzzParseBatch(f *testing.F) {
 }
 
 // FuzzReadFrame hardens the frame reader: arbitrary streams must never
-// panic or over-allocate.
+// panic or over-allocate, and every accepted frame — flags included —
+// must re-encode to a prefix of the input.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, MsgQuery, []byte("payload")); err != nil {
@@ -43,14 +44,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrame(bytes.NewReader(data))
+		typ, flags, payload, err := ReadFrameFlags(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// A successfully parsed frame must re-encode to a prefix of the
-		// input.
 		var out bytes.Buffer
-		if err := WriteFrame(&out, typ, payload); err != nil {
+		if err := WriteFrameFlags(&out, typ, flags, payload); err != nil {
 			t.Fatalf("accepted frame fails re-encode: %v", err)
 		}
 		if !bytes.HasPrefix(data, out.Bytes()) {

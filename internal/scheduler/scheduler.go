@@ -163,6 +163,14 @@ type Scheduler struct {
 
 	gate quiesceGate
 
+	// digest caches the digest of digestDB for the epoch it was hashed
+	// in; guarded by digestMu, which is only taken inside the quiesce
+	// gate.
+	digestMu    sync.Mutex
+	digest      [32]byte
+	digestDB    *database.DB
+	digestEpoch uint64
+
 	// quiescers counts Updates currently holding or waiting on the
 	// quiesce gate; the readiness condition drops while it is nonzero.
 	quiescers atomic.Int64
@@ -203,6 +211,25 @@ func (s *Scheduler) Name() string { return s.eng.Name() }
 
 // Database returns the engine's loaded database, or nil.
 func (s *Scheduler) Database() *database.DB { return s.eng.Database() }
+
+// Digest returns the loaded database's digest — what a hello reports to
+// a dialling client. It hashes under the quiesce gate, so it never reads
+// a half-applied update, and caches the result per epoch, so repeated
+// dials between two updates hash the database once. A database
+// reloaded into the engine is hashed afresh.
+func (s *Scheduler) Digest() [32]byte {
+	s.gate.beginQuery()
+	defer s.gate.endQuery()
+	_, epoch := s.gate.epochs()
+	db := s.eng.Database()
+	s.digestMu.Lock()
+	defer s.digestMu.Unlock()
+	if s.digestDB != db || s.digestEpoch != epoch {
+		s.digest = db.Digest()
+		s.digestDB, s.digestEpoch = db, epoch
+	}
+	return s.digest
+}
 
 // Config returns the scheduler's effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }

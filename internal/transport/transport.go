@@ -10,11 +10,13 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -38,6 +40,9 @@ import (
 type Dispatcher interface {
 	Name() string
 	Database() *database.DB
+	// Digest is the database digest a hello reports. It must not read
+	// the database while an update is applying.
+	Digest() [32]byte
 	Query(context.Context, *dpf.Key) ([]byte, metrics.Breakdown, error)
 	QueryBatch(context.Context, []*dpf.Key) ([][]byte, metrics.BatchStats, error)
 	// QueryShare answers the §2.3 naive encoding: an explicit selector
@@ -280,8 +285,9 @@ func (s *Server) handle(conn net.Conn) {
 	go func() {
 		defer cancel()
 		defer close(frames)
+		br := bufio.NewReader(conn)
 		for {
-			t, flags, payload, err := pirproto.ReadFrameFlags(conn)
+			t, flags, payload, err := pirproto.ReadFrameFlags(br)
 			if err != nil {
 				return // connection closed or broken framing; nothing to salvage
 			}
@@ -302,6 +308,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 
+	fw := &frameWriter{w: conn}
 	for f := range frames {
 		name := frameName(f.t)
 		start := time.Now()
@@ -313,7 +320,7 @@ func (s *Server) handle(conn net.Conn) {
 			root, payload, err = s.beginTrace(name, start, f.flags, f.payload)
 			if err != nil {
 				s.obs.IncFailure(name)
-				werr := pirproto.WriteFrame(conn, pirproto.MsgError, []byte(err.Error()))
+				werr := fw.sendError(err)
 				s.addInflight(-1)
 				if werr != nil {
 					return
@@ -321,7 +328,7 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 		}
-		err := s.dispatch(obs.ContextWithSpan(ctx, root), conn, f.t, payload)
+		err := s.dispatch(obs.ContextWithSpan(ctx, root), fw, f.t, payload)
 		root.End()
 		total := time.Since(start)
 		s.obs.ObserveStage(name, obs.StageTotal, total)
@@ -331,11 +338,12 @@ func (s *Server) handle(conn net.Conn) {
 			} else {
 				s.obs.IncFailure(name)
 			}
-			respType, msg := pirproto.MsgError, []byte(err.Error())
+			var werr error
 			if errors.Is(err, scheduler.ErrBusy) {
-				respType, msg = pirproto.MsgBusy, nil
+				werr = fw.sendPayload(pirproto.MsgBusy, nil)
+			} else {
+				werr = fw.sendError(err)
 			}
-			werr := pirproto.WriteFrame(conn, respType, msg)
 			s.addInflight(-1)
 			if werr != nil {
 				return
@@ -447,7 +455,7 @@ func (s *Server) beginDispatch() bool {
 	return true
 }
 
-func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType, payload []byte) error {
+func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgType, payload []byte) error {
 	switch t {
 	case pirproto.MsgHello:
 		// Accept both the legacy and the current version: v2 changes
@@ -462,9 +470,9 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 			Domain:     uint8(db.Domain()),
 			RecordSize: uint32(db.RecordSize()),
 			NumRecords: uint64(db.NumRecords()),
-			Digest:     db.Digest(),
+			Digest:     s.dispatcher.Digest(),
 		}
-		return pirproto.WriteFrame(conn, pirproto.MsgServerInfo, info.Marshal())
+		return fw.sendPayload(pirproto.MsgServerInfo, info.Marshal())
 
 	case pirproto.MsgQuery:
 		var key dpf.Key
@@ -475,7 +483,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 		if err != nil {
 			return err
 		}
-		return pirproto.WriteFrame(conn, pirproto.MsgQueryResp, result)
+		return fw.sendPayload(pirproto.MsgQueryResp, result)
 
 	case pirproto.MsgShareQuery:
 		var share bitvec.Vector
@@ -486,7 +494,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 		if err != nil {
 			return err
 		}
-		return pirproto.WriteFrame(conn, pirproto.MsgQueryResp, result)
+		return fw.sendPayload(pirproto.MsgQueryResp, result)
 
 	case pirproto.MsgShareBatchQuery:
 		raw, err := pirproto.ParseBatch(payload)
@@ -507,11 +515,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 		if err != nil {
 			return err
 		}
-		resp, err := pirproto.MarshalBatch(results)
-		if err != nil {
-			return err
-		}
-		return pirproto.WriteFrame(conn, pirproto.MsgBatchResp, resp)
+		return fw.sendBatch(results)
 
 	case pirproto.MsgUpdate:
 		if !s.allowUpdates {
@@ -527,7 +531,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 		if err := s.dispatcher.Update(updates); err != nil {
 			return err
 		}
-		return pirproto.WriteFrame(conn, pirproto.MsgUpdateOK, nil)
+		return fw.sendPayload(pirproto.MsgUpdateOK, nil)
 
 	case pirproto.MsgBatchQuery:
 		raw, err := pirproto.ParseBatch(payload)
@@ -548,15 +552,58 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t pirproto.MsgType
 		if err != nil {
 			return err
 		}
-		resp, err := pirproto.MarshalBatch(results)
-		if err != nil {
-			return err
-		}
-		return pirproto.WriteFrame(conn, pirproto.MsgBatchResp, resp)
+		return fw.sendBatch(results)
 
 	default:
 		return fmt.Errorf("unexpected frame %v", t)
 	}
+}
+
+// frameWriter sends frames built in one reused buffer, so each frame —
+// header and payload — leaves in a single Write (see pirproto's frame
+// header). One goroutine at a time owns it: the server's per-connection
+// handler, or a client Conn under its exchange mutex.
+type frameWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// begin starts a frame in the writer's buffer; the caller appends the
+// payload and passes the result to send.
+func (fw *frameWriter) begin(t pirproto.MsgType, flags byte) []byte {
+	return pirproto.BeginFrame(fw.buf[:0], t, flags)
+}
+
+// send closes and writes a frame begun by begin, keeping its buffer
+// for the next frame unless a large frame grew it past
+// pirproto.MaxPooledFrame.
+func (fw *frameWriter) send(frame []byte) error {
+	if err := pirproto.EndFrame(frame); err != nil {
+		return err
+	}
+	_, err := fw.w.Write(frame)
+	if cap(frame) <= pirproto.MaxPooledFrame {
+		fw.buf = frame[:0]
+	} else {
+		fw.buf = nil
+	}
+	return err
+}
+
+func (fw *frameWriter) sendPayload(t pirproto.MsgType, payload []byte) error {
+	return fw.send(append(fw.begin(t, 0), payload...))
+}
+
+func (fw *frameWriter) sendBatch(results [][]byte) error {
+	frame, err := pirproto.AppendBatch(fw.begin(pirproto.MsgBatchResp, 0), results)
+	if err != nil {
+		return err
+	}
+	return fw.send(frame)
+}
+
+func (fw *frameWriter) sendError(err error) error {
+	return fw.send(append(fw.begin(pirproto.MsgError, 0), err.Error()...))
 }
 
 // NewServerTLS wraps the listener with TLS before serving — the channel
@@ -575,6 +622,8 @@ func NewServerTLS(lis net.Listener, d Dispatcher, party uint8, tlsCfg *tls.Confi
 type Conn struct {
 	mu      sync.Mutex // serialises request/response exchanges
 	conn    net.Conn
+	fw      frameWriter   // under mu
+	br      *bufio.Reader // under mu
 	info    pirproto.ServerInfo
 	version uint8 // negotiated protocol version (set during handshake)
 
@@ -616,15 +665,15 @@ func DialTLS(ctx context.Context, addr string, tlsCfg *tls.Config) (*Conn, error
 // client retries with the legacy version on the same connection and
 // simply never attaches wire extensions.
 func handshake(ctx context.Context, nc net.Conn) (*Conn, error) {
-	c := &Conn{conn: nc, version: pirproto.Version}
-	t, payload, err := c.roundTrip(ctx, pirproto.MsgHello, []byte{pirproto.Version})
+	c := &Conn{conn: nc, fw: frameWriter{w: nc}, br: bufio.NewReader(nc), version: pirproto.Version}
+	t, payload, err := c.hello(ctx, pirproto.Version)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
 	if t == pirproto.MsgError {
 		c.version = pirproto.VersionLegacy
-		t, payload, err = c.roundTrip(ctx, pirproto.MsgHello, []byte{pirproto.VersionLegacy})
+		t, payload, err = c.hello(ctx, pirproto.VersionLegacy)
 		if err != nil {
 			nc.Close()
 			return nil, fmt.Errorf("transport: handshake (legacy retry): %w", err)
@@ -647,23 +696,29 @@ func handshake(ctx context.Context, nc net.Conn) (*Conn, error) {
 	return c, nil
 }
 
+func (c *Conn) hello(ctx context.Context, version byte) (pirproto.MsgType, []byte, error) {
+	return c.roundTrip(ctx, pirproto.MsgHello, false, func(b []byte) ([]byte, error) {
+		return append(b, version), nil
+	})
+}
+
 // Info returns the server's database description from the handshake.
 func (c *Conn) Info() pirproto.ServerInfo { return c.info }
 
 // Version returns the negotiated protocol version.
 func (c *Conn) Version() uint8 { return c.version }
 
-// roundTrip performs one request/response exchange under ctx. A context
-// deadline becomes a socket deadline; cancellation interrupts pending
-// I/O by expiring the deadline immediately. Because the protocol has no
-// request framing beyond the stream position, an exchange abandoned
-// mid-flight leaves the stream unusable — the Conn is marked broken and
-// every later exchange fails fast.
-func (c *Conn) roundTrip(ctx context.Context, t pirproto.MsgType, payload []byte) (pirproto.MsgType, []byte, error) {
-	return c.roundTripFlags(ctx, t, 0, payload)
-}
-
-func (c *Conn) roundTripFlags(ctx context.Context, t pirproto.MsgType, flags byte, payload []byte) (pirproto.MsgType, []byte, error) {
+// roundTrip performs one request/response exchange under ctx: it builds
+// the request frame — the trace extension when traced asks for it and
+// the connection allows it, then the payload appended by appendPayload
+// — and writes it in one Write. An encoding error returns before any
+// byte is written. A context deadline becomes a socket deadline;
+// cancellation interrupts pending I/O by expiring the deadline
+// immediately. Because the protocol has no request framing beyond the
+// stream position, an exchange abandoned mid-flight leaves the stream
+// unusable — the Conn is marked broken and every later exchange fails
+// fast.
+func (c *Conn) roundTrip(ctx context.Context, t pirproto.MsgType, traced bool, appendPayload func([]byte) ([]byte, error)) (pirproto.MsgType, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.brokenErr(); err != nil {
@@ -673,32 +728,46 @@ func (c *Conn) roundTripFlags(ctx context.Context, t pirproto.MsgType, flags byt
 		return 0, nil, err
 	}
 
+	var frame []byte
+	if tc, ok := c.traceContext(ctx, traced); ok {
+		frame = pirproto.AppendTraceContext(c.fw.begin(t, pirproto.FlagTraceContext), tc)
+	} else {
+		frame = c.fw.begin(t, 0)
+	}
+	frame, err := appendPayload(frame)
+	if err != nil {
+		return 0, nil, err
+	}
+
 	if dl, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(dl)
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	ioDone := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			c.conn.SetDeadline(time.Now()) // interrupt pending reads/writes
-		case <-ioDone:
-		}
-	}()
+	// Cancellation interrupts pending reads/writes. When the interrupt
+	// has already started, wait for it before returning, so a late
+	// deadline never lands on the next exchange.
+	stop := func() bool { return true }
+	var interrupted chan struct{}
+	if ctx.Done() != nil {
+		interrupted = make(chan struct{})
+		stop = context.AfterFunc(ctx, func() {
+			c.conn.SetDeadline(time.Now())
+			close(interrupted)
+		})
+	}
 
 	var (
 		respType pirproto.MsgType
 		resp     []byte
 	)
-	err := pirproto.WriteFrameFlags(c.conn, t, flags, payload)
+	err = c.fw.send(frame)
 	if err == nil {
-		respType, resp, err = pirproto.ReadFrame(c.conn)
+		respType, resp, err = pirproto.ReadFrame(c.br)
 	}
-	close(ioDone)
-	<-watchDone
+	if !stop() {
+		<-interrupted
+	}
 
 	if err != nil {
 		// The exchange died part-way; the stream position is unknown and
@@ -742,19 +811,16 @@ func ContextWithTrace(ctx context.Context, spanID obs.SpanID, sampled bool) cont
 		pirproto.TraceContext{SpanID: spanID.Uint64(), Sampled: sampled})
 }
 
-// attachTrace prepends the context's wire trace extension to a query
-// payload when the connection negotiated version 2. On legacy
-// connections, or when ctx carries no trace, the payload is returned
-// untouched — byte-identical to the version-1 wire image.
-func (c *Conn) attachTrace(ctx context.Context, payload []byte) (byte, []byte) {
-	if c.version < pirproto.Version {
-		return 0, payload
+// traceContext returns the wire trace context a query frame carries:
+// the context's trace, when traced asks for one and the connection
+// negotiated version 2. On legacy connections, or when ctx carries no
+// trace, the frame goes out byte-identical to the version-1 wire image.
+func (c *Conn) traceContext(ctx context.Context, traced bool) (pirproto.TraceContext, bool) {
+	if !traced || c.version < pirproto.Version {
+		return pirproto.TraceContext{}, false
 	}
 	tc, ok := ctx.Value(traceCtxKey{}).(pirproto.TraceContext)
-	if !ok {
-		return 0, payload
-	}
-	return pirproto.FlagTraceContext, pirproto.PrependTraceContext(tc, payload)
+	return tc, ok
 }
 
 // queryResp interprets a single-subresult response frame.
@@ -794,12 +860,7 @@ func batchResp(t pirproto.MsgType, payload []byte, want int) ([][]byte, error) {
 
 // Query sends one DPF key and returns the server's subresult.
 func (c *Conn) Query(ctx context.Context, key *dpf.Key) ([]byte, error) {
-	kb, err := key.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	flags, kb := c.attachTrace(ctx, kb)
-	t, payload, err := c.roundTripFlags(ctx, pirproto.MsgQuery, flags, kb)
+	t, payload, err := c.roundTrip(ctx, pirproto.MsgQuery, true, key.AppendBinary)
 	if err != nil {
 		return nil, err
 	}
@@ -809,12 +870,7 @@ func (c *Conn) Query(ctx context.Context, key *dpf.Key) ([]byte, error) {
 // QueryShare sends a raw selector share (the §2.3 naive n-server
 // encoding) and returns the server's subresult.
 func (c *Conn) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, error) {
-	payload, err := share.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	flags, payload := c.attachTrace(ctx, payload)
-	t, resp, err := c.roundTripFlags(ctx, pirproto.MsgShareQuery, flags, payload)
+	t, resp, err := c.roundTrip(ctx, pirproto.MsgShareQuery, true, share.AppendBinary)
 	if err != nil {
 		return nil, err
 	}
@@ -823,20 +879,9 @@ func (c *Conn) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, er
 
 // QueryBatch sends a batch of keys and returns the subresults in order.
 func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error) {
-	raw := make([][]byte, len(keys))
-	for i, k := range keys {
-		kb, err := k.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		raw[i] = kb
-	}
-	payload, err := pirproto.MarshalBatch(raw)
-	if err != nil {
-		return nil, err
-	}
-	flags, payload := c.attachTrace(ctx, payload)
-	t, resp, err := c.roundTripFlags(ctx, pirproto.MsgBatchQuery, flags, payload)
+	t, resp, err := c.roundTrip(ctx, pirproto.MsgBatchQuery, true, func(b []byte) ([]byte, error) {
+		return pirproto.AppendBatchOf(b, keys, (*dpf.Key).AppendBinary)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -846,20 +891,9 @@ func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error
 // QueryShareBatch sends a batch of selector shares in one round trip and
 // returns the subresults in order.
 func (c *Conn) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([][]byte, error) {
-	raw := make([][]byte, len(shares))
-	for i, sh := range shares {
-		sb, err := sh.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		raw[i] = sb
-	}
-	payload, err := pirproto.MarshalBatch(raw)
-	if err != nil {
-		return nil, err
-	}
-	flags, payload := c.attachTrace(ctx, payload)
-	t, resp, err := c.roundTripFlags(ctx, pirproto.MsgShareBatchQuery, flags, payload)
+	t, resp, err := c.roundTrip(ctx, pirproto.MsgShareBatchQuery, true, func(b []byte) ([]byte, error) {
+		return pirproto.AppendBatchOf(b, shares, (*bitvec.Vector).AppendBinary)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -876,7 +910,9 @@ func (c *Conn) Update(ctx context.Context, updates map[uint64][]byte) error {
 	if err != nil {
 		return err
 	}
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, payload)
+	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, false, func(b []byte) ([]byte, error) {
+		return append(b, payload...), nil
+	})
 	if err != nil {
 		return err
 	}
