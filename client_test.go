@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/scheduler"
 	"github.com/impir/impir/internal/transport"
@@ -29,7 +29,7 @@ func startDeployment(t *testing.T, db *DB, n int) []string {
 // shimEngine wraps a real engine, letting tests slow down or fail every
 // pass while keeping replicas byte-identical.
 type shimEngine struct {
-	*cpupir.Engine
+	*engine.Engine
 	delay time.Duration
 	fail  error
 }
@@ -46,10 +46,11 @@ func (e *shimEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 // like the real stack) over loopback TCP.
 func startShimServer(t *testing.T, db *database.DB, delay time.Duration, fail error) string {
 	t.Helper()
-	eng, err := cpupir.New(cpupir.Config{Threads: 2})
+	cpu, err := engine.NewCPUPricer(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	if err := eng.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // information retrieval (Mwaisela et al., MIDDLEWARE 2025) — together
 // with the complete stack it builds on: a tree-based distributed point
 // function (DPF), a functional UPMEM processing-in-memory simulator with
-// a calibrated timing model, CPU and GPU baseline engines, and a TCP
+// a calibrated timing model, CPU and GPU baseline pricers, and a TCP
 // transport for multi-server deployments. This documentation is the
 // canonical description of the protocol and its features; the README
 // holds the operator pages (server flags, load harness, metric
@@ -156,8 +156,9 @@
 //
 // # Batched execution
 //
-// Every engine answers through one pass: expand, then scan. A pass of
-// width B — one query, a RetrieveBatch, or single queries coalesced
+// The server engine answers through one pass, expand then scan, whatever
+// machine ServerConfig.Engine prices it on. A pass of width B — one
+// query, a RetrieveBatch, or single queries coalesced
 // across connections, each key checked first so a bad one fails only
 // its sender — expands every DPF key into its selector (a share already
 // is one), then streams the database through the scan hardware once

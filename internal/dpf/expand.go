@@ -33,10 +33,11 @@ func CheckKey(key *Key, domain int) error {
 	return key.checkShape()
 }
 
-// Expand is the host-side expand stage every engine shares (Alg. 1 ➋):
-// it checks the batch against a database of 2^domain records and returns
-// one selector per query, as the packed words of its bit vector — the
-// form every dpXOR scan consumes. Keys are evaluated over the full domain
+// Expand is the host-side expand stage of the server engine's one pass
+// (internal/engine, Alg. 1 ➋), whichever pricer models it: it checks
+// the batch against a database of 2^domain records and returns one
+// selector per query, as the packed words of its bit vector — the form
+// every dpXOR scan consumes. Keys are evaluated over the full domain
 // with a thread layout that follows the width: a lone key gets all
 // workers cooperating on its subtrees (§3.2), while B > 1 keys run one
 // thread each, min(B, workers) at a time (Fig. 8). Workers ≤ 0 means

@@ -1,5 +1,5 @@
 //go:build !race
 
-package cpupir
+package engine_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package cpupir
+package engine_test
 
 // raceEnabled lets allocation-count assertions skip themselves under
 // the race detector, whose instrumentation perturbs them.

@@ -1,13 +1,11 @@
-// Package gpupir implements the GPU-accelerated multi-server PIR baseline
+// Package gpupir prices the GPU-accelerated multi-server PIR baseline
 // of Lam et al. (ASPLOS'24), the comparison system of §5.5 / Figure 12.
 //
-// The engine answers every query through the same one pass as the other
-// engines — expand (DPF full-domain evaluation, through dpf's shared
-// front end), then scan (the dpXOR) — and the scan is the same one host
-// scan too: xorop.Scan, on the host's cores. The modeled scan is a CUDA
-// grid of thread blocks each streaming a contiguous slice of the
-// database once for all B selectors of the pass, followed by a
-// device-wide reduction; any such partition XORs to the same bytes, and
+// The one server engine (internal/engine) answers every query; this
+// package is its GPU Pricer. The modeled scan is a CUDA grid of thread
+// blocks each streaming a contiguous slice of the database once for all
+// B selectors of the pass, followed by a device-wide reduction; any
+// such partition XORs to the same bytes as the engine's host scan, and
 // the package tests keep a functional grid as the oracle that shows it.
 // Durations are modeled on the paper's GPU platform, an NVIDIA GeForce
 // RTX 4090 (§5.2: 24 GB VRAM, 1.01 TB/s memory bandwidth), since no GPU
@@ -22,8 +20,8 @@ import (
 
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/xorop"
 )
 
 // Config describes the modeled GPU.
@@ -148,112 +146,59 @@ func (c Config) DownloadDuration(recordSize int) time.Duration {
 	return time.Duration(float64(recordSize)/c.PCIeBandwidth*float64(time.Second)) + c.KernelOverhead/2
 }
 
-// Engine is the GPU-PIR baseline server engine.
-type Engine struct {
-	cfg    Config
-	db     *database.DB
-	domain int
+// Pricer prices a pass on the modeled GPU.
+type Pricer struct {
+	cfg Config
 }
 
-// New builds a GPU baseline engine.
-func New(cfg Config) (*Engine, error) {
+// NewPricer builds a GPU pricer.
+func NewPricer(cfg Config) (*Pricer, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg}, nil
+	return &Pricer{cfg: cfg}, nil
 }
 
-// Name identifies the engine in benchmark reports.
-func (e *Engine) Name() string { return "GPU-PIR" }
+// Name implements engine.Pricer.
+func (p *Pricer) Name() string { return "GPU-PIR" }
 
-// Config returns the effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Database returns the loaded (padded) database, or nil.
-func (e *Engine) Database() *database.DB { return e.db }
-
-// LoadDatabase stages the database in (modeled) VRAM. Loading is a
-// one-time cost excluded from query latency, like the paper's setups.
-func (e *Engine) LoadDatabase(db *database.DB) error {
-	if db == nil {
-		return errors.New("gpupir: nil database")
-	}
-	if db.RecordSize()%8 != 0 {
-		return fmt.Errorf("gpupir: record size %d must be a multiple of 8", db.RecordSize())
-	}
-	e.db = db.Replica()
-	e.domain = e.db.Domain()
-	return nil
+// Schedule expands with the memory-bounded traversal Lam et al. adopt
+// (§3.2) and scans on every host core.
+func (p *Pricer) Schedule(int) engine.Schedule {
+	return engine.Schedule{Strategy: dpf.StrategyMemoryBounded, ScanThreads: runtime.GOMAXPROCS(0)}
 }
 
-// Pass answers B queries in one pass: upload each key (or share) over
-// PCIe, expand the keys (the memory-bounded traversal Lam et al. adopt,
-// §3.2), run ONE grid dpXOR that streams the database once for all B
-// selectors, and download the B subresults. A lone query pays upload and
-// eval in series; once several are in flight, CUDA streams overlap the
-// uploads with on-device eval, so the front end costs the slower of the
-// two. Expansion and the scan run on the host's cores; their durations
-// are modeled on the device.
-func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
-	if e.db == nil {
-		return nil, metrics.BatchStats{}, errors.New("gpupir: no database loaded")
-	}
-	b := in.Len()
-	n := e.db.NumRecords()
+// Layout stages the database in (modeled) VRAM; a database beyond it
+// streams over PCIe, which ScanBatchDuration charges per pass.
+func (p *Pricer) Layout(*database.DB) error { return nil }
 
-	start := time.Now()
-	sels, err := in.Expand(e.domain, 0, dpf.StrategyMemoryBounded)
-	if err != nil {
-		return nil, metrics.BatchStats{}, fmt.Errorf("gpupir: %w", err)
-	}
-	evalWall := time.Since(start)
+// Price models the pass on the device: upload each key (or share) over
+// PCIe, expand the keys, run ONE grid dpXOR that streams the database
+// once for all B selectors, and download the B subresults. A lone query
+// pays upload and eval in series; once several are in flight, CUDA
+// streams overlap the uploads with on-device eval, so the front end
+// costs the slower of the two.
+func (p *Pricer) Price(pass engine.Pass) (metrics.Breakdown, time.Duration, error) {
+	b, n := pass.In.Len(), pass.DB.NumRecords()
 	// A key is O(λ log N) bytes over PCIe; a share is N/8 — the §2.3
 	// scheme's communication cost becomes a transfer cost here.
-	upload := time.Duration(len(in.Shares)) * e.cfg.UploadDuration(n/8)
-	for _, k := range in.Keys {
-		upload += e.cfg.UploadDuration(k.WireSize())
+	upload := time.Duration(len(pass.In.Shares)) * p.cfg.UploadDuration(n/8)
+	for _, k := range pass.In.Keys {
+		upload += p.cfg.UploadDuration(k.WireSize())
 	}
-	evalModeled := time.Duration(len(in.Keys)) * e.cfg.EvalDuration(uint64(n))
+	eval := time.Duration(len(pass.In.Keys)) * p.cfg.EvalDuration(uint64(n))
+	scan := p.cfg.ScanBatchDuration(pass.DB.SizeBytes(), b)
+	download := time.Duration(b) * p.cfg.DownloadDuration(pass.DB.RecordSize())
 
-	start = time.Now()
-	results, err := xorop.Scan(e.db.Data(), e.db.RecordSize(), sels, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, metrics.BatchStats{}, fmt.Errorf("gpupir: dpXOR: %w", err)
-	}
-	scanWall := time.Since(start)
-	scanModeled := e.cfg.ScanBatchDuration(e.db.SizeBytes(), b)
-	download := time.Duration(b) * e.cfg.DownloadDuration(e.db.RecordSize())
-
-	var total metrics.Breakdown
-	total.AddPhase(metrics.PhaseCopyToPIM, 0, upload)
-	if in.Keys != nil {
-		total.AddPhase(metrics.PhaseEval, evalWall, evalModeled)
-	}
-	total.AddPhase(metrics.PhaseDpXOR, scanWall, scanModeled)
-	total.AddPhase(metrics.PhaseCopyToHost, 0, download)
-	frontEnd := upload + evalModeled
+	var bd metrics.Breakdown
+	bd.AddPhase(metrics.PhaseCopyToPIM, 0, upload)
+	bd.AddPhase(metrics.PhaseEval, 0, eval)
+	bd.AddPhase(metrics.PhaseDpXOR, 0, scan)
+	bd.AddPhase(metrics.PhaseCopyToHost, 0, download)
+	frontEnd := upload + eval
 	if b > 1 {
-		frontEnd = max(upload, evalModeled)
+		frontEnd = max(upload, eval)
 	}
-	return results, metrics.BatchStats{
-		Queries:        b,
-		PerQuery:       total.Scale(b),
-		WallLatency:    evalWall + scanWall,
-		ModeledLatency: frontEnd + scanModeled + download,
-		Fused:          b > 1,
-	}, nil
+	return bd, frontEnd + scan + download, nil
 }
-
-// ApplyUpdates applies a §3.3 bulk update between passes: the host
-// rewrites its copy and (in a real deployment) re-uploads the dirty
-// records over PCIe. Must not run concurrently with passes.
-func (e *Engine) ApplyUpdates(updates map[uint64][]byte) error {
-	if e.db == nil {
-		return errors.New("gpupir: no database loaded")
-	}
-	return e.db.ApplyUpdates(updates)
-}
-
-// Close releases the engine (no external resources; API symmetry).
-func (e *Engine) Close() error { return nil }

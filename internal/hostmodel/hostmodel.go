@@ -6,9 +6,11 @@
 // Rationale: the local machine running this reproduction is neither the
 // paper's 32-thread dual-Xeon baseline server nor the PIM server's host,
 // so raw wall-clock cannot reproduce the paper's absolute numbers or even
-// its ratios. Instead, every engine executes the real algorithm (bit-exact
-// results, verified by tests) and reports both wall-clock and a modeled
-// latency computed from these machine constants. The constants are
+// its ratios. Instead, the server engine (internal/engine) executes the
+// real algorithm (bit-exact results, verified by tests) and reports both
+// wall-clock and a modeled latency. Two of its pricers model from these
+// machine constants: the CPU baseline's (in internal/engine) and the
+// host side of the PIM machine's (internal/impir). The constants are
 // first-order calibrations from the paper's own measurements (Fig. 3,
 // Fig. 10, Table 1): pipelined AES-NI throughput per thread and
 // memory-bandwidth-limited database scan throughput.

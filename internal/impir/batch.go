@@ -1,87 +1,62 @@
 package impir
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
-	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/pimkernel"
-	"github.com/impir/impir/internal/xorop"
 )
 
-// Pass answers B queries through the §3.4 pipeline in one pass. Expand:
-// the host evaluates every key (a lone key with all EvalWorkers
-// cooperating on its subtrees, a wider pass one worker per key; shares
-// need no evaluation). Scan: xorop.Scan, the one fused host dpXOR every
-// engine answers with, on the host's threads, computes every answer.
-//
-// The returned stats carry the measured wall-clock latency and the
-// modeled makespan on the paper's hardware. The model splits the
-// selectors into fused groups of the cluster batch width, assigned to
-// the clusters in turn from a round-robin start so concurrent passes fan
-// out; pimkernel.ReplayCost prices each group as one dpXOR launch
-// sequence — one database pass for the whole group. The makespan replays
-// Fig. 8: each group enters its cluster once its members' evaluations
-// would have finished on W eval workers and the cluster is free, so the
-// model keeps the eval ‖ scan overlap the paper's pipeline has even
-// though the host expands first.
-func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
-	if e.db == nil {
-		return nil, metrics.BatchStats{}, errors.New("impir: no database loaded")
-	}
-	b := in.Len()
-	recordSize := e.db.RecordSize()
-	start := time.Now()
-	sels, err := in.Expand(e.domain, e.cfg.EvalWorkers, dpf.StrategySubtree) // the paper's choice (§3.2)
-	if err != nil {
-		return nil, metrics.BatchStats{}, fmt.Errorf("impir: %w", err)
-	}
-	evalWall := time.Since(start)
+// Price models a pass as the §3.4 pipeline on the paper's hardware. It
+// splits the selectors into fused groups of the cluster batch width,
+// assigned to the clusters in turn from a round-robin start so
+// concurrent passes fan out; pimkernel.ReplayCost prices each group as
+// one dpXOR launch sequence — one database pass for the whole group. The
+// makespan replays Fig. 8: each group enters its cluster once its
+// members' evaluations would have finished on W eval workers and the
+// cluster is free, so the model keeps the eval ‖ scan overlap the
+// paper's pipeline has even though the host expands first.
+func (p *Pricer) Price(pass engine.Pass) (metrics.Breakdown, time.Duration, error) {
+	b := pass.In.Len()
+	recordSize := pass.DB.RecordSize()
 	evalDur := make([]time.Duration, b)
 	var total metrics.Breakdown
-	if in.Keys != nil {
+	if pass.In.Keys != nil {
 		threads := 1
 		if b == 1 {
-			threads = e.cfg.EvalWorkers
+			threads = p.cfg.EvalWorkers
 		}
-		d := e.cfg.Host.EvalDuration(uint64(e.db.NumRecords()), threads)
+		d := p.cfg.Host.EvalDuration(uint64(pass.DB.NumRecords()), threads)
 		for i := range evalDur {
 			evalDur[i] = d
 		}
-		total.AddPhase(metrics.PhaseEval, evalWall, time.Duration(b)*d)
+		total.AddPhase(metrics.PhaseEval, 0, time.Duration(b)*d)
 	}
-
-	scanStart := time.Now()
-	results, err := xorop.Scan(e.db.Data(), recordSize, sels, e.cfg.Host.Threads)
-	if err != nil {
-		return nil, metrics.BatchStats{}, fmt.Errorf("impir: dpXOR: %w", err)
-	}
-	total.AddPhase(metrics.PhaseDpXOR, time.Since(scanStart), 0)
 
 	// Each group occupies the cluster it is assigned from the moment its
 	// members' evaluations are done and that cluster is free.
-	width := e.width
+	width := p.width
 	groups := (b + width - 1) / width
-	first := int(e.rr.Add(uint64(groups)) - uint64(groups))
-	ready := evalReadyTimes(EvalPerKeyWorkers, e.cfg.EvalWorkers, evalDur)
-	clusterFree := make([]time.Duration, len(e.clusters))
+	first := int(p.rr.Add(uint64(groups)) - uint64(groups))
+	ready := evalReadyTimes(EvalPerKeyWorkers, p.cfg.EvalWorkers, evalDur)
+	clusterFree := make([]time.Duration, len(p.clusters))
 	var makespan time.Duration
 	for g := range groups {
 		lo, hi := g*width, min((g+1)*width, b)
-		c := (first + g) % len(e.clusters)
-		passes, err := pimkernel.ReplayCost(e.cfg.PIM, e.clusters[c], sels[lo:hi])
+		c := (first + g) % len(p.clusters)
+		passes, err := pimkernel.ReplayCost(p.cfg.PIM, p.clusters[c], pass.Selectors[lo:hi])
 		if err != nil {
-			return nil, metrics.BatchStats{}, fmt.Errorf("impir: %w", err)
+			return metrics.Breakdown{}, 0, fmt.Errorf("impir: %w", err)
 		}
 		var bd metrics.Breakdown
-		for _, p := range passes {
-			bd.AddPhase(metrics.PhaseCopyToPIM, 0, p.Stage.Modeled+p.Scatter.Modeled)
-			bd.AddPhase(metrics.PhaseDpXOR, 0, p.Launch.Modeled)
-			bd.AddPhase(metrics.PhaseCopyToHost, 0, p.Gather.Modeled)
-			bd.AddPhase(metrics.PhaseAggregate, 0, e.cfg.Host.XORFoldDuration(p.Folds, recordSize))
+		for _, rp := range passes {
+			bd.AddPhase(metrics.PhaseCopyToPIM, 0, rp.Stage.Modeled+rp.Scatter.Modeled)
+			bd.AddPhase(metrics.PhaseDpXOR, 0, rp.Launch.Modeled)
+			bd.AddPhase(metrics.PhaseCopyToHost, 0, rp.Gather.Modeled)
+			bd.AddPhase(metrics.PhaseAggregate, 0, p.cfg.Host.XORFoldDuration(rp.Folds, recordSize))
 		}
 		total.Add(bd)
 		at := clusterFree[c]
@@ -91,13 +66,7 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 		clusterFree[c] = at + bd.TotalModeled()
 		makespan = max(makespan, clusterFree[c])
 	}
-	return results, metrics.BatchStats{
-		Queries:        b,
-		PerQuery:       total.Scale(b),
-		WallLatency:    time.Since(start),
-		ModeledLatency: makespan,
-		Fused:          b > 1,
-	}, nil
+	return total, makespan, nil
 }
 
 // EvalMode names the two host-side evaluation schedules of §3.4 that the

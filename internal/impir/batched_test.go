@@ -24,11 +24,11 @@ func TestBatchedModeEndToEnd(t *testing.T) {
 	e0, db := newLoadedEngine(t, batchedConfig(), numRecords)
 	e1, _ := newLoadedEngine(t, batchedConfig(), numRecords)
 
-	if e0.clusters[0].Resident() {
+	if e0.p.clusters[0].Resident() {
 		t.Fatal("engine did not enter batched mode")
 	}
-	if e0.clusters[0].Passes() < 2 {
-		t.Fatalf("passes = %d, want ≥ 2", e0.clusters[0].Passes())
+	if e0.p.clusters[0].Passes() < 2 {
+		t.Fatalf("passes = %d, want ≥ 2", e0.p.clusters[0].Passes())
 	}
 
 	for _, idx := range []uint64{0, 63, 64, 2047, numRecords - 1} {
@@ -98,8 +98,8 @@ func TestBatchedModeUpdates(t *testing.T) {
 	e0, db := newLoadedEngine(t, batchedConfig(), 2048)
 	e1, _ := newLoadedEngine(t, batchedConfig(), 2048)
 	newRec := bytes.Repeat([]byte{0xEE}, 32)
-	for _, e := range []*Engine{e0, e1} {
-		if _, err := e.UpdateRecords(map[uint64][]byte{321: newRec}); err != nil {
+	for _, e := range []*testEngine{e0, e1} {
+		if err := e.ApplyUpdates(map[uint64][]byte{321: newRec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,10 +112,7 @@ func TestBatchedModeUpdates(t *testing.T) {
 func TestMRAMTooSmallEvenForOneBatch(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.PIM.MRAMPerDPU = 256 // cannot hold 64 records of 32 B
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, cfg)
 	db, err := database.GenerateHashDB(1024, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/pim"
@@ -30,12 +31,25 @@ func testConfig(clusters int) Config {
 	}
 }
 
-func newLoadedEngine(t *testing.T, cfg Config, numRecords int) (*Engine, *database.DB) {
-	t.Helper()
-	eng, err := New(cfg)
+// testEngine is the engine under a PIM pricer whose layout the tests
+// inspect.
+type testEngine struct {
+	*engine.Engine
+	p *Pricer
+}
+
+func newEngine(tb testing.TB, cfg Config) *testEngine {
+	tb.Helper()
+	p, err := NewPricer(cfg)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		tb.Fatalf("NewPricer: %v", err)
 	}
+	return &testEngine{engine.New(p), p}
+}
+
+func newLoadedEngine(t *testing.T, cfg Config, numRecords int) (*testEngine, *database.DB) {
+	t.Helper()
+	eng := newEngine(t, cfg)
 	db, err := database.GenerateHashDB(numRecords, 42)
 	if err != nil {
 		t.Fatalf("GenerateHashDB: %v", err)
@@ -56,16 +70,16 @@ func genKeys(t *testing.T, domain int, index uint64) (*dpf.Key, *dpf.Key) {
 }
 
 // query answers one key as a width-1 pass.
-func query(e *Engine, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
+func query(e *testEngine, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
 	return pass1(e, dpf.Batch{Keys: []*dpf.Key{key}})
 }
 
 // queryShare answers one selector share as a width-1 pass.
-func queryShare(e *Engine, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
+func queryShare(e *testEngine, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
 	return pass1(e, dpf.Batch{Shares: []*bitvec.Vector{share}})
 }
 
-func pass1(e *Engine, in dpf.Batch) ([]byte, metrics.Breakdown, error) {
+func pass1(e *testEngine, in dpf.Batch) ([]byte, metrics.Breakdown, error) {
 	results, stats, err := e.Pass(in)
 	if err != nil {
 		return nil, metrics.Breakdown{}, err
@@ -75,7 +89,7 @@ func pass1(e *Engine, in dpf.Batch) ([]byte, metrics.Breakdown, error) {
 
 // queryBothServers runs the same query on two replica engines and
 // reconstructs the record, the full two-server protocol.
-func queryBothServers(t *testing.T, e0, e1 *Engine, domain int, index uint64) []byte {
+func queryBothServers(t *testing.T, e0, e1 *testEngine, domain int, index uint64) []byte {
 	t.Helper()
 	k0, k1 := genKeys(t, domain, index)
 	r0, _, err := query(e0, k0)
@@ -97,11 +111,8 @@ func TestEndToEndReconstruction(t *testing.T) {
 	const numRecords = 1 << 10
 	e0, db := newLoadedEngine(t, testConfig(1), numRecords)
 	e1, _ := newLoadedEngine(t, testConfig(1), numRecords)
-	domain := db.Domain()
-
 	for _, idx := range []uint64{0, 1, 63, 64, 511, numRecords - 1} {
-		got := queryBothServers(t, e0, e1, domain, idx)
-		want := db.Record(int(idx))
+		got, want := queryBothServers(t, e0, e1, db.Domain(), idx), db.Record(int(idx))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("index %d: reconstructed %x, want %x", idx, got[:8], want[:8])
 		}
@@ -114,14 +125,11 @@ func TestEndToEndNonPowerOfTwoDB(t *testing.T) {
 	e0, db := newLoadedEngine(t, testConfig(1), numRecords)
 	e1, _ := newLoadedEngine(t, testConfig(1), numRecords)
 	domain := e0.Database().Domain()
-
-	got := queryBothServers(t, e0, e1, domain, 699)
-	if !bytes.Equal(got, db.Record(699)) {
+	if got := queryBothServers(t, e0, e1, domain, 699); !bytes.Equal(got, db.Record(699)) {
 		t.Fatal("reconstruction failed on non-power-of-two database")
 	}
 	// A padding index must reconstruct to zeros.
-	got = queryBothServers(t, e0, e1, domain, 1000)
-	if !bytes.Equal(got, make([]byte, 32)) {
+	if got := queryBothServers(t, e0, e1, domain, 1000); !bytes.Equal(got, make([]byte, 32)) {
 		t.Fatal("padding record is not zero")
 	}
 }
@@ -224,25 +232,22 @@ func TestValidation(t *testing.T) {
 	t.Run("bad config", func(t *testing.T) {
 		cfg := testConfig(1)
 		cfg.DPUs = 1000 // more than the 8 available
-		if _, err := New(cfg); err == nil {
-			t.Error("New accepted DPUs > system size")
+		if _, err := NewPricer(cfg); err == nil {
+			t.Error("NewPricer accepted DPUs > system size")
 		}
 		cfg = testConfig(3) // 8 % 3 != 0
-		if _, err := New(cfg); err == nil {
-			t.Error("New accepted non-divisible cluster count")
+		if _, err := NewPricer(cfg); err == nil {
+			t.Error("NewPricer accepted non-divisible cluster count")
 		}
 		cfg = testConfig(1)
 		cfg.EvalWorkers = -1
-		if _, err := New(cfg); err == nil {
-			t.Error("New accepted negative EvalWorkers")
+		if _, err := NewPricer(cfg); err == nil {
+			t.Error("NewPricer accepted negative EvalWorkers")
 		}
 	})
 
 	t.Run("query before load", func(t *testing.T) {
-		eng, err := New(testConfig(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, testConfig(1))
 		k0, _ := genKeys(t, 9, 0)
 		if _, _, err := query(eng, k0); err == nil {
 			t.Error("pass before LoadDatabase succeeded")
@@ -271,10 +276,7 @@ func TestValidation(t *testing.T) {
 	})
 
 	t.Run("odd record size rejected", func(t *testing.T) {
-		eng, err := New(testConfig(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, testConfig(1))
 		db, err := database.New(64, 12) // not a multiple of 8
 		if err != nil {
 			t.Fatal(err)
@@ -287,10 +289,7 @@ func TestValidation(t *testing.T) {
 	t.Run("database beyond MRAM falls back to batched mode", func(t *testing.T) {
 		cfg := testConfig(1)
 		cfg.PIM.MRAMPerDPU = 1 << 12 // 4 KB per DPU
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, cfg)
 		db, err := database.GenerateHashDB(1<<12, 1) // needs 16 KB per DPU
 		if err != nil {
 			t.Fatal(err)
@@ -298,11 +297,11 @@ func TestValidation(t *testing.T) {
 		if err := eng.LoadDatabase(db); err != nil {
 			t.Fatalf("LoadDatabase should stream oversized DBs (§3.3): %v", err)
 		}
-		if eng.clusters[0].Resident() {
+		if eng.p.clusters[0].Resident() {
 			t.Fatal("oversized DB loaded as resident")
 		}
-		if eng.clusters[0].Passes() < 2 {
-			t.Fatalf("passes = %d, want ≥ 2", eng.clusters[0].Passes())
+		if eng.p.clusters[0].Passes() < 2 {
+			t.Fatalf("passes = %d, want ≥ 2", eng.p.clusters[0].Passes())
 		}
 	})
 }
@@ -343,7 +342,7 @@ func TestClusterThroughputImproves(t *testing.T) {
 		cfg := testConfig(clusters)
 		cfg.EvalWorkers = 8
 		eng, db := newLoadedEngine(t, cfg, 2048)
-		eng.width = capacity // MRAM was laid out for the wider batch
+		eng.p.width = capacity // MRAM was laid out for the wider batch
 		_, stats, err := eng.Pass(dpf.Batch{Keys: keysFor(db.Domain())})
 		if err != nil {
 			t.Fatal(err)
@@ -466,10 +465,7 @@ func TestQueryShareBatch(t *testing.T) {
 }
 
 func TestEngineName(t *testing.T) {
-	eng, err := New(testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, testConfig(1))
 	if eng.Name() != "IM-PIR" {
 		t.Errorf("Name() = %q", eng.Name())
 	}

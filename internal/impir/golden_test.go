@@ -16,12 +16,9 @@ import (
 // seededEngine loads records × recordSize seeded bytes on an engine
 // built from cfg, and returns it with a share pass of the given width
 // over selectors drawn from the same seeded stream.
-func seededEngine(tb testing.TB, cfg Config, records, recordSize, width int, seed int64) (*Engine, dpf.Batch) {
+func seededEngine(tb testing.TB, cfg Config, records, recordSize, width int, seed int64) (*testEngine, dpf.Batch) {
 	tb.Helper()
-	eng, err := New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	eng := newEngine(tb, cfg)
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, records*recordSize)
 	rng.Read(data)
@@ -46,7 +43,7 @@ func seededEngine(tb testing.TB, cfg Config, records, recordSize, width int, see
 // batchPIMEngine loads the benchmark's batch_pim geometry: 64 DPUs in one
 // rank, one cluster, 65536 × 256-byte records (16 MiB), and returns the
 // engine with a width-8 share pass over seeded selectors.
-func batchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
+func batchPIMEngine(tb testing.TB) (*testEngine, dpf.Batch) {
 	cfg := DefaultConfig()
 	cfg.DPUs = 64
 	cfg.PIM.Ranks, cfg.PIM.DPUsPerRank = 1, 64
@@ -55,7 +52,7 @@ func batchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
 
 // keyedBatchPIMEngine loads the batch_pim geometry and returns it with a
 // width-8 pass of seeded party-0 DPF keys, so the pass pays host Eval.
-func keyedBatchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
+func keyedBatchPIMEngine(tb testing.TB) (*testEngine, dpf.Batch) {
 	eng, _ := batchPIMEngine(tb)
 	rng := rand.New(rand.NewSource(33))
 	var in dpf.Batch
@@ -75,7 +72,7 @@ func keyedBatchPIMEngine(tb testing.TB) (*Engine, dpf.Batch) {
 // four passes of 192 (the last one 128, and the last DPU's share ragged).
 // The width-15 pass exceeds the fused width of 6, so its three groups
 // take both clusters, the first cluster twice.
-func streamingEngine(tb testing.TB) (*Engine, dpf.Batch) {
+func streamingEngine(tb testing.TB) (*testEngine, dpf.Batch) {
 	cfg := DefaultConfig()
 	cfg.DPUs, cfg.Clusters = 12, 2
 	cfg.PIM.Ranks, cfg.PIM.DPUsPerRank = 2, 8
@@ -94,7 +91,7 @@ func streamingEngine(tb testing.TB) (*Engine, dpf.Batch) {
 func TestModeledBatchPIMGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		load     func(testing.TB) (*Engine, dpf.Batch)
+		load     func(testing.TB) (*testEngine, dpf.Batch)
 		resident bool
 		width    int
 		modeled  [metrics.NumPhases]time.Duration
@@ -122,9 +119,9 @@ func TestModeledBatchPIMGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, in := tc.load(t)
-			if eng.clusters[0].Resident() != tc.resident || eng.width != tc.width {
+			if eng.p.clusters[0].Resident() != tc.resident || eng.p.width != tc.width {
 				t.Fatalf("layout resident=%v width %d, want resident=%v width %d",
-					eng.clusters[0].Resident(), eng.width, tc.resident, tc.width)
+					eng.p.clusters[0].Resident(), eng.p.width, tc.resident, tc.width)
 			}
 			got, stats, err := eng.Pass(in)
 			if err != nil {
@@ -161,8 +158,8 @@ func TestModeledBatchPIMGolden(t *testing.T) {
 
 // passAllocs is the most allocations one batch_pim pass may make on one
 // scan worker: the answers, the scan's subset table, the replay's
-// per-group cost slices and the makespan schedule. Anything per DPU —
-// selector chunks, subresult buffers — would add at least 64.
+// per-group cost slices and the makespan schedule. Anything per DPU
+// would add at least 64.
 const passAllocs = 10
 
 // TestPassAllocs pins a batch_pim pass's allocations, so staging buffers

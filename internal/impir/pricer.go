@@ -1,27 +1,21 @@
-// Package impir implements the paper's contribution: the IM-PIR server
-// engine, which partitions multi-server PIR query processing between the
-// host CPU (DPF key evaluation, AES-NI accelerated) and PIM DPUs (the
+// Package impir prices the paper's contribution: the IM-PIR server,
+// which partitions multi-server PIR query processing between the host
+// CPU (DPF key evaluation, AES-NI accelerated) and PIM DPUs (the
 // memory-bound dpXOR scan), per §3 and Algorithm 1 of the paper.
 //
-// One Engine is one PIR server's compute plane. A two-server deployment
-// runs two engines on replicas of the same database; the client XORs
-// their subresults to reconstruct the record (package impir at the module
-// root wires this together).
-//
-// Every query runs as one pass (§3.4, Fig. 8): expand (host-side DPF
-// evaluation through dpf's shared front end, Alg. 1 ➋), then scan. The
-// answer bytes come from one host scan — xorop.Scan, the fused dpXOR
-// every engine answers with, over the engine's copy of the database —
-// which computes exactly the XOR of
-// selected records that the DPUs' subresults fold to. The cost comes from
-// pimkernel.ReplayCost: the selectors split into fused groups of up to
-// the cluster batch width, and each group is priced as the selector
-// scatter, one dpXOR launch, the subresult gather and the host fold
-// (➌–➏) that the tasklet simulator charges for it on a DPU cluster. The
-// simulator itself runs in pimkernel's tests, as the oracle the replay
-// is held to. The DPUs form a single cluster holding the database
-// sharded across all of them, or C clusters each holding a full replica,
-// over which a pass's groups fan out.
+// The one server engine (internal/engine) answers every query — expand
+// on the host, then xorop.Scan, which computes exactly the XOR of
+// selected records that the DPUs' subresults fold to — and this
+// package is its PIM Pricer. Layout places the database on the DPUs;
+// Price replays the pass's cost with pimkernel.ReplayCost: the
+// selectors split into fused groups of up to the cluster batch width,
+// and each group is priced as the selector scatter, one dpXOR launch,
+// the subresult gather and the host fold (➌–➏) that the tasklet
+// simulator charges for it on a DPU cluster. The simulator itself runs
+// in pimkernel's tests, as the oracle the replay is held to. The DPUs
+// form a single cluster holding the database sharded across all of
+// them, or C clusters each holding a full replica, over which a pass's
+// groups fan out.
 package impir
 
 import (
@@ -30,12 +24,14 @@ import (
 	"sync/atomic"
 
 	"github.com/impir/impir/internal/database"
+	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/pimkernel"
 )
 
-// Config configures an IM-PIR engine.
+// Config configures the modeled IM-PIR server.
 type Config struct {
 	// PIM is the simulated PIM machine. Zero value means pim.DefaultConfig.
 	PIM pim.Config
@@ -108,13 +104,11 @@ func (c Config) validate() error {
 	return errors.Join(errs...)
 }
 
-// Engine is an IM-PIR server engine. Passes may run concurrently: each
-// only reads the database, and its modeled makespan charges the clusters
-// as if the pass had them to itself.
-type Engine struct {
-	cfg    Config
-	db     *database.DB // padded to a power of two
-	domain int
+// Pricer prices passes on the PIM machine. Concurrent passes may price
+// at once: each only reads the layout, and its modeled makespan charges
+// the clusters as if the pass had them to itself.
+type Pricer struct {
+	cfg Config
 	// clusters lay the database out on the DPUs: the whole of it per
 	// cluster, sharded across the cluster's DPUs in 64-record multiples.
 	clusters []pimkernel.Geometry
@@ -125,49 +119,48 @@ type Engine struct {
 	rr    atomic.Uint64 // round-robin first cluster of each pass
 }
 
-// New builds an engine for the configured PIM machine.
-func New(cfg Config) (*Engine, error) {
+// NewPricer builds a pricer for the configured PIM machine.
+func NewPricer(cfg Config) (*Pricer, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg}, nil
+	return &Pricer{cfg: cfg}, nil
 }
 
-// Name identifies the engine in benchmark reports.
-func (e *Engine) Name() string { return "IM-PIR" }
+// Name implements engine.Pricer.
+func (p *Pricer) Name() string { return "IM-PIR" }
 
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
+// Schedule runs the paper's host evaluation (§3.2): a lone key with all
+// EvalWorkers cooperating on its subtrees, a wider pass one worker per
+// key. The host scan takes the host model's threads.
+func (p *Pricer) Schedule(int) engine.Schedule {
+	return engine.Schedule{
+		ExpandWorkers: p.cfg.EvalWorkers,
+		Strategy:      dpf.StrategySubtree,
+		ScanThreads:   p.cfg.Host.Threads,
+	}
+}
 
-// Database returns the loaded (padded) database, or nil.
-func (e *Engine) Database() *database.DB { return e.db }
-
-// LoadDatabase lays the database out across every cluster's DPUs: each
+// Layout lays the padded database out across every cluster's DPUs: each
 // DPU's share, the fused batch width, and whether the chunks stay
 // resident in MRAM (§3.3 "Database preloading", a one-time cost excluded
 // from query latency as in the paper, §5.1) or stream through it pass by
 // pass. The engine keeps the database on the host, where passes scan it.
-func (e *Engine) LoadDatabase(db *database.DB) error {
-	if db == nil {
-		return errors.New("impir: nil database")
+func (p *Pricer) Layout(db *database.DB) error {
+	n, recordSize := db.NumRecords(), db.RecordSize()
+	if recordSize > pim.DMAMaxTransfer {
+		return fmt.Errorf("impir: record size %d exceeds the %d-byte DMA limit", recordSize, pim.DMAMaxTransfer)
 	}
-	if db.RecordSize()%8 != 0 || db.RecordSize() > pim.DMAMaxTransfer {
-		return fmt.Errorf("impir: record size %d must be a positive multiple of 8 bytes ≤ %d",
-			db.RecordSize(), pim.DMAMaxTransfer)
-	}
-	padded := db.Replica()
-	n := padded.NumRecords()
-	recordSize := padded.RecordSize()
 
-	dpusPerCluster := e.cfg.DPUs / e.cfg.Clusters
+	dpusPerCluster := p.cfg.DPUs / p.cfg.Clusters
 	recordsPerDPU := (n + dpusPerCluster - 1) / dpusPerCluster
 	recordsPerDPU = (recordsPerDPU + 63) / 64 * 64
 
 	// The fused batch width is bounded first by per-DPU WRAM (the kernel
 	// keeps one partial per tasklet per stream on chip), then by the MRAM
 	// room left for B selector streams and B subresults.
-	wramBatch := pimkernel.MaxFusedSelectors(e.cfg.PIM, recordSize)
+	wramBatch := pimkernel.MaxFusedSelectors(p.cfg.PIM, recordSize)
 
 	// Resident ("one-shot", §3.3) when the whole chunk plus selectors fit
 	// in MRAM; otherwise fall back to streaming the database through MRAM
@@ -179,7 +172,7 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 	resident := false
 	perPass := recordsPerDPU
 	for b := wramBatch; b >= 1; b-- {
-		if mramFootprint(recordsPerDPU, recordSize, b) <= e.cfg.PIM.MRAMPerDPU {
+		if mramFootprint(recordsPerDPU, recordSize, b) <= p.cfg.PIM.MRAMPerDPU {
 			maxBatch = b
 			resident = true
 			break
@@ -187,7 +180,7 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 	}
 	if !resident {
 		for b := wramBatch; b >= 1; b-- {
-			if fit := maxRecordsFitting(e.cfg.PIM.MRAMPerDPU, recordSize, b); fit >= 64 {
+			if fit := maxRecordsFitting(p.cfg.PIM.MRAMPerDPU, recordSize, b); fit >= 64 {
 				maxBatch = b
 				perPass = fit
 				break
@@ -195,11 +188,11 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 		}
 		if perPass == recordsPerDPU || perPass < 64 {
 			return fmt.Errorf("impir: MRAM of %d bytes cannot hold even one 64-record batch of %d-byte records",
-				e.cfg.PIM.MRAMPerDPU, recordSize)
+				p.cfg.PIM.MRAMPerDPU, recordSize)
 		}
 	}
 
-	clusters := make([]pimkernel.Geometry, e.cfg.Clusters)
+	clusters := make([]pimkernel.Geometry, p.cfg.Clusters)
 	for ci := range clusters {
 		clusters[ci] = pimkernel.Geometry{
 			FirstDPU:      ci * dpusPerCluster,
@@ -209,10 +202,8 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 			PassRecords:   perPass,
 		}
 	}
-	e.db = padded
-	e.domain = padded.Domain()
-	e.clusters = clusters
-	e.width = maxBatch
+	p.clusters = clusters
+	p.width = maxBatch
 	return nil
 }
 
@@ -238,7 +229,3 @@ func maxRecordsFitting(mram, recordSize, batch int) int {
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// Close releases the engine. (It holds no external resources; Close
-// exists for API symmetry with real deployments.)
-func (e *Engine) Close() error { return nil }

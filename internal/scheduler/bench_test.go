@@ -6,19 +6,20 @@ import (
 	"testing"
 	"time"
 
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 )
 
 // benchScheduler drives K concurrent clients through one scheduler and
 // reports the queue metrics via b.ReportMetric: average coalesced pass
 // size, mean queue wait, and rejects.
 func benchScheduler(b *testing.B, window time.Duration) {
-	eng, err := cpupir.New(cpupir.Config{Threads: 4})
+	cpu, err := engine.NewCPUPricer(4)
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	db, err := database.GenerateHashDB(1<<12, 3)
 	if err != nil {
 		b.Fatal(err)

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/gpupir"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/impir"
@@ -16,13 +16,13 @@ import (
 	"github.com/impir/impir/internal/xorop"
 )
 
-// fuzzRecords is deliberately not a power of two, so every engine scans
+// fuzzRecords is deliberately not a power of two, so every pass scans
 // zero padding beyond the caller's records.
 const fuzzRecords = 1500
 
-// passEngines builds one engine of every kind and layout FuzzPass covers.
-// All load the same 32-byte hash database except the last two, a CPU and
-// a GPU engine over 104-byte records.
+// passEngines builds the one engine under every pricer and layout
+// FuzzPass covers. All load the same 32-byte hash database except the
+// last two, under the CPU and GPU pricers over 104-byte records.
 func passEngines(t testing.TB) []Engine {
 	db, err := database.GenerateHashDB(fuzzRecords, 31)
 	if err != nil {
@@ -35,39 +35,36 @@ func passEngines(t testing.TB) []Engine {
 		p.TaskletsPerDPU = 4
 		return impir.Config{PIM: p, DPUs: 8, Clusters: clusters, EvalWorkers: 2, Host: hostmodel.PIMHost()}
 	}
-	type loader interface {
-		Engine
-		LoadDatabase(*database.DB) error
-	}
-	var engines []loader
-	add := func(e loader, err error) {
+	var pricers []engine.Pricer
+	add := func(p engine.Pricer, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, e)
+		pricers = append(pricers, p)
 	}
-	add(cpupir.New(cpupir.Config{Threads: 4}))
-	add(gpupir.New(gpupir.Config{}))
-	add(impir.New(pimConfig(1, 4<<20))) // resident
-	add(impir.New(pimConfig(1, 8<<10))) // streaming: a DPU's chunk alone fills its MRAM
-	add(impir.New(pimConfig(2, 4<<20))) // two replica clusters
-	hashEngines := len(engines)
+	add(engine.NewCPUPricer(4))
+	add(gpupir.NewPricer(gpupir.Config{}))
+	add(impir.NewPricer(pimConfig(1, 4<<20))) // resident
+	add(impir.NewPricer(pimConfig(1, 8<<10))) // streaming: a DPU's chunk alone fills its MRAM
+	add(impir.NewPricer(pimConfig(2, 4<<20))) // two replica clusters
+	hashEngines := len(pricers)
 	// 104-byte records (keyword buckets) give xorop's subset-table scan a
 	// record size that is not a power of two.
-	add(cpupir.New(cpupir.Config{Threads: 4}))
-	add(gpupir.New(gpupir.Config{}))
+	add(engine.NewCPUPricer(4))
+	add(gpupir.NewPricer(gpupir.Config{}))
 	wide := make([]byte, fuzzRecords*104)
 	rand.New(rand.NewSource(32)).Read(wide)
 	wideDB, err := database.FromFlat(wide, 104)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Engine, len(engines))
-	for i, e := range engines {
+	out := make([]Engine, len(pricers))
+	for i, p := range pricers {
 		load := db
 		if i >= hashEngines {
 			load = wideDB
 		}
+		e := engine.New(p)
 		if err := e.LoadDatabase(load); err != nil {
 			t.Fatal(err)
 		}
@@ -76,9 +73,9 @@ func passEngines(t testing.TB) []Engine {
 	return out
 }
 
-// FuzzPass is the differential test of the one engine pass: for every
-// engine, layout and record size, keys or shares, and widths 1…70
-// (beyond the PIM engine's per-cluster fused capacity), Pass must return
+// FuzzPass is the differential test of the one engine pass: under every
+// pricer, layout and record size, keys or shares, and widths 1…70
+// (beyond the PIM pricer's per-cluster fused capacity), Pass must return
 // exactly what the unfused oracle computes — one xorop.Accumulate per
 // selector over the engine's database.
 func FuzzPass(f *testing.F) {

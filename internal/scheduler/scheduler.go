@@ -40,10 +40,11 @@ import (
 	"github.com/impir/impir/internal/obs"
 )
 
-// Engine is the compute plane under the scheduler: any of the IM-PIR,
-// CPU or GPU engines. Pass answers every query of its batch in one engine
-// pass — expand, then scan — and returns one subresult per query, in
-// order; a single query is a width-1 pass.
+// Engine is the compute plane under the scheduler: the server engine
+// (internal/engine) under any pricer, or a test double. Pass answers
+// every query of its batch in one engine pass — expand, then scan — and
+// returns one subresult per query, in order; a single query is a
+// width-1 pass.
 type Engine interface {
 	Name() string
 	Database() *database.DB

@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/naivepir"
 )
@@ -97,12 +97,13 @@ func newSched(t *testing.T, eng Engine, cfg Config) *Scheduler {
 }
 
 // realEngine builds a small CPU engine over a 256-record database.
-func realEngine(t *testing.T) *cpupir.Engine {
+func realEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	eng, err := cpupir.New(cpupir.Config{Threads: 4})
+	cpu, err := engine.NewCPUPricer(4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	db, err := database.GenerateHashDB(256, 7)
 	if err != nil {
 		t.Fatal(err)

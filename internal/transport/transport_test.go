@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/naivepir"
 	"github.com/impir/impir/internal/pirproto"
 	"github.com/impir/impir/internal/scheduler"
@@ -23,10 +23,11 @@ import (
 // small CPU engine behind a scheduler.
 func newDispatcher(t *testing.T, numRecords int, cfg scheduler.Config) (*scheduler.Scheduler, *database.DB) {
 	t.Helper()
-	eng, err := cpupir.New(cpupir.Config{Threads: 2})
+	cpu, err := engine.NewCPUPricer(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	db, err := database.GenerateHashDB(numRecords, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,8 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(lis, nil, 0); err == nil {
 		t.Error("NewServer accepted nil dispatcher")
 	}
-	eng, _ := cpupir.New(cpupir.Config{})
+	cpu, _ := engine.NewCPUPricer(0)
+	eng := engine.New(cpu)
 	if _, err := NewServer(lis, newScheduler(t, eng, scheduler.Config{}), 0); err == nil {
 		t.Error("NewServer accepted dispatcher without database")
 	}
@@ -705,10 +707,11 @@ func TestUpdateOverWireRejectsBadRecord(t *testing.T) {
 // replica of db, playing the second non-colluding server locally.
 func newDispatcherFor(t *testing.T, db *database.DB) *scheduler.Scheduler {
 	t.Helper()
-	eng, err := cpupir.New(cpupir.Config{Threads: 2})
+	cpu, err := engine.NewCPUPricer(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	if err := eng.LoadDatabase(db.Clone()); err != nil {
 		t.Fatal(err)
 	}

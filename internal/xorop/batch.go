@@ -40,9 +40,10 @@ func NewAccumulators(n, recordSize int) [][]byte {
 	return accs
 }
 
-// Scan is the one functional scan every engine's pass answers with: it
-// returns the B subresults of sels over db, each the XOR of the records
-// its selector names. It runs on min(threads, GOMAXPROCS) workers, since
+// Scan is the one functional scan the server engine's pass answers with
+// (internal/engine), whichever pricer models it: it returns the B
+// subresults of sels over db, each the XOR of the records its selector
+// names. It runs on min(threads, GOMAXPROCS) workers, since
 // each worker allocates its own subset table and workers beyond the
 // cores buy no parallelism, and a lone selector runs on one worker (§5.1:
 // "a single CPU thread for each query").
@@ -58,9 +59,9 @@ func Scan(db []byte, recordSize int, sels [][]uint64, threads int) ([][]byte, er
 }
 
 // AccumulateBatchWorkers is AccumulateBatch with an explicit scan-worker
-// count; workers ≤ 1 runs the fused pass serially (the form the engines'
-// per-block executors use inside their own parallel grids), and a lone
-// selector on one worker runs Accumulate's kernel. Each worker allocates
+// count; workers ≤ 1 runs the fused pass serially (the form a per-block
+// executor, such as the GPU grid oracle, runs inside its own parallel
+// grid), and a lone selector on one worker runs Accumulate's kernel. Each worker allocates
 // its own subset table for the pass; nothing outlives the call.
 func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]uint64, workers int) error {
 	if len(accs) != len(sels) {

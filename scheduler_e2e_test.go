@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/database"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/scheduler"
 	"github.com/impir/impir/internal/transport"
 )
@@ -23,10 +23,11 @@ import (
 func startShimDeployment(t *testing.T, db *database.DB, delay time.Duration,
 	cfg scheduler.Config) (string, *scheduler.Scheduler) {
 	t.Helper()
-	eng, err := cpupir.New(cpupir.Config{Threads: 2})
+	cpu, err := engine.NewCPUPricer(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := engine.New(cpu)
 	if err := eng.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}

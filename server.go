@@ -8,8 +8,7 @@ import (
 	"net"
 	"time"
 
-	"github.com/impir/impir/internal/cpupir"
-	"github.com/impir/impir/internal/database"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/gpupir"
 	"github.com/impir/impir/internal/impir"
 	"github.com/impir/impir/internal/metrics"
@@ -19,7 +18,9 @@ import (
 	"github.com/impir/impir/internal/transport"
 )
 
-// EngineKind selects a server's compute plane.
+// EngineKind selects the machine a server's one engine (internal/engine)
+// is priced on. Answers are identical whatever the kind; only the
+// modeled latencies differ.
 type EngineKind int
 
 const (
@@ -64,20 +65,22 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // cluster, subtree-parallel host evaluation, a 256-deep request queue,
 // and no cross-client coalescing.
 type ServerConfig struct {
-	// Engine selects the compute plane; zero value means EnginePIM.
+	// Engine selects the machine that prices the engine's passes; zero
+	// value means EnginePIM.
 	Engine EngineKind
-	// DPUs is the PIM DPU count (PIM engine only; 0 = 2048). Must be a
+	// DPUs is the PIM DPU count (PIM pricer only; 0 = 2048). Must be a
 	// multiple of Clusters.
 	DPUs int
 	// Clusters divides the DPUs into independent clusters, each holding
-	// a full DB replica (PIM engine only; 0 = 1).
+	// a full DB replica (PIM pricer only; 0 = 1).
 	Clusters int
-	// Tasklets is the per-DPU thread count (PIM engine only; 0 = 16).
+	// Tasklets is the per-DPU thread count (PIM pricer only; 0 = 16).
 	Tasklets int
 	// EvalWorkers is the host-side DPF evaluation thread count (PIM
-	// engine; 0 = 8).
+	// pricer only; 0 = 8).
 	EvalWorkers int
-	// Threads is the CPU engine's worker count (CPU engine only; 0 = 32).
+	// Threads is the CPU baseline's worker count for expand and scan
+	// (CPU pricer only; 0 = 32).
 	Threads int
 	// QueueDepth bounds the request scheduler's admission queue; requests
 	// beyond it are rejected with ErrServerBusy (a MsgBusy frame on the
@@ -124,22 +127,8 @@ type ServerConfig struct {
 	EnablePprof bool
 }
 
-// engine abstracts the three compute planes: the scheduler-facing query
-// surface plus lifecycle.
-type engine interface {
-	scheduler.Engine
-	LoadDatabase(*database.DB) error
-	Close() error
-}
-
-// Statically ensure the engines satisfy the scheduler's interface and
-// the scheduler satisfies the transport's.
-var (
-	_ engine               = (*impir.Engine)(nil)
-	_ engine               = (*cpupir.Engine)(nil)
-	_ engine               = (*gpupir.Engine)(nil)
-	_ transport.Dispatcher = (*scheduler.Scheduler)(nil)
-)
+// Statically ensure the scheduler satisfies the transport's interface.
+var _ transport.Dispatcher = (*scheduler.Scheduler)(nil)
 
 // ErrServerBusy reports a server whose admission queue was full: the
 // request was rejected without an engine pass. Retry after a backoff.
@@ -156,7 +145,7 @@ var ErrServerBusy = transport.ErrServerBusy
 // concurrent single queries from different clients into batch passes,
 // and quiesces in-flight queries around Update.
 type Server struct {
-	eng              engine
+	eng              *engine.Engine
 	sched            *scheduler.Scheduler
 	srv              *transport.Server
 	allowWireUpdates bool
@@ -179,10 +168,11 @@ type Server struct {
 // NewServer builds a server with the configured engine behind a request
 // scheduler.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	eng, err := newEngine(cfg)
+	pricer, err := newPricer(cfg)
 	if err != nil {
 		return nil, err
 	}
+	eng := engine.New(pricer)
 	reg := obs.NewRegistry()
 	sm := obs.NewServerMetrics(reg)
 	ready := obs.NewReadiness()
@@ -231,8 +221,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}, nil
 }
 
-// newEngine builds the configured compute plane.
-func newEngine(cfg ServerConfig) (engine, error) {
+// newPricer builds the configured machine's pricer.
+func newPricer(cfg ServerConfig) (engine.Pricer, error) {
 	kind := cfg.Engine
 	if kind == 0 {
 		kind = EnginePIM
@@ -257,11 +247,11 @@ func newEngine(cfg ServerConfig) (engine, error) {
 		if cfg.EvalWorkers != 0 {
 			ecfg.EvalWorkers = cfg.EvalWorkers
 		}
-		return impir.New(ecfg)
+		return impir.NewPricer(ecfg)
 	case EngineCPU:
-		return cpupir.New(cpupir.Config{Threads: cfg.Threads})
+		return engine.NewCPUPricer(cfg.Threads)
 	case EngineGPU:
-		return gpupir.New(gpupir.Config{})
+		return gpupir.NewPricer(gpupir.Config{})
 	default:
 		return nil, fmt.Errorf("impir: unknown engine kind %d", kind)
 	}
@@ -279,8 +269,8 @@ func shrinkPIM(cfg pim.Config, n int) pim.Config {
 	return cfg
 }
 
-// Load replicates the database into the server's engine. For the PIM
-// engine this also lays it out on the modeled DPUs' MRAM, a one-time
+// Load replicates the database into the server's engine. Under the PIM
+// pricer this also lays it out on the modeled DPUs' MRAM, a one-time
 // cost outside the query path.
 // A successful load satisfies the db-loaded readiness condition.
 func (s *Server) Load(db *DB) error {
@@ -291,7 +281,8 @@ func (s *Server) Load(db *DB) error {
 	return nil
 }
 
-// EngineName reports the compute plane ("IM-PIR", "CPU-PIR", "GPU-PIR").
+// EngineName reports the machine the engine is priced on: "IM-PIR",
+// "CPU-PIR" or "GPU-PIR".
 func (s *Server) EngineName() string { return s.eng.Name() }
 
 // Database returns the loaded (power-of-two padded) database, or nil.
@@ -320,8 +311,8 @@ func (s *Server) AnswerBatch(ctx context.Context, keys []*Key) ([][]byte, BatchS
 
 // Update applies a bulk record update to the loaded database replica
 // (§3.3 of the paper): updates maps record index to its new contents
-// (exactly RecordSize bytes each). For the PIM engine this rewrites the
-// affected DPU MRAM chunks on every cluster. Callers must update every
+// (exactly RecordSize bytes each). It rewrites the host copy every pass
+// scans, whichever pricer models the pass. Callers must update every
 // server of a deployment identically.
 //
 // Update is safe to call while queries are in flight: the scheduler

@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/impir/impir/internal/cpupir"
 	"github.com/impir/impir/internal/dpf"
+	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/scheduler"
 	"github.com/impir/impir/internal/transport"
@@ -207,7 +207,7 @@ func TestPerCallOptionsOverrideDefaults(t *testing.T) {
 // flakyEngine fails the first failN passes, then recovers — the
 // transient-failure shape a retry budget exists for.
 type flakyEngine struct {
-	*cpupir.Engine
+	*engine.Engine
 	mu    sync.Mutex
 	failN int
 	calls int
@@ -232,10 +232,11 @@ func TestRetryBudget(t *testing.T) {
 	ctx := context.Background()
 
 	start := func(failN int) []string {
-		eng, err := cpupir.New(cpupir.Config{Threads: 2})
+		cpu, err := engine.NewCPUPricer(2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng := engine.New(cpu)
 		if err := eng.LoadDatabase(db); err != nil {
 			t.Fatal(err)
 		}
