@@ -47,7 +47,7 @@ func TestClientObsOutcomesAndExposition(t *testing.T) {
 	}
 
 	// The exposition carries the same truth, through the same parser
-	// the loadgen cross-check uses.
+	// the server's scrape tests use.
 	rec := httptest.NewRecorder()
 	co.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -36,7 +35,6 @@ import (
 	"github.com/impir/impir/internal/keyword"
 	"github.com/impir/impir/internal/loadgen"
 	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/obs"
 )
 
 func main() {
@@ -92,11 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Resolve the system under test.
 	var (
-		d         impir.Deployment
-		topology  string
-		keys      [][]byte
-		srvStats  func() []metrics.SchedulerStats
-		srvScrape func() ([]map[string]float64, error)
+		d        impir.Deployment
+		topology string
+		keys     [][]byte
+		srvStats func() []metrics.SchedulerStats
 	)
 	switch {
 	case *selfserve:
@@ -107,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer ss.close()
 		d, topology, keys, srvStats = ss.deployment, ss.topology, ss.keys, ss.stats
-		srvScrape = ss.scrape
 	case *deployPath != "":
 		d, err = impir.LoadDeployment(*deployPath)
 		if err != nil {
@@ -172,7 +168,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:        *seed,
 		Topology:    topology,
 		ServerStats: srvStats,
-		Scrape:      srvScrape,
 	}
 	if *interval > 0 {
 		cfg.OnInterval = func(iv loadgen.Interval) { fmt.Fprintln(stderr, iv.Format()) }
@@ -238,9 +233,6 @@ type selfserveDeployment struct {
 	topology   string
 	keys       [][]byte
 	servers    []*impir.Server
-	// adminAddrs are the servers' admin endpoints (one per server, in
-	// servers order) — the scrape half of the exporter cross-check.
-	adminAddrs []string
 }
 
 func buildSelfserve(records int, engineName string, queueDepth int, seed int64, withKV bool) (*selfserveDeployment, error) {
@@ -299,15 +291,6 @@ func buildSelfserve(records int, engineName string, queueDepth int, seed int64, 
 			srv.Close()
 			return "", err
 		}
-		// Each server gets its own loopback admin endpoint so the run
-		// can scrape /metrics and cross-check it against QueueStats().
-		alis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return "", err
-		}
-		go srv.ServeAdmin(alis) // returns when the server shuts down
-		ss.adminAddrs = append(ss.adminAddrs, alis.Addr().String())
 		ss.servers = append(ss.servers, srv)
 		return srv.Addr().String(), nil
 	}
@@ -361,30 +344,6 @@ func (ss *selfserveDeployment) stats() []metrics.SchedulerStats {
 		out[i] = srv.QueueStats()
 	}
 	return out
-}
-
-// scrape fetches every server's /metrics over real HTTP — through the
-// same path an external Prometheus would use — and parses the text
-// exposition into samples, in the same order as stats.
-func (ss *selfserveDeployment) scrape() ([]map[string]float64, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	out := make([]map[string]float64, len(ss.adminAddrs))
-	for i, addr := range ss.adminAddrs {
-		resp, err := client.Get("http://" + addr + "/metrics")
-		if err != nil {
-			return nil, fmt.Errorf("scrape %s: %w", addr, err)
-		}
-		samples, perr := obs.ParseText(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("scrape %s: HTTP %d", addr, resp.StatusCode)
-		}
-		if perr != nil {
-			return nil, fmt.Errorf("scrape %s: %w", addr, perr)
-		}
-		out[i] = samples
-	}
-	return out, nil
 }
 
 // traceSummaries condenses the tracer's sampled span trees into the

@@ -110,9 +110,9 @@
 // # Operability
 //
 // Server.ServeAdmin serves an operator plane on its own listener:
-// /metrics (Prometheus text; scheduler counters are mirrored at scrape
-// time so they never disagree with QueueStats), /healthz and /readyz —
-// the README lists the families. ServerConfig.SlowQueryThreshold logs
+// /metrics (Prometheus text; the scheduler counts into the same
+// registry cells QueueStats reads), /healthz and /readyz — the README
+// lists the families. ServerConfig.SlowQueryThreshold logs
 // the span tree of every dispatch crossing it as one JSON line — the
 // same object /debug/traces serves for that query. On the client,
 // NewClientObs packages the interceptor chain into per-call

@@ -69,14 +69,6 @@ type Config struct {
 	// servers' scheduler snapshots — available when the caller runs the
 	// servers in-process (selfserve mode, tests).
 	ServerStats func() []metrics.SchedulerStats
-	// Scrape, when set alongside ServerStats, fetches each server's
-	// admin /metrics exposition as parsed samples (same server order as
-	// ServerStats). It is polled once after the run's workers drain,
-	// paired with a QueueStats snapshot captured at the same idle
-	// moment, and cross-checked for exact agreement in the artifact's
-	// AdminScrape section — every run re-verifies the exporter pipeline
-	// against in-process truth.
-	Scrape func() ([]map[string]float64, error)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -349,9 +341,6 @@ func Run(ctx context.Context, t Target, cfg Config) (*Result, error) {
 	baseMu.Unlock()
 	if kv, ok := t.kvStats(); ok {
 		res.KV = &kv
-	}
-	if cfg.Scrape != nil && cfg.ServerStats != nil && ctx.Err() == nil {
-		res.AdminScrape = captureScrape(cfg.Scrape, cfg.ServerStats)
 	}
 	return res, ctx.Err()
 }

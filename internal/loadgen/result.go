@@ -199,10 +199,6 @@ type Result struct {
 	// Servers is the server-side scheduler delta over the measured
 	// window (in-process runs only).
 	Servers *ServerReport `json:"servers,omitempty"`
-	// AdminScrape folds the servers' admin /metrics scrape into the
-	// artifact, cross-checked against a QueueStats snapshot captured at
-	// the same idle moment (selfserve runs with admin endpoints only).
-	AdminScrape *ScrapeReport `json:"admin_scrape,omitempty"`
 	// Store is the client-side store counter delta over the measured
 	// window; KV additionally for keyword workloads (cumulative — the
 	// KV layer has no delta helper, and the runner owns the client, so
@@ -300,20 +296,6 @@ func (r *Result) PrintHuman(w io.Writer) {
 			}
 		}
 		fmt.Fprintln(w)
-	}
-	if r.AdminScrape != nil {
-		switch {
-		case r.AdminScrape.Error != "":
-			fmt.Fprintf(w, "  scrape     : FAILED — %s\n", r.AdminScrape.Error)
-		case r.AdminScrape.Consistent:
-			fmt.Fprintf(w, "  scrape     : /metrics consistent with queue stats across %d servers\n",
-				len(r.AdminScrape.Servers))
-		default:
-			fmt.Fprintf(w, "  scrape     : INCONSISTENT — %d mismatches\n", len(r.AdminScrape.Mismatches))
-			for _, ms := range r.AdminScrape.Mismatches {
-				fmt.Fprintf(w, "    %s\n", ms)
-			}
-		}
 	}
 	if len(r.Traces) > 0 {
 		fmt.Fprintf(w, "  traces     : %d sampled span tree(s) in artifact\n", len(r.Traces))

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,8 +15,9 @@ import (
 // text exposition format (version 0.0.4). It is deliberately small:
 // counters, gauges and latency histograms with labels, deterministic
 // output order (families in registration order, series in creation
-// order), and scrape hooks for mirroring counters whose source of truth
-// lives elsewhere (the scheduler's atomics, a store's Stats snapshot).
+// order), and scrape hooks that set point-in-time gauges or mirror
+// counters whose source of truth lives elsewhere (a client store's
+// Stats snapshot).
 // Registration is fallible only for programmer errors, which panic —
 // metric declaration is init-time code, not a runtime path.
 type Registry struct {
@@ -33,10 +33,9 @@ func NewRegistry() *Registry {
 }
 
 // OnScrape registers fn to run at the start of every exposition, before
-// any family is rendered. Use it to copy externally owned cumulative
-// counters (scheduler atomics, store stats) into mirror metrics, so the
-// scrape and the in-process snapshot can never disagree about what the
-// counters were.
+// any family is rendered. Use it to read point-in-time gauges (queue
+// depth, readiness) and to copy counters owned outside the registry (a
+// client store's stats) into mirror metrics.
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -125,8 +124,8 @@ func validLabelName(s string) bool {
 }
 
 // Counter is a monotonically increasing series. Set exists for mirror
-// counters whose source of truth is an external monotone counter (the
-// scheduler's atomics); never use it to move a counter backwards.
+// counters whose source of truth is an external monotone counter (a
+// client store's stats); never use it to move a counter backwards.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -358,9 +357,8 @@ func escapeHelp(s string) string {
 // ParseText parses a text exposition (as produced by WriteText or any
 // Prometheus client) into a flat map from sample name — including the
 // rendered label set, exactly as exposed — to value. Comments and blank
-// lines are skipped. It exists for cross-checking a scrape against
-// in-process truth (loadgen, tests); it is not a general Prometheus
-// parser.
+// lines are skipped. It exists for checking a scrape against
+// in-process truth in tests; it is not a general Prometheus parser.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
@@ -385,15 +383,4 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		out[name] = v
 	}
 	return out, sc.Err()
-}
-
-// SortedSampleNames returns the sample names of a parsed exposition in
-// sorted order — convenience for deterministic test output.
-func SortedSampleNames(samples map[string]float64) []string {
-	names := make([]string, 0, len(samples))
-	for n := range samples {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

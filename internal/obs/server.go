@@ -36,17 +36,17 @@ const (
 // scheduler hold a *ServerMetrics and record into it; nil receivers are
 // no-ops so un-instrumented servers (tests, benches) pay nothing.
 //
-// Two classes of family coexist deliberately:
-//
-//   - Event-sourced: requests, busy rejects, failures, lost arrivals and
-//     the stage latency histograms are incremented at the moment the
-//     event happens.
-//   - Mirrored: the impir_scheduler_* counters' source of truth is the
-//     scheduler's own atomics; MirrorScheduler copies a Stats snapshot
-//     into them at scrape time (via Registry.OnScrape), so a scrape and
-//     a QueueStats() call can never disagree about those counters.
+// Every counter is a registry cell incremented where its event happens:
+// the transport's per-frame counters and latency histograms, and the
+// scheduler's queue counters (the Scheduler field). The cells are the
+// store of record — the scheduler's Stats snapshot reads the same cells
+// a scrape renders. Only point-in-time gauges (queue depth, database
+// epoch and shape, readiness) are set at scrape time.
 type ServerMetrics struct {
 	Registry *Registry
+	// Scheduler holds the scheduler's counter cells, resolved once here
+	// so the dispatch path increments them without a lookup.
+	Scheduler SchedulerCounters
 
 	requests *CounterVec // frame
 	busy     *CounterVec // frame
@@ -56,32 +56,28 @@ type ServerMetrics struct {
 	phases   *HistogramVec // phase
 	ready    *GaugeVec
 
-	schedCounters map[string]*Counter // keyed by short name
-	passWidth     *CounterVec         // width
 	depth         *GaugeVec
-	maxDepth      *GaugeVec
 	dbEpoch       *GaugeVec
 	dbRecords     *GaugeVec
 	dbRecordBytes *GaugeVec
 }
 
-// schedMirrorNames maps the impir_scheduler_*_total suffixes to the
-// SchedulerStats fields they mirror; the order fixes exposition order.
-var schedMirrorNames = []struct{ name, help string }{
-	{"submitted", "Requests admitted to the scheduler queue."},
-	{"rejected", "Requests refused with busy because the admission queue was full."},
-	{"cancelled", "Requests dequeued without an engine pass because their context died."},
-	{"dispatched", "Requests that reached an engine pass."},
-	{"passes", "Engine passes executed."},
-	{"coalesced_passes", "Passes that merged 2+ single queries from different connections."},
-	{"coalesced_queries", "Single queries served through a coalesced pass."},
-	{"fused_passes", "Passes executed as fused one-pass database scans."},
-	{"updates", "Database bulk updates applied."},
+// SchedulerCounters are the cells of the impir_scheduler_* families —
+// the only storage of the scheduler's cumulative counters and its queue
+// high-water mark (see metrics.SchedulerStats for each field's meaning).
+type SchedulerCounters struct {
+	Submitted, Rejected, Cancelled, Dispatched, Passes *Counter
+	CoalescedPasses, CoalescedQueries, FusedPasses     *Counter
+	// Updates counts applied bulk updates, which is also the database
+	// epoch.
+	Updates    *Counter
+	PassWidths [metrics.NumWidthBuckets]*Counter
+	MaxDepth   *Gauge
 }
 
 // NewServerMetrics registers the full server family set on reg.
 func NewServerMetrics(reg *Registry) *ServerMetrics {
-	m := &ServerMetrics{Registry: reg, schedCounters: make(map[string]*Counter)}
+	m := &ServerMetrics{Registry: reg}
 
 	m.requests = reg.NewCounter("impir_requests_total",
 		"Wire frames dispatched, by frame type.", "frame")
@@ -95,18 +91,34 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 		"Request latency by frame type and stage (queue wait, engine pass, total).",
 		nil, "frame", "stage")
 	m.phases = reg.NewHistogram("impir_engine_phase_seconds",
-		"Engine pass wall time attributed to each processing phase.", nil, "phase")
+		"Engine pass wall time attributed to each processing phase, one sample per pass.", nil, "phase")
 
-	for _, n := range schedMirrorNames {
-		v := reg.NewCounter("impir_scheduler_"+n.name+"_total", n.help+" (mirrored from the scheduler at scrape time.)")
-		m.schedCounters[n.name] = v.With()
+	c := &m.Scheduler
+	for _, f := range []struct {
+		cell       **Counter
+		name, help string
+	}{
+		{&c.Submitted, "submitted", "Requests admitted to the scheduler queue."},
+		{&c.Rejected, "rejected", "Requests refused with busy because the admission queue was full."},
+		{&c.Cancelled, "cancelled", "Requests dequeued without an engine pass because their context died."},
+		{&c.Dispatched, "dispatched", "Requests that reached an engine pass."},
+		{&c.Passes, "passes", "Engine passes executed."},
+		{&c.CoalescedPasses, "coalesced_passes", "Passes that merged 2+ single queries from different connections."},
+		{&c.CoalescedQueries, "coalesced_queries", "Single queries served through a coalesced pass."},
+		{&c.FusedPasses, "fused_passes", "Passes executed as fused one-pass database scans."},
+		{&c.Updates, "updates", "Database bulk updates applied."},
+	} {
+		*f.cell = reg.NewCounter("impir_scheduler_"+f.name+"_total", f.help).With()
 	}
-	m.passWidth = reg.NewCounter("impir_scheduler_pass_width_total",
-		"Single-query engine passes by coalesce width bucket (mirrored at scrape time).", "width")
+	passWidth := reg.NewCounter("impir_scheduler_pass_width_total",
+		"Single-query engine passes by coalesce width bucket.", "width")
+	for i := range c.PassWidths {
+		c.PassWidths[i] = passWidth.With(metrics.WidthBucketLabel(i))
+	}
 	m.depth = reg.NewGauge("impir_scheduler_queue_depth",
 		"Admission queue depth at scrape time.")
-	m.maxDepth = reg.NewGauge("impir_scheduler_queue_depth_max",
-		"Deepest the admission queue has been.")
+	c.MaxDepth = reg.NewGauge("impir_scheduler_queue_depth_max",
+		"Deepest the admission queue has been.").With()
 	m.dbEpoch = reg.NewGauge("impir_db_epoch",
 		"Database version the scheduler is serving (bumped once per applied update).")
 	m.dbRecords = reg.NewGauge("impir_db_records",
@@ -158,39 +170,29 @@ func (m *ServerMetrics) ObserveStage(frame, stage string, d time.Duration) {
 	m.latency.With(frame, stage).Observe(d)
 }
 
-// ObserveBreakdown attributes an engine pass's wall time to phases.
-func (m *ServerMetrics) ObserveBreakdown(bd metrics.Breakdown) {
+// ObservePass attributes one engine pass's wall time to phases: one
+// sample per phase per pass, of the pass's own phase time (the engine
+// reports a per-query average, so it is scaled back up by the width).
+func (m *ServerMetrics) ObservePass(st metrics.BatchStats) {
 	if m == nil {
 		return
 	}
+	width := time.Duration(max(st.Queries, 1))
 	for i := 0; i < metrics.NumPhases; i++ {
-		if d := bd.Wall[i]; d > 0 {
+		if d := st.PerQuery.Wall[i] * width; d > 0 {
 			m.phases.With(metrics.Phase(i).String()).Observe(d)
 		}
 	}
 }
 
-// MirrorScheduler copies a scheduler snapshot into the mirror families.
-// Call from a Registry.OnScrape hook with a fresh Stats() snapshot.
-func (m *ServerMetrics) MirrorScheduler(st metrics.SchedulerStats) {
+// SetQueue publishes the admission queue's depth and the database epoch
+// the scheduler serves. Call from a Registry.OnScrape hook.
+func (m *ServerMetrics) SetQueue(depth int, epoch uint64) {
 	if m == nil {
 		return
 	}
-	m.schedCounters["submitted"].Set(st.Submitted)
-	m.schedCounters["rejected"].Set(st.Rejected)
-	m.schedCounters["cancelled"].Set(st.Cancelled)
-	m.schedCounters["dispatched"].Set(st.Dispatched)
-	m.schedCounters["passes"].Set(st.Passes)
-	m.schedCounters["coalesced_passes"].Set(st.CoalescedPasses)
-	m.schedCounters["coalesced_queries"].Set(st.CoalescedQueries)
-	m.schedCounters["fused_passes"].Set(st.FusedPasses)
-	m.schedCounters["updates"].Set(st.Updates)
-	for i, w := range st.PassWidths {
-		m.passWidth.With(metrics.WidthBucketLabel(i)).Set(w)
-	}
-	m.depth.With().Set(int64(st.Depth))
-	m.maxDepth.With().Set(int64(st.MaxDepth))
-	m.dbEpoch.With().Set(int64(st.Epoch))
+	m.depth.With().Set(int64(depth))
+	m.dbEpoch.With().Set(int64(epoch))
 }
 
 // SetDB publishes the loaded database's shape.
@@ -214,19 +216,6 @@ func (m *ServerMetrics) MirrorReadiness(r *Readiness) {
 		v = 1
 	}
 	m.ready.With().Set(v)
-}
-
-// SchedulerMirrorSample names the scraped sample that mirrors a
-// SchedulerStats counter — the loadgen cross-check and tests use it to
-// compare scrape values against QueueStats() truth without hand-writing
-// exposition strings.
-func SchedulerMirrorSample(short string) string {
-	return "impir_scheduler_" + short + "_total"
-}
-
-// PassWidthSample names the scraped pass-width sample for bucket i.
-func PassWidthSample(i int) string {
-	return `impir_scheduler_pass_width_total{width="` + metrics.WidthBucketLabel(i) + `"}`
 }
 
 // RequestSample names the scraped per-frame request counter sample.

@@ -2,12 +2,14 @@ package scheduler
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/obs"
 )
 
@@ -36,10 +38,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	ready.Set(obs.CondUpdateQuiesce, true)
 
 	s := newSched(t, ge, Config{QueueDepth: 64, Obs: sm, Readiness: ready})
-	reg.OnScrape(func() {
-		sm.MirrorScheduler(s.Stats())
-		sm.MirrorReadiness(ready)
-	})
+	reg.OnScrape(func() { sm.MirrorReadiness(ready) })
 
 	admin := obs.NewAdmin(reg, ready)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -50,26 +49,21 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	defer admin.Shutdown(context.Background())
 	base := "http://" + lis.Addr().String()
 
-	readyz := func() (int, string) {
+	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get(base + "/readyz")
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 512)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if rerr != nil {
-				break
-			}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return resp.StatusCode, sb.String()
+		return resp.StatusCode, string(body)
 	}
 
-	if code, _ := readyz(); code != http.StatusOK {
+	if code, _ := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz before any update = %d, want 200", code)
 	}
 
@@ -83,7 +77,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	// engine is stuck, which is what makes this deterministic.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		code, body := readyz()
+		code, body := get("/readyz")
 		if code == http.StatusServiceUnavailable {
 			if !strings.Contains(body, "not ready: "+obs.CondUpdateQuiesce) {
 				t.Fatalf("/readyz body %q must name %s", body, obs.CondUpdateQuiesce)
@@ -111,17 +105,8 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 
 	// The scrape keeps answering mid-quiesce, and the ready gauge
 	// mirrors the flip.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, perr := obs.ParseText(resp.Body)
-	resp.Body.Close()
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if v := samples["impir_ready"]; v != 0 {
-		t.Errorf("impir_ready = %v mid-quiesce, want 0", v)
+	if _, text := get("/metrics"); !strings.Contains(text, "\nimpir_ready 0\n") {
+		t.Errorf("impir_ready is not 0 mid-quiesce:\n%s", text)
 	}
 
 	close(ge.gate)
@@ -133,7 +118,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	}
 
 	for {
-		code, _ := readyz()
+		code, _ := get("/readyz")
 		if code == http.StatusOK {
 			break
 		}
@@ -145,20 +130,22 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 }
 
 // TestObsStageObservations: the scheduler records queue and engine
-// stage samples plus pass-width mirrors that agree with its own Stats.
+// stage samples per request and engine phase samples per pass, and its
+// counters are the cells the scrape renders.
 func TestObsStageObservations(t *testing.T) {
 	reg := obs.NewRegistry()
-	sm := obs.NewServerMetrics(reg)
-	s := newSched(t, &fakeEngine{}, Config{QueueDepth: 64, Obs: sm})
-	reg.OnScrape(func() { sm.MirrorScheduler(s.Stats()) })
-
+	s := newSched(t, &fakeEngine{}, Config{QueueDepth: 64, Obs: obs.NewServerMetrics(reg)})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, _, err := s.Query(ctx, fakeKey); err != nil {
 			t.Fatal(err)
 		}
 	}
-
+	// A batch-8 pass adds one phase sample: the pass's whole 1 ms dpXOR.
+	keys := []*dpf.Key{fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey}
+	if _, _, err := s.QueryBatch(ctx, keys); err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -167,13 +154,19 @@ func TestObsStageObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if got := samples[obs.SchedulerMirrorSample("submitted")]; got != float64(st.Submitted) {
-		t.Errorf("submitted mirror = %v, stats say %d", got, st.Submitted)
+	if got := samples["impir_scheduler_submitted_total"]; got != float64(s.Stats().Submitted) {
+		t.Errorf("scraped submitted = %v, stats say %d", got, s.Stats().Submitted)
 	}
 	for _, stage := range []string{obs.StageQueue, obs.StageEngine} {
 		if got := samples[obs.StageCountSample("query", stage)]; got != 5 {
 			t.Errorf("stage %s count = %v, want 5", stage, got)
 		}
+	}
+	if got := samples[`impir_engine_phase_seconds_count{phase="dpXOR"}`]; got != 6 {
+		t.Errorf("dpXOR phase count = %v after 6 passes, want 6", got)
+	}
+	// 1 ms splits evenly over 8 queries, so the sum is exact.
+	if got := samples[`impir_engine_phase_seconds_sum{phase="dpXOR"}`]; got != 0.006 {
+		t.Errorf("dpXOR phase sum = %vs, want the passes' 0.006s", got)
 	}
 }

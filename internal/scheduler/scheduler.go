@@ -73,9 +73,12 @@ type Config struct {
 	// MaxCoalesce caps how many single queries one coalesced pass may
 	// serve. 0 means 64; negative is an error.
 	MaxCoalesce int
-	// Obs, when non-nil, receives per-stage latency observations (queue
-	// wait and engine pass per frame type, per-request engine phase
-	// attribution). Nil keeps the scheduler un-instrumented at zero cost.
+	// Obs is the metric bundle the scheduler counts into: its
+	// impir_scheduler_* cells are the only storage of the counters Stats
+	// reports, and it receives per-stage latency observations (queue
+	// wait and engine pass per frame type, per-pass engine phase
+	// attribution). Nil gives the scheduler a private bundle for its
+	// counters and skips the latency observations.
 	// Tracing is independent of it: a request whose context carries an
 	// obs.Span gets queue and engine children on that span.
 	Obs *obs.ServerMetrics
@@ -176,18 +179,12 @@ type Scheduler struct {
 	// quiesce gate; the readiness condition drops while it is nonzero.
 	quiescers atomic.Int64
 
-	// counters (atomics; snapshot via Stats).
-	submitted        atomic.Uint64
-	rejected         atomic.Uint64
-	cancelled        atomic.Uint64
-	dispatched       atomic.Uint64
-	passes           atomic.Uint64
-	coalescedPasses  atomic.Uint64
-	coalescedQueries atomic.Uint64
-	fusedPasses      atomic.Uint64
-	totalWaitNanos   atomic.Int64
-	maxDepth         atomic.Int64
-	passWidths       [metrics.NumWidthBuckets]atomic.Uint64
+	// c holds the registry cells the scheduler counts into (Config.Obs's,
+	// or a private bundle's); Stats reads them back.
+	c obs.SchedulerCounters
+	// totalWaitNanos sums queue waits at nanosecond resolution for
+	// SchedulerStats.TotalWait; no family renders it.
+	totalWaitNanos atomic.Int64
 }
 
 // New wraps an engine in a scheduler and starts its dispatch loop.
@@ -196,13 +193,18 @@ func New(eng Engine, cfg Config) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := cfg.Obs
+	if m == nil {
+		m = obs.NewServerMetrics(obs.NewRegistry())
+	}
 	s := &Scheduler{
 		eng:   eng,
 		cfg:   cfg,
 		quit:  make(chan struct{}),
 		queue: make(chan *request, cfg.QueueDepth),
+		c:     m.Scheduler,
 	}
-	s.gate.init()
+	s.gate.init(s.c.Updates)
 	go s.loop()
 	return s, nil
 }
@@ -221,7 +223,7 @@ func (s *Scheduler) Database() *database.DB { return s.eng.Database() }
 func (s *Scheduler) Digest() [32]byte {
 	s.gate.beginQuery()
 	defer s.gate.endQuery()
-	_, epoch := s.gate.epochs()
+	epoch := s.gate.epoch.Value()
 	db := s.eng.Database()
 	s.digestMu.Lock()
 	defer s.digestMu.Unlock()
@@ -249,13 +251,13 @@ func (s *Scheduler) submit(req *request) error {
 	select {
 	case s.queue <- req:
 		s.pending++
-		s.submitted.Add(1)
-		if d := int64(len(s.queue)); d > s.maxDepth.Load() {
-			s.maxDepth.Store(d)
+		s.c.Submitted.Inc()
+		if d := int64(len(s.queue)); d > s.c.MaxDepth.Value() {
+			s.c.MaxDepth.Set(d)
 		}
 		return nil
 	default:
-		s.rejected.Add(1)
+		s.c.Rejected.Inc()
 		return ErrBusy
 	}
 }
@@ -366,26 +368,27 @@ func (s *Scheduler) Update(updates map[uint64][]byte) error {
 	return err
 }
 
-// Stats snapshots the scheduler's queue counters.
+// Stats snapshots the scheduler's queue counters: a typed read of the
+// same registry cells /metrics renders.
 func (s *Scheduler) Stats() metrics.SchedulerStats {
-	updates, epoch := s.gate.epochs()
+	epoch := s.c.Updates.Value()
 	st := metrics.SchedulerStats{
-		Submitted:        s.submitted.Load(),
-		Rejected:         s.rejected.Load(),
-		Cancelled:        s.cancelled.Load(),
-		Dispatched:       s.dispatched.Load(),
-		Passes:           s.passes.Load(),
-		CoalescedPasses:  s.coalescedPasses.Load(),
-		CoalescedQueries: s.coalescedQueries.Load(),
-		FusedPasses:      s.fusedPasses.Load(),
-		MaxDepth:         int(s.maxDepth.Load()),
+		Submitted:        s.c.Submitted.Value(),
+		Rejected:         s.c.Rejected.Value(),
+		Cancelled:        s.c.Cancelled.Value(),
+		Dispatched:       s.c.Dispatched.Value(),
+		Passes:           s.c.Passes.Value(),
+		CoalescedPasses:  s.c.CoalescedPasses.Value(),
+		CoalescedQueries: s.c.CoalescedQueries.Value(),
+		FusedPasses:      s.c.FusedPasses.Value(),
+		MaxDepth:         int(s.c.MaxDepth.Value()),
 		Depth:            len(s.queue),
 		TotalWait:        time.Duration(s.totalWaitNanos.Load()),
-		Updates:          updates,
+		Updates:          epoch,
 		Epoch:            epoch,
 	}
-	for i := range st.PassWidths {
-		st.PassWidths[i] = s.passWidths[i].Load()
+	for i, w := range s.c.PassWidths {
+		st.PassWidths[i] = w.Value()
 	}
 	return st
 }
@@ -464,7 +467,7 @@ func (s *Scheduler) failPending() {
 // single queries into it when a window is configured.
 func (s *Scheduler) dispatch(req *request) {
 	if err := req.ctx.Err(); err != nil {
-		s.cancelled.Add(1)
+		s.c.Cancelled.Inc()
 		s.finish(req, err)
 		return
 	}
@@ -495,7 +498,7 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 			return batch, nil
 		case req := <-s.queue:
 			if err := req.ctx.Err(); err != nil {
-				s.cancelled.Add(1)
+				s.c.Cancelled.Inc()
 				s.finish(req, err)
 				continue
 			}
@@ -520,7 +523,7 @@ func (s *Scheduler) run(reqs []*request) {
 		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageQueue, wait)
 		obs.SpanFromContext(r.ctx).AddChild("queue", r.enqueued, wait)
 	}
-	s.dispatched.Add(uint64(len(reqs)))
+	s.c.Dispatched.Add(uint64(len(reqs)))
 	if reqs[0].kind == reqQuery {
 		if reqs = s.checkKeys(reqs); len(reqs) == 0 {
 			return
@@ -533,9 +536,9 @@ func (s *Scheduler) run(reqs []*request) {
 			in.Keys[i] = r.in.Keys[0]
 		}
 	}
-	s.passes.Add(1)
+	s.c.Passes.Inc()
 	if reqs[0].kind == reqQuery {
-		s.passWidths[metrics.WidthBucket(len(reqs))].Add(1)
+		s.c.PassWidths[metrics.WidthBucket(len(reqs))].Inc()
 	}
 	s.gate.beginQuery()
 	defer s.gate.endQuery()
@@ -550,18 +553,18 @@ func (s *Scheduler) run(reqs []*request) {
 		return
 	}
 	if len(reqs) > 1 {
-		s.coalescedPasses.Add(1)
-		s.coalescedQueries.Add(uint64(len(reqs)))
+		s.c.CoalescedPasses.Inc()
+		s.c.CoalescedQueries.Add(uint64(len(reqs)))
 	}
 	if stats.Fused {
-		s.fusedPasses.Add(1)
+		s.c.FusedPasses.Inc()
 	}
+	s.cfg.Obs.ObservePass(stats)
 	for _, r := range reqs {
 		n := r.in.Len()
 		r.results, results = results[:n:n], results[n:]
 		r.stats = stats
 		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageEngine, engDur)
-		s.cfg.Obs.ObserveBreakdown(stats.PerQuery)
 		span := obs.SpanFromContext(r.ctx)
 		span.SetAttrInt("width", int64(stats.Queries))
 		span.SetAttrBool("fused", stats.Fused)
@@ -602,17 +605,21 @@ func (s *Scheduler) checkKeys(reqs []*request) []*request {
 // the gate shared, an update holds it exclusively after draining the
 // in-flight pass, and each update bumps the database epoch. It is a
 // purpose-named reader/writer gate rather than a sync.RWMutex so the
-// epoch and update counters live with the state they describe.
+// epoch lives with the state it describes.
 type quiesceGate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	inflight int  // query passes holding the gate
 	updating bool // an update holds the gate exclusively
-	updates  uint64
-	epoch    uint64
+	// epoch counts applied updates: the database version. It is the
+	// impir_scheduler_updates_total cell, bumped under mu.
+	epoch *obs.Counter
 }
 
-func (g *quiesceGate) init() { g.cond = sync.NewCond(&g.mu) }
+func (g *quiesceGate) init(epoch *obs.Counter) {
+	g.cond = sync.NewCond(&g.mu)
+	g.epoch = epoch
+}
 
 func (g *quiesceGate) beginQuery() {
 	g.mu.Lock()
@@ -652,15 +659,8 @@ func (g *quiesceGate) endUpdate(applied bool) {
 	g.mu.Lock()
 	g.updating = false
 	if applied {
-		g.updates++
-		g.epoch++
+		g.epoch.Inc()
 	}
 	g.cond.Broadcast()
 	g.mu.Unlock()
-}
-
-func (g *quiesceGate) epochs() (updates, epoch uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.updates, g.epoch
 }

@@ -19,7 +19,8 @@ import (
 )
 
 // fakeEngine gives tests deterministic pass costs and records overlap
-// between updates and query passes.
+// between updates and query passes. Every pass reports 1 ms of dpXOR
+// wall time, averaged per query the way the engine reports it.
 type fakeEngine struct {
 	delay time.Duration // per pass, regardless of width
 
@@ -72,7 +73,9 @@ func (f *fakeEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	for i := range out {
 		out[i] = []byte{byte(i)}
 	}
-	return out, metrics.BatchStats{Queries: in.Len(), Fused: in.Len() > 1}, nil
+	var pass metrics.Breakdown
+	pass.Wall[metrics.PhaseDpXOR] = time.Millisecond
+	return out, metrics.BatchStats{Queries: in.Len(), PerQuery: pass.Scale(in.Len()), Fused: in.Len() > 1}, nil
 }
 
 func (f *fakeEngine) ApplyUpdates(updates map[uint64][]byte) error {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
 )
 
@@ -33,10 +34,10 @@ func pollReadyz(t *testing.T, base string) (int, string) {
 // TestObsAdminEndToEnd drives a real two-party TCP deployment under
 // concurrent load while scraping the admin endpoint the way an external
 // Prometheus would: /readyz must be 503 before Load and before Serve,
-// 200 while serving, and flip back during shutdown; the final /metrics
-// scrape must agree exactly with QueueStats(); the per-stage latency
-// histograms must be non-empty for every frame type exercised; and no
-// query may fail across the epoch flips concurrent updates cause.
+// 200 while serving, and flip back during shutdown; a /metrics scrape
+// under load must lie between the QueueStats() snapshots around it;
+// the stage histograms must be non-empty for every frame type exercised;
+// and no query may fail across the epoch flips concurrent updates cause.
 func TestObsAdminEndToEnd(t *testing.T) {
 	db, err := GenerateHashDB(512, 3)
 	if err != nil {
@@ -199,6 +200,16 @@ func TestObsAdminEndToEnd(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
+	// The scrape renders the cells QueueStats() reads, so under live
+	// load every counter it shows lies between the snapshots around it.
+	before := schedCounters(s0.QueueStats())
+	samples := scrapeMetrics(t, base)
+	after := schedCounters(s0.QueueStats())
+	for name, lo := range before {
+		if got := samples[name]; got < float64(lo) || got > float64(after[name]) {
+			t.Errorf("%s scraped %v, outside QueueStats bracket [%d, %d]", name, got, lo, after[name])
+		}
+	}
 	wg.Wait()
 	close(probeStop)
 	<-probeDone
@@ -210,49 +221,7 @@ func TestObsAdminEndToEnd(t *testing.T) {
 		t.Fatalf("server 0 applied %d updates, want 5", st.Updates)
 	}
 
-	// Scrape-vs-QueueStats exactness, captured at an idle moment (two
-	// consecutive identical snapshots bracketing the scrape).
-	var samples map[string]float64
-	var st = s0.QueueStats()
-	for attempt := 0; ; attempt++ {
-		before := s0.QueueStats()
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-			t.Fatalf("/metrics Content-Type = %q", ct)
-		}
-		samples, err = obs.ParseText(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = s0.QueueStats()
-		if before == st {
-			break
-		}
-		if attempt > 100 {
-			t.Fatal("server never went idle for the scrape cross-check")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	mirror := map[string]uint64{
-		"submitted":         st.Submitted,
-		"rejected":          st.Rejected,
-		"cancelled":         st.Cancelled,
-		"dispatched":        st.Dispatched,
-		"passes":            st.Passes,
-		"coalesced_passes":  st.CoalescedPasses,
-		"coalesced_queries": st.CoalescedQueries,
-		"fused_passes":      st.FusedPasses,
-		"updates":           st.Updates,
-	}
-	for short, wantV := range mirror {
-		if got := samples[obs.SchedulerMirrorSample(short)]; got != float64(wantV) {
-			t.Errorf("%s scraped %v, QueueStats says %d", obs.SchedulerMirrorSample(short), got, wantV)
-		}
-	}
+	samples = scrapeMetrics(t, base)
 	if got := samples["impir_db_records"]; got != float64(db.NumRecords()) {
 		t.Errorf("impir_db_records = %v, want %d", got, db.NumRecords())
 	}
@@ -310,14 +279,49 @@ func TestObsAdminEndToEnd(t *testing.T) {
 	if err := s0.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	final, err := obs.ParseText(strings.NewReader(sb.String()))
+	if !strings.Contains(sb.String(), "\nimpir_ready 0\n") {
+		t.Errorf("impir_ready is not 0 after Shutdown:\n%s", sb.String())
+	}
+	<-adminDone
+}
+
+// scrapeMetrics fetches and parses /metrics.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final["impir_ready"] != 0 {
-		t.Errorf("impir_ready = %v after Shutdown, want 0", final["impir_ready"])
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Fatalf("/metrics Content-Type = %q", ct)
 	}
-	<-adminDone
+	samples, err := obs.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
+// schedCounters names every scheduler counter of st by its sample.
+func schedCounters(st metrics.SchedulerStats) map[string]uint64 {
+	m := map[string]uint64{
+		"impir_scheduler_submitted_total":         st.Submitted,
+		"impir_scheduler_rejected_total":          st.Rejected,
+		"impir_scheduler_cancelled_total":         st.Cancelled,
+		"impir_scheduler_dispatched_total":        st.Dispatched,
+		"impir_scheduler_passes_total":            st.Passes,
+		"impir_scheduler_coalesced_passes_total":  st.CoalescedPasses,
+		"impir_scheduler_coalesced_queries_total": st.CoalescedQueries,
+		"impir_scheduler_fused_passes_total":      st.FusedPasses,
+		"impir_scheduler_updates_total":           st.Updates,
+		"impir_db_epoch":                          st.Epoch,
+		"impir_scheduler_queue_depth_max":         uint64(st.MaxDepth),
+	}
+	for i, w := range st.PassWidths {
+		m[`impir_scheduler_pass_width_total{width="`+metrics.WidthBucketLabel(i)+`"}`] = w
+	}
+	return m
 }
 
 // blockingCloseListener holds its Close until released, letting the

@@ -189,12 +189,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("impir: %w", err)
 	}
-	// Mirror-at-scrape: the impir_scheduler_* counters, database gauges
-	// and the ready gauge are copied from their in-process sources the
-	// moment an exposition is rendered, so a scrape can never disagree
-	// with a concurrent QueueStats() about what those counters were.
+	// The scheduler counts straight into sm's cells, so a scrape and
+	// QueueStats() read the same counters. The hook only sets the
+	// point-in-time gauges: queue depth, database epoch and shape, and
+	// readiness.
 	reg.OnScrape(func() {
-		sm.MirrorScheduler(sched.Stats())
+		st := sched.Stats()
+		sm.SetQueue(st.Depth, st.Epoch)
 		sm.MirrorReadiness(ready)
 		if db := eng.Database(); db != nil {
 			sm.SetDB(db.NumRecords(), db.RecordSize())
