@@ -5,11 +5,10 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"sync"
+	"time"
 
 	"github.com/impir/impir/internal/batchcode"
 	"github.com/impir/impir/internal/fanout"
-	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
 )
 
@@ -46,9 +45,7 @@ type Client struct {
 	code   *batchcode.Layout        // nil: the identity code
 	cache  *batchcode.SideInfoCache // nil unless coded with WithSideInfoCache
 	policy policy
-
-	mu    sync.Mutex
-	stats metrics.StoreStats
+	cells  *clientCells
 }
 
 type clientConfig struct {
@@ -58,6 +55,7 @@ type clientConfig struct {
 	batch    []BatchInterceptor
 	defaults callOptions
 	sideInfo int
+	obs      *ClientObs // nil: private cells
 }
 
 // ClientOption customises Open.
@@ -114,10 +112,6 @@ func WithDefaultCallOptions(opts ...CallOption) ClientOption {
 // plan and the code over them.
 func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, error) {
 	c := &Client{shards: make([]*cohort, len(d.Shards))}
-	c.policy = policy{unary: cfg.unary, batch: cfg.batch, defaults: cfg.defaults, onRetry: func() {
-		c.bump(func(st *metrics.StoreStats) { st.Retries++ })
-	}}
-	c.stats.Shards = make([]metrics.ShardStats, len(d.Shards))
 	g, gctx := fanout.WithContext(ctx)
 	for s, shard := range d.Shards {
 		g.Go(func() error {
@@ -133,10 +127,14 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 	if err == nil {
 		err = c.layOut(d, cfg.sideInfo)
 	}
+	if err == nil {
+		c.cells, err = cfg.obs.claim(len(d.Shards))
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
+	c.policy = policy{unary: cfg.unary, batch: cfg.batch, defaults: cfg.defaults, retries: c.cells.retries}
 	return c, nil
 }
 
@@ -203,7 +201,7 @@ func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption)
 	if err := c.check(index); err != nil {
 		return nil, err
 	}
-	co := c.policy.resolve(opts)
+	start, co := time.Now(), c.policy.resolve(opts)
 	rec, err := c.policy.doUnary(ctx, co, index, func(ctx context.Context, index uint64) ([]byte, error) {
 		recs, err := c.fetch(ctx, co, []uint64{index}, false)
 		if err != nil {
@@ -211,7 +209,7 @@ func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption)
 		}
 		return recs[0], nil
 	})
-	c.finish(err, func(st *metrics.StoreStats) { st.Retrievals++ })
+	c.cells.retrieve.done(start, err)
 	return rec, err
 }
 
@@ -229,11 +227,11 @@ func (c *Client) RetrieveBatch(ctx context.Context, indices []uint64, opts ...Ca
 	if err := c.check(indices...); err != nil {
 		return nil, err
 	}
-	co := c.policy.resolve(opts)
+	start, co := time.Now(), c.policy.resolve(opts)
 	recs, err := c.policy.doBatch(ctx, co, indices, func(ctx context.Context, indices []uint64) ([][]byte, error) {
 		return c.fetch(ctx, co, indices, true)
 	})
-	c.finish(err, func(st *metrics.StoreStats) { st.BatchRetrievals++ })
+	c.cells.batch.done(start, err)
 	return recs, err
 }
 
@@ -305,7 +303,7 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 	if rec, ok := have[indices[0]]; ok && !batch {
 		dummy, err := batchcode.RandRow(m.TotalRows())
 		return []uint64{dummy}, 0, func([][]byte) [][]byte {
-			c.bump(func(st *metrics.StoreStats) { st.SideInfoHits++ })
+			c.cells.sideInfoHits.Inc()
 			return [][]byte{rec}
 		}, err
 	}
@@ -331,12 +329,10 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 						out[i] = append([]byte(nil), out[src.Dup]...)
 					}
 				}
-				c.bump(func(st *metrics.StoreStats) {
-					st.CodedBatches++
-					st.CodedQueries += uint64(len(plan.Indices))
-					st.CodedDummies += uint64(len(plan.Indices) - plan.Real)
-					st.SideInfoHits += uint64(plan.CacheHits)
-				})
+				c.cells.codedBatches.Inc()
+				c.cells.codedQueries.Add(uint64(len(plan.Indices)))
+				c.cells.codedDummies.Add(uint64(len(plan.Indices) - plan.Real))
+				c.cells.sideInfoHits.Add(uint64(plan.CacheHits))
 				return out
 			}, nil
 		}
@@ -350,7 +346,7 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 			c.cache.Put(idx, recs[i], gen)
 		}
 		if batch {
-			c.bump(func(st *metrics.StoreStats) { st.CodeFallbacks++ })
+			c.cells.codeFallbacks.Inc()
 		}
 		return recs
 	}, nil
@@ -439,7 +435,7 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 	defer c.invalidate(updates)
 	// Updates are operator actions, not queries: no interceptor chain,
 	// only the timeout and the retry budget.
-	co := c.policy.resolve(opts)
+	start, co := time.Now(), c.policy.resolve(opts)
 	err = c.policy.withBudget(ctx, co, func(ctx context.Context) error {
 		return c.fanOut(ctx, nil, func(ctx context.Context, s int) error {
 			if routed[s] == nil {
@@ -449,12 +445,10 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 		})
 	})
 	// Routed rows count per LOGICAL update, however many attempts it took.
-	c.bump(func(st *metrics.StoreStats) {
-		for s, sub := range routed {
-			st.Shards[s].UpdateRows += uint64(len(sub))
-		}
-	})
-	c.finish(err, func(st *metrics.StoreStats) { st.Updates++ })
+	for s, sub := range routed {
+		c.cells.shards[s][shardUpdateRows].Add(uint64(len(sub)))
+	}
+	c.cells.update.done(start, err)
 	return err
 }
 
@@ -464,37 +458,8 @@ func (c *Client) invalidate(updates map[uint64][]byte) {
 	}
 }
 
-// Stats snapshots the client-side counters.
-func (c *Client) Stats() StoreStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.stats
-	out.Shards = append([]metrics.ShardStats(nil), c.stats.Shards...)
-	return out
-}
-
-func (c *Client) bump(f func(*metrics.StoreStats)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f(&c.stats)
-}
-
-// finish counts one logical call's outcome: ok on success; otherwise an
-// Error, which is also a Busy when server-side backpressure (a MsgBusy
-// admission reject) caused it, so load generators and operators can
-// tell overload apart from breakage.
-func (c *Client) finish(err error, ok func(*metrics.StoreStats)) {
-	c.bump(func(st *metrics.StoreStats) {
-		if err == nil {
-			ok(st)
-			return
-		}
-		st.Errors++
-		if errors.Is(err, ErrServerBusy) {
-			st.Busy++
-		}
-	})
-}
+// Stats snapshots the client-side counters: a typed read of its cells.
+func (c *Client) Stats() StoreStats { return c.cells.stats() }
 
 // Close closes every server connection. A closed Client stays closed:
 // later calls fail rather than redial.

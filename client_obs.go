@@ -1,154 +1,68 @@
 package impir
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net/http"
-	"sync"
+	"strconv"
+	"sync/atomic"
 	"time"
 
+	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
 )
 
-// ClientObs is the client-side observability bundle for impir.Open: an
-// interceptor pair that records per-call latency histograms and
-// outcome counters for every Retrieve/RetrieveBatch, plus mirrors of
-// the attached stores' retry/hedge/hedge-win counters — scrapeable as a
-// Prometheus text exposition or snapshotable in-process.
+// ClientObs is the client-side observability bundle for impir.Open: the
+// registry holding one store's counters (and its keyword client's, via
+// OpenKV) as a Prometheus text exposition. Store.Stats() and
+// KVClient.Stats() read the same cells. A bundle serves exactly one
+// store: Open refuses a bundle already in use.
 //
-// Everything recorded here lives strictly on the client: the
-// interceptor chain runs above the PIR encoding, so these metrics see
-// record indices' timing (never their values) and nothing here is ever
-// sent to a server.
+// Everything recorded here lives strictly on the client: these metrics
+// see record indices' timing (never their values) and nothing here is
+// ever sent to a server.
 //
 //	co := impir.NewClientObs()
 //	store, _ := impir.Open(ctx, d, co.Option())
-//	co.Attach(store) // mirror the store's retry/hedge counters
 //	http.Handle("/metrics", co)
 type ClientObs struct {
-	reg      *obs.Registry
-	requests *obs.CounterVec   // op, outcome
-	latency  *obs.HistogramVec // op
-
-	retries      *obs.Counter
-	hedges       *obs.Counter
-	hedgeWins    *obs.Counter
-	codedBatches *obs.Counter
-	sideInfoHits *obs.Counter
-	fallbacks    *obs.Counter
-
-	mu     sync.Mutex
-	stores []Store
+	cells   *clientCells
+	claimed atomic.Bool
 }
 
-// Client-side operation and outcome labels.
+// Client-side operation labels.
 const (
 	opRetrieve      = "retrieve"
 	opRetrieveBatch = "retrieve_batch"
-
-	outcomeOK    = "ok"
-	outcomeBusy  = "busy"
-	outcomeError = "error"
+	opUpdate        = "update"
 )
 
 // NewClientObs builds an empty client observability bundle.
 func NewClientObs() *ClientObs {
-	reg := obs.NewRegistry()
-	o := &ClientObs{
-		reg: reg,
-		requests: reg.NewCounter("impir_client_requests_total",
-			"Store operations by type and outcome.", "op", "outcome"),
-		latency: reg.NewHistogram("impir_client_latency_seconds",
-			"Whole-operation latency (fan-out, hedges and retries included), by operation.",
-			nil, "op"),
-		retries: reg.NewCounter("impir_client_retries_total",
-			"Extra whole-operation attempts spent from retry budgets (mirrored from store stats at scrape time).").With(),
-		hedges: reg.NewCounter("impir_client_hedges_total",
-			"Hedge attempts launched beyond a party's primary replica (mirrored at scrape time).").With(),
-		hedgeWins: reg.NewCounter("impir_client_hedge_wins_total",
-			"Party sub-requests won by a non-primary replica (mirrored at scrape time).").With(),
-		codedBatches: reg.NewCounter("impir_client_coded_batches_total",
-			"Batches served through the batch-code planner (mirrored at scrape time).").With(),
-		sideInfoHits: reg.NewCounter("impir_client_side_info_hits_total",
-			"Records served from the side-information cache and spent as dummies (mirrored at scrape time).").With(),
-		fallbacks: reg.NewCounter("impir_client_code_fallbacks_total",
-			"Coded batches that fell back to the uncoded path (mirrored at scrape time).").With(),
-	}
-	reg.OnScrape(o.mirrorStores)
-	return o
+	return &ClientObs{cells: newClientCells(obs.NewRegistry(), true)}
 }
 
-// Option returns the ClientOption installing the bundle's interceptors;
-// pass it to Open.
+// Option returns the ClientOption that makes the bundle's registry the
+// store's; pass it to Open.
 func (o *ClientObs) Option() ClientOption {
-	return func(c *clientConfig) {
-		c.unary = append(c.unary, o.interceptUnary)
-		c.batch = append(c.batch, o.interceptBatch)
+	return func(c *clientConfig) { c.obs = o }
+}
+
+// claim hands the bundle's cells to the one store it serves, resolving
+// its per-shard cells; a nil bundle yields cells in a private registry.
+func (o *ClientObs) claim(shards int) (*clientCells, error) {
+	if o == nil {
+		o = &ClientObs{cells: newClientCells(obs.NewRegistry(), false)}
+	} else if !o.claimed.CompareAndSwap(false, true) {
+		return nil, errors.New("impir: the ClientObs already serves another store; build one per Open")
 	}
-}
-
-// Attach registers a store whose Stats() retry/hedge counters the
-// bundle mirrors into the exposition at scrape time. Attach each store
-// the bundle's interceptors are installed on; attaching is separate
-// from Option because the store only exists after Open returns.
-func (o *ClientObs) Attach(store Store) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.stores = append(o.stores, store)
-}
-
-func (o *ClientObs) mirrorStores() {
-	o.mu.Lock()
-	stores := append([]Store{}, o.stores...)
-	o.mu.Unlock()
-	var retries, hedges, hedgeWins, coded, sideInfo, fallbacks uint64
-	for _, st := range stores {
-		s := st.Stats()
-		retries += s.Retries
-		hedges += s.Hedges
-		hedgeWins += s.HedgeWins
-		coded += s.CodedBatches
-		sideInfo += s.SideInfoHits
-		fallbacks += s.CodeFallbacks
-	}
-	o.retries.Set(retries)
-	o.hedges.Set(hedges)
-	o.hedgeWins.Set(hedgeWins)
-	o.codedBatches.Set(coded)
-	o.sideInfoHits.Set(sideInfo)
-	o.fallbacks.Set(fallbacks)
-}
-
-func (o *ClientObs) record(op string, start time.Time, err error) {
-	o.latency.With(op).Observe(time.Since(start))
-	switch {
-	case err == nil:
-		o.requests.With(op, outcomeOK).Inc()
-	case errors.Is(err, ErrServerBusy):
-		o.requests.With(op, outcomeBusy).Inc()
-	default:
-		o.requests.With(op, outcomeError).Inc()
-	}
-}
-
-func (o *ClientObs) interceptUnary(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-	start := time.Now()
-	rec, err := invoke(ctx, index)
-	o.record(opRetrieve, start, err)
-	return rec, err
-}
-
-func (o *ClientObs) interceptBatch(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error) {
-	start := time.Now()
-	recs, err := invoke(ctx, indices)
-	o.record(opRetrieveBatch, start, err)
-	return recs, err
+	o.cells.addShards(shards)
+	return o.cells, nil
 }
 
 // WriteMetrics renders the bundle's families in the Prometheus text
 // exposition format.
-func (o *ClientObs) WriteMetrics(w io.Writer) error { return o.reg.WriteText(w) }
+func (o *ClientObs) WriteMetrics(w io.Writer) error { return o.cells.reg.WriteText(w) }
 
 // ServeHTTP makes the bundle an http.Handler serving its exposition, so
 // an application can mount it on its own mux:
@@ -169,46 +83,211 @@ type ClientCallStats struct {
 	Max    time.Duration
 }
 
-// ClientObsSnapshot is an in-process view of the bundle's counters for
-// applications that want numbers rather than an exposition.
+// ClientObsSnapshot is an in-process view of the bundle's per-operation
+// call stats; the store's other counters are its Stats().
 type ClientObsSnapshot struct {
-	Retrieve      ClientCallStats
-	RetrieveBatch ClientCallStats
-	// Retries, Hedges and HedgeWins aggregate the attached stores'
-	// client-side counters, as do the coded-batch and side-information
-	// counters (non-zero only for coded deployments).
-	Retries      uint64
-	Hedges       uint64
-	HedgeWins    uint64
-	CodedBatches uint64
-	SideInfoHits uint64
-	Fallbacks    uint64
+	Retrieve, RetrieveBatch, Update ClientCallStats
 }
 
-// Snapshot returns the bundle's current counters and latency quantiles.
+// Snapshot returns the bundle's current call counts and latency
+// quantiles.
 func (o *ClientObs) Snapshot() ClientObsSnapshot {
-	o.mirrorStores()
-	return ClientObsSnapshot{
-		Retrieve:      o.callStats(opRetrieve),
-		RetrieveBatch: o.callStats(opRetrieveBatch),
-		Retries:       o.retries.Value(),
-		Hedges:        o.hedges.Value(),
-		HedgeWins:     o.hedgeWins.Value(),
-		CodedBatches:  o.codedBatches.Value(),
-		SideInfoHits:  o.sideInfoHits.Value(),
-		Fallbacks:     o.fallbacks.Value(),
+	c := o.cells
+	return ClientObsSnapshot{c.retrieve.callStats(), c.batch.callStats(), c.update.callStats()}
+}
+
+// clientCells are a Client's counters — their only storage. Every cell
+// is resolved when the store opens, so the call path increments
+// pointers: no lock, no label lookup, no allocation.
+type clientCells struct {
+	reg                     *obs.Registry
+	retrieve, batch, update opCells
+
+	retries, hedges, hedgeWins               *obs.Counter
+	codedBatches, codedQueries, codedDummies *obs.Counter
+	codeFallbacks, sideInfoHits              *obs.Counter
+	shards                                   []shardCells
+}
+
+// opCells count one operation type's outcomes and latency.
+type opCells struct {
+	ok, busy, failed *obs.Counter
+	latency          *obs.Histogram // nil: untimed
+}
+
+// shardCells are one shard cohort's counters, indexed by the shard*
+// constants (see metrics.ShardStats for their meaning).
+type shardCells [numShardCells]*obs.Counter
+
+const (
+	shardQueries = iota
+	shardBatches
+	shardBatchQueries
+	shardUpdateRows
+	shardErrors
+	shardNanos // exact wall time: a µs histogram sum would round it
+	numShardCells
+)
+
+// cellSpec ties one label-less counter family to its cell and to the
+// stats field the cell's typed read fills.
+type cellSpec struct {
+	cell       **obs.Counter
+	field      *uint64
+	name, help string
+}
+
+func registerCells(reg *obs.Registry, prefix string, specs []cellSpec) {
+	for _, s := range specs {
+		*s.cell = reg.NewCounter(prefix+s.name+"_total", s.help).With()
 	}
 }
 
-func (o *ClientObs) callStats(op string) ClientCallStats {
-	s := o.latency.With(op).Snapshot()
-	busy := o.requests.With(op, outcomeBusy).Value()
+func readCells(specs []cellSpec) {
+	for _, s := range specs {
+		*s.field = (*s.cell).Value()
+	}
+}
+
+// newClientCells registers a store's families on reg. Only timed cells
+// record latency: a private registry's histograms could never be read.
+func newClientCells(reg *obs.Registry, timed bool) *clientCells {
+	c := &clientCells{reg: reg}
+	requests := reg.NewCounter("impir_client_requests_total",
+		"Store operations by type and outcome.", "op", "outcome")
+	var latency *obs.HistogramVec
+	if timed {
+		latency = reg.NewHistogram("impir_client_latency_seconds",
+			"Whole-operation latency (fan-out, hedges and retries included), by operation.", nil, "op")
+	}
+	op := func(name string) opCells {
+		o := opCells{ok: requests.With(name, "ok"), busy: requests.With(name, "busy"), failed: requests.With(name, "error")}
+		if timed {
+			o.latency = latency.With(name)
+		}
+		return o
+	}
+	c.retrieve, c.batch, c.update = op(opRetrieve), op(opRetrieveBatch), op(opUpdate)
+	registerCells(reg, "impir_client_", c.scalars(new(StoreStats)))
+	return c
+}
+
+// scalars lists the store-wide counters and the StoreStats fields they fill.
+func (c *clientCells) scalars(st *StoreStats) []cellSpec {
+	return []cellSpec{
+		{&c.retries, &st.Retries, "retries", "Extra whole-operation attempts spent from retry budgets."},
+		{&c.hedges, &st.Hedges, "hedges", "Hedge attempts launched beyond a party's primary replica."},
+		{&c.hedgeWins, &st.HedgeWins, "hedge_wins", "Party sub-requests won by a non-primary replica."},
+		{&c.codedBatches, &st.CodedBatches, "coded_batches", "Batches served through the batch-code planner."},
+		{&c.codedQueries, &st.CodedQueries, "coded_queries", "Constant-shape sub-queries issued by coded batches."},
+		{&c.codedDummies, &st.CodedDummies, "coded_dummies", "Coded-batch sub-queries that were dummies."},
+		{&c.codeFallbacks, &st.CodeFallbacks, "code_fallbacks", "Coded batches that fell back to the uncoded path."},
+		{&c.sideInfoHits, &st.SideInfoHits, "side_info_hits", "Records served from the side-information cache and spent as dummies."},
+	}
+}
+
+// addShards registers the per-shard families and resolves n shards' cells.
+func (c *clientCells) addShards(n int) {
+	c.shards = make([]shardCells, n)
+	for i, f := range [numShardCells]struct{ name, help string }{
+		shardQueries:      {"queries", "Single sub-queries fanned out to the shard cohort."},
+		shardBatches:      {"batches", "Batched round trips to the shard cohort."},
+		shardBatchQueries: {"batch_queries", "Sub-queries carried by batched round trips."},
+		shardUpdateRows:   {"update_rows", "Updated records routed to the shard cohort."},
+		shardErrors:       {"errors", "Failed sub-requests against the shard cohort."},
+		shardNanos:        {"time_nanoseconds", "Wall time of the shard cohort's sub-requests."},
+	} {
+		vec := c.reg.NewCounter("impir_client_shard_"+f.name+"_total", f.help, "shard")
+		for s := range c.shards {
+			c.shards[s][i] = vec.With(strconv.Itoa(s))
+		}
+	}
+}
+
+// done counts one logical operation begun at start: ok, busy when a
+// server's admission queue (MsgBusy) refused it, else error — so
+// operators can tell overload apart from breakage.
+func (o *opCells) done(start time.Time, err error) {
+	if o.latency != nil {
+		o.latency.Observe(time.Since(start))
+	}
+	switch {
+	case err == nil:
+		o.ok.Inc()
+	case errors.Is(err, ErrServerBusy):
+		o.busy.Inc()
+	default:
+		o.failed.Inc()
+	}
+}
+
+func (o *opCells) callStats() ClientCallStats {
+	s := o.latency.Snapshot()
+	busy := o.busy.Value()
 	return ClientCallStats{
 		Calls:  s.Count,
-		Errors: o.requests.With(op, outcomeError).Value() + busy,
+		Errors: o.failed.Value() + busy,
 		Busy:   busy,
 		P50:    s.Quantile(0.50),
 		P99:    s.Quantile(0.99),
 		Max:    s.Max,
 	}
+}
+
+// stats reads the cells as a StoreStats.
+func (c *clientCells) stats() StoreStats {
+	st := StoreStats{
+		Retrievals:      c.retrieve.ok.Value(),
+		BatchRetrievals: c.batch.ok.Value(),
+		Updates:         c.update.ok.Value(),
+		Shards:          make([]metrics.ShardStats, len(c.shards)),
+	}
+	readCells(c.scalars(&st))
+	for _, op := range []*opCells{&c.retrieve, &c.batch, &c.update} {
+		busy := op.busy.Value()
+		st.Busy += busy
+		st.Errors += busy + op.failed.Value()
+	}
+	for i, sh := range c.shards {
+		st.Shards[i] = metrics.ShardStats{
+			Queries:      sh[shardQueries].Value(),
+			Batches:      sh[shardBatches].Value(),
+			BatchQueries: sh[shardBatchQueries].Value(),
+			UpdateRows:   sh[shardUpdateRows].Value(),
+			Errors:       sh[shardErrors].Value(),
+			TotalTime:    time.Duration(sh[shardNanos].Value()),
+		}
+	}
+	return st
+}
+
+// kvCells are a KVClient's counters (see metrics.KVStats).
+type kvCells struct {
+	gets, batchGets, batchKeys, hits, misses *obs.Counter
+	puts, deletes, probedBuckets, errors     *obs.Counter
+}
+
+func (k *kvCells) specs(st *KVStats) []cellSpec {
+	return []cellSpec{
+		{&k.gets, &st.Gets, "gets", "Single-key lookups."},
+		{&k.batchGets, &st.BatchGets, "batch_gets", "Batched lookup round trips."},
+		{&k.batchKeys, &st.BatchKeys, "batch_keys", "Keys carried by batched lookups."},
+		{&k.hits, &st.Hits, "hits", "Lookups that found their key (client-side only)."},
+		{&k.misses, &st.Misses, "misses", "Lookups that did not find their key (client-side only)."},
+		{&k.puts, &st.Puts, "puts", "Put operations."},
+		{&k.deletes, &st.Deletes, "deletes", "Delete operations."},
+		{&k.probedBuckets, &st.ProbedBuckets, "probed_buckets", "Bucket records privately retrieved."},
+		{&k.errors, &st.Errors, "errors", "Failed keyword operations."},
+	}
+}
+
+func newKVCells(reg *obs.Registry) *kvCells {
+	k := new(kvCells)
+	registerCells(reg, "impir_kv_", k.specs(new(KVStats)))
+	return k
+}
+
+func (k *kvCells) stats() (st KVStats) {
+	readCells(k.specs(&st))
+	return st
 }

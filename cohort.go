@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/fanout"
-	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
 	"github.com/impir/impir/internal/transport"
 )
@@ -42,7 +41,7 @@ import (
 // at connect (replica contents may legitimately change between redials
 // via Update).
 type cohort struct {
-	store      *Client // owner of the stats this cohort bumps
+	store      *Client // owner of the cells this cohort counts into
 	shard      int
 	parties    [][]string // party → replica addresses
 	tlsCfg     *tls.Config
@@ -316,21 +315,16 @@ func (c *cohort) query(ctx context.Context, co callOptions, locals []uint64, bat
 	}
 	start := time.Now()
 	subresults, err := c.send(ctx, co, queries)
-	d := time.Since(start)
-	c.store.bump(func(st *metrics.StoreStats) {
-		sh := &st.Shards[c.shard]
-		if batch {
-			sh.Batches++
-			sh.BatchQueries += uint64(len(locals))
-		} else {
-			sh.Queries++
-		}
-		sh.TotalTime += d
-		if err != nil {
-			sh.Errors++
-		}
-	})
+	sh := &c.store.cells.shards[c.shard]
+	sh[shardNanos].Add(uint64(time.Since(start)))
+	if batch {
+		sh[shardBatches].Inc()
+		sh[shardBatchQueries].Add(uint64(len(locals)))
+	} else {
+		sh[shardQueries].Inc()
+	}
 	if err != nil {
+		sh[shardErrors].Inc()
 		return nil, err
 	}
 	out := make([][]byte, len(locals))
@@ -430,7 +424,7 @@ func (c *cohort) partyDo(ctx context.Context, co callOptions, p int, conns []*tr
 
 	rs, winner, err := fanout.Hedge(ctx, n, delay, func(ctx context.Context, i int) ([][]byte, error) {
 		if i > 0 {
-			c.store.bump(func(st *metrics.StoreStats) { st.Hedges++ })
+			c.store.cells.hedges.Inc()
 		}
 		att := psp.StartChild("attempt")
 		att.SetAttrInt("replica", int64(order[i]))
@@ -465,7 +459,7 @@ func (c *cohort) partyDo(ctx context.Context, co callOptions, p int, conns []*tr
 		return nil, err
 	}
 	if winner > 0 {
-		c.store.bump(func(st *metrics.StoreStats) { st.HedgeWins++ })
+		c.store.cells.hedgeWins.Inc()
 	}
 	psp.SetAttrInt("winner_replica", int64(order[winner]))
 	return rs, nil
@@ -559,7 +553,7 @@ func (c *cohort) update(ctx context.Context, updates map[uint64][]byte) error {
 	if err != nil {
 		// Failed attempts count per attempt, retries included: they are
 		// real wire traffic.
-		c.store.bump(func(st *metrics.StoreStats) { st.Shards[c.shard].Errors++ })
+		c.store.cells.shards[c.shard][shardErrors].Inc()
 	}
 	return err
 }

@@ -115,9 +115,10 @@
 // lists the families. ServerConfig.SlowQueryThreshold logs
 // the span tree of every dispatch crossing it as one JSON line — the
 // same object /debug/traces serves for that query. On the client,
-// NewClientObs packages the interceptor chain into per-call
-// latency/outcome metrics plus retry/hedge mirrors. Everything exported
-// is an operational aggregate: indices' timing, never their values.
+// NewClientObs exposes a store's registry: every client counter is one
+// cell there, the same cell Store.Stats and KVClient.Stats read.
+// Everything exported is an operational aggregate: indices' timing,
+// never their values.
 //
 // # Distributed tracing
 //

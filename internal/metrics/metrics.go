@@ -391,8 +391,8 @@ type KVStats struct {
 	// Puts and Deletes count mutations pushed through the update path.
 	Puts    uint64
 	Deletes uint64
-	// ProbedBuckets counts bucket records privately retrieved across
-	// all operations (k candidates + stash per lookup shape).
+	// ProbedBuckets counts bucket records privately retrieved: k
+	// candidates per key + the stash, per probe batch actually sent.
 	ProbedBuckets uint64
 	// Errors counts failed operations.
 	Errors uint64

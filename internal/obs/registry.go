@@ -15,9 +15,7 @@ import (
 // text exposition format (version 0.0.4). It is deliberately small:
 // counters, gauges and latency histograms with labels, deterministic
 // output order (families in registration order, series in creation
-// order), and scrape hooks that set point-in-time gauges or mirror
-// counters whose source of truth lives elsewhere (a client store's
-// Stats snapshot).
+// order), and scrape hooks that set point-in-time gauges.
 // Registration is fallible only for programmer errors, which panic —
 // metric declaration is init-time code, not a runtime path.
 type Registry struct {
@@ -34,8 +32,7 @@ func NewRegistry() *Registry {
 
 // OnScrape registers fn to run at the start of every exposition, before
 // any family is rendered. Use it to read point-in-time gauges (queue
-// depth, readiness) and to copy counters owned outside the registry (a
-// client store's stats) into mirror metrics.
+// depth, readiness).
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -123,9 +120,7 @@ func validLabelName(s string) bool {
 	return true
 }
 
-// Counter is a monotonically increasing series. Set exists for mirror
-// counters whose source of truth is an external monotone counter (a
-// client store's stats); never use it to move a counter backwards.
+// Counter is a monotonically increasing series.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -133,9 +128,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Set overwrites the counter with a snapshot of its external source.
-func (c *Counter) Set(n uint64) { c.v.Store(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }

@@ -175,15 +175,15 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 
 func TestOnScrapeMirrors(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("m_total", "mirrored")
-	var source uint64 = 41
-	r.OnScrape(func() { c.With().Set(source) })
+	g := r.NewGauge("m_depth", "read at scrape time")
+	var source int64 = 41
+	r.OnScrape(func() { g.With().Set(source) })
 	source = 42
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "m_total 42") {
+	if !strings.Contains(sb.String(), "m_depth 42") {
 		t.Errorf("scrape hook did not run before render:\n%s", sb.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"github.com/impir/impir/internal/keyword"
 	"github.com/impir/impir/internal/metrics"
@@ -86,9 +85,7 @@ func BuildKVDB(pairs []KVPair, opts KVTableOptions) (*DB, KVManifest, error) {
 type KVClient struct {
 	store Store
 	m     KVManifest
-
-	mu    sync.Mutex
-	stats metrics.KVStats
+	cells *kvCells
 }
 
 // newKVClient validates the dialed deployment's geometry against the
@@ -104,7 +101,11 @@ func newKVClient(store Store, m KVManifest) (*KVClient, error) {
 		return nil, fmt.Errorf("impir: deployment serves %d records, keyword manifest needs %d buckets",
 			store.NumRecords(), m.TotalBuckets())
 	}
-	return &KVClient{store: store, m: m}, nil
+	reg := obs.NewRegistry() // private unless the store is a *Client
+	if c, ok := store.(*Client); ok {
+		reg = c.cells.reg
+	}
+	return &KVClient{store: store, m: m, cells: newKVCells(reg)}, nil
 }
 
 // Manifest returns the table manifest the client probes with.
@@ -124,21 +125,10 @@ func (c *KVClient) ProbesPerKey() int { return c.m.ProbesPerKey() }
 // issues, so the outcome is invisible to the servers.
 func (c *KVClient) Get(ctx context.Context, key []byte, opts ...CallOption) ([]byte, error) {
 	vals, err := c.getBatch(ctx, [][]byte{key}, false, opts)
-	if err != nil {
-		c.bump(func(s *metrics.KVStats) { s.Gets++; s.Errors++ })
+	if c.count(c.cells.gets, vals, err) != nil {
 		return nil, err
 	}
-	hit := vals[0] != nil
-	c.bump(func(s *metrics.KVStats) {
-		s.Gets++
-		s.ProbedBuckets += uint64(c.m.ProbesPerKey())
-		if hit {
-			s.Hits++
-		} else {
-			s.Misses++
-		}
-	})
-	if !hit {
+	if vals[0] == nil {
 		return nil, ErrNotFound
 	}
 	return vals[0], nil
@@ -157,23 +147,28 @@ func (c *KVClient) GetBatch(ctx context.Context, keys [][]byte, opts ...CallOpti
 		return [][]byte{}, nil
 	}
 	vals, err := c.getBatch(ctx, keys, false, opts)
-	if err != nil {
-		c.bump(func(s *metrics.KVStats) { s.BatchGets++; s.Errors++ })
+	if c.count(c.cells.batchGets, vals, err) != nil {
 		return nil, err
 	}
-	c.bump(func(s *metrics.KVStats) {
-		s.BatchGets++
-		s.BatchKeys += uint64(len(keys))
-		s.ProbedBuckets += uint64(len(keys)*c.m.Hashes()) + c.m.StashBuckets
-		for _, v := range vals {
-			if v != nil {
-				s.Hits++
-			} else {
-				s.Misses++
-			}
-		}
-	})
+	c.cells.batchKeys.Add(uint64(len(keys)))
 	return vals, nil
+}
+
+// count tallies a finished operation in op, a failure in errors, and
+// each looked-up value as a hit (a miss when nil). It returns err.
+func (c *KVClient) count(op *obs.Counter, vals [][]byte, err error) error {
+	op.Inc()
+	if err != nil {
+		c.cells.errors.Inc()
+	}
+	for _, v := range vals {
+		if v != nil {
+			c.cells.hits.Inc()
+		} else {
+			c.cells.misses.Inc()
+		}
+	}
+	return err
 }
 
 // getBatch runs the constant-shape probe: every key's k candidate
@@ -198,6 +193,7 @@ func (c *KVClient) getBatch(ctx context.Context, keys [][]byte, raw bool, opts [
 		obs.Attr{Key: "kv_keys", Value: strconv.Itoa(len(keys))},
 		obs.Attr{Key: "kv_probes", Value: strconv.Itoa(len(indices))})
 	recs, err := c.store.RetrieveBatch(ctx, indices, opts...)
+	c.cells.probedBuckets.Add(uint64(len(indices)))
 	if err != nil {
 		return nil, err
 	}
@@ -258,15 +254,7 @@ func (c *KVClient) findIn(cands [][]byte, stash [][]keyword.Slot, key []byte) ([
 // probe that preceded it is not attributable to a key. Servers must be
 // started with ServerConfig.AllowWireUpdates.
 func (c *KVClient) Put(ctx context.Context, key, value []byte, opts ...CallOption) error {
-	err := c.put(ctx, key, value, opts)
-	c.bump(func(s *metrics.KVStats) {
-		s.Puts++
-		s.ProbedBuckets += uint64(c.m.ProbesPerKey())
-		if err != nil {
-			s.Errors++
-		}
-	})
-	return err
+	return c.count(c.cells.puts, nil, c.put(ctx, key, value, opts))
 }
 
 func (c *KVClient) put(ctx context.Context, key, value []byte, opts []CallOption) error {
@@ -314,15 +302,7 @@ func (c *KVClient) put(ctx context.Context, key, value []byte, opts []CallOption
 // probe is the standard constant-shape batch; absent keys return
 // ErrNotFound without any update.
 func (c *KVClient) Delete(ctx context.Context, key []byte, opts ...CallOption) error {
-	err := c.delete(ctx, key, opts)
-	c.bump(func(s *metrics.KVStats) {
-		s.Deletes++
-		s.ProbedBuckets += uint64(c.m.ProbesPerKey())
-		if err != nil {
-			s.Errors++
-		}
-	})
-	return err
+	return c.count(c.cells.deletes, nil, c.delete(ctx, key, opts))
 }
 
 func (c *KVClient) delete(ctx context.Context, key []byte, opts []CallOption) error {
@@ -357,17 +337,7 @@ func (c *KVClient) rewrite(ctx context.Context, bucket uint64, slots []keyword.S
 }
 
 // Stats snapshots the client-side keyword counters.
-func (c *KVClient) Stats() KVStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-func (c *KVClient) bump(f func(*metrics.KVStats)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f(&c.stats)
-}
+func (c *KVClient) Stats() KVStats { return c.cells.stats() }
 
 // Close closes the underlying deployment client.
 func (c *KVClient) Close() error { return c.store.Close() }

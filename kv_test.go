@@ -330,3 +330,42 @@ func TestBuildKVDBGeometry(t *testing.T) {
 		t.Fatal("ParseKVManifest round trip changed the manifest")
 	}
 }
+
+// TestKVProbedBucketsCountsSentProbes: ProbedBuckets counts the bucket
+// records each probe batch retrieved, and nothing for an operation
+// rejected before its probe went out.
+func TestKVProbedBucketsCountsSentProbes(t *testing.T) {
+	kv, store, pairs := newTestKV(t, 100, 9)
+	ctx := context.Background()
+	m := kv.Manifest()
+	probed := func(op func() error) uint64 {
+		t.Helper()
+		before := kv.Stats().ProbedBuckets
+		if err := op(); err != nil && !errors.Is(err, keyword.ErrValueTooLong) && !errors.Is(err, keyword.ErrKeyTooLong) {
+			t.Fatal(err)
+		}
+		return kv.Stats().ProbedBuckets - before
+	}
+	if n := probed(func() error { return kv.Put(ctx, pairs[0].Key, bytes.Repeat([]byte{1}, m.ValueSize+1)) }); n != 0 {
+		t.Errorf("oversize-value Put counted %d probes, want 0", n)
+	}
+	if n := probed(func() error { return kv.Delete(ctx, bytes.Repeat([]byte{'k'}, m.KeySize+1)) }); n != 0 {
+		t.Errorf("oversize-key Delete counted %d probes, want 0", n)
+	}
+	if len(store.batches) != 0 {
+		t.Fatalf("rejected operations sent %d probe batches", len(store.batches))
+	}
+
+	per := uint64(kv.ProbesPerKey())
+	if n := probed(func() error { _, err := kv.Get(ctx, pairs[1].Key); return err }); n != per {
+		t.Errorf("Get counted %d probes, want %d", n, per)
+	}
+	if n := probed(func() error { return kv.Put(ctx, pairs[2].Key, []byte("v")) }); n != per {
+		t.Errorf("Put counted %d probes, want %d", n, per)
+	}
+	keys := [][]byte{pairs[3].Key, pairs[4].Key, []byte("absent")}
+	want := uint64(len(keys)*m.Hashes()) + m.StashBuckets
+	if n := probed(func() error { _, err := kv.GetBatch(ctx, keys); return err }); n != want {
+		t.Errorf("3-key GetBatch counted %d probes, want %d", n, want)
+	}
+}

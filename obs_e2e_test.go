@@ -116,7 +116,6 @@ func TestObsAdminEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.Attach(store)
 
 	// Expected record values, fetched before the concurrent phase so
 	// correctness can be asserted under epoch flips. The updates below

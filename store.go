@@ -185,7 +185,7 @@ type policy struct {
 	unary    []UnaryInterceptor
 	batch    []BatchInterceptor
 	defaults callOptions
-	onRetry  func() // stats hook; called once per extra attempt
+	retries  *obs.Counter // counts every extra attempt
 }
 
 // resolve merges per-call options over the store defaults.
@@ -228,9 +228,7 @@ func (p *policy) withBudget(ctx context.Context, co callOptions, core func(ctx c
 		if attempt >= co.retries || !retryable(err) {
 			return lastErr
 		}
-		if p.onRetry != nil {
-			p.onRetry()
-		}
+		p.retries.Inc()
 		// attempt+1 extra attempts spent so far; the root span (installed
 		// above this loop by the tracing interceptor) keeps the final tally.
 		obs.SpanFromContext(ctx).SetAttrInt("retries", int64(attempt+1))
