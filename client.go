@@ -13,9 +13,11 @@ import (
 )
 
 // Client is a connection to a whole PIR deployment; Open returns one for
-// every topology. Every logical call runs one pipeline, below the policy
-// engine (interceptors, timeout, retries), which therefore sees the
-// caller's logical indices whatever the topology:
+// every topology. Every logical operation runs one call: it resolves the
+// per-call options, opens the Tracer's root span, applies the timeout,
+// runs attempts under the retry budget, then ends the span and counts
+// the outcome. Each attempt of a retrieval runs one pipeline, which
+// sees the caller's logical indices whatever the topology:
 //
 //	code     logical indices → served rows: the identity on an uncoded
 //	         deployment, the batch-code planner on a coded one
@@ -44,18 +46,19 @@ type Client struct {
 	shards []*cohort                // one per shard, in plan order
 	code   *batchcode.Layout        // nil: the identity code
 	cache  *batchcode.SideInfoCache // nil unless coded with WithSideInfoCache
-	policy policy
 	cells  *clientCells
+
+	defaults callOptions // per-call options override them
+	tracer   *Tracer     // nil: untraced
 }
 
 type clientConfig struct {
 	encoding Encoding
 	tlsCfg   *tls.Config
-	unary    []UnaryInterceptor
-	batch    []BatchInterceptor
 	defaults callOptions
 	sideInfo int
 	obs      *ClientObs // nil: private cells
+	tracer   *Tracer
 }
 
 // ClientOption customises Open.
@@ -73,18 +76,6 @@ func WithEncoding(e Encoding) ClientOption {
 // everyone else.
 func WithTLS(tlsCfg *tls.Config) ClientOption {
 	return func(cfg *clientConfig) { cfg.tlsCfg = tlsCfg }
-}
-
-// WithUnaryInterceptor appends interceptors to the store's Retrieve
-// chain; they run in registration order, first outermost.
-func WithUnaryInterceptor(is ...UnaryInterceptor) ClientOption {
-	return func(cfg *clientConfig) { cfg.unary = append(cfg.unary, is...) }
-}
-
-// WithBatchInterceptor appends interceptors to the store's
-// RetrieveBatch chain; they run in registration order, first outermost.
-func WithBatchInterceptor(is ...BatchInterceptor) ClientOption {
-	return func(cfg *clientConfig) { cfg.batch = append(cfg.batch, is...) }
 }
 
 // WithSideInfoCache keeps the last n decoded records in a client-side
@@ -111,7 +102,7 @@ func WithDefaultCallOptions(opts ...CallOption) ClientOption {
 // openClient connects every shard's cohort concurrently and lays the
 // plan and the code over them.
 func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, error) {
-	c := &Client{shards: make([]*cohort, len(d.Shards))}
+	c := &Client{shards: make([]*cohort, len(d.Shards)), defaults: cfg.defaults, tracer: cfg.tracer}
 	g, gctx := fanout.WithContext(ctx)
 	for s, shard := range d.Shards {
 		g.Go(func() error {
@@ -134,7 +125,6 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 		c.Close()
 		return nil, err
 	}
-	c.policy = policy{unary: cfg.unary, batch: cfg.batch, defaults: cfg.defaults, retries: c.cells.retries}
 	return c, nil
 }
 
@@ -192,7 +182,7 @@ func (c *Client) Servers() int { return len(c.shards[0].parties) }
 
 // Encoding reports the first shard's resolved query encoding ("dpf" or
 // "shares"); each cohort resolves its own from its party count.
-func (c *Client) Encoding() string { return c.shards[0].coder.name() }
+func (c *Client) Encoding() string { return c.shards[0].enc.String() }
 
 // Retrieve privately fetches one record: one well-formed sub-query per
 // shard cohort, one share per party within each, all concurrent. No
@@ -201,16 +191,15 @@ func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption)
 	if err := c.check(index); err != nil {
 		return nil, err
 	}
-	start, co := time.Now(), c.policy.resolve(opts)
-	rec, err := c.policy.doUnary(ctx, co, index, func(ctx context.Context, index uint64) ([]byte, error) {
-		recs, err := c.fetch(ctx, co, []uint64{index}, false)
-		if err != nil {
-			return nil, err
-		}
-		return recs[0], nil
+	var recs [][]byte
+	err := c.call(ctx, &c.cells.retrieve, opRetrieve, opts, func(ctx context.Context, co callOptions) (err error) {
+		recs, err = c.fetch(ctx, co, []uint64{index}, false)
+		return err
 	})
-	c.cells.retrieve.done(start, err)
-	return rec, err
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
 }
 
 // RetrieveBatch privately fetches several records in one round trip per
@@ -227,12 +216,65 @@ func (c *Client) RetrieveBatch(ctx context.Context, indices []uint64, opts ...Ca
 	if err := c.check(indices...); err != nil {
 		return nil, err
 	}
-	start, co := time.Now(), c.policy.resolve(opts)
-	recs, err := c.policy.doBatch(ctx, co, indices, func(ctx context.Context, indices []uint64) ([][]byte, error) {
-		return c.fetch(ctx, co, indices, true)
+	var recs [][]byte
+	err := c.call(ctx, &c.cells.batch, opRetrieveBatch, opts, func(ctx context.Context, co callOptions) (err error) {
+		// The root span (nil when untraced) records the batch width.
+		obs.SpanFromContext(ctx).SetAttrInt("batch_size", int64(len(indices)))
+		recs, err = c.fetch(ctx, co, indices, true)
+		return err
 	})
-	c.cells.batch.done(start, err)
-	return recs, err
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// call runs one logical operation. In order, it applies the per-call
+// options over the store defaults, opens the Tracer's root span (with
+// the context's op attributes), applies the timeout, and runs attempt
+// until it succeeds, fails for good, or spends the retry budget; then
+// it ends the span and counts the outcome in op. The span, the timeout,
+// the retry budget and the counts therefore cover one logical
+// operation, however many shards, parties, coded slots, hedges and
+// retries it spans.
+func (c *Client) call(ctx context.Context, op *opCells, name string, opts []CallOption,
+	attempt func(ctx context.Context, co callOptions) error) error {
+	start, co := time.Now(), c.defaults
+	for _, o := range opts {
+		o(&co)
+	}
+	span := c.tracer.begin(ctx, name)
+	ctx = obs.ContextWithSpan(ctx, span)
+	if co.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, co.timeout)
+		defer cancel()
+	}
+	var err error
+	for n := 0; ; n++ {
+		if cerr := ctx.Err(); cerr != nil {
+			if err == nil {
+				err = cerr
+			}
+			break
+		}
+		if err = attempt(ctx, co); err == nil || n >= co.retries || !retryable(err) {
+			break
+		}
+		c.cells.retries.Inc()
+		span.SetAttrInt("retries", int64(n+1))
+	}
+	c.tracer.finish(span, err)
+	op.done(start, err)
+	return err
+}
+
+// retryable reports whether a failed attempt may be re-tried: the
+// caller aborting (cancellation, deadline) is final; everything else —
+// busy servers, dropped or poisoned connections, replica failures — may
+// succeed on a fresh attempt over redialed connections.
+func retryable(err error) bool {
+	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 func (c *Client) check(indices ...uint64) error {
@@ -433,10 +475,7 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 	// cannot cache what it read: its generation predates this Invalidate.
 	c.invalidate(updates)
 	defer c.invalidate(updates)
-	// Updates are operator actions, not queries: no interceptor chain,
-	// only the timeout and the retry budget.
-	start, co := time.Now(), c.policy.resolve(opts)
-	err = c.policy.withBudget(ctx, co, func(ctx context.Context) error {
+	err = c.call(ctx, &c.cells.update, opUpdate, opts, func(ctx context.Context, _ callOptions) error {
 		return c.fanOut(ctx, nil, func(ctx context.Context, s int) error {
 			if routed[s] == nil {
 				return nil
@@ -448,7 +487,6 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 	for s, sub := range routed {
 		c.cells.shards[s][shardUpdateRows].Add(uint64(len(sub)))
 	}
-	c.cells.update.done(start, err)
 	return err
 }
 

@@ -19,6 +19,47 @@ import (
 	"github.com/impir/impir/internal/transport"
 )
 
+// fillQueue occupies the server at addr, whose scheduler has a one-deep
+// admission queue behind a slow engine, with two raw queries: one in its
+// engine pass, one in its only queue slot. It returns once both are in
+// place; the returned func waits for them to finish.
+func fillQueue(t *testing.T, addr string, sched *scheduler.Scheduler, db *DB) (wait func()) {
+	t.Helper()
+	ctx := context.Background()
+	await := func(cond func(metrics.SchedulerStats) bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(sched.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("slow server never reached the expected state: %v", sched.Stats())
+			}
+		}
+	}
+	var raw sync.WaitGroup
+	dispatched := sched.Stats().Dispatched
+	for i := 0; i < 2; i++ {
+		conn, err := transport.Dial(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		k0, _, err := GenerateKeys(db.NumRecords(), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Add(1)
+		go func() {
+			defer raw.Done()
+			if _, err := conn.Query(ctx, k0); err != nil {
+				t.Errorf("raw query %d: %v", i, err)
+			}
+		}()
+		if i == 0 {
+			await(func(st metrics.SchedulerStats) bool { return st.Dispatched > dispatched })
+		}
+	}
+	await(func(st metrics.SchedulerStats) bool { return st.Depth == 1 })
+	return raw.Wait
+}
+
 // TestClientObsOutcomesAndExposition drives a real store whose party 0
 // has a one-deep admission queue behind a slow engine: an idle call is
 // ok, a call arriving while that server's pass runs and its queue slot
@@ -47,43 +88,11 @@ func TestClientObsOutcomesAndExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two raw queries fill the slow server: one in its engine pass, one
-	// in its only queue slot.
-	var raw sync.WaitGroup
-	await := func(cond func(metrics.SchedulerStats) bool) {
-		for deadline := time.Now().Add(5 * time.Second); !cond(sched.Stats()); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("slow server never reached the expected state: %v", sched.Stats())
-			}
-		}
-	}
-	dispatched := sched.Stats().Dispatched
-	for i := 0; i < 2; i++ {
-		conn, err := transport.Dial(ctx, slow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		k0, _, err := GenerateKeys(db.NumRecords(), uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw.Add(1)
-		go func() {
-			defer raw.Done()
-			if _, err := conn.Query(ctx, k0); err != nil {
-				t.Errorf("raw query %d: %v", i, err)
-			}
-		}()
-		if i == 0 {
-			await(func(st metrics.SchedulerStats) bool { return st.Dispatched > dispatched })
-		}
-	}
-	await(func(st metrics.SchedulerStats) bool { return st.Depth == 1 })
+	wait := fillQueue(t, slow, sched, db)
 	if _, err := store.Retrieve(ctx, 2); !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("Retrieve against a full queue: %v, want ErrServerBusy", err)
 	}
-	raw.Wait()
+	wait()
 
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()

@@ -32,6 +32,7 @@ type shimEngine struct {
 	*engine.Engine
 	delay time.Duration
 	fail  error
+	after func() // nil, or runs after every pass, before its answer is sent
 }
 
 func (e *shimEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
@@ -39,7 +40,11 @@ func (e *shimEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 		return nil, metrics.BatchStats{}, e.fail
 	}
 	time.Sleep(e.delay)
-	return e.Engine.Pass(in)
+	out, st, err := e.Engine.Pass(in)
+	if e.after != nil {
+		e.after()
+	}
+	return out, st, err
 }
 
 // startShimServer serves db through a shimEngine (behind a scheduler,
@@ -258,11 +263,14 @@ func TestDialValidation(t *testing.T) {
 	if _, err := Open(ctx, FlatDeployment("127.0.0.1:1")); err == nil {
 		t.Error("Open accepted a single server")
 	}
-	if _, err := Open(ctx, FlatDeployment("a", "b", "c"), WithEncoding(EncodingDPF)); err == nil {
-		t.Error("DPF encoding accepted a 3-server deployment")
+	// The addresses would fail at dial: the encoding must be refused first.
+	if _, err := Open(ctx, FlatDeployment("a", "b", "c"), WithEncoding(EncodingDPF)); err == nil ||
+		!strings.Contains(err.Error(), "encoding dpf") {
+		t.Errorf("DPF encoding on a 3-server deployment: err = %v, want the encoding named", err)
 	}
-	if _, err := Open(ctx, FlatDeployment("a", "b"), WithEncoding(nil)); err == nil {
-		t.Error("Open accepted a nil encoding")
+	if _, err := Open(ctx, FlatDeployment("a", "b"), WithEncoding(Encoding(9))); err == nil ||
+		!strings.Contains(err.Error(), "unknown encoding Encoding(9)") {
+		t.Errorf("unknown encoding: err = %v, want the encoding named", err)
 	}
 
 	// Mismatched replicas across three servers must be rejected.

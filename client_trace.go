@@ -8,14 +8,13 @@ import (
 	"github.com/impir/impir/internal/obs"
 )
 
-// Tracer is the client-side tracing bundle for impir.Open: an
-// interceptor pair that opens one root span per logical operation
-// (Retrieve, RetrieveBatch) and collects the finished span trees in a
-// ring buffer. Below the root, the fan-out layers attach children as
-// the call spreads out — one per shard sub-query, one per party, one
-// per replica attempt — so a single slow retrieval decomposes into
-// which shard, party, replica, hedge attempt, queue wait, and engine
-// phase cost the time.
+// Tracer is the client-side tracing bundle for impir.Open: it opens one
+// root span per logical operation (Retrieve, RetrieveBatch, Update) and
+// collects the finished span trees in a ring buffer. Below the root,
+// the fan-out layers attach children as the call spreads out — one per
+// shard sub-query, one per party, one per replica attempt — so a single
+// slow retrieval decomposes into which shard, party, replica, hedge
+// attempt, queue wait, and engine phase cost the time.
 //
 // Sampling is decided at the head by SampleRate; an unsampled
 // operation carries a nil span through the entire call path at zero
@@ -61,20 +60,18 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	}
 }
 
-// Option returns the ClientOption installing the tracer's
-// interceptors; pass it to Open.
+// Option returns the ClientOption that makes the tracer the store's;
+// pass it to Open. One tracer may serve several stores.
 func (t *Tracer) Option() ClientOption {
-	return func(c *clientConfig) {
-		c.unary = append(c.unary, t.interceptUnary)
-		c.batch = append(c.batch, t.interceptBatch)
-	}
+	return func(c *clientConfig) { c.tracer = t }
 }
 
 // begin opens the root span for one logical operation, or returns nil
-// when the operation is not traced. The no-tracing check runs before
-// any ID is drawn, keeping the disabled path allocation free.
+// when the operation is not traced (always on a nil tracer). The
+// no-tracing check runs before any ID is drawn, keeping the disabled
+// path allocation free.
 func (t *Tracer) begin(ctx context.Context, op string) *obs.Span {
-	if !t.sampler.Enabled() && t.slow <= 0 {
+	if t == nil || (!t.sampler.Enabled() && t.slow <= 0) {
 		return nil
 	}
 	traceID := obs.NewTraceID()
@@ -90,9 +87,13 @@ func (t *Tracer) begin(ctx context.Context, op string) *obs.Span {
 	return span
 }
 
-// finish ends the root span and decides ring admission: sampled
-// operations always, unsampled ones only over the slow threshold.
+// finish ends a root span begin opened and decides ring admission:
+// sampled operations always, unsampled ones only over the slow
+// threshold. A nil span (an untraced operation) is ignored.
 func (t *Tracer) finish(span *obs.Span, err error) {
+	if span == nil {
+		return
+	}
 	if err != nil {
 		span.SetAttr("error", err.Error())
 	}
@@ -100,27 +101,6 @@ func (t *Tracer) finish(span *obs.Span, err error) {
 	if span.Sampled() || (t.slow > 0 && span.Duration() >= t.slow) {
 		t.ring.Add(span)
 	}
-}
-
-func (t *Tracer) interceptUnary(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-	span := t.begin(ctx, opRetrieve)
-	if span == nil {
-		return invoke(ctx, index)
-	}
-	rec, err := invoke(obs.ContextWithSpan(ctx, span), index)
-	t.finish(span, err)
-	return rec, err
-}
-
-func (t *Tracer) interceptBatch(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error) {
-	span := t.begin(ctx, opRetrieveBatch)
-	if span == nil {
-		return invoke(ctx, indices)
-	}
-	span.SetAttrInt("batch_size", int64(len(indices)))
-	recs, err := invoke(obs.ContextWithSpan(ctx, span), indices)
-	t.finish(span, err)
-	return recs, err
 }
 
 // RecentTraces snapshots the ring's span trees, newest first, keeping

@@ -45,7 +45,7 @@ type cohort struct {
 	shard      int
 	parties    [][]string // party → replica addresses
 	tlsCfg     *tls.Config
-	coder      queryCoder
+	enc        Encoding // resolved: EncodingDPF or EncodingShares
 	geom       geometry
 	recordSize int
 
@@ -59,11 +59,11 @@ type cohort struct {
 // geometry — a handshake check against it.
 func openCohort(ctx context.Context, store *Client, shard int, ds DeploymentShard, recordSize int, cfg clientConfig) (*cohort, error) {
 	parties := ds.cohorts()
-	coder, err := cfg.encoding.resolve(len(parties))
+	enc, err := cfg.encoding.resolve(len(parties))
 	if err != nil {
 		return nil, err
 	}
-	c := &cohort{store: store, shard: shard, parties: parties, tlsCfg: cfg.tlsCfg, coder: coder}
+	c := &cohort{store: store, shard: shard, parties: parties, tlsCfg: cfg.tlsCfg, enc: enc}
 
 	// Dial every replica of every party concurrently. A party tolerates
 	// dead replicas at open as it does later: it needs one live replica,
@@ -309,7 +309,7 @@ func firstSlotErr(errs []error, broken []connSlot, party int) error {
 // as one single-query frame per party when batch is false — and
 // reconstructs each row's record from the parties' subresults.
 func (c *cohort) query(ctx context.Context, co callOptions, locals []uint64, batch bool) ([][]byte, error) {
-	queries, err := c.coder.encode(c.geom, len(c.parties), locals, batch)
+	queries, err := encode(c.enc, c.geom, len(c.parties), locals, batch)
 	if err != nil {
 		return nil, err
 	}

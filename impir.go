@@ -73,11 +73,9 @@
 // WithCallTimeout bounds a whole operation, WithRetries grants a
 // transient-failure budget whose attempts transparently redial
 // poisoned connections, and WithHedging/WithHedgeDelay control hedged
-// replica fan-out. WithUnaryInterceptor and WithBatchInterceptor
-// install a gRPC-style interceptor chain — logging, metrics, tracing,
-// caching — that sees the caller's indices and runs once per logical
-// operation, however many shards, coded slots, hedges and retries it
-// spans.
+// replica fan-out. A Tracer, installed with its Option, wraps each
+// logical operation (Retrieve, RetrieveBatch, Update) in one root span,
+// however many shards, coded slots, hedges and retries it spans.
 //
 // # Hedged replica fan-out
 //

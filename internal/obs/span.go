@@ -450,8 +450,7 @@ type opAttrsKey struct{}
 // ContextWithOpAttrs returns ctx carrying attributes for the NEXT root
 // span opened below — the seam that lets a layer sitting above the
 // store (the keyword client annotating its probe counts) label an
-// operation whose root span is only opened inside the store's
-// interceptor chain.
+// operation whose root span the store opens when its call begins.
 func ContextWithOpAttrs(ctx context.Context, attrs ...Attr) context.Context {
 	if len(attrs) == 0 {
 		return ctx

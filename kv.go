@@ -186,7 +186,7 @@ func (c *KVClient) getBatch(ctx context.Context, keys [][]byte, raw bool, opts [
 	}
 	indices = append(indices, c.m.StashIndices()...)
 	// Label the underlying batch's root span with the probe shape; the
-	// span itself only opens inside the store's interceptor chain. Keys,
+	// span itself opens when the store's call begins. Keys,
 	// candidates, and hits never appear — only counts, which are a pure
 	// function of the manifest and the key count.
 	ctx = obs.ContextWithOpAttrs(ctx,

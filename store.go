@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/obs"
 )
 
 // Store is the unified client surface of an IM-PIR deployment: one
@@ -58,21 +57,19 @@ var _ Store = (*Client)(nil)
 // learned from — and, when the manifest declares it, validated against
 // — the server handshake, and a deployment declaring a batch_code
 // section routes RetrieveBatch through the multi-message batch planner
-// (honouring WithSideInfoCache). Options configure the encoding, TLS,
-// the interceptor chain, and the default per-call policy; per-call
-// options on each operation override those defaults. Deployments whose
-// manifest carries a keyword table still open as an index store here —
-// use OpenKV for the key→value view.
+// (honouring WithSideInfoCache). Options configure the encoding — an
+// encoding that cannot serve a cohort's party count is refused before
+// that cohort dials — TLS, telemetry (ClientObs, Tracer), and the
+// default per-call policy; per-call options on each operation override
+// those defaults. Deployments whose manifest carries a keyword table
+// still open as an index store here — use OpenKV for the key→value view.
 func Open(ctx context.Context, d Deployment, opts ...ClientOption) (Store, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := clientConfig{encoding: EncodingAuto, defaults: callOptions{hedge: true}}
+	cfg := clientConfig{defaults: callOptions{hedge: true}}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.encoding == nil {
-		return nil, errors.New("impir: nil encoding")
 	}
 	c, err := openClient(ctx, d, cfg)
 	if err != nil {
@@ -154,133 +151,6 @@ func WithRetries(n int) CallOption {
 			co.retries = n
 		}
 	}
-}
-
-// UnaryInvoker advances a Retrieve call to the next interceptor, or to
-// the transport when invoked by the last one.
-type UnaryInvoker func(ctx context.Context, index uint64) ([]byte, error)
-
-// UnaryInterceptor intercepts Retrieve calls: it may inspect the
-// context and index, short-circuit by returning without invoking, or
-// wrap the invocation with logging, metrics, tracing, deadlines…
-// Interceptors run in registration order, first outermost. The index an
-// interceptor sees never leaves the client: everything below the
-// interceptor chain is the PIR encoding, so observability code here
-// sees what the servers cannot.
-type UnaryInterceptor func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error)
-
-// BatchInvoker advances a RetrieveBatch call to the next interceptor,
-// or to the transport when invoked by the last one.
-type BatchInvoker func(ctx context.Context, indices []uint64) ([][]byte, error)
-
-// BatchInterceptor intercepts RetrieveBatch calls; see UnaryInterceptor.
-type BatchInterceptor func(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error)
-
-// policy is the Client's call engine: the interceptor chain, the default
-// call options, and the retry loop. The Client resolves a call and hands
-// the whole pipeline here as the core operation, so interceptors and
-// retries run exactly once per logical operation, never once per shard,
-// party, or coded sub-query.
-type policy struct {
-	unary    []UnaryInterceptor
-	batch    []BatchInterceptor
-	defaults callOptions
-	retries  *obs.Counter // counts every extra attempt
-}
-
-// resolve merges per-call options over the store defaults.
-func (p *policy) resolve(opts []CallOption) callOptions {
-	co := p.defaults
-	for _, o := range opts {
-		o(&co)
-	}
-	return co
-}
-
-// retryable reports whether a failed attempt may be re-tried: the
-// caller aborting (cancellation, deadline) is final; everything else —
-// busy servers, dropped or poisoned connections, replica failures — may
-// succeed on a fresh attempt over redialed connections.
-func retryable(err error) bool {
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// withBudget runs core under the call's timeout and retry budget.
-func (p *policy) withBudget(ctx context.Context, co callOptions, core func(ctx context.Context) error) error {
-	if co.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, co.timeout)
-		defer cancel()
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
-		}
-		err := core(ctx)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if attempt >= co.retries || !retryable(err) {
-			return lastErr
-		}
-		p.retries.Inc()
-		// attempt+1 extra attempts spent so far; the root span (installed
-		// above this loop by the tracing interceptor) keeps the final tally.
-		obs.SpanFromContext(ctx).SetAttrInt("retries", int64(attempt+1))
-	}
-}
-
-// doUnary runs one Retrieve through the interceptor chain, the timeout,
-// and the retry budget, in that nesting order: interceptors see one
-// logical operation however many attempts it takes.
-func (p *policy) doUnary(ctx context.Context, co callOptions, index uint64, core func(ctx context.Context, index uint64) ([]byte, error)) ([]byte, error) {
-	inv := UnaryInvoker(func(ctx context.Context, index uint64) ([]byte, error) {
-		var rec []byte
-		err := p.withBudget(ctx, co, func(ctx context.Context) error {
-			var cerr error
-			rec, cerr = core(ctx, index)
-			return cerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rec, nil
-	})
-	for i := len(p.unary) - 1; i >= 0; i-- {
-		ic, next := p.unary[i], inv
-		inv = func(ctx context.Context, index uint64) ([]byte, error) {
-			return ic(ctx, index, next)
-		}
-	}
-	return inv(ctx, index)
-}
-
-// doBatch is doUnary for RetrieveBatch.
-func (p *policy) doBatch(ctx context.Context, co callOptions, indices []uint64, core func(ctx context.Context, indices []uint64) ([][]byte, error)) ([][]byte, error) {
-	inv := BatchInvoker(func(ctx context.Context, indices []uint64) ([][]byte, error) {
-		var recs [][]byte
-		err := p.withBudget(ctx, co, func(ctx context.Context) error {
-			var cerr error
-			recs, cerr = core(ctx, indices)
-			return cerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		return recs, nil
-	})
-	for i := len(p.batch) - 1; i >= 0; i-- {
-		ic, next := p.batch[i], inv
-		inv = func(ctx context.Context, indices []uint64) ([][]byte, error) {
-			return ic(ctx, indices, next)
-		}
-	}
-	return inv(ctx, indices)
 }
 
 // fmtParty names a party for error messages, with its replica count

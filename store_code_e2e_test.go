@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/impir/impir/internal/batchcode"
+	"github.com/impir/impir/internal/engine"
+	"github.com/impir/impir/internal/scheduler"
+	"github.com/impir/impir/internal/transport"
 )
 
 // codedTestDB builds a logical database with distinguishable records.
@@ -343,38 +348,116 @@ func TestCodedStoreUpdate(t *testing.T) {
 	}
 }
 
+// startHookedServer serves db as party through a shimEngine running
+// after once per pass, with wire updates allowed, over loopback TCP.
+func startHookedServer(t *testing.T, db *DB, party uint8, after func()) string {
+	t.Helper()
+	cpu, err := engine.NewCPUPricer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(cpu)
+	if err := eng.LoadDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := newScheduler(t, &shimEngine{Engine: eng, after: after}, scheduler.Config{})
+	srv, err := transport.NewServer(lis, sched, party, transport.WithWireUpdates(), transport.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr().String()
+}
+
 // TestCodedStoreUpdateRacingRetrieve: an Update that completes after a
-// retrieval read the old record, but before the retrieval filled the
-// side-information cache, must not leave the old record cached. The
-// interceptor runs the Update right after the read returns, which makes
-// that interleaving deterministic.
+// retrieval read the old record, but before the retrieval decoded and
+// filled the side-information cache, must not leave the old record
+// cached. On two coded shards, a record whose every copy lives on
+// shard 0 is read while shard 1 holds its (dummy) answer back; the
+// Update lands in that window, then shard 1 is released.
 func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
 	ctx := context.Background()
-	const n, recordSize, idx = 200, 32, 55
+	const n, recordSize = 200, 32
 	db := codedTestDB(t, n, recordSize)
 	code, err := batchcode.Derive(n, recordSize, 4, 2, 1, 8, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := bytes.Repeat([]byte{0xCD}, recordSize)
-	var (
-		store Store
-		once  sync.Once
-	)
-	store = openFromJSON(t, ctx, startCodedFlat(t, db, code), WithSideInfoCache(16),
-		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			rec, err := invoke(ctx, index)
-			once.Do(func() {
-				if err := store.Update(ctx, map[uint64][]byte{idx: fresh}); err != nil {
-					t.Error(err)
-				}
-			})
-			return rec, err
-		}))
-	if _, err := store.Retrieve(ctx, idx); err != nil {
+	coded, err := batchcode.Encode(db, code)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := store.Retrieve(ctx, idx)
+	parts, err := SplitDB(coded, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan struct{}, 2) // shard 0's parties answered a pass
+	signal := func() {
+		select {
+		case answered <- struct{}{}:
+		default:
+		}
+	}
+	release := make(chan struct{}) // shard 1's parties may answer
+	hold := func() { <-release }
+	cohorts := [][]string{
+		{startHookedServer(t, parts[0], 0, signal), startHookedServer(t, parts[0], 1, signal)},
+		{startHookedServer(t, parts[1], 0, hold), startHookedServer(t, parts[1], 1, hold)},
+	}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the servers close, even on failure
+	m, err := UniformManifest(code.TotalRows(), recordSize, cohorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := batchcode.NewLayout(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i := 0; i < n && idx < 0; i++ {
+		idx = i
+		for j := 0; j < code.Choices; j++ {
+			if layout.Row(uint64(i), j) >= m.Shards[0].NumRecords {
+				idx = -1
+			}
+		}
+	}
+	if idx < 0 {
+		t.Fatal("no record has every copy on shard 0")
+	}
+	store := openFromJSON(t, ctx, DeploymentFromManifest(m).WithBatchCode(code), WithSideInfoCache(16))
+
+	type result struct {
+		rec []byte
+		err error
+	}
+	raced := make(chan result, 1)
+	go func() {
+		rec, err := store.Retrieve(ctx, uint64(idx))
+		raced <- result{rec, err}
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-answered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("shard 0 never answered the racing Retrieve")
+		}
+	}
+	fresh := bytes.Repeat([]byte{0xCD}, recordSize)
+	if err := store.Update(ctx, map[uint64][]byte{uint64(idx): fresh}); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+	if r := <-raced; r.err != nil || !bytes.Equal(r.rec, db.Record(idx)) {
+		t.Fatalf("racing Retrieve = %x, %v; want the record it read before the Update", r.rec, r.err)
+	}
+	rec, err := store.Retrieve(ctx, uint64(idx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,132 +43,6 @@ func newScheduler(t *testing.T, eng scheduler.Engine, cfg scheduler.Config) *sch
 	}
 	t.Cleanup(func() { sched.Close() })
 	return sched
-}
-
-// TestInterceptorOrdering: interceptors run in registration order,
-// first outermost — before-invoke hooks fire first-to-last, after-invoke
-// hooks unwind last-to-first — and both see the logical call's index.
-func TestInterceptorOrdering(t *testing.T) {
-	db, _ := GenerateHashDB(256, 5)
-	addrs := startDeployment(t, db, 2)
-	ctx := context.Background()
-
-	var mu sync.Mutex
-	var log []string
-	step := func(s string) {
-		mu.Lock()
-		log = append(log, s)
-		mu.Unlock()
-	}
-	mk := func(name string) UnaryInterceptor {
-		return func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			if index != 42 {
-				t.Errorf("interceptor %s saw index %d", name, index)
-			}
-			step(name + ":before")
-			rec, err := invoke(ctx, index)
-			step(name + ":after")
-			return rec, err
-		}
-	}
-	store, err := Open(ctx, FlatDeployment(addrs...),
-		WithUnaryInterceptor(mk("outer")),
-		WithUnaryInterceptor(mk("inner")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	rec, err := store.Retrieve(ctx, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec, db.Record(42)) {
-		t.Fatal("interceptors corrupted the record")
-	}
-	want := []string{"outer:before", "inner:before", "inner:after", "outer:after"}
-	if strings.Join(log, ",") != strings.Join(want, ",") {
-		t.Fatalf("interceptor order %v, want %v", log, want)
-	}
-}
-
-// TestInterceptorShortCircuit: an interceptor that returns without
-// invoking stops the chain — inner interceptors never run and nothing
-// reaches the wire.
-func TestInterceptorShortCircuit(t *testing.T) {
-	db, _ := GenerateHashDB(256, 6)
-	addrs := startDeployment(t, db, 2)
-	ctx := context.Background()
-
-	canned := []byte("cached-record")
-	innerRan := false
-	store, err := Open(ctx, FlatDeployment(addrs...),
-		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			return canned, nil // e.g. a client-side cache hit
-		}),
-		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			innerRan = true
-			return invoke(ctx, index)
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	rec, err := store.Retrieve(ctx, 7)
-	if err != nil || !bytes.Equal(rec, canned) {
-		t.Fatalf("short-circuit returned (%q, %v)", rec, err)
-	}
-	if innerRan {
-		t.Fatal("inner interceptor ran after the outer short-circuited")
-	}
-	if st := store.Stats(); st.Shards[0].Queries != 0 {
-		t.Fatalf("short-circuited call still reached the wire: %+v", st.Shards[0])
-	}
-
-	boom := errors.New("quota exhausted")
-	store2, err := Open(ctx, FlatDeployment(addrs...),
-		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			return nil, boom
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if _, err := store2.Retrieve(ctx, 7); !errors.Is(err, boom) {
-		t.Fatalf("error short-circuit returned %v", err)
-	}
-}
-
-// TestBatchInterceptor: the batch chain mirrors the unary chain.
-func TestBatchInterceptor(t *testing.T) {
-	db, _ := GenerateHashDB(256, 7)
-	addrs := startDeployment(t, db, 2)
-	ctx := context.Background()
-
-	var seen [][]uint64
-	store, err := Open(ctx, FlatDeployment(addrs...),
-		WithBatchInterceptor(func(ctx context.Context, indices []uint64, invoke BatchInvoker) ([][]byte, error) {
-			seen = append(seen, append([]uint64(nil), indices...))
-			return invoke(ctx, indices)
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	recs, err := store.RetrieveBatch(ctx, []uint64{1, 99, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, idx := range []uint64{1, 99, 200} {
-		if !bytes.Equal(recs[i], db.Record(int(idx))) {
-			t.Fatalf("batch item %d wrong", i)
-		}
-	}
-	if len(seen) != 1 || len(seen[0]) != 3 {
-		t.Fatalf("batch interceptor saw %v", seen)
-	}
 }
 
 // TestPerCallOptionsOverrideDefaults: a CallOption on one operation
@@ -309,32 +182,21 @@ func TestRetryBudget(t *testing.T) {
 	}
 }
 
-// TestClusterInterceptorsRunOncePerLogicalOp: on a sharded deployment
-// the interceptor chain and retry accounting wrap the LOGICAL operation
-// — once per Retrieve, not once per shard.
-func TestClusterInterceptorsRunOncePerLogicalOp(t *testing.T) {
+// TestClusterTracerRingsOneRootPerLogicalOp: on a sharded deployment
+// the root span wraps the LOGICAL operation — one per Retrieve, with one
+// shard child per cohort, never one root per shard.
+func TestClusterTracerRingsOneRootPerLogicalOp(t *testing.T) {
 	db, _ := GenerateHashDB(512, 10)
 	m, _ := startCluster(t, db, 2)
 	ctx := context.Background()
 
-	var mu sync.Mutex
-	calls := 0
-	d := DeploymentFromManifest(m)
-	store, err := Open(ctx, d,
-		WithUnaryInterceptor(func(ctx context.Context, index uint64, invoke UnaryInvoker) ([]byte, error) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			return invoke(ctx, index)
-		}))
+	tr := NewTracer(TracerConfig{SampleRate: 1})
+	store, err := Open(ctx, DeploymentFromManifest(m), tr.Option())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 
-	if _, ok := store.(*Client); !ok {
-		t.Fatalf("multi-shard deployment opened as %T", store)
-	}
 	for _, idx := range []uint64{3, 300, 511} {
 		rec, err := store.Retrieve(ctx, idx)
 		if err != nil {
@@ -344,7 +206,13 @@ func TestClusterInterceptorsRunOncePerLogicalOp(t *testing.T) {
 			t.Fatalf("record %d wrong through cluster", idx)
 		}
 	}
-	if calls != 3 {
-		t.Fatalf("interceptor ran %d times for 3 logical retrievals", calls)
+	roots := tr.RecentTraces(0)
+	if len(roots) != 3 {
+		t.Fatalf("%d root spans for 3 logical retrievals", len(roots))
+	}
+	for _, root := range roots {
+		if root.Name != opRetrieve || len(root.Children) != 2 {
+			t.Fatalf("root %q has %d children, want a retrieve root over 2 shards", root.Name, len(root.Children))
+		}
 	}
 }
