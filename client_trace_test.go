@@ -206,6 +206,71 @@ func TestTracerUpdateRingsUpdateRoot(t *testing.T) {
 	}
 }
 
+// TestTracerUpdateRingsAttemptPerReplica: a traced Update on 2 parties
+// of 2 replicas each rings one party span per party and, under each, one
+// ok attempt per replica written; every replica's server joins the trace
+// under its own attempt's span ID.
+func TestTracerUpdateRingsAttemptPerReplica(t *testing.T) {
+	db, _ := GenerateHashDB(256, 47)
+	addrs, servers := startShardCohort(t, db, 4)
+	d := Deployment{RecordSize: 32, Shards: []DeploymentShard{{NumRecords: 256, Parties: []Party{
+		{Replicas: addrs[:2]}, {Replicas: addrs[2:]},
+	}}}}
+	tr := NewTracer(TracerConfig{SampleRate: 1})
+	ctx := context.Background()
+	store, err := Open(ctx, d, tr.Option())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.Update(ctx, map[uint64][]byte{9: bytes.Repeat([]byte{0xCD}, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	got := tr.RecentTraces(0)
+	if len(got) != 1 || got[0].Name != opUpdate {
+		t.Fatalf("ring = %+v, want one update root", got)
+	}
+	attempts := map[string]bool{}
+	parties := 0
+	for _, sn := range collectSpans(got[0]) {
+		if sn.Name != "party" {
+			continue
+		}
+		parties++
+		replicas := map[string]bool{}
+		for _, att := range sn.Children {
+			if v, _ := att.Attr("outcome"); att.Name != "attempt" || v != "ok" {
+				t.Fatalf("party %v child %q outcome %q, want ok attempts", sn.Attrs, att.Name, v)
+			}
+			r, _ := att.Attr("replica")
+			replicas[r] = true
+			attempts[att.SpanID] = true
+		}
+		if len(replicas) != 2 {
+			t.Fatalf("party %v has attempts on replicas %v, want 0 and 1", sn.Attrs, replicas)
+		}
+	}
+	if parties != 2 || len(attempts) != 4 {
+		t.Fatalf("%d party spans and %d distinct attempts, want 2 and 4", parties, len(attempts))
+	}
+	// The server adds its trace to the ring after acknowledging the
+	// update, so poll briefly.
+	deadline := time.Now().Add(10 * time.Second)
+	for i, srv := range servers {
+		for {
+			ring := srv.RecentTraces(0)
+			if len(ring) == 1 && ring[0].Name == "server.update" && attempts[ring[0].SpanID] {
+				delete(attempts, ring[0].SpanID)
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server %d ring %+v holds no server.update under an attempt's span ID", i, ring)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 // BenchmarkTracerDisabled is the perf guard's evidence: an untraced
 // call's span handling must report 0 B/op, 0 allocs/op.
 func BenchmarkTracerDisabled(b *testing.B) {

@@ -533,20 +533,27 @@ func (c *cohort) observeLatency(p, r int, d time.Duration, lowerBound bool) {
 }
 
 // update pushes one validated, shard-local update set to every replica
-// of every party, concurrently; the first failure cancels the rest.
+// of every party, concurrently; the first failure cancels the rest. A
+// traced update opens a party span per party and an attempt span per
+// replica written, as a read does, and each write carries its attempt's
+// wire trace context.
 func (c *cohort) update(ctx context.Context, updates map[uint64][]byte) error {
 	conns, err := c.liveConns(ctx, true)
 	if err == nil {
+		span := obs.SpanFromContext(ctx)
 		g, gctx := fanout.WithContext(ctx)
 		for p := range conns {
-			for r, conn := range conns[p] {
-				g.Go(func() error {
-					if err := conn.Update(gctx, updates); err != nil {
-						return fmt.Errorf("impir: update party %d replica %d: %w", p, r, err)
-					}
-					return nil
-				})
-			}
+			g.Go(func() error {
+				psp := span.StartChild("party")
+				psp.SetAttrInt("party", int64(p))
+				psp.SetAttrInt("replicas", int64(len(conns[p])))
+				err := updateParty(gctx, psp, p, conns[p], updates)
+				if err != nil {
+					psp.SetAttr("error", err.Error())
+				}
+				psp.End()
+				return err
+			})
 		}
 		err = g.Wait()
 	}
@@ -556,6 +563,34 @@ func (c *cohort) update(ctx context.Context, updates map[uint64][]byte) error {
 		c.store.cells.shards[c.shard][shardErrors].Inc()
 	}
 	return err
+}
+
+// updateParty writes updates to every replica of party p concurrently,
+// each write under its own attempt span below psp.
+func updateParty(ctx context.Context, psp *obs.Span, p int, conns []*transport.Conn, updates map[uint64][]byte) error {
+	g, gctx := fanout.WithContext(ctx)
+	for r, conn := range conns {
+		g.Go(func() error {
+			att := psp.StartChild("attempt")
+			att.SetAttrInt("replica", int64(r))
+			err := conn.Update(attemptContext(gctx, att), updates)
+			switch {
+			case err == nil:
+				att.SetAttr("outcome", "ok")
+			case gctx.Err() != nil:
+				att.SetAttr("outcome", "cancelled")
+			default:
+				att.SetAttr("outcome", "error")
+				att.SetAttr("error", err.Error())
+			}
+			att.End()
+			if err != nil {
+				return fmt.Errorf("impir: update party %d replica %d: %w", p, r, err)
+			}
+			return nil
+		})
+	}
+	return g.Wait()
 }
 
 // close closes every server connection. A closed cohort stays closed:

@@ -90,7 +90,7 @@ func (e Encoding) resolve(n int) (Encoding, error) {
 // the handshake; queries are encoded against it.
 type geometry struct {
 	domain     int
-	numRecords uint64 // power-of-two padded record count the servers hold
+	numRecords uint64 // the 2^d index space the servers report; they hold only its first N records
 }
 
 // serverQuery is one party's portion of an encoded sub-query: one DPF

@@ -3,6 +3,12 @@
 // paper's evaluation databases (§5.2): fixed-size 32-byte records holding
 // SHA-256 digests, as used by Certificate Transparency auditing and
 // compromised-credential checking services.
+//
+// A database holds exactly its N records. Clients address the
+// power-of-two index space of 2^Domain() records, so an index in
+// [N, 2^Domain()) names a zero record: the padded form PadToPowerOfTwo
+// builds, which Digest hashes without allocating. Engines scan only the N
+// records and ignore selector bits beyond them.
 package database
 
 import (
@@ -119,16 +125,17 @@ func (d *DB) Domain() int {
 	return bits.Len(uint(d.numRecords - 1))
 }
 
-// IsPowerOfTwo reports whether the record count is a power of two, the
-// layout the engines operate on directly.
+// IsPowerOfTwo reports whether the record count is a power of two, so
+// that the database is its own padded form.
 func (d *DB) IsPowerOfTwo() bool {
 	return d.numRecords&(d.numRecords-1) == 0
 }
 
 // PadToPowerOfTwo returns d itself when the record count is already a
 // power of two, or a copy extended with zero records up to the next power
-// of two. DPF share vectors are pseudorandom beyond the true record
-// count, so engines must only ever scan zero-padded storage.
+// of two: the database as the 2^Domain() index space a client queries
+// sees it. Servers never build it; tests and benchmarks use it as the
+// oracle an unpadded scan must match.
 func (d *DB) PadToPowerOfTwo() *DB {
 	if d.IsPowerOfTwo() {
 		return d
@@ -144,16 +151,6 @@ func (d *DB) Clone() *DB {
 	data := make([]byte, len(d.data))
 	copy(data, d.data)
 	return &DB{recordSize: d.recordSize, numRecords: d.numRecords, data: data}
-}
-
-// Replica returns the power-of-two padded copy an engine loads. It never
-// shares storage with d, so every replica loaded from one DB takes §3.3
-// updates independently of the caller and of the other replicas.
-func (d *DB) Replica() *DB {
-	if padded := d.PadToPowerOfTwo(); padded != d {
-		return padded
-	}
-	return d.Clone()
 }
 
 // CheckUpdates validates a §3.3 update set against the database's
@@ -187,16 +184,25 @@ func (d *DB) ApplyUpdates(updates map[uint64][]byte) error {
 	return nil
 }
 
-// Digest returns the SHA-256 of the database contents and geometry.
-// Replicated servers compare digests before serving: a silent replica
-// mismatch would break reconstruction correctness (not privacy).
+// Digest returns the SHA-256 of the padded form's contents and geometry:
+// a header of 2^Domain() records and the record size, the N records, then
+// the zero tail PadToPowerOfTwo would add, streamed into the hash rather
+// than allocated. A database therefore digests the same as its padded
+// form, which is what a server's hello reports. Replicated servers
+// compare digests before serving: a silent replica mismatch would break
+// reconstruction correctness (not privacy).
 func (d *DB) Digest() [32]byte {
 	h := sha256.New()
 	var hdr [16]byte
-	putUint64(hdr[:8], uint64(d.numRecords))
+	padded := 1 << uint(d.Domain())
+	putUint64(hdr[:8], uint64(padded))
 	putUint64(hdr[8:], uint64(d.recordSize))
 	h.Write(hdr[:])
 	h.Write(d.data)
+	var zeros [4096]byte
+	for tail := (padded - d.numRecords) * d.recordSize; tail > 0; tail -= len(zeros) {
+		h.Write(zeros[:min(tail, len(zeros))])
+	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

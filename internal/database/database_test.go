@@ -146,22 +146,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestReplicaIndependence: a replica is padded and never shares storage
-// with its source, whether or not padding was needed.
-func TestReplicaIndependence(t *testing.T) {
-	for _, n := range []int{5, 8} {
-		db, _ := GenerateHashDB(n, 1)
-		r := db.Replica()
-		if r.NumRecords() != 8 || !bytes.Equal(r.Record(n-1), db.Record(n-1)) {
-			t.Fatalf("%d records: replica has %d records or wrong contents", n, r.NumRecords())
-		}
-		r.SetRecord(0, make([]byte, 32))
-		if bytes.Equal(db.Record(0), r.Record(0)) {
-			t.Fatalf("%d records: mutating the replica changed the source", n)
-		}
-	}
-}
-
 // TestApplyUpdatesAllOrNothing: a set with one bad entry is rejected
 // whole and leaves every record untouched.
 func TestApplyUpdatesAllOrNothing(t *testing.T) {
@@ -204,6 +188,26 @@ func TestDigest(t *testing.T) {
 	d2, _ := FromFlat(flat, 16)
 	if d1.Digest() == d2.Digest() {
 		t.Fatal("digest ignores record geometry")
+	}
+}
+
+// TestDigestIsPaddedForm: a database digests as its zero-padded form
+// does, whatever its record count (the tail spans several of Digest's
+// zero blocks at 700 × 104 B). So 5 records and the same 5 plus a zero
+// sixth digest alike: both answer every query of their 8-index space
+// identically.
+func TestDigestIsPaddedForm(t *testing.T) {
+	for _, n := range []int{1, 5, 8, 700} {
+		db, _ := FromFlat(bytes.Repeat([]byte{byte(n)}, n*104), 104)
+		if db.Digest() != db.PadToPowerOfTwo().Digest() {
+			t.Errorf("%d records: digest differs from the padded form's", n)
+		}
+	}
+	a, _ := GenerateHashDB(5, 1)
+	b, _ := New(6, 32)
+	copy(b.Data(), a.Data())
+	if a.Digest() != b.Digest() {
+		t.Error("a trailing zero record changed the padded digest")
 	}
 }
 

@@ -3,6 +3,7 @@ package dpf
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,20 +36,28 @@ func CheckKey(key *Key, domain int) error {
 
 // Expand is the host-side expand stage of the server engine's one pass
 // (internal/engine, Alg. 1 ➋), whichever pricer models it: it checks
-// the batch against a database of 2^domain records and returns one
-// selector per query, as the packed words of its bit vector — the form
-// every dpXOR scan consumes. Keys are evaluated over the full domain
-// with a thread layout that follows the width: a lone key gets all
+// the batch against a database of the given number of records, whose
+// index space is the 2^domain of the smallest covering domain, and
+// returns one selector per query, as the packed words of its bit
+// vector — the form every dpXOR scan consumes. A selector spans the
+// whole 2^domain index space; a key's is evaluated only over the
+// indices below records (FullEvalOptions.Leaves) and zero from there
+// on, while a share passes through as the caller's words, tail bits
+// included. Keys
+// run with a thread layout that follows the width: a lone key gets all
 // workers cooperating on its subtrees (§3.2), while B > 1 keys run one
 // thread each, min(B, workers) at a time (Fig. 8). Workers ≤ 0 means
 // GOMAXPROCS.
-func (b Batch) Expand(domain, workers int, s Strategy) ([][]uint64, error) {
+func (b Batch) Expand(records, workers int, s Strategy) ([][]uint64, error) {
 	switch {
+	case records < 1:
+		return nil, fmt.Errorf("dpf: database of %d records", records)
 	case b.Len() == 0:
 		return nil, errors.New("dpf: empty batch")
 	case len(b.Keys) > 0 && len(b.Shares) > 0:
 		return nil, errors.New("dpf: batch mixes keys and shares")
 	}
+	domain := bits.Len(uint(records - 1))
 	for i, k := range b.Keys {
 		if err := CheckKey(k, domain); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
@@ -68,7 +77,7 @@ func (b Batch) Expand(domain, workers int, s Strategy) ([][]uint64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	opts := FullEvalOptions{Strategy: s, Workers: 1}
+	opts := FullEvalOptions{Strategy: s, Workers: 1, Leaves: records}
 	if len(b.Keys) == 1 {
 		opts.Workers = workers
 	}

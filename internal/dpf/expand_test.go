@@ -6,27 +6,31 @@ import (
 	"github.com/impir/impir/internal/bitvec"
 )
 
-// TestExpand: for every width and worker count the front end returns
-// exactly each key's full-domain evaluation, in order, and passes shares
-// through.
+// TestExpand: for every width, worker count and record count of a
+// domain-10 database, the front end returns exactly each key's
+// evaluation over the records, zero beyond them, in order, and passes
+// shares through untouched, tail bits included.
 func TestExpand(t *testing.T) {
 	const domain = 10
 	keys := make([]*Key, 5)
 	for i := range keys {
 		keys[i], _ = mustGen(t, Params{Domain: domain}, uint64(i*200))
 	}
-	for _, b := range []int{1, len(keys)} {
-		for _, workers := range []int{0, 1, 3, 8} {
-			sels, err := Batch{Keys: keys[:b]}.Expand(domain, workers, StrategyMemoryBounded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, k := range keys[:b] {
-				want := referenceFull(t, k)
-				got := bitvec.New(1 << domain)
-				copy(got.Words(), sels[i])
-				if !got.Equal(want) {
-					t.Fatalf("B=%d workers=%d key %d: selector differs from pointwise Eval", b, workers, i)
+	for _, records := range []int{1 << domain, 700, 513} {
+		for _, b := range []int{1, len(keys)} {
+			for _, workers := range []int{0, 1, 3, 8} {
+				sels, err := Batch{Keys: keys[:b]}.Expand(records, workers, StrategyMemoryBounded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range keys[:b] {
+					want := referenceFull(t, k)
+					got := bitvec.New(1 << domain)
+					copy(got.Words(), sels[i])
+					if x := firstPrefixMismatch(got, want, records); x >= 0 || len(sels[i]) != len(got.Words()) {
+						t.Fatalf("%d records B=%d workers=%d key %d: selector bit %d differs from pointwise Eval",
+							records, b, workers, i, x)
+					}
 				}
 			}
 		}
@@ -34,8 +38,9 @@ func TestExpand(t *testing.T) {
 
 	share := bitvec.New(1 << domain)
 	share.Set(7)
-	sels, err := Batch{Shares: []*bitvec.Vector{share}}.Expand(domain, 1, StrategySubtree)
-	if err != nil || len(sels) != 1 || &sels[0][0] != &share.Words()[0] {
+	share.Set(1000) // beyond the 700 records: the scan ignores it
+	sels, err := Batch{Shares: []*bitvec.Vector{share}}.Expand(700, 1, StrategySubtree)
+	if err != nil || len(sels) != 1 || &sels[0][0] != &share.Words()[0] || !share.Bit(1000) {
 		t.Fatalf("share not passed through: %v", err)
 	}
 }
@@ -55,8 +60,11 @@ func TestExpandRejects(t *testing.T) {
 		"nil share":    {Shares: []*bitvec.Vector{nil}},
 		"short share":  {Shares: []*bitvec.Vector{bitvec.New(1 << (domain - 1))}},
 	} {
-		if _, err := b.Expand(domain, 2, StrategySubtree); err == nil {
+		if _, err := b.Expand(1<<domain, 2, StrategySubtree); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := (Batch{Keys: []*Key{k}}).Expand(0, 2, StrategySubtree); err == nil {
+		t.Error("a database of no records accepted")
 	}
 }

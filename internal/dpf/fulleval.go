@@ -46,6 +46,12 @@ type FullEvalOptions struct {
 	// effective worker count is rounded down to a power of two and
 	// capped so every worker owns at least one terminal node.
 	Workers int
+	// Leaves bounds the evaluation to the indices [0, Leaves) of a
+	// database of that many records: every subtree whose first terminal
+	// node lies at or beyond ⌈Leaves/128⌉ is skipped, and the bits from
+	// Leaves on are zero. The vector still spans the whole domain. Zero
+	// means the whole domain.
+	Leaves int
 }
 
 // Chunk sizes in output leaves (indices); a chunk holds chunk/128
@@ -55,12 +61,22 @@ const (
 	defaultBoundedChunk = 1 << 10
 )
 
-// EvalFull evaluates the key on every index of its domain, returning the
-// packed N-bit share vector v with v[x] = Eval(k, x). This is the
-// server-side "key evaluation" phase of Algorithm 1 (line 13–18).
+// EvalFull evaluates the key on every index of its domain, or of the
+// prefix opts.Leaves names, returning the packed share vector v of
+// 2^Domain bits with v[x] = Eval(k, x) below the bound and zero from it
+// on. This is the server-side "key evaluation" phase of Algorithm 1
+// (line 13–18).
 func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
 	if err := k.checkShape(); err != nil {
 		return nil, err
+	}
+	n := 1 << uint(k.Domain)
+	leaves := opts.Leaves
+	if leaves == 0 {
+		leaves = n
+	}
+	if leaves < 0 || leaves > n {
+		return nil, fmt.Errorf("dpf: leaf bound %d outside the domain of %d indices", opts.Leaves, n)
 	}
 	var chunk int
 	switch opts.Strategy {
@@ -75,8 +91,8 @@ func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := bitvec.New(1 << uint(k.Domain))
-	k.evalSubtreeParallel(out, workers, chunk)
+	out := bitvec.New(n)
+	k.evalSubtreeParallel(out, workers, chunk, leaves)
 	return out, nil
 }
 
@@ -91,9 +107,12 @@ type node struct {
 // The master thread expands breadth-first down to the worker level; each
 // worker then walks its perfect subtree depth-first over chunks, expanding
 // each chunk breadth-first with the batched PRG and writing every terminal
-// node's 128 selector bits as two words of out.
-func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) {
+// node's 128 selector bits as two words of out. Only the terminal nodes
+// covering the first leaves indices are evaluated; the bits from leaves
+// on are left zero.
+func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves, leaves int) {
 	words := out.Words()
+	defer clearFrom(words, leaves)
 	depth := len(k.CW)
 	if depth == 0 {
 		// The root is the only terminal node; its block covers all
@@ -113,10 +132,11 @@ func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) 
 	level := min(bits.Len(uint(workers))-1, depth)
 	perWorker := 1 << uint(depth-level)
 	chunkNodes := min(max(chunkLeaves/leafBits, 1), perWorker)
+	limit := (leaves + leafBits - 1) / leafBits
 	if level == 0 {
 		// One worker walks the whole tree on the calling goroutine, with
 		// no frontier or goroutine bookkeeping to allocate.
-		wk := k.newWalker(chunkNodes, words)
+		wk := k.newWalker(chunkNodes, words, limit)
 		wk.evalRange(node{k.RootSeed, k.RootT}, 0, 0, perWorker)
 		return
 	}
@@ -125,17 +145,27 @@ func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves int) 
 	frontier := k.expandToLevel(level)
 
 	var wg sync.WaitGroup
-	for w := 1; w < len(frontier); w++ {
+	for w := 1; w < len(frontier) && w*perWorker < limit; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := k.newWalker(chunkNodes, words)
+			wk := k.newWalker(chunkNodes, words, limit)
 			wk.evalRange(frontier[w], level, w*perWorker, perWorker)
 		}()
 	}
-	wk := k.newWalker(chunkNodes, words)
+	wk := k.newWalker(chunkNodes, words, limit)
 	wk.evalRange(frontier[0], level, 0, perWorker)
 	wg.Wait()
+}
+
+// clearFrom zeroes the bits from leaves on that the last evaluated
+// terminal node wrote; every later word was never written.
+func clearFrom(words []uint64, leaves int) {
+	if r := leaves % 64; r != 0 {
+		words[leaves/64] &= 1<<uint(r) - 1
+	}
+	end := (leaves + leafBits - 1) / leafBits * (leafBits / 64)
+	clear(words[(leaves+63)/64 : min(end, len(words))])
 }
 
 // expandToLevel runs breadth-first expansion from the root down to the
@@ -161,16 +191,18 @@ func (k *Key) expandToLevel(level int) []node {
 type walker struct {
 	k     *Key
 	words []uint64 // output vector storage; terminal node m owns words 2m, 2m+1
+	limit int      // terminal nodes from limit on are not evaluated
 	seeds []aesprf.Block
 	ts    []bool
 	tmp   []aesprf.Block
 }
 
-func (k *Key) newWalker(chunkNodes int, words []uint64) walker {
+func (k *Key) newWalker(chunkNodes int, words []uint64, limit int) walker {
 	buf := make([]aesprf.Block, chunkNodes+max(chunkNodes, 2))
 	return walker{
 		k:     k,
 		words: words,
+		limit: limit,
 		seeds: buf[:chunkNodes],
 		ts:    make([]bool, chunkNodes),
 		tmp:   buf[chunkNodes:],
@@ -178,9 +210,13 @@ func (k *Key) newWalker(chunkNodes int, words []uint64) walker {
 }
 
 // evalRange evaluates the subtree rooted at root, which sits at the given
-// depth and covers count terminal nodes starting at terminal index first.
+// depth and covers count terminal nodes starting at terminal index first,
+// skipping it when it lies wholly at or beyond the walker's limit.
 // Working-set memory is bounded by the walker's chunk size.
 func (w *walker) evalRange(root node, depth, first, count int) {
+	if first >= w.limit {
+		return
+	}
 	if count <= len(w.seeds) {
 		w.evalChunk(root, depth, first, count)
 		return
@@ -197,28 +233,33 @@ func (w *walker) evalRange(root node, depth, first, count int) {
 
 // evalChunk expands root breadth-first, in place, down to its count
 // terminal nodes, then converts each terminal seed into 128 selector bits
-// written straight into the output words.
+// written straight into the output words. Only the nodes below the
+// walker's limit are converted, and a level expands only the parents
+// with such a node beneath them.
 func (w *walker) evalChunk(root node, depth, first, count int) {
 	k, seeds, ts := w.k, w.seeds, w.ts
+	live := min(count, w.limit-first)
 	seeds[0], ts[0] = root.seed, root.t
 	for d, width := depth, 1; width < count; d, width = d+1, 2*width {
-		left, right := w.tmp[:width], w.tmp[width:2*width]
-		prg.ExpandBatch(seeds[:width], left, right)
+		span := count / width // terminal nodes under each parent
+		parents := (live + span - 1) / span
+		left, right := w.tmp[:parents], w.tmp[parents:2*parents]
+		prg.ExpandBatch(seeds[:parents], left, right)
 		// Children of node i go to 2i and 2i+1; walking i downwards never
 		// overwrites a parent still to be read.
-		for i := width - 1; i >= 0; i-- {
+		for i := parents - 1; i >= 0; i-- {
 			l, r := k.correct(split(left[i]), split(right[i]), ts[i], d)
 			seeds[2*i], ts[2*i] = l.seed, l.t
 			seeds[2*i+1], ts[2*i+1] = r.seed, r.t
 		}
 	}
 
-	conv := w.tmp[:count]
+	conv := w.tmp[:live]
 	for i := range conv {
 		convertCipher.Encrypt(conv[i][:], seeds[i][:])
 	}
 	cwLo, cwHi := blockWords(&k.LeafCW)
-	out := w.words[2*first : 2*(first+count)]
+	out := w.words[2*first : 2*(first+live)]
 	for i := range conv {
 		lo, hi := blockWords(&conv[i])
 		sLo, sHi := blockWords(&seeds[i])
@@ -233,5 +274,5 @@ func (w *walker) evalChunk(root node, depth, first, count int) {
 // evalLevelByLevel holds the whole terminal level in memory with one
 // worker and one chunk. Tests compare the production walker against it.
 func (k *Key) evalLevelByLevel(out *bitvec.Vector) {
-	k.evalSubtreeParallel(out, 1, 1<<uint(k.Domain))
+	k.evalSubtreeParallel(out, 1, 1<<uint(k.Domain), 1<<uint(k.Domain))
 }

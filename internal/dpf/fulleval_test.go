@@ -146,7 +146,7 @@ func TestEvalFullChunkSizes(t *testing.T) {
 	want := referenceFull(t, k0)
 	for _, chunk := range []int{1, 63, 64, 100, 128, 384, 1 << 10, 1 << 20} {
 		got := bitvec.New(1 << domain)
-		k0.evalSubtreeParallel(got, 4, chunk)
+		k0.evalSubtreeParallel(got, 4, chunk, 1<<domain)
 		if !got.Equal(want) {
 			t.Fatalf("chunk=%d: share mismatch", chunk)
 		}
@@ -197,15 +197,29 @@ func TestStrategyString(t *testing.T) {
 
 // FuzzEvalFull is the differential test for the full-domain walker: for
 // any domain, α, worker count and strategy, EvalFull must equal the
-// level-by-level oracle and, on 64 sampled indices, pointwise Eval.
+// level-by-level oracle and, on 64 sampled indices, pointwise Eval. With
+// a leaf bound N (leavesRaw > 0), the evaluation bounded to N leaves
+// under both strategies and 1–8 workers must equal the full one on
+// [0, N) and be zero beyond it.
 func FuzzEvalFull(f *testing.F) {
-	f.Add(uint8(0), uint64(0), uint8(1), false, int64(1))
-	f.Add(uint8(1), uint64(1), uint8(2), true, int64(2))
-	f.Add(uint8(6), uint64(13), uint8(4), false, int64(3))
-	f.Add(uint8(7), uint64(100), uint8(7), true, int64(4))
-	f.Add(uint8(12), uint64(4000), uint8(3), false, int64(5))
-	f.Add(uint8(16), uint64(65535), uint8(8), true, int64(6))
-	f.Fuzz(func(t *testing.T, domainRaw uint8, alphaRaw uint64, workersRaw uint8, bounded bool, seed int64) {
+	f.Add(uint8(0), uint64(0), uint8(1), false, int64(1), uint64(0))
+	f.Add(uint8(1), uint64(1), uint8(2), true, int64(2), uint64(0))
+	f.Add(uint8(6), uint64(13), uint8(4), false, int64(3), uint64(0))
+	f.Add(uint8(7), uint64(100), uint8(7), true, int64(4), uint64(0))
+	f.Add(uint8(12), uint64(4000), uint8(3), false, int64(5), uint64(0))
+	f.Add(uint8(16), uint64(65535), uint8(8), true, int64(6), uint64(0))
+	// Leaf bounds 1, 127, 128, 129, 2^d−1 and 2^d, and the 700 and
+	// 12,112 records of the non-power-of-two server tests.
+	f.Add(uint8(10), uint64(0), uint8(3), false, int64(7), uint64(1))
+	f.Add(uint8(9), uint64(126), uint8(2), true, int64(8), uint64(127))
+	f.Add(uint8(9), uint64(127), uint8(5), false, int64(9), uint64(128))
+	f.Add(uint8(7), uint64(127), uint8(1), true, int64(10), uint64(127))
+	f.Add(uint8(11), uint64(128), uint8(8), true, int64(11), uint64(129))
+	f.Add(uint8(13), uint64(8190), uint8(6), false, int64(12), uint64(8191))
+	f.Add(uint8(13), uint64(8191), uint8(4), true, int64(13), uint64(8192))
+	f.Add(uint8(10), uint64(699), uint8(8), false, int64(14), uint64(700))
+	f.Add(uint8(14), uint64(12111), uint8(8), true, int64(15), uint64(12112))
+	f.Fuzz(func(t *testing.T, domainRaw uint8, alphaRaw uint64, workersRaw uint8, bounded bool, seed int64, leavesRaw uint64) {
 		domain := int(domainRaw) % 25
 		n := 1 << uint(domain)
 		alpha := alphaRaw % uint64(n)
@@ -240,8 +254,50 @@ func FuzzEvalFull(f *testing.F) {
 						domain, alpha, opts, k.Party, x)
 				}
 			}
+			if leavesRaw == 0 {
+				continue
+			}
+			leaves := int((leavesRaw-1)%uint64(n)) + 1
+			for _, s := range allStrategies() {
+				for workers := 1; workers <= 8; workers++ {
+					opts := FullEvalOptions{Strategy: s, Workers: workers, Leaves: leaves}
+					prefix, err := k.EvalFull(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if x := firstPrefixMismatch(prefix, got, leaves); x >= 0 {
+						t.Fatalf("domain=%d alpha=%d %+v party %d: bit %d differs from the unbounded evaluation",
+							domain, alpha, opts, k.Party, x)
+					}
+				}
+			}
 		}
 	})
+}
+
+// firstPrefixMismatch returns the first index at which prefix differs
+// from full below leaves or is set from leaves on, or −1.
+func firstPrefixMismatch(prefix, full *bitvec.Vector, leaves int) int {
+	if prefix.Len() != full.Len() {
+		return 0
+	}
+	for x := 0; x < prefix.Len(); x++ {
+		if prefix.Bit(x) != (x < leaves && full.Bit(x)) {
+			return x
+		}
+	}
+	return -1
+}
+
+// TestEvalFullLeafBoundRejects: a bound beyond the domain or below zero
+// is an error, not a silent full evaluation.
+func TestEvalFullLeafBoundRejects(t *testing.T) {
+	k0, _ := mustGen(t, Params{Domain: 9}, 3)
+	for _, leaves := range []int{-1, 513} {
+		if _, err := k0.EvalFull(FullEvalOptions{Leaves: leaves}); err == nil {
+			t.Errorf("Leaves %d accepted on a 512-index domain", leaves)
+		}
+	}
 }
 
 func benchmarkEvalFull(b *testing.B, s Strategy, domain, workers int) {

@@ -2,12 +2,20 @@
 // same algorithm on three machines — IM-PIR on UPMEM, the 32-thread CPU
 // baseline and Lam et al.'s GPU — and so does this engine: every pass is
 // expand (DPF full-domain evaluation through dpf's shared front end, Alg.
-// 1 ➋), then scan (xorop's fused dpXOR over the padded database), then
-// price. Only the price differs by machine, so a machine is a Pricer: it
-// names the thread layout the measured stages run with, lays the
+// 1 ➋), then scan (xorop's fused dpXOR over the database), then price.
+// Only the price differs by machine, so a machine is a Pricer: it names
+// the thread layout the measured stages run with, lays the
 // database out on its modeled hardware, and turns a pass into the
 // latency that hardware would show. The CPU baseline's pricer lives
 // here; the GPU's is gpupir.Pricer and the PIM machine's impir.Pricer.
+//
+// An engine holds, expands and scans exactly the N records it was
+// loaded with. Clients query the 2^d index space of the smallest
+// covering domain, and the indices from N on name zero records, so
+// nothing is lost by never storing them: a key is evaluated only over
+// its first N leaves (dpf.FullEvalOptions.Leaves), the scan reads only
+// the first N bits of each selector, and the answers are bit-identical
+// to a scan of the zero-padded database.
 //
 // Answers are bit-exact whatever the pricer: any partition of the scan —
 // a CUDA grid, DPU chunks, CPU threads — XORs to the same bytes, and the
@@ -42,9 +50,13 @@ type Schedule struct {
 type Pass struct {
 	// In is the pass's keys or shares.
 	In dpf.Batch
-	// Selectors are the expanded selectors, one per query.
+	// Selectors are the expanded selectors, one per query. Each spans
+	// the 2^d index space and may be longer than DB: a key's selector is
+	// zero beyond DB's records, a share's tail bits are whatever the
+	// client sent, and the scan ignored them.
 	Selectors [][]uint64
-	// DB is the padded database the pass scanned.
+	// DB is the database the pass scanned: the N records loaded, with
+	// no padding.
 	DB *database.DB
 }
 
@@ -54,8 +66,8 @@ type Pricer interface {
 	Name() string
 	// Schedule returns the thread layout of a pass of the given width.
 	Schedule(width int) Schedule
-	// Layout places a padded database on the modeled machine. It runs
-	// at load time, never concurrently with Price.
+	// Layout places the loaded database's N records on the modeled
+	// machine. It runs at load time, never concurrently with Price.
 	Layout(db *database.DB) error
 	// Price returns the pass's modeled per-phase breakdown (its Wall
 	// columns zero; the engine measures those) and its modeled latency.
@@ -63,13 +75,14 @@ type Pricer interface {
 	Price(p Pass) (metrics.Breakdown, time.Duration, error)
 }
 
-// Engine is one PIR server's compute plane: a padded database replica
-// and the pricer of the machine it models. Passes may run concurrently;
-// LoadDatabase and ApplyUpdates must not run beside them (the request
-// scheduler quiesces passes around updates).
+// Engine is one PIR server's compute plane: its own copy of the N
+// records it was loaded with and the pricer of the machine it models.
+// Passes may run concurrently; LoadDatabase and ApplyUpdates must not
+// run beside them (the request scheduler quiesces passes around
+// updates).
 type Engine struct {
 	pricer Pricer
-	db     *database.DB // padded to a power of two
+	db     *database.DB // the loaded records, unpadded
 }
 
 // New builds an engine priced by p.
@@ -79,12 +92,13 @@ func New(p Pricer) *Engine { return &Engine{pricer: p} }
 // or "GPU-PIR".
 func (e *Engine) Name() string { return e.pricer.Name() }
 
-// Database returns the loaded (padded) database, or nil.
+// Database returns the engine's copy of the loaded database, or nil.
 func (e *Engine) Database() *database.DB { return e.db }
 
-// LoadDatabase replicates db, padded to a power of two, and lays it out
-// on the pricer's machine. Loading is a one-time cost outside query
-// latency, as in the paper's setups (§5.1).
+// LoadDatabase copies db's N records, so that updates to the engine and
+// to the caller's database stay independent, and lays them out on the
+// pricer's machine. Loading is a one-time cost outside query latency, as
+// in the paper's setups (§5.1).
 func (e *Engine) LoadDatabase(db *database.DB) error {
 	if db == nil {
 		return errors.New("engine: nil database")
@@ -92,11 +106,11 @@ func (e *Engine) LoadDatabase(db *database.DB) error {
 	if db.RecordSize()%8 != 0 {
 		return fmt.Errorf("engine: record size %d must be a multiple of 8", db.RecordSize())
 	}
-	padded := db.Replica()
-	if err := e.pricer.Layout(padded); err != nil {
+	own := db.Clone()
+	if err := e.pricer.Layout(own); err != nil {
 		return err
 	}
-	e.db = padded
+	e.db = own
 	return nil
 }
 
@@ -111,7 +125,7 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	b := in.Len()
 	s := e.pricer.Schedule(b)
 	start := time.Now()
-	sels, err := in.Expand(e.db.Domain(), s.ExpandWorkers, s.Strategy)
+	sels, err := in.Expand(e.db.NumRecords(), s.ExpandWorkers, s.Strategy)
 	if err != nil {
 		return nil, metrics.BatchStats{}, fmt.Errorf("engine: %w", err)
 	}
@@ -140,7 +154,7 @@ func (e *Engine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 
 // ApplyUpdates applies a §3.3 bulk update between passes, rewriting the
 // host copy every pass scans. Every entry is validated before any is
-// written.
+// written; an index at or beyond the N loaded records is refused.
 func (e *Engine) ApplyUpdates(updates map[uint64][]byte) error {
 	if e.db == nil {
 		return errors.New("engine: no database loaded")

@@ -123,6 +123,44 @@ func randomShares(rng *rand.Rand, width, records int) []*bitvec.Vector {
 	return shares
 }
 
+// TestLoadDatabaseHoldsItsRecords: under every pricer an engine holds
+// exactly the records it was loaded with — no padding, whether or not
+// the count is a power of two — in storage of its own, so updates to the
+// engine and to the caller's database stay apart, and an update naming a
+// row beyond the records is refused.
+func TestLoadDatabaseHoldsItsRecords(t *testing.T) {
+	for _, pr := range pricers {
+		for _, n := range []int{5, 8, 700} {
+			src, err := database.GenerateHashDB(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := pr.unloaded(t)
+			if err := e.LoadDatabase(src); err != nil {
+				t.Fatal(err)
+			}
+			own := e.Database()
+			if own.NumRecords() != n || !bytes.Equal(own.Data(), src.Data()) {
+				t.Fatalf("%s, %d records: engine holds %d records or other bytes", pr.name, n, own.NumRecords())
+			}
+			fresh := bytes.Repeat([]byte{0xEE}, 32)
+			if err := e.ApplyUpdates(map[uint64][]byte{0: fresh}); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(src.Record(0), fresh) {
+				t.Fatalf("%s, %d records: updating the engine changed the caller's database", pr.name, n)
+			}
+			src.SetRecord(1, fresh)
+			if bytes.Equal(own.Record(1), fresh) {
+				t.Fatalf("%s, %d records: the caller's write reached the engine", pr.name, n)
+			}
+			if err := e.ApplyUpdates(map[uint64][]byte{uint64(n): fresh}); err == nil {
+				t.Fatalf("%s, %d records: update of row %d accepted", pr.name, n, n)
+			}
+		}
+	}
+}
+
 // TestEngine runs the engine's execution cases under every pricer: the
 // answers must not depend on which machine prices them.
 func TestEngine(t *testing.T) {

@@ -266,13 +266,15 @@ func TestValidation(t *testing.T) {
 }
 
 // TestPassMatchesGridScan: the host scan the engine answers with must be
-// byte-equal with the thread-block grid the model describes, for grids
-// that split the selector words evenly, raggedly, or not at all.
+// byte-equal with the thread-block grid the model describes over the
+// zero-padded database, for grids that split the selector words evenly,
+// raggedly, or not at all, and for shares with random bits beyond the
+// engine's 3000 records.
 func TestPassMatchesGridScan(t *testing.T) {
 	const numRecords = 3000
 	rng := rand.New(rand.NewSource(7))
 	eng, _ := newLoaded(t, numRecords, Config{})
-	db := eng.Database()
+	db := eng.Database().PadToPowerOfTwo()
 	for _, blocks := range []int{1, 5, 47, 128} {
 		for _, b := range []int{1, 3, 9} {
 			shares := make([]*bitvec.Vector, b)

@@ -142,7 +142,7 @@ func (p *Pricer) Schedule(int) engine.Schedule {
 	}
 }
 
-// Layout lays the padded database out across every cluster's DPUs: each
+// Layout lays the database's N records out across every cluster's DPUs: each
 // DPU's share, the fused batch width, and whether the chunks stay
 // resident in MRAM (§3.3 "Database preloading", a one-time cost excluded
 // from query latency as in the paper, §5.1) or stream through it pass by

@@ -98,7 +98,8 @@ func (t MsgType) String() string {
 
 // Protocol versions carried in Hello frames. Version 2 is identical to
 // version 1 on every frame except that it permits the optional
-// trace-context extension (FlagTraceContext) on query/batch frames. A
+// trace-context extension (FlagTraceContext) on query/batch and update
+// frames (servers before update tracing accept it on queries only). A
 // server that accepts version 2 must also accept version 1; a client
 // whose version-2 hello is rejected downgrades to version 1 and simply
 // never attaches the extension.

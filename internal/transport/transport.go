@@ -315,7 +315,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.obs.IncRequest(name)
 		var root *obs.Span
 		payload := f.payload
-		if isQueryFrame(f.t) {
+		if isTracedFrame(f.t) {
 			var err error
 			root, payload, err = s.beginTrace(name, start, f.flags, f.payload)
 			if err != nil {
@@ -424,11 +424,13 @@ func frameName(t pirproto.MsgType) string {
 	}
 }
 
-// isQueryFrame reports whether t is dispatched through the scheduler's
-// query path — the frames a slow-query trace is meaningful for.
-func isQueryFrame(t pirproto.MsgType) bool {
+// isTracedFrame reports whether t may carry the wire trace context and
+// opens a server trace: the query frames dispatched through the
+// scheduler's query path, and updates.
+func isTracedFrame(t pirproto.MsgType) bool {
 	switch t {
-	case pirproto.MsgQuery, pirproto.MsgBatchQuery, pirproto.MsgShareQuery, pirproto.MsgShareBatchQuery:
+	case pirproto.MsgQuery, pirproto.MsgBatchQuery, pirproto.MsgShareQuery, pirproto.MsgShareBatchQuery,
+		pirproto.MsgUpdate:
 		return true
 	default:
 		return false
@@ -469,7 +471,9 @@ func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgTy
 			Party:      s.party,
 			Domain:     uint8(db.Domain()),
 			RecordSize: uint32(db.RecordSize()),
-			NumRecords: uint64(db.NumRecords()),
+			// The index space clients address: 2^d records, the
+			// engine's N and the zero records beyond them.
+			NumRecords: uint64(1) << db.Domain(),
 			Digest:     s.dispatcher.Digest(),
 		}
 		return fw.sendPayload(pirproto.MsgServerInfo, info.Marshal())
@@ -904,13 +908,14 @@ func (c *Conn) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([]
 // acknowledgement. Updates are an operator action, not a private query:
 // the server learns which records changed, by design. ctx bounds the
 // exchange; as with every exchange, abandoning it mid-flight poisons the
-// stream.
+// stream. Like a query, it carries ctx's wire trace context on a version
+// 2 connection.
 func (c *Conn) Update(ctx context.Context, updates map[uint64][]byte) error {
 	payload, err := pirproto.MarshalUpdate(updates)
 	if err != nil {
 		return err
 	}
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, false, func(b []byte) ([]byte, error) {
+	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, true, func(b []byte) ([]byte, error) {
 		return append(b, payload...), nil
 	})
 	if err != nil {

@@ -43,18 +43,26 @@ func NewAccumulators(n, recordSize int) [][]byte {
 // Scan is the one functional scan the server engine's pass answers with
 // (internal/engine), whichever pricer models it: it returns the B
 // subresults of sels over db, each the XOR of the records its selector
-// names. It runs on min(threads, GOMAXPROCS) workers, since
-// each worker allocates its own subset table and workers beyond the
-// cores buy no parallelism, and a lone selector runs on one worker (§5.1:
-// "a single CPU thread for each query").
+// names. A selector must cover db's N records and may be longer — a
+// key's selector spans its 2^d domain, a wire share carries random bits
+// there — and Scan reads only its first N bits: words past ⌈N/64⌉ are
+// never touched and the last one is masked, so db scans exactly as its
+// zero-padded form would, and no selector is copied or written. It runs
+// on min(threads, GOMAXPROCS) workers, since each worker allocates its
+// own subset table and workers beyond the cores buy no parallelism, and
+// a lone selector runs on one worker (§5.1: "a single CPU thread for
+// each query").
 func Scan(db []byte, recordSize int, sels [][]uint64, threads int) ([][]byte, error) {
 	if len(sels) == 1 {
 		threads = 1
 	}
 	accs := NewAccumulators(len(sels), recordSize)
-	if err := AccumulateBatchWorkers(accs, db, recordSize, sels, min(threads, runtime.GOMAXPROCS(0))); err != nil {
-		return nil, err
+	for q := range sels {
+		if err := checkShape(accs[q], db, recordSize, sels[q]); err != nil {
+			return nil, fmt.Errorf("xorop: batch selector %d: %w", q, err)
+		}
 	}
+	accumulateBatch(accs, db, recordSize, sels, min(threads, runtime.GOMAXPROCS(0)))
 	return accs, nil
 }
 
@@ -75,6 +83,13 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 			return fmt.Errorf("xorop: batch selector %d: %w", q, err)
 		}
 	}
+	accumulateBatch(accs, db, recordSize, sels, workers)
+	return nil
+}
+
+// accumulateBatch is the fused pass over selectors already checked to
+// cover db.
+func accumulateBatch(accs [][]byte, db []byte, recordSize int, sels [][]uint64, workers int) {
 	numRecords := len(db) / recordSize
 	groups := (numRecords + 63) / 64
 	if workers < 1 {
@@ -89,7 +104,7 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 		} else {
 			batchRangeTable(accs, db, recordSize, sels, 0, groups)
 		}
-		return nil
+		return
 	}
 
 	// Row-range partitioning: contiguous 64-record group ranges, one per
@@ -120,12 +135,9 @@ func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]u
 			continue
 		}
 		for q := range accs {
-			if err := XORBytes(accs[q], priv[q]); err != nil {
-				return err
-			}
+			subtle.XORBytes(accs[q], accs[q], priv[q])
 		}
 	}
-	return nil
 }
 
 // The subset table's width k is the largest value the three rules below
@@ -183,12 +195,18 @@ func batchRangeTable(accs [][]byte, db []byte, recordSize int, sels [][]uint64, 
 // records, one transpose8 turns the k selector bytes into the 8 records'
 // indices.
 func fillTable(table, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
+	numRecords := len(db) / recordSize
+	last, lastMask := (numRecords+63)/64-1, lastWordMask(numRecords)
 	var words [maxGroup]uint64
 	for w := gLo; w < gHi; w++ {
+		mask := ^uint64(0)
+		if w == last {
+			mask = lastMask
+		}
 		var union uint64
 		for q, s := range sels {
-			words[q] = s[w]
-			union |= s[w]
+			words[q] = s[w] & mask
+			union |= words[q]
 		}
 		if union == 0 {
 			continue

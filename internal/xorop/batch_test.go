@@ -2,8 +2,11 @@ package xorop
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
@@ -149,6 +152,35 @@ func TestScan(t *testing.T) {
 	if _, err := Scan(db, recordSize, [][]uint64{make([]uint64, 1)}, 1); err == nil {
 		t.Error("Scan accepted a selector shorter than the database")
 	}
+
+	// Selectors set on all 1024 bits of the padded index space over 700
+	// records: every width-1 kernel (scalar, 32-byte, wide) and the
+	// fused table must read the first 700 bits only.
+	for _, rs := range []int{1, 32, 104} {
+		db := buildDB(700, rs, 13)
+		want := make([]byte, rs)
+		for i := range 700 {
+			subtle.XORBytes(want, want, db[i*rs:(i+1)*rs])
+		}
+		for _, batch := range []int{1, 3} {
+			sels := make([][]uint64, batch)
+			for q := range sels {
+				sels[q] = make([]uint64, 16)
+				for w := range sels[q] {
+					sels[q][w] = ^uint64(0)
+				}
+			}
+			got, err := Scan(db, rs, sels, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := range got {
+				if !bytes.Equal(got[q], want) || sels[q][15] != ^uint64(0) {
+					t.Fatalf("rs=%d B=%d selector %d: read a bit beyond the 700 records, or wrote the selector", rs, batch, q)
+				}
+			}
+		}
+	}
 }
 
 func TestAccumulateBatchValidation(t *testing.T) {
@@ -231,19 +263,27 @@ func TestAccumulateBatchTableAllocs(t *testing.T) {
 
 // FuzzAccumulateBatch differentially fuzzes the fused kernel against B
 // independent Accumulate calls over random record sizes, record counts
-// (up to 256 KiB of records), batch widths 1…33 (across the subset
+// (up to 2 MiB of records), batch widths 1…33 (across the subset
 // table's 8-selector group edges), worker counts and selector contents
-// — including the tail-bit rejection path.
+// — including the tail-bit rejection path. Scan, given the same records
+// and selectors that span the padded 2^d domain with random bits beyond
+// the records, must answer as Accumulate over the zero-padded database
+// does and leave every selector as it was.
 func FuzzAccumulateBatch(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(0), uint8(4))
 	f.Add(int64(7), uint16(1), uint8(3), uint8(1))
 	f.Add(int64(99), uint16(400), uint8(5), uint8(9))
 	f.Add(int64(3), uint16(4000), uint8(8), uint8(16))
 	f.Add(int64(5), uint16(63), uint8(9), uint8(32))
+	// A 700 × 32 B database and a 12,112 × 104 B kv_sharded_mixed shard.
+	f.Add(int64(11), uint16(699), uint8(4), uint8(1))
+	f.Add(int64(12), uint16(699), uint8(4), uint8(8))
+	f.Add(int64(13), uint16(12111), uint8(8), uint8(1))
+	f.Add(int64(14), uint16(12111), uint8(8), uint8(12))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, sizeSel, batchRaw uint8) {
 		sizes := []int{1, 8, 13, 24, 32, 40, 64, 96, 104, 4096}
 		recordSize := sizes[int(sizeSel)%len(sizes)]
-		n := min(int(nRaw)%4096+1, 256<<10/recordSize)
+		n := min(int(nRaw)%16384+1, 2<<20/recordSize)
 		batch := int(batchRaw)%33 + 1
 
 		db := buildDB(n, recordSize, seed)
@@ -267,6 +307,32 @@ func FuzzAccumulateBatch(f *testing.F) {
 			for q := range accs {
 				if !bytes.Equal(accs[q], want[q]) {
 					t.Fatalf("workers=%d selector %d: fused != independent", workers, q)
+				}
+			}
+		}
+
+		padded := 1 << bits.Len(uint(n-1))
+		paddedDB := append(db[:len(db):len(db)], make([]byte, (padded-n)*recordSize)...)
+		long := selectorWords(batchSelectors(padded, batch, seed+29))
+		before := make([][]uint64, batch)
+		for q := range long {
+			before[q] = slices.Clone(long[q])
+		}
+		for _, threads := range []int{1, 2, 3} {
+			got, err := Scan(db, recordSize, long, threads)
+			if err != nil {
+				t.Fatalf("Scan(threads=%d): %v", threads, err)
+			}
+			for q := range got {
+				want := make([]byte, recordSize)
+				if err := Accumulate(want, paddedDB, recordSize, long[q]); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[q], want) {
+					t.Fatalf("threads=%d selector %d: scan of %d records != padded oracle", threads, q, n)
+				}
+				if !slices.Equal(long[q], before[q]) {
+					t.Fatalf("threads=%d: Scan changed selector %d", threads, q)
 				}
 			}
 		}

@@ -29,7 +29,8 @@ import (
 // db holds len(db)/recordSize records of recordSize bytes each; acc must
 // be exactly recordSize bytes; sel is a packed little-endian bit vector
 // (bit i = word i/64, position i%64) with at least one bit per record and
-// zeroed tail bits beyond the record count.
+// zeroed tail bits beyond the record count. (Scan is the entry that
+// ignores tail bits instead.)
 //
 // Dispatches to a record-size-specialised kernel when one exists.
 func Accumulate(acc, db []byte, recordSize int, sel []uint64) error {
@@ -62,7 +63,32 @@ func AccumulateScalar(acc, db []byte, recordSize int, sel []uint64) error {
 	return nil
 }
 
+// validate checks an Accumulate call: checkShape, plus zero selector
+// bits beyond the record count, since a selector of exactly db's records
+// that names one it lacks is the caller's bug. Scan, whose selectors
+// span a larger index space, checks only the shape.
 func validate(acc, db []byte, recordSize int, sel []uint64) error {
+	if err := checkShape(acc, db, recordSize, sel); err != nil {
+		return err
+	}
+	numRecords := len(db) / recordSize
+	if tail := numRecords % 64; tail != 0 {
+		if sel[numRecords/64]>>uint(tail) != 0 {
+			return fmt.Errorf("xorop: selector has set bits beyond record %d", numRecords)
+		}
+	}
+	for w := (numRecords + 63) / 64; w < len(sel); w++ {
+		if sel[w] != 0 {
+			return fmt.Errorf("xorop: selector word %d set beyond record count", w)
+		}
+	}
+	return nil
+}
+
+// checkShape checks the geometry of a scan: a positive record size, a
+// whole number of records, an accumulator of one record and a selector
+// with at least one bit per record.
+func checkShape(acc, db []byte, recordSize int, sel []uint64) error {
 	if recordSize <= 0 {
 		return fmt.Errorf("xorop: record size %d must be positive", recordSize)
 	}
@@ -76,18 +102,23 @@ func validate(acc, db []byte, recordSize int, sel []uint64) error {
 	if len(sel)*64 < numRecords {
 		return fmt.Errorf("xorop: selector holds %d bits for %d records", len(sel)*64, numRecords)
 	}
-	// Tail bits beyond numRecords must be zero or we would read past db.
-	if tail := numRecords % 64; tail != 0 {
-		if sel[numRecords/64]>>uint(tail) != 0 {
-			return fmt.Errorf("xorop: selector has set bits beyond record %d", numRecords)
-		}
-	}
-	for w := (numRecords + 63) / 64; w < len(sel); w++ {
-		if sel[w] != 0 {
-			return fmt.Errorf("xorop: selector word %d set beyond record count", w)
-		}
-	}
 	return nil
+}
+
+// recordWords returns the selector words that cover numRecords records
+// and the mask of the last word's bits that name one. Every kernel reads
+// only these, so bits beyond the records never reach past db.
+func recordWords(sel []uint64, numRecords int) ([]uint64, uint64) {
+	return sel[:(numRecords+63)/64], lastWordMask(numRecords)
+}
+
+// lastWordMask masks the bits of a selector's last covering word that
+// name one of numRecords records.
+func lastWordMask(numRecords int) uint64 {
+	if r := numRecords % 64; r != 0 {
+		return 1<<uint(r) - 1
+	}
+	return ^uint64(0)
 }
 
 func accumulateScalar(acc, db []byte, recordSize int, sel []uint64) {
@@ -109,8 +140,13 @@ func accumulateScalar(acc, db []byte, recordSize int, sel []uint64) {
 // records with a single compare.
 func accumulate32(acc, db []byte, sel []uint64) {
 	le := binary.LittleEndian
+	sel, lastMask := recordWords(sel, len(db)/32)
+	last := len(sel) - 1
 	var a0, a1, a2, a3 uint64
 	for w, word := range sel {
+		if w == last {
+			word &= lastMask
+		}
 		if word == 0 {
 			continue
 		}
@@ -150,7 +186,12 @@ func accumulateWide(acc, db []byte, recordSize int, sel []uint64) {
 	} else {
 		tmp = make([]uint64, words)
 	}
+	sel, lastMask := recordWords(sel, len(db)/recordSize)
+	last := len(sel) - 1
 	for w, word := range sel {
+		if w == last {
+			word &= lastMask
+		}
 		if word == 0 {
 			continue
 		}

@@ -270,9 +270,12 @@ func shrinkPIM(cfg pim.Config, n int) pim.Config {
 	return cfg
 }
 
-// Load replicates the database into the server's engine. Under the PIM
-// pricer this also lays it out on the modeled DPUs' MRAM, a one-time
-// cost outside the query path.
+// Load copies the database's N records into the server's engine, with no
+// padding. Under the PIM pricer this also lays them out on the modeled
+// DPUs' MRAM, a one-time cost outside the query path. Clients still see
+// the padded index space of 2^d records: the hello reports 2^d records
+// and the padded form's digest (DB.Digest), and an index from N on
+// retrieves zeros.
 // A successful load satisfies the db-loaded readiness condition.
 func (s *Server) Load(db *DB) error {
 	if err := s.eng.LoadDatabase(db); err != nil {
@@ -286,7 +289,8 @@ func (s *Server) Load(db *DB) error {
 // "CPU-PIR" or "GPU-PIR".
 func (s *Server) EngineName() string { return s.eng.Name() }
 
-// Database returns the loaded (power-of-two padded) database, or nil.
+// Database returns the engine's copy of the loaded database — the N
+// records Load was given, unpadded — or nil.
 func (s *Server) Database() *DB { return s.eng.Database() }
 
 // Answer processes one query key through the scheduler and returns this
@@ -313,8 +317,10 @@ func (s *Server) AnswerBatch(ctx context.Context, keys []*Key) ([][]byte, BatchS
 // Update applies a bulk record update to the loaded database replica
 // (§3.3 of the paper): updates maps record index to its new contents
 // (exactly RecordSize bytes each). It rewrites the host copy every pass
-// scans, whichever pricer models the pass. Callers must update every
-// server of a deployment identically.
+// scans, whichever pricer models the pass. An index at or beyond the N
+// loaded records is refused: the padding beyond them is not stored and
+// always reads as zeros. Callers must update every server of a
+// deployment identically.
 //
 // Update is safe to call while queries are in flight: the scheduler
 // quiesces — it drains the executing engine pass, applies the update

@@ -1,9 +1,13 @@
 package impir
 
 import (
+	"bytes"
+	"context"
+	"strings"
 	"testing"
 
 	"github.com/impir/impir/internal/pim"
+	"github.com/impir/impir/internal/transport"
 )
 
 func TestShrinkPIM(t *testing.T) {
@@ -80,5 +84,55 @@ func TestZeroConfigIsPaperSetup(t *testing.T) {
 	defer srv.Close()
 	if srv.EngineName() != "IM-PIR" {
 		t.Fatalf("zero config engine = %q, want IM-PIR", srv.EngineName())
+	}
+}
+
+// TestServerHoldsUnpaddedRecords pins a server loaded with 700 × 32 B:
+// it holds exactly those records, while its hello describes the padded
+// 1024-record index space clients address — the digest included — so
+// an index in the padding retrieves zeros and an update there is
+// refused, naming the 700 records.
+func TestServerHoldsUnpaddedRecords(t *testing.T) {
+	db, err := GenerateHashDB(700, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, servers := startShardCohort(t, db, 2)
+	if got := len(servers[0].Database().Data()); got != 700*32 {
+		t.Fatalf("server holds %d bytes, want %d", got, 700*32)
+	}
+	ctx := context.Background()
+	conn, err := transport.Dial(ctx, addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	info := conn.Info()
+	if info.Domain != 10 || info.NumRecords != 1024 || info.Digest != db.PadToPowerOfTwo().Digest() {
+		t.Fatalf("hello = domain %d, %d records, digest %x; want 10, 1024, the padded digest",
+			info.Domain, info.NumRecords, info.Digest[:4])
+	}
+
+	store, err := Open(ctx, FlatDeployment(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	zero := make([]byte, 32)
+	if rec, err := store.Retrieve(ctx, 800); err != nil || !bytes.Equal(rec, zero) {
+		t.Fatalf("Retrieve(800) = %x, %v; want zeros", rec, err)
+	}
+	if rec, err := store.Retrieve(ctx, 699); err != nil || !bytes.Equal(rec, db.Record(699)) {
+		t.Fatalf("Retrieve(699) = %x, %v", rec, err)
+	}
+	fresh := bytes.Repeat([]byte{0xAB}, 32)
+	if err := servers[0].Update(map[uint64][]byte{800: fresh}); err == nil || !strings.Contains(err.Error(), "700") {
+		t.Fatalf("Update(800) = %v, want a refusal naming the 700 records", err)
+	}
+	if err := store.Update(ctx, map[uint64][]byte{800: fresh}); err == nil {
+		t.Fatal("client Update(800) accepted")
+	}
+	if rec, err := store.Retrieve(ctx, 800); err != nil || !bytes.Equal(rec, zero) {
+		t.Fatalf("Retrieve(800) after the refused update = %x, %v; want zeros", rec, err)
 	}
 }
