@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/naivepir"
+	"github.com/impir/impir/internal/pirproto"
 	"github.com/impir/impir/internal/transport"
 )
 
@@ -94,21 +94,29 @@ type geometry struct {
 }
 
 // serverQuery is one party's portion of an encoded sub-query: one DPF
-// key or one selector share per index, sent as one batch frame when
-// batch is true and otherwise as a single-query frame for the one index.
+// key or one selector share per index, sent as one query frame — a
+// batch frame, or a single-query frame for the one index.
 type serverQuery struct {
-	keys   []*dpf.Key
-	shares []*bitvec.Vector
-	batch  bool
+	frame pirproto.MsgType
+	in    dpf.Batch
 }
 
 // encode produces one query per party covering every index under the
 // resolved scheme e. Selector shares cover the padded index space: the
 // servers pad databases to powers of two, so shares must match.
 func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) ([]serverQuery, error) {
+	frame := pirproto.MsgQuery
+	switch {
+	case e == EncodingDPF && batch:
+		frame = pirproto.MsgBatchQuery
+	case batch:
+		frame = pirproto.MsgShareBatchQuery
+	case e != EncodingDPF:
+		frame = pirproto.MsgShareQuery
+	}
 	out := make([]serverQuery, parties)
 	for p := range out {
-		out[p].batch = batch
+		out[p].frame = frame
 	}
 	for _, idx := range indices {
 		if e == EncodingDPF {
@@ -116,7 +124,7 @@ func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) (
 			if err != nil {
 				return nil, err
 			}
-			out[0].keys, out[1].keys = append(out[0].keys, k0), append(out[1].keys, k1)
+			out[0].in.Keys, out[1].in.Keys = append(out[0].in.Keys, k0), append(out[1].in.Keys, k1)
 			continue
 		}
 		q, err := naivepir.Gen(nil, int(g.numRecords), idx, parties)
@@ -124,7 +132,7 @@ func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) (
 			return nil, err
 		}
 		for p, share := range q.Shares {
-			out[p].shares = append(out[p].shares, share)
+			out[p].in.Shares = append(out[p].in.Shares, share)
 		}
 	}
 	return out, nil
@@ -133,17 +141,5 @@ func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) (
 // do executes the query against one server's connection and returns one
 // subresult per encoded index.
 func (q serverQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	var r []byte
-	var err error
-	switch {
-	case q.keys != nil && q.batch:
-		return c.QueryBatch(ctx, q.keys)
-	case q.batch:
-		return c.QueryShareBatch(ctx, q.shares)
-	case q.keys != nil:
-		r, err = c.Query(ctx, q.keys[0])
-	default:
-		r, err = c.QueryShare(ctx, q.shares[0])
-	}
-	return [][]byte{r}, err
+	return c.Exchange(ctx, q.frame, q.in)
 }

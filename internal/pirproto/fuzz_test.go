@@ -2,7 +2,12 @@ package pirproto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
+
+	"github.com/impir/impir/internal/bitvec"
+	"github.com/impir/impir/internal/dpf"
 )
 
 // FuzzParseBatch hardens the batch decoder against adversarial payloads.
@@ -99,6 +104,60 @@ func FuzzParseUpdate(f *testing.F) {
 		}
 		if !bytes.Equal(canonical, back) {
 			t.Fatal("canonical form is not a fixed point of the codec")
+		}
+	})
+}
+
+// queryFrames are the four frame types ParseQuery decodes.
+var queryFrames = [...]MsgType{MsgQuery, MsgBatchQuery, MsgShareQuery, MsgShareBatchQuery}
+
+// FuzzParseQuery hardens the one query-frame decoder the server feeds
+// every untrusted query payload — DPF keys and selector shares, single
+// and batched: never panic, and every accepted payload re-encodes to one
+// that decodes to the same batch. (Bytes need not match: a share's tail
+// bits beyond its length are cleared on decode.)
+func FuzzParseQuery(f *testing.F) {
+	k0, _, err := dpf.Gen(dpf.Params{Domain: 8}, 3, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	share := bitvec.New(256)
+	share.Set(3)
+	keys := dpf.Batch{Keys: []*dpf.Key{k0, k0}}
+	shares := dpf.Batch{Shares: []*bitvec.Vector{share, share}}
+	for i, in := range []dpf.Batch{{Keys: keys.Keys[:1]}, keys, {Shares: shares.Shares[:1]}, shares} {
+		payload, err := AppendQuery(nil, queryFrames[i], in)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), payload)
+		f.Add(uint8(i), payload[:len(payload)/2]) // truncated
+		if i%2 == 1 {
+			oversized := bytes.Clone(payload)
+			binary.LittleEndian.PutUint32(oversized, 3) // one more item than present
+			f.Add(uint8(i), oversized)
+			binary.LittleEndian.PutUint32(oversized, 1<<20+1) // beyond the batch limit
+			f.Add(uint8(i), oversized)
+		}
+	}
+	f.Add(uint8(1), []byte{0, 0, 0, 0}) // an empty batch
+
+	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
+		frame := queryFrames[int(sel)%len(queryFrames)]
+		in, err := ParseQuery(frame, payload)
+		if err != nil {
+			return
+		}
+		again, err := AppendQuery(nil, frame, in)
+		if err != nil {
+			t.Fatalf("%v: accepted batch fails re-encode: %v", frame, err)
+		}
+		back, err := ParseQuery(frame, again)
+		if err != nil {
+			t.Fatalf("%v: re-encoded batch fails to decode: %v", frame, err)
+		}
+		if !reflect.DeepEqual(back, in) {
+			t.Fatalf("%v: round trip changed the batch", frame)
 		}
 	})
 }

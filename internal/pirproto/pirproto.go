@@ -21,6 +21,9 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"github.com/impir/impir/internal/bitvec"
+	"github.com/impir/impir/internal/dpf"
 )
 
 // MsgType identifies a frame's payload.
@@ -94,6 +97,96 @@ func (t MsgType) String() string {
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
+}
+
+// Label names a frame a server receives the way its metrics and trace
+// spans do — "query", "batch", "share", "share_batch", "update", "hello"
+// or "unknown" — and reports whether the frame is traced: the four query
+// frames and updates may carry the trace context and open a
+// server.<label> span.
+func (t MsgType) Label() (label string, traced bool) {
+	switch t {
+	case MsgHello:
+		return "hello", false
+	case MsgQuery:
+		return "query", true
+	case MsgBatchQuery:
+		return "batch", true
+	case MsgShareQuery:
+		return "share", true
+	case MsgShareBatchQuery:
+		return "share_batch", true
+	case MsgUpdate:
+		return "update", true
+	}
+	return "unknown", false
+}
+
+// AppendQuery appends the payload of query frame t carrying in: the one
+// key of a MsgQuery, the one share of a MsgShareQuery, or the list of a
+// MsgBatchQuery (keys) or MsgShareBatchQuery (shares). A batch that does
+// not fit the frame is an error. ParseQuery inverts it.
+func AppendQuery(dst []byte, t MsgType, in dpf.Batch) ([]byte, error) {
+	keys, shares := len(in.Keys), len(in.Shares)
+	switch {
+	case t == MsgQuery && keys == 1 && shares == 0:
+		return in.Keys[0].AppendBinary(dst)
+	case t == MsgShareQuery && shares == 1 && keys == 0:
+		return in.Shares[0].AppendBinary(dst)
+	case t == MsgBatchQuery && shares == 0:
+		return AppendBatchOf(dst, in.Keys, (*dpf.Key).AppendBinary)
+	case t == MsgShareBatchQuery && keys == 0:
+		return AppendBatchOf(dst, in.Shares, (*bitvec.Vector).AppendBinary)
+	}
+	return dst, fmt.Errorf("pirproto: %d keys and %d shares do not fit a %v frame", keys, shares, t)
+}
+
+// ParseQuery decodes the payload of query frame t into the batch it
+// carries: one key or share for a single frame, a non-empty list for a
+// batch frame. It is the server's one decoder of untrusted query bytes.
+func ParseQuery(t MsgType, payload []byte) (dpf.Batch, error) {
+	items := [][]byte{payload}
+	switch t {
+	case MsgQuery, MsgShareQuery:
+	case MsgBatchQuery, MsgShareBatchQuery:
+		var err error
+		if items, err = ParseBatch(payload); err != nil {
+			return dpf.Batch{}, err
+		}
+		if len(items) == 0 {
+			return dpf.Batch{}, errors.New("empty batch")
+		}
+	default:
+		return dpf.Batch{}, fmt.Errorf("unexpected frame %v", t)
+	}
+	var in dpf.Batch
+	var err error
+	if t == MsgQuery || t == MsgBatchQuery {
+		in.Keys, err = parseEach[dpf.Key](items, "key")
+	} else {
+		in.Shares, err = parseEach[bitvec.Vector](items, "share")
+	}
+	if err != nil {
+		return dpf.Batch{}, err
+	}
+	return in, nil
+}
+
+// parseEach decodes every item into its own T, all of them in one
+// allocation.
+func parseEach[T any, P interface {
+	*T
+	UnmarshalBinary([]byte) error
+}](items [][]byte, what string) ([]*T, error) {
+	vals := make([]T, len(items))
+	out := make([]*T, len(items))
+	for i, it := range items {
+		if err := P(&vals[i]).UnmarshalBinary(it); err != nil {
+			return nil, fmt.Errorf("bad %s %d: %w", what, i, err)
+		}
+		out[i] = &vals[i]
+	}
+	return out, nil
 }
 
 // Protocol versions carried in Hello frames. Version 2 is identical to

@@ -6,6 +6,9 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"github.com/impir/impir/internal/bitvec"
+	"github.com/impir/impir/internal/dpf"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -174,6 +177,55 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgType(200).String() == "" {
 		t.Error("unknown type has empty name")
+	}
+}
+
+// TestLabel pins the frame labels metrics and server spans carry, and
+// which frames are traced.
+func TestLabel(t *testing.T) {
+	for typ, want := range map[MsgType]struct {
+		label  string
+		traced bool
+	}{
+		MsgHello: {"hello", false}, MsgQuery: {"query", true}, MsgBatchQuery: {"batch", true},
+		MsgShareQuery: {"share", true}, MsgShareBatchQuery: {"share_batch", true},
+		MsgUpdate: {"update", true}, MsgQueryResp: {"unknown", false}, MsgType(200): {"unknown", false},
+	} {
+		if label, traced := typ.Label(); label != want.label || traced != want.traced {
+			t.Errorf("%v.Label() = %q, %v; want %q, %v", typ, label, traced, want.label, want.traced)
+		}
+	}
+}
+
+// TestQueryCodecRejectsMisfits: a batch is only encoded into a frame
+// that can carry it, and only query frames decode.
+func TestQueryCodecRejectsMisfits(t *testing.T) {
+	k, _, err := dpf.Gen(dpf.Params{Domain: 4}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := bitvec.New(16)
+	for _, c := range []struct {
+		t  MsgType
+		in dpf.Batch
+	}{
+		{MsgQuery, dpf.Batch{Keys: []*dpf.Key{k, k}}},
+		{MsgQuery, dpf.Batch{Shares: []*bitvec.Vector{share}}},
+		{MsgShareQuery, dpf.Batch{}},
+		{MsgBatchQuery, dpf.Batch{Keys: []*dpf.Key{k}, Shares: []*bitvec.Vector{share}}},
+		{MsgShareBatchQuery, dpf.Batch{Keys: []*dpf.Key{k}}},
+		{MsgHello, dpf.Batch{Keys: []*dpf.Key{k}}},
+	} {
+		if _, err := AppendQuery(nil, c.t, c.in); err == nil {
+			t.Errorf("%v frame accepted %d keys and %d shares", c.t, len(c.in.Keys), len(c.in.Shares))
+		}
+	}
+	if _, err := ParseQuery(MsgUpdate, nil); err == nil {
+		t.Error("ParseQuery decoded an update frame")
+	}
+	empty, _ := MarshalBatch(nil)
+	if _, err := ParseQuery(MsgShareBatchQuery, empty); err == nil {
+		t.Error("ParseQuery accepted an empty batch")
 	}
 }
 

@@ -50,7 +50,7 @@ func benchScheduler(b *testing.B, window time.Duration) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				if _, _, err := s.Query(ctx, keys[c]); err != nil {
+				if _, _, err := query(ctx, s, keys[c]); err != nil {
 					b.Error(err)
 				}
 			}(c)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/obs"
+	"github.com/impir/impir/internal/pirproto"
 )
 
 // gatedEngine blocks ApplyUpdates on a channel so a test can hold the
@@ -94,7 +95,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	// never failed.
 	queryDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Query(context.Background(), fakeKey)
+		_, _, err := query(context.Background(), s, fakeKey)
 		queryDone <- err
 	}()
 	select {
@@ -137,13 +138,13 @@ func TestObsStageObservations(t *testing.T) {
 	s := newSched(t, &fakeEngine{}, Config{QueueDepth: 64, Obs: obs.NewServerMetrics(reg)})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, _, err := s.Query(ctx, fakeKey); err != nil {
+		if _, _, err := query(ctx, s, fakeKey); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A batch-8 pass adds one phase sample: the pass's whole 1 ms dpXOR.
 	keys := []*dpf.Key{fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey, fakeKey}
-	if _, _, err := s.QueryBatch(ctx, keys); err != nil {
+	if _, _, err := s.Query(ctx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

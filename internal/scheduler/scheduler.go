@@ -8,12 +8,13 @@
 //   - Admission: a bounded queue absorbs bursts; when it is full the
 //     submitter gets ErrBusy immediately instead of stalling the TCP
 //     accept loop (the transport turns ErrBusy into a MsgBusy frame).
-//   - Coalescing: single queries arriving from different connections
-//     within a configurable window are gathered into one §3.4 engine
-//     pass — the batch pipeline's amortisation (Fig. 8 of the paper)
-//     applied across clients, not just within one client's batch. Each
-//     key is checked first, so a bad one fails only its own sender, and
-//     the subresults are demultiplexed back to each waiter.
+//   - Coalescing: MsgQuery frames — single DPF keys — arriving from
+//     different connections within a configurable window are gathered
+//     into one §3.4 engine pass — the batch pipeline's amortisation
+//     (Fig. 8 of the paper) applied across clients, not just within one
+//     client's batch. Each key is checked first, so a bad one fails only
+//     its own sender, and the subresults are demultiplexed back to each
+//     waiter.
 //   - Cancellation: a request whose context dies while queued is
 //     dequeued and completed with the context error; the engine never
 //     spends a pass on a dead client.
@@ -21,8 +22,10 @@
 //     bulk update atomically, bumps the database epoch, and resumes —
 //     queries and updates may now be issued concurrently.
 //
-// One Scheduler wraps one engine. The transport server talks to it
-// through the context-aware Dispatcher interface it satisfies.
+// One Scheduler wraps one engine and has one query entry, Query, which
+// takes a decoded query frame — its type and the dpf.Batch it carries —
+// whichever of the four query frames it is. The transport server talks
+// to it through the context-aware Dispatcher interface it satisfies.
 package scheduler
 
 import (
@@ -33,11 +36,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
+	"github.com/impir/impir/internal/pirproto"
 )
 
 // Engine is the compute plane under the scheduler: the server engine
@@ -66,11 +69,11 @@ type Config struct {
 	// QueueDepth bounds the admission queue; submissions beyond it fail
 	// with ErrBusy. 0 means 256; negative is an error.
 	QueueDepth int
-	// CoalesceWindow is how long the dispatcher holds the first single
-	// query of a pass to gather concurrent ones into one batch pass.
-	// 0 disables coalescing: every single query runs as its own pass.
+	// CoalesceWindow is how long the dispatcher holds the first MsgQuery
+	// frame of a pass to gather concurrent ones into one batch pass.
+	// 0 disables coalescing: every frame runs as its own pass.
 	CoalesceWindow time.Duration
-	// MaxCoalesce caps how many single queries one coalesced pass may
+	// MaxCoalesce caps how many MsgQuery frames one coalesced pass may
 	// serve. 0 means 64; negative is an error.
 	MaxCoalesce int
 	// Obs is the metric bundle the scheduler counts into: its
@@ -104,39 +107,12 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-type reqKind int
-
-const (
-	reqQuery      reqKind = iota + 1 // one DPF key; coalescable
-	reqBatch                         // a client's explicit key batch
-	reqShare                         // one selector share
-	reqShareBatch                    // a client's explicit share batch
-)
-
-// frame names the request kind the way the wire and the exported
-// metrics do, so a scheduler-side histogram sample and a transport-side
-// counter for the same request always share one frame label.
-func (k reqKind) frame() string {
-	switch k {
-	case reqQuery:
-		return "query"
-	case reqBatch:
-		return "batch"
-	case reqShare:
-		return "share"
-	case reqShareBatch:
-		return "share_batch"
-	default:
-		return "unknown"
-	}
-}
-
 // request is one queued unit of work plus the channel its submitter
 // waits on. The dispatcher writes the result fields before closing done;
 // a submitter that stops waiting (context death) simply never reads
 // them.
 type request struct {
-	kind     reqKind
+	frame    pirproto.MsgType
 	ctx      context.Context
 	in       dpf.Batch
 	enqueued time.Time
@@ -145,11 +121,6 @@ type request struct {
 	results [][]byte
 	stats   metrics.BatchStats
 	err     error
-}
-
-func (r *request) complete(err error) {
-	r.err = err
-	close(r.done)
 }
 
 // Scheduler is the admission/dispatch layer for one engine. All methods
@@ -209,9 +180,6 @@ func New(eng Engine, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Name reports the underlying engine's name.
-func (s *Scheduler) Name() string { return s.eng.Name() }
-
 // Database returns the engine's loaded database, or nil.
 func (s *Scheduler) Database() *database.DB { return s.eng.Database() }
 
@@ -267,69 +235,34 @@ func (s *Scheduler) submit(req *request) error {
 // Drain's pending==0 check has no window where a dequeued-but-unserved
 // request is invisible.
 func (s *Scheduler) finish(req *request, err error) {
-	req.complete(err)
+	req.err = err
+	close(req.done)
 	s.mu.Lock()
 	s.pending--
 	s.mu.Unlock()
 }
 
-// wait blocks until the dispatcher completes the request or the context
-// dies. A request abandoned while queued is dequeued by the dispatcher
-// (its context error is observed there) — no engine pass is spent on it.
-func (s *Scheduler) wait(req *request) error {
-	select {
-	case <-req.done:
-		return req.err
-	case <-req.ctx.Done():
-		// The dispatcher will skip the request when it reaches it; the
-		// submitter does not linger for that.
-		return req.ctx.Err()
+// Query schedules the batch a query frame of type frame carries and
+// waits for its pass, returning one subresult per query in order. A
+// MsgQuery frame — one DPF key — may be coalesced with concurrent ones
+// from other submitters; any other frame is admitted as one unit, whole
+// or rejected busy, and runs as its own pass.
+func (s *Scheduler) Query(ctx context.Context, frame pirproto.MsgType, in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
+	if frame == pirproto.MsgQuery && (len(in.Keys) != 1 || len(in.Shares) != 0) {
+		return nil, metrics.BatchStats{}, errors.New("scheduler: a MsgQuery frame carries exactly one key")
 	}
-}
-
-// Query schedules one single-query pass (coalescable with concurrent
-// single queries from other submitters).
-func (s *Scheduler) Query(ctx context.Context, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
-	results, stats, err := s.do(ctx, reqQuery, dpf.Batch{Keys: []*dpf.Key{key}})
-	if err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return results[0], stats.PerQuery, nil
-}
-
-// QueryBatch schedules a client's explicit batch as one pass.
-func (s *Scheduler) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, metrics.BatchStats, error) {
-	return s.do(ctx, reqBatch, dpf.Batch{Keys: keys})
-}
-
-// QueryShare schedules one selector-share pass (the naive n-server
-// encoding has no batch pipeline, so shares are never coalesced).
-func (s *Scheduler) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, metrics.Breakdown, error) {
-	results, stats, err := s.do(ctx, reqShare, dpf.Batch{Shares: []*bitvec.Vector{share}})
-	if err != nil {
-		return nil, metrics.Breakdown{}, err
-	}
-	return results[0], stats.PerQuery, nil
-}
-
-// QueryShareBatch schedules a client's explicit share batch as one
-// request: admission is atomic — the whole batch is accepted or rejected
-// busy, never half-served.
-func (s *Scheduler) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([][]byte, error) {
-	results, _, err := s.do(ctx, reqShareBatch, dpf.Batch{Shares: shares})
-	return results, err
-}
-
-// do submits one request and waits for its pass.
-func (s *Scheduler) do(ctx context.Context, kind reqKind, in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
-	req := &request{kind: kind, ctx: ctx, in: in, enqueued: time.Now(), done: make(chan struct{})}
+	req := &request{frame: frame, ctx: ctx, in: in, enqueued: time.Now(), done: make(chan struct{})}
 	if err := s.submit(req); err != nil {
 		return nil, metrics.BatchStats{}, err
 	}
-	if err := s.wait(req); err != nil {
-		return nil, metrics.BatchStats{}, err
+	select {
+	case <-req.done:
+		return req.results, req.stats, req.err
+	case <-ctx.Done():
+		// A request abandoned while queued is dequeued by the dispatcher
+		// without an engine pass; the submitter does not linger for that.
+		return nil, metrics.BatchStats{}, ctx.Err()
 	}
-	return req.results, req.stats, nil
 }
 
 // Update applies a §3.3 bulk record update with epoch-based quiescing:
@@ -464,14 +397,14 @@ func (s *Scheduler) failPending() {
 }
 
 // dispatch executes one engine pass for req, coalescing concurrent
-// single queries into it when a window is configured.
+// MsgQuery frames into it when a window is configured.
 func (s *Scheduler) dispatch(req *request) {
 	if err := req.ctx.Err(); err != nil {
 		s.c.Cancelled.Inc()
 		s.finish(req, err)
 		return
 	}
-	if req.kind == reqQuery && s.cfg.CoalesceWindow > 0 {
+	if req.frame == pirproto.MsgQuery && s.cfg.CoalesceWindow > 0 {
 		batch, next := s.gather(req)
 		s.run(batch)
 		if next != nil {
@@ -482,8 +415,8 @@ func (s *Scheduler) dispatch(req *request) {
 	s.run([]*request{req})
 }
 
-// gather holds the first single query for the coalescing window,
-// collecting further single queries (from any connection) into the same
+// gather holds the first MsgQuery frame for the coalescing window,
+// collecting further MsgQuery frames (from any connection) into the same
 // pass. A non-coalescable request ends the window early and is returned
 // for immediate dispatch after the batch.
 func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
@@ -502,7 +435,7 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 				s.finish(req, err)
 				continue
 			}
-			if req.kind != reqQuery {
+			if req.frame != pirproto.MsgQuery {
 				return batch, req
 			}
 			batch = append(batch, req)
@@ -511,8 +444,8 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 	return batch, nil
 }
 
-// run executes one engine pass for reqs: a lone request of any kind, or
-// a gathered group of single queries. It records queue-wait metrics,
+// run executes one engine pass for reqs: a lone request of any frame,
+// or a gathered group of MsgQuery frames. It records queue-wait metrics,
 // takes the quiesce gate, and demultiplexes the subresults back to each
 // waiter in submission order.
 func (s *Scheduler) run(reqs []*request) {
@@ -520,11 +453,13 @@ func (s *Scheduler) run(reqs []*request) {
 	for _, r := range reqs {
 		wait := now.Sub(r.enqueued)
 		s.totalWaitNanos.Add(wait.Nanoseconds())
-		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageQueue, wait)
+		label, _ := r.frame.Label()
+		s.cfg.Obs.ObserveStage(label, obs.StageQueue, wait)
 		obs.SpanFromContext(r.ctx).AddChild("queue", r.enqueued, wait)
 	}
 	s.c.Dispatched.Add(uint64(len(reqs)))
-	if reqs[0].kind == reqQuery {
+	single := reqs[0].frame == pirproto.MsgQuery
+	if single {
 		if reqs = s.checkKeys(reqs); len(reqs) == 0 {
 			return
 		}
@@ -537,7 +472,7 @@ func (s *Scheduler) run(reqs []*request) {
 		}
 	}
 	s.c.Passes.Inc()
-	if reqs[0].kind == reqQuery {
+	if single {
 		s.c.PassWidths[metrics.WidthBucket(len(reqs))].Inc()
 	}
 	s.gate.beginQuery()
@@ -564,7 +499,8 @@ func (s *Scheduler) run(reqs []*request) {
 		n := r.in.Len()
 		r.results, results = results[:n:n], results[n:]
 		r.stats = stats
-		s.cfg.Obs.ObserveStage(r.kind.frame(), obs.StageEngine, engDur)
+		label, _ := r.frame.Label()
+		s.cfg.Obs.ObserveStage(label, obs.StageEngine, engDur)
 		span := obs.SpanFromContext(r.ctx)
 		span.SetAttrInt("width", int64(stats.Queries))
 		span.SetAttrBool("fused", stats.Fused)
@@ -579,7 +515,7 @@ func (s *Scheduler) run(reqs []*request) {
 	}
 }
 
-// checkKeys runs the engine front end's key check on single queries
+// checkKeys runs the engine front end's key check on MsgQuery frames
 // before their pass: a request whose key the pass would reject fails
 // alone, so a client feeding invalid keys cannot fail the other clients'
 // queries coalesced with it. It returns the surviving requests. With no

@@ -16,6 +16,7 @@ import (
 	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/naivepir"
+	"github.com/impir/impir/internal/pirproto"
 )
 
 // fakeEngine gives tests deterministic pass costs and records overlap
@@ -124,6 +125,15 @@ func realScheduler(t *testing.T, cfg Config) (*Scheduler, *database.DB) {
 	return newSched(t, eng, cfg), eng.Database()
 }
 
+// query submits key as one MsgQuery frame, the coalescable single query.
+func query(ctx context.Context, s *Scheduler, key *dpf.Key) ([]byte, metrics.BatchStats, error) {
+	results, stats, err := s.Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}})
+	if err != nil {
+		return nil, stats, err
+	}
+	return results[0], stats, nil
+}
+
 func keyPair(t *testing.T, domain int, idx uint64) (*dpf.Key, *dpf.Key) {
 	t.Helper()
 	k0, k1, err := dpf.Gen(dpf.Params{Domain: domain}, idx, nil)
@@ -152,12 +162,12 @@ func TestCoalescedResultsDemultiplexCorrectly(t *testing.T) {
 			defer wg.Done()
 			idx := uint64(i * 13)
 			k0, k1 := keyPair(t, db.Domain(), idx)
-			r0, _, err := s0.Query(ctx, k0)
+			r0, _, err := query(ctx, s0, k0)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			r1, _, err := s1.Query(ctx, k1)
+			r1, _, err := query(ctx, s1, k1)
 			if err != nil {
 				errs[i] = err
 				return
@@ -201,7 +211,7 @@ func TestNoCoalescingWithZeroWindow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Query(ctx, fakeKey); err != nil {
+			if _, _, err := query(ctx, s, fakeKey); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -225,16 +235,16 @@ func TestQueueFullRejectsBusy(t *testing.T) {
 	ctx := context.Background()
 	release := make(chan struct{})
 	go func() {
-		s.Query(ctx, fakeKey) // occupies the dispatcher
+		query(ctx, s, fakeKey) // occupies the dispatcher
 		close(release)
 	}()
 	// Wait for the dispatcher to pick it up, then fill the queue.
 	time.Sleep(50 * time.Millisecond)
-	go s.Query(ctx, fakeKey) // fills the single queue slot
+	go query(ctx, s, fakeKey) // fills the single queue slot
 
 	time.Sleep(20 * time.Millisecond)
 	start := time.Now()
-	_, _, err := s.Query(ctx, fakeKey)
+	_, _, err := query(ctx, s, fakeKey)
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow submission: err = %v, want ErrBusy", err)
 	}
@@ -255,13 +265,13 @@ func TestCancelledWhileQueuedIsDequeued(t *testing.T) {
 	s := newSched(t, fe, Config{QueueDepth: 8})
 
 	bg := context.Background()
-	go s.Query(bg, fakeKey) // occupies the dispatcher
+	go query(bg, s, fakeKey) // occupies the dispatcher
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithCancel(bg)
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := s.Query(ctx, fakeKey) // sits in the queue
+		_, _, err := query(ctx, s, fakeKey) // sits in the queue
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -306,7 +316,7 @@ func TestUpdateQuiescesInFlightQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := s.Query(ctx, fakeKey); err != nil && !errors.Is(err, ErrBusy) {
+				if _, _, err := query(ctx, s, fakeKey); err != nil && !errors.Is(err, ErrBusy) {
 					t.Error(err)
 					return
 				}
@@ -343,7 +353,7 @@ func TestShareAndBatchThroughScheduler(t *testing.T) {
 	for i, idx := range indices {
 		keys[i], _ = keyPair(t, db.Domain(), idx)
 	}
-	results, stats, err := s0.QueryBatch(ctx, keys)
+	results, stats, err := s0.Query(ctx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,17 +366,17 @@ func TestShareAndBatchThroughScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, _, err := s0.QueryShare(ctx, q.Shares[0])
+	r0, _, err := s0.Query(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: q.Shares[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _, err := s0.QueryShare(ctx, q.Shares[1])
+	r1, _, err := s0.Query(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: q.Shares[1:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, len(r0))
+	rec := make([]byte, len(r0[0]))
 	for i := range rec {
-		rec[i] = r0[i] ^ r1[i]
+		rec[i] = r0[0][i] ^ r1[0][i]
 	}
 	if !bytes.Equal(rec, db.Record(42)) {
 		t.Fatal("share queries through the scheduler reconstructed the wrong record")
@@ -386,7 +396,7 @@ func TestDrainAndClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = s.Query(ctx, fakeKey)
+			_, _, errs[i] = query(ctx, s, fakeKey)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -402,7 +412,7 @@ func TestDrainAndClose(t *testing.T) {
 			t.Errorf("pre-drain query %d failed: %v", i, err)
 		}
 	}
-	if _, _, err := s.Query(ctx, fakeKey); !errors.Is(err, ErrClosed) {
+	if _, _, err := query(ctx, s, fakeKey); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-drain submission: err = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
@@ -418,7 +428,7 @@ func TestDrainAndClose(t *testing.T) {
 func TestSoloQueryWithWindow(t *testing.T) {
 	s0, db := realScheduler(t, Config{CoalesceWindow: 5 * time.Millisecond})
 	k0, _ := keyPair(t, db.Domain(), 9)
-	if _, _, err := s0.Query(context.Background(), k0); err != nil {
+	if _, _, err := query(context.Background(), s0, k0); err != nil {
 		t.Fatal(err)
 	}
 	stats := s0.Stats()
@@ -433,7 +443,7 @@ func TestPreCancelledSubmission(t *testing.T) {
 	s := newSched(t, &fakeEngine{}, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Query(ctx, fakeKey); !errors.Is(err, context.Canceled) {
+	if _, _, err := query(ctx, s, fakeKey); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if s.Stats().Submitted != 0 {
@@ -480,14 +490,14 @@ func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		bad, _ := keyPair(t, db.Domain()+3, 0) // wrong domain for this DB
-		_, _, badErr = s0.Query(ctx, bad)
+		_, _, badErr = query(ctx, s0, bad)
 	}()
 	for i := 0; i < good; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			k0, _ := keyPair(t, db.Domain(), uint64(i*7))
-			_, _, goodErrs[i] = s0.Query(ctx, k0)
+			_, _, goodErrs[i] = query(ctx, s0, k0)
 		}(i)
 	}
 	wg.Wait()
@@ -526,7 +536,7 @@ func TestNegativeConfigRejected(t *testing.T) {
 	}
 }
 
-// TestShareBatchIsOneAdmissionUnit: QueryShareBatch returns per-share
+// TestShareBatchIsOneAdmissionUnit: a MsgShareBatchQuery returns per-share
 // subresults in order and occupies exactly one queue slot.
 func TestShareBatchIsOneAdmissionUnit(t *testing.T) {
 	s0, db := realScheduler(t, Config{})
@@ -542,11 +552,11 @@ func TestShareBatchIsOneAdmissionUnit(t *testing.T) {
 		}
 		shares0[i], shares1[i] = q.Shares[0], q.Shares[1]
 	}
-	r0, err := s0.QueryShareBatch(ctx, shares0)
+	r0, _, err := s0.Query(ctx, pirproto.MsgShareBatchQuery, dpf.Batch{Shares: shares0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := s0.QueryShareBatch(ctx, shares1)
+	r1, _, err := s0.Query(ctx, pirproto.MsgShareBatchQuery, dpf.Batch{Shares: shares1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +596,7 @@ func TestPassWidthHistogram(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			k0, _ := keyPair(t, 4, 1)
-			if _, _, err := s.Query(ctx, k0); err != nil {
+			if _, _, err := query(ctx, s, k0); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -613,7 +623,7 @@ func TestPassWidthHistogram(t *testing.T) {
 	fe2 := &fakeEngine{}
 	s2 := newSched(t, fe2, Config{})
 	k0, _ := keyPair(t, 4, 2)
-	if _, _, err := s2.Query(ctx, k0); err != nil {
+	if _, _, err := query(ctx, s2, k0); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := s2.Stats(); st2.PassWidths[0] != 1 {

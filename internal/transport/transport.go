@@ -4,9 +4,12 @@
 // package is the network plane of such a deployment (the paper excludes
 // it from benchmarks, and so do we — it exists for the examples and the
 // cmd/ binaries). The transport does not talk to engines directly: it
-// hands every request to a Dispatcher — the request scheduler — which
-// owns admission control, cross-connection batch coalescing, and update
-// quiescing.
+// decodes each of the four query frames into a dpf.Batch in one place
+// (pirproto.ParseQuery) and hands it, with the frame type, to a
+// Dispatcher's one query entry — the request scheduler, which owns
+// admission control, coalescing of MsgQuery frames across connections,
+// and update quiescing. On the client side, Conn.Exchange sends any
+// query frame and reads its reply through one reader.
 package transport
 
 import (
@@ -22,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/metrics"
@@ -33,24 +35,18 @@ import (
 
 // Dispatcher is the server-side request path behind the transport —
 // normally a scheduler.Scheduler wrapping one of the IM-PIR, CPU or GPU
-// engines. Every method takes the connection's context: when a client
-// disconnects, requests it still has queued are abandoned, and a
-// Dispatcher returning scheduler.ErrBusy has the rejection reported to
-// the client as a MsgBusy frame.
+// engines.
 type Dispatcher interface {
-	Name() string
 	Database() *database.DB
 	// Digest is the database digest a hello reports. It must not read
 	// the database while an update is applying.
 	Digest() [32]byte
-	Query(context.Context, *dpf.Key) ([]byte, metrics.Breakdown, error)
-	QueryBatch(context.Context, []*dpf.Key) ([][]byte, metrics.BatchStats, error)
-	// QueryShare answers the §2.3 naive encoding: an explicit selector
-	// share over every record (n-server deployments use this).
-	QueryShare(context.Context, *bitvec.Vector) ([]byte, metrics.Breakdown, error)
-	// QueryShareBatch answers a batch of shares as one admitted unit, so
-	// a busy rejection never leaves a batch half-served.
-	QueryShareBatch(context.Context, []*bitvec.Vector) ([][]byte, error)
+	// Query answers the batch one query frame of type frame carries —
+	// DPF keys or §2.3 selector shares, one or many — with one subresult
+	// per query, in order. It takes the connection's context: when a
+	// client disconnects, requests it still has queued are abandoned. A
+	// scheduler.ErrBusy is reported to the client as a MsgBusy frame.
+	Query(ctx context.Context, frame pirproto.MsgType, in dpf.Batch) ([][]byte, metrics.BatchStats, error)
 	// Update applies a §3.3 bulk record update atomically (the scheduler
 	// quiesces in-flight passes around it). It deliberately takes no
 	// context — an update abandoned part-way would leave this replica
@@ -58,7 +54,7 @@ type Dispatcher interface {
 	Update(updates map[uint64][]byte) error
 }
 
-// ErrServerBusy is returned by client query methods when the server
+// ErrServerBusy is returned by client exchanges when the server
 // rejected the request with a MsgBusy frame: its admission queue was
 // full. The connection stays usable — retry after a backoff. It is the
 // scheduler's ErrBusy, so the same errors.Is check covers local and
@@ -310,57 +306,44 @@ func (s *Server) handle(conn net.Conn) {
 
 	fw := &frameWriter{w: conn}
 	for f := range frames {
-		name := frameName(f.t)
+		name, traced := f.t.Label()
 		start := time.Now()
 		s.obs.IncRequest(name)
 		var root *obs.Span
-		payload := f.payload
-		if isTracedFrame(f.t) {
-			var err error
+		payload, err := f.payload, error(nil)
+		if traced {
 			root, payload, err = s.beginTrace(name, start, f.flags, f.payload)
-			if err != nil {
-				s.obs.IncFailure(name)
-				werr := fw.sendError(err)
-				s.addInflight(-1)
-				if werr != nil {
-					return
-				}
-				continue
-			}
 		}
-		err := s.dispatch(obs.ContextWithSpan(ctx, root), fw, f.t, payload)
-		root.End()
+		if err == nil {
+			err = s.dispatch(obs.ContextWithSpan(ctx, root), fw, f.t, payload)
+			root.End()
+		}
 		total := time.Since(start)
 		s.obs.ObserveStage(name, obs.StageTotal, total)
-		if err != nil {
-			if errors.Is(err, scheduler.ErrBusy) {
-				s.obs.IncBusy(name)
-			} else {
-				s.obs.IncFailure(name)
+		var werr error
+		switch {
+		case errors.Is(err, scheduler.ErrBusy):
+			s.obs.IncBusy(name)
+			werr = fw.sendPayload(pirproto.MsgBusy, nil)
+		case err != nil:
+			s.obs.IncFailure(name)
+			werr = fw.sendError(err)
+		default:
+			slow := root != nil && s.slowQuery > 0 && total >= s.slowQuery
+			if root.Sampled() || slow {
+				s.traces.Add(root)
 			}
-			var werr error
-			if errors.Is(err, scheduler.ErrBusy) {
-				werr = fw.sendPayload(pirproto.MsgBusy, nil)
-			} else {
-				werr = fw.sendError(err)
+			if slow {
+				// A span tree holds only strings, integers and a
+				// wall-clock time, so it always marshals.
+				line, _ := json.Marshal(root)
+				s.logf("transport: slow query: %s", line)
 			}
-			s.addInflight(-1)
-			if werr != nil {
-				return
-			}
-			continue
-		}
-		slow := root != nil && s.slowQuery > 0 && total >= s.slowQuery
-		if root.Sampled() || slow {
-			s.traces.Add(root)
-		}
-		if slow {
-			// A span tree holds only strings, integers and a wall-clock
-			// time, so it always marshals.
-			line, _ := json.Marshal(root)
-			s.logf("transport: slow query: %s", line)
 		}
 		s.addInflight(-1)
+		if werr != nil {
+			return
+		}
 	}
 }
 
@@ -401,40 +384,6 @@ func (s *Server) beginTrace(name string, start time.Time, flags byte, payload []
 		root.SetAttr("shard", s.shard)
 	}
 	return root, payload, nil
-}
-
-// frameName labels a wire frame type for metrics and traces, matching
-// the scheduler's request-kind frame names.
-func frameName(t pirproto.MsgType) string {
-	switch t {
-	case pirproto.MsgHello:
-		return "hello"
-	case pirproto.MsgQuery:
-		return "query"
-	case pirproto.MsgBatchQuery:
-		return "batch"
-	case pirproto.MsgShareQuery:
-		return "share"
-	case pirproto.MsgShareBatchQuery:
-		return "share_batch"
-	case pirproto.MsgUpdate:
-		return "update"
-	default:
-		return "unknown"
-	}
-}
-
-// isTracedFrame reports whether t may carry the wire trace context and
-// opens a server trace: the query frames dispatched through the
-// scheduler's query path, and updates.
-func isTracedFrame(t pirproto.MsgType) bool {
-	switch t {
-	case pirproto.MsgQuery, pirproto.MsgBatchQuery, pirproto.MsgShareQuery, pirproto.MsgShareBatchQuery,
-		pirproto.MsgUpdate:
-		return true
-	default:
-		return false
-	}
 }
 
 func (s *Server) addInflight(d int) {
@@ -478,49 +427,6 @@ func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgTy
 		}
 		return fw.sendPayload(pirproto.MsgServerInfo, info.Marshal())
 
-	case pirproto.MsgQuery:
-		var key dpf.Key
-		if err := key.UnmarshalBinary(payload); err != nil {
-			return fmt.Errorf("bad key: %w", err)
-		}
-		result, _, err := s.dispatcher.Query(ctx, &key)
-		if err != nil {
-			return err
-		}
-		return fw.sendPayload(pirproto.MsgQueryResp, result)
-
-	case pirproto.MsgShareQuery:
-		var share bitvec.Vector
-		if err := share.UnmarshalBinary(payload); err != nil {
-			return fmt.Errorf("bad share: %w", err)
-		}
-		result, _, err := s.dispatcher.QueryShare(ctx, &share)
-		if err != nil {
-			return err
-		}
-		return fw.sendPayload(pirproto.MsgQueryResp, result)
-
-	case pirproto.MsgShareBatchQuery:
-		raw, err := pirproto.ParseBatch(payload)
-		if err != nil {
-			return err
-		}
-		if len(raw) == 0 {
-			return errors.New("empty share batch")
-		}
-		shares := make([]*bitvec.Vector, len(raw))
-		for i, sb := range raw {
-			shares[i] = new(bitvec.Vector)
-			if err := shares[i].UnmarshalBinary(sb); err != nil {
-				return fmt.Errorf("bad share %d: %w", i, err)
-			}
-		}
-		results, err := s.dispatcher.QueryShareBatch(ctx, shares)
-		if err != nil {
-			return err
-		}
-		return fw.sendBatch(results)
-
 	case pirproto.MsgUpdate:
 		if !s.allowUpdates {
 			return errors.New("updates are not enabled on this server (see WithWireUpdates)")
@@ -536,31 +442,18 @@ func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgTy
 			return err
 		}
 		return fw.sendPayload(pirproto.MsgUpdateOK, nil)
-
-	case pirproto.MsgBatchQuery:
-		raw, err := pirproto.ParseBatch(payload)
-		if err != nil {
-			return err
-		}
-		if len(raw) == 0 {
-			return errors.New("empty batch")
-		}
-		keys := make([]*dpf.Key, len(raw))
-		for i, kb := range raw {
-			keys[i] = new(dpf.Key)
-			if err := keys[i].UnmarshalBinary(kb); err != nil {
-				return fmt.Errorf("bad key %d: %w", i, err)
-			}
-		}
-		results, _, err := s.dispatcher.QueryBatch(ctx, keys)
-		if err != nil {
-			return err
-		}
-		return fw.sendBatch(results)
-
-	default:
-		return fmt.Errorf("unexpected frame %v", t)
 	}
+	// Every other frame is one of the four query frames, or rejected by
+	// the one decoder.
+	in, err := pirproto.ParseQuery(t, payload)
+	if err != nil {
+		return err
+	}
+	results, _, err := s.dispatcher.Query(ctx, t, in)
+	if err != nil {
+		return err
+	}
+	return fw.sendReply(t, results)
 }
 
 // frameWriter sends frames built in one reused buffer, so each frame —
@@ -598,7 +491,13 @@ func (fw *frameWriter) sendPayload(t pirproto.MsgType, payload []byte) error {
 	return fw.send(append(fw.begin(t, 0), payload...))
 }
 
-func (fw *frameWriter) sendBatch(results [][]byte) error {
+// sendReply answers query frame t: a single frame with a MsgQueryResp
+// carrying its one subresult, a batch frame with a MsgBatchResp carrying
+// all of them.
+func (fw *frameWriter) sendReply(t pirproto.MsgType, results [][]byte) error {
+	if t == pirproto.MsgQuery || t == pirproto.MsgShareQuery {
+		return fw.sendPayload(pirproto.MsgQueryResp, results[0])
+	}
 	frame, err := pirproto.AppendBatch(fw.begin(pirproto.MsgBatchResp, 0), results)
 	if err != nil {
 		return err
@@ -827,81 +726,66 @@ func (c *Conn) traceContext(ctx context.Context, traced bool) (pirproto.TraceCon
 	return tc, ok
 }
 
-// queryResp interprets a single-subresult response frame.
-func queryResp(t pirproto.MsgType, payload []byte) ([]byte, error) {
-	switch t {
-	case pirproto.MsgQueryResp:
-		return payload, nil
-	case pirproto.MsgBusy:
-		return nil, ErrServerBusy
-	case pirproto.MsgError:
-		return nil, fmt.Errorf("transport: server error: %s", payload)
-	default:
-		return nil, fmt.Errorf("transport: unexpected frame %v", t)
+// Query sends one DPF key as a MsgQuery frame and returns the server's
+// subresult.
+func (c *Conn) Query(ctx context.Context, key *dpf.Key) ([]byte, error) {
+	results, err := c.Exchange(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}})
+	if err != nil {
+		return nil, err
 	}
+	return results[0], nil
 }
 
-// batchResp interprets a batched response frame, checking the count.
-func batchResp(t pirproto.MsgType, payload []byte, want int) ([][]byte, error) {
-	switch t {
+// QueryBatch sends keys as one MsgBatchQuery frame and returns the
+// subresults in order.
+func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error) {
+	return c.Exchange(ctx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
+}
+
+// Exchange sends in as one query frame of type t — MsgQuery,
+// MsgBatchQuery, MsgShareQuery or MsgShareBatchQuery (the §2.3 naive
+// n-server encoding) — and returns one subresult per query, in order.
+// The reply must carry exactly in.Len() subresults, each of the record
+// size the server announced in its hello; anything else is an error,
+// never a record.
+func (c *Conn) Exchange(ctx context.Context, t pirproto.MsgType, in dpf.Batch) ([][]byte, error) {
+	rt, payload, err := c.roundTrip(ctx, t, true, func(b []byte) ([]byte, error) {
+		return pirproto.AppendQuery(b, t, in)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var results [][]byte
+	switch rt {
+	case pirproto.MsgQueryResp:
+		results = [][]byte{payload}
 	case pirproto.MsgBatchResp:
-		results, err := pirproto.ParseBatch(payload)
-		if err != nil {
+		if results, err = pirproto.ParseBatch(payload); err != nil {
 			return nil, err
 		}
-		if len(results) != want {
-			return nil, fmt.Errorf("transport: %d results for %d queries", len(results), want)
-		}
-		return results, nil
-	case pirproto.MsgBusy:
-		return nil, ErrServerBusy
-	case pirproto.MsgError:
-		return nil, fmt.Errorf("transport: server error: %s", payload)
 	default:
-		return nil, fmt.Errorf("transport: unexpected frame %v", t)
+		return nil, replyErr(rt, payload)
 	}
+	if len(results) != in.Len() {
+		return nil, fmt.Errorf("transport: %d results for %d queries", len(results), in.Len())
+	}
+	for i, r := range results {
+		if len(r) != int(c.info.RecordSize) {
+			return nil, fmt.Errorf("transport: subresult %d is %d bytes, but the server announced %d-byte records", i, len(r), c.info.RecordSize)
+		}
+	}
+	return results, nil
 }
 
-// Query sends one DPF key and returns the server's subresult.
-func (c *Conn) Query(ctx context.Context, key *dpf.Key) ([]byte, error) {
-	t, payload, err := c.roundTrip(ctx, pirproto.MsgQuery, true, key.AppendBinary)
-	if err != nil {
-		return nil, err
+// replyErr interprets a reply frame that carries no answer.
+func replyErr(t pirproto.MsgType, payload []byte) error {
+	switch t {
+	case pirproto.MsgBusy:
+		return ErrServerBusy
+	case pirproto.MsgError:
+		return fmt.Errorf("transport: server error: %s", payload)
 	}
-	return queryResp(t, payload)
-}
-
-// QueryShare sends a raw selector share (the §2.3 naive n-server
-// encoding) and returns the server's subresult.
-func (c *Conn) QueryShare(ctx context.Context, share *bitvec.Vector) ([]byte, error) {
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgShareQuery, true, share.AppendBinary)
-	if err != nil {
-		return nil, err
-	}
-	return queryResp(t, resp)
-}
-
-// QueryBatch sends a batch of keys and returns the subresults in order.
-func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error) {
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgBatchQuery, true, func(b []byte) ([]byte, error) {
-		return pirproto.AppendBatchOf(b, keys, (*dpf.Key).AppendBinary)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return batchResp(t, resp, len(keys))
-}
-
-// QueryShareBatch sends a batch of selector shares in one round trip and
-// returns the subresults in order.
-func (c *Conn) QueryShareBatch(ctx context.Context, shares []*bitvec.Vector) ([][]byte, error) {
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgShareBatchQuery, true, func(b []byte) ([]byte, error) {
-		return pirproto.AppendBatchOf(b, shares, (*bitvec.Vector).AppendBinary)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return batchResp(t, resp, len(shares))
+	return fmt.Errorf("transport: unexpected frame %v", t)
 }
 
 // Update pushes a bulk record update to the server and waits for the
@@ -918,19 +802,10 @@ func (c *Conn) Update(ctx context.Context, updates map[uint64][]byte) error {
 	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, true, func(b []byte) ([]byte, error) {
 		return append(b, payload...), nil
 	})
-	if err != nil {
+	if err != nil || t == pirproto.MsgUpdateOK {
 		return err
 	}
-	switch t {
-	case pirproto.MsgUpdateOK:
-		return nil
-	case pirproto.MsgBusy:
-		return ErrServerBusy
-	case pirproto.MsgError:
-		return fmt.Errorf("transport: server error: %s", resp)
-	default:
-		return fmt.Errorf("transport: unexpected frame %v", t)
-	}
+	return replyErr(t, resp)
 }
 
 // Broken reports whether a previously abandoned exchange has poisoned

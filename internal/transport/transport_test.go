@@ -267,17 +267,17 @@ func TestShareQueryOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := c0.QueryShare(context.Background(), q.Shares[0])
+	r0, err := c0.Exchange(context.Background(), pirproto.MsgShareQuery, dpf.Batch{Shares: q.Shares[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c1.QueryShare(context.Background(), q.Shares[1])
+	r1, err := c1.Exchange(context.Background(), pirproto.MsgShareQuery, dpf.Batch{Shares: q.Shares[1:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, len(r0))
+	rec := make([]byte, len(r0[0]))
 	for i := range rec {
-		rec[i] = r0[i] ^ r1[i]
+		rec[i] = r0[0][i] ^ r1[0][i]
 	}
 	if !bytes.Equal(rec, db.Record(idx)) {
 		t.Fatal("share-query reconstruction over TCP failed")
@@ -294,7 +294,7 @@ func TestShareQueryRejectsBadShare(t *testing.T) {
 
 	// Wrong length: share for a different database size.
 	wrong := bitvec.New(64)
-	if _, err := conn.QueryShare(context.Background(), wrong); err == nil || !strings.Contains(err.Error(), "server error") {
+	if _, err := conn.Exchange(context.Background(), pirproto.MsgShareQuery, dpf.Batch{Shares: []*bitvec.Vector{wrong}}); err == nil || !strings.Contains(err.Error(), "server error") {
 		t.Fatalf("mis-sized share: err = %v", err)
 	}
 
@@ -388,11 +388,11 @@ func TestShareBatchOverTCP(t *testing.T) {
 		}
 		shares0[i], shares1[i] = q.Shares[0], q.Shares[1]
 	}
-	r0, err := c0.QueryShareBatch(context.Background(), shares0)
+	r0, err := c0.Exchange(context.Background(), pirproto.MsgShareBatchQuery, dpf.Batch{Shares: shares0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c1.QueryShareBatch(context.Background(), shares1)
+	r1, err := c1.Exchange(context.Background(), pirproto.MsgShareBatchQuery, dpf.Batch{Shares: shares1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestBusyPropagatesOverWire(t *testing.T) {
 				keys[j] = k0
 			}
 			for {
-				_, _, err := sched.QueryBatch(blockCtx, keys)
+				_, _, err := sched.Query(blockCtx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
 				if blockCtx.Err() != nil {
 					slow <- struct{}{}
 					return
@@ -690,13 +690,13 @@ func TestUpdateOverWireRejectsBadRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after rejected update: %v", err)
 	}
-	r1, _, err := newDispatcherFor(t, db).Query(ctx, k1)
+	r1, _, err := newDispatcherFor(t, db).Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{k1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := make([]byte, len(r0))
 	for i := range rec {
-		rec[i] = r0[i] ^ r1[i]
+		rec[i] = r0[i] ^ r1[0][i]
 	}
 	if !bytes.Equal(rec, db.Record(3)) {
 		t.Fatal("reconstruction broken after rejected update")

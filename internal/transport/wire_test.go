@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -44,25 +45,27 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return countingConn{Conn: c, writes: &l.writes}, nil
 }
 
-// busyDispatcher answers single DPF queries with scheduler.ErrBusy
+// busyDispatcher answers every query frame with scheduler.ErrBusy
 // while busy is set, so a test can provoke a MsgBusy reply on demand.
 type busyDispatcher struct {
 	*scheduler.Scheduler
 	busy atomic.Bool
 }
 
-func (d *busyDispatcher) Query(ctx context.Context, key *dpf.Key) ([]byte, metrics.Breakdown, error) {
+func (d *busyDispatcher) Query(ctx context.Context, frame pirproto.MsgType, in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if d.busy.Load() {
-		return nil, metrics.Breakdown{}, scheduler.ErrBusy
+		return nil, metrics.BatchStats{}, scheduler.ErrBusy
 	}
-	return d.Scheduler.Query(ctx, key)
+	return d.Scheduler.Query(ctx, frame, in)
 }
 
 // TestOneWritePerFrame pins the framing fix: every frame a client Conn
 // sends and every reply the server writes — header and payload — leaves
 // in exactly one Write, on a version-2 connection carrying the trace
 // extension and on a version-1 connection alike. A frame written as
-// header then payload costs each hop an extra segment and syscall.
+// header then payload costs each hop an extra segment and syscall. A
+// busy rejection of each query frame is one MsgBusy reply, reaches the
+// client as ErrServerBusy, and counts under that frame's label.
 func TestOneWritePerFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -79,7 +82,8 @@ func TestOneWritePerFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			lis := &countingListener{Listener: inner}
-			srv, err := NewServer(lis, d, 0, WithLogf(t.Logf), WithWireUpdates())
+			m := obs.NewServerMetrics(obs.NewRegistry())
+			srv, err := NewServer(lis, d, 0, WithLogf(t.Logf), WithWireUpdates(), WithObserver(m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,6 +117,18 @@ func TestOneWritePerFrame(t *testing.T) {
 			badKey, _ := genPair(t, 3, 0)
 			share := bitvec.New(db.NumRecords())
 			share.Set(5)
+			shares := dpf.Batch{Shares: []*bitvec.Vector{share, share}}
+			busy := func(frame pirproto.MsgType, in dpf.Batch) func() error {
+				return func() error {
+					d.busy.Store(true)
+					defer d.busy.Store(false)
+					_, err := conn.Exchange(ctx, frame, in)
+					if !errors.Is(err, ErrServerBusy) {
+						t.Errorf("busy %v: err = %v, want ErrServerBusy", frame, err)
+					}
+					return err
+				}
+			}
 
 			exchanges := []struct {
 				name    string
@@ -121,21 +137,19 @@ func TestOneWritePerFrame(t *testing.T) {
 			}{
 				{"query", false, func() error { _, err := conn.Query(ctx, k0); return err }},
 				{"batch", false, func() error { _, err := conn.QueryBatch(ctx, []*dpf.Key{k0, k0, k0}); return err }},
-				{"share", false, func() error { _, err := conn.QueryShare(ctx, share); return err }},
-				{"share-batch", false, func() error {
-					_, err := conn.QueryShareBatch(ctx, []*bitvec.Vector{share, share})
+				{"share", false, func() error {
+					_, err := conn.Exchange(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: shares.Shares[:1]})
 					return err
 				}},
+				{"share-batch", false, func() error { _, err := conn.Exchange(ctx, pirproto.MsgShareBatchQuery, shares); return err }},
 				{"update", false, func() error {
 					return conn.Update(ctx, map[uint64][]byte{9: bytes.Repeat([]byte{7}, db.RecordSize())})
 				}},
 				{"error", true, func() error { _, err := conn.Query(ctx, badKey); return err }},
-				{"busy", true, func() error {
-					d.busy.Store(true)
-					defer d.busy.Store(false)
-					_, err := conn.Query(ctx, k0)
-					return err
-				}},
+				{"busy", true, busy(pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{k0}})},
+				{"busy-batch", true, busy(pirproto.MsgBatchQuery, dpf.Batch{Keys: []*dpf.Key{k0, k0, k0}})},
+				{"busy-share", true, busy(pirproto.MsgShareQuery, dpf.Batch{Shares: shares.Shares[:1]})},
+				{"busy-share-batch", true, busy(pirproto.MsgShareBatchQuery, shares)},
 			}
 			for _, ex := range exchanges {
 				c0, s0 := clientWrites.Load(), lis.writes.Load()
@@ -148,6 +162,19 @@ func TestOneWritePerFrame(t *testing.T) {
 				}
 				if got := lis.writes.Load() - s0; got != 1 {
 					t.Errorf("%s: server made %d writes for one reply, want 1", ex.name, got)
+				}
+			}
+			var text bytes.Buffer
+			if err := m.Registry.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			samples, err := obs.ParseText(&text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, frame := range []string{"query", "batch", "share", "share_batch"} {
+				if got := samples[`impir_busy_rejects_total{frame="`+frame+`"}`]; got != 1 {
+					t.Errorf("busy rejects of %s frames = %v, want 1", frame, got)
 				}
 			}
 		})

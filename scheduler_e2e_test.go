@@ -12,7 +12,9 @@ import (
 
 	"github.com/impir/impir/internal/bitvec"
 	"github.com/impir/impir/internal/database"
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/engine"
+	"github.com/impir/impir/internal/pirproto"
 	"github.com/impir/impir/internal/scheduler"
 	"github.com/impir/impir/internal/transport"
 )
@@ -197,7 +199,7 @@ func TestUpdateUnderConcurrentQueryLoad(t *testing.T) {
 					return
 				default:
 				}
-				rec, err := conn.QueryShare(ctx, onehot)
+				recs, err := conn.Exchange(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: []*bitvec.Vector{onehot}})
 				if errors.Is(err, ErrServerBusy) {
 					continue
 				}
@@ -205,6 +207,7 @@ func TestUpdateUnderConcurrentQueryLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				rec := recs[0]
 				if !bytes.Equal(rec, patA) && !bytes.Equal(rec, patB) {
 					mu.Lock()
 					torn = append(torn, rec)

@@ -8,12 +8,14 @@ import (
 	"net"
 	"time"
 
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/gpupir"
 	"github.com/impir/impir/internal/impir"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/obs"
 	"github.com/impir/impir/internal/pim"
+	"github.com/impir/impir/internal/pirproto"
 	"github.com/impir/impir/internal/scheduler"
 	"github.com/impir/impir/internal/transport"
 )
@@ -87,11 +89,12 @@ type ServerConfig struct {
 	// wire) instead of queueing without bound. 0 means 256; negative is
 	// an error.
 	QueueDepth int
-	// CoalesceWindow is how long the scheduler holds a single query to
-	// gather concurrent single queries — across client connections — into
-	// one §3.4 batch pipeline pass. 0 disables coalescing.
+	// CoalesceWindow is how long the scheduler holds a single DPF query
+	// (an Answer call or a MsgQuery frame) to gather concurrent ones —
+	// across client connections — into one §3.4 batch pipeline pass.
+	// 0 disables coalescing.
 	CoalesceWindow time.Duration
-	// MaxCoalesce caps how many single queries one coalesced pass serves.
+	// MaxCoalesce caps how many single DPF queries one coalesced pass serves.
 	// 0 means 64; negative is an error.
 	MaxCoalesce int
 	// AllowWireUpdates accepts MsgUpdate frames from connected network
@@ -132,8 +135,10 @@ var _ transport.Dispatcher = (*scheduler.Scheduler)(nil)
 
 // ErrServerBusy reports a server whose admission queue was full: the
 // request was rejected without an engine pass. Retry after a backoff.
-// Returned by Answer/AnswerBatch/AnswerShare locally and by Client
-// retrievals when a remote server responds with a MsgBusy frame.
+// Answer, AnswerBatch and AnswerShare return it locally. Over the wire
+// a server replies with a MsgBusy frame instead; a Store retries that
+// within its retry budget and, once the budget is spent, returns an
+// error that errors.Is matches against ErrServerBusy.
 var ErrServerBusy = transport.ErrServerBusy
 
 // Server is one PIR server: an engine behind a request scheduler, plus
@@ -142,7 +147,7 @@ var ErrServerBusy = transport.ErrServerBusy
 //
 // All request paths — local Answer* calls and the TCP transport — go
 // through the scheduler, which bounds the admission queue, coalesces
-// concurrent single queries from different clients into batch passes,
+// concurrent single DPF queries from different clients into batch passes,
 // and quiesces in-flight queries around Update.
 type Server struct {
 	eng              *engine.Engine
@@ -303,7 +308,15 @@ func (s *Server) Database() *DB { return s.eng.Database() }
 // pipeline pass (§3.4); the returned breakdown is then the pass's
 // per-query average.
 func (s *Server) Answer(ctx context.Context, key *Key) ([]byte, Breakdown, error) {
-	return s.sched.Query(ctx, key)
+	return single(s.sched.Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}}))
+}
+
+// single unpacks the one subresult of a single-query pass.
+func single(results [][]byte, st BatchStats, err error) ([]byte, Breakdown, error) {
+	if err != nil {
+		return nil, Breakdown{}, err
+	}
+	return results[0], st.PerQuery, nil
 }
 
 // AnswerBatch processes a batch of keys through the engine's batch
@@ -311,7 +324,7 @@ func (s *Server) Answer(ctx context.Context, key *Key) ([]byte, Breakdown, error
 // cooperative at batch granularity: cancelled while queued dequeues the
 // batch, cancelled mid-pass does not abort it.
 func (s *Server) AnswerBatch(ctx context.Context, keys []*Key) ([][]byte, BatchStats, error) {
-	return s.sched.QueryBatch(ctx, keys)
+	return s.sched.Query(ctx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
 }
 
 // Update applies a bulk record update to the loaded database replica

@@ -5,7 +5,9 @@ import (
 	"fmt"
 
 	"github.com/impir/impir/internal/bitvec"
+	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/naivepir"
+	"github.com/impir/impir/internal/pirproto"
 )
 
 // Share is one server's selector share under the naive n-server encoding
@@ -46,5 +48,5 @@ func GenerateShares(numRecords int, index uint64, servers int) ([]*Share, error)
 // goes through the scheduler: it is admission-controlled, and a context
 // cancelled while queued dequeues it without an engine pass.
 func (s *Server) AnswerShare(ctx context.Context, share *Share) ([]byte, Breakdown, error) {
-	return s.sched.QueryShare(ctx, share)
+	return single(s.sched.Query(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: []*Share{share}}))
 }

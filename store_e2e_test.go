@@ -5,6 +5,7 @@ import (
 	"context"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,6 +271,46 @@ func deadAddr(t *testing.T) string {
 	addr := lis.Addr().String()
 	lis.Close()
 	return addr
+}
+
+// TestReplyOfWrongLengthIsAnError: servers reloaded with records of a
+// size other than the one their hello announced answer every query
+// frame with subresults of the new size. A store must refuse such a
+// reply with an error naming both lengths, never return it as a record.
+func TestReplyOfWrongLengthIsAnError(t *testing.T) {
+	db, _ := GenerateHashDB(700, 47)
+	short, err := NewDatabase(db.NumRecords(), db.RecordSize()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{2, 3} { // DPF keys, then selector shares
+		for _, batch := range []bool{false, true} {
+			addrs, servers := startShardCohort(t, db, n)
+			store := openFromJSON(t, ctx, FlatDeployment(addrs...))
+			for _, srv := range servers {
+				if err := srv.Load(short.Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got int
+			if batch {
+				var recs [][]byte
+				recs, err = store.RetrieveBatch(ctx, []uint64{5, 9})
+				got = len(recs)
+			} else {
+				var rec []byte
+				rec, err = store.Retrieve(ctx, 5)
+				got = len(rec)
+			}
+			if err == nil || !strings.Contains(err.Error(), "16 bytes") || !strings.Contains(err.Error(), "32-byte") {
+				t.Errorf("%d servers, batch %v: got %d, err %v; want an error naming 16 and 32 bytes", n, batch, got, err)
+			}
+			if store.RecordSize() != db.RecordSize() {
+				t.Errorf("%d servers: RecordSize() = %d, want the announced %d", n, store.RecordSize(), db.RecordSize())
+			}
+		}
+	}
 }
 
 // TestReplicaLossTolerated: a party with a dead replica keeps serving
