@@ -160,8 +160,8 @@ func (c *Client) layOut(d Deployment, sideInfo int) error {
 }
 
 // NumRecords returns the record count callers address: the logical
-// count of a coded deployment, the total of a sharded one, and the
-// servers' power-of-two padded count of a flat one.
+// count of a coded deployment, the total of a sharded one, and the 2^d
+// index space the servers of a flat one announce.
 func (c *Client) NumRecords() uint64 {
 	if c.code != nil {
 		return c.code.Manifest().NumRecords

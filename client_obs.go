@@ -39,7 +39,7 @@ const (
 
 // NewClientObs builds an empty client observability bundle.
 func NewClientObs() *ClientObs {
-	return &ClientObs{cells: newClientCells(obs.NewRegistry(), true)}
+	return &ClientObs{cells: newClientCells(obs.NewRegistry())}
 }
 
 // Option returns the ClientOption that makes the bundle's registry the
@@ -49,10 +49,11 @@ func (o *ClientObs) Option() ClientOption {
 }
 
 // claim hands the bundle's cells to the one store it serves, resolving
-// its per-shard cells; a nil bundle yields cells in a private registry.
+// its per-shard cells; a nil bundle yields detached cells that no
+// registry holds.
 func (o *ClientObs) claim(shards int) (*clientCells, error) {
 	if o == nil {
-		o = &ClientObs{cells: newClientCells(obs.NewRegistry(), false)}
+		o = &ClientObs{cells: newClientCells(nil)}
 	} else if !o.claimed.CompareAndSwap(false, true) {
 		return nil, errors.New("impir: the ClientObs already serves another store; build one per Open")
 	}
@@ -100,7 +101,7 @@ func (o *ClientObs) Snapshot() ClientObsSnapshot {
 // is resolved when the store opens, so the call path increments
 // pointers: no lock, no label lookup, no allocation.
 type clientCells struct {
-	reg                     *obs.Registry
+	reg                     *obs.Registry // nil: detached, unobserved cells
 	retrieve, batch, update opCells
 
 	retries, hedges, hedgeWins               *obs.Counter
@@ -149,20 +150,20 @@ func readCells(specs []cellSpec) {
 	}
 }
 
-// newClientCells registers a store's families on reg. Only timed cells
-// record latency: a private registry's histograms could never be read.
-func newClientCells(reg *obs.Registry, timed bool) *clientCells {
+// newClientCells registers a store's families on reg. On a nil reg the
+// cells are detached and untimed: nothing could read their latency.
+func newClientCells(reg *obs.Registry) *clientCells {
 	c := &clientCells{reg: reg}
 	requests := reg.NewCounter("impir_client_requests_total",
 		"Store operations by type and outcome.", "op", "outcome")
 	var latency *obs.HistogramVec
-	if timed {
+	if reg != nil {
 		latency = reg.NewHistogram("impir_client_latency_seconds",
 			"Whole-operation latency (fan-out, hedges and retries included), by operation.", nil, "op")
 	}
 	op := func(name string) opCells {
 		o := opCells{ok: requests.With(name, "ok"), busy: requests.With(name, "busy"), failed: requests.With(name, "error")}
-		if timed {
+		if latency != nil {
 			o.latency = latency.With(name)
 		}
 		return o

@@ -357,3 +357,54 @@ func scrapedKVStats(s map[string]float64) any {
 		Errors:        n("errors"),
 	}
 }
+
+// TestUnobservedStoreCounts: a store and keyword client opened without
+// a ClientObs count a Retrieve, a Get hit and a Get miss exactly as
+// bundled ones do, and hold their counters in detached cells: the
+// store builds no registry and times nothing.
+func TestUnobservedStoreCounts(t *testing.T) {
+	ctx := context.Background()
+	pairs := keyword.GeneratePairs(60, 5)
+	db, kvm, err := BuildKVDB(pairs, KVTableOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startShardCohort(t, db, 2)
+	d := FlatDeployment(addrs...).WithKeyword(kvm)
+	counts := func(opts ...ClientOption) (store, kw map[string]uint64, c *Client) {
+		kv, err := OpenKV(ctx, d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kv.Close()
+		if _, err := kv.Store().Retrieve(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kv.Get(ctx, pairs[7].Key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kv.Get(ctx, []byte("absent")); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of an absent key: %v, want ErrNotFound", err)
+		}
+		store = counterFields(kv.Store().Stats())
+		if store[".Shards[0].TotalTime"] == 0 {
+			t.Error("the shard's wall time stayed 0")
+		}
+		delete(store, ".Shards[0].TotalTime") // wall time, not a count
+		return store, counterFields(kv.Stats()), kv.Store().(*Client)
+	}
+	wantStore, wantKV, _ := counts(NewClientObs().Option())
+	gotStore, gotKV, c := counts()
+	if !reflect.DeepEqual(gotStore, wantStore) {
+		t.Errorf("unobserved Stats() %v, bundled %v", gotStore, wantStore)
+	}
+	if !reflect.DeepEqual(gotKV, wantKV) {
+		t.Errorf("unobserved KVClient.Stats() %v, bundled %v", gotKV, wantKV)
+	}
+	if wantKV[".Hits"] != 1 || wantKV[".Misses"] != 1 || wantStore[".Retrievals"] < 1 {
+		t.Errorf("bundled counts missed an op: store %v, keywords %v", wantStore, wantKV)
+	}
+	if c.cells.reg != nil || c.cells.retrieve.latency != nil {
+		t.Error("an unobserved store built a registry or a latency histogram")
+	}
+}

@@ -102,8 +102,8 @@ type serverQuery struct {
 }
 
 // encode produces one query per party covering every index under the
-// resolved scheme e. Selector shares cover the padded index space: the
-// servers pad databases to powers of two, so shares must match.
+// resolved scheme e. Selector shares cover the 2^d index space the
+// servers' hello announces, not just the records they hold.
 func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) ([]serverQuery, error) {
 	frame := pirproto.MsgQuery
 	switch {

@@ -10,6 +10,12 @@
 // in this package sees a query index, a key, or a selector share — only
 // durations, counts and frame types, all of which the wire already
 // reveals to the server by construction.
+//
+// Telemetry costs what it records. A histogram series is 200 B until
+// its first observation and grows by one 256 B chunk per octave of
+// latency it sees. A nil *Registry hands out detached cells that count
+// but are never rendered, for components nobody scrapes. A TraceRing
+// allocates its buffer on the first trace it keeps.
 package obs
 
 import (
@@ -23,7 +29,8 @@ import (
 // error (≤ 1/histSubBuckets per recorded value). Recording is an atomic
 // add on one bucket — safe for every worker of the pool concurrently,
 // no lock on the hot path — and Snapshot copies the counts out for
-// quantile math and interval deltas.
+// quantile math and interval deltas. The buckets live in chunks of one
+// octave, each allocated by the first value it records.
 const (
 	// histUnit is the recording resolution; everything below records as
 	// one unit.
@@ -38,6 +45,9 @@ const (
 	histLen = 2*histSubBuckets + (histMaxOctave-subBucketBits)*histSubBuckets
 	// subBucketBits is log2(histSubBuckets).
 	subBucketBits = 5
+	// histChunks is the number of octave chunks; the linear range below
+	// 2*histSubBuckets takes the first two.
+	histChunks = histLen / histSubBuckets
 )
 
 // histIndex maps a value in histUnits to its bucket.
@@ -72,13 +82,17 @@ func histValue(idx int) int64 {
 	return base + (int64(1)<<(octave+1) - 1)
 }
 
-// Hist records latencies concurrently and lock-free.
+// Hist records latencies concurrently and lock-free. The zero value is
+// empty and ready to use; it takes 200 B, plus 256 B for each octave
+// chunk a record has reached.
 type Hist struct {
-	counts [histLen]atomic.Uint64
-	total  atomic.Uint64
-	sum    atomic.Int64 // histUnits
-	max    atomic.Int64 // histUnits
+	chunks [histChunks]atomic.Pointer[histChunk] // nil: nothing recorded there
+	sum    atomic.Int64                          // histUnits
+	max    atomic.Int64                          // histUnits
 }
+
+// histChunk is one octave's bucket counts.
+type histChunk [histSubBuckets]atomic.Uint64
 
 // Record adds one observation.
 func (h *Hist) Record(d time.Duration) {
@@ -86,8 +100,12 @@ func (h *Hist) Record(d time.Duration) {
 	if u < 0 {
 		u = 0
 	}
-	h.counts[histIndex(u)].Add(1)
-	h.total.Add(1)
+	i := histIndex(u)
+	c := h.chunks[i/histSubBuckets].Load()
+	if c == nil {
+		c = h.chunk(i / histSubBuckets)
+	}
+	c[i%histSubBuckets].Add(1)
 	h.sum.Add(u)
 	for {
 		cur := h.max.Load()
@@ -97,17 +115,31 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
+// chunk installs chunk k on its first record. Of racing first records
+// one chunk wins the compare-and-swap and every racer counts into it.
+func (h *Hist) chunk(k int) *histChunk {
+	h.chunks[k].CompareAndSwap(nil, new(histChunk))
+	return h.chunks[k].Load()
+}
+
 // Snapshot copies the histogram state for quantile math. Concurrent
 // recording keeps going; the snapshot is internally consistent enough
-// for reporting (counts may trail total by in-flight adds).
+// for reporting (Sum and Max may run ahead of the counts by in-flight
+// records).
 func (h *Hist) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	s.Max = time.Duration(h.max.Load()) * histUnit
 	s.Sum = time.Duration(h.sum.Load()) * histUnit
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.counts[i] = c
-		s.Count += c
+	for k := range h.chunks {
+		c := h.chunks[k].Load()
+		if c == nil {
+			continue
+		}
+		for j := range c {
+			n := c[j].Load()
+			s.counts[k*histSubBuckets+j] = n
+			s.Count += n
+		}
 	}
 	return s
 }

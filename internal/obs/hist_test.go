@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestHistIndexMonotone: the bucket index must be monotone in the value
@@ -112,5 +114,63 @@ func TestHistCumulative(t *testing.T) {
 	})
 	if total != s.Count {
 		t.Fatalf("cumulative total %d != count %d", total, s.Count)
+	}
+}
+
+// TestHistFirstRecordsRace: goroutines make the first records of every
+// chunk of a fresh Hist at once. The snapshot must equal a serial
+// oracle bucket for bucket, so no count is lost to a chunk that lost
+// its compare-and-swap. An empty Hist stays far smaller than its
+// histLen buckets.
+func TestHistFirstRecordsRace(t *testing.T) {
+	if size := unsafe.Sizeof(Hist{}); size > 256 {
+		t.Fatalf("an empty Hist takes %d B, want ≤ 256", size)
+	}
+	// Every goroutine records every bucket's upper edge once, starting
+	// at a different chunk, so each chunk sees racing first records
+	// (values past the top octave clamp into the last chunk).
+	const workers = 8
+	var values []time.Duration
+	for i := 0; i < histLen; i++ {
+		values = append(values, time.Duration(histValue(i))*histUnit)
+	}
+	var oracle Hist
+	for w := 0; w < workers; w++ {
+		for _, v := range values {
+			oracle.Record(v)
+		}
+	}
+	want := oracle.Snapshot()
+	for k := range oracle.chunks {
+		if oracle.chunks[k].Load() == nil {
+			t.Fatalf("no value reached chunk %d", k)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		var h Hist
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				off := w * histLen / workers
+				for i := range values {
+					h.Record(values[(off+i)%histLen])
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if got := h.Snapshot(); got != want {
+			for i := range got.counts {
+				if got.counts[i] != want.counts[i] {
+					t.Errorf("bucket %d: %d, want %d", i, got.counts[i], want.counts[i])
+				}
+			}
+			t.Fatalf("round %d: count %d sum %v max %v, want %d %v %v",
+				round, got.Count, got.Sum, got.Max, want.Count, want.Sum, want.Max)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,10 @@ import (
 // order), and scrape hooks that set point-in-time gauges.
 // Registration is fallible only for programmer errors, which panic —
 // metric declaration is init-time code, not a runtime path.
+//
+// A nil *Registry registers nothing: its families hand out a new
+// detached cell on every With, counting like any other but held and
+// rendered by no registry. Resolve such cells once and keep them.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -45,9 +50,9 @@ type family struct {
 	name, help, typ string
 	labelNames      []string
 
-	mu     sync.Mutex
+	mu     sync.Mutex // serialises adding a series
 	order  []string
-	series map[string]any // *Counter | *Gauge | *Histogram
+	series atomic.Pointer[map[string]any] // *Counter | *Gauge | *Histogram; copied on add
 }
 
 func (r *Registry) register(name, help, typ string, labelNames []string) *family {
@@ -59,36 +64,56 @@ func (r *Registry) register(name, help, typ string, labelNames []string) *family
 			panic("obs: invalid label name " + l + " on " + name)
 		}
 	}
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.byName[name] {
 		panic("obs: duplicate metric " + name)
 	}
 	r.byName[name] = true
-	f := &family{
-		name: name, help: help, typ: typ,
-		labelNames: labelNames,
-		series:     make(map[string]any),
-	}
+	f := &family{name: name, help: help, typ: typ, labelNames: labelNames}
+	f.series.Store(&map[string]any{})
 	r.families = append(r.families, f)
 	return f
 }
 
 // with returns (creating on first use) the series for the given label
-// values, preserving creation order for deterministic exposition.
+// values, preserving creation order for deterministic exposition. A nil
+// family (registered on a nil Registry) returns a new detached series.
+// Finding an existing series takes no lock and, for label values of up
+// to 64 bytes in all, allocates nothing; adding one copies the family's
+// map, which suits the few series a family holds.
 func (f *family) with(labelValues []string, mk func() any) any {
+	if f == nil {
+		return mk()
+	}
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: %s takes %d label values, got %d", f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\xff")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	var buf [64]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, v...)
+	}
+	if s, ok := (*f.series.Load())[string(key)]; ok {
 		return s
 	}
-	s := mk()
-	f.series[key] = s
-	f.order = append(f.order, key)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	series := *f.series.Load()
+	if s, ok := series[string(key)]; ok {
+		return s
+	}
+	k, s := string(key), mk()
+	series = maps.Clone(series)
+	series[k] = s
+	f.series.Store(&series)
+	f.order = append(f.order, k)
 	return s
 }
 
@@ -245,11 +270,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, f := range fams {
 		f.mu.Lock()
 		keys := append([]string{}, f.order...)
+		byKey := *f.series.Load()
+		f.mu.Unlock()
 		series := make([]any, len(keys))
 		for i, k := range keys {
-			series[i] = f.series[k]
+			series[i] = byKey[k]
 		}
-		f.mu.Unlock()
 		if len(keys) == 0 {
 			continue
 		}

@@ -153,6 +153,26 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestWithLongLabelValues: label values too long for With's stack key
+// still find the one series they name.
+func TestWithLongLabelValues(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("c_total", "c", "a", "b")
+	long := strings.Repeat("x", 70)
+	c.With(long, "y").Inc()
+	c.With(long, "y").Inc()
+	if c.With(long, "z") == c.With(long, "y") {
+		t.Fatal("distinct label values share a series")
+	}
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `c_total{a="` + long + `",b="y"} 2`; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition lacks %s:\n%s", want, sb.String())
+	}
+}
+
 func TestRegistryPanicsOnMisuse(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("dup_total", "d")

@@ -334,10 +334,12 @@ const DefaultTraceRingSize = 256
 // TraceRing is a lock-protected ring buffer of recently finished trace
 // roots, newest evicting oldest. It is an http.Handler serving the ring
 // as a JSON array (newest first); the query parameter min_ms filters to
-// traces at least that many milliseconds long.
+// traces at least that many milliseconds long. Its buffer is allocated
+// by the first Add, so a ring that never keeps a trace costs no slots.
 type TraceRing struct {
 	mu    sync.Mutex
-	buf   []*Span
+	size  int
+	buf   []*Span // nil until the first Add
 	next  int
 	total uint64
 }
@@ -348,7 +350,7 @@ func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceRingSize
 	}
-	return &TraceRing{buf: make([]*Span, capacity)}
+	return &TraceRing{size: capacity}
 }
 
 // Add records one finished trace, evicting the oldest when full.
@@ -358,6 +360,9 @@ func (r *TraceRing) Add(s *Span) {
 		return
 	}
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]*Span, r.size)
+	}
 	r.buf[r.next] = s
 	r.next = (r.next + 1) % len(r.buf)
 	r.total++

@@ -90,8 +90,9 @@ type KVClient struct {
 
 // newKVClient validates the dialed deployment's geometry against the
 // table manifest: the record size must match the bucket encoding
-// exactly, and the deployment must hold at least every bucket (servers
-// pad record counts to powers of two, so ≥, not ==).
+// exactly, and the deployment must hold at least every bucket (a flat
+// deployment addresses the 2^d index space its servers announce, so ≥,
+// not ==).
 func newKVClient(store Store, m KVManifest) (*KVClient, error) {
 	if store.RecordSize() != m.RecordSize() {
 		return nil, fmt.Errorf("impir: deployment serves %d-byte records, keyword manifest's bucket encoding needs %d",
@@ -101,7 +102,7 @@ func newKVClient(store Store, m KVManifest) (*KVClient, error) {
 		return nil, fmt.Errorf("impir: deployment serves %d records, keyword manifest needs %d buckets",
 			store.NumRecords(), m.TotalBuckets())
 	}
-	reg := obs.NewRegistry() // private unless the store is a *Client
+	var reg *obs.Registry // detached cells unless the store is an observed *Client
 	if c, ok := store.(*Client); ok {
 		reg = c.cells.reg
 	}

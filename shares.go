@@ -26,8 +26,8 @@ type Share = bitvec.Vector
 // GenerateShares encodes a query for `servers` non-colluding servers
 // using the naive §2.3 scheme. Send shares[s] to server s.
 func GenerateShares(numRecords int, index uint64, servers int) ([]*Share, error) {
-	// The engines pad databases to powers of two, so shares must cover
-	// the padded index space to match the server-side record count.
+	// A server holds exactly its records but announces, and takes
+	// shares over, the 2^d index space that covers them.
 	domain, err := DomainFor(numRecords)
 	if err != nil {
 		return nil, err
@@ -43,10 +43,11 @@ func GenerateShares(numRecords int, index uint64, servers int) ([]*Share, error)
 }
 
 // AnswerShare processes a raw selector-share query on this server — the
-// n-server generalisation. The share must cover the server's padded
-// record count (as produced by GenerateShares). Like Answer, the request
-// goes through the scheduler: it is admission-controlled, and a context
-// cancelled while queued dequeues it without an engine pass.
+// n-server generalisation. The share must cover the 2^d index space
+// that holds the server's records (as produced by GenerateShares). Like
+// Answer, the request goes through the scheduler: it is
+// admission-controlled, and a context cancelled while queued dequeues
+// it without an engine pass.
 func (s *Server) AnswerShare(ctx context.Context, share *Share) ([]byte, Breakdown, error) {
 	return single(s.sched.Query(ctx, pirproto.MsgShareQuery, dpf.Batch{Shares: []*Share{share}}))
 }
