@@ -1,14 +1,15 @@
 package impir
 
 import (
+	"cmp"
 	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/impir/impir/internal/batchcode"
-	"github.com/impir/impir/internal/fanout"
 	"github.com/impir/impir/internal/obs"
 )
 
@@ -23,8 +24,9 @@ import (
 //	         deployment, the batch-code planner on a coded one
 //	shard    rows → one sub-batch per shard cohort (a flat deployment is
 //	         a one-shard plan over the servers' padded row count)
-//	fan-out  every cohort at once; within one, one share per party,
-//	         hedged across the party's replicas
+//	exchange every cohort's frames written, one share per party, before
+//	         any reply is read; a party's share hedged across its
+//	         replicas
 //	decode   subresults XORed into records, mapped back to the indices
 //
 // Privacy: every shard cohort receives a well-formed sub-query for every
@@ -34,11 +36,12 @@ import (
 // nothing about its index, and which sub-queries were real, dummy, or
 // served from the side-information cache exists only client-side.
 //
-// A call aborts as a whole when any shard's party fails (all of its
-// replicas) or the context is cancelled: a proper subset of subresults
-// is uniformly random and is never returned. Connections poisoned by an
-// abandoned exchange are redialed before the next call, and a replica
-// that stays dead only degrades its party to the surviving replicas.
+// A call runs on its caller's goroutine and aborts as a whole when any
+// shard's party fails (all of its replicas) or the context is
+// cancelled: a proper subset of subresults is uniformly random and is
+// never returned. Connections poisoned by an abandoned exchange are
+// redialed before they are written again, and a replica that stays dead
+// only degrades its party to the surviving replicas.
 //
 // A Client may be shared by concurrent goroutines.
 type Client struct {
@@ -103,18 +106,20 @@ func WithDefaultCallOptions(opts ...CallOption) ClientOption {
 // plan and the code over them.
 func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, error) {
 	c := &Client{shards: make([]*cohort, len(d.Shards)), defaults: cfg.defaults, tracer: cfg.tracer}
-	g, gctx := fanout.WithContext(ctx)
+	errs := make([]error, len(d.Shards))
+	var wg sync.WaitGroup
 	for s, shard := range d.Shards {
-		g.Go(func() error {
-			co, err := openCohort(gctx, c, s, shard, d.RecordSize, cfg)
-			if err != nil && len(d.Shards) > 1 {
-				err = fmt.Errorf("impir: shard %d: %w", s, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.shards[s], errs[s] = openCohort(ctx, c, s, shard, d.RecordSize, cfg)
+			if errs[s] != nil && len(d.Shards) > 1 {
+				errs[s] = fmt.Errorf("impir: shard %d: %w", s, errs[s])
 			}
-			c.shards[s] = co
-			return err
-		})
+		}()
 	}
-	err := g.Wait()
+	wg.Wait()
+	err := cmp.Or(errs...)
 	if err == nil {
 		err = c.layOut(d, cfg.sideInfo)
 	}
@@ -185,8 +190,9 @@ func (c *Client) Servers() int { return len(c.shards[0].parties) }
 func (c *Client) Encoding() string { return c.shards[0].enc.String() }
 
 // Retrieve privately fetches one record: one well-formed sub-query per
-// shard cohort, one share per party within each, all concurrent. No
-// server learns the index.
+// shard cohort, one share per party within each. Every share is written
+// before any reply is read, so the call costs its slowest server, not
+// the sum. No server learns the index.
 func (c *Client) Retrieve(ctx context.Context, index uint64, opts ...CallOption) ([]byte, error) {
 	if err := c.check(index); err != nil {
 		return nil, err
@@ -287,7 +293,7 @@ func (c *Client) check(indices ...uint64) error {
 }
 
 // fetch is one attempt of the pipeline below the policy: code, shard,
-// fan out, decode. batch selects the wire frame — false sends every
+// exchange, decode. batch selects the wire frame — false sends every
 // cohort one single query (Retrieve).
 func (c *Client) fetch(ctx context.Context, co callOptions, indices []uint64, batch bool) ([][]byte, error) {
 	rows, local, decode, err := c.encode(indices, batch)
@@ -304,17 +310,15 @@ func (c *Client) fetch(ctx context.Context, co callOptions, indices []uint64, ba
 	if c.code != nil {
 		owners = nil
 	}
-	answers := make([][][]byte, len(c.shards))
-	err = c.fanOut(ctx, owners, func(ctx context.Context, s int) (err error) {
-		answers[s], err = c.shards[s].query(ctx, co, plan.Locals[s], batch)
-		return err
+	flights, err := c.run(ctx, owners, func(f *flight) error {
+		return f.prepareRead(ctx, co, plan.Locals[f.co.shard], batch)
 	})
 	if err != nil {
 		return nil, err
 	}
 	recs := make([][]byte, len(rows))
 	for i, s := range plan.Owners {
-		recs[i] = answers[s][plan.Pos[i]]
+		recs[i] = flights[s].answers[plan.Pos[i]]
 	}
 	return decode(recs), nil
 }
@@ -394,41 +398,57 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 	}, nil
 }
 
-// fanOut runs do for every shard cohort; it is the one per-shard fan-out
-// of every call. A one-shard store — a flat deployment — runs its
-// cohort inline on the caller's goroutine and opens no shard span.
-// Otherwise the cohorts run concurrently, each under a "shard" span, and
-// the first failure cancels the rest and fails the call. owners, when
-// given, are the shards owning each real sub-query; they label the spans
-// client-side only — every cohort's wire traffic has the same shape.
-func (c *Client) fanOut(ctx context.Context, owners []int, do func(ctx context.Context, s int) error) error {
-	if len(c.shards) == 1 {
-		return do(ctx, 0)
-	}
-	span := obs.SpanFromContext(ctx)
-	owned := make([]int, len(c.shards))
-	for _, s := range owners {
-		owned[s]++
-	}
-	g, gctx := fanout.WithContext(ctx)
-	for s := range c.shards {
-		g.Go(func() error {
-			ssp := span.StartChild("shard")
-			ssp.SetAttrInt("shard", int64(s))
+// run is the one exchange loop of every call, on the caller's
+// goroutine. It prepares every shard's flight, then writes every frame
+// in (shard, party, replica) order, then reads every reply in the same
+// order. Concurrent calls cannot deadlock: each waits for connections
+// only in that one order, and a hedge never waits for one (see
+// flight.hedge). The first failure ends the call, and every exchange
+// written but not read is abandoned. A one-shard store — a flat
+// deployment — opens no shard span. owners, when given, are the shards
+// owning each real sub-query; they label the shard spans client-side
+// only — every cohort's wire traffic has the same shape.
+func (c *Client) run(ctx context.Context, owners []int, prepare func(f *flight) error) ([]flight, error) {
+	root := obs.SpanFromContext(ctx)
+	flights := make([]flight, len(c.shards))
+	defer func() {
+		for i := range flights {
+			flights[i].end(context.Canceled)
+		}
+	}()
+	for s, sh := range c.shards {
+		f := &flights[s]
+		f.co, f.parent = sh, root
+		if len(c.shards) > 1 {
+			f.span = root.StartChild("shard")
+			f.span.SetAttrInt("shard", int64(s))
 			if owners != nil {
-				ssp.SetAttrInt("real", int64(owned[s]))
-				ssp.SetAttrBool("dummy", owned[s] == 0)
+				owned := 0
+				for _, o := range owners {
+					if o == s {
+						owned++
+					}
+				}
+				f.span.SetAttrInt("real", int64(owned))
+				f.span.SetAttrBool("dummy", owned == 0)
 			}
-			err := do(obs.ContextWithSpan(gctx, ssp), s)
-			if err != nil {
-				ssp.SetAttr("error", err.Error())
-				err = fmt.Errorf("impir: shard %d: %w", s, err)
-			}
-			ssp.End()
-			return err
-		})
+			f.parent = f.span
+		}
+		if err := prepare(f); err != nil {
+			return nil, f.end(err)
+		}
 	}
-	return g.Wait()
+	for s := range flights {
+		if err := flights[s].write(ctx); err != nil {
+			return nil, flights[s].end(err)
+		}
+	}
+	for s := range flights {
+		if err := flights[s].end(flights[s].read(ctx)); err != nil {
+			return nil, err
+		}
+	}
+	return flights, nil
 }
 
 // Update pushes a §3.3 bulk record update: updates maps record index to
@@ -443,11 +463,13 @@ func (c *Client) fanOut(ctx context.Context, owners []int, do func(ctx context.C
 // would serve stale records as if they were current. Servers reject wire
 // updates unless started with ServerConfig.AllowWireUpdates.
 //
-// Affected replicas update concurrently and the first failure cancels
-// the rest, which can leave replicas diverged. Retry the same update
-// until it succeeds everywhere — the per-server application is
-// idempotent, and a WithRetries budget spends itself on exactly this —
-// or tear the deployment down; a divergence is also caught by the digest
+// Every reachable affected replica receives its frame before any
+// acknowledgement is awaited. The first failed acknowledgement fails
+// the update and leaves the acknowledgements not yet read unknown, so
+// replicas may have diverged. Retry the same update until it succeeds
+// everywhere — the per-server application is idempotent, and a
+// WithRetries budget spends itself on exactly this — or tear the
+// deployment down; a divergence is also caught by the digest
 // cross-check at the next connect.
 func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error {
 	if len(updates) == 0 {
@@ -470,18 +492,16 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 		return err
 	}
 	// Drop the records from the side-information cache before the
-	// fan-out, so no hit serves them while replicas change, and again
+	// exchange, so no hit serves them while replicas change, and again
 	// after it whatever its outcome, so a read that raced the update
 	// cannot cache what it read: its generation predates this Invalidate.
 	c.invalidate(updates)
 	defer c.invalidate(updates)
 	err = c.call(ctx, &c.cells.update, opUpdate, opts, func(ctx context.Context, _ callOptions) error {
-		return c.fanOut(ctx, nil, func(ctx context.Context, s int) error {
-			if routed[s] == nil {
-				return nil
-			}
-			return c.shards[s].update(ctx, routed[s])
+		_, err := c.run(ctx, nil, func(f *flight) error {
+			return f.prepareUpdate(ctx, routed[f.co.shard])
 		})
+		return err
 	})
 	// Routed rows count per LOGICAL update, however many attempts it took.
 	for s, sub := range routed {

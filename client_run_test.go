@@ -1,0 +1,213 @@
+package impir
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"regexp"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// shardedDeployment lays parts out as consecutive shards, each served
+// by the cohorts serve returns for it.
+func shardedDeployment(parts []*DB, serve func(s int, part *DB) []Party) Deployment {
+	d := Deployment{RecordSize: parts[0].RecordSize()}
+	first := uint64(0)
+	for s, part := range parts {
+		n := uint64(part.NumRecords())
+		d.Shards = append(d.Shards, DeploymentShard{FirstRecord: first, NumRecords: n, Parties: serve(s, part)})
+		first += n
+	}
+	return d
+}
+
+// clientFrame matches a stack frame in a method of the root package's
+// client: Client, cohort, or a cohort's flight.
+var clientFrame = regexp.MustCompile(`github\.com/impir/impir\.\(\*(Client|cohort|flight)\)\.`)
+
+// clientGoroutines returns the stack of every goroutine with a frame in
+// a client method, by goroutine header ("goroutine N [state]:").
+func clientGoroutines() map[string][]byte {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string][]byte{}
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if clientFrame.Match(g) {
+			id, _, _ := bytes.Cut(g, []byte(" ["))
+			out[string(id)] = g
+		}
+	}
+	return out
+}
+
+// TestRetrieveRunsOnCallerGoroutine: a Retrieve on 2 shards × 2 parties
+// starts no goroutine of its own. While every server holds its pass —
+// so the call has written all four frames and waits for a reply — the
+// only goroutine in a client method is the caller's.
+func TestRetrieveRunsOnCallerGoroutine(t *testing.T) {
+	db, _ := GenerateHashDB(256, 51)
+	parts, err := SplitDB(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the servers close, even on failure
+	hold := func() {
+		passes <- struct{}{}
+		<-release
+	}
+	d := shardedDeployment(parts, func(_ int, part *DB) []Party {
+		return []Party{
+			{Replicas: []string{startHookedServer(t, part, 0, hold)}},
+			{Replicas: []string{startHookedServer(t, part, 1, hold)}},
+		}
+	})
+	store := openFromJSON(t, context.Background(), d)
+
+	type result struct {
+		rec []byte
+		err error
+	}
+	// Goroutines other tests left in client methods (hedge losers still
+	// reading) are not this call's.
+	before := clientGoroutines()
+	done := make(chan result, 1)
+	go func() {
+		rec, err := store.Retrieve(context.Background(), 200)
+		done <- result{rec, err}
+	}()
+	for i := 0; i < 4; i++ {
+		select {
+		case <-passes:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of 4 servers received a frame", i)
+		}
+	}
+	var inClient [][]byte
+	for id, g := range clientGoroutines() {
+		if before[id] == nil {
+			inClient = append(inClient, g)
+		}
+	}
+	unblock()
+	if len(inClient) != 1 {
+		t.Errorf("%d new goroutines are in client methods while the call waits, want 1 (the caller's):\n%s",
+			len(inClient), bytes.Join(inClient, []byte("\n\n")))
+	}
+	if r := <-done; r.err != nil || !bytes.Equal(r.rec, db.Record(200)) {
+		t.Fatalf("Retrieve = %x, %v", r.rec, r.err)
+	}
+}
+
+// TestConcurrentCallsDoNotDeadlock: 8 goroutines share one Store on 2
+// shards of 2 parties × 2 replicas, hedging with a ~0 delay so replicas
+// race, and mix RetrieveBatches with Updates. Every call takes
+// connections in one order or not at all, so every call returns within
+// its deadline, and every read equals the value last written there.
+// Each goroutine writes only its own records, so that value is known.
+func TestConcurrentCallsDoNotDeadlock(t *testing.T) {
+	const (
+		workers  = 8
+		deadline = 5 * time.Second
+	)
+	db, _ := GenerateHashDB(512, 52)
+	parts, err := SplitDB(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := shardedDeployment(parts, func(_ int, part *DB) []Party {
+		addrs, _ := startShardCohort(t, part, 4)
+		return []Party{{Replicas: addrs[:2]}, {Replicas: addrs[2:]}}
+	})
+	ctx := context.Background()
+	store := openFromJSON(t, ctx, d, WithDefaultCallOptions(
+		WithHedging(true), WithHedgeDelay(time.Nanosecond), WithCallTimeout(deadline), WithRetries(3)))
+
+	stop := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker w owns one record on each shard.
+			mine := []uint64{uint64(w), uint64(256 + w)}
+			want := map[uint64][]byte{mine[0]: db.Record(int(mine[0])), mine[1]: db.Record(int(mine[1]))}
+			for i := 0; time.Now().Before(stop); i++ {
+				start := time.Now()
+				if i%3 == 2 {
+					rec := make([]byte, db.RecordSize())
+					binary.LittleEndian.PutUint64(rec, uint64(w<<32|i))
+					idx := mine[i%2]
+					err := store.Update(ctx, map[uint64][]byte{idx: rec})
+					if err != nil {
+						t.Errorf("worker %d: Update: %v", w, err)
+						return
+					}
+					want[idx] = rec
+				} else {
+					recs, err := store.RetrieveBatch(ctx, mine)
+					if err != nil {
+						t.Errorf("worker %d: RetrieveBatch: %v", w, err)
+						return
+					}
+					for j, idx := range mine {
+						if !bytes.Equal(recs[j], want[idx]) {
+							t.Errorf("worker %d: record %d = %x, want the last written %x", w, idx, recs[j], want[idx])
+							return
+						}
+					}
+				}
+				if took := time.Since(start); took > deadline {
+					t.Errorf("worker %d: a call took %v, past its %v deadline", w, took, deadline)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRetrieveAllocations pins the allocations of one Retrieve on a
+// flat 1024 × 32 B pair served in this process, counting the client and
+// both servers together: 83 on Go 1.24, with a little room above. A
+// goroutine, closure or cancel scope per shard or party shows here.
+func TestRetrieveAllocations(t *testing.T) {
+	const maxRetrieveAllocs = 88
+	if raceEnabledImpir {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db, _ := GenerateHashDB(1024, 53)
+	ctx := context.Background()
+	store := openFromJSON(t, ctx, FlatDeployment(startDeployment(t, db, 2)...))
+	for i := 0; i < 50; i++ { // warm the connections' buffers and pools
+		if _, err := store.Retrieve(ctx, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, e := store.Retrieve(ctx, 77); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.1f allocations per Retrieve", allocs)
+	if allocs > maxRetrieveAllocs {
+		t.Errorf("a Retrieve allocates %.1f times, want ≤ %d", allocs, maxRetrieveAllocs)
+	}
+}

@@ -1,6 +1,7 @@
 package impir
 
 import (
+	"cmp"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -24,22 +25,17 @@ import (
 // replicas when the primary lags (first valid answer per party wins,
 // losers are cancelled) — replicas of one party form one trust domain
 // holding identical data, so hedging trades duplicate work for tail
-// latency without touching the privacy argument. Parties are queried
-// concurrently and a sub-query aborts as a whole when any PARTY fails
-// (all of its replicas) or the context is cancelled: a proper subset of
-// subresults is uniformly random and must never be mistaken for a
-// record.
+// latency without touching the privacy argument. A sub-query aborts as
+// a whole when any PARTY fails (all of its replicas) or the context is
+// cancelled: a proper subset of subresults is uniformly random and must
+// never be mistaken for a record.
 //
-// Overlapping sub-queries are serialised per server connection. One
-// abandoned mid-flight — by cancellation, a losing hedge, or a peer
-// failure — poisons its connection (the wire protocol has no
+// A server connection carries one exchange at a time. One abandoned
+// mid-flight — by cancellation, a losing hedge, or a failure elsewhere
+// in its call — poisons its connection (the wire protocol has no
 // cancellation frame), but the cohort heals itself: the next call
-// transparently redials poisoned connections before fanning out. A
-// replica that stays dead only degrades its party to the surviving
-// replicas. A redialed connection is validated against the geometry
-// learned at connect time; the full cross-replica digest check runs only
-// at connect (replica contents may legitimately change between redials
-// via Update).
+// transparently redials poisoned connections before writing. A replica
+// that stays dead only degrades its party to the surviving replicas.
 type cohort struct {
 	store      *Client // owner of the cells this cohort counts into
 	shard      int
@@ -49,57 +45,34 @@ type cohort struct {
 	geom       geometry
 	recordSize int
 
+	// rw is held shared by a read's flight and exclusively by an
+	// update's, from prepare to end, so no read of this client straddles
+	// its update: a hedge may write a party's frame after the flight
+	// has read another party's reply.
+	rw    sync.RWMutex
 	mu    sync.Mutex // guards conns replacement on redial and ewma
 	conns [][]*transport.Conn
 	ewma  [][]float64 // observed replica latency, EWMA, nanoseconds; 0 = unknown
 }
 
-// openCohort connects one shard's cohort: every replica of every party,
-// with cross-replica validation and — when the manifest declares
-// geometry — a handshake check against it.
+// openCohort connects one shard's cohort: it dials every replica of
+// every party as a call redials them — a party needs one live replica,
+// and the dead ones are retried on each call — then validates the
+// replicas against each other and, when the manifest declares
+// geometry, against it.
 func openCohort(ctx context.Context, store *Client, shard int, ds DeploymentShard, recordSize int, cfg clientConfig) (*cohort, error) {
 	parties := ds.cohorts()
 	enc, err := cfg.encoding.resolve(len(parties))
 	if err != nil {
 		return nil, err
 	}
-	c := &cohort{store: store, shard: shard, parties: parties, tlsCfg: cfg.tlsCfg, enc: enc}
-
-	// Dial every replica of every party concurrently. A party tolerates
-	// dead replicas at open as it does later: it needs one live replica,
-	// and the dead ones are retried transparently on each call.
-	conns := make([][]*transport.Conn, len(parties))
-	dialErrs := make([][]error, len(parties))
-	c.ewma = make([][]float64, len(parties))
-	var wg sync.WaitGroup
+	c := &cohort{store: store, shard: shard, parties: parties, tlsCfg: cfg.tlsCfg, enc: enc,
+		conns: make([][]*transport.Conn, len(parties)), ewma: make([][]float64, len(parties))}
 	for p, replicas := range parties {
-		conns[p] = make([]*transport.Conn, len(replicas))
-		dialErrs[p] = make([]error, len(replicas))
+		c.conns[p] = make([]*transport.Conn, len(replicas))
 		c.ewma[p] = make([]float64, len(replicas))
-		for r := range replicas {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				conns[p][r], dialErrs[p][r] = c.dialReplica(ctx, p, r)
-			}()
-		}
 	}
-	wg.Wait()
-	c.conns = conns
-
-	for p := range conns {
-		alive := 0
-		for _, conn := range conns[p] {
-			if conn != nil {
-				alive++
-			}
-		}
-		if alive == 0 {
-			err = fmt.Errorf("impir: %s unreachable: %w", fmtParty(p, len(parties[p])), firstNonNil(dialErrs[p]))
-			break
-		}
-	}
-	if err == nil {
+	if _, err = c.liveConns(ctx, false); err == nil {
 		err = c.validate()
 	}
 	if err == nil && recordSize > 0 && c.recordSize != recordSize {
@@ -123,15 +96,6 @@ func nextPow2(n uint64) uint64 {
 		return 1
 	}
 	return 1 << bits.Len64(n-1)
-}
-
-func firstNonNil(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return errors.New("no replicas")
 }
 
 // validate cross-checks the replicas every connected server presented
@@ -173,12 +137,27 @@ func (c *cohort) validate() error {
 }
 
 // dialReplica (re)establishes the connection to party p's replica r.
+// Once the cohort has learned its geometry, a fresh connection must
+// present it; the digest is deliberately not re-checked (Update
+// legitimately changes it — replica agreement is cross-checked at
+// connect).
 func (c *cohort) dialReplica(ctx context.Context, p, r int) (*transport.Conn, error) {
-	addr := c.parties[p][r]
+	var conn *transport.Conn
+	var err error
 	if c.tlsCfg != nil {
-		return transport.DialTLS(ctx, addr, c.tlsCfg)
+		conn, err = transport.DialTLS(ctx, c.parties[p][r], c.tlsCfg)
+	} else {
+		conn, err = transport.Dial(ctx, c.parties[p][r])
 	}
-	return transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, fmt.Errorf("impir: dial %s replica %d: %w", fmtParty(p, len(c.parties[p])), r, err)
+	}
+	if info := conn.Info(); c.recordSize > 0 && (info.NumRecords != c.geom.numRecords ||
+		int(info.Domain) != c.geom.domain || int(info.RecordSize) != c.recordSize) {
+		conn.Close()
+		return nil, fmt.Errorf("impir: redialed party %d replica %d presents a different database geometry", p, r)
+	}
+	return conn, nil
 }
 
 // liveConns returns a usable connection snapshot, transparently
@@ -187,84 +166,60 @@ func (c *cohort) dialReplica(ctx context.Context, p, r int) (*transport.Conn, er
 // replica that stays dead leaves a nil slot and only its PARTY must
 // retain a live replica; with needAll true — the update path — every
 // replica must be reachable, because an update must land on all of
-// them. A fresh connection must present the geometry learned at connect
-// time; the digest is deliberately not re-checked (Update legitimately
-// changes it — replica agreement is cross-checked at connect).
+// them.
 //
 // Dialing happens outside the cohort mutex: a slow or unreachable
 // server stalls only the call that needs it, never concurrent calls
 // over healthy connections and never Close.
 func (c *cohort) liveConns(ctx context.Context, needAll bool) ([][]*transport.Conn, error) {
 	c.mu.Lock()
-	if c.conns == nil {
-		c.mu.Unlock()
-		return nil, errors.New("impir: client is closed")
-	}
 	snapshot := snapshotConns(c.conns)
 	c.mu.Unlock()
-
+	if len(snapshot) == 0 {
+		return nil, errClientClosed
+	}
 	var broken []connSlot
 	for p, reps := range snapshot {
 		for r, conn := range reps {
 			if conn == nil || conn.Broken() {
-				broken = append(broken, connSlot{p, r})
+				broken = append(broken, connSlot{p: p, r: r})
 			}
 		}
 	}
 	if len(broken) == 0 {
 		return snapshot, nil
 	}
-
-	fresh := make([]*transport.Conn, len(broken))
-	dialErrs := make([]error, len(broken))
 	var wg sync.WaitGroup
-	for i, s := range broken {
+	for i := range broken {
 		wg.Add(1)
-		go func() {
+		go func(s *connSlot) {
 			defer wg.Done()
-			conn, err := c.dialReplica(ctx, s.p, s.r)
-			if err != nil {
-				dialErrs[i] = fmt.Errorf("impir: redial %s replica %d: %w", fmtParty(s.p, len(c.parties[s.p])), s.r, err)
-				return
-			}
-			info := conn.Info()
-			if info.NumRecords != c.geom.numRecords || int(info.Domain) != c.geom.domain ||
-				int(info.RecordSize) != c.recordSize {
-				conn.Close()
-				dialErrs[i] = fmt.Errorf("impir: redialed party %d replica %d presents a different database geometry", s.p, s.r)
-				return
-			}
-			fresh[i] = conn
-		}()
+			s.conn, s.err = c.dialReplica(ctx, s.p, s.r)
+		}(&broken[i])
 	}
 	wg.Wait()
 
 	c.mu.Lock()
-	if c.conns == nil {
-		c.mu.Unlock()
-		for _, conn := range fresh {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-		return nil, errors.New("impir: client is closed")
-	}
-	for i, s := range broken {
+	closed := c.conns == nil
+	for _, s := range broken {
 		// A concurrent liveConns may have healed this slot while we
 		// dialed; keep the existing healthy connection and drop ours.
-		if cur := c.conns[s.p][s.r]; cur != nil && !cur.Broken() {
-			if fresh[i] != nil {
-				fresh[i].Close()
+		if closed || c.conns[s.p][s.r] != nil && !c.conns[s.p][s.r].Broken() {
+			if s.conn != nil {
+				s.conn.Close()
 			}
 			continue
 		}
 		if cur := c.conns[s.p][s.r]; cur != nil {
 			cur.Close()
 		}
-		c.conns[s.p][s.r] = fresh[i] // possibly nil: replica stays down
+		c.conns[s.p][s.r] = s.conn // possibly nil: replica stays down
 	}
 	out := snapshotConns(c.conns)
 	c.mu.Unlock()
+	if closed {
+		return nil, errClientClosed
+	}
 
 	for p, reps := range out {
 		alive := 0
@@ -275,15 +230,16 @@ func (c *cohort) liveConns(ctx context.Context, needAll bool) ([][]*transport.Co
 		}
 		if needAll && alive < len(reps) {
 			return nil, fmt.Errorf("impir: not every replica of %s is reachable (updates must land on all replicas): %w",
-				fmtParty(p, len(reps)), firstSlotErr(dialErrs, broken, p))
+				fmtParty(p, len(reps)), firstSlotErr(broken, p))
 		}
 		if alive == 0 {
-			return nil, fmt.Errorf("impir: %s has no live replicas: %w",
-				fmtParty(p, len(reps)), firstSlotErr(dialErrs, broken, p))
+			return nil, fmt.Errorf("impir: %s has no live replicas: %w", fmtParty(p, len(reps)), firstSlotErr(broken, p))
 		}
 	}
 	return out, nil
 }
+
+var errClientClosed = errors.New("impir: client is closed")
 
 func snapshotConns(conns [][]*transport.Conn) [][]*transport.Conn {
 	out := make([][]*transport.Conn, len(conns))
@@ -293,176 +249,315 @@ func snapshotConns(conns [][]*transport.Conn) [][]*transport.Conn {
 	return out
 }
 
-// connSlot addresses one replica connection by (party, replica) index.
-type connSlot struct{ p, r int }
+// connSlot is one replica connection being redialed, by (party,
+// replica) index, with the dial's outcome.
+type connSlot struct {
+	p, r int
+	conn *transport.Conn
+	err  error
+}
 
-func firstSlotErr(errs []error, broken []connSlot, party int) error {
-	for i, s := range broken {
-		if s.p == party && errs[i] != nil {
-			return errs[i]
+func firstSlotErr(broken []connSlot, party int) error {
+	for _, s := range broken {
+		if s.p == party && s.err != nil {
+			return s.err
 		}
 	}
 	return errors.New("replica down")
 }
 
-// query privately fetches the cohort's sub-batch of shard-local rows —
-// as one single-query frame per party when batch is false — and
-// reconstructs each row's record from the parties' subresults.
-func (c *cohort) query(ctx context.Context, co callOptions, locals []uint64, batch bool) ([][]byte, error) {
+// flight is one cohort's part of a call, from the keys or update set it
+// carries to the replies its replicas send back. Client.run writes every
+// flight's frames before it reads any reply.
+type flight struct {
+	co      *cohort
+	ended   bool
+	parent  *obs.Span // the shard span on a sharded store, else the root
+	span    *obs.Span // the shard span; nil on a flat store or untraced
+	conns   [][]*transport.Conn
+	queries []serverQuery     // a read's shares, one per party
+	batch   bool              // a read's frames are batch frames
+	updates map[uint64][]byte // an update's rows
+	legs    []leg             // the frames to write, in (party, replica) order
+	answers [][]byte          // a read's records, once reconstructed
+	start   time.Time
+}
+
+// leg is one frame to party p's replica r.
+type leg struct {
+	conn     *transport.Conn
+	p, r     int
+	psp, att *obs.Span // its party and attempt spans, opened by its write
+	start    time.Time
+	err      error // its write failed
+	held     bool  // written, its reply neither read nor handed to a hedge
+	order    []int // a hedged party's live replicas, fastest first; nil: unhedged
+	delay    time.Duration
+}
+
+// prepareRead generates the cohort's shares of its shard-local rows —
+// one single-query frame per party when batch is false — over live
+// connections, redialing those an abandoned exchange poisoned. Each
+// party's frame goes to its fastest-known replica; with hedging on, a
+// party with more than one live replica may hedge to the others.
+func (f *flight) prepareRead(ctx context.Context, co callOptions, locals []uint64, batch bool) error {
+	c := f.co
 	queries, err := encode(c.enc, c.geom, len(c.parties), locals, batch)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	start := time.Now()
-	subresults, err := c.send(ctx, co, queries)
-	sh := &c.store.cells.shards[c.shard]
-	sh[shardNanos].Add(uint64(time.Since(start)))
-	if batch {
-		sh[shardBatches].Inc()
-		sh[shardBatchQueries].Add(uint64(len(locals)))
-	} else {
-		sh[shardQueries].Inc()
+	c.rw.RLock()
+	f.queries, f.batch, f.start = queries, batch, time.Now()
+	if f.conns, err = c.liveConns(ctx, false); err != nil {
+		return err
 	}
-	if err != nil {
-		sh[shardErrors].Inc()
-		return nil, err
+	f.legs = make([]leg, len(f.conns))
+	for p, conns := range f.conns {
+		order, primaryEWMA := c.replicaOrder(p, conns)
+		f.legs[p] = leg{conn: conns[order[0]], p: p, r: order[0]}
+		if co.hedge && len(order) > 1 {
+			delay := co.hedgeDelay
+			if delay <= 0 {
+				delay = defaultHedgeDelay
+			}
+			// Adapt upward: hedge when the primary takes twice its usual
+			// time, not merely longer than a fixed floor tuned for
+			// someone else's deployment.
+			f.legs[p].order, f.legs[p].delay = order, max(delay, 2*time.Duration(primaryEWMA))
+		}
 	}
-	out := make([][]byte, len(locals))
-	for i := range out {
+	return nil
+}
+
+// prepareUpdate plans one shard-local update set for every replica of
+// every party; each must be reachable. A nil set leaves the cohort out.
+func (f *flight) prepareUpdate(ctx context.Context, updates map[uint64][]byte) error {
+	if updates == nil {
+		return nil
+	}
+	f.co.rw.Lock()
+	f.updates = updates
+	var err error
+	if f.conns, err = f.co.liveConns(ctx, true); err != nil {
+		return err
+	}
+	for p, reps := range f.conns {
+		for r, conn := range reps {
+			f.legs = append(f.legs, leg{conn: conn, p: p, r: r})
+		}
+	}
+	return nil
+}
+
+// write writes the flight's frames in (party, replica) order, each
+// under its own attempt span, below a party span per party. A hedged
+// party's failed write is left to its hedge; any other failure ends the
+// write.
+func (f *flight) write(ctx context.Context) error {
+	for i := range f.legs {
+		l := &f.legs[i]
+		if i > 0 && f.legs[i-1].p == l.p {
+			l.psp = f.legs[i-1].psp
+		} else {
+			l.psp = f.parent.StartChild("party")
+			l.psp.SetAttrInt("party", int64(l.p))
+			l.psp.SetAttrInt("replicas", int64(len(f.conns[l.p])))
+			if l.order != nil {
+				l.psp.SetAttr("hedge_delay", l.delay.String())
+			}
+		}
+		l.att = l.psp.StartChild("attempt")
+		l.att.SetAttrInt("replica", int64(l.r))
+		if l.order != nil {
+			l.att.SetAttrBool("hedge", false)
+		}
+		l.start = time.Now()
+		l.err = f.send(attemptContext(ctx, l.att), l.conn, l.p)
+		for n := 0; n < 3 && l.err != nil && ctx.Err() == nil && l.conn.Broken(); n++ {
+			// The connection broke since prepare — most often another
+			// call abandoned an exchange on it: redial it and write
+			// again, so an update does not fail, and abandon the frames
+			// it has written, over a connection it never used.
+			conns, err := f.co.liveConns(ctx, false)
+			if err != nil || conns[l.p][l.r] == nil {
+				break
+			}
+			l.conn = conns[l.p][l.r]
+			l.err = f.send(attemptContext(ctx, l.att), l.conn, l.p)
+		}
+		l.held = l.err == nil
+		if l.err != nil && l.order == nil {
+			_, err := f.recv(ctx, l)
+			return f.fail(l, err)
+		}
+	}
+	return nil
+}
+
+// send writes the flight's frame for party p to conn.
+func (f *flight) send(ctx context.Context, conn *transport.Conn, p int) error {
+	if f.updates != nil {
+		return conn.SendUpdate(ctx, f.updates)
+	}
+	return conn.Send(ctx, f.queries[p].frame, f.queries[p].in)
+}
+
+// read reads every reply the flight's write left pending, in order, and
+// reconstructs a read's records from the parties' subresults. A lone
+// subresult is uniformly random: any party's failure fails the flight.
+func (f *flight) read(ctx context.Context) error {
+	subresults := make([][][]byte, 0, len(f.legs))
+	for i := range f.legs {
+		l := &f.legs[i]
+		l.held = false
+		var rs [][]byte
+		var err error
+		if l.order != nil {
+			rs, err = f.hedge(ctx, l)
+		} else {
+			rs, err = f.recv(ctx, l)
+		}
+		if err != nil {
+			return f.fail(l, err)
+		}
+		if i+1 == len(f.legs) || f.legs[i+1].p != l.p {
+			l.psp.End()
+		}
+		subresults = append(subresults, rs)
+	}
+	if f.queries == nil {
+		return nil
+	}
+	// Recv checked that every party returned one subresult per row.
+	f.answers = make([][]byte, f.queries[0].in.Len())
+	for i := range f.answers {
 		recs := make([][]byte, len(subresults))
 		for p, rs := range subresults {
-			if i >= len(rs) {
-				return nil, fmt.Errorf("impir: party %d returned %d of %d batch subresults", p, len(rs), len(locals))
-			}
 			recs[p] = rs[i]
 		}
-		if out[i], err = Reconstruct(recs...); err != nil {
-			return nil, fmt.Errorf("impir: batch item %d: %w", i, err)
+		var err error
+		if f.answers[i], err = Reconstruct(recs...); err != nil {
+			return fmt.Errorf("impir: batch item %d: %w", i, err)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// send issues one pre-encoded query share per party, all parties
-// concurrent, each share hedged across its party's replicas, and
-// collects every party's subresults. The first PARTY failure cancels
-// the remaining queries and fails the whole sub-query — a lone
-// subresult is never returned. Connections poisoned by an earlier
-// abandoned exchange are transparently redialed first.
-func (c *cohort) send(ctx context.Context, co callOptions, queries []serverQuery) ([][][]byte, error) {
-	conns, err := c.liveConns(ctx, false)
-	if err != nil {
-		return nil, err
+// recv reads leg l's reply under ctx — or takes its write's failure —
+// and ends its attempt span with the outcome. A read's replica latency
+// feeds the replica's estimate; a cancelled exchange only tells that the
+// replica took AT LEAST this long — it lost a hedge race, or the call
+// was abandoned early — so it may raise the estimate, never drag it
+// down. That demotes chronically slow replicas from primary without
+// letting an early cancellation make a slow replica look fast.
+func (f *flight) recv(ctx context.Context, l *leg) ([][]byte, error) {
+	rs, err := [][]byte(nil), l.err
+	if err == nil {
+		rs, err = l.conn.Recv(ctx)
 	}
-	span := obs.SpanFromContext(ctx)
-	subresults := make([][][]byte, len(conns))
-	g, gctx := fanout.WithContext(ctx)
-	for p := range conns {
-		g.Go(func() error {
-			psp := span.StartChild("party")
-			psp.SetAttrInt("party", int64(p))
-			psp.SetAttrInt("replicas", int64(len(conns[p])))
-			rs, err := c.partyDo(obs.ContextWithSpan(gctx, psp), co, p, conns[p], queries[p])
-			if err != nil {
-				psp.SetAttr("error", err.Error())
-				psp.End()
-				return fmt.Errorf("impir: %s: %w", fmtParty(p, len(conns[p])), err)
-			}
-			psp.End()
-			subresults[p] = rs
-			return nil
-		})
+	switch {
+	case err == nil:
+		l.att.SetAttr("outcome", "ok")
+	case ctx.Err() == nil:
+		l.att.SetAttr("outcome", "error")
+		l.att.SetAttr("error", err.Error())
+	case context.Cause(ctx) == fanout.ErrHedgeLost:
+		l.att.SetAttr("outcome", "lost")
+		l.att.SetAttrBool("cancelled", true)
+	default:
+		l.att.SetAttr("outcome", "cancelled")
 	}
-	if err := g.Wait(); err != nil {
-		return nil, err
+	if f.updates == nil && (err == nil || ctx.Err() != nil) {
+		f.co.observeLatency(l.p, l.r, time.Since(l.start), err != nil)
 	}
-	return subresults, nil
+	l.att.End()
+	return rs, err
 }
 
-// partyDo executes one party's share against its replica set:
-// fastest-first by observed latency, hedging to the next replica when
-// the primary lags (or immediately when it fails), first valid answer
-// wins, losers cancelled. Single-replica parties — and calls with
-// hedging off — use the primary alone.
-func (c *cohort) partyDo(ctx context.Context, co callOptions, p int, conns []*transport.Conn, q serverQuery) ([][]byte, error) {
-	order, primaryEWMA := c.replicaOrder(p, conns)
-	if len(order) == 0 {
-		return nil, errors.New("no live replicas")
-	}
-	psp := obs.SpanFromContext(ctx)
-	n := 1
-	if co.hedge {
-		n = len(order)
-	}
-	if n == 1 {
-		att := psp.StartChild("attempt")
-		att.SetAttrInt("replica", int64(order[0]))
-		start := time.Now()
-		rs, err := q.do(attemptContext(ctx, att), conns[order[0]])
-		if err == nil {
-			c.observeLatency(p, order[0], time.Since(start), false)
-			att.SetAttr("outcome", "ok")
-		} else {
-			att.SetAttr("outcome", "error")
-			att.SetAttr("error", err.Error())
+// hedge reads a hedged party's reply. Attempt 0 is the frame write
+// already sent to the primary; each later attempt writes to the next
+// replica, but only if that replica is idle: waiting for its lock here,
+// holding later parties' locks, could wait on a call that waits on this
+// one. First valid answer wins; the losers are cancelled.
+func (f *flight) hedge(ctx context.Context, l *leg) ([][]byte, error) {
+	cells := f.co.store.cells
+	q := f.queries[l.p]
+	rs, winner, err := fanout.Hedge(ctx, len(l.order), l.delay, func(ctx context.Context, i int) ([][]byte, error) {
+		if i == 0 {
+			return f.recv(ctx, l)
 		}
-		att.End()
-		return rs, err
-	}
-
-	delay := co.hedgeDelay
-	if delay <= 0 {
-		delay = defaultHedgeDelay
-	}
-	// Adapt upward: hedge when the primary takes twice its usual time,
-	// not merely longer than a fixed floor tuned for someone else's
-	// deployment.
-	if adaptive := 2 * time.Duration(primaryEWMA); adaptive > delay {
-		delay = adaptive
-	}
-	psp.SetAttr("hedge_delay", delay.String())
-
-	rs, winner, err := fanout.Hedge(ctx, n, delay, func(ctx context.Context, i int) ([][]byte, error) {
-		if i > 0 {
-			c.store.cells.hedges.Inc()
-		}
-		att := psp.StartChild("attempt")
-		att.SetAttrInt("replica", int64(order[i]))
-		att.SetAttrBool("hedge", i > 0)
-		start := time.Now()
-		rs, err := q.do(attemptContext(ctx, att), conns[order[i]])
-		if err == nil {
-			c.observeLatency(p, order[i], time.Since(start), false)
-			att.SetAttr("outcome", "ok")
-		} else if ctx.Err() != nil {
-			// A cancelled exchange only tells us the replica took AT
-			// LEAST this long — it lost the race, or the whole call was
-			// abandoned early. Feed it in as a lower bound (it can raise
-			// the estimate, never drag it down), which demotes
-			// chronically slow replicas from primary without letting an
-			// early external cancellation make a slow replica look fast.
-			c.observeLatency(p, order[i], time.Since(start), true)
-			if context.Cause(ctx) == fanout.ErrHedgeLost {
-				att.SetAttr("outcome", "lost")
-				att.SetAttrBool("cancelled", true)
-			} else {
-				att.SetAttr("outcome", "cancelled")
-			}
-		} else {
-			att.SetAttr("outcome", "error")
-			att.SetAttr("error", err.Error())
-		}
-		att.End()
-		return rs, err
+		cells.hedges.Inc()
+		a := &leg{conn: f.conns[l.p][l.order[i]], p: l.p, r: l.order[i], att: l.psp.StartChild("attempt"), start: time.Now()}
+		a.att.SetAttrInt("replica", int64(a.r))
+		a.att.SetAttrBool("hedge", true)
+		a.err = a.conn.TrySend(attemptContext(ctx, a.att), q.frame, q.in)
+		return f.recv(ctx, a)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if winner > 0 {
-		c.store.cells.hedgeWins.Inc()
+		cells.hedgeWins.Inc()
 	}
-	psp.SetAttrInt("winner_replica", int64(order[winner]))
+	l.psp.SetAttrInt("winner_replica", int64(l.order[winner]))
 	return rs, nil
+}
+
+// fail ends leg l's party span with err and names the party in it.
+func (f *flight) fail(l *leg, err error) error {
+	l.psp.SetAttr("error", err.Error())
+	l.psp.End()
+	if f.updates != nil {
+		return fmt.Errorf("impir: update party %d replica %d: %w", l.p, l.r, err)
+	}
+	return fmt.Errorf("impir: %s: %w", fmtParty(l.p, len(f.conns[l.p])), err)
+}
+
+// end closes the flight, once. It abandons every exchange written and
+// not read, which poisons its connection as a cancelled exchange does,
+// ends the flight's spans, counts it against its shard and, on a
+// sharded store, names the shard in err.
+func (f *flight) end(err error) error {
+	c := f.co
+	if c == nil || f.ended {
+		return err
+	}
+	f.ended = true
+	for i := range f.legs {
+		l := &f.legs[i]
+		if l.held {
+			l.held = false
+			l.conn.Abandon()
+			l.att.SetAttr("outcome", "cancelled")
+			l.att.End()
+		}
+		l.psp.End()
+	}
+	if f.updates != nil {
+		c.rw.Unlock()
+	}
+	sh := &c.store.cells.shards[c.shard]
+	if f.queries != nil {
+		c.rw.RUnlock()
+		sh[shardNanos].Add(uint64(time.Since(f.start)))
+		if f.batch {
+			sh[shardBatches].Inc()
+			sh[shardBatchQueries].Add(uint64(f.queries[0].in.Len()))
+		} else {
+			sh[shardQueries].Inc()
+		}
+	}
+	if err != nil {
+		// Failed attempts count per attempt, retries included: they are
+		// real wire traffic.
+		sh[shardErrors].Inc()
+		if len(c.store.shards) > 1 {
+			f.span.SetAttr("error", err.Error())
+			err = fmt.Errorf("impir: shard %d: %w", c.shard, err)
+		}
+	}
+	f.span.End()
+	return err
 }
 
 // attemptContext attaches the attempt span's ID and the operation's
@@ -492,16 +587,7 @@ func (c *cohort) replicaOrder(p int, conns []*transport.Conn) ([]int, float64) {
 			order = append(order, r)
 		}
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		switch {
-		case ewma[a] < ewma[b]:
-			return -1
-		case ewma[a] > ewma[b]:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ewma[a], ewma[b]) })
 	if len(order) == 0 {
 		return nil, 0
 	}
@@ -518,9 +604,6 @@ const ewmaAlpha = 0.3
 func (c *cohort) observeLatency(p, r int, d time.Duration, lowerBound bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ewma == nil || p >= len(c.ewma) || r >= len(c.ewma[p]) {
-		return
-	}
 	cur := c.ewma[p][r]
 	if lowerBound && cur != 0 && float64(d) <= cur {
 		return
@@ -530,67 +613,6 @@ func (c *cohort) observeLatency(p, r int, d time.Duration, lowerBound bool) {
 	} else {
 		c.ewma[p][r] = (1-ewmaAlpha)*cur + ewmaAlpha*float64(d)
 	}
-}
-
-// update pushes one validated, shard-local update set to every replica
-// of every party, concurrently; the first failure cancels the rest. A
-// traced update opens a party span per party and an attempt span per
-// replica written, as a read does, and each write carries its attempt's
-// wire trace context.
-func (c *cohort) update(ctx context.Context, updates map[uint64][]byte) error {
-	conns, err := c.liveConns(ctx, true)
-	if err == nil {
-		span := obs.SpanFromContext(ctx)
-		g, gctx := fanout.WithContext(ctx)
-		for p := range conns {
-			g.Go(func() error {
-				psp := span.StartChild("party")
-				psp.SetAttrInt("party", int64(p))
-				psp.SetAttrInt("replicas", int64(len(conns[p])))
-				err := updateParty(gctx, psp, p, conns[p], updates)
-				if err != nil {
-					psp.SetAttr("error", err.Error())
-				}
-				psp.End()
-				return err
-			})
-		}
-		err = g.Wait()
-	}
-	if err != nil {
-		// Failed attempts count per attempt, retries included: they are
-		// real wire traffic.
-		c.store.cells.shards[c.shard][shardErrors].Inc()
-	}
-	return err
-}
-
-// updateParty writes updates to every replica of party p concurrently,
-// each write under its own attempt span below psp.
-func updateParty(ctx context.Context, psp *obs.Span, p int, conns []*transport.Conn, updates map[uint64][]byte) error {
-	g, gctx := fanout.WithContext(ctx)
-	for r, conn := range conns {
-		g.Go(func() error {
-			att := psp.StartChild("attempt")
-			att.SetAttrInt("replica", int64(r))
-			err := conn.Update(attemptContext(gctx, att), updates)
-			switch {
-			case err == nil:
-				att.SetAttr("outcome", "ok")
-			case gctx.Err() != nil:
-				att.SetAttr("outcome", "cancelled")
-			default:
-				att.SetAttr("outcome", "error")
-				att.SetAttr("error", err.Error())
-			}
-			att.End()
-			if err != nil {
-				return fmt.Errorf("impir: update party %d replica %d: %w", p, r, err)
-			}
-			return nil
-		})
-	}
-	return g.Wait()
 }
 
 // close closes every server connection. A closed cohort stays closed:

@@ -1,13 +1,11 @@
 package impir
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/impir/impir/internal/dpf"
 	"github.com/impir/impir/internal/naivepir"
 	"github.com/impir/impir/internal/pirproto"
-	"github.com/impir/impir/internal/transport"
 )
 
 // Encoding selects how a Client turns a record index into per-server
@@ -136,10 +134,4 @@ func encode(e Encoding, g geometry, parties int, indices []uint64, batch bool) (
 		}
 	}
 	return out, nil
-}
-
-// do executes the query against one server's connection and returns one
-// subresult per encoded index.
-func (q serverQuery) do(ctx context.Context, c *transport.Conn) ([][]byte, error) {
-	return c.Exchange(ctx, q.frame, q.in)
 }

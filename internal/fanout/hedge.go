@@ -1,3 +1,8 @@
+// Package fanout hedges one idempotent operation across interchangeable
+// replicas: the client uses it when a party of a PIR deployment runs
+// more than one replica, so the party's answer costs its fastest
+// replica, not its primary. The wire fan-out itself runs on the
+// caller's goroutine and needs nothing from this package.
 package fanout
 
 import (

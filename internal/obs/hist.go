@@ -25,8 +25,9 @@ import (
 )
 
 // HDR-style latency histogram: log2 major buckets, each split into
-// linear sub-buckets, covering 1µs up to ~67s with bounded relative
-// error (≤ 1/histSubBuckets per recorded value). Recording is an atomic
+// linear sub-buckets, covering 1µs up to 2^27µs (~134s) with bounded
+// relative error (≤ 1/histSubBuckets per recorded value); larger values
+// clamp into the top bucket. Recording is an atomic
 // add on one bucket — safe for every worker of the pool concurrently,
 // no lock on the hot path — and Snapshot copies the counts out for
 // quantile math and interval deltas. The buckets live in chunks of one
@@ -37,11 +38,13 @@ const (
 	histUnit = time.Microsecond
 	// histSubBuckets is the linear resolution within one power of two.
 	histSubBuckets = 32
-	// histMaxOctave bounds the dynamic range: 2^26 µs ≈ 67 s. Larger
-	// values clamp into the top bucket.
+	// histMaxOctave is the top octave boundary, 2^26 µs ≈ 67 s (the
+	// exposition's highest edge). The buckets hold the octave above it
+	// too: values below 2^27 µs ≈ 134 s get their own sub-bucket.
 	histMaxOctave = 26
 	// histLen: values < 2*histSubBuckets index directly; above that each
-	// octave contributes histSubBuckets buckets.
+	// octave up to 2^(histMaxOctave+1) contributes histSubBuckets
+	// buckets.
 	histLen = 2*histSubBuckets + (histMaxOctave-subBucketBits)*histSubBuckets
 	// subBucketBits is log2(histSubBuckets).
 	subBucketBits = 5
@@ -50,15 +53,13 @@ const (
 	histChunks = histLen / histSubBuckets
 )
 
-// histIndex maps a value in histUnits to its bucket.
+// histIndex maps a value in histUnits to its bucket; a value past the
+// last bucket clamps into it.
 func histIndex(u int64) int {
 	if u < 2*histSubBuckets {
 		return int(u)
 	}
 	m := bits.Len64(uint64(u)) // 2^(m-1) <= u < 2^m, m >= 7
-	if m > histMaxOctave {
-		return histLen - 1
-	}
 	// Shift the value down so histSubBuckets..2*histSubBuckets-1 linear
 	// positions remain within the octave.
 	sub := u >> (m - subBucketBits - 1) // in [histSubBuckets, 2*histSubBuckets)

@@ -81,6 +81,24 @@ func TestHistQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistTopOctave: a value in the octave above 2^26µs lands in its
+// own sub-bucket, so its quantile reads within one sub-bucket of it,
+// and only values past the last bucket clamp.
+func TestHistTopOctave(t *testing.T) {
+	var h Hist
+	h.Record(70 * time.Second)
+	want := 70 * time.Second
+	if got := h.Snapshot().Quantile(0.5); got < want || got > want+want/histSubBuckets {
+		t.Fatalf("p50 of one 70s observation = %v, want within 1/%d above %v", got, histSubBuckets, want)
+	}
+	if idx := histIndex(1<<27 - 1); idx != histLen-1 {
+		t.Errorf("histIndex(2^27-1) = %d, want the last bucket %d", idx, histLen-1)
+	}
+	if idx := histIndex(1 << 26); idx != histLen-histSubBuckets {
+		t.Errorf("histIndex(2^26) = %d, want the top octave's first bucket %d", idx, histLen-histSubBuckets)
+	}
+}
+
 func TestHistEmpty(t *testing.T) {
 	var h Hist
 	s := h.Snapshot()

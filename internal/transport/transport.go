@@ -8,8 +8,9 @@
 // (pirproto.ParseQuery) and hands it, with the frame type, to a
 // Dispatcher's one query entry — the request scheduler, which owns
 // admission control, coalescing of MsgQuery frames across connections,
-// and update quiescing. On the client side, Conn.Exchange sends any
-// query frame and reads its reply through one reader.
+// and update quiescing. On the client side, a Conn's exchange is split
+// in two halves, the write of a frame and the read of its reply, so a
+// client can write to every server before it reads any reply.
 package transport
 
 import (
@@ -459,7 +460,7 @@ func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgTy
 // frameWriter sends frames built in one reused buffer, so each frame —
 // header and payload — leaves in a single Write (see pirproto's frame
 // header). One goroutine at a time owns it: the server's per-connection
-// handler, or a client Conn under its exchange mutex.
+// handler, or a client Conn under its exchange lock.
 type frameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -519,23 +520,32 @@ func NewServerTLS(lis net.Listener, d Dispatcher, party uint8, tlsCfg *tls.Confi
 	return NewServer(tls.NewListener(lis, tlsCfg), d, party, opts...)
 }
 
-// Conn is a client connection to one PIR server. A Conn carries one
-// request/response at a time; concurrent callers are serialised by an
-// internal mutex, so a single Conn may be shared by the fan-out layer.
+// Conn is a client connection to one PIR server. It carries one
+// exchange at a time, under a lock held from the write of a frame
+// (Send, TrySend, SendUpdate) to the read of its reply (Recv) or its
+// abandonment (Abandon), so a caller may write to several Conns before
+// it reads any reply.
 type Conn struct {
-	mu      sync.Mutex // serialises request/response exchanges
+	mu      sync.Mutex // held from a frame's write to its reply's read
 	conn    net.Conn
 	fw      frameWriter   // under mu
 	br      *bufio.Reader // under mu
 	info    pirproto.ServerInfo
 	version uint8 // negotiated protocol version (set during handshake)
 
+	sent  pirproto.MsgType // the frame in flight, under mu
+	want  int              // the subresults its reply must carry
+	armed interrupt        // its context's interrupt
+
 	// broken has its own mutex so Broken() answers immediately even
 	// while an exchange holds mu — the client layer probes it to decide
 	// whether to redial, and must not block behind in-flight queries.
 	brokenMu sync.Mutex
-	broken   error // set when a cancelled exchange poisons the stream
+	broken   error // set when a cancelled or abandoned exchange poisons the stream
 }
+
+// errConnBusy fails a TrySend on a connection another exchange holds.
+var errConnBusy = errors.New("transport: connection busy with another exchange")
 
 // Dial connects to a PIR server and performs the hello handshake. The
 // context bounds connection establishment and the handshake exchange.
@@ -600,9 +610,14 @@ func handshake(ctx context.Context, nc net.Conn) (*Conn, error) {
 }
 
 func (c *Conn) hello(ctx context.Context, version byte) (pirproto.MsgType, []byte, error) {
-	return c.roundTrip(ctx, pirproto.MsgHello, false, func(b []byte) ([]byte, error) {
+	err := c.send(ctx, pirproto.MsgHello, 0, false, true, func(b []byte) ([]byte, error) {
 		return append(b, version), nil
 	})
+	if err != nil {
+		return 0, nil, err
+	}
+	defer c.mu.Unlock()
+	return c.read(ctx)
 }
 
 // Info returns the server's database description from the handshake.
@@ -611,90 +626,119 @@ func (c *Conn) Info() pirproto.ServerInfo { return c.info }
 // Version returns the negotiated protocol version.
 func (c *Conn) Version() uint8 { return c.version }
 
-// roundTrip performs one request/response exchange under ctx: it builds
-// the request frame — the trace extension when traced asks for it and
-// the connection allows it, then the payload appended by appendPayload
-// — and writes it in one Write. An encoding error returns before any
-// byte is written. A context deadline becomes a socket deadline;
-// cancellation interrupts pending I/O by expiring the deadline
-// immediately. Because the protocol has no request framing beyond the
-// stream position, an exchange abandoned mid-flight leaves the stream
-// unusable — the Conn is marked broken and every later exchange fails
-// fast.
-func (c *Conn) roundTrip(ctx context.Context, t pirproto.MsgType, traced bool, appendPayload func([]byte) ([]byte, error)) (pirproto.MsgType, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.brokenErr(); err != nil {
-		return 0, nil, err
+// send is the write half of every exchange. It takes the lock — when
+// wait is false, only if no exchange holds it — builds the frame (the
+// trace extension when traced asks for it and the connection allows
+// it, then the payload appendPayload adds), arms ctx's interrupt and
+// writes the frame in one Write. It returns holding the lock, or with
+// it released on failure. An encoding error returns before any byte is
+// written; a failed write poisons the connection.
+func (c *Conn) send(ctx context.Context, t pirproto.MsgType, want int, traced, wait bool, appendPayload func([]byte) ([]byte, error)) error {
+	if wait {
+		c.mu.Lock()
+	} else if !c.mu.TryLock() {
+		return errConnBusy
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-
-	var frame []byte
-	if tc, ok := c.traceContext(ctx, traced); ok {
-		frame = pirproto.AppendTraceContext(c.fw.begin(t, pirproto.FlagTraceContext), tc)
-	} else {
-		frame = c.fw.begin(t, 0)
-	}
-	frame, err := appendPayload(frame)
-	if err != nil {
-		return 0, nil, err
-	}
-
-	if dl, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	// Cancellation interrupts pending reads/writes. When the interrupt
-	// has already started, wait for it before returning, so a late
-	// deadline never lands on the next exchange.
-	stop := func() bool { return true }
-	var interrupted chan struct{}
-	if ctx.Done() != nil {
-		interrupted = make(chan struct{})
-		stop = context.AfterFunc(ctx, func() {
-			c.conn.SetDeadline(time.Now())
-			close(interrupted)
-		})
-	}
-
-	var (
-		respType pirproto.MsgType
-		resp     []byte
-	)
-	err = c.fw.send(frame)
+	err := c.brokenErr()
 	if err == nil {
-		respType, resp, err = pirproto.ReadFrame(c.br)
+		err = ctx.Err()
 	}
-	if !stop() {
-		<-interrupted
+	var frame []byte
+	if err == nil {
+		if tc, ok := c.traceContext(ctx, traced); ok {
+			frame = pirproto.AppendTraceContext(c.fw.begin(t, pirproto.FlagTraceContext), tc)
+		} else {
+			frame = c.fw.begin(t, 0)
+		}
+		frame, err = appendPayload(frame)
 	}
-
 	if err != nil {
-		// The exchange died part-way; the stream position is unknown and
-		// the connection cannot carry further requests.
-		cerr := ctx.Err()
-		if cerr == nil {
-			// The socket deadline is set from the context deadline, so it
-			// can fire a beat before the context's own timer: an expired
-			// deadline is the context's fault even if ctx.Err() has not
-			// flipped yet.
-			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-				cerr = context.DeadlineExceeded
-			}
-		}
-		if cerr != nil {
-			err = cerr
-		}
-		// Deliberately %v: a later call with a healthy context must not
-		// see the original call's context error through errors.Is and
-		// misread a dead connection as its own timeout.
-		c.setBroken(fmt.Errorf("transport: connection unusable after failed exchange: %v", err))
-		return 0, nil, err
+		c.mu.Unlock()
+		return err
 	}
-	return respType, resp, nil
+	dl, _ := ctx.Deadline() // the zero time, which clears it, when ctx has none
+	c.conn.SetDeadline(dl)
+	c.sent, c.want, c.armed = t, want, c.arm(ctx)
+	if err := c.fw.send(frame); err != nil {
+		err = c.fail(ctx, err)
+		c.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// read is the read half of every exchange, under the lock send left
+// held; the caller releases it. ctx is send's context or one derived
+// from it, whose cancellation interrupts the read too. A failed read
+// poisons the connection.
+func (c *Conn) read(ctx context.Context) (pirproto.MsgType, []byte, error) {
+	var also interrupt
+	if ctx.Done() != c.armed.done {
+		also = c.arm(ctx)
+	}
+	t, payload, err := pirproto.ReadFrame(c.br)
+	also.disarm()
+	if err != nil {
+		return 0, nil, c.fail(ctx, err)
+	}
+	c.armed.disarm()
+	return t, payload, nil
+}
+
+// interrupt expires the socket deadline when its context is done, so
+// pending I/O returns at once.
+type interrupt struct {
+	done  <-chan struct{}
+	stop  func() bool
+	fired chan struct{}
+}
+
+// arm returns ctx's interrupt; a context that is never done needs none.
+func (c *Conn) arm(ctx context.Context) interrupt {
+	if ctx.Done() == nil {
+		return interrupt{}
+	}
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		c.conn.SetDeadline(time.Now())
+		close(fired)
+	})
+	return interrupt{ctx.Done(), stop, fired}
+}
+
+// disarm stops the interrupt, once. When it has already started,
+// disarm waits for it, so a late deadline never lands on the next
+// exchange.
+func (i *interrupt) disarm() {
+	if i.stop != nil && !i.stop() {
+		<-i.fired
+	}
+	*i = interrupt{}
+}
+
+// fail poisons the connection after an exchange died part-way — the
+// stream position is unknown — and returns the error the caller sees:
+// ctx's, when ctx ended the exchange.
+func (c *Conn) fail(ctx context.Context, err error) error {
+	c.armed.disarm()
+	cerr := ctx.Err()
+	if cerr == nil {
+		// The socket deadline is set from the context deadline, so it
+		// can fire a beat before the context's own timer: an expired
+		// deadline is the context's fault even if ctx.Err() has not
+		// flipped yet.
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			cerr = context.DeadlineExceeded
+		}
+	}
+	if cerr != nil {
+		err = cerr
+	}
+	// Deliberately %v: a later call with a healthy context must not see
+	// the original call's context error through errors.Is and misread a
+	// dead connection as its own timeout.
+	c.setBroken(fmt.Errorf("transport: connection unusable after failed exchange: %v", err))
+	return err
 }
 
 type traceCtxKey struct{}
@@ -742,18 +786,63 @@ func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error
 	return c.Exchange(ctx, pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
 }
 
-// Exchange sends in as one query frame of type t — MsgQuery,
-// MsgBatchQuery, MsgShareQuery or MsgShareBatchQuery (the §2.3 naive
-// n-server encoding) — and returns one subresult per query, in order.
-// The reply must carry exactly in.Len() subresults, each of the record
-// size the server announced in its hello; anything else is an error,
-// never a record.
+// Exchange is Send, then Recv.
 func (c *Conn) Exchange(ctx context.Context, t pirproto.MsgType, in dpf.Batch) ([][]byte, error) {
-	rt, payload, err := c.roundTrip(ctx, t, true, func(b []byte) ([]byte, error) {
-		return pirproto.AppendQuery(b, t, in)
+	if err := c.Send(ctx, t, in); err != nil {
+		return nil, err
+	}
+	return c.Recv(ctx)
+}
+
+// Send writes in as one query frame of type t — MsgQuery,
+// MsgBatchQuery, MsgShareQuery or MsgShareBatchQuery (the §2.3 naive
+// n-server encoding) — and returns holding the connection for Recv or
+// Abandon. ctx bounds the whole exchange: its deadline becomes the
+// socket's, and its cancellation interrupts the write and the read.
+// The protocol has no request framing beyond the stream position, so
+// an exchange that dies or is abandoned part-way poisons the
+// connection, and every later exchange fails fast.
+func (c *Conn) Send(ctx context.Context, t pirproto.MsgType, in dpf.Batch) error {
+	return c.send(ctx, t, in.Len(), true, true, func(b []byte) ([]byte, error) { return pirproto.AppendQuery(b, t, in) })
+}
+
+// TrySend is Send that fails at once, instead of waiting, when another
+// exchange holds the connection.
+func (c *Conn) TrySend(ctx context.Context, t pirproto.MsgType, in dpf.Batch) error {
+	return c.send(ctx, t, in.Len(), true, false, func(b []byte) ([]byte, error) { return pirproto.AppendQuery(b, t, in) })
+}
+
+// SendUpdate writes a bulk record update frame as Send writes a query,
+// with ctx's wire trace context on a version 2 connection. Updates are
+// an operator action, not a private query: the server learns which
+// records changed, by design.
+func (c *Conn) SendUpdate(ctx context.Context, updates map[uint64][]byte) error {
+	payload, err := pirproto.MarshalUpdate(updates)
+	if err != nil {
+		return err
+	}
+	return c.send(ctx, pirproto.MsgUpdate, 0, true, true, func(b []byte) ([]byte, error) {
+		return append(b, payload...), nil
 	})
+}
+
+// Recv reads the reply to the frame written and releases the
+// connection. A query's reply must carry one subresult per query, each
+// of the record size the server announced in its hello; an update's is
+// an acknowledgement, and Recv returns no subresults. Anything else is
+// an error, never a record. ctx is the write's context or one derived
+// from it.
+func (c *Conn) Recv(ctx context.Context) ([][]byte, error) {
+	defer c.mu.Unlock()
+	rt, payload, err := c.read(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if c.sent == pirproto.MsgUpdate {
+		if rt == pirproto.MsgUpdateOK {
+			return nil, nil
+		}
+		return nil, replyErr(rt, payload)
 	}
 	var results [][]byte
 	switch rt {
@@ -766,8 +855,8 @@ func (c *Conn) Exchange(ctx context.Context, t pirproto.MsgType, in dpf.Batch) (
 	default:
 		return nil, replyErr(rt, payload)
 	}
-	if len(results) != in.Len() {
-		return nil, fmt.Errorf("transport: %d results for %d queries", len(results), in.Len())
+	if len(results) != c.want {
+		return nil, fmt.Errorf("transport: %d results for %d queries", len(results), c.want)
 	}
 	for i, r := range results {
 		if len(r) != int(c.info.RecordSize) {
@@ -775,6 +864,15 @@ func (c *Conn) Exchange(ctx context.Context, t pirproto.MsgType, in dpf.Batch) (
 		}
 	}
 	return results, nil
+}
+
+// Abandon releases the connection without reading the reply to the
+// frame written. That leaves the stream mid-reply, so the connection is
+// poisoned, as when a cancelled context interrupts an exchange.
+func (c *Conn) Abandon() {
+	c.armed.disarm()
+	c.setBroken(errors.New("transport: connection unusable after an abandoned exchange"))
+	c.mu.Unlock()
 }
 
 // replyErr interprets a reply frame that carries no answer.
@@ -788,27 +886,16 @@ func replyErr(t pirproto.MsgType, payload []byte) error {
 	return fmt.Errorf("transport: unexpected frame %v", t)
 }
 
-// Update pushes a bulk record update to the server and waits for the
-// acknowledgement. Updates are an operator action, not a private query:
-// the server learns which records changed, by design. ctx bounds the
-// exchange; as with every exchange, abandoning it mid-flight poisons the
-// stream. Like a query, it carries ctx's wire trace context on a version
-// 2 connection.
+// Update is SendUpdate, then Recv.
 func (c *Conn) Update(ctx context.Context, updates map[uint64][]byte) error {
-	payload, err := pirproto.MarshalUpdate(updates)
-	if err != nil {
+	if err := c.SendUpdate(ctx, updates); err != nil {
 		return err
 	}
-	t, resp, err := c.roundTrip(ctx, pirproto.MsgUpdate, true, func(b []byte) ([]byte, error) {
-		return append(b, payload...), nil
-	})
-	if err != nil || t == pirproto.MsgUpdateOK {
-		return err
-	}
-	return replyErr(t, resp)
+	_, err := c.Recv(ctx)
+	return err
 }
 
-// Broken reports whether a previously abandoned exchange has poisoned
+// Broken reports whether a failed or abandoned exchange has poisoned
 // the stream, making every further exchange fail fast. The client layer
 // uses this to transparently redial instead of returning stale errors.
 // Broken never blocks behind an in-flight exchange.
