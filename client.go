@@ -39,9 +39,11 @@ import (
 // A call runs on its caller's goroutine and aborts as a whole when any
 // shard's party fails (all of its replicas) or the context is
 // cancelled: a proper subset of subresults is uniformly random and is
-// never returned. Connections poisoned by an abandoned exchange are
-// redialed before they are written again, and a replica that stays dead
-// only degrades its party to the surviving replicas.
+// never returned. Concurrent calls share each server connection, and
+// the exchanges a call abandons are drained by the connection's next
+// reader; a connection an I/O failure broke is redialed before it is
+// written again, and a replica that stays dead only degrades its party
+// to the surviving replicas.
 //
 // A Client may be shared by concurrent goroutines.
 type Client struct {
@@ -277,8 +279,8 @@ func (c *Client) call(ctx context.Context, op *opCells, name string, opts []Call
 
 // retryable reports whether a failed attempt may be re-tried: the
 // caller aborting (cancellation, deadline) is final; everything else —
-// busy servers, dropped or poisoned connections, replica failures — may
-// succeed on a fresh attempt over redialed connections.
+// busy servers, broken connections, replica failures — may succeed on a
+// fresh attempt over redialed connections.
 func retryable(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
@@ -401,10 +403,11 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 // run is the one exchange loop of every call, on the caller's
 // goroutine. It prepares every shard's flight, then writes every frame
 // in (shard, party, replica) order, then reads every reply in the same
-// order. Concurrent calls cannot deadlock: each waits for connections
-// only in that one order, and a hedge never waits for one (see
-// flight.hedge). The first failure ends the call, and every exchange
-// written but not read is abandoned. A one-shard store — a flat
+// order. No call holds a connection while it waits: a write holds one
+// only for its frame, and a read waits only for replies already
+// written. A read's first failure ends the call, and every exchange
+// written but not read is abandoned; an update reads every
+// acknowledgement and joins the failures. A one-shard store — a flat
 // deployment — opens no shard span. owners, when given, are the shards
 // owning each real sub-query; they label the shard spans client-side
 // only — every cohort's wire traffic has the same shape.
@@ -443,10 +446,16 @@ func (c *Client) run(ctx context.Context, owners []int, prepare func(f *flight) 
 			return nil, flights[s].end(err)
 		}
 	}
+	var errs []error
 	for s := range flights {
 		if err := flights[s].end(flights[s].read(ctx)); err != nil {
-			return nil, err
+			if errs = append(errs, err); flights[s].updates == nil {
+				return nil, err
+			}
 		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return flights, nil
 }
@@ -463,14 +472,15 @@ func (c *Client) run(ctx context.Context, owners []int, prepare func(f *flight) 
 // would serve stale records as if they were current. Servers reject wire
 // updates unless started with ServerConfig.AllowWireUpdates.
 //
-// Every reachable affected replica receives its frame before any
-// acknowledgement is awaited. The first failed acknowledgement fails
-// the update and leaves the acknowledgements not yet read unknown, so
-// replicas may have diverged. Retry the same update until it succeeds
-// everywhere — the per-server application is idempotent, and a
-// WithRetries budget spends itself on exactly this — or tear the
-// deployment down; a divergence is also caught by the digest
-// cross-check at the next connect.
+// Every affected replica receives its frame before any acknowledgement
+// is awaited, and every acknowledgement is read within the call's
+// deadline, after a failed one too. The error joins every failed
+// replica's, each naming its shard, party and replica; the replicas it
+// does not name applied the update, so replicas may have diverged.
+// Retry the same update until it succeeds everywhere — the per-server
+// application is idempotent, and a WithRetries budget spends itself on
+// exactly this — or tear the deployment down; a divergence is also
+// caught by the digest cross-check at the next connect.
 func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...CallOption) error {
 	if len(updates) == 0 {
 		return errors.New("impir: empty update set")

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"net"
 	"regexp"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -209,5 +212,125 @@ func TestRetrieveAllocations(t *testing.T) {
 	t.Logf("%.1f allocations per Retrieve", allocs)
 	if allocs > maxRetrieveAllocs {
 		t.Errorf("a Retrieve allocates %.1f times, want ≤ %d", allocs, maxRetrieveAllocs)
+	}
+}
+
+// acceptCounter counts the connections its listeners accept.
+type acceptCounter struct{ n atomic.Int64 }
+
+type countingListener struct {
+	net.Listener
+	accepts *acceptCounter
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.n.Add(1)
+	}
+	return c, err
+}
+
+// startCountedReplicas serves 2 parties × 2 replicas of db through
+// listeners that count into accepts, and returns the deployment and the
+// servers in (party, replica) order. Replica 0 of party 0 accepts wire
+// updates only when allowUpdates0 is set.
+func startCountedReplicas(t *testing.T, db *DB, accepts *acceptCounter, allowUpdates0 bool) (Deployment, []*Server) {
+	t.Helper()
+	addrs := make([]string, 4)
+	servers := make([]*Server, 4)
+	for i := range servers {
+		srv, err := NewServer(ServerConfig{Engine: EngineCPU, Threads: 2, AllowWireUpdates: i != 0 || allowUpdates0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		if err := srv.Load(db.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Serve(countingListener{lis, accepts}, uint8(i/2)); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i], servers[i] = srv.Addr().String(), srv
+	}
+	return ReplicatedDeployment(addrs[:2], addrs[2:]), servers
+}
+
+// TestHedgedCallsDoNotRedial: on 2 parties × 2 replicas, 200 Retrieves
+// hedged at a 1 ns floor abandon every losing exchange, and no loser
+// costs its connection: the servers accept only the 4 connections Open
+// dialed, and every record is right.
+func TestHedgedCallsDoNotRedial(t *testing.T) {
+	db, _ := GenerateHashDB(256, 54)
+	var accepts acceptCounter
+	d, _ := startCountedReplicas(t, db, &accepts, true)
+	ctx := context.Background()
+	store := openFromJSON(t, ctx, d, WithDefaultCallOptions(WithHedging(true), WithHedgeDelay(time.Nanosecond)))
+	for i := 0; i < 200; i++ {
+		idx := uint64(i * 7 % db.NumRecords())
+		rec, err := store.Retrieve(ctx, idx)
+		if err != nil {
+			t.Fatalf("Retrieve %d: %v", i, err)
+		}
+		if !bytes.Equal(rec, db.Record(int(idx))) {
+			t.Fatalf("Retrieve %d: record %d is wrong", i, idx)
+		}
+	}
+	st := store.Stats()
+	t.Logf("%d hedges, %d won by the hedge", st.Hedges, st.HedgeWins)
+	if st.Hedges == 0 {
+		t.Fatal("no call hedged: the fixture tests nothing")
+	}
+	if n := accepts.n.Load(); n != 4 {
+		t.Fatalf("the servers accepted %d connections, want the 4 Open dialed", n)
+	}
+}
+
+// TestFailedUpdateReadsEveryAck: on 2 parties × 2 replicas whose replica
+// 0 of party 0 refuses wire updates, an Update fails naming that replica
+// alone, after every other replica acknowledged the new bytes — and the
+// acknowledgements it read leave every connection usable, so the next
+// Retrieve, once the replicas converge, dials nothing.
+func TestFailedUpdateReadsEveryAck(t *testing.T) {
+	db, _ := GenerateHashDB(256, 55)
+	var accepts acceptCounter
+	d, servers := startCountedReplicas(t, db, &accepts, false)
+	ctx := context.Background()
+	store := openFromJSON(t, ctx, d)
+
+	const idx = 9
+	fresh := bytes.Repeat([]byte{0x5A}, db.RecordSize())
+	err := store.Update(ctx, map[uint64][]byte{idx: fresh})
+	if err == nil {
+		t.Fatal("an update that replica 0 of party 0 refused succeeded")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "shard 0 party 0 replica 0") || strings.Count(msg, "replica") != 1 {
+		t.Fatalf("Update error %q, want one naming shard 0 party 0 replica 0 alone", msg)
+	}
+	for i, srv := range servers {
+		want := fresh
+		if i == 0 {
+			want = db.Record(idx)
+		}
+		if !bytes.Equal(srv.Database().Record(idx), want) {
+			t.Errorf("server %d (party %d replica %d) holds %x, want %x", i, i/2, i%2, srv.Database().Record(idx), want)
+		}
+	}
+	// Diverged replicas reconstruct garbage; converge them in-process,
+	// off the wire, before reading.
+	if err := servers[0].Update(map[uint64][]byte{idx: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.Retrieve(ctx, 100)
+	if err != nil || !bytes.Equal(rec, db.Record(100)) {
+		t.Fatalf("Retrieve after the failed update = %x, %v", rec, err)
+	}
+	if n := accepts.n.Load(); n != 4 {
+		t.Fatalf("the servers accepted %d connections, want the 4 Open dialed", n)
 	}
 }

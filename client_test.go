@@ -197,9 +197,9 @@ func TestClientContextCancellation(t *testing.T) {
 		t.Fatalf("cancellation took %v — deadline not honored on the wire", elapsed)
 	}
 
-	// The abandoned exchange poisoned the slow server's connection. The
-	// next retrieval must transparently redial it and succeed — the
-	// Client heals instead of requiring the caller to discard it.
+	// The abandoned exchange left the slow server's connection usable:
+	// the next retrieval drops its late reply and reads its own, and
+	// succeeds without the caller discarding the Client.
 	rec, err := cli.Retrieve(context.Background(), 5)
 	if err != nil {
 		t.Fatalf("post-cancel retrieve did not heal: %v", err)
@@ -361,10 +361,9 @@ func TestParseEncoding(t *testing.T) {
 }
 
 // TestClientConcurrentHealAfterCancel: goroutines retrieving
-// concurrently right after a cancelled fan-out must all succeed — the
-// redial path races benignly (one heals each slot, the others reuse
-// the healed connection), and healthy-path retrievals never wait on a
-// peer's redial.
+// concurrently right after a cancelled fan-out must all succeed — they
+// share the connection the cancelled exchange left behind, and its late
+// reply is dropped by whichever of them reads first.
 func TestClientConcurrentHealAfterCancel(t *testing.T) {
 	db, err := database.GenerateHashDB(128, 14)
 	if err != nil {

@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "in-flight operation bound (0 = 2×GOMAXPROCS, min 32)")
 		batch       = fs.Int("batch", 1, "queries per operation (RetrieveBatch/GetBatch above 1)")
 		workload    = fs.String("workload", "index", "workload: index, keyword, mixed, or batch (multi-record RetrieveBatch; batch defaults to 8)")
-		conns       = fs.Int("conns", 8, "parallel connection pools for the client population (one wire connection carries one request at a time)")
+		conns       = fs.Int("conns", 8, "parallel connection pools for the client population (a server answers one wire connection's requests one at a time)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-operation deadline (0 = none)")
 		seed        = fs.Int64("seed", 1, "operation stream seed")
 		keysPath    = fs.String("keys", "", "keyword corpus file, one key per line (remote keyword workloads)")

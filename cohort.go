@@ -30,12 +30,14 @@ import (
 // cancelled: a proper subset of subresults is uniformly random and must
 // never be mistaken for a record.
 //
-// A server connection carries one exchange at a time. One abandoned
-// mid-flight — by cancellation, a losing hedge, or a failure elsewhere
-// in its call — poisons its connection (the wire protocol has no
-// cancellation frame), but the cohort heals itself: the next call
-// transparently redials poisoned connections before writing. A replica
-// that stays dead only degrades its party to the surviving replicas.
+// A server connection carries many exchanges at once, its replies read
+// in the order its frames were written, so concurrent calls and hedges
+// share it without waiting for each other's replies. An exchange
+// abandoned mid-flight — by cancellation, a losing hedge, or a failure
+// elsewhere in its call — costs nothing: the next reader drops its
+// reply. Only an I/O failure breaks a connection, and the next call
+// redials it. A replica that stays dead only degrades its party to the
+// surviving replicas.
 type cohort struct {
 	store      *Client // owner of the cells this cohort counts into
 	shard      int
@@ -161,12 +163,11 @@ func (c *cohort) dialReplica(ctx context.Context, p, r int) (*transport.Conn, er
 }
 
 // liveConns returns a usable connection snapshot, transparently
-// redialing connections a previously abandoned exchange poisoned (or
-// that never came up). With needAll false — the retrieval path — a
-// replica that stays dead leaves a nil slot and only its PARTY must
-// retain a live replica; with needAll true — the update path — every
-// replica must be reachable, because an update must land on all of
-// them.
+// redialing connections an I/O failure broke (or that never came up).
+// With needAll false — the retrieval path — a replica that stays dead
+// leaves a nil slot and only its PARTY must retain a live replica; with
+// needAll true — the update path — every replica must be reachable,
+// because an update must land on all of them.
 //
 // Dialing happens outside the cohort mutex: a slow or unreachable
 // server stalls only the call that needs it, never concurrent calls
@@ -285,7 +286,7 @@ type flight struct {
 
 // leg is one frame to party p's replica r.
 type leg struct {
-	conn     *transport.Conn
+	x        *transport.Pending // its exchange, once written
 	p, r     int
 	psp, att *obs.Span // its party and attempt spans, opened by its write
 	start    time.Time
@@ -297,9 +298,9 @@ type leg struct {
 
 // prepareRead generates the cohort's shares of its shard-local rows —
 // one single-query frame per party when batch is false — over live
-// connections, redialing those an abandoned exchange poisoned. Each
-// party's frame goes to its fastest-known replica; with hedging on, a
-// party with more than one live replica may hedge to the others.
+// connections, redialing broken ones. Each party's frame goes to its
+// fastest-known replica; with hedging on, a party with more than one
+// live replica may hedge to the others.
 func (f *flight) prepareRead(ctx context.Context, co callOptions, locals []uint64, batch bool) error {
 	c := f.co
 	queries, err := encode(c.enc, c.geom, len(c.parties), locals, batch)
@@ -314,7 +315,7 @@ func (f *flight) prepareRead(ctx context.Context, co callOptions, locals []uint6
 	f.legs = make([]leg, len(f.conns))
 	for p, conns := range f.conns {
 		order, primaryEWMA := c.replicaOrder(p, conns)
-		f.legs[p] = leg{conn: conns[order[0]], p: p, r: order[0]}
+		f.legs[p] = leg{p: p, r: order[0]}
 		if co.hedge && len(order) > 1 {
 			delay := co.hedgeDelay
 			if delay <= 0 {
@@ -339,11 +340,11 @@ func (f *flight) prepareUpdate(ctx context.Context, updates map[uint64][]byte) e
 	f.updates = updates
 	var err error
 	if f.conns, err = f.co.liveConns(ctx, true); err != nil {
-		return err
+		return fmt.Errorf("impir: update shard %d: %w", f.co.shard, err)
 	}
 	for p, reps := range f.conns {
-		for r, conn := range reps {
-			f.legs = append(f.legs, leg{conn: conn, p: p, r: r})
+		for r := range reps {
+			f.legs = append(f.legs, leg{p: p, r: r})
 		}
 	}
 	return nil
@@ -351,8 +352,9 @@ func (f *flight) prepareUpdate(ctx context.Context, updates map[uint64][]byte) e
 
 // write writes the flight's frames in (party, replica) order, each
 // under its own attempt span, below a party span per party. A hedged
-// party's failed write is left to its hedge; any other failure ends the
-// write.
+// party's failed write is left to its hedge, and an update's to read,
+// which reports it beside the acknowledgements; a read's other failure
+// ends the write.
 func (f *flight) write(ctx context.Context) error {
 	for i := range f.legs {
 		l := &f.legs[i]
@@ -372,21 +374,13 @@ func (f *flight) write(ctx context.Context) error {
 			l.att.SetAttrBool("hedge", false)
 		}
 		l.start = time.Now()
-		l.err = f.send(attemptContext(ctx, l.att), l.conn, l.p)
-		for n := 0; n < 3 && l.err != nil && ctx.Err() == nil && l.conn.Broken(); n++ {
-			// The connection broke since prepare — most often another
-			// call abandoned an exchange on it: redial it and write
-			// again, so an update does not fail, and abandon the frames
-			// it has written, over a connection it never used.
-			conns, err := f.co.liveConns(ctx, false)
-			if err != nil || conns[l.p][l.r] == nil {
-				break
-			}
-			l.conn = conns[l.p][l.r]
-			l.err = f.send(attemptContext(ctx, l.att), l.conn, l.p)
+		if conn, actx := f.conns[l.p][l.r], attemptContext(ctx, l.att); f.updates != nil {
+			l.x, l.err = conn.SendUpdate(actx, f.updates)
+		} else {
+			l.x, l.err = conn.Send(actx, f.queries[l.p].frame, f.queries[l.p].in)
 		}
 		l.held = l.err == nil
-		if l.err != nil && l.order == nil {
+		if l.err != nil && l.order == nil && f.updates == nil {
 			_, err := f.recv(ctx, l)
 			return f.fail(l, err)
 		}
@@ -394,19 +388,14 @@ func (f *flight) write(ctx context.Context) error {
 	return nil
 }
 
-// send writes the flight's frame for party p to conn.
-func (f *flight) send(ctx context.Context, conn *transport.Conn, p int) error {
-	if f.updates != nil {
-		return conn.SendUpdate(ctx, f.updates)
-	}
-	return conn.Send(ctx, f.queries[p].frame, f.queries[p].in)
-}
-
 // read reads every reply the flight's write left pending, in order, and
 // reconstructs a read's records from the parties' subresults. A lone
-// subresult is uniformly random: any party's failure fails the flight.
+// subresult is uniformly random: any party's failure fails a read's
+// flight. An update's flight reads every acknowledgement, failed ones
+// included, and joins the failures.
 func (f *flight) read(ctx context.Context) error {
 	subresults := make([][][]byte, 0, len(f.legs))
+	var errs []error
 	for i := range f.legs {
 		l := &f.legs[i]
 		l.held = false
@@ -418,7 +407,9 @@ func (f *flight) read(ctx context.Context) error {
 			rs, err = f.recv(ctx, l)
 		}
 		if err != nil {
-			return f.fail(l, err)
+			if errs = append(errs, f.fail(l, err)); f.updates == nil {
+				return errs[0]
+			}
 		}
 		if i+1 == len(f.legs) || f.legs[i+1].p != l.p {
 			l.psp.End()
@@ -426,7 +417,7 @@ func (f *flight) read(ctx context.Context) error {
 		subresults = append(subresults, rs)
 	}
 	if f.queries == nil {
-		return nil
+		return errors.Join(errs...)
 	}
 	// Recv checked that every party returned one subresult per row.
 	f.answers = make([][]byte, f.queries[0].in.Len())
@@ -453,7 +444,7 @@ func (f *flight) read(ctx context.Context) error {
 func (f *flight) recv(ctx context.Context, l *leg) ([][]byte, error) {
 	rs, err := [][]byte(nil), l.err
 	if err == nil {
-		rs, err = l.conn.Recv(ctx)
+		rs, err = l.x.Recv(ctx)
 	}
 	switch {
 	case err == nil:
@@ -476,9 +467,8 @@ func (f *flight) recv(ctx context.Context, l *leg) ([][]byte, error) {
 
 // hedge reads a hedged party's reply. Attempt 0 is the frame write
 // already sent to the primary; each later attempt writes to the next
-// replica, but only if that replica is idle: waiting for its lock here,
-// holding later parties' locks, could wait on a call that waits on this
-// one. First valid answer wins; the losers are cancelled.
+// replica. First valid answer wins; the losers are cancelled, and their
+// replies dropped by their connections' next readers.
 func (f *flight) hedge(ctx context.Context, l *leg) ([][]byte, error) {
 	cells := f.co.store.cells
 	q := f.queries[l.p]
@@ -487,10 +477,10 @@ func (f *flight) hedge(ctx context.Context, l *leg) ([][]byte, error) {
 			return f.recv(ctx, l)
 		}
 		cells.hedges.Inc()
-		a := &leg{conn: f.conns[l.p][l.order[i]], p: l.p, r: l.order[i], att: l.psp.StartChild("attempt"), start: time.Now()}
+		a := &leg{p: l.p, r: l.order[i], att: l.psp.StartChild("attempt"), start: time.Now()}
 		a.att.SetAttrInt("replica", int64(a.r))
 		a.att.SetAttrBool("hedge", true)
-		a.err = a.conn.TrySend(attemptContext(ctx, a.att), q.frame, q.in)
+		a.x, a.err = f.conns[a.p][a.r].Send(attemptContext(ctx, a.att), q.frame, q.in)
 		return f.recv(ctx, a)
 	})
 	if err != nil {
@@ -503,20 +493,21 @@ func (f *flight) hedge(ctx context.Context, l *leg) ([][]byte, error) {
 	return rs, nil
 }
 
-// fail ends leg l's party span with err and names the party in it.
+// fail records err on leg l's party span and names the party in it —
+// and, for an update, the shard and replica.
 func (f *flight) fail(l *leg, err error) error {
 	l.psp.SetAttr("error", err.Error())
-	l.psp.End()
 	if f.updates != nil {
-		return fmt.Errorf("impir: update party %d replica %d: %w", l.p, l.r, err)
+		return fmt.Errorf("impir: update shard %d party %d replica %d: %w", f.co.shard, l.p, l.r, err)
 	}
 	return fmt.Errorf("impir: %s: %w", fmtParty(l.p, len(f.conns[l.p])), err)
 }
 
-// end closes the flight, once. It abandons every exchange written and
-// not read, which poisons its connection as a cancelled exchange does,
-// ends the flight's spans, counts it against its shard and, on a
-// sharded store, names the shard in err.
+// end closes the flight, once. It ends the flight's spans — an exchange
+// written and not read is abandoned, for its connection's next reader
+// to drop its reply — counts the flight against its shard and, on a
+// sharded store, names the shard in a read's err (an update's names it
+// already).
 func (f *flight) end(err error) error {
 	c := f.co
 	if c == nil || f.ended {
@@ -526,8 +517,6 @@ func (f *flight) end(err error) error {
 	for i := range f.legs {
 		l := &f.legs[i]
 		if l.held {
-			l.held = false
-			l.conn.Abandon()
 			l.att.SetAttr("outcome", "cancelled")
 			l.att.End()
 		}
@@ -551,8 +540,8 @@ func (f *flight) end(err error) error {
 		// Failed attempts count per attempt, retries included: they are
 		// real wire traffic.
 		sh[shardErrors].Inc()
-		if len(c.store.shards) > 1 {
-			f.span.SetAttr("error", err.Error())
+		f.span.SetAttr("error", err.Error())
+		if len(c.store.shards) > 1 && f.updates == nil {
 			err = fmt.Errorf("impir: shard %d: %w", c.shard, err)
 		}
 	}

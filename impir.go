@@ -71,8 +71,8 @@
 //
 // Open installs store-level policy that every call may override:
 // WithCallTimeout bounds a whole operation, WithRetries grants a
-// transient-failure budget whose attempts transparently redial
-// poisoned connections, and WithHedging/WithHedgeDelay control hedged
+// transient-failure budget whose attempts transparently redial broken
+// connections, and WithHedging/WithHedgeDelay control hedged
 // replica fan-out. A Tracer, installed with its Option, wraps each
 // logical operation (Retrieve, RetrieveBatch, Update) in one root span,
 // however many shards, coded slots, hedges and retries it spans.
@@ -150,8 +150,8 @@
 // exactly that server's ring entry, so the operator of the CLIENT can join the halves while
 // the servers cannot. Shard real/dummy marking and keyword probe counts
 // exist only in client-side spans; a traced query's wire bytes differ
-// from an untraced one's only by the negotiated version-2 extension,
-// and untraced queries are byte-identical to the legacy protocol.
+// from an untraced one's only by the trace-context extension (a header
+// flag and its 9-byte prefix).
 //
 // # Batched execution
 //

@@ -26,10 +26,10 @@ var ErrHedgeLost = errors.New("fanout: attempt lost the hedge race")
 // (later failures are usually cascading noise).
 //
 // A delay ≤ 0 launches every attempt at once (pure racing). Attempts
-// must observe their context for loser cancellation to have teeth; with
-// the PIR wire protocol a cancelled exchange poisons its connection,
-// which the client layer heals by redialing — the price of hedging is a
-// redial per lost race, never a wrong answer.
+// must observe their context for loser cancellation to have teeth. A
+// loser's PIR exchange is abandoned, not torn down: its connection's
+// next reader drops the reply, so the price of hedging is the losers'
+// duplicate work, never a redial and never a wrong answer.
 //
 // A loser's context is cancelled with ErrHedgeLost as the cause, so an
 // attempt (or its tracing) can distinguish losing the race from the

@@ -61,9 +61,9 @@ func TestOverloadBackpressureE2E(t *testing.T) {
 	}
 	addrs := startTinyQueuePair(t, db, 2)
 	ctx := context.Background()
-	// A 16-connection pool: wire connections serialize, so parallel
-	// connections are what let offered load actually pile onto the
-	// admission queue.
+	// A 16-connection pool: a server answers one connection's frames one
+	// at a time, so parallel connections are what let offered load
+	// actually pile onto the admission queue.
 	target := Target{}
 	for i := 0; i < 16; i++ {
 		store, err := impir.Open(ctx, impir.FlatDeployment(addrs...))

@@ -23,8 +23,8 @@ type Fingerprint struct {
 	Clients  int     `json:"clients"`
 	Workers  int     `json:"workers"`
 	// Conns is the population's parallel connection-pool count (1 =
-	// shared store); wire connections serialize, so this shapes the
-	// concurrency the servers actually see.
+	// shared store); a server answers one connection's frames one at a
+	// time, so this shapes the concurrency the servers actually see.
 	Conns     int     `json:"conns"`
 	Batch     int     `json:"batch"`
 	DurationS float64 `json:"duration_s"`

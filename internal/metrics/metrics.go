@@ -312,7 +312,7 @@ type StoreStats struct {
 	// also an Error.
 	Busy uint64
 	// Retries counts extra whole-operation attempts spent from per-call
-	// retry budgets (transparent redial of poisoned connections included).
+	// retry budgets (transparent redial of broken connections included).
 	Retries uint64
 	// Hedges counts hedge attempts launched beyond a party's primary
 	// replica; HedgeWins counts party sub-requests won by a non-primary

@@ -189,20 +189,12 @@ func parseEach[T any, P interface {
 	return out, nil
 }
 
-// Protocol versions carried in Hello frames. Version 2 is identical to
-// version 1 on every frame except that it permits the optional
-// trace-context extension (FlagTraceContext) on query/batch and update
-// frames (servers before update tracing accept it on queries only). A
-// server that accepts version 2 must also accept version 1; a client
-// whose version-2 hello is rejected downgrades to version 1 and simply
-// never attaches the extension.
-const (
-	// VersionLegacy is the pre-tracing protocol: no header flags, no
-	// frame extensions.
-	VersionLegacy = 1
-	// Version is the current protocol version.
-	Version = 2
-)
+// Version is the protocol version a client's Hello frame carries; a
+// server answers any other with MsgError, so a connection carries one
+// framing and a client can write frames back to back and match replies
+// in order. It permits the optional trace-context extension
+// (FlagTraceContext) on query and update frames.
+const Version = 2
 
 // MaxFrameSize bounds a frame's payload; larger frames are rejected
 // before allocation. Batch frames of thousands of keys stay well below
@@ -219,11 +211,7 @@ var (
 )
 
 // Frame header: magic(2) type(1) flags(1) length(4, LE). The flags
-// byte was reserved (always zero) through protocol version 1; version 2
-// uses it to mark optional extensions. Version-1 peers wrote it as zero
-// and ignored it on read, which is exactly what makes the extension
-// negotiable: a flagged frame is only ever sent to a peer that said
-// hello with version 2.
+// byte marks optional extensions; a frame without any has it zero.
 //
 // A frame leaves in one Write: BeginFrame reserves the header, the
 // payload is encoded in place after it, and EndFrame fills in the
@@ -232,9 +220,8 @@ var (
 // reading goroutine — on a small database more than the server's scan.
 const headerSize = 8
 
-// FlagTraceContext marks a query/batch frame whose payload is prefixed
-// with a TraceContext (traceContextSize bytes). Only valid on
-// connections that negotiated protocol version ≥ 2.
+// FlagTraceContext marks a query/batch or update frame whose payload is
+// prefixed with a TraceContext (traceContextSize bytes).
 const FlagTraceContext byte = 0x01
 
 // maxUpdateEntries bounds a MsgUpdate frame's entry count, enforced
@@ -268,7 +255,7 @@ func EndFrame(frame []byte) error {
 // so that Get and Put do not allocate a slice header.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// WriteFrame writes one frame with no flags — the version-1 wire image.
+// WriteFrame writes one frame with no flags.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return WriteFrameFlags(w, t, 0, payload)
 }
@@ -294,7 +281,7 @@ func WriteFrameFlags(w io.Writer, t MsgType, flags byte, payload []byte) error {
 }
 
 // ReadFrame reads one frame, validating magic and size, discarding the
-// header flags — the version-1 read path.
+// header flags.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	t, _, payload, err := ReadFrameFlags(r)
 	return t, payload, err

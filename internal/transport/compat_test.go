@@ -17,60 +17,25 @@ import (
 	"github.com/impir/impir/internal/pirproto"
 )
 
-// TestLegacyClientAgainstNewServer speaks raw protocol version 1 — no
-// flags byte, no extensions — to a current server, end to end through a
-// real two-server XOR reconstruction. A pre-tracing client must keep
-// working against an upgraded deployment, byte for byte.
+// TestLegacyClientAgainstNewServer: protocol version 1 is retired. A
+// raw version-1 hello — what a pre-tracing client opens with — gets an
+// error frame naming the version, not a server info.
 func TestLegacyClientAgainstNewServer(t *testing.T) {
-	srv0, db := startServer(t, 512, 0)
-	srv1, _ := startServer(t, 512, 1)
-
-	legacyQuery := func(addr string, key interface{ MarshalBinary() ([]byte, error) }) []byte {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		if err := pirproto.WriteFrame(nc, pirproto.MsgHello, []byte{pirproto.VersionLegacy}); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := pirproto.ReadFrame(nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != pirproto.MsgServerInfo {
-			t.Fatalf("legacy hello answered with %v: %s", typ, payload)
-		}
-		if _, err := pirproto.ParseServerInfo(payload); err != nil {
-			t.Fatalf("legacy hello info: %v", err)
-		}
-		kb, err := key.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pirproto.WriteFrame(nc, pirproto.MsgQuery, kb); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err = pirproto.ReadFrame(nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != pirproto.MsgQueryResp {
-			t.Fatalf("legacy query answered with %v: %s", typ, payload)
-		}
-		return payload
+	srv, _ := startServer(t, 512, 0)
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	const idx = 99
-	k0, k1 := genPair(t, db.Domain(), idx)
-	r0 := legacyQuery(srv0.Addr().String(), k0)
-	r1 := legacyQuery(srv1.Addr().String(), k1)
-	rec := make([]byte, len(r0))
-	for i := range rec {
-		rec[i] = r0[i] ^ r1[i]
+	defer nc.Close()
+	if err := pirproto.WriteFrame(nc, pirproto.MsgHello, []byte{1}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(rec, db.Record(idx)) {
-		t.Fatal("legacy-protocol reconstruction failed against new server")
+	typ, payload, err := pirproto.ReadFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != pirproto.MsgError || !strings.Contains(string(payload), "unsupported protocol version") {
+		t.Fatalf("version-1 hello answered with %v %q, want MsgError \"unsupported protocol version\"", typ, payload)
 	}
 }
 
@@ -87,11 +52,10 @@ type rawFrame struct {
 	payload []byte
 }
 
-// startFakeServer accepts one connection and serves hellos according to
-// accept: a hello whose version is not in accept gets MsgError (the
-// legacy rejection), one that is gets MsgServerInfo. Query frames are
-// recorded and answered with a fixed 32-byte response.
-func startFakeServer(t *testing.T, accept func(version byte) bool) *fakeServer {
+// startFakeServer accepts one connection and records every frame it
+// reads: it answers the hello with a server info, and every other frame
+// with a fixed 32-byte query response.
+func startFakeServer(t *testing.T) *fakeServer {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,14 +76,9 @@ func startFakeServer(t *testing.T, accept func(version byte) bool) *fakeServer {
 				return
 			}
 			fs.frames <- rawFrame{typ, flags, payload}
-			switch typ {
-			case pirproto.MsgHello:
-				if len(payload) == 1 && accept(payload[0]) {
-					pirproto.WriteFrame(nc, pirproto.MsgServerInfo, info.Marshal())
-				} else {
-					pirproto.WriteFrame(nc, pirproto.MsgError, []byte("unsupported protocol version"))
-				}
-			default:
+			if typ == pirproto.MsgHello {
+				pirproto.WriteFrame(nc, pirproto.MsgServerInfo, info.Marshal())
+			} else {
 				pirproto.WriteFrame(nc, pirproto.MsgQueryResp, make([]byte, 32))
 			}
 		}
@@ -138,57 +97,11 @@ func (fs *fakeServer) next(t *testing.T) rawFrame {
 	}
 }
 
-// TestNewClientDowngradesToLegacyServer dials a server that only speaks
-// version 1. The client's version-2 hello is rejected; it must retry
-// with version 1 on the same stream, negotiate, and then never attach
-// the trace extension — even when the context asks for one.
-func TestNewClientDowngradesToLegacyServer(t *testing.T) {
-	fs := startFakeServer(t, func(v byte) bool { return v == pirproto.VersionLegacy })
-
-	conn, err := Dial(context.Background(), fs.lis.Addr().String())
-	if err != nil {
-		t.Fatalf("dial legacy server: %v", err)
-	}
-	defer conn.Close()
-	if got := conn.Version(); got != pirproto.VersionLegacy {
-		t.Fatalf("negotiated version %d, want %d", got, pirproto.VersionLegacy)
-	}
-
-	h1 := fs.next(t)
-	if h1.t != pirproto.MsgHello || !bytes.Equal(h1.payload, []byte{pirproto.Version}) {
-		t.Fatalf("first hello = %v %v, want version-2 hello", h1.t, h1.payload)
-	}
-	h2 := fs.next(t)
-	if h2.t != pirproto.MsgHello || !bytes.Equal(h2.payload, []byte{pirproto.VersionLegacy}) {
-		t.Fatalf("retry hello = %v %v, want version-1 hello on the same stream", h2.t, h2.payload)
-	}
-
-	// Even with a trace in the context, a legacy connection must write
-	// the plain version-1 frame.
-	ctx := ContextWithTrace(context.Background(), obs.NewSpanID(), true)
-	db, err := newTestDB(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k0, _ := genPair(t, db.Domain(), 3)
-	if _, err := conn.Query(ctx, k0); err != nil {
-		t.Fatalf("query after downgrade: %v", err)
-	}
-	q := fs.next(t)
-	kb, _ := k0.MarshalBinary()
-	if q.flags != 0 {
-		t.Fatalf("legacy connection wrote flags %#x, want 0", q.flags)
-	}
-	if !bytes.Equal(q.payload, kb) {
-		t.Fatal("legacy connection's query payload differs from the bare key bytes")
-	}
-}
-
 // TestTraceExtensionIsOnlyWireDifference captures the exact bytes two
-// version-2 clients write for the same query — one untraced, one traced
-// — and asserts the only difference is the negotiated extension: the
-// header flag byte plus the 9-byte trace-context prefix. Untraced
-// version-2 traffic is byte-identical to version 1.
+// clients write for the same query — one untraced, one traced — and
+// asserts the only difference is the extension: the header flag byte
+// plus the 9-byte trace-context prefix. An untraced frame carries no
+// flags and exactly the bare key bytes.
 func TestTraceExtensionIsOnlyWireDifference(t *testing.T) {
 	db, err := newTestDB(t)
 	if err != nil {
@@ -199,15 +112,12 @@ func TestTraceExtensionIsOnlyWireDifference(t *testing.T) {
 
 	spanID := obs.NewSpanID()
 	capture := func(ctx context.Context) rawFrame {
-		fs := startFakeServer(t, func(v byte) bool { return true })
+		fs := startFakeServer(t)
 		conn, err := Dial(context.Background(), fs.lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if conn.Version() != pirproto.Version {
-			t.Fatalf("negotiated %d, want %d", conn.Version(), pirproto.Version)
-		}
 		fs.next(t) // hello
 		if _, err := conn.Query(ctx, k0); err != nil {
 			t.Fatal(err)
@@ -219,7 +129,7 @@ func TestTraceExtensionIsOnlyWireDifference(t *testing.T) {
 	traced := capture(ContextWithTrace(context.Background(), spanID, true))
 
 	if plain.flags != 0 || !bytes.Equal(plain.payload, kb) {
-		t.Fatalf("untraced v2 frame differs from the v1 wire image: flags=%#x", plain.flags)
+		t.Fatalf("untraced frame differs from the bare key bytes: flags=%#x", plain.flags)
 	}
 	if traced.flags != pirproto.FlagTraceContext {
 		t.Fatalf("traced frame flags = %#x, want FlagTraceContext", traced.flags)
@@ -251,9 +161,6 @@ func TestServerJoinsWireTraceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.Version() != pirproto.Version {
-		t.Fatalf("negotiated %d, want %d", conn.Version(), pirproto.Version)
-	}
 
 	spanID := obs.NewSpanID()
 	k0, _ := genPair(t, db.Domain(), 42)

@@ -8,9 +8,13 @@
 // (pirproto.ParseQuery) and hands it, with the frame type, to a
 // Dispatcher's one query entry — the request scheduler, which owns
 // admission control, coalescing of MsgQuery frames across connections,
-// and update quiescing. On the client side, a Conn's exchange is split
-// in two halves, the write of a frame and the read of its reply, so a
-// client can write to every server before it reads any reply.
+// and update quiescing. A server answers one connection's frames
+// strictly in the order it read them. On the client side, an exchange is
+// split in two halves, the write of a frame and the read of its reply,
+// and a connection carries many exchanges at once: a client can write
+// to every server before it reads any reply, and several calls can
+// share one connection, their replies read in the order they were
+// written.
 package transport
 
 import (
@@ -23,6 +27,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,9 +138,9 @@ func WithTraceRing(r *obs.TraceRing) ServerOption {
 }
 
 // WithTraceSampler head-samples queries that arrive WITHOUT a wire
-// trace context (legacy clients, or new clients below their own
-// sampling rate) so a server still populates its ring under pure
-// legacy traffic. Queries whose context says sampled are always kept.
+// trace context (clients that trace nothing, or sample below their own
+// rate) so a server still populates its ring under untraced traffic.
+// Queries whose context says sampled are always kept.
 func WithTraceSampler(sampler obs.Sampler) ServerOption {
 	return func(s *Server) { s.sampler = sampler }
 }
@@ -410,10 +416,7 @@ func (s *Server) beginDispatch() bool {
 func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgType, payload []byte) error {
 	switch t {
 	case pirproto.MsgHello:
-		// Accept both the legacy and the current version: v2 changes
-		// nothing the server must act on (the trace extension is marked
-		// per-frame by a header flag), so one server serves both.
-		if len(payload) != 1 || (payload[0] != pirproto.VersionLegacy && payload[0] != pirproto.Version) {
+		if len(payload) != 1 || payload[0] != pirproto.Version {
 			return fmt.Errorf("unsupported protocol version")
 		}
 		db := s.dispatcher.Database()
@@ -460,7 +463,7 @@ func (s *Server) dispatch(ctx context.Context, fw *frameWriter, t pirproto.MsgTy
 // frameWriter sends frames built in one reused buffer, so each frame —
 // header and payload — leaves in a single Write (see pirproto's frame
 // header). One goroutine at a time owns it: the server's per-connection
-// handler, or a client Conn under its exchange lock.
+// handler, or a client Conn's writer under its write lock.
 type frameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -520,32 +523,44 @@ func NewServerTLS(lis net.Listener, d Dispatcher, party uint8, tlsCfg *tls.Confi
 	return NewServer(tls.NewListener(lis, tlsCfg), d, party, opts...)
 }
 
-// Conn is a client connection to one PIR server. It carries one
-// exchange at a time, under a lock held from the write of a frame
-// (Send, TrySend, SendUpdate) to the read of its reply (Recv) or its
-// abandonment (Abandon), so a caller may write to several Conns before
-// it reads any reply.
+// Conn is a client connection to one PIR server. It carries many
+// exchanges at once, and the server answers them in the order they were
+// written. Send writes a frame under a short write lock and queues its
+// exchange; a Pending's Recv takes the connection's read turn and reads
+// replies in queue order, handing each earlier reply to its own
+// exchange, until its own arrives. So a second call on a shared Conn
+// writes without waiting for the first call's reply, and a reply whose
+// exchange nobody receives — a hedge loser's, a cancelled or failed
+// call's — is read and dropped by the next reader. Only a partial
+// write, a reply cut off mid-frame, a framing error or a reset breaks
+// the connection.
 type Conn struct {
-	mu      sync.Mutex // held from a frame's write to its reply's read
-	conn    net.Conn
-	fw      frameWriter   // under mu
-	br      *bufio.Reader // under mu
-	info    pirproto.ServerInfo
-	version uint8 // negotiated protocol version (set during handshake)
+	conn net.Conn
+	info pirproto.ServerInfo
 
-	sent  pirproto.MsgType // the frame in flight, under mu
-	want  int              // the subresults its reply must carry
-	armed interrupt        // its context's interrupt
+	wmu  sync.Mutex  // the write turn: held for one frame's write
+	fw   frameWriter // under wmu
+	wint interrupter // under wmu
 
-	// broken has its own mutex so Broken() answers immediately even
-	// while an exchange holds mu — the client layer probes it to decide
-	// whether to redial, and must not block behind in-flight queries.
-	brokenMu sync.Mutex
-	broken   error // set when a cancelled or abandoned exchange poisons the stream
+	turn chan struct{} // the read turn: held for one reply's read
+	br   *bufio.Reader // under turn
+	rint interrupter   // under turn
+
+	mu     sync.Mutex
+	queue  []*Pending // written, reply not yet read, in write order
+	broken error      // set once, when the stream position is lost
 }
 
-// errConnBusy fails a TrySend on a connection another exchange holds.
-var errConnBusy = errors.New("transport: connection busy with another exchange")
+// Pending is one exchange: a frame written, its reply not yet received.
+type Pending struct {
+	c    *Conn
+	sent pirproto.MsgType // the frame written
+	want int              // the subresults its reply must carry
+
+	// The reply, set under the read turn by whichever reader read it.
+	t       pirproto.MsgType // 0 until then
+	payload []byte
+}
 
 // Dial connects to a PIR server and performs the hello handshake. The
 // context bounds connection establishment and the handshake exchange.
@@ -572,202 +587,213 @@ func DialTLS(ctx context.Context, addr string, tlsCfg *tls.Config) (*Conn, error
 }
 
 // handshake performs the hello exchange on a fresh connection, taking
-// ownership of nc (closed on failure). It offers the current protocol
-// version first; a server that rejects it (a legacy deployment) leaves
-// the stream usable — its error reply consumed the hello — so the
-// client retries with the legacy version on the same connection and
-// simply never attaches wire extensions.
+// ownership of nc (closed on failure).
 func handshake(ctx context.Context, nc net.Conn) (*Conn, error) {
-	c := &Conn{conn: nc, fw: frameWriter{w: nc}, br: bufio.NewReader(nc), version: pirproto.Version}
-	t, payload, err := c.hello(ctx, pirproto.Version)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
+	c := &Conn{conn: nc, fw: frameWriter{w: nc}, br: bufio.NewReader(nc), turn: make(chan struct{}, 1),
+		wint: interrupter{set: nc.SetWriteDeadline, fired: make(chan struct{}, 1)},
+		rint: interrupter{set: nc.SetReadDeadline, fired: make(chan struct{}, 1)}}
+	x, err := c.send(ctx, pirproto.MsgHello, 0, func(b []byte) ([]byte, error) {
+		return append(b, pirproto.Version), nil
+	})
+	var t pirproto.MsgType
+	var payload []byte
+	if err == nil {
+		t, payload, err = x.reply(ctx)
 	}
-	if t == pirproto.MsgError {
-		c.version = pirproto.VersionLegacy
-		t, payload, err = c.hello(ctx, pirproto.VersionLegacy)
-		if err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("transport: handshake (legacy retry): %w", err)
-		}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("transport: handshake: %w", err)
+	case t == pirproto.MsgError:
+		err = fmt.Errorf("transport: server rejected handshake: %s", payload)
+	case t != pirproto.MsgServerInfo:
+		err = fmt.Errorf("transport: unexpected handshake frame %v", t)
+	default:
+		c.info, err = pirproto.ParseServerInfo(payload)
 	}
-	if t == pirproto.MsgError {
-		nc.Close()
-		return nil, fmt.Errorf("transport: server rejected handshake: %s", payload)
-	}
-	if t != pirproto.MsgServerInfo {
-		nc.Close()
-		return nil, fmt.Errorf("transport: unexpected handshake frame %v", t)
-	}
-	info, err := pirproto.ParseServerInfo(payload)
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	c.info = info
 	return c, nil
-}
-
-func (c *Conn) hello(ctx context.Context, version byte) (pirproto.MsgType, []byte, error) {
-	err := c.send(ctx, pirproto.MsgHello, 0, false, true, func(b []byte) ([]byte, error) {
-		return append(b, version), nil
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	defer c.mu.Unlock()
-	return c.read(ctx)
 }
 
 // Info returns the server's database description from the handshake.
 func (c *Conn) Info() pirproto.ServerInfo { return c.info }
 
-// Version returns the negotiated protocol version.
-func (c *Conn) Version() uint8 { return c.version }
-
-// send is the write half of every exchange. It takes the lock — when
-// wait is false, only if no exchange holds it — builds the frame (the
-// trace extension when traced asks for it and the connection allows
-// it, then the payload appendPayload adds), arms ctx's interrupt and
-// writes the frame in one Write. It returns holding the lock, or with
-// it released on failure. An encoding error returns before any byte is
-// written; a failed write poisons the connection.
-func (c *Conn) send(ctx context.Context, t pirproto.MsgType, want int, traced, wait bool, appendPayload func([]byte) ([]byte, error)) error {
-	if wait {
-		c.mu.Lock()
-	} else if !c.mu.TryLock() {
-		return errConnBusy
+// send is the write half of every exchange. Under the write lock it
+// builds the frame — the trace extension when ctx carries a trace and t
+// is a query or update, then the payload appendPayload adds — writes it
+// in one Write under ctx's deadline and interrupt, and queues the
+// exchange. An encoding error returns before any byte is written; a
+// failed write breaks the connection.
+func (c *Conn) send(ctx context.Context, t pirproto.MsgType, want int, appendPayload func([]byte) ([]byte, error)) (*Pending, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	err := c.brokenErr()
-	if err == nil {
-		err = ctx.Err()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.brokenErr(); err != nil {
+		return nil, err
 	}
 	var frame []byte
-	if err == nil {
-		if tc, ok := c.traceContext(ctx, traced); ok {
-			frame = pirproto.AppendTraceContext(c.fw.begin(t, pirproto.FlagTraceContext), tc)
-		} else {
-			frame = c.fw.begin(t, 0)
-		}
-		frame, err = appendPayload(frame)
+	if tc, ok := ctx.Value(traceCtxKey{}).(pirproto.TraceContext); ok && t != pirproto.MsgHello {
+		frame = pirproto.AppendTraceContext(c.fw.begin(t, pirproto.FlagTraceContext), tc)
+	} else {
+		frame = c.fw.begin(t, 0)
 	}
+	frame, err := appendPayload(frame)
 	if err != nil {
-		c.mu.Unlock()
+		return nil, err
+	}
+	c.wint.arm(ctx)
+	err = c.fw.send(frame)
+	c.wint.disarm()
+	if err != nil {
+		return nil, c.fail(ctx, err)
+	}
+	x := &Pending{c: c, sent: t, want: want}
+	c.mu.Lock()
+	c.queue = append(c.queue, x)
+	c.mu.Unlock()
+	return x, nil
+}
+
+// reply is the read half of every exchange: it waits for x's reply
+// frame. It takes the read turn one reply at a time, so a reader that
+// reads another exchange's reply hands the turn on at once, and gives
+// up when ctx is done — leaving x queued, for the next reader to drop
+// its reply.
+func (x *Pending) reply(ctx context.Context) (pirproto.MsgType, []byte, error) {
+	c := x.c
+	for {
+		select {
+		case c.turn <- struct{}{}:
+		case <-ctx.Done():
+			return 0, nil, ctx.Err()
+		}
+		var err error
+		if x.t == 0 {
+			err = c.readNext(ctx)
+		}
+		t, payload := x.t, x.payload // read under the turn its reader held
+		<-c.turn
+		if err != nil || t != 0 {
+			return t, payload, err
+		}
+	}
+}
+
+// readNext reads the next reply under the read turn and hands it to the
+// oldest queued exchange. A read that ctx interrupts before the reply's
+// first byte leaves the stream where it was; any other failure breaks
+// the connection.
+func (c *Conn) readNext(ctx context.Context) error {
+	if err := c.brokenErr(); err != nil {
 		return err
 	}
-	dl, _ := ctx.Deadline() // the zero time, which clears it, when ctx has none
-	c.conn.SetDeadline(dl)
-	c.sent, c.want, c.armed = t, want, c.arm(ctx)
-	if err := c.fw.send(frame); err != nil {
-		err = c.fail(ctx, err)
-		c.mu.Unlock()
+	c.rint.arm(ctx)
+	_, err := c.br.Peek(1)
+	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) && ctxErr(ctx) != nil {
+		c.rint.disarm()
+		return ctxErr(ctx)
+	}
+	var t pirproto.MsgType
+	var payload []byte
+	if err == nil {
+		t, payload, err = pirproto.ReadFrame(c.br)
+	}
+	c.rint.disarm()
+	if err != nil {
+		return c.fail(ctx, err)
+	}
+	c.mu.Lock()
+	x := c.queue[0]
+	c.queue = slices.Delete(c.queue, 0, 1)
+	c.mu.Unlock()
+	x.t, x.payload = t, payload
+	return nil
+}
+
+// interrupter expires one direction's socket deadline when the context
+// of the I/O in progress is done, so that I/O returns at once. The
+// writer arms the write direction's under the write lock, the reader
+// the read direction's under the read turn.
+type interrupter struct {
+	set   func(time.Time) error // the direction's SetDeadline
+	fired chan struct{}
+	stop  func() bool
+}
+
+// arm sets the deadline to ctx's — none when ctx has none — and
+// expires it when ctx is done.
+func (i *interrupter) arm(ctx context.Context) {
+	dl, _ := ctx.Deadline()
+	i.set(dl)
+	if ctx.Done() != nil {
+		i.stop = context.AfterFunc(ctx, func() {
+			i.set(time.Now())
+			i.fired <- struct{}{}
+		})
+	}
+}
+
+// disarm stops the interrupt. When it has already fired, disarm waits
+// for it, so a late deadline never lands on the next I/O.
+func (i *interrupter) disarm() {
+	if i.stop != nil && !i.stop() {
+		<-i.fired
+	}
+	i.stop = nil
+}
+
+// ctxErr is ctx's error, or DeadlineExceeded once ctx's deadline has
+// passed: the socket deadline is set from it, so it can fire a beat
+// before the context's own timer.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
 	}
 	return nil
 }
 
-// read is the read half of every exchange, under the lock send left
-// held; the caller releases it. ctx is send's context or one derived
-// from it, whose cancellation interrupts the read too. A failed read
-// poisons the connection.
-func (c *Conn) read(ctx context.Context) (pirproto.MsgType, []byte, error) {
-	var also interrupt
-	if ctx.Done() != c.armed.done {
-		also = c.arm(ctx)
-	}
-	t, payload, err := pirproto.ReadFrame(c.br)
-	also.disarm()
-	if err != nil {
-		return 0, nil, c.fail(ctx, err)
-	}
-	c.armed.disarm()
-	return t, payload, nil
-}
-
-// interrupt expires the socket deadline when its context is done, so
-// pending I/O returns at once.
-type interrupt struct {
-	done  <-chan struct{}
-	stop  func() bool
-	fired chan struct{}
-}
-
-// arm returns ctx's interrupt; a context that is never done needs none.
-func (c *Conn) arm(ctx context.Context) interrupt {
-	if ctx.Done() == nil {
-		return interrupt{}
-	}
-	fired := make(chan struct{})
-	stop := context.AfterFunc(ctx, func() {
-		c.conn.SetDeadline(time.Now())
-		close(fired)
-	})
-	return interrupt{ctx.Done(), stop, fired}
-}
-
-// disarm stops the interrupt, once. When it has already started,
-// disarm waits for it, so a late deadline never lands on the next
-// exchange.
-func (i *interrupt) disarm() {
-	if i.stop != nil && !i.stop() {
-		<-i.fired
-	}
-	*i = interrupt{}
-}
-
-// fail poisons the connection after an exchange died part-way — the
-// stream position is unknown — and returns the error the caller sees:
-// ctx's, when ctx ended the exchange.
+// fail breaks the connection after an I/O failure lost the stream
+// position, closing the socket so every other reader and writer returns
+// at once, and returns the error the caller sees: ctx's, when ctx ended
+// the I/O.
 func (c *Conn) fail(ctx context.Context, err error) error {
-	c.armed.disarm()
-	cerr := ctx.Err()
-	if cerr == nil {
-		// The socket deadline is set from the context deadline, so it
-		// can fire a beat before the context's own timer: an expired
-		// deadline is the context's fault even if ctx.Err() has not
-		// flipped yet.
-		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-			cerr = context.DeadlineExceeded
-		}
-	}
-	if cerr != nil {
+	if cerr := ctxErr(ctx); cerr != nil {
 		err = cerr
 	}
-	// Deliberately %v: a later call with a healthy context must not see
-	// the original call's context error through errors.Is and misread a
-	// dead connection as its own timeout.
-	c.setBroken(fmt.Errorf("transport: connection unusable after failed exchange: %v", err))
+	c.mu.Lock()
+	if c.broken == nil {
+		// Deliberately %v: a later call with a healthy context must not
+		// see this call's context error through errors.Is and misread a
+		// dead connection as its own timeout.
+		c.broken = fmt.Errorf("transport: connection unusable after failed exchange: %v", err)
+	}
+	c.mu.Unlock()
+	c.conn.Close()
 	return err
 }
 
 type traceCtxKey struct{}
 
 // ContextWithTrace returns ctx carrying a wire trace context for the
-// next query exchange on a version-2 connection: the party-local span
-// ID the client minted for this ONE server's view of one attempt, and
-// whether the client sampled the operation. The caller must mint an
-// independent random ID per party — never reuse one ID across
-// connections to different parties, or colluding servers could link
-// their halves of the operation. A zero span ID attaches nothing.
+// next query or update exchange: the party-local span ID the client
+// minted for this ONE server's view of one attempt, and whether the
+// client sampled the operation. The caller must mint an independent
+// random ID per party — never reuse one ID across connections to
+// different parties, or colluding servers could link their halves of
+// the operation. A zero span ID attaches nothing.
 func ContextWithTrace(ctx context.Context, spanID obs.SpanID, sampled bool) context.Context {
 	if spanID.IsZero() {
 		return ctx
 	}
 	return context.WithValue(ctx, traceCtxKey{},
 		pirproto.TraceContext{SpanID: spanID.Uint64(), Sampled: sampled})
-}
-
-// traceContext returns the wire trace context a query frame carries:
-// the context's trace, when traced asks for one and the connection
-// negotiated version 2. On legacy connections, or when ctx carries no
-// trace, the frame goes out byte-identical to the version-1 wire image.
-func (c *Conn) traceContext(ctx context.Context, traced bool) (pirproto.TraceContext, bool) {
-	if !traced || c.version < pirproto.Version {
-		return pirproto.TraceContext{}, false
-	}
-	tc, ok := ctx.Value(traceCtxKey{}).(pirproto.TraceContext)
-	return tc, ok
 }
 
 // Query sends one DPF key as a MsgQuery frame and returns the server's
@@ -788,57 +814,50 @@ func (c *Conn) QueryBatch(ctx context.Context, keys []*dpf.Key) ([][]byte, error
 
 // Exchange is Send, then Recv.
 func (c *Conn) Exchange(ctx context.Context, t pirproto.MsgType, in dpf.Batch) ([][]byte, error) {
-	if err := c.Send(ctx, t, in); err != nil {
+	x, err := c.Send(ctx, t, in)
+	if err != nil {
 		return nil, err
 	}
-	return c.Recv(ctx)
+	return x.Recv(ctx)
 }
 
 // Send writes in as one query frame of type t — MsgQuery,
 // MsgBatchQuery, MsgShareQuery or MsgShareBatchQuery (the §2.3 naive
-// n-server encoding) — and returns holding the connection for Recv or
-// Abandon. ctx bounds the whole exchange: its deadline becomes the
-// socket's, and its cancellation interrupts the write and the read.
-// The protocol has no request framing beyond the stream position, so
-// an exchange that dies or is abandoned part-way poisons the
-// connection, and every later exchange fails fast.
-func (c *Conn) Send(ctx context.Context, t pirproto.MsgType, in dpf.Batch) error {
-	return c.send(ctx, t, in.Len(), true, true, func(b []byte) ([]byte, error) { return pirproto.AppendQuery(b, t, in) })
-}
-
-// TrySend is Send that fails at once, instead of waiting, when another
-// exchange holds the connection.
-func (c *Conn) TrySend(ctx context.Context, t pirproto.MsgType, in dpf.Batch) error {
-	return c.send(ctx, t, in.Len(), true, false, func(b []byte) ([]byte, error) { return pirproto.AppendQuery(b, t, in) })
+// n-server encoding) — and returns the exchange, whose reply Recv
+// reads. It holds the connection's write lock only while it writes:
+// ctx's deadline and cancellation bound the write, not the reply. A
+// caller that abandons the exchange simply never calls Recv; the next
+// reader drops its reply.
+func (c *Conn) Send(ctx context.Context, t pirproto.MsgType, in dpf.Batch) (*Pending, error) {
+	return c.send(ctx, t, in.Len(), func(b []byte) ([]byte, error) { return pirproto.AppendQuery(b, t, in) })
 }
 
 // SendUpdate writes a bulk record update frame as Send writes a query,
-// with ctx's wire trace context on a version 2 connection. Updates are
-// an operator action, not a private query: the server learns which
-// records changed, by design.
-func (c *Conn) SendUpdate(ctx context.Context, updates map[uint64][]byte) error {
+// with ctx's wire trace context. Updates are an operator action, not a
+// private query: the server learns which records changed, by design.
+func (c *Conn) SendUpdate(ctx context.Context, updates map[uint64][]byte) (*Pending, error) {
 	payload, err := pirproto.MarshalUpdate(updates)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.send(ctx, pirproto.MsgUpdate, 0, true, true, func(b []byte) ([]byte, error) {
+	return c.send(ctx, pirproto.MsgUpdate, 0, func(b []byte) ([]byte, error) {
 		return append(b, payload...), nil
 	})
 }
 
-// Recv reads the reply to the frame written and releases the
-// connection. A query's reply must carry one subresult per query, each
-// of the record size the server announced in its hello; an update's is
-// an acknowledgement, and Recv returns no subresults. Anything else is
-// an error, never a record. ctx is the write's context or one derived
-// from it.
-func (c *Conn) Recv(ctx context.Context) ([][]byte, error) {
-	defer c.mu.Unlock()
-	rt, payload, err := c.read(ctx)
+// Recv reads the reply to x, once. ctx's deadline and cancellation bound
+// the wait: when ctx ends first, Recv returns its error, and x's reply
+// is dropped by the next reader unless the stream broke mid-reply. A
+// query's reply must carry one subresult per query, each of the record
+// size the server announced in its hello; an update's is an
+// acknowledgement, and Recv returns no subresults. Anything else is an
+// error, never a record.
+func (x *Pending) Recv(ctx context.Context) ([][]byte, error) {
+	rt, payload, err := x.reply(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if c.sent == pirproto.MsgUpdate {
+	if x.sent == pirproto.MsgUpdate {
 		if rt == pirproto.MsgUpdateOK {
 			return nil, nil
 		}
@@ -855,24 +874,15 @@ func (c *Conn) Recv(ctx context.Context) ([][]byte, error) {
 	default:
 		return nil, replyErr(rt, payload)
 	}
-	if len(results) != c.want {
-		return nil, fmt.Errorf("transport: %d results for %d queries", len(results), c.want)
+	if len(results) != x.want {
+		return nil, fmt.Errorf("transport: %d results for %d queries", len(results), x.want)
 	}
 	for i, r := range results {
-		if len(r) != int(c.info.RecordSize) {
-			return nil, fmt.Errorf("transport: subresult %d is %d bytes, but the server announced %d-byte records", i, len(r), c.info.RecordSize)
+		if len(r) != int(x.c.info.RecordSize) {
+			return nil, fmt.Errorf("transport: subresult %d is %d bytes, but the server announced %d-byte records", i, len(r), x.c.info.RecordSize)
 		}
 	}
 	return results, nil
-}
-
-// Abandon releases the connection without reading the reply to the
-// frame written. That leaves the stream mid-reply, so the connection is
-// poisoned, as when a cancelled context interrupts an exchange.
-func (c *Conn) Abandon() {
-	c.armed.disarm()
-	c.setBroken(errors.New("transport: connection unusable after an abandoned exchange"))
-	c.mu.Unlock()
 }
 
 // replyErr interprets a reply frame that carries no answer.
@@ -888,30 +898,30 @@ func replyErr(t pirproto.MsgType, payload []byte) error {
 
 // Update is SendUpdate, then Recv.
 func (c *Conn) Update(ctx context.Context, updates map[uint64][]byte) error {
-	if err := c.SendUpdate(ctx, updates); err != nil {
+	x, err := c.SendUpdate(ctx, updates)
+	if err != nil {
 		return err
 	}
-	_, err := c.Recv(ctx)
+	_, err = x.Recv(ctx)
 	return err
 }
 
-// Broken reports whether a failed or abandoned exchange has poisoned
-// the stream, making every further exchange fail fast. The client layer
-// uses this to transparently redial instead of returning stale errors.
-// Broken never blocks behind an in-flight exchange.
+// Broken reports whether an I/O failure has lost the stream position,
+// making every further exchange fail fast. The client layer redials a
+// broken connection. Broken never blocks behind an exchange.
 func (c *Conn) Broken() bool { return c.brokenErr() != nil }
 
 func (c *Conn) brokenErr() error {
-	c.brokenMu.Lock()
-	defer c.brokenMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.broken
 }
 
-func (c *Conn) setBroken(err error) {
-	c.brokenMu.Lock()
-	c.broken = err
-	c.brokenMu.Unlock()
+// Close closes the connection. Closing a connection a break already
+// closed is not an error.
+func (c *Conn) Close() error {
+	if err := c.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
-
-// Close closes the connection.
-func (c *Conn) Close() error { return c.conn.Close() }

@@ -192,6 +192,70 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestConcurrentExchangesShareOneConn: 8 goroutines share one
+// connection per server of a pair, each reconstructing records from its
+// own exchanges while the others' are in flight, and every third
+// iteration abandoning both halves of one unread. Every reply reaches
+// its own exchange, the abandoned ones are drained, and neither
+// connection breaks.
+func TestConcurrentExchangesShareOneConn(t *testing.T) {
+	srv0, db := startServer(t, 256, 0)
+	srv1, _ := startServer(t, 256, 1)
+	ctx := context.Background()
+	conns := make([]*Conn, 2)
+	for p, srv := range []*Server{srv0, srv1} {
+		conn, err := Dial(ctx, srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns[p] = conn
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				idx := uint64(g*25+i) % 256
+				k0, k1 := genPair(t, db.Domain(), idx)
+				var xs [2]*Pending
+				for p, k := range []*dpf.Key{k0, k1} {
+					var err error
+					if xs[p], err = conns[p].Send(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{k}}); err != nil {
+						t.Errorf("goroutine %d: send %d: %v", g, i, err)
+						return
+					}
+				}
+				if i%3 == 2 {
+					continue // abandoned: the next readers drain both replies
+				}
+				rec := make([]byte, db.RecordSize())
+				for p, x := range xs {
+					r, err := x.Recv(ctx)
+					if err != nil {
+						t.Errorf("goroutine %d: recv %d from party %d: %v", g, i, p, err)
+						return
+					}
+					for j := range rec {
+						rec[j] ^= r[0][j]
+					}
+				}
+				if !bytes.Equal(rec, db.Record(int(idx))) {
+					t.Errorf("goroutine %d: record %d reconstructed wrong: a reply reached another exchange", g, idx)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for p, conn := range conns {
+		if conn.Broken() {
+			t.Errorf("party %d's shared connection broke", p)
+		}
+	}
+}
+
 func TestServerRejectsBadKey(t *testing.T) {
 	srv0, db := startServer(t, 128, 0)
 	conn, err := Dial(context.Background(), srv0.Addr().String())
@@ -427,14 +491,15 @@ func TestShareBatchRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestQueryContextCancellationPoisonsConn(t *testing.T) {
-	// An unresponsive peer: accepts the connection, answers the
-	// handshake, then goes silent.
+// scriptedPeer accepts one connection, answers its hello with a server
+// info of 32-byte records, and hands the connection to script.
+func scriptedPeer(t *testing.T, script func(nc net.Conn)) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
+	t.Cleanup(func() { lis.Close() })
 	go func() {
 		nc, err := lis.Accept()
 		if err != nil {
@@ -446,12 +511,30 @@ func TestQueryContextCancellationPoisonsConn(t *testing.T) {
 		}
 		info := pirproto.ServerInfo{Domain: 7, RecordSize: 32, NumRecords: 128}
 		pirproto.WriteFrame(nc, pirproto.MsgServerInfo, info.Marshal())
-		// Swallow the query and never answer.
-		pirproto.ReadFrame(nc)
-		time.Sleep(10 * time.Second)
+		script(nc)
 	}()
+	return lis.Addr().String()
+}
 
-	conn, err := Dial(context.Background(), lis.Addr().String())
+// TestQueryDeadlineLeavesConnUsable: a query whose deadline passes
+// before any byte of its reply arrives gives up promptly, and leaves the
+// stream where it was. The peer answers the swallowed query late; the
+// next query drops that reply and gets its own, on the same connection.
+func TestQueryDeadlineLeavesConnUsable(t *testing.T) {
+	late, own := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32)
+	addr := scriptedPeer(t, func(nc net.Conn) {
+		if _, _, err := pirproto.ReadFrame(nc); err != nil {
+			return
+		}
+		time.Sleep(300 * time.Millisecond)
+		pirproto.WriteFrame(nc, pirproto.MsgQueryResp, late)
+		if _, _, err := pirproto.ReadFrame(nc); err != nil {
+			return
+		}
+		pirproto.WriteFrame(nc, pirproto.MsgQueryResp, own)
+		pirproto.ReadFrame(nc) // until the client closes
+	})
+	conn, err := Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,16 +551,61 @@ func TestQueryContextCancellationPoisonsConn(t *testing.T) {
 	if time.Since(start) > 3*time.Second {
 		t.Fatalf("cancellation took %v", time.Since(start))
 	}
+	if conn.Broken() {
+		t.Fatal("a deadline that passed before the reply broke the connection")
+	}
+	rec, err := conn.Query(context.Background(), k0)
+	if err != nil {
+		t.Fatalf("next query: %v", err)
+	}
+	if !bytes.Equal(rec, own) {
+		t.Fatalf("next query got %x, want its own reply %x, not the abandoned one's", rec, own)
+	}
+	if conn.Broken() {
+		t.Fatal("connection broken after the next query")
+	}
+}
 
-	// The stream position is unknown; the conn must refuse further use —
-	// but without replaying the first call's context error, which a
-	// caller with a healthy context would misread as its own timeout.
+// TestReplyCutOffMidFrameBreaksConn: a deadline that passes in the middle
+// of a reply frame loses the stream position. The connection breaks, and
+// the next query fails fast — without replaying the first call's context
+// error, which a caller with a healthy context would misread as its own
+// timeout.
+func TestReplyCutOffMidFrameBreaksConn(t *testing.T) {
+	addr := scriptedPeer(t, func(nc net.Conn) {
+		if _, _, err := pirproto.ReadFrame(nc); err != nil {
+			return
+		}
+		var frame bytes.Buffer
+		pirproto.WriteFrame(&frame, pirproto.MsgQueryResp, make([]byte, 32))
+		nc.Write(frame.Bytes()[:frame.Len()/2])
+		pirproto.ReadFrame(nc) // stall until the client closes
+	})
+	conn, err := Dial(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	k0, _ := genPair(t, 7, 5)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := conn.Query(ctx, k0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query = %v, want deadline exceeded", err)
+	}
+	if !conn.Broken() {
+		t.Fatal("a reply cut off mid-frame left the connection usable")
+	}
+	start := time.Now()
 	_, err = conn.Query(context.Background(), k0)
 	if err == nil {
-		t.Fatal("poisoned connection accepted another query")
+		t.Fatal("broken connection accepted another query")
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		t.Fatalf("poisoned-conn error %v replays the original context error", err)
+		t.Fatalf("broken-conn error %v replays the original context error", err)
+	}
+	if time.Since(start) > 3*time.Second {
+		t.Fatalf("query on a broken connection took %v", time.Since(start))
 	}
 }
 

@@ -141,9 +141,9 @@ func WithHedgeDelay(d time.Duration) CallOption {
 }
 
 // WithRetries grants the call a budget of n extra whole-operation
-// attempts after transient failures (server busy, broken or poisoned
-// connections — which are transparently redialed before the next
-// attempt, unifying the redial path with the retry path). Context
+// attempts after transient failures (server busy, broken connections —
+// which are transparently redialed before the next attempt, unifying
+// the redial path with the retry path). Context
 // cancellation and deadline expiry are never retried.
 func WithRetries(n int) CallOption {
 	return func(co *callOptions) {
