@@ -33,8 +33,10 @@ import (
 // broadcast row — the real local index on the owning shard, a uniform
 // dummy elsewhere — so no cohort learns whether it owned the record, and
 // every cohort's batch has the same shape. A PIR sub-query reveals
-// nothing about its index, and which sub-queries were real, dummy, or
-// served from the side-information cache exists only client-side.
+// nothing about its index, and which sub-queries were real or dummy
+// exists only client-side. The client keeps no records between calls:
+// every read asks the servers, so another client's write shows up in
+// the next read.
 //
 // A call runs on its caller's goroutine and aborts as a whole when any
 // shard's party fails (all of its replicas) or the context is
@@ -47,10 +49,9 @@ import (
 //
 // A Client may be shared by concurrent goroutines.
 type Client struct {
-	plan   ShardManifest            // shard row ranges; no addresses
-	shards []*cohort                // one per shard, in plan order
-	code   *batchcode.Layout        // nil: the identity code
-	cache  *batchcode.SideInfoCache // nil unless coded with WithSideInfoCache
+	plan   ShardManifest     // shard row ranges; no addresses
+	shards []*cohort         // one per shard, in plan order
+	code   *batchcode.Layout // nil: the identity code
 	cells  *clientCells
 
 	defaults callOptions // per-call options override them
@@ -61,7 +62,6 @@ type clientConfig struct {
 	encoding Encoding
 	tlsCfg   *tls.Config
 	defaults callOptions
-	sideInfo int
 	obs      *ClientObs // nil: private cells
 	tracer   *Tracer
 }
@@ -81,17 +81,6 @@ func WithEncoding(e Encoding) ClientOption {
 // everyone else.
 func WithTLS(tlsCfg *tls.Config) ClientOption {
 	return func(cfg *clientConfig) { cfg.tlsCfg = tlsCfg }
-}
-
-// WithSideInfoCache keeps the last n decoded records in a client-side
-// LRU and spends hits as side information on coded deployments: a
-// cached record is dropped from the batch planner's real assignment and
-// its bucket query replaced by a well-formed dummy, so the wire traffic
-// is byte-identical with or without the hit. Only effective when the
-// deployment declares a batch_code section (Open ignores it otherwise —
-// the uncoded paths have no constant shape to hide hits behind).
-func WithSideInfoCache(n int) ClientOption {
-	return func(cfg *clientConfig) { cfg.sideInfo = n }
 }
 
 // WithDefaultCallOptions installs store-level defaults applied to every
@@ -123,7 +112,7 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 	wg.Wait()
 	err := cmp.Or(errs...)
 	if err == nil {
-		err = c.layOut(d, cfg.sideInfo)
+		err = c.layOut(d)
 	}
 	if err == nil {
 		c.cells, err = cfg.obs.claim(len(d.Shards))
@@ -139,7 +128,7 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 // row count its servers pad to, which the manifest may leave to the
 // handshake — and, on a coded deployment, the batch-code layout,
 // cross-checked against the served geometry.
-func (c *Client) layOut(d Deployment, sideInfo int) error {
+func (c *Client) layOut(d Deployment) error {
 	c.plan = ShardManifest{RecordSize: c.shards[0].recordSize}
 	for s, shard := range d.Shards {
 		n := shard.NumRecords
@@ -162,7 +151,6 @@ func (c *Client) layOut(d Deployment, sideInfo int) error {
 	}
 	var err error
 	c.code, err = batchcode.NewLayout(code)
-	c.cache = batchcode.NewSideInfoCache(sideInfo)
 	return err
 }
 
@@ -307,7 +295,7 @@ func (c *Client) fetch(ctx context.Context, co callOptions, indices []uint64, ba
 		return nil, err
 	}
 	// Every row of the identity code is real; a coded plan's slots may be
-	// dummies or cache hits, which its spans do not tell apart.
+	// dummies, which its spans do not tell apart.
 	owners := plan.Owners
 	if c.code != nil {
 		owners = nil
@@ -328,59 +316,33 @@ func (c *Client) fetch(ctx context.Context, co callOptions, indices []uint64, ba
 // encode is the code step: it maps logical indices to the rows to
 // fetch, the number of leading rows that stay on their own shard, and
 // how to decode the rows' records. The identity code maps each index to
-// its own row. A coded single retrieval reads the record's first copy —
-// or, on a side-information cache hit, a uniform dummy row, so the wire
-// is the same either way. A coded batch becomes the planner's
-// constant-shape slot vector, whose bucket slots each stay on the shard
-// holding the bucket; a batch the planner cannot place falls back to
-// first copies, one row per record — the public uncoded shape.
+// its own row, and a coded single retrieval reads the record's first
+// copy. A coded batch becomes the planner's constant-shape slot vector,
+// whose bucket slots each stay on the shard holding the bucket; a batch
+// the planner cannot place falls back to first copies, one row per
+// record — the uncoded shape, which shows the batch's size.
 func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]byte) [][]byte, error) {
 	if c.code == nil {
 		return indices, 0, func(recs [][]byte) [][]byte { return recs }, nil
 	}
-	gen := c.cache.Generation() // taken before the servers are read
-	// Pin cache hits now so an eviction before decoding cannot lose a
-	// record the plan chose not to fetch.
-	have := make(map[uint64][]byte)
-	for _, idx := range indices {
-		if rec, ok := c.cache.Get(idx); ok {
-			have[idx] = rec
-		}
-	}
-	m := c.code.Manifest()
-	if rec, ok := have[indices[0]]; ok && !batch {
-		dummy, err := batchcode.RandRow(m.TotalRows())
-		return []uint64{dummy}, 0, func([][]byte) [][]byte {
-			c.cells.sideInfoHits.Inc()
-			return [][]byte{rec}
-		}, err
-	}
 	if batch {
-		plan, ok, err := c.code.PlanBatch(indices, func(idx uint64) bool {
-			_, hit := have[idx]
-			return hit
-		})
+		plan, ok, err := c.code.PlanBatch(indices, nil)
 		if err != nil {
 			return nil, 0, nil, err
 		}
 		if ok {
-			return plan.Indices, m.Buckets, func(recs [][]byte) [][]byte {
+			return plan.Indices, c.code.Manifest().Buckets, func(recs [][]byte) [][]byte {
 				out := make([][]byte, len(indices))
 				for i, src := range plan.Sources {
-					switch src.Kind {
-					case batchcode.FromSlot:
-						out[i] = recs[src.Slot]
-						c.cache.Put(indices[i], out[i], gen)
-					case batchcode.FromCache:
-						out[i] = have[indices[i]]
-					case batchcode.FromDup:
+					if src.Kind == batchcode.FromDup {
 						out[i] = append([]byte(nil), out[src.Dup]...)
+					} else {
+						out[i] = recs[src.Slot]
 					}
 				}
 				c.cells.codedBatches.Inc()
 				c.cells.codedQueries.Add(uint64(len(plan.Indices)))
 				c.cells.codedDummies.Add(uint64(len(plan.Indices) - plan.Real))
-				c.cells.sideInfoHits.Add(uint64(plan.CacheHits))
 				return out
 			}, nil
 		}
@@ -390,9 +352,6 @@ func (c *Client) encode(indices []uint64, batch bool) ([]uint64, int, func([][]b
 		rows[i] = c.code.Row(idx, 0)
 	}
 	return rows, 0, func(recs [][]byte) [][]byte {
-		for i, idx := range indices {
-			c.cache.Put(idx, recs[i], gen)
-		}
 		if batch {
 			c.cells.codeFallbacks.Inc()
 		}
@@ -501,12 +460,6 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 	if err != nil {
 		return err
 	}
-	// Drop the records from the side-information cache before the
-	// exchange, so no hit serves them while replicas change, and again
-	// after it whatever its outcome, so a read that raced the update
-	// cannot cache what it read: its generation predates this Invalidate.
-	c.invalidate(updates)
-	defer c.invalidate(updates)
 	err = c.call(ctx, &c.cells.update, opUpdate, opts, func(ctx context.Context, _ callOptions) error {
 		_, err := c.run(ctx, nil, func(f *flight) error {
 			return f.prepareUpdate(ctx, routed[f.co.shard])
@@ -518,12 +471,6 @@ func (c *Client) Update(ctx context.Context, updates map[uint64][]byte, opts ...
 		c.cells.shards[s][shardUpdateRows].Add(uint64(len(sub)))
 	}
 	return err
-}
-
-func (c *Client) invalidate(updates map[uint64][]byte) {
-	for idx := range updates {
-		c.cache.Invalidate(idx)
-	}
 }
 
 // Stats snapshots the client-side counters: a typed read of its cells.

@@ -106,7 +106,7 @@ type clientCells struct {
 
 	retries, hedges, hedgeWins               *obs.Counter
 	codedBatches, codedQueries, codedDummies *obs.Counter
-	codeFallbacks, sideInfoHits              *obs.Counter
+	codeFallbacks                            *obs.Counter
 	shards                                   []shardCells
 }
 
@@ -183,7 +183,6 @@ func (c *clientCells) scalars(st *StoreStats) []cellSpec {
 		{&c.codedQueries, &st.CodedQueries, "coded_queries", "Constant-shape sub-queries issued by coded batches."},
 		{&c.codedDummies, &st.CodedDummies, "coded_dummies", "Coded-batch sub-queries that were dummies."},
 		{&c.codeFallbacks, &st.CodeFallbacks, "code_fallbacks", "Coded batches that fell back to the uncoded path."},
-		{&c.sideInfoHits, &st.SideInfoHits, "side_info_hits", "Records served from the side-information cache and spent as dummies."},
 	}
 }
 

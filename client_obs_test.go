@@ -163,8 +163,7 @@ func TestClientScrapeBracketsStats(t *testing.T) {
 	addrs, _ := startShardCohort(t, coded, 3)
 	d := ReplicatedDeployment(addrs[:2], addrs[2:]).WithBatchCode(code).WithKeyword(kvm)
 	opts := func(co *ClientObs) []ClientOption {
-		return []ClientOption{co.Option(), WithSideInfoCache(8),
-			WithDefaultCallOptions(WithRetries(2), WithHedgeDelay(time.Microsecond))}
+		return []ClientOption{co.Option(), WithDefaultCallOptions(WithRetries(2), WithHedgeDelay(time.Microsecond))}
 	}
 	storeObs, kvObs := NewClientObs(), NewClientObs()
 	store, err := Open(ctx, d, opts(storeObs)...)
@@ -267,7 +266,7 @@ func TestClientScrapeBracketsStats(t *testing.T) {
 	sh := st.Shards[0]
 	for name, n := range map[string]uint64{
 		"Retrievals": st.Retrievals, "BatchRetrievals": st.BatchRetrievals, "Updates": st.Updates,
-		"CodedBatches": st.CodedBatches, "CodeFallbacks": st.CodeFallbacks, "SideInfoHits": st.SideInfoHits,
+		"CodedBatches": st.CodedBatches, "CodeFallbacks": st.CodeFallbacks,
 		"Shards[0].Queries": sh.Queries, "Shards[0].BatchQueries": sh.BatchQueries,
 		"Shards[0].UpdateRows": sh.UpdateRows, "Shards[0].TotalTime": uint64(sh.TotalTime),
 		"KV Gets": kst.Gets, "KV BatchKeys": kst.BatchKeys, "KV Hits": kst.Hits, "KV Misses": kst.Misses,
@@ -325,7 +324,6 @@ func scrapedStoreStats(s map[string]float64) any {
 		CodedQueries:    n("impir_client_coded_queries_total"),
 		CodedDummies:    n("impir_client_coded_dummies_total"),
 		CodeFallbacks:   n("impir_client_code_fallbacks_total"),
-		SideInfoHits:    n("impir_client_side_info_hits_total"),
 		Shards: []metrics.ShardStats{{
 			Queries:      shard("queries"),
 			Batches:      shard("batches"),

@@ -245,8 +245,7 @@
 //	coded DB = bucket_0 ‖ bucket_1 ‖ … ‖ bucket_{C-1} ‖ overflow
 //
 // — while the client plans a batch as a matching of records onto
-// distinct buckets (two-choice hashing matches up to max_batch records
-// with overwhelming probability). Every batch then costs a CONSTANT
+// distinct buckets. Every batch the matching places costs a CONSTANT
 // C+overflow sub-queries — a real coded row where the matching placed a
 // record, a uniform row of the slot's bucket elsewhere — and on
 // bucket-aligned shards each cohort receives exactly C/shards+overflow.
@@ -255,19 +254,18 @@
 // plans every RetrieveBatch, keyword probes included, through the code.
 // Coded sub-queries are ordinary PIR queries: no protocol change.
 //
-// WithSideInfoCache adds a client-side LRU of retrieved records whose
-// hits are SPENT, not skipped: a slot whose record the cache holds still
-// carries a uniform dummy query, so an all-hits batch is byte-identical
-// on the wire to an all-misses batch. Update invalidates the records it
-// rewrites, and a read overtaken by an update is never cached.
-//
-// Privacy argument: the coded query shape — slot count, order, and each
-// slot's index domain — is a function of the public manifest alone,
-// never of the batch's size, content, or cache state. Dummies are
-// uniform over the same domain as real rows; which slots were real,
-// dummy, or cache-satisfied exists only client-side. The rare
-// matching-overflow fallback re-exposes only the uncoded B-query shape
-// every deployment already has (StoreStats.CodeFallbacks).
+// Privacy argument: a placed batch's query shape — slot count, order,
+// and each slot's index domain — is a function of the public manifest
+// alone. Dummies are uniform over the same domain as real rows; which
+// slots were real or dummy exists only client-side. A batch the planner
+// cannot place — over max_batch, or more records than its buckets and
+// overflow slots can hold — falls back to the uncoded shape, one
+// sub-query per record (StoreStats.CodeFallbacks). Whether a batch falls
+// back depends on the records it asks for, so the fallback's frame size
+// tells the servers something about the demand: with 8 buckets, 2
+// overflow slots and max_batch 16, 11 or more distinct records always
+// fall back. ROADMAP's constant-shape item makes the coded shape the
+// only one.
 //
 // The examples/ directory holds runnable programs; the README lists
 // them.

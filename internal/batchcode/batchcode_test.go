@@ -300,72 +300,3 @@ func TestPlanBatchMatchingUsesAugmentingPaths(t *testing.T) {
 		break
 	}
 }
-
-func TestSideInfoCacheLRU(t *testing.T) {
-	c := NewSideInfoCache(2)
-	c.Put(1, []byte("a"), c.Generation())
-	c.Put(2, []byte("b"), c.Generation())
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("record 1 missing")
-	}
-	c.Put(3, []byte("c"), c.Generation()) // evicts 2 (1 was refreshed)
-	if _, ok := c.Get(2); ok {
-		t.Fatal("record 2 should be evicted")
-	}
-	if rec, ok := c.Get(1); !ok || string(rec) != "a" {
-		t.Fatalf("record 1 = %q %v", rec, ok)
-	}
-	// Returned record is a copy: mutating it must not poison the cache.
-	rec, _ := c.Get(3)
-	rec[0] = 'X'
-	if again, _ := c.Get(3); string(again) != "c" {
-		t.Fatalf("cache poisoned: %q", again)
-	}
-	c.Invalidate(1)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("record 1 should be invalidated")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	// Nil cache is inert.
-	var nilCache *SideInfoCache
-	nilCache.Put(9, []byte("x"), nilCache.Generation())
-	if _, ok := nilCache.Get(9); ok {
-		t.Fatal("nil cache returned a record")
-	}
-	if NewSideInfoCache(0) != nil {
-		t.Fatal("zero-capacity cache should be nil")
-	}
-}
-
-// TestSideInfoCacheGeneration: a record read before its index was
-// invalidated must not enter the cache, whatever the order in which the
-// read and the Put straddle the Invalidate; reads of other indices, and
-// reads taken after the Invalidate, still fill it.
-func TestSideInfoCacheGeneration(t *testing.T) {
-	c := NewSideInfoCache(4)
-	before := c.Generation()
-	c.Invalidate(1)
-	c.Put(1, []byte("old"), before)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("a record read before its Invalidate was cached")
-	}
-	c.Put(2, []byte("other"), before)
-	if rec, ok := c.Get(2); !ok || string(rec) != "other" {
-		t.Fatalf("an Invalidate of record 1 dropped record 2's fill: %q %v", rec, ok)
-	}
-	c.Put(1, []byte("new"), c.Generation())
-	if rec, ok := c.Get(1); !ok || string(rec) != "new" {
-		t.Fatalf("a record read after the Invalidate was not cached: %q %v", rec, ok)
-	}
-	// A cached entry is overwritten only by a read no older than the
-	// last Invalidate of its index.
-	stale := c.Generation()
-	c.Invalidate(1)
-	c.Put(1, []byte("fresh"), c.Generation())
-	c.Put(1, []byte("old"), stale)
-	if rec, _ := c.Get(1); string(rec) != "fresh" {
-		t.Fatalf("a stale Put overwrote a fresh entry: %q", rec)
-	}
-}

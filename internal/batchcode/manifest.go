@@ -9,28 +9,29 @@
 // the low-complexity multi-message PIR scheme this repo reproduces)
 // replicates every record into r of C bucketised subdatabases chosen by
 // seeded hashing. A B-record batch is then served by matching each
-// requested record to ONE bucket holding a copy (a bipartite matching
-// that succeeds with overwhelming probability for B ≤ MaxBatch) and
-// issuing exactly one sub-query per bucket: real where a record was
+// requested record to ONE bucket holding a copy (a bipartite matching)
+// and issuing exactly one sub-query per bucket: real where a record was
 // assigned, a well-formed dummy everywhere else, plus a constant tail
-// of overflow slots absorbing the rare matching residue. The query
-// vector's shape — C+overflow sub-queries, fixed sizes, fixed order —
-// is public and independent of the batch content and size, so the
-// servers learn nothing beyond "a batch happened", exactly as with
-// today's uncoded batches.
+// of overflow slots absorbing the matching residue. A placed batch's
+// query vector — C+overflow sub-queries, fixed sizes, fixed order — is
+// a function of the manifest alone. A batch the planner cannot place
+// (more than MaxBatch records, or a residue longer than the overflow
+// tail) is not codeable, and the client falls back to the uncoded
+// shape, one sub-query per record. Whether that happens depends on the
+// demand, not only on B: with 8 buckets, 2 overflow slots and MaxBatch
+// 16, 11 or more distinct records always fall back, and fewer fall back
+// for some index sets. ROADMAP's constant-shape item removes the
+// fallback.
 //
 // The package comprises the code Manifest (geometry + seeds with JSON
 // round-trip for deployment files, mirroring internal/cluster and
 // internal/keyword), the deterministic Layout (bucket placement table +
-// database encoder), the per-batch Planner (greedy matching with
-// augmenting-path repair and constant-shape overflow fallback), and an
-// LRU side-information cache whose hits are spent by swapping a real
-// bucket query for a dummy — the wire shape is identical with or
-// without cache hits. The network client driving coded batches —
-// impir.Client, whose code step this package is — lives in the root
-// package; this package deliberately stays below it in the dependency
-// order so planners and benchmarks can reason about codes without a
-// network stack.
+// database encoder) and the per-batch Planner (greedy matching with
+// augmenting-path repair and a constant overflow tail). The network
+// client driving coded batches — impir.Client, whose code step this
+// package is — lives in the root package; this package deliberately
+// stays below it in the dependency order so planners and benchmarks can
+// reason about codes without a network stack.
 package batchcode
 
 import (

@@ -13,7 +13,7 @@ type SourceKind int
 const (
 	// FromSlot: the record is the answer of plan slot Slot.
 	FromSlot SourceKind = iota
-	// FromCache: the record was a side-information cache hit; no slot
+	// FromCache: the cached predicate claimed the record; no slot
 	// carries it (a dummy query was issued in its place).
 	FromCache
 	// FromDup: the record duplicates an earlier batch position Dup.
@@ -42,7 +42,7 @@ type Plan struct {
 	// Real counts slots carrying real queries; the remaining
 	// len(Indices)-Real slots are uniform dummies.
 	Real int
-	// CacheHits counts batch positions served from side information.
+	// CacheHits counts batch positions the cached predicate claimed.
 	CacheHits int
 }
 
@@ -55,11 +55,11 @@ type Plan struct {
 // information (dropped from the matching, their slots left dummy).
 // Records the matching cannot place go to the overflow tail.
 //
-// The returned ok is false when more records overflow than the
-// manifest's constant tail absorbs — the batch is not codeable and the
-// caller falls back to the uncoded path (a probabilistic-batch-code
-// failure; Derive-sized codes make it vanishingly rare for batches
-// within MaxBatch).
+// The returned ok is false when the batch exceeds MaxBatch or more
+// records overflow than the manifest's constant tail absorbs — the
+// batch is not codeable and the caller falls back to the uncoded path.
+// How often that happens depends on the demand: a batch of more
+// distinct records than Buckets+OverflowSlots never places.
 func (l *Layout) PlanBatch(indices []uint64, cached func(uint64) bool) (*Plan, bool, error) {
 	m := l.m
 	if len(indices) == 0 {
@@ -168,11 +168,6 @@ func (l *Layout) PlanBatch(indices []uint64, cached func(uint64) bool) (*Plan, b
 	}
 	return p, true, nil
 }
-
-// RandRow draws a uniform row in [0, n) from crypto/rand — the dummy
-// generator shared with the root package's client, whose single-record
-// cache hits draw from it too.
-func RandRow(n uint64) (uint64, error) { return randIndex(n) }
 
 // randIndex draws a uniform index in [0, n) from crypto/rand. Dummy
 // indices do not strictly need to be unpredictable — a PIR sub-query

@@ -6,24 +6,12 @@ import (
 	"fmt"
 )
 
-// Plan is the per-shard sub-query plan for one logical retrieval: one
-// local index per shard. Locals[Owner] is the real local index of the
-// target record; every other entry is a uniformly random dummy local
-// index within that shard. Every shard receives a complete, well-formed
-// PIR sub-query either way, and a PIR query reveals nothing about its
-// index — so no cohort can tell whether it owns the record the client
-// wanted, which is the privacy argument for querying all shards.
-type Plan struct {
-	// Owner is the shard whose sub-result is the requested record.
-	Owner int
-	// Locals holds one shard-local index per shard, in shard order.
-	Locals []uint64
-}
-
-// BatchPlan is the per-shard plan for one logical batch retrieval.
-// Every broadcast position sends each shard a sub-query — the real local
-// index to its owner, a random dummy elsewhere — so every cohort receives
-// an equal-length batch whose shape leaks nothing about how the
+// BatchPlan is the per-shard plan for one logical retrieval, single or
+// batched. Every broadcast position sends each shard a sub-query — the
+// real local index to its owner, a uniformly random dummy elsewhere — so
+// every cohort receives an equal-length batch of well-formed PIR
+// sub-queries, and since a PIR query reveals nothing about its index, no
+// cohort can tell whether it owns a record the client wanted or how the
 // requested records distribute across shards. A local position goes to
 // its owner alone; the caller keeps the shape equal by giving every
 // shard the same number of local positions (a coded batch's bucket
@@ -35,20 +23,6 @@ type BatchPlan struct {
 	Pos []int
 	// Locals[s] is shard s's sub-batch of local indices.
 	Locals [][]uint64
-}
-
-// PlanQuery maps a global record index to its sub-query plan: a
-// one-record PlanBatch.
-func (m Manifest) PlanQuery(global uint64) (Plan, error) {
-	bp, err := m.PlanBatch([]uint64{global}, 0)
-	if err != nil {
-		return Plan{}, err
-	}
-	p := Plan{Owner: bp.Owners[0], Locals: make([]uint64, len(bp.Locals))}
-	for s, locals := range bp.Locals {
-		p.Locals[s] = locals[0]
-	}
-	return p, nil
 }
 
 // PlanBatch maps a batch of global indices to per-shard sub-batches: the

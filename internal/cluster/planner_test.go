@@ -19,28 +19,29 @@ func raggedManifest(t *testing.T) Manifest {
 	return m
 }
 
-func TestPlanQueryCoversEveryShard(t *testing.T) {
+func TestPlanBatchOneRecordCoversEveryShard(t *testing.T) {
 	m := raggedManifest(t)
 	for g := uint64(0); g < m.NumRecords(); g++ {
-		p, err := m.PlanQuery(g)
+		p, err := m.PlanBatch([]uint64{g}, 0)
 		if err != nil {
-			t.Fatalf("PlanQuery(%d): %v", g, err)
+			t.Fatalf("PlanBatch([%d]): %v", g, err)
 		}
 		if len(p.Locals) != m.NumShards() {
-			t.Fatalf("PlanQuery(%d): %d locals for %d shards", g, len(p.Locals), m.NumShards())
+			t.Fatalf("PlanBatch([%d]): %d sub-batches for %d shards", g, len(p.Locals), m.NumShards())
 		}
+		owner := p.Owners[0]
 		wantOwner, wantLocal, _ := m.Locate(g)
-		if p.Owner != wantOwner || p.Locals[p.Owner] != wantLocal {
-			t.Fatalf("PlanQuery(%d): owner %d local %d, want %d/%d",
-				g, p.Owner, p.Locals[p.Owner], wantOwner, wantLocal)
+		if owner != wantOwner || p.Pos[0] != 0 || p.Locals[owner][0] != wantLocal {
+			t.Fatalf("PlanBatch([%d]): owner %d local %d, want %d/%d",
+				g, owner, p.Locals[owner][0], wantOwner, wantLocal)
 		}
 		// Every dummy must be a valid local index for its shard: each
 		// cohort receives a well-formed sub-query it cannot distinguish
 		// from a real one.
-		for s, local := range p.Locals {
-			if local >= m.Shards[s].NumRecords {
-				t.Fatalf("PlanQuery(%d): shard %d local %d outside its %d records",
-					g, s, local, m.Shards[s].NumRecords)
+		for s, locals := range p.Locals {
+			if len(locals) != 1 || locals[0] >= m.Shards[s].NumRecords {
+				t.Fatalf("PlanBatch([%d]): shard %d sub-batch %v, want one local below %d",
+					g, s, locals, m.Shards[s].NumRecords)
 			}
 		}
 	}

@@ -218,28 +218,26 @@ type Result struct {
 
 // BatchCodeReport is the run's multi-message accounting: how many
 // batches rode the batch-code planner, the constant-shape sub-queries
-// they issued (and how many of those were dummies), cache hits spent as
-// side information, and uncoded fallbacks. All client-side counters —
+// they issued (and how many of those were dummies), and uncoded
+// fallbacks. All client-side counters —
 // nothing here is visible on the wire.
 type BatchCodeReport struct {
 	CodedBatches  uint64 `json:"coded_batches"`
 	BucketQueries uint64 `json:"bucket_queries"`
 	DummyQueries  uint64 `json:"dummy_queries"`
-	SideInfoHits  uint64 `json:"side_info_hits"`
 	Fallbacks     uint64 `json:"fallbacks"`
 }
 
 // newBatchCodeReport folds the store delta's coded counters into the
 // artifact section; nil when the run never touched the coded path.
 func newBatchCodeReport(s metrics.StoreStats) *BatchCodeReport {
-	if s.CodedBatches == 0 && s.CodeFallbacks == 0 && s.SideInfoHits == 0 {
+	if s.CodedBatches == 0 && s.CodeFallbacks == 0 {
 		return nil
 	}
 	return &BatchCodeReport{
 		CodedBatches:  s.CodedBatches,
 		BucketQueries: s.CodedQueries,
 		DummyQueries:  s.CodedDummies,
-		SideInfoHits:  s.SideInfoHits,
 		Fallbacks:     s.CodeFallbacks,
 	}
 }
@@ -280,8 +278,8 @@ func (r *Result) PrintHuman(w io.Writer) {
 		us(r.Latency.P999), us(r.Latency.Max), us(r.Latency.Mean))
 	fmt.Fprintf(w, "  store      : %v\n", r.Store.String())
 	if bc := r.BatchCode; bc != nil {
-		fmt.Fprintf(w, "  batch code : %d coded batches, %d bucket queries (%d dummies), %d side-info hits, %d fallbacks\n",
-			bc.CodedBatches, bc.BucketQueries, bc.DummyQueries, bc.SideInfoHits, bc.Fallbacks)
+		fmt.Fprintf(w, "  batch code : %d coded batches, %d bucket queries (%d dummies), %d fallbacks\n",
+			bc.CodedBatches, bc.BucketQueries, bc.DummyQueries, bc.Fallbacks)
 	}
 	if r.KV != nil {
 		fmt.Fprintf(w, "  kv         : %v\n", r.KV.String())

@@ -158,7 +158,6 @@ func addStoreStats(dst *metrics.StoreStats, src metrics.StoreStats) {
 	dst.CodedQueries += src.CodedQueries
 	dst.CodedDummies += src.CodedDummies
 	dst.CodeFallbacks += src.CodeFallbacks
-	dst.SideInfoHits += src.SideInfoHits
 	for i, sh := range src.Shards {
 		if i >= len(dst.Shards) {
 			dst.Shards = append(dst.Shards, sh)

@@ -173,15 +173,6 @@ func (s BatchStats) ModeledQPS() float64 {
 	return float64(s.Queries) / s.ModeledLatency.Seconds()
 }
 
-// WallQPS returns the measured query throughput of the batch on the local
-// machine.
-func (s BatchStats) WallQPS() float64 {
-	if s.WallLatency <= 0 {
-		return 0
-	}
-	return float64(s.Queries) / s.WallLatency.Seconds()
-}
-
 // NumWidthBuckets is the number of coalesce-width histogram buckets in
 // SchedulerStats.PassWidths: powers of two up to 64 plus an overflow
 // bucket (1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+).
@@ -325,21 +316,18 @@ type StoreStats struct {
 	// Coded-batch counters, maintained by the batch-code layer on coded
 	// deployments (zero elsewhere). Like the hedging counters these are
 	// client-side only: which of a coded batch's constant-shape slots
-	// were real, dummy, or spent from the cache is exactly what the wire
-	// hides.
+	// were real or dummy is exactly what the wire hides.
 	//
 	// CodedBatches counts RetrieveBatch calls served through the batch
 	// code planner; CodedQueries the constant-shape sub-queries they
 	// issued (buckets + overflow slots per batch) and CodedDummies how
 	// many of those were dummies. CodeFallbacks counts batches that fell
 	// back to the uncoded path (over the declared cap, or a matching
-	// overflow). SideInfoHits counts records served from the client-side
-	// cache and spent as side information (their slots left dummy).
+	// overflow).
 	CodedBatches  uint64
 	CodedQueries  uint64
 	CodedDummies  uint64
 	CodeFallbacks uint64
-	SideInfoHits  uint64
 }
 
 // TotalSubQueries sums the sub-queries issued across every shard.
@@ -365,8 +353,8 @@ func (c StoreStats) String() string {
 		fmt.Fprintf(&sb, " hedges=%d hedge-wins=%d", c.Hedges, c.HedgeWins)
 	}
 	if c.CodedBatches > 0 || c.CodeFallbacks > 0 {
-		fmt.Fprintf(&sb, " coded=%d coded-queries=%d dummies=%d fallbacks=%d side-info=%d",
-			c.CodedBatches, c.CodedQueries, c.CodedDummies, c.CodeFallbacks, c.SideInfoHits)
+		fmt.Fprintf(&sb, " coded=%d coded-queries=%d dummies=%d fallbacks=%d",
+			c.CodedBatches, c.CodedQueries, c.CodedDummies, c.CodeFallbacks)
 	}
 	for i, s := range c.Shards {
 		fmt.Fprintf(&sb, " shard%d[q=%d bq=%d rows=%d err=%d avg=%v]",
@@ -466,7 +454,6 @@ func DeltaStore(cur, prev StoreStats) StoreStats {
 		CodedQueries:    cur.CodedQueries - prev.CodedQueries,
 		CodedDummies:    cur.CodedDummies - prev.CodedDummies,
 		CodeFallbacks:   cur.CodeFallbacks - prev.CodeFallbacks,
-		SideInfoHits:    cur.SideInfoHits - prev.SideInfoHits,
 		Shards:          make([]ShardStats, len(cur.Shards)),
 	}
 	for i, s := range cur.Shards {

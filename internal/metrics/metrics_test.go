@@ -103,11 +103,8 @@ func TestBatchStats(t *testing.T) {
 	if got := s.ModeledQPS(); got != 20 {
 		t.Errorf("ModeledQPS = %v, want 20", got)
 	}
-	if got := s.WallQPS(); got != 5 {
-		t.Errorf("WallQPS = %v, want 5", got)
-	}
 	var zero BatchStats
-	if zero.ModeledQPS() != 0 || zero.WallQPS() != 0 {
+	if zero.ModeledQPS() != 0 {
 		t.Error("zero stats produced nonzero QPS")
 	}
 }

@@ -56,8 +56,8 @@ var _ Store = (*Client)(nil)
 // Every deployment opens as a *Client: a single shard's geometry is
 // learned from — and, when the manifest declares it, validated against
 // — the server handshake, and a deployment declaring a batch_code
-// section routes RetrieveBatch through the multi-message batch planner
-// (honouring WithSideInfoCache). Options configure the encoding — an
+// section routes RetrieveBatch through the multi-message batch planner.
+// Options configure the encoding — an
 // encoding that cannot serve a cohort's party count is refused before
 // that cohort dials — TLS, telemetry (ClientObs, Tracer), and the
 // default per-call policy; per-call options on each operation override

@@ -157,12 +157,11 @@ func TestCodedStoreShardedE2E(t *testing.T) {
 	}
 }
 
-// TestCodedTrafficShapeSideInfo is the privacy acceptance check: a batch
-// whose every record is served from the side-information cache must put
-// the SAME number of bytes on the wire, in both directions, as the cold
-// batch that filled the cache. DPF keys are fixed-size for a fixed
-// domain, so equality is exact, not approximate.
-func TestCodedTrafficShapeSideInfo(t *testing.T) {
+// TestCodedTrafficShapeAcrossBatches is the privacy acceptance check:
+// two coded batches asking for different records must put the SAME
+// number of bytes on the wire, in both directions. DPF keys are
+// fixed-size for a fixed domain, so equality is exact, not approximate.
+func TestCodedTrafficShapeAcrossBatches(t *testing.T) {
 	ctx := context.Background()
 	const n, recordSize = 256, 32
 	db := codedTestDB(t, n, recordSize)
@@ -176,57 +175,40 @@ func TestCodedTrafficShapeSideInfo(t *testing.T) {
 	tap := startWireTap(t, d.Shards[0].Parties[0].Replicas[0])
 	d.Shards[0].Parties[0].Replicas[0] = tap.addr
 
-	store := openFromJSON(t, ctx, d, WithSideInfoCache(32))
+	store := openFromJSON(t, ctx, d)
 
-	indices := []uint64{10, 77, 140, 203}
 	settle := func() (uint64, uint64) { return tap.n[1].Load(), tap.n[3].Load() }
-
-	// Cold batch: all real, fills the cache.
-	if _, err := store.RetrieveBatch(ctx, indices); err != nil {
-		t.Fatal(err)
-	}
-	upCold0, downCold0 := settle()
-	if _, err := store.RetrieveBatch(ctx, []uint64{30, 99, 160, 220}); err != nil {
-		t.Fatal(err)
-	}
-	upCold1, downCold1 := settle()
-
-	// Hot batch: every record is a cache hit, spent as side information.
-	before := store.Stats()
-	recs, err := store.RetrieveBatch(ctx, indices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upHot, downHot := settle()
-	for i, idx := range indices {
-		if !bytes.Equal(recs[i], db.Record(int(idx))) {
-			t.Fatalf("cache-hit batch position %d (index %d): wrong bytes", i, idx)
+	var up, down [2]uint64
+	for b, indices := range [2][]uint64{{10, 77, 140, 203}, {30, 99, 160, 220}} {
+		up0, down0 := settle()
+		recs, err := store.RetrieveBatch(ctx, indices)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, idx := range indices {
+			if !bytes.Equal(recs[i], db.Record(int(idx))) {
+				t.Fatalf("batch %d position %d (index %d): wrong bytes", b, i, idx)
+			}
+		}
+		up1, down1 := settle()
+		up[b], down[b] = up1-up0, down1-down0
 	}
-	delta := store.Stats()
-	if hits := delta.SideInfoHits - before.SideInfoHits; hits != uint64(len(indices)) {
-		t.Fatalf("side-info hits = %d, want %d", hits, len(indices))
+	if st := store.Stats(); st.CodedBatches != 2 || st.CodeFallbacks != 0 {
+		t.Fatalf("stats: coded=%d fallbacks=%d, want both batches coded", st.CodedBatches, st.CodeFallbacks)
 	}
-	if dummies := delta.CodedDummies - before.CodedDummies; dummies != uint64(code.QueriesPerBatch()) {
-		t.Fatalf("all-cached batch issued %d dummies, want every one of %d slots", dummies, code.QueriesPerBatch())
+	if up[0] != up[1] || down[0] != down[1] {
+		t.Fatalf("wire traffic differs between batches of different records: %d↑/%d↓ bytes vs %d↑/%d↓ bytes",
+			up[0], down[0], up[1], down[1])
 	}
-
-	coldUp, coldDown := upCold1-upCold0, downCold1-downCold0
-	hotUp, hotDown := upHot-upCold1, downHot-downCold1
-	if hotUp != coldUp || hotDown != coldDown {
-		t.Fatalf("wire traffic differs between cache-miss and cache-hit batches: cold %d↑/%d↓ bytes, hot %d↑/%d↓ bytes",
-			coldUp, coldDown, hotUp, hotDown)
-	}
-	if coldUp == 0 || coldDown == 0 {
+	if up[0] == 0 || down[0] == 0 {
 		t.Fatal("tap counted no traffic; test harness is broken")
 	}
 }
 
-// TestCodedKeywordE2E: the keyword layer rides the coded path — OpenKV
-// over a deployment declaring both a keyword table and a batch code
-// serves Get/GetBatch through the batch planner.
-func TestCodedKeywordE2E(t *testing.T) {
-	ctx := context.Background()
+// startCodedKV serves 40 keyword pairs from a flat two-party deployment
+// declaring both a keyword table and a batch code.
+func startCodedKV(t *testing.T) (Deployment, []KVPair) {
+	t.Helper()
 	pairs := make([]KVPair, 40)
 	for i := range pairs {
 		pairs[i] = KVPair{
@@ -246,8 +228,16 @@ func TestCodedKeywordE2E(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return d, pairs
+}
 
-	kv, err := OpenKV(ctx, d, WithSideInfoCache(64))
+// TestCodedKeywordE2E: the keyword layer rides the coded path — OpenKV
+// over a deployment declaring both a keyword table and a batch code
+// serves Get/GetBatch through the batch planner.
+func TestCodedKeywordE2E(t *testing.T) {
+	ctx := context.Background()
+	d, pairs := startCodedKV(t)
+	kv, err := OpenKV(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +261,37 @@ func TestCodedKeywordE2E(t *testing.T) {
 	st := kv.Store().Stats()
 	if st.CodedBatches == 0 {
 		t.Fatal("keyword probes never rode the coded batch path")
+	}
+}
+
+// TestAnotherClientsPutIsVisible: a client keeps no records between
+// calls, so after another client's Put its next Get reads the new value.
+func TestAnotherClientsPutIsVisible(t *testing.T) {
+	ctx := context.Background()
+	d, pairs := startCodedKV(t)
+	a, err := OpenKV(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenKV(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	for i := 0; i < 10; i++ {
+		key := pairs[i].Key
+		if val, err := a.Get(ctx, key); err != nil || !bytes.Equal(val, pairs[i].Value) {
+			t.Fatalf("first Get(%q) = %q, %v; want %q", key, val, err, pairs[i].Value)
+		}
+		fresh := []byte(fmt.Sprintf("fresh-%03d", i))
+		if err := b.Put(ctx, key, fresh); err != nil {
+			t.Fatalf("Put(%q): %v", key, err)
+		}
+		if val, err := a.Get(ctx, key); err != nil || !bytes.Equal(val, fresh) {
+			t.Fatalf("Get(%q) after another client's Put = %q, %v; want %q", key, val, err, fresh)
+		}
 	}
 }
 
@@ -304,9 +325,9 @@ func TestCodedStoreFallback(t *testing.T) {
 	}
 }
 
-// TestCodedStoreUpdate: a logical update must reach every coded copy and
-// invalidate the side-information cache, so no later read — coded batch,
-// single retrieval, or cache hit — can serve stale bytes.
+// TestCodedStoreUpdate: a logical update must reach every coded copy, so
+// no later read — coded batch or single retrieval — can serve stale
+// bytes.
 func TestCodedStoreUpdate(t *testing.T) {
 	ctx := context.Background()
 	const n, recordSize = 200, 32
@@ -316,10 +337,10 @@ func TestCodedStoreUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := startCodedFlat(t, db, code)
-	store := openFromJSON(t, ctx, d, WithSideInfoCache(16))
+	store := openFromJSON(t, ctx, d)
 
 	const idx = 55
-	if _, err := store.Retrieve(ctx, idx); err != nil { // warm the cache
+	if _, err := store.Retrieve(ctx, idx); err != nil { // read the old record
 		t.Fatal(err)
 	}
 	fresh := bytes.Repeat([]byte{0xAB}, recordSize)
@@ -327,13 +348,13 @@ func TestCodedStoreUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Single retrieval must not serve the stale cached copy.
+	// Single retrieval must not serve the old copy.
 	rec, err := store.Retrieve(ctx, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rec, fresh) {
-		t.Fatal("Retrieve served stale bytes after Update; cache not invalidated")
+		t.Fatal("Retrieve served stale bytes after Update; its first copy was not rewritten")
 	}
 	// Every coded copy was updated: a batch may route the record through
 	// any of its r copies, so exercise the planner a few times.
@@ -373,12 +394,11 @@ func startHookedServer(t *testing.T, db *DB, party uint8, after func()) string {
 	return srv.Addr().String()
 }
 
-// TestCodedStoreUpdateRacingRetrieve: an Update that completes after a
-// retrieval read the old record, but before the retrieval decoded and
-// filled the side-information cache, must not leave the old record
-// cached. On two coded shards, a record whose every copy lives on
-// shard 0 is read while shard 1 holds its (dummy) answer back; the
-// Update lands in that window, then shard 1 is released.
+// TestCodedStoreUpdateRacingRetrieve: a read that straddles an Update
+// returns the record it read, and the next read returns the new record.
+// On two coded shards, a record whose every copy lives on shard 0 is
+// read while shard 1 holds its (dummy) answer back; the Update lands in
+// that window, then shard 1 is released.
 func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
 	ctx := context.Background()
 	const n, recordSize = 200, 32
@@ -431,7 +451,7 @@ func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("no record has every copy on shard 0")
 	}
-	store := openFromJSON(t, ctx, DeploymentFromManifest(m).WithBatchCode(code), WithSideInfoCache(16))
+	store := openFromJSON(t, ctx, DeploymentFromManifest(m).WithBatchCode(code))
 
 	type result struct {
 		rec []byte
@@ -462,7 +482,7 @@ func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rec, fresh) {
-		t.Fatal("Retrieve served the record an Update replaced: a read that raced the Update was cached after it")
+		t.Fatal("Retrieve after the Update served the record it replaced")
 	}
 }
 

@@ -93,9 +93,8 @@ func tapCounts(taps []*wireTap) [][4]uint64 {
 }
 
 // TestWireTranscriptAcrossTopologies pins what every server sees of one
-// fixed call sequence — Retrieve, the same Retrieve again (a cache hit
-// where the side-information cache is on), a RetrieveBatch of three, an
-// Update — on six topologies. The frame and byte counts are a function of
+// fixed call sequence — Retrieve, the same Retrieve again, a
+// RetrieveBatch of three, an Update — on six topologies. The frame and byte counts are a function of
 // the public deployment parameters alone, so they are constants: a change
 // to the client pipeline that moves any of them changes the wire. Each
 // topology's own e2e test checks that Open returned the one *Client.
@@ -155,7 +154,7 @@ func TestWireTranscriptAcrossTopologies(t *testing.T) {
 		{"sharded_2", func() Deployment { return sharded(db) }, nil, 2,
 			append(each(2, [4]uint64{4, 281, 4, 208}), each(2, [4]uint64{3, 225, 3, 200})...)},
 		{"coded_flat_sideinfo", func() Deployment { return flat(coded, 2).WithBatchCode(code) },
-			[]ClientOption{WithSideInfoCache(16)}, 1, each(2, [4]uint64{4, 764, 4, 280})},
+			nil, 1, each(2, [4]uint64{4, 764, 4, 280})},
 		{"coded_sharded_2", func() Deployment { return sharded(coded).WithBatchCode(code) }, nil, 2, each(4, [4]uint64{4, 451, 4, 208})},
 		{"keyword_coded_sharded_2", func() Deployment { return sharded(kvCoded).WithKeyword(kvm).WithBatchCode(kvCode) },
 			nil, 2, each(4, [4]uint64{5, 1391, 5, 1668})},
