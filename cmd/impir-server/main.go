@@ -92,10 +92,8 @@ func run() error {
 
 		queueDepth = flag.Int("queue-depth", 0,
 			"scheduler admission queue depth; overflow is rejected busy (0 = 256)")
-		coalesceWindow = flag.Duration("coalesce-window", 0,
-			"how long to hold a single query to coalesce concurrent ones into one batch pass (0 = off)")
 		maxCoalesce = flag.Int("max-coalesce", 0,
-			"max single queries per coalesced pass (0 = 64)")
+			"max queued single queries that share one batch pass (0 = 64, 1 = no coalescing)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"graceful drain bound on SIGTERM/SIGINT before in-flight requests are abandoned")
 
@@ -144,7 +142,6 @@ func run() error {
 		Clusters:           *clusters,
 		Threads:            *threads,
 		QueueDepth:         *queueDepth,
-		CoalesceWindow:     *coalesceWindow,
 		MaxCoalesce:        *maxCoalesce,
 		AllowWireUpdates:   *allowUpdates,
 		SlowQueryThreshold: *slowQuery,

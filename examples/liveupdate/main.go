@@ -4,21 +4,21 @@
 // grows, a breached-credential set gains entries. §3.3 of the paper
 // applies bulk updates between query batches; the server's request
 // scheduler generalises that discipline so operators never need an
-// explicit idle window — Update drains the in-flight engine pass,
+// explicit idle window — Update waits out the in-flight engine pass,
 // applies atomically, bumps the database epoch, and resumes. Queries and
 // updates can be issued concurrently, and no query ever observes a
 // half-applied update.
 //
-// This example runs a two-server deployment over TCP with a coalescing
-// scheduler, fires a pool of concurrent clients at it, and rewrites
-// records in both replicas while the clients read. No retrieval fails
-// and no server ever answers from a half-applied update. (A retrieval
-// that straddles the instant between the two servers' Update calls can
-// reconstruct across replica versions — that cross-replica skew is a
-// deployment-coordination matter, distinct from the per-server
-// atomicity the scheduler provides, and the example reports it
-// separately.) The final queue stats show the cross-client coalescing
-// and the update epochs.
+// This example runs a two-server deployment over TCP, fires a pool of
+// concurrent clients at it, and rewrites records in both replicas while
+// the clients read. No retrieval fails and no server ever answers from
+// a half-applied update. (A retrieval that straddles the instant between
+// the two servers' Update calls can reconstruct across replica versions
+// — that cross-replica skew is a deployment-coordination matter,
+// distinct from the per-server atomicity the scheduler provides, and
+// the example reports it separately.) The final queue stats show how many queries shared each
+// engine pass — single queries queued together behind a busy engine
+// share one — and the update epochs.
 //
 //	go run ./examples/liveupdate
 package main
@@ -61,14 +61,14 @@ func run() error {
 	}
 	recordSize := 32
 
-	// Two replicas behind coalescing schedulers.
+	// Two replicas; each scheduler runs the single queries queued
+	// behind a pass as one coalesced pass.
 	servers := make([]*impir.Server, 2)
 	addrs := make([]string, 2)
 	for i := range servers {
 		srv, err := impir.NewServer(impir.ServerConfig{
 			Engine: impir.EnginePIM, DPUs: 16, Tasklets: 8,
-			QueueDepth:     1024,
-			CoalesceWindow: 2 * time.Millisecond,
+			QueueDepth: 1024,
 		})
 		if err != nil {
 			return err
@@ -87,7 +87,7 @@ func run() error {
 		servers[i] = srv
 		addrs[i] = srv.Addr().String()
 	}
-	fmt.Printf("two-server deployment up (%d records, coalescing window 2ms)\n\n", numRecords)
+	fmt.Printf("two-server deployment up (%d records)\n\n", numRecords)
 
 	// The hot record flips between two recognisable versions. Both
 	// servers must be updated identically (replica discipline), and the

@@ -51,9 +51,9 @@ func run() error {
 		srv, err := impir.NewServer(impir.ServerConfig{
 			Engine: kind, DPUs: 16, Tasklets: 8, Threads: 2,
 			// Bound the admission queue so overload rejects busy instead
-			// of queueing without limit. (A CoalesceWindow would be dead
-			// weight here: coalescing merges single DPF queries, and an
-			// n-server deployment's clients send share queries.)
+			// of queueing without limit. (Coalescing never applies here:
+			// it merges single DPF queries, and an n-server deployment's
+			// clients send share queries.)
 			QueueDepth: 512,
 		})
 		if err != nil {

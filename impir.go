@@ -99,11 +99,12 @@
 //
 // Every Server runs its engine behind a request scheduler: a bounded
 // admission queue (overflow is rejected with ErrServerBusy — a MsgBusy
-// frame on the wire — instead of unbounded queueing), an optional
-// coalescing window that merges concurrent single queries from
-// different clients into one §3.4 batch-pipeline pass, and epoch-based
-// quiescing that makes Update safe under live query load (ServerConfig's
-// QueueDepth, CoalesceWindow and MaxCoalesce; Server.QueueStats).
+// frame on the wire — instead of unbounded queueing), coalescing that
+// runs the single queries queued together, from different clients, as
+// one §3.4 batch-pipeline pass without ever holding a query back to wait
+// for others, and epoch-based quiescing that makes Update safe under
+// live query load (ServerConfig's QueueDepth and MaxCoalesce;
+// Server.QueueStats).
 //
 // # Operability
 //
@@ -175,8 +176,8 @@
 // scan's subset table, whose slots mix up to 8 queries, is per-pass
 // scratch. A fusing server observes what a looping one observes, so
 // batching leaks nothing beyond what the unbatched protocol reveals —
-// the queries' arrival times and count, which the coalescing window
-// exposed regardless.
+// the queries' arrival times and count, which the server sees
+// regardless.
 //
 // # Sharded deployments
 //

@@ -161,7 +161,3 @@ func (e *Engine) ApplyUpdates(updates map[uint64][]byte) error {
 	}
 	return e.db.ApplyUpdates(updates)
 }
-
-// Close releases the engine. It holds no external resources; Close
-// exists for symmetry with real deployments.
-func (e *Engine) Close() error { return nil }

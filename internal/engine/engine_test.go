@@ -173,9 +173,6 @@ func TestEngine(t *testing.T) {
 			if e.Name() != pr.want {
 				t.Errorf("Name() = %q, want %q", e.Name(), pr.want)
 			}
-			if err := e.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
 		}},
 		{"reconstruction", func(t *testing.T, pr pricer) {
 			// 32 records fill less than one selector word; 700 pad to

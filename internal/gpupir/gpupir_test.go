@@ -91,9 +91,6 @@ func TestName(t *testing.T) {
 	if eng.Name() != "GPU-PIR" {
 		t.Errorf("Name() = %q", eng.Name())
 	}
-	if err := eng.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
 }
 
 // TestQueryBatchFusedMatchesUnfused: a fused grid scan of width B must

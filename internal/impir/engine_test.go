@@ -469,7 +469,4 @@ func TestEngineName(t *testing.T) {
 	if eng.Name() != "IM-PIR" {
 		t.Errorf("Name() = %q", eng.Name())
 	}
-	if err := eng.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
 }

@@ -15,9 +15,9 @@ const (
 	// CondServing holds while the query listener accepts and the server
 	// is not draining.
 	CondServing = "serving"
-	// CondUpdateQuiesce fails only while an update holds the scheduler's
-	// quiesce gate exclusively (in-flight passes drained, queries briefly
-	// held).
+	// CondUpdateQuiesce fails only while an update holds, or waits for,
+	// the scheduler's pass lock exclusively (the in-flight pass waited
+	// out, queries briefly held).
 	CondUpdateQuiesce = "update-quiesce"
 )
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/dpf"
@@ -13,8 +12,9 @@ import (
 
 // benchScheduler drives K concurrent clients through one scheduler and
 // reports the queue metrics via b.ReportMetric: average coalesced pass
-// size, mean queue wait, and rejects.
-func benchScheduler(b *testing.B, window time.Duration) {
+// size, mean queue wait, and rejects. maxCoalesce 1 runs every query as
+// its own pass; 0 is the default cap.
+func benchScheduler(b *testing.B, maxCoalesce int) {
 	cpu, err := engine.NewCPUPricer(4)
 	if err != nil {
 		b.Fatal(err)
@@ -27,7 +27,7 @@ func benchScheduler(b *testing.B, window time.Duration) {
 	if err := eng.LoadDatabase(db); err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(eng, Config{QueueDepth: 1024, CoalesceWindow: window})
+	s, err := New(eng, Config{QueueDepth: 1024, MaxCoalesce: maxCoalesce})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,6 +65,6 @@ func benchScheduler(b *testing.B, window time.Duration) {
 	b.ReportMetric(float64(stats.Rejected), "rejects")
 }
 
-func BenchmarkSchedulerSerial(b *testing.B) { benchScheduler(b, 0) }
+func BenchmarkSchedulerSerial(b *testing.B) { benchScheduler(b, 1) }
 
-func BenchmarkSchedulerCoalesced(b *testing.B) { benchScheduler(b, 2*time.Millisecond) }
+func BenchmarkSchedulerCoalesced(b *testing.B) { benchScheduler(b, 0) }

@@ -73,7 +73,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 	updateDone := make(chan error, 1)
 	go func() { updateDone <- s.Update(map[uint64][]byte{0: {1}}) }()
 
-	// The readiness flip happens before the quiesce gate is even
+	// The readiness flip happens before the pass lock is even
 	// acquired, so polling converges; once 503 it STAYS 503 while the
 	// engine is stuck, which is what makes this deterministic.
 	deadline := time.Now().Add(5 * time.Second)
@@ -91,7 +91,7 @@ func TestReadyzFlipsDuringUpdateQuiesce(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A query submitted during the quiesce is held behind the gate —
+	// A query submitted during the quiesce is held behind the update —
 	// never failed.
 	queryDone := make(chan error, 1)
 	go func() {

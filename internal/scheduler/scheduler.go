@@ -8,19 +8,20 @@
 //   - Admission: a bounded queue absorbs bursts; when it is full the
 //     submitter gets ErrBusy immediately instead of stalling the TCP
 //     accept loop (the transport turns ErrBusy into a MsgBusy frame).
-//   - Coalescing: MsgQuery frames — single DPF keys — arriving from
-//     different connections within a configurable window are gathered
-//     into one §3.4 engine pass — the batch pipeline's amortisation
-//     (Fig. 8 of the paper) applied across clients, not just within one
-//     client's batch. Each key is checked first, so a bad one fails only
-//     its own sender, and the subresults are demultiplexed back to each
-//     waiter.
+//   - Coalescing: when the dispatcher takes a MsgQuery frame — a single
+//     DPF key — it also takes every MsgQuery frame already queued behind
+//     it, from any connection, into one §3.4 engine pass: the batch
+//     pipeline's amortisation (Fig. 8 of the paper) applied across
+//     clients, not just within one client's batch. It never waits for
+//     more, so an idle server runs a lone query at once. Each key is
+//     checked first, so a bad one fails only its own sender, and the
+//     subresults are demultiplexed back to each waiter.
 //   - Cancellation: a request whose context dies while queued is
 //     dequeued and completed with the context error; the engine never
 //     spends a pass on a dead client.
-//   - Update quiescing: Update drains in-flight passes, applies the §3.3
-//     bulk update atomically, bumps the database epoch, and resumes —
-//     queries and updates may now be issued concurrently.
+//   - Update quiescing: Update waits out the in-flight pass, applies the
+//     §3.3 bulk update atomically, bumps the database epoch, and resumes —
+//     queries and updates may be issued concurrently.
 //
 // One Scheduler wraps one engine and has one query entry, Query, which
 // takes a decoded query frame — its type and the dpf.Batch it carries —
@@ -64,17 +65,14 @@ var (
 )
 
 // Config tunes a Scheduler. The zero value is a production-reasonable
-// default: a 256-deep queue with coalescing disabled.
+// default: a 256-deep queue whose queued single queries share a pass, up
+// to 64 at a time.
 type Config struct {
 	// QueueDepth bounds the admission queue; submissions beyond it fail
 	// with ErrBusy. 0 means 256; negative is an error.
 	QueueDepth int
-	// CoalesceWindow is how long the dispatcher holds the first MsgQuery
-	// frame of a pass to gather concurrent ones into one batch pass.
-	// 0 disables coalescing: every frame runs as its own pass.
-	CoalesceWindow time.Duration
-	// MaxCoalesce caps how many MsgQuery frames one coalesced pass may
-	// serve. 0 means 64; negative is an error.
+	// MaxCoalesce caps how many queued MsgQuery frames one pass may
+	// serve. 0 means 64; 1 disables coalescing; negative is an error.
 	MaxCoalesce int
 	// Obs is the metric bundle the scheduler counts into: its
 	// impir_scheduler_* cells are the only storage of the counters Stats
@@ -86,8 +84,8 @@ type Config struct {
 	// obs.Span gets queue and engine children on that span.
 	Obs *obs.ServerMetrics
 	// Readiness, when non-nil, has its update-quiesce condition dropped
-	// while an Update holds the quiesce gate, so /readyz steers an
-	// orchestrator away during the brief query hold.
+	// while an Update holds or waits for the pass lock, so /readyz steers
+	// an orchestrator away during the brief query hold.
 	Readiness *obs.Readiness
 }
 
@@ -136,22 +134,24 @@ type Scheduler struct {
 	closed  bool
 	pending int // requests admitted but not yet completed
 
-	gate quiesceGate
+	// passMu is the quiesce lock: a pass and Digest hold it shared, an
+	// Update exclusively. A waiting Update holds off the next pass.
+	passMu sync.RWMutex
 
 	// digest caches the digest of digestDB for the epoch it was hashed
-	// in; guarded by digestMu, which is only taken inside the quiesce
-	// gate.
+	// in; guarded by digestMu, which is only taken under passMu.
 	digestMu    sync.Mutex
 	digest      [32]byte
 	digestDB    *database.DB
 	digestEpoch uint64
 
-	// quiescers counts Updates currently holding or waiting on the
-	// quiesce gate; the readiness condition drops while it is nonzero.
+	// quiescers counts Updates currently holding or waiting on passMu;
+	// the readiness condition drops while it is nonzero.
 	quiescers atomic.Int64
 
 	// c holds the registry cells the scheduler counts into (Config.Obs's,
-	// or a private bundle's); Stats reads them back.
+	// or a private bundle's); Stats reads them back. c.Updates is the
+	// database epoch, bumped under passMu's write lock.
 	c obs.SchedulerCounters
 	// totalWaitNanos sums queue waits at nanosecond resolution for
 	// SchedulerStats.TotalWait; no family renders it.
@@ -175,7 +175,6 @@ func New(eng Engine, cfg Config) (*Scheduler, error) {
 		queue: make(chan *request, cfg.QueueDepth),
 		c:     m.Scheduler,
 	}
-	s.gate.init(s.c.Updates)
 	go s.loop()
 	return s, nil
 }
@@ -184,14 +183,14 @@ func New(eng Engine, cfg Config) (*Scheduler, error) {
 func (s *Scheduler) Database() *database.DB { return s.eng.Database() }
 
 // Digest returns the loaded database's digest — what a hello reports to
-// a dialling client. It hashes under the quiesce gate, so it never reads
+// a dialling client. It hashes under the pass lock, so it never reads
 // a half-applied update, and caches the result per epoch, so repeated
 // dials between two updates hash the database once. A database
 // reloaded into the engine is hashed afresh.
 func (s *Scheduler) Digest() [32]byte {
-	s.gate.beginQuery()
-	defer s.gate.endQuery()
-	epoch := s.gate.epoch.Value()
+	s.passMu.RLock()
+	defer s.passMu.RUnlock()
+	epoch := s.c.Updates.Value()
 	db := s.eng.Database()
 	s.digestMu.Lock()
 	defer s.digestMu.Unlock()
@@ -201,9 +200,6 @@ func (s *Scheduler) Digest() [32]byte {
 	}
 	return s.digest
 }
-
-// Config returns the scheduler's effective configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // submit enqueues a request, applying admission control. It never
 // blocks: a full queue is ErrBusy, a closed scheduler ErrClosed.
@@ -244,9 +240,9 @@ func (s *Scheduler) finish(req *request, err error) {
 
 // Query schedules the batch a query frame of type frame carries and
 // waits for its pass, returning one subresult per query in order. A
-// MsgQuery frame — one DPF key — may be coalesced with concurrent ones
-// from other submitters; any other frame is admitted as one unit, whole
-// or rejected busy, and runs as its own pass.
+// MsgQuery frame — one DPF key — may share a pass with others queued
+// beside it; any other frame is admitted as one unit, whole or rejected
+// busy, and runs as its own pass.
 func (s *Scheduler) Query(ctx context.Context, frame pirproto.MsgType, in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
 	if frame == pirproto.MsgQuery && (len(in.Keys) != 1 || len(in.Shares) != 0) {
 		return nil, metrics.BatchStats{}, errors.New("scheduler: a MsgQuery frame carries exactly one key")
@@ -266,10 +262,10 @@ func (s *Scheduler) Query(ctx context.Context, frame pirproto.MsgType, in dpf.Ba
 }
 
 // Update applies a §3.3 bulk record update with epoch-based quiescing:
-// it waits for the in-flight engine pass to drain, applies the update
-// atomically while the dispatcher is held off, bumps the epoch, and
-// resumes. Safe to call while queries are in flight; concurrent updates
-// serialise.
+// it takes the pass lock exclusively, which waits out the in-flight
+// engine pass and holds off the next, applies the update, bumps the
+// epoch, and resumes. Safe to call while queries are in flight;
+// concurrent updates serialise.
 //
 // The whole update set is validated against the loaded database before
 // the quiesce begins: every request path converges here (local Server
@@ -292,9 +288,12 @@ func (s *Scheduler) Update(updates map[uint64][]byte) error {
 	if s.quiescers.Add(1) == 1 {
 		s.cfg.Readiness.Set(obs.CondUpdateQuiesce, false)
 	}
-	s.gate.beginUpdate()
+	s.passMu.Lock()
 	err := s.eng.ApplyUpdates(updates)
-	s.gate.endUpdate(err == nil)
+	if err == nil {
+		s.c.Updates.Inc() // a rejected update bumps no epoch
+	}
+	s.passMu.Unlock()
 	if s.quiescers.Add(-1) == 0 {
 		s.cfg.Readiness.Set(obs.CondUpdateQuiesce, true)
 	}
@@ -396,39 +395,33 @@ func (s *Scheduler) failPending() {
 	}
 }
 
-// dispatch executes one engine pass for req, coalescing concurrent
-// MsgQuery frames into it when a window is configured.
+// dispatch executes one engine pass for req, coalescing the MsgQuery
+// frames queued behind a MsgQuery req into it.
 func (s *Scheduler) dispatch(req *request) {
 	if err := req.ctx.Err(); err != nil {
 		s.c.Cancelled.Inc()
 		s.finish(req, err)
 		return
 	}
-	if req.frame == pirproto.MsgQuery && s.cfg.CoalesceWindow > 0 {
-		batch, next := s.gather(req)
-		s.run(batch)
-		if next != nil {
-			s.dispatch(next)
-		}
+	if req.frame != pirproto.MsgQuery {
+		s.run([]*request{req})
 		return
 	}
-	s.run([]*request{req})
+	batch, next := s.gather(req)
+	s.run(batch)
+	if next != nil {
+		s.dispatch(next)
+	}
 }
 
-// gather holds the first MsgQuery frame for the coalescing window,
-// collecting further MsgQuery frames (from any connection) into the same
-// pass. A non-coalescable request ends the window early and is returned
-// for immediate dispatch after the batch.
+// gather takes the MsgQuery frames already queued behind first, from any
+// connection, into its pass, up to MaxCoalesce. It never waits for more.
+// A non-coalescable request ends the gather and is returned for dispatch
+// after the batch.
 func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 	batch = []*request{first}
-	timer := time.NewTimer(s.cfg.CoalesceWindow)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxCoalesce {
 		select {
-		case <-timer.C:
-			return batch, nil
-		case <-s.quit:
-			return batch, nil
 		case req := <-s.queue:
 			if err := req.ctx.Err(); err != nil {
 				s.c.Cancelled.Inc()
@@ -439,6 +432,8 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 				return batch, req
 			}
 			batch = append(batch, req)
+		default:
+			return batch, nil
 		}
 	}
 	return batch, nil
@@ -446,7 +441,7 @@ func (s *Scheduler) gather(first *request) (batch []*request, next *request) {
 
 // run executes one engine pass for reqs: a lone request of any frame,
 // or a gathered group of MsgQuery frames. It records queue-wait metrics,
-// takes the quiesce gate, and demultiplexes the subresults back to each
+// holds the pass lock shared, and demultiplexes the subresults back to each
 // waiter in submission order.
 func (s *Scheduler) run(reqs []*request) {
 	now := time.Now()
@@ -475,8 +470,8 @@ func (s *Scheduler) run(reqs []*request) {
 	if single {
 		s.c.PassWidths[metrics.WidthBucket(len(reqs))].Inc()
 	}
-	s.gate.beginQuery()
-	defer s.gate.endQuery()
+	s.passMu.RLock()
+	defer s.passMu.RUnlock()
 
 	engStart := time.Now()
 	results, stats, err := s.eng.Pass(in)
@@ -535,68 +530,4 @@ func (s *Scheduler) checkKeys(reqs []*request) []*request {
 		ok = append(ok, r)
 	}
 	return ok
-}
-
-// quiesceGate is the epoch mechanism behind Update: query passes hold
-// the gate shared, an update holds it exclusively after draining the
-// in-flight pass, and each update bumps the database epoch. It is a
-// purpose-named reader/writer gate rather than a sync.RWMutex so the
-// epoch lives with the state it describes.
-type quiesceGate struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight int  // query passes holding the gate
-	updating bool // an update holds the gate exclusively
-	// epoch counts applied updates: the database version. It is the
-	// impir_scheduler_updates_total cell, bumped under mu.
-	epoch *obs.Counter
-}
-
-func (g *quiesceGate) init(epoch *obs.Counter) {
-	g.cond = sync.NewCond(&g.mu)
-	g.epoch = epoch
-}
-
-func (g *quiesceGate) beginQuery() {
-	g.mu.Lock()
-	for g.updating {
-		g.cond.Wait()
-	}
-	g.inflight++
-	g.mu.Unlock()
-}
-
-func (g *quiesceGate) endQuery() {
-	g.mu.Lock()
-	g.inflight--
-	if g.inflight == 0 {
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-// beginUpdate waits for its exclusive turn, then for in-flight query
-// passes to drain.
-func (g *quiesceGate) beginUpdate() {
-	g.mu.Lock()
-	for g.updating {
-		g.cond.Wait()
-	}
-	g.updating = true
-	for g.inflight > 0 {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// endUpdate resumes query passes; applied reports whether the update
-// actually changed the database (a rejected update bumps no epoch).
-func (g *quiesceGate) endUpdate(applied bool) {
-	g.mu.Lock()
-	g.updating = false
-	if applied {
-		g.epoch.Inc()
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
 }

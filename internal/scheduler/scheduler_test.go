@@ -143,43 +143,182 @@ func keyPair(t *testing.T, domain int, idx uint64) (*dpf.Key, *dpf.Key) {
 	return k0, k1
 }
 
-// TestCoalescedResultsDemultiplexCorrectly: many goroutines submit
-// single queries with a coalescing window; every waiter must get the
-// subresult for its own key (XOR of both parties' subresults must equal
-// its record), and the stats must show cross-submitter batching.
-func TestCoalescedResultsDemultiplexCorrectly(t *testing.T) {
-	cfg := Config{CoalesceWindow: 20 * time.Millisecond}
-	s0, db := realScheduler(t, cfg)
-	s1, _ := realScheduler(t, cfg)
+// countingEngine records the width of every pass and how many keys of
+// the wrong domain a pass carried. Its first pass closes held and then
+// waits for hold to close, so a test can queue frames behind it.
+type countingEngine struct {
+	Engine
+	hold, held chan struct{}
+	mu         sync.Mutex
+	widths     []int
+	badKeys    int
+}
 
-	const clients = 16
-	ctx := context.Background()
-	errs := make([]error, clients)
+func (c *countingEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
+	c.mu.Lock()
+	first := len(c.widths) == 0
+	c.widths = append(c.widths, in.Len())
+	for _, k := range in.Keys {
+		if int(k.Domain) != c.Database().Domain() {
+			c.badKeys++
+		}
+	}
+	c.mu.Unlock()
+	if first {
+		close(c.held)
+		<-c.hold
+	}
+	return c.Engine.Pass(in)
+}
+
+// passWidths returns the widths of the passes run so far.
+func (c *countingEngine) passWidths() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.widths...)
+}
+
+// heldScheduler wraps inner in a countingEngine behind a scheduler,
+// submits a lone MsgQuery for key and returns once the engine holds
+// that query's pass, so frames submitted next queue behind it. release
+// lets the pass go and returns the held query's error.
+func heldScheduler(t *testing.T, inner Engine, cfg Config, key *dpf.Key) (s *Scheduler, eng *countingEngine, release func() error) {
+	t.Helper()
+	eng = &countingEngine{Engine: inner, hold: make(chan struct{}), held: make(chan struct{})}
+	s = newSched(t, eng, cfg)
+	var once sync.Once
+	free := func() { once.Do(func() { close(eng.hold) }) }
+	t.Cleanup(free) // a failed test must not leave the dispatcher held
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := query(context.Background(), s, key)
+		errc <- err
+	}()
+	select {
+	case <-eng.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held query's pass never started")
+	}
+	return s, eng, func() error {
+		free()
+		return <-errc
+	}
+}
+
+// waitSubmitted waits until s has admitted n requests.
+func waitSubmitted(t *testing.T, s *Scheduler, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Submitted < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests admitted after 5s", s.Stats().Submitted, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// queueQueries submits n MsgQuery frames for key from their own
+// goroutines and waits until s has admitted all n. The returned function
+// waits for their results.
+func queueQueries(t *testing.T, s *Scheduler, key *dpf.Key, n int) (wait func() []error) {
+	t.Helper()
+	before := s.Stats().Submitted
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			idx := uint64(i * 13)
-			k0, k1 := keyPair(t, db.Domain(), idx)
-			r0, _, err := query(ctx, s0, k0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			r1, _, err := query(ctx, s1, k1)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rec := make([]byte, len(r0))
-			for j := range rec {
-				rec[j] = r0[j] ^ r1[j]
-			}
-			if !bytes.Equal(rec, db.Record(int(idx))) {
-				errs[i] = fmt.Errorf("client %d: wrong record", i)
-			}
+			_, _, errs[i] = query(context.Background(), s, key)
 		}(i)
+	}
+	waitSubmitted(t, s, before+uint64(n))
+	return func() []error { wg.Wait(); return errs }
+}
+
+// TestDrainOnDispatchCoalescesQueuedQueries: a lone query on an idle
+// scheduler runs at once as a width-1 pass; the MsgQuery frames queued
+// behind it share the next pass, up to MaxCoalesce each, and the batch
+// frame queued after them ends the gather and runs alone.
+func TestDrainOnDispatchCoalescesQueuedQueries(t *testing.T) {
+	const queued, batch = 5, 3
+	for _, tc := range []struct {
+		maxCoalesce int
+		want        []int
+		coalesced   uint64
+	}{
+		{0, []int{1, queued, batch}, queued},
+		{2, []int{1, 2, 2, 1, batch}, 4},
+	} {
+		t.Run(fmt.Sprintf("max=%d", tc.maxCoalesce), func(t *testing.T) {
+			s, eng, release := heldScheduler(t, &fakeEngine{}, Config{MaxCoalesce: tc.maxCoalesce}, fakeKey)
+			wait := queueQueries(t, s, fakeKey, queued)
+			batchErr := make(chan error, 1)
+			go func() {
+				keys := make([]*dpf.Key, batch)
+				for i := range keys {
+					keys[i] = fakeKey
+				}
+				_, _, err := s.Query(context.Background(), pirproto.MsgBatchQuery, dpf.Batch{Keys: keys})
+				batchErr <- err
+			}()
+			waitSubmitted(t, s, 1+queued+1)
+			if err := release(); err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range wait() {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-batchErr; err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.passWidths(); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("pass widths %v, want %v", got, tc.want)
+			}
+			st := s.Stats()
+			if st.Passes != uint64(len(tc.want)) || st.CoalescedQueries != tc.coalesced {
+				t.Errorf("passes %d, coalesced %d; want %d and %d", st.Passes, st.CoalescedQueries, len(tc.want), tc.coalesced)
+			}
+		})
+	}
+}
+
+// TestCoalescedResultsDemultiplexCorrectly: single queries from many
+// submitters queued behind a pass share the next one; every waiter must
+// get the subresult for its own key (XOR of both parties' subresults
+// must equal its record).
+func TestCoalescedResultsDemultiplexCorrectly(t *testing.T) {
+	e0, e1 := realEngine(t), realEngine(t)
+	db := e0.Database()
+	h0, h1 := keyPair(t, db.Domain(), 0)
+	s0, _, release0 := heldScheduler(t, e0, Config{}, h0)
+	s1, _, release1 := heldScheduler(t, e1, Config{}, h1)
+
+	const clients = 16
+	ctx := context.Background()
+	r0, r1 := make([][]byte, clients), make([][]byte, clients)
+	errs := make([]error, 2*clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		k0, k1 := keyPair(t, db.Domain(), uint64(i*13))
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			r0[i], _, errs[2*i] = query(ctx, s0, k0)
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			r1[i], _, errs[2*i+1] = query(ctx, s1, k1)
+		}(i)
+	}
+	waitSubmitted(t, s0, 1+clients)
+	waitSubmitted(t, s1, 1+clients)
+	for _, release := range []func() error{release0, release1} {
+		if err := release(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -187,39 +326,41 @@ func TestCoalescedResultsDemultiplexCorrectly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := s0.Stats()
-	if stats.Dispatched != clients {
-		t.Errorf("dispatched %d, want %d", stats.Dispatched, clients)
+	for i := 0; i < clients; i++ {
+		rec := make([]byte, len(r0[i]))
+		for j := range rec {
+			rec[j] = r0[i][j] ^ r1[i][j]
+		}
+		if !bytes.Equal(rec, db.Record(i*13)) {
+			t.Errorf("client %d: wrong record", i)
+		}
 	}
-	if stats.CoalescedQueries == 0 {
-		t.Error("no queries were coalesced despite a window and concurrent submitters")
-	}
-	if stats.AvgCoalesce() <= 1 {
-		t.Errorf("AvgCoalesce = %.2f, want > 1", stats.AvgCoalesce())
+	for _, s := range []*Scheduler{s0, s1} {
+		st := s.Stats()
+		if st.Dispatched != 1+clients || st.Passes != 2 || st.CoalescedQueries != clients {
+			t.Errorf("dispatched %d in %d passes, %d coalesced; want %d in 2, %d",
+				st.Dispatched, st.Passes, st.CoalescedQueries, 1+clients, clients)
+		}
 	}
 }
 
-// TestNoCoalescingWithZeroWindow: window 0 must run every single query
-// as its own engine pass.
+// TestNoCoalescingWithZeroWindow: with MaxCoalesce 1 every single query
+// runs as its own engine pass, even when several are queued together.
 func TestNoCoalescingWithZeroWindow(t *testing.T) {
 	fe := &fakeEngine{}
-	s := newSched(t, fe, Config{})
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := query(ctx, s, fakeKey); err != nil {
-				t.Error(err)
-			}
-		}()
+	s, _, release := heldScheduler(t, fe, Config{MaxCoalesce: 1}, fakeKey)
+	wait := queueQueries(t, s, fakeKey, 7)
+	if err := release(); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	for _, err := range wait() {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	stats := s.Stats()
 	if stats.CoalescedQueries != 0 || stats.CoalescedPasses != 0 {
-		t.Errorf("window=0 coalesced: %+v", stats)
+		t.Errorf("MaxCoalesce 1 coalesced: %+v", stats)
 	}
 	if got := fe.passes.Load(); got != 8 {
 		t.Errorf("engine ran %d solo passes, want 8", got)
@@ -301,7 +442,7 @@ func TestCancelledWhileQueuedIsDequeued(t *testing.T) {
 // bump the epoch.
 func TestUpdateQuiescesInFlightQueries(t *testing.T) {
 	fe := &fakeEngine{delay: 5 * time.Millisecond}
-	s := newSched(t, fe, Config{QueueDepth: 128, CoalesceWindow: time.Millisecond})
+	s := newSched(t, fe, Config{QueueDepth: 128})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -344,7 +485,7 @@ func TestUpdateQuiescesInFlightQueries(t *testing.T) {
 // TestShareAndBatchThroughScheduler: explicit batches and share queries
 // flow through the queue and return correct data.
 func TestShareAndBatchThroughScheduler(t *testing.T) {
-	s0, db := realScheduler(t, Config{CoalesceWindow: time.Millisecond})
+	s0, db := realScheduler(t, Config{})
 	ctx := context.Background()
 
 	// Explicit batch: subresults must come back in key order.
@@ -423,16 +564,24 @@ func TestDrainAndClose(t *testing.T) {
 	}
 }
 
-// TestSoloQueryFasterPathStats: a lone query with a window still works
-// (the gather times out and degenerates to a solo pass).
+// TestSoloQueryWithWindow: a lone query runs as a width-1 pass at once,
+// whether the scheduler is idle or it is the only query queued behind
+// a pass: the gather takes what is queued and never waits for more.
 func TestSoloQueryWithWindow(t *testing.T) {
-	s0, db := realScheduler(t, Config{CoalesceWindow: 5 * time.Millisecond})
-	k0, _ := keyPair(t, db.Domain(), 9)
-	if _, _, err := query(context.Background(), s0, k0); err != nil {
+	eng := realEngine(t)
+	k0, _ := keyPair(t, eng.Database().Domain(), 9)
+	s0, counted, release := heldScheduler(t, eng, Config{}, k0)
+	wait := queueQueries(t, s0, k0, 1)
+	if err := release(); err != nil {
 		t.Fatal(err)
 	}
-	stats := s0.Stats()
-	if stats.Passes != 1 || stats.CoalescedPasses != 0 {
+	if err := wait()[0]; err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.passWidths(); fmt.Sprint(got) != "[1 1]" {
+		t.Errorf("pass widths %v, want [1 1]", got)
+	}
+	if stats := s0.Stats(); stats.Passes != 2 || stats.CoalescedPasses != 0 {
 		t.Errorf("solo query stats: %+v", stats)
 	}
 }
@@ -451,35 +600,15 @@ func TestPreCancelledSubmission(t *testing.T) {
 	}
 }
 
-// countingEngine records the width of every pass and how many keys of
-// the wrong domain a pass carried.
-type countingEngine struct {
-	Engine
-	mu      sync.Mutex
-	widths  []int
-	badKeys int
-}
-
-func (c *countingEngine) Pass(in dpf.Batch) ([][]byte, metrics.BatchStats, error) {
-	c.mu.Lock()
-	c.widths = append(c.widths, in.Len())
-	for _, k := range in.Keys {
-		if int(k.Domain) != c.Database().Domain() {
-			c.badKeys++
-		}
-	}
-	c.mu.Unlock()
-	return c.Engine.Pass(in)
-}
-
 // TestBadKeyInCoalescedPassOnlyFailsItsSender: a client feeding an
 // invalid key into a coalesced pass must not fail the other clients'
 // queries gathered into the same pass. The key check runs before the
 // pass, so no pass carries the bad key and no good query runs twice.
 func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
-	eng := &countingEngine{Engine: realEngine(t)}
-	s0 := newSched(t, eng, Config{CoalesceWindow: 20 * time.Millisecond})
-	db := eng.Database()
+	inner := realEngine(t)
+	db := inner.Database()
+	held, _ := keyPair(t, db.Domain(), 1)
+	s0, eng, release := heldScheduler(t, inner, Config{}, held)
 	ctx := context.Background()
 
 	const good = 6
@@ -500,6 +629,10 @@ func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
 			_, _, goodErrs[i] = query(ctx, s0, k0)
 		}(i)
 	}
+	waitSubmitted(t, s0, 1+good+1)
+	if err := release(); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 
 	if badErr == nil {
@@ -510,18 +643,13 @@ func TestBadKeyInCoalescedPassOnlyFailsItsSender(t *testing.T) {
 			t.Errorf("good query %d failed alongside a bad key: %v", i, err)
 		}
 	}
-	width := 0
-	for _, w := range eng.widths {
-		width += w
-	}
-	if eng.badKeys != 0 || width != good {
-		t.Errorf("passes %v carried %d bad keys and %d queries, want 0 and %d",
-			eng.widths, eng.badKeys, width, good)
+	if got := eng.passWidths(); eng.badKeys != 0 || fmt.Sprint(got) != fmt.Sprint([]int{1, good}) {
+		t.Errorf("passes %v carried %d bad keys, want [1 %d] and 0", got, eng.badKeys, good)
 	}
 	// The rejected query still counts as dispatched, so the request
 	// counts add up.
-	if st := s0.Stats(); st.Submitted != good+1 || st.Dispatched != st.Submitted {
-		t.Errorf("submitted %d, dispatched %d, want %d each", st.Submitted, st.Dispatched, good+1)
+	if st := s0.Stats(); st.Submitted != good+2 || st.Dispatched != st.Submitted {
+		t.Errorf("submitted %d, dispatched %d, want %d each", st.Submitted, st.Dispatched, good+2)
 	}
 }
 
@@ -583,50 +711,26 @@ func TestShareBatchIsOneAdmissionUnit(t *testing.T) {
 // solo passes in bucket 0 and coalesced passes in the bucket of their
 // width, and the buckets must sum to the pass count.
 func TestPassWidthHistogram(t *testing.T) {
-	fe := &fakeEngine{delay: time.Millisecond}
-	s := newSched(t, fe, Config{CoalesceWindow: 30 * time.Millisecond, MaxCoalesce: 64})
-	ctx := context.Background()
-
-	// A burst of concurrent single queries inside one window coalesces
-	// into wide passes.
+	// The held query is a solo pass; the burst queued behind it is one
+	// wide pass.
 	const burst = 24
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			k0, _ := keyPair(t, 4, 1)
-			if _, _, err := query(ctx, s, k0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	st := s.Stats()
-	var widthSum uint64
-	for _, n := range st.PassWidths {
-		widthSum += n
-	}
-	if widthSum != st.Passes {
-		t.Errorf("PassWidths sum %d != Passes %d (%v)", widthSum, st.Passes, st.PassWidths)
-	}
-	var beyondSolo uint64
-	for b := 1; b < metrics.NumWidthBuckets; b++ {
-		beyondSolo += st.PassWidths[b]
-	}
-	if st.CoalescedPasses > 0 && beyondSolo == 0 {
-		t.Errorf("coalesced passes ran but no width bucket beyond solo filled: %v", st.PassWidths)
-	}
-
-	// A solo query with no window lands in bucket 0.
-	fe2 := &fakeEngine{}
-	s2 := newSched(t, fe2, Config{})
-	k0, _ := keyPair(t, 4, 2)
-	if _, _, err := query(ctx, s2, k0); err != nil {
+	k0, _ := keyPair(t, 4, 1)
+	s, _, release := heldScheduler(t, &fakeEngine{}, Config{}, k0)
+	wait := queueQueries(t, s, k0, burst)
+	if err := release(); err != nil {
 		t.Fatal(err)
 	}
-	if st2 := s2.Stats(); st2.PassWidths[0] != 1 {
-		t.Errorf("solo query width histogram = %v, want bucket 0 = 1", st2.PassWidths)
+	for _, err := range wait() {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := s.Stats()
+	var want [metrics.NumWidthBuckets]uint64
+	want[metrics.WidthBucket(1)]++
+	want[metrics.WidthBucket(burst)]++
+	if st.PassWidths != want || st.Passes != 2 {
+		t.Errorf("PassWidths %v over %d passes, want %v over 2", st.PassWidths, st.Passes, want)
 	}
 }

@@ -64,8 +64,8 @@ func ParseEngineKind(s string) (EngineKind, error) {
 
 // ServerConfig configures one PIR server. The zero value is the paper's
 // IM-PIR evaluation setup: 2048 DPUs at 350 MHz, 16 tasklets, a single
-// cluster, subtree-parallel host evaluation, a 256-deep request queue,
-// and no cross-client coalescing.
+// cluster, subtree-parallel host evaluation, and a 256-deep request
+// queue whose queued single DPF queries share a pass, up to 64 at a time.
 type ServerConfig struct {
 	// Engine selects the machine that prices the engine's passes; zero
 	// value means EnginePIM.
@@ -89,13 +89,10 @@ type ServerConfig struct {
 	// wire) instead of queueing without bound. 0 means 256; negative is
 	// an error.
 	QueueDepth int
-	// CoalesceWindow is how long the scheduler holds a single DPF query
-	// (an Answer call or a MsgQuery frame) to gather concurrent ones —
-	// across client connections — into one §3.4 batch pipeline pass.
-	// 0 disables coalescing.
-	CoalesceWindow time.Duration
-	// MaxCoalesce caps how many single DPF queries one coalesced pass serves.
-	// 0 means 64; negative is an error.
+	// MaxCoalesce caps how many single DPF queries (Answer calls or
+	// MsgQuery frames, across client connections) already queued together
+	// share one §3.4 batch pipeline pass. No query waits for others to
+	// arrive. 0 means 64; 1 disables coalescing; negative is an error.
 	MaxCoalesce int
 	// AllowWireUpdates accepts MsgUpdate frames from connected network
 	// clients (Client.Update). OFF by default: the query port serves
@@ -146,9 +143,9 @@ var ErrServerBusy = transport.ErrServerBusy
 // Servers on independent machines with byte-identical databases.
 //
 // All request paths — local Answer* calls and the TCP transport — go
-// through the scheduler, which bounds the admission queue, coalesces
-// concurrent single DPF queries from different clients into batch passes,
-// and quiesces in-flight queries around Update.
+// through the scheduler, which bounds the admission queue, runs the
+// single DPF queries queued together, from any clients, as one batch
+// pass, and quiesces in-flight queries around Update.
 type Server struct {
 	eng              *engine.Engine
 	sched            *scheduler.Scheduler
@@ -185,11 +182,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	ready.Register(obs.CondServing)
 	ready.Set(obs.CondUpdateQuiesce, true)
 	sched, err := scheduler.New(eng, scheduler.Config{
-		QueueDepth:     cfg.QueueDepth,
-		CoalesceWindow: cfg.CoalesceWindow,
-		MaxCoalesce:    cfg.MaxCoalesce,
-		Obs:            sm,
-		Readiness:      ready,
+		QueueDepth:  cfg.QueueDepth,
+		MaxCoalesce: cfg.MaxCoalesce,
+		Obs:         sm,
+		Readiness:   ready,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("impir: %w", err)
@@ -303,10 +299,9 @@ func (s *Server) Database() *DB { return s.eng.Database() }
 // reveals nothing; the client reconstructs the record from both servers'
 // subresults. A context cancelled while the request waits in the
 // admission queue dequeues it without an engine pass; one cancelled
-// mid-pass does not abort the pass. When the server has a coalescing
-// window, concurrent Answer calls may be served by one shared batch
-// pipeline pass (§3.4); the returned breakdown is then the pass's
-// per-query average.
+// mid-pass does not abort the pass. Answer calls queued together behind
+// a busy engine may be served by one shared batch pipeline pass (§3.4);
+// the returned breakdown is then the pass's per-query average.
 func (s *Server) Answer(ctx context.Context, key *Key) ([]byte, Breakdown, error) {
 	return single(s.sched.Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}}))
 }
@@ -346,7 +341,7 @@ func (s *Server) AnswerBatch(ctx context.Context, keys []*Key) ([][]byte, BatchS
 // everything, then apply.
 func (s *Server) Update(updates map[uint64][]byte) error {
 	// The scheduler validates the whole update set against the loaded
-	// geometry before its quiesce gate — one source of truth shared with
+	// geometry before it quiesces — one source of truth shared with
 	// the wire path — so a wrong-length record or out-of-range index
 	// fails with a clear error before any in-flight pass is drained or
 	// the engine touched.
@@ -434,9 +429,8 @@ func (s *Server) RecentTraces(min time.Duration) []TraceSnapshot {
 // Shutdown stops the server gracefully: /readyz flips to 503 first (so
 // an orchestrator stops routing), then the listener stops accepting,
 // requests already admitted (queued or executing) complete and have
-// their responses written, connections close, the engine is released,
-// and the admin endpoint — which kept answering the 503 throughout the
-// drain — stops last. ctx bounds the drain; on expiry remaining work is
+// their responses written, connections close, and the admin endpoint —
+// which kept answering the 503 throughout the drain — stops last. ctx bounds the drain; on expiry remaining work is
 // abandoned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Set(obs.CondServing, false)
@@ -449,9 +443,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = derr
 	}
 	s.sched.Close()
-	if cerr := s.eng.Close(); err == nil {
-		err = cerr
-	}
 	if aerr := s.admin.Shutdown(ctx); err == nil {
 		err = aerr
 	}
@@ -466,9 +457,8 @@ func (s *Server) Addr() net.Addr {
 	return s.srv.Addr()
 }
 
-// Close stops the network listener (if any), the scheduler, and the
-// engine immediately. Queued requests fail; use Shutdown to drain them
-// first.
+// Close stops the network listener (if any) and the scheduler
+// immediately. Queued requests fail; use Shutdown to drain them first.
 func (s *Server) Close() error {
 	s.ready.Set(obs.CondServing, false)
 	var err error
@@ -477,9 +467,6 @@ func (s *Server) Close() error {
 		s.srv = nil
 	}
 	s.sched.Close()
-	if cerr := s.eng.Close(); err == nil {
-		err = cerr
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if aerr := s.admin.Shutdown(ctx); err == nil {
