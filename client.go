@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/impir/impir/internal/batchcode"
+	"github.com/impir/impir/internal/cluster"
 	"github.com/impir/impir/internal/obs"
 )
 
@@ -49,7 +50,7 @@ import (
 //
 // A Client may be shared by concurrent goroutines.
 type Client struct {
-	plan   ShardManifest     // shard row ranges; no addresses
+	plan   cluster.Manifest  // shard row ranges; no addresses
 	shards []*cohort         // one per shard, in plan order
 	code   *batchcode.Layout // nil: the identity code
 	cells  *clientCells
@@ -129,13 +130,13 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 // handshake — and, on a coded deployment, the batch-code layout,
 // cross-checked against the served geometry.
 func (c *Client) layOut(d Deployment) error {
-	c.plan = ShardManifest{RecordSize: c.shards[0].recordSize}
+	c.plan = cluster.Manifest{RecordSize: c.shards[0].recordSize}
 	for s, shard := range d.Shards {
 		n := shard.NumRecords
 		if len(d.Shards) == 1 {
 			n = c.shards[s].geom.numRecords
 		}
-		c.plan.Shards = append(c.plan.Shards, ClusterShard{FirstRecord: shard.FirstRecord, NumRecords: n})
+		c.plan.Shards = append(c.plan.Shards, cluster.Shard{FirstRecord: shard.FirstRecord, NumRecords: n})
 	}
 	if d.BatchCode == nil {
 		return nil

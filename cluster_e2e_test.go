@@ -36,9 +36,9 @@ func startShardCohort(t *testing.T, db *DB, replicas int) ([]string, []*Server) 
 	return addrs, servers
 }
 
-// startCluster splits db into shards cohorts of 2 replicas each, serves
-// them over TCP, and returns the manifest plus per-shard server handles.
-func startCluster(t *testing.T, db *DB, shards int) (ShardManifest, [][]*Server) {
+// startCluster splits db into shards cohorts of 2 parties each, serves
+// them over TCP, and returns the deployment plus per-shard server handles.
+func startCluster(t *testing.T, db *DB, shards int) (Deployment, [][]*Server) {
 	t.Helper()
 	parts, err := SplitDB(db, shards)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestClusterTwoShardsTwoReplicasE2E(t *testing.T) {
 	ctx := context.Background()
 	m, servers := startCluster(t, db, 2)
 
-	cc, err := Open(ctx, DeploymentFromManifest(m))
+	cc, err := Open(ctx, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestClusterRaggedShardsE2E(t *testing.T) {
 			}
 		}
 
-		cc, err := Open(ctx, DeploymentFromManifest(m))
+		cc, err := Open(ctx, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,39 +222,16 @@ func TestClusterDialValidation(t *testing.T) {
 	// Manifest claims 2 shards of 32, but both cohorts serve all 64
 	// records: padded counts (64) disagree with the shard range (32→32).
 	addrs, _ := startShardCohort(t, db, 2)
-	bad := ShardManifest{RecordSize: 32, Shards: []ClusterShard{
-		{FirstRecord: 0, NumRecords: 32, Replicas: addrs},
-		{FirstRecord: 32, NumRecords: 32, Replicas: addrs},
+	bad := Deployment{RecordSize: 32, Shards: []DeploymentShard{
+		{FirstRecord: 0, NumRecords: 32, Parties: singleReplicaParties(addrs)},
+		{FirstRecord: 32, NumRecords: 32, Parties: singleReplicaParties(addrs)},
 	}}
-	if _, err := Open(ctx, DeploymentFromManifest(bad)); err == nil {
+	if _, err := Open(ctx, bad); err == nil {
 		t.Fatal("geometry-mismatched cohort accepted")
 	}
 
 	// Invalid topology fails before any dialing.
-	if _, err := Open(ctx, DeploymentFromManifest(ShardManifest{RecordSize: 32})); err == nil {
+	if _, err := Open(ctx, Deployment{RecordSize: 32}); err == nil {
 		t.Fatal("empty manifest accepted")
-	}
-}
-
-// TestClusterManifestJSONThroughPublicAPI: the manifest round-trips
-// through the root package's re-exports, as cmd flags rely on.
-func TestClusterManifestJSONThroughPublicAPI(t *testing.T) {
-	m, err := UniformManifest(700, 32, [][]string{{"a:1", "a:2"}, {"b:1", "b:2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := m.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRecords() != 700 || back.NumShards() != 2 {
-		t.Fatalf("round trip: %d records, %d shards", back.NumRecords(), back.NumShards())
-	}
-	if back.Shards[1].NumRecords != 350 {
-		t.Fatalf("shard 1 holds %d records", back.Shards[1].NumRecords)
 	}
 }

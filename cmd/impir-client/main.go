@@ -11,12 +11,10 @@
 // valid answer per party wins); -no-hedge disables it and -retries
 // grants a transient-failure retry budget.
 //
-// A cluster manifest (cluster.json) is a valid -deployment too. The
-// pre-manifest flags remain for quick experiments: -servers for a flat
-// deployment, -kv for a keyword table — each equivalent to the
+// The pre-manifest flags remain for quick experiments: -servers for a
+// flat deployment, -kv for a keyword table — each equivalent to the
 // corresponding deployment manifest:
 //
-//	impir-client -deployment cluster.json -index 123
 //	impir-client -servers 127.0.0.1:7100,127.0.0.1:7101 -index 123
 //	impir-client -servers a:7100,b:7100,c:7100 -index 123   # 3-server shares
 //	impir-client -servers a:7100,b:7100 -kv table.json get key-00000123
@@ -45,7 +43,7 @@ func main() {
 func run() error {
 	var (
 		deploymentPath = flag.String("deployment", "",
-			"unified deployment manifest JSON (or a cluster manifest); drives any topology (replaces -servers/-kv)")
+			"unified deployment manifest JSON; drives any topology (replaces -servers/-kv)")
 		servers = flag.String("servers", "127.0.0.1:7100,127.0.0.1:7101",
 			"comma-separated addresses of the non-colluding servers (≥ 2)")
 		indexFlag = flag.String("index", "0", "record index (or comma-separated indices) to retrieve")

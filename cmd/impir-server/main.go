@@ -37,9 +37,6 @@
 //	impir-server -deployment deployment.json -shard 1 -party 0 -listen 127.0.0.1:7200 &
 //	impir-server -deployment deployment.json -shard 1 -party 1 -listen 127.0.0.1:7201 &
 //	impir-client -deployment deployment.json -index 123
-//
-// A cluster manifest (cluster.json) is a valid -deployment too: each
-// shard's "replicas" list reads as one single-replica party per server.
 package main
 
 import (
@@ -57,7 +54,7 @@ import (
 
 	"github.com/impir/impir"
 	"github.com/impir/impir/internal/batchcode"
-	"github.com/impir/impir/internal/cluster"
+	"github.com/impir/impir/internal/database"
 	"github.com/impir/impir/internal/keyword"
 )
 
@@ -219,6 +216,9 @@ func buildDeploymentDatabase(path string, shard int, workload string, records in
 	if err != nil {
 		return nil, err
 	}
+	if shard < 0 || shard >= d.NumShards() {
+		return nil, fmt.Errorf("shard %d outside deployment of %d shards", shard, d.NumShards())
+	}
 	var db *impir.DB
 	if d.Keyword != nil {
 		pairs := keyword.GeneratePairs(records, seed)
@@ -258,25 +258,19 @@ func buildDeploymentDatabase(path string, shard int, workload string, records in
 	if d.RecordSize > 0 && db.RecordSize() != d.RecordSize {
 		return nil, fmt.Errorf("synthetic database has %d-byte records, deployment declares %d", db.RecordSize(), d.RecordSize)
 	}
+	if want := d.NumRecords(); want > 0 && uint64(db.NumRecords()) != want {
+		return nil, fmt.Errorf("synthetic database has %d records, deployment declares %d", db.NumRecords(), want)
+	}
 	if d.NumShards() == 1 {
-		if want := d.Shards[0].NumRecords; want > 0 && uint64(db.NumRecords()) != want {
-			return nil, fmt.Errorf("synthetic database has %d records, deployment declares %d", db.NumRecords(), want)
-		}
 		return db, nil
 	}
-	if shard < 0 || shard >= d.NumShards() {
-		return nil, fmt.Errorf("shard %d outside deployment of %d shards", shard, d.NumShards())
-	}
-	m, err := d.ShardManifest()
+	// The carve aliases db's rows; Server.Load keeps its own copy.
+	s, rs := d.Shards[shard], uint64(db.RecordSize())
+	part, err := database.FromFlat(db.Data()[s.FirstRecord*rs:s.End()*rs], db.RecordSize())
 	if err != nil {
 		return nil, err
 	}
-	part, err := cluster.ExtractShard(db, m, shard)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("serving shard %d/%d: global records [%d,%d)",
-		shard, d.NumShards(), d.Shards[shard].FirstRecord, d.Shards[shard].End())
+	log.Printf("serving shard %d/%d: global records [%d,%d)", shard, d.NumShards(), s.FirstRecord, s.End())
 	return part, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/impir/impir"
-	"github.com/impir/impir/internal/cluster"
 	"github.com/impir/impir/internal/keyword"
 )
 
@@ -79,28 +78,32 @@ func TestBuildKVDatabaseDeterministicAcrossParties(t *testing.T) {
 	}
 }
 
+// writeDeployment writes d as a deployment.json and returns its path.
+func writeDeployment(t *testing.T, d impir.Deployment) string {
+	t.Helper()
+	data, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "deployment.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestBuildDeploymentDatabaseShards: servers of different shards started
 // from one deployment.json carve disjoint, correctly sized slices of the
 // same synthetic database.
 func TestBuildDeploymentDatabaseShards(t *testing.T) {
-	dir := t.TempDir()
-	d := impir.Deployment{RecordSize: 32, Shards: []impir.DeploymentShard{
+	path := writeDeployment(t, impir.Deployment{RecordSize: 32, Shards: []impir.DeploymentShard{
 		{FirstRecord: 0, NumRecords: 40, Parties: []impir.Party{
 			{Replicas: []string{"a:1", "a:2"}}, {Replicas: []string{"b:1"}},
 		}},
 		{FirstRecord: 40, NumRecords: 24, Parties: []impir.Party{
 			{Replicas: []string{"c:1"}}, {Replicas: []string{"d:1"}},
 		}},
-	}}
-	data, err := d.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "deployment.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	}})
 	full, err := buildDatabase("hash", 64, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -119,41 +122,39 @@ func TestBuildDeploymentDatabaseShards(t *testing.T) {
 	if string(s0.Record(3)) != string(full.Record(3)) || string(s1.Record(5)) != string(full.Record(45)) {
 		t.Fatal("shard rows do not match the full database")
 	}
-	if _, err := buildDeploymentDatabase(path, 2, "hash", 64, 7); err == nil {
-		t.Fatal("out-of-range shard accepted")
+	flatPath := writeDeployment(t, impir.FlatDeployment("a:1", "b:1"))
+	for _, c := range []struct {
+		path  string
+		shard int
+	}{{path, 2}, {flatPath, 3}, {flatPath, -1}} {
+		if _, err := buildDeploymentDatabase(c.path, c.shard, "hash", 64, 7); err == nil {
+			t.Fatalf("shard %d outside %s accepted", c.shard, c.path)
+		}
 	}
 	if _, err := buildDeploymentDatabase(path, 0, "hash", 128, 7); err == nil {
 		t.Fatal("record-count mismatch against the manifest accepted")
 	}
 
-	// A cluster manifest passed as -deployment (the "replicas" shorthand)
-	// carves the same shard bytes the cluster package does.
-	m, err := impir.UniformManifest(1000, 32, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1", "f:1"}})
+	// UniformManifest's deployment carves the shard bytes SplitDB does.
+	u, err := impir.UniformManifest(1000, 32, [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}, {"e:1", "f:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, err = m.JSON(); err != nil {
+	uniformPath := writeDeployment(t, u)
+	if full, err = buildDatabase("hash", 1000, 7); err != nil {
 		t.Fatal(err)
 	}
-	clusterPath := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(clusterPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	full, err = buildDatabase("hash", 1000, 7)
+	refs, err := impir.SplitDB(full, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s, want := range []int{334, 333, 333} {
-		got, err := buildDeploymentDatabase(clusterPath, s, "hash", 1000, 7)
+		got, err := buildDeploymentDatabase(uniformPath, s, "hash", 1000, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := cluster.ExtractShard(full, m, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumRecords() != want || !bytes.Equal(got.Data(), ref.Data()) {
-			t.Fatalf("shard %d: -deployment cluster.json carved %d records, want %d identical to the cluster carve",
+		if got.NumRecords() != want || !bytes.Equal(got.Data(), refs[s].Data()) {
+			t.Fatalf("shard %d: -deployment carved %d records, want %d identical to SplitDB's",
 				s, got.NumRecords(), want)
 		}
 	}
@@ -163,21 +164,12 @@ func TestBuildDeploymentDatabaseShards(t *testing.T) {
 // keyword section does not match the locally rebuilt table must be
 // rejected before serving.
 func TestBuildDeploymentDatabaseKeyword(t *testing.T) {
-	dir := t.TempDir()
 	pairs := keyword.GeneratePairs(100, 3)
 	table, err := keyword.BuildTable(pairs, keyword.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := impir.FlatDeployment("a:1", "b:1").WithKeyword(table.Manifest)
-	data, err := d.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "kv-deployment.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeDeployment(t, impir.FlatDeployment("a:1", "b:1").WithKeyword(table.Manifest))
 
 	db, err := buildDeploymentDatabase(path, 0, "hash", 100, 3)
 	if err != nil {

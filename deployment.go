@@ -67,32 +67,6 @@ type DeploymentShard struct {
 // End returns the exclusive global upper bound of the shard's range.
 func (s DeploymentShard) End() uint64 { return s.FirstRecord + s.NumRecords }
 
-// UnmarshalJSON accepts both the native form ("parties": [{"replicas":
-// [...]}, ...]) and the older cluster-manifest shorthand ("replicas":
-// ["a", "b"]), which reads as one single-replica party per address — so
-// every existing cluster.json is a valid deployment.json.
-func (s *DeploymentShard) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		FirstRecord uint64   `json:"first_record"`
-		NumRecords  uint64   `json:"num_records"`
-		Parties     []Party  `json:"parties"`
-		Replicas    []string `json:"replicas"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if len(raw.Parties) > 0 && len(raw.Replicas) > 0 {
-		return fmt.Errorf("impir: shard lists both \"parties\" and the legacy \"replicas\" shorthand; use one")
-	}
-	s.FirstRecord = raw.FirstRecord
-	s.NumRecords = raw.NumRecords
-	s.Parties = raw.Parties
-	for _, addr := range raw.Replicas {
-		s.Parties = append(s.Parties, Party{Replicas: []string{addr}})
-	}
-	return nil
-}
-
 // Deployment is the unified manifest impir.Open drives: the topology of
 // a whole PIR deployment as one logical store. It round-trips through
 // JSON (ParseDeployment / LoadDeployment / Deployment.JSON) for the
@@ -154,11 +128,16 @@ func EncodeBatchCode(db *DB, m CodeManifest) (*DB, error) { return batchcode.Enc
 // non-colluding servers" deployment, with geometry learned from the
 // handshake.
 func FlatDeployment(addrs ...string) Deployment {
+	return Deployment{Shards: []DeploymentShard{{Parties: singleReplicaParties(addrs)}}}
+}
+
+// singleReplicaParties makes each address a party of one replica.
+func singleReplicaParties(addrs []string) []Party {
 	parties := make([]Party, len(addrs))
 	for i, a := range addrs {
 		parties[i] = Party{Replicas: []string{a}}
 	}
-	return Deployment{Shards: []DeploymentShard{{Parties: parties}}}
+	return parties
 }
 
 // ReplicatedDeployment describes one shard served by len(parties)
@@ -173,19 +152,29 @@ func ReplicatedDeployment(parties ...[]string) Deployment {
 	return Deployment{Shards: []DeploymentShard{{Parties: ps}}}
 }
 
-// DeploymentFromManifest lifts a cluster shard manifest into the
-// unified form: each cohort address becomes a single-replica party.
-func DeploymentFromManifest(m ShardManifest) Deployment {
-	d := Deployment{RecordSize: m.RecordSize, Shards: make([]DeploymentShard, len(m.Shards))}
-	for i, s := range m.Shards {
-		parties := make([]Party, len(s.Replicas))
-		for p, addr := range s.Replicas {
-			parties[p] = Party{Replicas: []string{addr}}
-		}
-		d.Shards[i] = DeploymentShard{FirstRecord: s.FirstRecord, NumRecords: s.NumRecords, Parties: parties}
+// UniformManifest describes a sharded deployment: numRecords records
+// of recordSize bytes split across len(cohorts) shards along the row
+// ranges SplitDB carves (sizes differ by at most one; ragged last shard
+// when the division is uneven), with cohorts[i]'s addresses serving
+// shard i as single-replica parties. The result is validated.
+func UniformManifest(numRecords uint64, recordSize int, cohorts [][]string) (Deployment, error) {
+	sizes, err := cluster.Ranges(numRecords, len(cohorts))
+	if err != nil {
+		return Deployment{}, err
 	}
-	return d
+	d := Deployment{RecordSize: recordSize, Shards: make([]DeploymentShard, len(cohorts))}
+	var first uint64
+	for i, n := range sizes {
+		d.Shards[i] = DeploymentShard{FirstRecord: first, NumRecords: n, Parties: singleReplicaParties(cohorts[i])}
+		first += n
+	}
+	return d, d.Validate()
 }
+
+// DeploymentFromManifest returns d unchanged. It is kept for callers
+// written when UniformManifest returned a separate shard manifest; new
+// code passes UniformManifest's Deployment to Open directly.
+func DeploymentFromManifest(d Deployment) Deployment { return d }
 
 // WithKeyword returns a copy of the deployment carrying the keyword
 // table manifest, so kv topologies compose as data: FlatDeployment(
@@ -329,9 +318,7 @@ func (d Deployment) validateBatchCode() error {
 	return nil
 }
 
-// ParseDeployment decodes and validates a JSON deployment manifest. It
-// also accepts any valid cluster shard manifest (the per-shard
-// "replicas" shorthand), so existing cluster.json files keep working.
+// ParseDeployment decodes and validates a JSON deployment manifest.
 func ParseDeployment(data []byte) (Deployment, error) {
 	var d Deployment
 	if err := json.Unmarshal(data, &d); err != nil {
@@ -357,25 +344,6 @@ func (d Deployment) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(d, "", "  ")
-}
-
-// ShardManifest derives the shard-manifest view the query planner (and
-// the server-side shard carving) works over: the shard ranges plus one
-// representative address per party. Replica sets are deliberately
-// dropped — routing is by row range, and replica choice happens in the
-// fan-out layer. Only meaningful for deployments with explicit
-// geometry (every multi-shard deployment; a single-shard deployment
-// that declared record_size and num_records).
-func (d Deployment) ShardManifest() (ShardManifest, error) {
-	m := cluster.Manifest{RecordSize: d.RecordSize, Shards: make([]cluster.Shard, len(d.Shards))}
-	for i, s := range d.Shards {
-		reps := make([]string, len(s.Parties))
-		for p, party := range s.Parties {
-			reps[p] = party.Replicas[0]
-		}
-		m.Shards[i] = cluster.Shard{FirstRecord: s.FirstRecord, NumRecords: s.NumRecords, Replicas: reps}
-	}
-	return m, m.Validate()
 }
 
 // cohorts returns the shard's party → replica-address lists.

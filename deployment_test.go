@@ -57,39 +57,6 @@ func TestDeploymentJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeploymentAcceptsClusterManifestJSON(t *testing.T) {
-	// An existing cluster.json (per-shard "replicas" shorthand) must
-	// parse as single-replica parties.
-	m := ShardManifest{RecordSize: 32, Shards: []ClusterShard{
-		{FirstRecord: 0, NumRecords: 64, Replicas: []string{"a:1", "b:1"}},
-		{FirstRecord: 64, NumRecords: 64, Replicas: []string{"c:1", "d:1"}},
-	}}
-	data, err := m.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ParseDeployment(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d, DeploymentFromManifest(m)) {
-		t.Fatalf("legacy manifest parsed as %+v", d)
-	}
-	if len(d.Shards[0].Parties) != 2 || d.Shards[0].Parties[0].Replicas[0] != "a:1" {
-		t.Fatalf("shorthand not normalised: %+v", d.Shards[0])
-	}
-}
-
-func TestDeploymentRejectsMixedShorthand(t *testing.T) {
-	_, err := ParseDeployment([]byte(`{"record_size":32,"shards":[
-		{"first_record":0,"num_records":4,
-		 "parties":[{"replicas":["a:1"]},{"replicas":["b:1"]}],
-		 "replicas":["c:1"]}]}`))
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Fatalf("mixed parties+replicas accepted: %v", err)
-	}
-}
-
 func TestDeploymentValidation(t *testing.T) {
 	base := func() Deployment {
 		return Deployment{RecordSize: 32, Shards: []DeploymentShard{
@@ -121,6 +88,21 @@ func TestDeploymentValidation(t *testing.T) {
 			}
 			d.Shards[0].Parties[0].Replicas = reps
 		},
+		"not from zero":    func(d *Deployment) { d.Shards[0].FirstRecord = 1 },
+		"unordered shards": func(d *Deployment) { d.Shards[0], d.Shards[1] = d.Shards[1], d.Shards[0] },
+		"too many shards": func(d *Deployment) {
+			parties := d.Shards[0].Parties
+			d.Shards = make([]DeploymentShard, maxDeploymentShards+1)
+			for i := range d.Shards {
+				d.Shards[i] = DeploymentShard{FirstRecord: uint64(i), NumRecords: 1, Parties: parties}
+			}
+		},
+		"too many parties": func(d *Deployment) {
+			d.Shards[0].Parties = make([]Party, maxPartiesPerShard+1)
+			for i := range d.Shards[0].Parties {
+				d.Shards[0].Parties[i] = Party{Replicas: []string{"p:1"}}
+			}
+		},
 	}
 	for name, mutate := range cases {
 		d := base()
@@ -128,6 +110,11 @@ func TestDeploymentValidation(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: validated", name)
 		}
+	}
+	// A shard-level "replicas" list names no parties.
+	if _, err := ParseDeployment([]byte(`{"record_size":32,"shards":[
+		{"first_record":0,"num_records":4,"replicas":["a:1","b:1"]}]}`)); err == nil {
+		t.Error("shard-level \"replicas\" list accepted")
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base deployment invalid: %v", err)
@@ -197,6 +184,7 @@ func FuzzParseDeployment(f *testing.F) {
 		{FirstRecord: 4, NumRecords: 4, Parties: []Party{{Replicas: []string{"c:1"}}, {Replicas: []string{"d:1"}}}},
 	}}.JSON()
 	f.Add(sharded)
+	// A shard-level "replicas" list names no parties: refused.
 	f.Add([]byte(`{"record_size":32,"shards":[{"first_record":0,"num_records":4,"replicas":["a:1","b:1"]}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))

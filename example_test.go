@@ -152,8 +152,9 @@ func ExampleOpenKV() {
 }
 
 // A sharded deployment: SplitDB carves the database into row ranges,
-// each served by its own two-party cohort, and Open over the shard
-// manifest retrieves by global index, sending every cohort a sub-query.
+// each served by its own two-party cohort, and Open over the deployment
+// UniformManifest describes retrieves by global index, sending every
+// cohort a sub-query.
 func ExampleSplitDB() {
 	ctx := context.Background()
 	db, _ := impir.GenerateHashDB(1024, 5)
@@ -169,9 +170,9 @@ func ExampleSplitDB() {
 			cohorts[s] = append(cohorts[s], srv.Addr().String())
 		}
 	}
-	m, _ := impir.UniformManifest(uint64(db.NumRecords()), db.RecordSize(), cohorts)
+	d, _ := impir.UniformManifest(uint64(db.NumRecords()), db.RecordSize(), cohorts)
 
-	store, err := impir.Open(ctx, impir.DeploymentFromManifest(m))
+	store, err := impir.Open(ctx, d)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -83,13 +83,13 @@ func run() error {
 		fmt.Printf("shard %d: %d records on cohort %v\n", s, part.NumRecords(), cohorts[s])
 	}
 
-	m, err := impir.UniformManifest(uint64(db.NumRecords()), db.RecordSize(), cohorts)
+	// The deployment manifest lists each shard's row range and cohort;
+	// Open drives the whole cluster as one logical Store.
+	d, err := impir.UniformManifest(uint64(db.NumRecords()), db.RecordSize(), cohorts)
 	if err != nil {
 		return err
 	}
-	// Lift the shard manifest into the unified deployment manifest and
-	// open the whole cluster as one logical Store.
-	store, err := impir.Open(ctx, impir.DeploymentFromManifest(m))
+	store, err := impir.Open(ctx, d)
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func run() error {
 
 	fmt.Printf("per-shard stats: %v\n\n", cc.Stats())
 
-	deploymentJSON, err := impir.DeploymentFromManifest(m).JSON()
+	deploymentJSON, err := d.JSON()
 	if err != nil {
 		return err
 	}

@@ -183,15 +183,14 @@
 //
 // One server pair caps out at one machine's memory bandwidth: every
 // query scans the whole replica. To scale across machines, carve the
-// database into row-range shards with SplitDB (or SplitDBByManifest),
-// serve each from its own cohort, and list the shards in the manifest
-// (a ShardManifest, JSON via LoadManifest, lifts with
-// DeploymentFromManifest):
+// database into row-range shards with SplitDB, serve each from its own
+// cohort, and list the cohorts in the deployment; UniformManifest
+// builds the one whose row ranges SplitDB carves:
 //
-//	parts, _ := impir.SplitDB(db, 4)            // per-cohort replicas
-//	m, _ := impir.LoadManifest("cluster.json")  // topology
-//	store, _ := impir.Open(ctx, impir.DeploymentFromManifest(m))
-//	record, _ := store.Retrieve(ctx, 123456)    // global index
+//	parts, _ := impir.SplitDB(db, 4)          // parts[i] → cohort i
+//	d, _ := impir.UniformManifest(n, 32, cohorts)
+//	store, _ := impir.Open(ctx, d)
+//	record, _ := store.Retrieve(ctx, 123456)  // global index
 //
 // Privacy argument: every retrieval sends one well-formed sub-query to
 // EVERY cohort — the real local index to the owning shard, a random

@@ -71,7 +71,7 @@ const (
 // can replay the layout without the database: the logical record space,
 // the bucket grid, the replication choices, and the hash seeds.
 // Manifests round-trip through JSON (Parse / Load / Manifest.JSON) for
-// deployment files, like cluster.Manifest and keyword.Manifest.
+// deployment files, like keyword.Manifest.
 type Manifest struct {
 	// NumRecords is the LOGICAL record count N — the index space the
 	// application sees. The coded database is larger: TotalRows() rows.

@@ -1,80 +1,15 @@
 package cluster
 
-import (
-	"strings"
-	"testing"
-)
-
-func twoShardManifest() Manifest {
-	return Manifest{
-		RecordSize: 32,
-		Shards: []Shard{
-			{FirstRecord: 0, NumRecords: 64, Replicas: []string{"a:1", "a:2"}},
-			{FirstRecord: 64, NumRecords: 64, Replicas: []string{"b:1", "b:2"}},
-		},
-	}
-}
-
-func TestManifestValidate(t *testing.T) {
-	if err := twoShardManifest().Validate(); err != nil {
-		t.Fatalf("valid manifest rejected: %v", err)
-	}
-
-	for name, mutate := range map[string]func(*Manifest){
-		"zero record size": func(m *Manifest) { m.RecordSize = 0 },
-		"no shards":        func(m *Manifest) { m.Shards = nil },
-		"empty shard":      func(m *Manifest) { m.Shards[1].NumRecords = 0 },
-		"gap":              func(m *Manifest) { m.Shards[1].FirstRecord = 65 },
-		"overlap":          func(m *Manifest) { m.Shards[1].FirstRecord = 63 },
-		"not from zero":    func(m *Manifest) { m.Shards[0].FirstRecord = 1 },
-		"lone replica":     func(m *Manifest) { m.Shards[0].Replicas = []string{"a:1"} },
-		"unordered shards": func(m *Manifest) { m.Shards[0], m.Shards[1] = m.Shards[1], m.Shards[0] },
-	} {
-		m := twoShardManifest()
-		mutate(&m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestManifestJSONRoundTrip(t *testing.T) {
-	m := twoShardManifest()
-	data, err := m.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.RecordSize != m.RecordSize || len(back.Shards) != len(m.Shards) {
-		t.Fatalf("round trip changed the manifest: %+v", back)
-	}
-	for i := range m.Shards {
-		if back.Shards[i].FirstRecord != m.Shards[i].FirstRecord ||
-			back.Shards[i].NumRecords != m.Shards[i].NumRecords ||
-			strings.Join(back.Shards[i].Replicas, ",") != strings.Join(m.Shards[i].Replicas, ",") {
-			t.Fatalf("shard %d changed in round trip: %+v", i, back.Shards[i])
-		}
-	}
-
-	if _, err := Parse([]byte("{")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := Parse([]byte(`{"record_size":0,"shards":[]}`)); err == nil {
-		t.Error("invalid topology accepted through Parse")
-	}
-}
+import "testing"
 
 func TestManifestLocate(t *testing.T) {
-	m := twoShardManifest()
+	m := raggedManifest(t)
 	for _, tc := range []struct {
 		global uint64
 		shard  int
 		local  uint64
 	}{
-		{0, 0, 0}, {63, 0, 63}, {64, 1, 0}, {127, 1, 63},
+		{0, 0, 0}, {2, 0, 2}, {3, 1, 0}, {9, 3, 1},
 	} {
 		shard, local, err := m.Locate(tc.global)
 		if err != nil {
@@ -84,7 +19,7 @@ func TestManifestLocate(t *testing.T) {
 			t.Errorf("Locate(%d) = (%d,%d), want (%d,%d)", tc.global, shard, local, tc.shard, tc.local)
 		}
 	}
-	if _, _, err := m.Locate(128); err == nil {
+	if _, _, err := m.Locate(10); err == nil {
 		t.Error("out-of-range index located")
 	}
 }
@@ -124,59 +59,5 @@ func TestRangesRagged(t *testing.T) {
 	}
 	if _, err := Ranges(16, 0); err == nil {
 		t.Error("zero shards accepted")
-	}
-}
-
-func TestUniformManifest(t *testing.T) {
-	cohorts := [][]string{{"a:1", "a:2"}, {"b:1", "b:2"}, {"c:1", "c:2"}}
-	m, err := Uniform(700, 32, cohorts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumRecords() != 700 || m.NumShards() != 3 {
-		t.Fatalf("uniform manifest covers %d records over %d shards", m.NumRecords(), m.NumShards())
-	}
-	// Every global index must locate into exactly the shard whose range
-	// claims it, with contiguous coverage.
-	for g := uint64(0); g < 700; g++ {
-		shard, local, err := m.Locate(g)
-		if err != nil {
-			t.Fatalf("Locate(%d): %v", g, err)
-		}
-		if m.Shards[shard].FirstRecord+local != g {
-			t.Fatalf("Locate(%d) landed at shard %d local %d", g, shard, local)
-		}
-	}
-}
-
-func TestManifestValidateCaps(t *testing.T) {
-	base := Manifest{RecordSize: 32, Shards: []Shard{
-		{FirstRecord: 0, NumRecords: 8, Replicas: []string{"a:1", "b:1"}},
-	}}
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	overReplicated := base
-	reps := make([]string, maxCohortReplicas+1)
-	for i := range reps {
-		reps[i] = "r:1"
-	}
-	overReplicated.Shards = []Shard{{FirstRecord: 0, NumRecords: 8, Replicas: reps}}
-	if err := overReplicated.Validate(); err == nil {
-		t.Error("replica cap not enforced")
-	}
-	emptyAddr := base
-	emptyAddr.Shards = []Shard{{FirstRecord: 0, NumRecords: 8, Replicas: []string{"a:1", ""}}}
-	if err := emptyAddr.Validate(); err == nil {
-		t.Error("empty replica address accepted")
-	}
-	huge := Manifest{RecordSize: 32, Shards: make([]Shard, maxShards+1)}
-	var next uint64
-	for i := range huge.Shards {
-		huge.Shards[i] = Shard{FirstRecord: next, NumRecords: 1, Replicas: []string{"a:1", "b:1"}}
-		next++
-	}
-	if err := huge.Validate(); err == nil {
-		t.Error("shard cap not enforced")
 	}
 }

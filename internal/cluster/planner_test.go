@@ -10,11 +10,15 @@ import (
 // raggedManifest splits 10 records over 4 shards (sizes 3,3,2,2).
 func raggedManifest(t *testing.T) Manifest {
 	t.Helper()
-	m, err := Uniform(10, 32, [][]string{
-		{"a:1", "a:2"}, {"b:1", "b:2"}, {"c:1", "c:2"}, {"d:1", "d:2"},
-	})
+	sizes, err := Ranges(10, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	m := Manifest{RecordSize: 32}
+	var first uint64
+	for _, n := range sizes {
+		m.Shards = append(m.Shards, Shard{FirstRecord: first, NumRecords: n})
+		first += n
 	}
 	return m
 }
@@ -26,8 +30,8 @@ func TestPlanBatchOneRecordCoversEveryShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PlanBatch([%d]): %v", g, err)
 		}
-		if len(p.Locals) != m.NumShards() {
-			t.Fatalf("PlanBatch([%d]): %d sub-batches for %d shards", g, len(p.Locals), m.NumShards())
+		if len(p.Locals) != len(m.Shards) {
+			t.Fatalf("PlanBatch([%d]): %d sub-batches for %d shards", g, len(p.Locals), len(m.Shards))
 		}
 		owner := p.Owners[0]
 		wantOwner, wantLocal, _ := m.Locate(g)
@@ -176,34 +180,5 @@ func TestSplitDBRagged(t *testing.T) {
 	}
 	if _, err := SplitDB(nil, 2); err == nil {
 		t.Error("nil database accepted")
-	}
-}
-
-func TestSplitByManifest(t *testing.T) {
-	db, err := database.GenerateHashDB(10, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := raggedManifest(t)
-	parts, err := SplitByManifest(db, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, part := range parts {
-		if uint64(part.NumRecords()) != m.Shards[s].NumRecords {
-			t.Fatalf("shard %d: %d records, manifest says %d", s, part.NumRecords(), m.Shards[s].NumRecords)
-		}
-		if !bytes.Equal(part.Record(0), db.Record(int(m.Shards[s].FirstRecord))) {
-			t.Fatalf("shard %d first record mismatch", s)
-		}
-	}
-
-	small, _ := database.GenerateHashDB(9, 8)
-	if _, err := SplitByManifest(small, m); err == nil {
-		t.Error("manifest/database size mismatch accepted")
-	}
-	wide, _ := database.New(10, 64)
-	if _, err := SplitByManifest(wide, m); err == nil {
-		t.Error("manifest/database record-size mismatch accepted")
 	}
 }

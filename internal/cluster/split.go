@@ -31,55 +31,6 @@ func SplitDB(db *database.DB, shards int) ([]*database.DB, error) {
 	return out, nil
 }
 
-// SplitByManifest carves a database along a manifest's shard ranges.
-// The manifest must cover the database exactly.
-func SplitByManifest(db *database.DB, m Manifest) ([]*database.DB, error) {
-	if db == nil {
-		return nil, fmt.Errorf("cluster: nil database")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if m.RecordSize != db.RecordSize() {
-		return nil, fmt.Errorf("cluster: manifest record size %d, database has %d", m.RecordSize, db.RecordSize())
-	}
-	if m.NumRecords() != uint64(db.NumRecords()) {
-		return nil, fmt.Errorf("cluster: manifest covers %d records, database has %d", m.NumRecords(), db.NumRecords())
-	}
-	out := make([]*database.DB, len(m.Shards))
-	for i, s := range m.Shards {
-		part, err := sliceDB(db, s.FirstRecord, s.NumRecords)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = part
-	}
-	return out, nil
-}
-
-// ExtractShard carves only shard's row range out of db — what one
-// shard server needs at startup — without materialising the other
-// shards the way SplitByManifest does. The manifest must cover the
-// database exactly.
-func ExtractShard(db *database.DB, m Manifest, shard int) (*database.DB, error) {
-	if db == nil {
-		return nil, fmt.Errorf("cluster: nil database")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if shard < 0 || shard >= len(m.Shards) {
-		return nil, fmt.Errorf("cluster: shard %d outside manifest of %d shards", shard, len(m.Shards))
-	}
-	if m.RecordSize != db.RecordSize() {
-		return nil, fmt.Errorf("cluster: manifest record size %d, database has %d", m.RecordSize, db.RecordSize())
-	}
-	if m.NumRecords() != uint64(db.NumRecords()) {
-		return nil, fmt.Errorf("cluster: manifest covers %d records, database has %d", m.NumRecords(), db.NumRecords())
-	}
-	return sliceDB(db, m.Shards[shard].FirstRecord, m.Shards[shard].NumRecords)
-}
-
 // sliceDB copies records [first, first+n) into a standalone database.
 func sliceDB(db *database.DB, first, n uint64) (*database.DB, error) {
 	rs := uint64(db.RecordSize())

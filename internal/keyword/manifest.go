@@ -88,7 +88,7 @@ const slotOverhead = 5
 // client can compute any key's candidate buckets without seeing the
 // table: bucket layout, key/value field sizes, and the k hash seeds.
 // Manifests round-trip through JSON (Parse / Load / Manifest.JSON) for
-// command-line flags and config files, like cluster.Manifest.
+// command-line flags and config files.
 type Manifest struct {
 	// NumBuckets is the number of hash-addressable buckets (records
 	// 0..NumBuckets-1 of the serialised database).

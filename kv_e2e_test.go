@@ -131,7 +131,7 @@ func TestKVClusterE2E(t *testing.T) {
 
 	// Sharded deployment of the same table.
 	cm, _ := startCluster(t, db, 2)
-	sharded, err := OpenKV(ctx, DeploymentFromManifest(cm).WithKeyword(m))
+	sharded, err := OpenKV(ctx, cm.WithKeyword(m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestCodedStoreShardedE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := startCluster(t, coded, shards)
-	d := DeploymentFromManifest(m).WithBatchCode(code)
+	d := m.WithBatchCode(code)
 
 	store := openFromJSON(t, ctx, d)
 	if _, ok := store.(*Client); !ok {
@@ -451,7 +451,7 @@ func TestCodedStoreUpdateRacingRetrieve(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("no record has every copy on shard 0")
 	}
-	store := openFromJSON(t, ctx, DeploymentFromManifest(m).WithBatchCode(code))
+	store := openFromJSON(t, ctx, m.WithBatchCode(code))
 
 	type result struct {
 		rec []byte
@@ -506,7 +506,7 @@ func TestDeploymentBatchCodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DeploymentFromManifest(m).WithBatchCode(code).Validate(); err == nil {
+	if err := m.WithBatchCode(code).Validate(); err == nil {
 		t.Fatal("wrong coded row count accepted")
 	}
 
@@ -515,7 +515,7 @@ func TestDeploymentBatchCodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DeploymentFromManifest(m3).WithBatchCode(code).Validate(); err == nil {
+	if err := m3.WithBatchCode(code).Validate(); err == nil {
 		t.Fatal("bucket-misaligned shards accepted")
 	}
 

@@ -77,7 +77,7 @@ func TestOpenShardedTopologyE2E(t *testing.T) {
 	m, _ := startCluster(t, db, 2)
 	ctx := context.Background()
 
-	store := openFromJSON(t, ctx, DeploymentFromManifest(m))
+	store := openFromJSON(t, ctx, m)
 	if _, ok := store.(*Client); !ok {
 		t.Fatalf("sharded deployment opened as %T", store)
 	}
@@ -148,7 +148,7 @@ func TestOpenKVTopologiesE2E(t *testing.T) {
 
 	t.Run("sharded", func(t *testing.T) {
 		cm, _ := startCluster(t, kvdb, 2)
-		d := DeploymentFromManifest(cm).WithKeyword(m)
+		d := cm.WithKeyword(m)
 		data, err := d.JSON()
 		if err != nil {
 			t.Fatal(err)

@@ -191,7 +191,7 @@ func TestClusterTracerRingsOneRootPerLogicalOp(t *testing.T) {
 	ctx := context.Background()
 
 	tr := NewTracer(TracerConfig{SampleRate: 1})
-	store, err := Open(ctx, DeploymentFromManifest(m), tr.Option())
+	store, err := Open(ctx, m, tr.Option())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestWireTranscriptAcrossTopologies(t *testing.T) {
 	}
 	sharded := func(db *DB) Deployment {
 		m, _ := startCluster(t, db, 2)
-		return DeploymentFromManifest(m)
+		return m
 	}
 	for _, tc := range []struct {
 		name   string
