@@ -138,6 +138,9 @@ func (c *Client) layOut(d Deployment) error {
 		}
 		c.plan.Shards = append(c.plan.Shards, cluster.Shard{FirstRecord: shard.FirstRecord, NumRecords: n})
 	}
+	if err := c.plan.Validate(); err != nil {
+		return err
+	}
 	if d.BatchCode == nil {
 		return nil
 	}

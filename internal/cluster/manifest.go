@@ -38,13 +38,44 @@ func (s Shard) End() uint64 { return s.FirstRecord + s.NumRecords }
 
 // Manifest is a sharded database's row plan: how the global record
 // space is carved into contiguous row-range shards. The caller builds
-// it from a validated topology, so the shards tile [0, NumRecords())
-// in ascending order.
+// it from a validated topology and checks it with Validate, so the
+// shards tile [0, NumRecords()) in ascending order.
 type Manifest struct {
 	// RecordSize is the record size in bytes, identical across shards.
 	RecordSize int
 	// Shards lists the row-range shards in ascending global order.
 	Shards []Shard
+}
+
+// maxShards caps a row plan's shard count, mirroring the deployment
+// cap, so a plan built from untrusted geometry cannot grow unbounded.
+const maxShards = 4096
+
+// Validate checks the row plan the planner relies on: a positive record
+// size, between 1 and maxShards shards, and shards of ≥ 1 record tiling
+// [0, NumRecords()) contiguously in ascending order.
+func (m Manifest) Validate() error {
+	if m.RecordSize < 1 {
+		return fmt.Errorf("cluster: record size %d must be ≥ 1", m.RecordSize)
+	}
+	if len(m.Shards) == 0 {
+		return fmt.Errorf("cluster: manifest has no shards")
+	}
+	if len(m.Shards) > maxShards {
+		return fmt.Errorf("cluster: manifest has %d shards, the cap is %d", len(m.Shards), maxShards)
+	}
+	var next uint64
+	for i, s := range m.Shards {
+		if s.NumRecords < 1 {
+			return fmt.Errorf("cluster: shard %d holds no records", i)
+		}
+		if s.FirstRecord != next {
+			return fmt.Errorf("cluster: shard %d starts at record %d, want %d (shards must tile the record space contiguously)",
+				i, s.FirstRecord, next)
+		}
+		next = s.End()
+	}
+	return nil
 }
 
 // NumRecords returns the total record count across all shards.

@@ -2,6 +2,50 @@ package cluster
 
 import "testing"
 
+func twoShardManifest() Manifest {
+	return Manifest{
+		RecordSize: 32,
+		Shards:     []Shard{{FirstRecord: 0, NumRecords: 64}, {FirstRecord: 64, NumRecords: 64}},
+	}
+}
+
+func TestManifestValidate(t *testing.T) {
+	if err := twoShardManifest().Validate(); err != nil {
+		t.Fatalf("valid manifest rejected: %v", err)
+	}
+
+	for name, mutate := range map[string]func(*Manifest){
+		"zero record size": func(m *Manifest) { m.RecordSize = 0 },
+		"no shards":        func(m *Manifest) { m.Shards = nil },
+		"empty shard":      func(m *Manifest) { m.Shards[1].NumRecords = 0 },
+		"gap":              func(m *Manifest) { m.Shards[1].FirstRecord = 65 },
+		"overlap":          func(m *Manifest) { m.Shards[1].FirstRecord = 63 },
+		"not from zero":    func(m *Manifest) { m.Shards[0].FirstRecord = 1 },
+		"unordered shards": func(m *Manifest) { m.Shards[0], m.Shards[1] = m.Shards[1], m.Shards[0] },
+	} {
+		m := twoShardManifest()
+		mutate(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestManifestValidateCaps(t *testing.T) {
+	atCap := Manifest{RecordSize: 32, Shards: make([]Shard, maxShards)}
+	for i := range atCap.Shards {
+		atCap.Shards[i] = Shard{FirstRecord: uint64(i), NumRecords: 1}
+	}
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("%d shards rejected: %v", maxShards, err)
+	}
+	over := atCap
+	over.Shards = append(append([]Shard(nil), atCap.Shards...), Shard{FirstRecord: maxShards, NumRecords: 1})
+	if err := over.Validate(); err == nil {
+		t.Error("shard cap not enforced")
+	}
+}
+
 func TestManifestLocate(t *testing.T) {
 	m := raggedManifest(t)
 	for _, tc := range []struct {
