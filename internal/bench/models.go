@@ -9,7 +9,6 @@ import (
 	"github.com/impir/impir/internal/impir"
 	"github.com/impir/impir/internal/metrics"
 	"github.com/impir/impir/internal/pim"
-	"github.com/impir/impir/internal/pimkernel"
 )
 
 // recordSize is the paper's record size: one SHA-256 digest.
@@ -89,7 +88,7 @@ func (m pimModel) phases(numRecords int) metrics.Breakdown {
 	bd.AddPhase(metrics.PhaseEval, 0, m.Host.EvalDuration(uint64(numRecords), evalThreads))
 	bd.AddPhase(metrics.PhaseCopyToPIM, 0,
 		m.PIM.HostToDPUDuration(int64(numRecords)/8, ranksPerCluster))
-	instr, dma := pimkernel.ModelCost(recordsPerDPU, recordSize, m.PIM.TaskletsPerDPU)
+	instr, dma := pim.ModelCost(recordsPerDPU, recordSize, m.PIM.TaskletsPerDPU)
 	bd.AddPhase(metrics.PhaseDpXOR, 0, m.PIM.KernelDuration(instr, dma))
 	bd.AddPhase(metrics.PhaseCopyToHost, 0,
 		m.PIM.DPUToHostDuration(int64(dpusPerCluster)*recordSize, ranksPerCluster))

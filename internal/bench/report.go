@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5), plus the ablations and scale-out experiments. Each
 // experiment evaluates the per-phase cost models (hostmodel, pim.Config,
-// pimkernel.ModelCost, gpupir.Config) at the paper's configuration —
+// pim.ModelCost, gpupir.Config) at the paper's configuration —
 // 0.5–32 GB databases, 2048 DPUs, a 32-thread baseline — and produces a
 // Report holding the rows or series the paper plots and the paper-shape
 // checks evaluated on them.

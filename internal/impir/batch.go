@@ -7,13 +7,13 @@ import (
 
 	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/metrics"
-	"github.com/impir/impir/internal/pimkernel"
+	"github.com/impir/impir/internal/pim"
 )
 
 // Price models a pass as the §3.4 pipeline on the paper's hardware. It
 // splits the selectors into fused groups of the cluster batch width,
 // assigned to the clusters in turn from a round-robin start so
-// concurrent passes fan out; pimkernel.ReplayCost prices each group as
+// concurrent passes fan out; pim.ReplayCost prices each group as
 // one dpXOR launch sequence — one database pass for the whole group. The
 // makespan replays Fig. 8: each group enters its cluster once its
 // members' evaluations would have finished on W eval workers and the
@@ -47,7 +47,7 @@ func (p *Pricer) Price(pass engine.Pass) (metrics.Breakdown, time.Duration, erro
 	for g := range groups {
 		lo, hi := g*width, min((g+1)*width, b)
 		c := (first + g) % len(p.clusters)
-		passes, err := pimkernel.ReplayCost(p.cfg.PIM, p.clusters[c], pass.Selectors[lo:hi])
+		passes, err := pim.ReplayCost(p.cfg.PIM, p.clusters[c], pass.Selectors[lo:hi])
 		if err != nil {
 			return metrics.Breakdown{}, 0, fmt.Errorf("impir: %w", err)
 		}

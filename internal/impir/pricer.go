@@ -7,12 +7,12 @@
 // on the host, then xorop.Scan, which computes exactly the XOR of
 // selected records that the DPUs' subresults fold to — and this
 // package is its PIM Pricer. Layout places the database on the DPUs;
-// Price replays the pass's cost with pimkernel.ReplayCost: the
+// Price replays the pass's cost with pim.ReplayCost: the
 // selectors split into fused groups of up to the cluster batch width,
 // and each group is priced as the selector scatter, one dpXOR launch,
 // the subresult gather and the host fold (➌–➏) that the tasklet
 // simulator charges for it on a DPU cluster. The simulator itself runs
-// in pimkernel's tests, as the oracle the replay is held to. The DPUs
+// in internal/pim's tests, as the oracle the replay is held to. The DPUs
 // form a single cluster holding the database sharded across all of
 // them, or C clusters each holding a full replica, over which a pass's
 // groups fan out.
@@ -28,7 +28,6 @@ import (
 	"github.com/impir/impir/internal/engine"
 	"github.com/impir/impir/internal/hostmodel"
 	"github.com/impir/impir/internal/pim"
-	"github.com/impir/impir/internal/pimkernel"
 )
 
 // Config configures the modeled IM-PIR server.
@@ -111,7 +110,7 @@ type Pricer struct {
 	cfg Config
 	// clusters lay the database out on the DPUs: the whole of it per
 	// cluster, sharded across the cluster's DPUs in 64-record multiples.
-	clusters []pimkernel.Geometry
+	clusters []pim.Geometry
 	// width is the widest fused group one dpXOR launch carries, bounded
 	// by per-DPU WRAM and the MRAM selector/output regions sized at load
 	// time. 1 means fusion is unavailable.
@@ -160,7 +159,7 @@ func (p *Pricer) Layout(db *database.DB) error {
 	// The fused batch width is bounded first by per-DPU WRAM (the kernel
 	// keeps one partial per tasklet per stream on chip), then by the MRAM
 	// room left for B selector streams and B subresults.
-	wramBatch := pimkernel.MaxFusedSelectors(p.cfg.PIM, recordSize)
+	wramBatch := pim.MaxFusedSelectors(p.cfg.PIM, recordSize)
 
 	// Resident ("one-shot", §3.3) when the whole chunk plus selectors fit
 	// in MRAM; otherwise fall back to streaming the database through MRAM
@@ -192,9 +191,9 @@ func (p *Pricer) Layout(db *database.DB) error {
 		}
 	}
 
-	clusters := make([]pimkernel.Geometry, p.cfg.Clusters)
+	clusters := make([]pim.Geometry, p.cfg.Clusters)
 	for ci := range clusters {
-		clusters[ci] = pimkernel.Geometry{
+		clusters[ci] = pim.Geometry{
 			FirstDPU:      ci * dpusPerCluster,
 			DPUs:          dpusPerCluster,
 			RecordSize:    recordSize,

@@ -1,30 +1,34 @@
-// Package pim simulates an UPMEM-style processing-in-memory system: a host
-// CPU attached to PIM-enabled memory ranks, each rank holding DPUs (DRAM
-// Processing Units) with private MRAM, a small WRAM scratchpad, and up to
-// 24 hardware tasklets (§2.4 of the paper).
+// Package pim is IM-PIR's cost model of an UPMEM-style processing-in-
+// memory system: a host CPU attached to PIM-enabled memory ranks, each
+// rank holding DPUs (DRAM Processing Units) with private MRAM, a small
+// WRAM scratchpad, and up to 24 hardware tasklets (§2.4 of the paper).
 //
-// The simulator is functional and timed:
+// Config holds the hardware constants (DPU clock, pipeline occupancy,
+// MRAM DMA bandwidth, rank-parallel host link bandwidth) and turns
+// transfer volumes and kernel instruction and DMA counts into modeled
+// durations. On top of it sits the model of the central DPU program,
+// dpXOR: the selective-XOR scan of a DPU's database chunk with two-stage
+// parallel reduction across tasklets (Algorithm 1, lines 28–45, and §3.3).
+// ModelCost and ModelCostBatch give its expected per-DPU charges at
+// selectivity 1/2, for paper-scale figures that never materialise the
+// database; ReplayCost gives the exact per-pass charges of a fused group
+// from the cluster's Geometry and the selector words alone.
 //
-//   - Functional: kernels are real Go code executed once per tasklet, and
-//     every byte they read or write flows through MRAM/WRAM buffers with
-//     UPMEM's constraints enforced (WRAM capacity, DMA alignment and
-//     maximum transfer size, no DPU↔DPU communication).
-//   - Timed: every host transfer and kernel launch returns a Cost holding
-//     the modeled duration derived from the configured hardware constants
-//     (DPU clock, pipeline occupancy, MRAM DMA bandwidth, rank-parallel
-//     host link bandwidth). Benchmarks report these modeled times next to
-//     local wall-clock, since the point of the paper is how the algorithm
-//     behaves on PIM hardware constants, not on the simulating host.
+// Where bytes and cost come from: the IM-PIR engine answers a pass with
+// one host scan (xorop), which computes exactly what the DPUs would, and
+// prices it with ReplayCost. The functional, timed tasklet simulator —
+// kernels as real Go code run once per tasklet, every byte flowing
+// through MRAM/WRAM buffers under UPMEM's constraints (WRAM capacity, DMA
+// alignment and maximum transfer size, no DPU↔DPU communication) — and
+// the dpXOR kernel it runs, the executable statement of Algorithm 1, live
+// in this package's tests. They are the oracle FuzzReplayCost holds the
+// replay to, answer bytes and cost alike, byte for byte and nanosecond
+// for nanosecond.
 //
-// The serving path does not run it. The IM-PIR engine answers with one
-// host scan and prices the pass with pimkernel.ReplayCost, which charges
-// each phase what this simulator charges from the geometry and selector
-// words alone; the simulator running the dpXOR kernel is the oracle the
-// pimkernel tests hold that replay to, byte for byte and nanosecond for
-// nanosecond. Ablation A7's Stream kernel still runs here.
-//
-// The paper's machine — 20 modules / 2560 DPUs at 350 MHz, of which 2048
-// are used — is DefaultConfig. Tests use small topologies.
+// Modeled times describe the configured hardware, not the host the model
+// runs on, and are never mixed with measured wall-clock. The paper's
+// machine — 20 modules / 2560 DPUs at 350 MHz, of which 2048 are used —
+// is DefaultConfig. Tests use small topologies.
 package pim
 
 import (
@@ -151,8 +155,8 @@ func (c Config) effectiveIPC(t int) float64 {
 }
 
 // HostToDPUDuration models scattering totalBytes evenly across ranksUsed
-// ranks (rank transfers are parallel). This is the same formula the
-// functional simulator charges for Scatter; exposing it lets the
+// ranks (rank transfers are parallel). This is the formula the tasklet
+// simulator of this package's tests charges for Scatter; it lets the
 // benchmark harness evaluate paper-scale configurations analytically.
 func (c Config) HostToDPUDuration(totalBytes int64, ranksUsed int) time.Duration {
 	return c.linkDuration(totalBytes, ranksUsed, c.HostToDPUBandwidthPerRank)
@@ -177,7 +181,7 @@ func (c Config) linkDuration(totalBytes int64, ranksUsed int, perRankBW float64)
 
 // KernelDuration models a kernel launch where every DPU executes
 // instrCycles instructions and moves dmaBytes over its MRAM↔WRAM DMA —
-// the same formula the functional simulator derives from its counters.
+// the formula the tasklet simulator derives from its counters.
 func (c Config) KernelDuration(instrCycles, dmaBytes int64) time.Duration {
 	return c.dpuDuration(instrCycles, dmaBytes) + c.LaunchOverhead
 }

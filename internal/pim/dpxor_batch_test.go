@@ -1,16 +1,15 @@
-package pimkernel
+package pim
 
 import (
 	"bytes"
 	"testing"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/pim"
 )
 
 // runDPXORBatch loads a chunk plus B back-to-back selector streams onto
 // DPU 0, launches one fused kernel, and returns the B subresults.
-func runDPXORBatch(t *testing.T, s *pim.System, db []byte, recordSize int, sels []*bitvec.Vector) ([][]byte, pim.Cost) {
+func runDPXORBatch(t *testing.T, s *System, db []byte, recordSize int, sels []*bitvec.Vector) ([][]byte, Cost) {
 	t.Helper()
 	numRecords := len(db) / recordSize
 	selStride := numRecords / 8
@@ -174,7 +173,7 @@ func TestModelCostBatch(t *testing.T) {
 
 // TestMaxFusedSelectors sanity-checks the WRAM feasibility envelope.
 func TestMaxFusedSelectors(t *testing.T) {
-	cfg := pim.DefaultConfig()
+	cfg := DefaultConfig()
 	if got := MaxFusedSelectors(cfg, 32); got < 8 {
 		t.Errorf("MaxFusedSelectors(32B records) = %d, want ≥ 8 under a 64KB WRAM budget", got)
 	}
@@ -186,43 +185,5 @@ func TestMaxFusedSelectors(t *testing.T) {
 	if a, b := MaxFusedSelectors(cfg, 32), MaxFusedSelectors(small, 32); b < a {
 		t.Errorf("fewer tasklets must not shrink the feasible batch: %d tasklets→%d, 1 tasklet→%d",
 			cfg.TaskletsPerDPU, a, b)
-	}
-}
-
-// TestStreamPasses: a P-pass stream launch must move P× the DMA bytes of
-// a single pass (the probe behind the fused-vs-per-query traffic claim).
-func TestStreamPasses(t *testing.T) {
-	cfg := pim.DefaultConfig()
-	cfg.Ranks = 1
-	cfg.DPUsPerRank = 1
-	cfg.MRAMPerDPU = 1 << 20
-	s, err := pim.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := make([]byte, 64<<10)
-	for i := range region {
-		region[i] = byte(i * 31)
-	}
-	if err := s.Preload(0, 0, region); err != nil {
-		t.Fatal(err)
-	}
-	outOff := len(region)
-
-	one := StreamArgs{Length: uint64(len(region)), OutOffset: uint64(outOff)}
-	costOne, err := s.Launch([]int{0}, Stream{}, [][]byte{one.Marshal()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	four := StreamArgs{Length: uint64(len(region)), OutOffset: uint64(outOff), Passes: 4}
-	costFour, err := s.Launch([]int{0}, Stream{}, [][]byte{four.Marshal()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 passes read 4× the region; the checksum write-back is fixed.
-	wantExtra := 3 * int64(len(region))
-	if costFour.Bytes-costOne.Bytes != wantExtra {
-		t.Fatalf("4-pass stream moved %d bytes vs %d single-pass, want +%d",
-			costFour.Bytes, costOne.Bytes, wantExtra)
 	}
 }

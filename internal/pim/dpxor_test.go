@@ -1,4 +1,4 @@
-package pimkernel
+package pim
 
 import (
 	"bytes"
@@ -7,17 +7,16 @@ import (
 	"testing/quick"
 
 	"github.com/impir/impir/internal/bitvec"
-	"github.com/impir/impir/internal/pim"
 )
 
-func testSystem(t *testing.T, tasklets int) *pim.System {
+func testSystem(t *testing.T, tasklets int) *System {
 	t.Helper()
-	cfg := pim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Ranks = 1
 	cfg.DPUsPerRank = 2
 	cfg.MRAMPerDPU = 4 << 20
 	cfg.TaskletsPerDPU = tasklets
-	s, err := pim.NewSystem(cfg)
+	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -26,7 +25,7 @@ func testSystem(t *testing.T, tasklets int) *pim.System {
 
 // runDPXOR loads a chunk + selector onto DPU 0, launches the kernel, and
 // returns the subresult.
-func runDPXOR(t *testing.T, s *pim.System, db []byte, recordSize int, sel *bitvec.Vector) []byte {
+func runDPXOR(t *testing.T, s *System, db []byte, recordSize int, sel *bitvec.Vector) []byte {
 	t.Helper()
 	numRecords := len(db) / recordSize
 	selBytes := make([]byte, len(sel.Words())*8)
@@ -221,13 +220,13 @@ func TestArgsMarshalRoundTrip(t *testing.T) {
 // TestDPXORTimingScalesWithChunk: doubling the chunk should roughly
 // double the modeled kernel time (DMA and compute are both linear).
 func TestDPXORTimingScalesWithChunk(t *testing.T) {
-	cfg := pim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Ranks = 1
 	cfg.DPUsPerRank = 1
 	cfg.MRAMPerDPU = 8 << 20
 	cfg.TaskletsPerDPU = 16
 	cfg.LaunchOverhead = 0
-	s, err := pim.NewSystem(cfg)
+	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +274,12 @@ func TestModelCostMatchesFunctionalCharges(t *testing.T) {
 		numRecords = 4096
 		tasklets   = 16
 	)
-	cfg := pim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Ranks = 1
 	cfg.DPUsPerRank = 1
 	cfg.MRAMPerDPU = 4 << 20
 	cfg.TaskletsPerDPU = tasklets
-	s, err := pim.NewSystem(cfg)
+	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

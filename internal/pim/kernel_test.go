@@ -1,4 +1,4 @@
-package pimkernel
+package pim
 
 import (
 	"encoding/binary"
@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/xorop"
 )
 
@@ -41,7 +40,7 @@ func (a DPXORArgs) batch() int {
 	return int(a.NumSelectors)
 }
 
-// Marshal encodes the argument block for pim.System.Launch.
+// Marshal encodes the argument block for System.Launch.
 func (a DPXORArgs) Marshal() []byte {
 	out := make([]byte, argsSize)
 	binary.LittleEndian.PutUint64(out[0:], a.DBOffset)
@@ -55,7 +54,7 @@ func (a DPXORArgs) Marshal() []byte {
 
 func parseArgs(raw []byte) (DPXORArgs, error) {
 	if len(raw) != argsSize {
-		return DPXORArgs{}, fmt.Errorf("pimkernel: args block is %d bytes, want %d", len(raw), argsSize)
+		return DPXORArgs{}, fmt.Errorf("pim: args block is %d bytes, want %d", len(raw), argsSize)
 	}
 	return DPXORArgs{
 		DBOffset:     binary.LittleEndian.Uint64(raw[0:]),
@@ -70,18 +69,18 @@ func parseArgs(raw []byte) (DPXORArgs, error) {
 // Validate checks the argument block against kernel limits.
 func (a DPXORArgs) Validate() error {
 	switch {
-	case a.RecordSize == 0 || a.RecordSize%pim.DMAAlign != 0:
-		return fmt.Errorf("pimkernel: record size %d must be a positive multiple of %d", a.RecordSize, pim.DMAAlign)
-	case a.RecordSize > pim.DMAMaxTransfer:
-		return fmt.Errorf("pimkernel: record size %d exceeds one DMA transfer (%d)", a.RecordSize, pim.DMAMaxTransfer)
-	case a.DBOffset%pim.DMAAlign != 0 || a.SelOffset%pim.DMAAlign != 0 || a.OutOffset%pim.DMAAlign != 0:
-		return errors.New("pimkernel: MRAM offsets must be 8-byte aligned")
+	case a.RecordSize == 0 || a.RecordSize%DMAAlign != 0:
+		return fmt.Errorf("pim: record size %d must be a positive multiple of %d", a.RecordSize, DMAAlign)
+	case a.RecordSize > DMAMaxTransfer:
+		return fmt.Errorf("pim: record size %d exceeds one DMA transfer (%d)", a.RecordSize, DMAMaxTransfer)
+	case a.DBOffset%DMAAlign != 0 || a.SelOffset%DMAAlign != 0 || a.OutOffset%DMAAlign != 0:
+		return errors.New("pim: MRAM offsets must be 8-byte aligned")
 	case a.NumRecords%64 != 0:
 		// Selector words must not straddle tasklet boundaries; the engine
 		// pads chunks to 64-record multiples.
-		return fmt.Errorf("pimkernel: record count %d must be a multiple of 64", a.NumRecords)
+		return fmt.Errorf("pim: record count %d must be a multiple of 64", a.NumRecords)
 	case a.NumSelectors > MaxSelectorsPerLaunch:
-		return fmt.Errorf("pimkernel: %d selector streams exceed the per-launch limit %d",
+		return fmt.Errorf("pim: %d selector streams exceed the per-launch limit %d",
 			a.NumSelectors, MaxSelectorsPerLaunch)
 	}
 	return nil
@@ -91,19 +90,19 @@ func (a DPXORArgs) Validate() error {
 // across launches and DPUs.
 type DPXOR struct{}
 
-var _ pim.Kernel = DPXOR{}
+var _ Kernel = DPXOR{}
 
-// Name implements pim.Kernel.
+// Name implements Kernel.
 func (DPXOR) Name() string { return "dpxor" }
 
-// Run implements pim.Kernel. Every tasklet scans an interleaved share of
+// Run implements Kernel. Every tasklet scans an interleaved share of
 // the DPU's records (stage 1 of the parallel reduction), accumulating
 // one partial per fused selector stream, and tasklet 0 folds the
 // partials and writes the per-stream DPU subresults to MRAM (stage 2).
 // A fused launch (NumSelectors > 1) DMAs each MRAM record sub-chunk
 // ONCE and XORs it into every selecting stream's partial — the B-query
 // pass costs one chunk's worth of MRAM traffic instead of B.
-func (k DPXOR) Run(ctx *pim.TaskletCtx) error {
+func (k DPXOR) Run(ctx *TaskletCtx) error {
 	args, err := parseArgs(ctx.Args())
 	if err != nil {
 		return err
@@ -147,7 +146,7 @@ func (k DPXOR) Run(ctx *pim.TaskletCtx) error {
 	// Stage 2: wait for every tasklet's partials, then the master tasklet
 	// folds them per stream (Alg. 1 MASTERXOR).
 	if !ctx.Barrier() {
-		return errors.New("pimkernel: launch aborted")
+		return errors.New("pim: launch aborted")
 	}
 	if tid != 0 {
 		return nil
@@ -178,7 +177,7 @@ func (k DPXOR) Run(ctx *pim.TaskletCtx) error {
 // the B selector words and — unless every stream's word is zero — the
 // records into WRAM once, then XOR-accumulate the selected records into
 // each stream's partial.
-func (DPXOR) scanRange(ctx *pim.TaskletCtx, args DPXORArgs, accs [][]byte, firstGroup, lastGroup int) error {
+func (DPXOR) scanRange(ctx *TaskletCtx, args DPXORArgs, accs [][]byte, firstGroup, lastGroup int) error {
 	recordSize := int(args.RecordSize)
 	b := args.batch()
 	// Stream q's selector bits start at SelOffset + q × stride.
@@ -265,9 +264,9 @@ func (DPXOR) scanRange(ctx *pim.TaskletCtx, args DPXORArgs, accs [][]byte, first
 
 // writeMRAMChunked writes a WRAM buffer to MRAM honouring the DMA
 // transfer-size limit.
-func writeMRAMChunked(ctx *pim.TaskletCtx, offset int, buf []byte) error {
-	for off := 0; off < len(buf); off += pim.DMAMaxTransfer {
-		end := off + pim.DMAMaxTransfer
+func writeMRAMChunked(ctx *TaskletCtx, offset int, buf []byte) error {
+	for off := 0; off < len(buf); off += DMAMaxTransfer {
+		end := off + DMAMaxTransfer
 		if end > len(buf) {
 			end = len(buf)
 		}
@@ -279,14 +278,14 @@ func writeMRAMChunked(ctx *pim.TaskletCtx, offset int, buf []byte) error {
 }
 
 // simulate is the oracle for ReplayCost: it answers one fused group on a
-// cluster of geometry g by running the dpXOR kernel on a fresh pim.System
+// cluster of geometry g by running the dpXOR kernel on a fresh System
 // — preloading the chunks (resident) or staging them pass by pass
 // (streaming), scattering the selector streams, launching, gathering and
 // folding the subresults on the host — and returns the answers with the
 // cost the simulator charged each phase of each pass. db holds the
 // cluster's records from global record 0; records past its end are zero.
-func simulate(cfg pim.Config, g Geometry, db []byte, sels [][]uint64) ([][]byte, []PassCost, error) {
-	sys, err := pim.NewSystem(cfg)
+func simulate(cfg Config, g Geometry, db []byte, sels [][]uint64) ([][]byte, []PassCost, error) {
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,20 +1,4 @@
-// Package pimkernel holds IM-PIR's DPU programs for the simulated UPMEM
-// system and the cost model of the central one, dpXOR: the selective-XOR
-// scan of a DPU's database chunk with two-stage parallel reduction across
-// tasklets (Algorithm 1, lines 28–45, and §3.3 of the paper).
-//
-// Where bytes and cost come from: an engine answers a pass with one host
-// scan (xorop), which computes exactly what the DPUs would, and prices it
-// with ReplayCost, which charges each phase what the tasklet simulator
-// charges from the geometry and the selector words alone. The dpXOR
-// kernel itself — real Go tasklets on pim.System, the executable
-// statement of Algorithm 1 — lives in this package's tests as the oracle
-// that FuzzReplayCost holds the replay to, answer bytes and cost alike.
-// Stream, the bandwidth probe behind ablation A7, still runs on the
-// simulator.
-package pimkernel
-
-import "github.com/impir/impir/internal/pim"
+package pim
 
 // Per-record instruction estimates for the DPU timing model, in DPU
 // instructions (≈ cycles at saturated pipeline occupancy). The DPU is a
@@ -41,8 +25,8 @@ const MaxSelectorsPerLaunch = 64
 // ModelCost estimates the per-DPU instruction and DMA-byte counts of a
 // DPXOR execution over a chunk of numRecords records, assuming the
 // expected DPF-share selectivity of 1/2. These are the quantities the
-// functional kernel charges through TaskletCtx; the benchmark harness
-// combines them with pim.Config.KernelDuration to evaluate paper-scale
+// tasklet kernel of this package's tests charges; the benchmark harness
+// combines them with Config.KernelDuration to evaluate paper-scale
 // configurations without materialising the database.
 func ModelCost(numRecords, recordSize, tasklets int) (instrCycles, dmaBytes int64) {
 	return ModelCostBatch(numRecords, recordSize, tasklets, 1)
@@ -86,7 +70,7 @@ func selBlockGroupsFor(batch int) int {
 // and the master tasklet's fold buffer must all fit WRAMPerDPU. Returns
 // at least 1 (a solo launch must always work) and at most
 // MaxSelectorsPerLaunch.
-func MaxFusedSelectors(cfg pim.Config, recordSize int) int {
+func MaxFusedSelectors(cfg Config, recordSize int) int {
 	recsPerDMA := recordsPerDMA(recordSize)
 	t := cfg.TaskletsPerDPU
 	for b := MaxSelectorsPerLaunch; b > 1; b-- {
@@ -104,7 +88,7 @@ func MaxFusedSelectors(cfg pim.Config, recordSize int) int {
 // down to a power of two so sub-chunks keep selector bit offsets
 // word-regular.
 func recordsPerDMA(recordSize int) int {
-	r := min(pim.DMAMaxTransfer/recordSize, 64)
+	r := min(DMAMaxTransfer/recordSize, 64)
 	for r&(r-1) != 0 {
 		r &= r - 1
 	}

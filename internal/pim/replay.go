@@ -1,11 +1,9 @@
-package pimkernel
+package pim
 
 import (
 	"fmt"
 	"math/bits"
 	"time"
-
-	"github.com/impir/impir/internal/pim"
 )
 
 // Geometry is how one DPU cluster lays a database out for dpXOR: which
@@ -37,14 +35,14 @@ func (g Geometry) Passes() int { return (g.RecordsPerDPU + g.PassRecords - 1) / 
 type PassCost struct {
 	// Stage moves the pass's database chunks host→MRAM; zero when the
 	// database is resident.
-	Stage pim.Cost
+	Stage Cost
 	// Scatter moves the group's selector streams host→MRAM.
-	Scatter pim.Cost
+	Scatter Cost
 	// Launch is the one dpXOR launch: the slowest DPU plus the launch
 	// overhead, and every DPU's MRAM↔WRAM DMA bytes.
-	Launch pim.Cost
+	Launch Cost
 	// Gather moves the per-stream subresults MRAM→host.
-	Gather pim.Cost
+	Gather Cost
 	// Folds is how many subresult records the host XOR-folds: one per
 	// stream per DPU.
 	Folds int
@@ -58,18 +56,18 @@ type PassCost struct {
 // selector-block DMA, one record sub-chunk of DMA per sub-chunk that some
 // stream selects from, and the subresult writes. Transfers cost the
 // worst rank's volume, as rank-parallel copies do.
-func ReplayCost(cfg pim.Config, g Geometry, sels [][]uint64) ([]PassCost, error) {
+func ReplayCost(cfg Config, g Geometry, sels [][]uint64) ([]PassCost, error) {
 	switch {
 	case len(sels) < 1 || len(sels) > MaxSelectorsPerLaunch:
-		return nil, fmt.Errorf("pimkernel: %d selector streams outside [1,%d]", len(sels), MaxSelectorsPerLaunch)
-	case g.RecordSize <= 0 || g.RecordSize%pim.DMAAlign != 0 || g.RecordSize > pim.DMAMaxTransfer:
-		return nil, fmt.Errorf("pimkernel: record size %d must be a positive multiple of %d ≤ %d",
-			g.RecordSize, pim.DMAAlign, pim.DMAMaxTransfer)
+		return nil, fmt.Errorf("pim: %d selector streams outside [1,%d]", len(sels), MaxSelectorsPerLaunch)
+	case g.RecordSize <= 0 || g.RecordSize%DMAAlign != 0 || g.RecordSize > DMAMaxTransfer:
+		return nil, fmt.Errorf("pim: record size %d must be a positive multiple of %d ≤ %d",
+			g.RecordSize, DMAAlign, DMAMaxTransfer)
 	case g.PassRecords <= 0 || g.PassRecords%64 != 0 || g.RecordsPerDPU%64 != 0 || g.PassRecords > g.RecordsPerDPU:
-		return nil, fmt.Errorf("pimkernel: %d records per pass of %d per DPU must be positive multiples of 64",
+		return nil, fmt.Errorf("pim: %d records per pass of %d per DPU must be positive multiples of 64",
 			g.PassRecords, g.RecordsPerDPU)
 	case g.DPUs < 1 || g.FirstDPU < 0 || g.FirstDPU+g.DPUs > cfg.NumDPUs():
-		return nil, fmt.Errorf("pimkernel: DPUs [%d,%d) outside the %d-DPU system", g.FirstDPU, g.FirstDPU+g.DPUs, cfg.NumDPUs())
+		return nil, fmt.Errorf("pim: DPUs [%d,%d) outside the %d-DPU system", g.FirstDPU, g.FirstDPU+g.DPUs, cfg.NumDPUs())
 	}
 	// Every DPU moves the same volume, so the busiest rank is the one
 	// holding the most of the cluster's DPUs.
@@ -79,8 +77,8 @@ func ReplayCost(cfg pim.Config, g Geometry, sels [][]uint64) ([]PassCost, error)
 		hi := min((r+1)*cfg.DPUsPerRank, g.FirstDPU+g.DPUs)
 		worstRank = max(worstRank, int64(hi-lo))
 	}
-	toPIM := func(perDPU int) pim.Cost {
-		return pim.Cost{Modeled: cfg.HostToDPUDuration(worstRank*int64(perDPU), 1), Bytes: int64(g.DPUs * perDPU)}
+	toPIM := func(perDPU int) Cost {
+		return Cost{Modeled: cfg.HostToDPUDuration(worstRank*int64(perDPU), 1), Bytes: int64(g.DPUs * perDPU)}
 	}
 
 	b := int64(len(sels))
@@ -117,8 +115,8 @@ func ReplayCost(cfg pim.Config, g Geometry, sels [][]uint64) ([]PassCost, error)
 		}
 		pc := PassCost{
 			Scatter: toPIM(len(sels) * n / 8),
-			Launch:  pim.Cost{Modeled: worst, Bytes: dmaTotal},
-			Gather: pim.Cost{
+			Launch:  Cost{Modeled: worst, Bytes: dmaTotal},
+			Gather: Cost{
 				Modeled: cfg.DPUToHostDuration(worstRank*b*int64(g.RecordSize), 1),
 				Bytes:   int64(g.DPUs) * b * int64(g.RecordSize),
 			},

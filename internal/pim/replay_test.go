@@ -1,11 +1,10 @@
-package pimkernel
+package pim
 
 import (
 	"bytes"
 	"math/rand"
 	"testing"
 
-	"github.com/impir/impir/internal/pim"
 	"github.com/impir/impir/internal/xorop"
 )
 
@@ -72,7 +71,7 @@ func FuzzReplayCost(f *testing.F) {
 		clusters := []int{1, 2, 4}[int(clustersRaw)%3]
 		dpusPerCluster := 1 + rng.Intn(4)
 
-		cfg := pim.DefaultConfig()
+		cfg := DefaultConfig()
 		cfg.TaskletsPerDPU = int(taskletsRaw)%16 + 1
 		cfg.DPUsPerRank = 1 + rng.Intn(4)
 		cfg.Ranks = (clusters*dpusPerCluster + cfg.DPUsPerRank - 1) / cfg.DPUsPerRank
@@ -125,7 +124,7 @@ func FuzzReplayCost(f *testing.F) {
 }
 
 func TestReplayCostValidation(t *testing.T) {
-	cfg := pim.DefaultConfig()
+	cfg := DefaultConfig()
 	good := Geometry{DPUs: 2, RecordSize: 32, RecordsPerDPU: 128, PassRecords: 64}
 	sel := [][]uint64{{1, 2, 3, 4}}
 	if _, err := ReplayCost(cfg, good, sel); err != nil {

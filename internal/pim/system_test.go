@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// System is a simulated PIM machine: a set of DPUs reachable from the
-// host through explicit, rank-parallel memory transfers and SPMD kernel
-// launches. All methods are safe for concurrent use; concurrent launches
+// System is the functional, timed tasklet simulator: a simulated PIM
+// machine whose DPUs are reachable from the host through explicit,
+// rank-parallel memory transfers and SPMD kernel launches. Only tests run
+// it — it is the oracle ReplayCost is held to. All methods are safe for concurrent use; concurrent launches
 // and transfers are allowed on disjoint DPU sets (this is how the engine
 // runs DPU clusters in parallel), and overlapping launches on the same
 // DPU are reported as errors.
