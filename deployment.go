@@ -1,8 +1,11 @@
 package impir
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/impir/impir/internal/batchcode"
@@ -318,11 +321,19 @@ func (d Deployment) validateBatchCode() error {
 	return nil
 }
 
-// ParseDeployment decodes and validates a JSON deployment manifest.
+// ParseDeployment decodes and validates a JSON deployment manifest. A
+// field the manifest does not define is an error: a misspelt
+// "batch_code" dropped in silence would open an uncoded store over coded
+// rows.
 func ParseDeployment(data []byte) (Deployment, error) {
 	var d Deployment
-	if err := json.Unmarshal(data, &d); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
 		return Deployment{}, fmt.Errorf("impir: parse deployment: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Deployment{}, errors.New("impir: parse deployment: data after the manifest")
 	}
 	return d, d.Validate()
 }

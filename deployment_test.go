@@ -1,6 +1,7 @@
 package impir
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,6 +171,63 @@ func TestDeploymentWithKeyword(t *testing.T) {
 	}
 }
 
+// TestParseDeploymentRefusesUnknownFields: a misspelt section or field
+// is an error, not a manifest without it. Dropping a misspelt
+// "batch_code" opens a store that reads coded rows as records.
+func TestParseDeploymentRefusesUnknownFields(t *testing.T) {
+	code, err := DeriveBatchCode(100, 32, 4, 2, 1, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kvm, err := BuildKVDB([]KVPair{{Key: []byte("k1"), Value: []byte("v1")}}, KVTableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded, err := FlatDeployment("a:1", "b:1").WithBatchCode(code).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := FlatDeployment("a:1", "b:1").WithKeyword(kvm).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, good := range [][]byte{coded, keyed} {
+		if _, err := ParseDeployment(good); err != nil {
+			t.Fatalf("valid deployment refused: %v", err)
+		}
+	}
+	codeJSON, err := code.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvJSON, err := kvm.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"batchcode section":  bytes.Replace(coded, []byte(`"batch_code"`), []byte(`"batchcode"`), 1),
+		"keword section":     bytes.Replace(keyed, []byte(`"keyword"`), []byte(`"keword"`), 1),
+		"shard field":        bytes.Replace(coded, []byte(`"parties"`), []byte(`"partys"`), 1),
+		"code field":         bytes.Replace(coded, []byte(`"max_batch"`), []byte(`"maxbatch"`), 1),
+		"keyword field":      bytes.Replace(keyed, []byte(`"hash_seeds"`), []byte(`"hash_seed"`), 1),
+		"trailing manifest":  append(append([]byte{}, coded...), coded...),
+		"trailing character": append(append([]byte{}, coded...), '}'),
+	} {
+		if bytes.Equal(data, coded) || bytes.Equal(data, keyed) {
+			t.Fatalf("%s: the edit did not apply", name)
+		}
+		if _, err := ParseDeployment(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ParseCodeManifest(bytes.Replace(codeJSON, []byte(`"seeds"`), []byte(`"seed"`), 1)); err == nil {
+		t.Error("code manifest with a misspelt field accepted")
+	}
+	if _, err := ParseKVManifest(bytes.Replace(kvJSON, []byte(`"key_size"`), []byte(`"keysize"`), 1)); err == nil {
+		t.Error("keyword manifest with a misspelt field accepted")
+	}
+}
+
 // FuzzParseDeployment asserts the manifest codec's fixed-point
 // property: any accepted input re-encodes to a canonical form that
 // parses back to the same deployment, and validation caps hold.
@@ -186,6 +244,8 @@ func FuzzParseDeployment(f *testing.F) {
 	f.Add(sharded)
 	// A shard-level "replicas" list names no parties: refused.
 	f.Add([]byte(`{"record_size":32,"shards":[{"first_record":0,"num_records":4,"replicas":["a:1","b:1"]}]}`))
+	// A misspelt "batch_code" section: refused, not dropped.
+	f.Add([]byte(`{"shards":[{"parties":[{"replicas":["a:1"]},{"replicas":["b:1"]}]}],"batchcode":{"num_records":100}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
 

@@ -35,10 +35,13 @@
 package batchcode
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -194,11 +197,17 @@ func bucketHash(seed, index, ctr uint64) uint64 {
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
-// Parse decodes and validates a JSON code manifest.
+// Parse decodes and validates a JSON code manifest. A field the manifest
+// does not define is an error, not silently dropped.
 func Parse(data []byte) (Manifest, error) {
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return Manifest{}, fmt.Errorf("batchcode: parse manifest: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Manifest{}, errors.New("batchcode: parse manifest: data after the manifest")
 	}
 	return m, m.Validate()
 }

@@ -27,11 +27,13 @@
 package keyword
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -237,11 +239,17 @@ func (m Manifest) CheckValue(value []byte) error {
 	return nil
 }
 
-// Parse decodes and validates a JSON manifest.
+// Parse decodes and validates a JSON manifest. A field the manifest does
+// not define is an error, not silently dropped.
 func Parse(data []byte) (Manifest, error) {
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return Manifest{}, fmt.Errorf("keyword: parse manifest: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Manifest{}, errors.New("keyword: parse manifest: data after the manifest")
 	}
 	return m, m.Validate()
 }
