@@ -185,10 +185,11 @@ func TestConcurrentCallsDoNotDeadlock(t *testing.T) {
 
 // TestRetrieveAllocations pins the allocations of one Retrieve on a
 // flat 1024 × 32 B pair served in this process, counting the client and
-// both servers together: 83 on Go 1.24, with a little room above. A
-// goroutine, closure or cancel scope per shard or party shows here.
+// both servers together: 64 on Go 1.24, with a little room above. A
+// goroutine, closure or cancel scope per shard or party shows here, and
+// so does a DPF key generation whose PRG blocks escape per tree level.
 func TestRetrieveAllocations(t *testing.T) {
-	const maxRetrieveAllocs = 88
+	const maxRetrieveAllocs = 70
 	if raceEnabledImpir {
 		t.Skip("allocation counts are unreliable under -race")
 	}

@@ -117,25 +117,31 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		rng = rand.Reader
 	}
 
-	var s0, s1 aesprf.Block
-	if _, err := io.ReadFull(rng, s0[:]); err != nil {
-		return nil, nil, fmt.Errorf("dpf: read root seed: %w", err)
-	}
-	if _, err := io.ReadFull(rng, s1[:]); err != nil {
-		return nil, nil, fmt.Errorf("dpf: read root seed: %w", err)
+	// One scratch for the whole call: seeds holds the two parties' nodes
+	// on the root-to-α path, left and right their children. A block
+	// handed to a cipher.Block escapes, so per-node locals would each be
+	// a heap allocation.
+	scratch := make([]aesprf.Block, 6)
+	seeds, left, right := scratch[0:2], scratch[2:4], scratch[4:6]
+	for i := range seeds {
+		if _, err := io.ReadFull(rng, seeds[i][:]); err != nil {
+			return nil, nil, fmt.Errorf("dpf: read root seed: %w", err)
+		}
 	}
 
 	depth := treeDepth(p.Domain)
-	k0 = &Key{Party: 0, Domain: uint8(p.Domain), RootSeed: s0, RootT: false}
-	k1 = &Key{Party: 1, Domain: uint8(p.Domain), RootSeed: s1, RootT: true}
+	k0 = &Key{Party: 0, Domain: uint8(p.Domain), RootSeed: seeds[0], RootT: false}
+	k1 = &Key{Party: 1, Domain: uint8(p.Domain), RootSeed: seeds[1], RootT: true}
 	k0.CW = make([]CorrectionWord, depth)
 	k1.CW = make([]CorrectionWord, depth)
 
 	// n0 and n1 are the two parties' nodes on the root-to-α path.
-	n0, n1 := node{s0, false}, node{s1, true}
+	n0, n1 := node{seeds[0], false}, node{seeds[1], true}
 	for level := 0; level < depth; level++ {
-		l0, r0 := expandNode(n0.seed)
-		l1, r1 := expandNode(n1.seed)
+		seeds[0], seeds[1] = n0.seed, n1.seed
+		prg.ExpandBatch(seeds, left, right)
+		l0, r0 := split(left[0]), split(right[0])
+		l1, r1 := split(left[1]), split(right[1])
 
 		// α's bit at this level, MSB first.
 		aBit := alpha>>(uint(p.Domain)-1-uint(level))&1 == 1
@@ -163,7 +169,12 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		}
 	}
 
-	leafCW := xorBlocks(convert(n0.seed), convert(n1.seed))
+	// Conv of both terminal seeds, through the same scratch.
+	seeds[0], seeds[1] = n0.seed, n1.seed
+	for i := range seeds {
+		convertCipher.Encrypt(left[i][:], seeds[i][:])
+	}
+	leafCW := xorBlocks(xorBlocks(left[0], seeds[0]), xorBlocks(left[1], seeds[1]))
 	j := alpha % leafBits
 	leafCW[j/8] ^= 1 << (j % 8)
 	k0.LeafCW = leafCW
