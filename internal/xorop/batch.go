@@ -48,8 +48,8 @@ func NewAccumulators(n, recordSize int) [][]byte {
 // there — and Scan reads only its first N bits: words past ⌈N/64⌉ are
 // never touched and the last one is masked, so db scans exactly as its
 // zero-padded form would, and no selector is copied or written. It runs
-// on min(threads, GOMAXPROCS) workers, since each worker allocates its
-// own subset table and workers beyond the cores buy no parallelism, and
+// on min(threads, GOMAXPROCS) workers, since each worker fills its own
+// subset table and workers beyond the cores buy no parallelism, and
 // a lone selector runs on one worker (§5.1: "a single CPU thread for
 // each query").
 func Scan(db []byte, recordSize int, sels [][]uint64, threads int) ([][]byte, error) {
@@ -69,8 +69,9 @@ func Scan(db []byte, recordSize int, sels [][]uint64, threads int) ([][]byte, er
 // AccumulateBatchWorkers is AccumulateBatch with an explicit scan-worker
 // count; workers ≤ 1 runs the fused pass serially (the form a per-block
 // executor, such as the GPU grid oracle, runs inside its own parallel
-// grid), and a lone selector on one worker runs Accumulate's kernel. Each worker allocates
-// its own subset table for the pass; nothing outlives the call.
+// grid), and a lone selector on one worker runs Accumulate's kernel. Each
+// worker takes its own subset table from tablePools for the pass and
+// returns it at the end.
 func AccumulateBatchWorkers(accs [][]byte, db []byte, recordSize int, sels [][]uint64, workers int) error {
 	if len(accs) != len(sels) {
 		return fmt.Errorf("xorop: batch has %d accumulators for %d selectors", len(accs), len(sels))
@@ -172,23 +173,40 @@ func tableWidth(selectors, numRecords, recordSize int) int {
 // any of them is XORed, with crypto/subtle.XORBytes, into table[idx],
 // where bit q of idx is the record's bit in the group's selector q. The
 // fold then gives accumulator q the XOR of the slots whose index has bit
-// q set. The table is allocated once per call and zeroed between
-// selector groups.
+// q set. The table comes from tablePools once per call, and every
+// selector group clears the slots it uses, the first included.
 func batchRangeTable(accs [][]byte, db []byte, recordSize int, sels [][]uint64, gLo, gHi int) {
 	numRecords := min(gHi<<6, len(db)/recordSize) - gLo<<6
 	kMax := tableWidth(len(sels), numRecords, recordSize)
-	table := make([]byte, recordSize<<kMax)
+	table := getTable(recordSize << kMax)
+	defer putTable(table)
 	for q0 := 0; q0 < len(sels); {
 		k := min(kMax, len(sels)-q0)
-		slots := table[:recordSize<<k]
-		if q0 > 0 {
-			clear(slots)
-		}
+		slots := (*table)[:recordSize<<k]
+		clear(slots)
 		fillTable(slots, db, recordSize, sels[q0:q0+k], gLo, gHi)
 		foldTable(accs[q0:q0+k], slots, recordSize)
 		q0 += k
 	}
 }
+
+// tablePools holds subset tables by power-of-two size class: class c
+// holds tables of 1<<c bytes, for any need in (1<<(c-1), 1<<c]. A pass
+// reuses the tables of earlier passes instead of allocating up to
+// maxTableBytes per worker per call.
+var tablePools [bits.UintSize]sync.Pool
+
+// getTable returns a table of at least n > 1 bytes, with stale contents.
+func getTable(n int) *[]byte {
+	c := bits.Len(uint(n - 1))
+	if t, ok := tablePools[c].Get().(*[]byte); ok {
+		return t
+	}
+	t := make([]byte, 1<<c)
+	return &t
+}
+
+func putTable(t *[]byte) { tablePools[bits.Len(uint(len(*t)-1))].Put(t) }
 
 // fillTable XORs every record of groups [gLo, gHi) selected by any of
 // the k ≤ 8 selectors into the slot its selector bits index. Per 8
