@@ -1,8 +1,9 @@
 // Package impir is a Go implementation of IM-PIR — in-memory private
 // information retrieval (Mwaisela et al., MIDDLEWARE 2025) — together
 // with the complete stack it builds on: a tree-based distributed point
-// function (DPF), a functional UPMEM processing-in-memory simulator with
-// a calibrated timing model, CPU and GPU baseline pricers, and a TCP
+// function (DPF), a calibrated cost model of the UPMEM processing-in-
+// memory system that prices each pass (its functional tasklet simulator
+// is the pricer's test oracle), CPU and GPU baseline pricers, and a TCP
 // transport for multi-server deployments. This documentation is the
 // canonical description of the protocol and its features; the README
 // holds the operator pages (server flags, load harness, metric

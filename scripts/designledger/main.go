@@ -42,35 +42,35 @@ import (
 	"strings"
 )
 
-// Package is one package's row of the ledger.
-type Package struct {
-	Path       string `json:"path"`
-	Kind       string `json:"kind"`
-	Lines      int    `json:"lines"`
-	Exported   int    `json:"exported"`
-	Goroutines int    `json:"goroutines"`
-	Locks      int    `json:"locks"`
-	Knobs      Knobs  `json:"knobs"`
+// pkgRow is one package's row of the ledger.
+type pkgRow struct {
+	Path       string     `json:"path"`
+	Kind       string     `json:"kind"`
+	Lines      int        `json:"lines"`
+	Exported   int        `json:"exported"`
+	Goroutines int        `json:"goroutines"`
+	Locks      int        `json:"locks"`
+	Knobs      knobCounts `json:"knobs"`
 }
 
-// Knobs counts a package's independently settable values.
-type Knobs struct {
+// knobCounts counts a package's independently settable values.
+type knobCounts struct {
 	Options      int `json:"options"`
 	ConfigFields int `json:"config_fields"`
 	Flags        int `json:"flags"`
 }
 
-// Totals sums the rows of one kind.
-type Totals struct {
-	Packages   int   `json:"packages"`
-	Lines      int   `json:"lines"`
-	Exported   int   `json:"exported"`
-	Goroutines int   `json:"goroutines"`
-	Locks      int   `json:"locks"`
-	Knobs      Knobs `json:"knobs"`
+// kindTotals sums the rows of one kind.
+type kindTotals struct {
+	Packages   int        `json:"packages"`
+	Lines      int        `json:"lines"`
+	Exported   int        `json:"exported"`
+	Goroutines int        `json:"goroutines"`
+	Locks      int        `json:"locks"`
+	Knobs      knobCounts `json:"knobs"`
 }
 
-func (t *Totals) add(p Package) {
+func (t *kindTotals) add(p pkgRow) {
 	t.Packages++
 	t.Lines += p.Lines
 	t.Exported += p.Exported
@@ -130,8 +130,8 @@ func modulePath(gomod string) (string, error) {
 // count returns one row per directory holding non-test Go files,
 // skipping hidden, underscore, testdata and vendor directories as the
 // go command does.
-func count(root, module string) ([]Package, error) {
-	byDir := make(map[string]*Package)
+func count(root, module string) ([]pkgRow, error) {
+	byDir := make(map[string]*pkgRow)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -163,7 +163,7 @@ func count(root, module string) ([]Package, error) {
 		rel = filepath.ToSlash(rel)
 		pkg := byDir[rel]
 		if pkg == nil {
-			pkg = &Package{Path: path.Join(module, rel), Kind: kind(rel)}
+			pkg = &pkgRow{Path: path.Join(module, rel), Kind: kind(rel)}
 			byDir[rel] = pkg
 		}
 		pkg.Lines += bytes.Count(src, []byte("\n"))
@@ -173,7 +173,7 @@ func count(root, module string) ([]Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs := make([]Package, 0, len(byDir))
+	pkgs := make([]pkgRow, 0, len(byDir))
 	for _, p := range byDir {
 		pkgs = append(pkgs, *p)
 	}
@@ -202,7 +202,7 @@ var flagDefiners = map[string]bool{
 	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
 }
 
-func countFile(pkg *Package, f *ast.File) {
+func countFile(pkg *pkgRow, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
 		case *ast.FuncDecl:
@@ -251,7 +251,7 @@ func countFile(pkg *Package, f *ast.File) {
 			if isLock(n.Type) {
 				pkg.Locks += max(len(n.Names), 1)
 			}
-			if isSelector(n.Type, flagPkg, "FlagSet") {
+			if star, ok := n.Type.(*ast.StarExpr); ok && isSelector(star.X, flagPkg, "FlagSet") {
 				for _, name := range n.Names {
 					flagSets[name.Name] = true
 				}
@@ -359,18 +359,11 @@ func importName(f *ast.File, importPath string) string {
 // isLock reports a sync.Mutex or sync.RWMutex by value: a pointer
 // shares a lock declared elsewhere.
 func isLock(t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	x, ok := sel.X.(*ast.Ident)
-	return ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
+	return isSelector(t, "sync", "Mutex") || isSelector(t, "sync", "RWMutex")
 }
 
+// isSelector reports whether t is pkgName.name.
 func isSelector(t ast.Expr, pkgName, name string) bool {
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
 	sel, ok := t.(*ast.SelectorExpr)
 	if !ok || pkgName == "" {
 		return false
@@ -386,8 +379,8 @@ func isCall(e ast.Expr, pkgName, name string) bool {
 
 // render writes one package per line, so a diff of DESIGN.json shows
 // each package whose counts moved.
-func render(module string, pkgs []Package) ([]byte, error) {
-	totals := map[string]*Totals{"all": {}, "production": {}}
+func render(module string, pkgs []pkgRow) ([]byte, error) {
+	totals := map[string]*kindTotals{"all": {}, "production": {}}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "{\n  \"schema\": \"impir-design/1\",\n  \"module\": %q,\n  \"packages\": [\n", module)
 	for i, p := range pkgs {
@@ -401,7 +394,7 @@ func render(module string, pkgs []Package) ([]byte, error) {
 		}
 		fmt.Fprintf(&b, "    %s%s\n", line, sep)
 		if totals[p.Kind] == nil {
-			totals[p.Kind] = &Totals{}
+			totals[p.Kind] = &kindTotals{}
 		}
 		totals[p.Kind].add(p)
 		totals["all"].add(p)

@@ -67,10 +67,10 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Package{
+	want := []pkgRow{
 		{Path: "example.com/m", Kind: "library", Lines: 27, Exported: 7, Goroutines: 2, Locks: 3,
-			Knobs: Knobs{Options: 1, ConfigFields: 2}},
-		{Path: "example.com/m/cmd/tool", Kind: "command", Lines: 11, Knobs: Knobs{Flags: 3}},
+			Knobs: knobCounts{Options: 1, ConfigFields: 2}},
+		{Path: "example.com/m/cmd/tool", Kind: "command", Lines: 11, Knobs: knobCounts{Flags: 3}},
 	}
 	if !reflect.DeepEqual(pkgs, want) {
 		t.Fatalf("count:\n got %+v\nwant %+v", pkgs, want)
