@@ -1,7 +1,7 @@
 // Package hostmodel provides analytic performance models of the paper's
-// two host machines (§5.2), used to convert operation counts measured by
-// the functional simulation into the latencies those operations would
-// exhibit on the evaluation hardware.
+// two host machines (§5.2), used to convert the operation counts of a
+// pass (leaves expanded, bytes scanned) into the latencies those
+// operations would exhibit on the evaluation hardware.
 //
 // Rationale: the local machine running this reproduction is neither the
 // paper's 32-thread dual-Xeon baseline server nor the PIM server's host,
