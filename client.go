@@ -16,7 +16,7 @@ import (
 
 // Client is a connection to a whole PIR deployment; Open returns one for
 // every topology. Every logical operation runs one call: it resolves the
-// per-call options, opens the Tracer's root span, applies the timeout,
+// per-call options, opens the Observer's root span, applies the timeout,
 // runs attempts under the retry budget, then ends the span and counts
 // the outcome. Each attempt of a retrieval runs one pipeline, which
 // sees the caller's logical indices whatever the topology:
@@ -56,15 +56,14 @@ type Client struct {
 	cells  *clientCells
 
 	defaults callOptions // per-call options override them
-	tracer   *Tracer     // nil: untraced
+	observer *Observer   // nil: untraced
 }
 
 type clientConfig struct {
 	encoding Encoding
 	tlsCfg   *tls.Config
 	defaults callOptions
-	obs      *ClientObs // nil: private cells
-	tracer   *Tracer
+	observer *Observer // nil: detached cells, untraced
 }
 
 // ClientOption customises Open.
@@ -97,7 +96,7 @@ func WithDefaultCallOptions(opts ...CallOption) ClientOption {
 // openClient connects every shard's cohort concurrently and lays the
 // plan and the code over them.
 func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, error) {
-	c := &Client{shards: make([]*cohort, len(d.Shards)), defaults: cfg.defaults, tracer: cfg.tracer}
+	c := &Client{shards: make([]*cohort, len(d.Shards)), defaults: cfg.defaults, observer: cfg.observer}
 	errs := make([]error, len(d.Shards))
 	var wg sync.WaitGroup
 	for s, shard := range d.Shards {
@@ -116,7 +115,7 @@ func openClient(ctx context.Context, d Deployment, cfg clientConfig) (*Client, e
 		err = c.layOut(d)
 	}
 	if err == nil {
-		c.cells, err = cfg.obs.claim(len(d.Shards))
+		c.cells, err = cfg.observer.claim(len(d.Shards))
 	}
 	if err != nil {
 		c.Close()
@@ -230,7 +229,7 @@ func (c *Client) RetrieveBatch(ctx context.Context, indices []uint64, opts ...Ca
 }
 
 // call runs one logical operation. In order, it applies the per-call
-// options over the store defaults, opens the Tracer's root span (with
+// options over the store defaults, opens the Observer's root span (with
 // the context's op attributes), applies the timeout, and runs attempt
 // until it succeeds, fails for good, or spends the retry budget; then
 // it ends the span and counts the outcome in op. The span, the timeout,
@@ -243,7 +242,7 @@ func (c *Client) call(ctx context.Context, op *opCells, name string, opts []Call
 	for _, o := range opts {
 		o(&co)
 	}
-	span := c.tracer.begin(ctx, name)
+	span := c.observer.begin(ctx, name)
 	ctx = obs.ContextWithSpan(ctx, span)
 	if co.timeout > 0 {
 		var cancel context.CancelFunc
@@ -264,7 +263,7 @@ func (c *Client) call(ctx context.Context, op *opCells, name string, opts []Call
 		c.cells.retries.Inc()
 		span.SetAttrInt("retries", int64(n+1))
 	}
-	c.tracer.finish(span, err)
+	c.observer.finish(span, err)
 	op.done(start, err)
 	return err
 }

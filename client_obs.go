@@ -1,8 +1,8 @@
 package impir
 
 import (
+	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -12,23 +12,61 @@ import (
 	"github.com/impir/impir/internal/obs"
 )
 
-// ClientObs is the client-side observability bundle for impir.Open: the
-// registry holding one store's counters (and its keyword client's, via
-// OpenKV) as a Prometheus text exposition. Store.Stats() and
-// KVClient.Stats() read the same cells. A bundle serves exactly one
-// store: Open refuses a bundle already in use.
+// Observer is the client-side telemetry of one store opened by
+// impir.Open, and of its keyword view when opened through OpenKV. It
+// holds the registry of the store's counters and latency histograms —
+// Store.Stats() and KVClient.Stats() read the same cells — and a ring
+// of the span trees of its traced operations. An Observer serves
+// exactly one store: Open refuses one already in use.
 //
-// Everything recorded here lives strictly on the client: these metrics
-// see record indices' timing (never their values) and nothing here is
-// ever sent to a server.
+// Tracing opens one root span per logical operation (Retrieve,
+// RetrieveBatch, Update). Below the root, the fan-out layers attach
+// children as the call spreads out — one per shard sub-query, one per
+// party, one per replica attempt — so a single slow retrieval
+// decomposes into which shard, party, replica, hedge attempt, queue
+// wait, and engine phase cost the time. Sampling is decided at the head
+// by SampleRate; an unsampled operation carries a nil span through the
+// entire call path at zero allocation. With SlowThreshold set, every
+// operation is traced and the ring additionally keeps unsampled ones
+// that ran at least that long — the client-side mirror of the server's
+// slow-query tracing. The servers learn only the head decision: an
+// operation traced just for the threshold reaches them as unsampled and
+// stays out of their rings.
 //
-//	co := impir.NewClientObs()
-//	store, _ := impir.Open(ctx, d, co.Option())
-//	http.Handle("/metrics", co)
-type ClientObs struct {
+// The metrics live strictly on the client: they see record indices'
+// timing (never their values) and are never sent to a server. Tracing
+// sends each server only its own attempt's fresh span ID and the head
+// sampling bit (see the package doc).
+//
+//	o := impir.NewObserver(impir.ObserverConfig{SampleRate: 0.01})
+//	store, _ := impir.Open(ctx, d, o.Option())
+//	go http.ListenAndServe("localhost:9090", o) // /metrics, /debug/traces
+type Observer struct {
 	cells   *clientCells
+	sampler obs.Sampler
+	slow    time.Duration
+	ring    *obs.TraceRing
+	handler http.Handler
 	claimed atomic.Bool
 }
+
+// ObserverConfig configures an Observer's tracing; its counters and
+// latency histograms are always on.
+type ObserverConfig struct {
+	// SampleRate is the head-sampling fraction: 0 samples nothing,
+	// 1 samples everything.
+	SampleRate float64
+	// SlowThreshold, when positive, traces EVERY operation and keeps
+	// unsampled ones in the ring when they run at least this long.
+	// This trades the zero-allocation unsampled path for never missing
+	// a slow operation.
+	SlowThreshold time.Duration
+}
+
+// TraceSnapshot is one immutable span tree from a trace ring: the
+// root carries the operation, children carry the fan-out (shard →
+// party → attempt). See the README's span field glossary.
+type TraceSnapshot = obs.SpanSnapshot
 
 // Client-side operation labels.
 const (
@@ -37,64 +75,99 @@ const (
 	opUpdate        = "update"
 )
 
-// NewClientObs builds an empty client observability bundle.
-func NewClientObs() *ClientObs {
-	return &ClientObs{cells: newClientCells(obs.NewRegistry())}
+// NewObserver builds an Observer with an empty registry and trace ring.
+func NewObserver(cfg ObserverConfig) *Observer {
+	reg := obs.NewRegistry()
+	ring := obs.NewTraceRing(obs.DefaultTraceRingSize)
+	return &Observer{
+		cells:   newClientCells(reg),
+		sampler: obs.NewSampler(cfg.SampleRate),
+		slow:    cfg.SlowThreshold,
+		ring:    ring,
+		handler: obs.NewAdmin(reg, nil, obs.WithTraceRing(ring)).Handler(),
+	}
 }
 
-// Option returns the ClientOption that makes the bundle's registry the
-// store's; pass it to Open.
-func (o *ClientObs) Option() ClientOption {
-	return func(c *clientConfig) { c.obs = o }
+// Option returns the ClientOption that makes the Observer the store's;
+// pass it to Open or OpenKV.
+func (o *Observer) Option() ClientOption {
+	return func(c *clientConfig) { c.observer = o }
 }
 
-// claim hands the bundle's cells to the one store it serves, resolving
-// its per-shard cells; a nil bundle yields detached cells that no
-// registry holds.
-func (o *ClientObs) claim(shards int) (*clientCells, error) {
+// ServeHTTP serves the Observer's telemetry through the same handler
+// as a server's admin endpoint: GET /metrics (Prometheus text
+// exposition) and GET /debug/traces?min_ms=N (the ring as JSON), with
+// that handler's /healthz and an always-ready /readyz. Mount it at the
+// root of a mux, or serve it on its own listener.
+func (o *Observer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	o.handler.ServeHTTP(w, req)
+}
+
+// RecentTraces snapshots the ring's span trees, newest first, keeping
+// those at least min long (0 keeps all).
+func (o *Observer) RecentTraces(min time.Duration) []TraceSnapshot {
+	return recentTraces(o.ring, min)
+}
+
+// recentTraces snapshots ring's span trees, newest first, keeping those
+// at least min long.
+func recentTraces(ring *obs.TraceRing, min time.Duration) []TraceSnapshot {
+	spans := ring.Snapshot(min)
+	out := make([]TraceSnapshot, 0, len(spans))
+	for _, s := range spans {
+		out = append(out, s.Snapshot())
+	}
+	return out
+}
+
+// claim hands the Observer's cells to the one store it serves,
+// resolving its per-shard cells; a nil Observer yields detached cells
+// that no registry holds.
+func (o *Observer) claim(shards int) (*clientCells, error) {
 	if o == nil {
-		o = &ClientObs{cells: newClientCells(nil)}
+		o = &Observer{cells: newClientCells(nil)}
 	} else if !o.claimed.CompareAndSwap(false, true) {
-		return nil, errors.New("impir: the ClientObs already serves another store; build one per Open")
+		return nil, errors.New("impir: the Observer already serves another store; build one per Open")
 	}
 	o.cells.addShards(shards)
 	return o.cells, nil
 }
 
-// WriteMetrics renders the bundle's families in the Prometheus text
-// exposition format.
-func (o *ClientObs) WriteMetrics(w io.Writer) error { return o.cells.reg.WriteText(w) }
-
-// ServeHTTP makes the bundle an http.Handler serving its exposition, so
-// an application can mount it on its own mux:
-//
-//	http.Handle("/metrics", co)
-func (o *ClientObs) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	o.WriteMetrics(w)
+// begin opens the root span for one logical operation, or returns nil
+// when the operation is not traced (always on a nil Observer). The
+// no-tracing check runs before any ID is drawn, keeping the unsampled
+// path allocation free.
+func (o *Observer) begin(ctx context.Context, op string) *obs.Span {
+	if o == nil || (!o.sampler.Enabled() && o.slow <= 0) {
+		return nil
+	}
+	traceID := obs.NewTraceID()
+	sampled := o.sampler.SampleTrace(traceID)
+	if !sampled && o.slow <= 0 {
+		return nil
+	}
+	span := obs.NewRootSpan(traceID, op, sampled)
+	span.SetAttrBool("sampled", sampled)
+	for _, a := range obs.OpAttrsFromContext(ctx) {
+		span.SetAttr(a.Key, a.Value)
+	}
+	return span
 }
 
-// ClientCallStats summarises one operation type's recorded calls.
-type ClientCallStats struct {
-	Calls  uint64 // completed operations (all outcomes)
-	Errors uint64 // failed operations, busy rejections included
-	Busy   uint64 // failures that were server busy rejections
-	P50    time.Duration
-	P99    time.Duration
-	Max    time.Duration
-}
-
-// ClientObsSnapshot is an in-process view of the bundle's per-operation
-// call stats; the store's other counters are its Stats().
-type ClientObsSnapshot struct {
-	Retrieve, RetrieveBatch, Update ClientCallStats
-}
-
-// Snapshot returns the bundle's current call counts and latency
-// quantiles.
-func (o *ClientObs) Snapshot() ClientObsSnapshot {
-	c := o.cells
-	return ClientObsSnapshot{c.retrieve.callStats(), c.batch.callStats(), c.update.callStats()}
+// finish ends a root span begin opened and decides ring admission:
+// sampled operations always, unsampled ones only over the slow
+// threshold. A nil span (an untraced operation) is ignored.
+func (o *Observer) finish(span *obs.Span, err error) {
+	if span == nil {
+		return
+	}
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.End()
+	if span.Sampled() || (o.slow > 0 && span.Duration() >= o.slow) {
+		o.ring.Add(span)
+	}
 }
 
 // clientCells are a Client's counters — their only storage. Every cell
@@ -218,19 +291,6 @@ func (o *opCells) done(start time.Time, err error) {
 		o.busy.Inc()
 	default:
 		o.failed.Inc()
-	}
-}
-
-func (o *opCells) callStats() ClientCallStats {
-	s := o.latency.Snapshot()
-	busy := o.busy.Value()
-	return ClientCallStats{
-		Calls:  s.Count,
-		Errors: o.failed.Value() + busy,
-		Busy:   busy,
-		P50:    s.Quantile(0.50),
-		P99:    s.Quantile(0.99),
-		Max:    s.Max,
 	}
 }
 

@@ -188,6 +188,8 @@ func TestConcurrentCallsDoNotDeadlock(t *testing.T) {
 // both servers together: 64 on Go 1.24, with a little room above. A
 // goroutine, closure or cancel scope per shard or party shows here, and
 // so does a DPF key generation whose PRG blocks escape per tree level.
+// A store whose Observer samples nothing must allocate exactly as an
+// unobserved one: its counters and histograms are resolved cells.
 func TestRetrieveAllocations(t *testing.T) {
 	const maxRetrieveAllocs = 70
 	if raceEnabledImpir {
@@ -195,24 +197,31 @@ func TestRetrieveAllocations(t *testing.T) {
 	}
 	db, _ := GenerateHashDB(1024, 53)
 	ctx := context.Background()
-	store := openFromJSON(t, ctx, FlatDeployment(startDeployment(t, db, 2)...))
-	for i := 0; i < 50; i++ { // warm the connections' buffers and pools
-		if _, err := store.Retrieve(ctx, uint64(i)); err != nil {
+	d := FlatDeployment(startDeployment(t, db, 2)...)
+	var allocs [2]float64 // unobserved; observed, sampling nothing
+	for n, opts := range [][]ClientOption{nil, {NewObserver(ObserverConfig{}).Option()}} {
+		store := openFromJSON(t, ctx, d, opts...)
+		for i := 0; i < 50; i++ { // warm the connections' buffers and pools
+			if _, err := store.Retrieve(ctx, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		allocs[n] = testing.AllocsPerRun(200, func() {
+			if _, e := store.Retrieve(ctx, 77); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	var err error
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, e := store.Retrieve(ctx, 77); e != nil {
-			err = e
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("%.1f allocations per Retrieve, %.1f observed", allocs[0], allocs[1])
+	if allocs[0] > maxRetrieveAllocs {
+		t.Errorf("a Retrieve allocates %.1f times, want ≤ %d", allocs[0], maxRetrieveAllocs)
 	}
-	t.Logf("%.1f allocations per Retrieve", allocs)
-	if allocs > maxRetrieveAllocs {
-		t.Errorf("a Retrieve allocates %.1f times, want ≤ %d", allocs, maxRetrieveAllocs)
+	if allocs[1] != allocs[0] {
+		t.Errorf("an unsampling Observer's Retrieve allocates %.1f times, unobserved %.1f", allocs[1], allocs[0])
 	}
 }
 

@@ -74,10 +74,10 @@ func run() error {
 			impir.WithHedging(!*noHedge),
 		),
 	}
-	var tracer *impir.Tracer
+	var observer *impir.Observer
 	if *trace {
-		tracer = impir.NewTracer(impir.TracerConfig{SampleRate: 1})
-		opts = append(opts, tracer.Option())
+		observer = impir.NewObserver(impir.ObserverConfig{SampleRate: 1})
+		opts = append(opts, observer.Option())
 	}
 
 	// Resolve whatever flags were given into one deployment manifest —
@@ -104,7 +104,7 @@ func run() error {
 	}
 
 	if d.Keyword != nil {
-		return runKV(ctx, d, opts, tracer, flag.Args())
+		return runKV(ctx, d, opts, observer, flag.Args())
 	}
 
 	indices, err := parseIndices(*indexFlag)
@@ -142,26 +142,26 @@ func run() error {
 	if st := store.Stats(); st.Hedges > 0 {
 		fmt.Printf("hedging: %d hedge(s), %d won\n", st.Hedges, st.HedgeWins)
 	}
-	printTraces(tracer)
+	printTraces(observer)
 	return nil
 }
 
-// printTraces dumps the tracer's span trees as indented JSON — the
+// printTraces dumps the observer's span trees as indented JSON — the
 // whole point of -trace is reading them.
-func printTraces(tracer *impir.Tracer) {
-	if tracer == nil {
+func printTraces(observer *impir.Observer) {
+	if observer == nil {
 		return
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	enc.Encode(tracer.RecentTraces(0))
+	enc.Encode(observer.RecentTraces(0))
 }
 
 // runKV executes a keyword-store operation: `get <key> [key...]`
 // against the deployment's keyword table. A present key prints its
 // value; an absent key is an error — which only the client learns, the
 // servers saw the same constant-shape probe either way.
-func runKV(ctx context.Context, d impir.Deployment, opts []impir.ClientOption, tracer *impir.Tracer, args []string) error {
+func runKV(ctx context.Context, d impir.Deployment, opts []impir.ClientOption, observer *impir.Observer, args []string) error {
 	if len(args) < 2 || args[0] != "get" {
 		return fmt.Errorf("keyword mode usage: impir-client -deployment kv-deployment.json get <key> [key...]")
 	}
@@ -195,7 +195,7 @@ func runKV(ctx context.Context, d impir.Deployment, opts []impir.ClientOption, t
 	}
 	fmt.Printf("%d key(s) in %v (no server learned the keys — or whether they exist)\n",
 		len(keys), elapsed.Round(time.Millisecond))
-	printTraces(tracer)
+	printTraces(observer)
 	if missing > 0 {
 		return fmt.Errorf("%d of %d key(s) not found", missing, len(keys))
 	}

@@ -28,6 +28,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -126,17 +127,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *conns < 1 {
 		*conns = 1
 	}
-	// One tracer shared across the pools: every pool's sampled trees
-	// land in the same ring, which the artifact summarises at the end.
-	var tracer *impir.Tracer
-	var clientOpts []impir.ClientOption
-	if *traceSample > 0 {
-		tracer = impir.NewTracer(impir.TracerConfig{SampleRate: *traceSample})
-		clientOpts = append(clientOpts, tracer.Option())
+	// An Observer serves one store, so each pool's store and keyword
+	// view gets its own; the artifact summarises all of their rings.
+	var observers []*impir.Observer
+	observe := func() []impir.ClientOption {
+		if *traceSample <= 0 {
+			return nil
+		}
+		o := impir.NewObserver(impir.ObserverConfig{SampleRate: *traceSample})
+		observers = append(observers, o)
+		return []impir.ClientOption{o.Option()}
 	}
 	target := loadgen.Target{Keys: keys}
 	for i := 0; i < *conns; i++ {
-		store, err := impir.Open(ctx, d, clientOpts...)
+		store, err := impir.Open(ctx, d, observe()...)
 		if err != nil {
 			fmt.Fprintln(stderr, "impir-loadgen: open:", err)
 			return 1
@@ -144,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer store.Close()
 		target.PerClient = append(target.PerClient, store)
 		if wl != loadgen.WorkloadIndex {
-			kv, err := impir.OpenKV(ctx, d, clientOpts...)
+			kv, err := impir.OpenKV(ctx, d, observe()...)
 			if err != nil {
 				fmt.Fprintln(stderr, "impir-loadgen: open keyword view:", err)
 				return 1
@@ -206,8 +210,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if tracer != nil {
-		res.Traces = traceSummaries(tracer.RecentTraces(0))
+	if observers != nil {
+		var snaps []impir.TraceSnapshot
+		for _, o := range observers {
+			snaps = append(snaps, o.RecentTraces(0)...)
+		}
+		slices.SortStableFunc(snaps, func(a, b impir.TraceSnapshot) int { return b.Start.Compare(a.Start) })
+		res.Traces = traceSummaries(snaps)
 	}
 
 	if *jsonOut {
@@ -346,7 +355,7 @@ func (ss *selfserveDeployment) stats() []metrics.SchedulerStats {
 	return out
 }
 
-// traceSummaries condenses the tracer's sampled span trees into the
+// traceSummaries condenses the observers' sampled span trees into the
 // artifact's flat summary form: op, duration, tree width, error.
 func traceSummaries(snaps []impir.TraceSnapshot) []loadgen.TraceSummary {
 	var count func(impir.TraceSnapshot) int

@@ -74,7 +74,7 @@
 // WithCallTimeout bounds a whole operation, WithRetries grants a
 // transient-failure budget whose attempts transparently redial broken
 // connections, and WithHedging/WithHedgeDelay control hedged
-// replica fan-out. A Tracer, installed with its Option, wraps each
+// replica fan-out. An Observer, installed with its Option, wraps each
 // logical operation (Retrieve, RetrieveBatch, Update) in one root span,
 // however many shards, coded slots, hedges and retries it spans.
 //
@@ -111,21 +111,23 @@
 //
 // Server.ServeAdmin serves an operator plane on its own listener:
 // /metrics (Prometheus text; the scheduler counts into the same
-// registry cells QueueStats reads), /healthz and /readyz — the README
-// lists the families. ServerConfig.SlowQueryThreshold logs
+// registry cells QueueStats reads), /healthz, /readyz, /debug/traces
+// and, when enabled, /debug/pprof/ — the README lists the families.
+// ServerConfig.SlowQueryThreshold logs
 // the span tree of every dispatch crossing it as one JSON line — the
-// same object /debug/traces serves for that query. On the client,
-// NewClientObs exposes a store's registry: every client counter is one
+// same object /debug/traces serves for that query. On the client, an
+// Observer (NewObserver) holds one store's registry and trace ring and
+// serves both through the same handler: every client counter is one
 // cell there, the same cell Store.Stats and KVClient.Stats read.
 // Everything exported is an operational aggregate: indices' timing,
 // never their values.
 //
 // # Distributed tracing
 //
-// NewTracer adds the per-query half: a head-sampled root span per
-// logical operation, child spans for every shard sub-query, party, and
-// replica attempt, and a ring of finished span trees
-// (Tracer.RecentTraces, or mounted as an HTTP handler). A server
+// The Observer's trace ring is the per-query half: a head-sampled root
+// span per logical operation, child spans for every shard sub-query,
+// party, and replica attempt, and a ring of finished span trees
+// (Observer.RecentTraces, or its handler's /debug/traces). A server
 // traces a query as one span tree too: a server.<frame> root under the
 // party-local span ID, with queue-wait and engine-pass children (the
 // engine's per-phase breakdown as attributes). It keeps the trees in
@@ -143,7 +145,7 @@
 // operation beyond the arrival timing they already observe. Besides
 // the ID, the context carries one sampled bit: whether the client's
 // head sampler picked the operation (an operation traced only for
-// TracerConfig.SlowThreshold sends it clear). Every party of one
+// ObserverConfig.SlowThreshold sends it clear). Every party of one
 // operation sees the same bit, exactly as every party sees whether a
 // context is present at all, which under head sampling alone already
 // implies the bit; it depends on the sampling rate and a random draw,

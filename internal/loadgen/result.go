@@ -244,7 +244,7 @@ func newBatchCodeReport(s metrics.StoreStats) *BatchCodeReport {
 
 // TraceSummary is one sampled client trace boiled down to the numbers a
 // run artifact needs: which operation, how long, how wide the tree got.
-// The full span trees stay in the tracer's ring — the artifact records
+// The full span trees stay in the client Observers' rings — the artifact records
 // enough to spot outliers, not to replay them.
 type TraceSummary struct {
 	TraceID string `json:"trace_id"`

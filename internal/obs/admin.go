@@ -79,7 +79,6 @@ type Admin struct {
 
 	mu  sync.Mutex
 	srv *http.Server
-	lis net.Listener
 }
 
 // AdminOption customises an Admin endpoint.
@@ -164,19 +163,8 @@ func (a *Admin) Serve(lis net.Listener) error {
 	}
 	a.mu.Lock()
 	a.srv = srv
-	a.lis = lis
 	a.mu.Unlock()
 	return srv.Serve(lis)
-}
-
-// Addr returns the admin listener address, or "" before Serve.
-func (a *Admin) Addr() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.lis == nil {
-		return ""
-	}
-	return a.lis.Addr().String()
 }
 
 // Shutdown gracefully stops the admin server. This should run last in a

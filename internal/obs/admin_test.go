@@ -165,9 +165,6 @@ func TestAdminTraceAndPprofEndpoints(t *testing.T) {
 
 func TestAdminServeAndShutdown(t *testing.T) {
 	a := NewAdmin(NewRegistry(), nil)
-	if got := a.Addr(); got != "" {
-		t.Fatalf("Addr before Serve = %q, want empty", got)
-	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,9 +188,6 @@ func TestAdminServeAndShutdown(t *testing.T) {
 			t.Fatalf("admin endpoint never came up: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if a.Addr() == "" {
-		t.Error("Addr empty while serving")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

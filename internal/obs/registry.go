@@ -208,10 +208,6 @@ type Histogram struct {
 // Observe records one latency.
 func (h *Histogram) Observe(d time.Duration) { h.h.Record(d) }
 
-// Snapshot exposes the backing HDR histogram's snapshot, so in-process
-// consumers get the identical quantile math the exposition is built on.
-func (h *Histogram) Snapshot() HistSnapshot { return h.h.Snapshot() }
-
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct {
 	f     *family

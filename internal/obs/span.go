@@ -416,8 +416,10 @@ func (r *TraceRing) Snapshot(min time.Duration) []*Span {
 func (r *TraceRing) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	var min time.Duration
 	if v := req.URL.Query().Get("min_ms"); v != "" {
+		// NaN fails the range test; past MaxInt64 ns the conversion
+		// would wrap to a negative filter that keeps every trace.
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 || math.IsNaN(ms) {
+		if err != nil || !(ms >= 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
 			http.Error(w, "bad min_ms", http.StatusBadRequest)
 			return
 		}

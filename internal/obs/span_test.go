@@ -243,15 +243,19 @@ func TestTraceRingServeHTTP(t *testing.T) {
 		t.Fatalf("dur_us = %d, want 20000", spans[0].DurUS)
 	}
 
+	// 9e12 ms still fits a time.Duration and keeps nothing; past
+	// MaxInt64 ns the conversion would wrap to a filter keeping all.
 	rec = httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms=bogus", nil))
-	if rec.Code != 400 {
-		t.Fatalf("bad min_ms: HTTP %d, want 400", rec.Code)
+	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms=9e12", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &spans); err != nil || rec.Code != 200 || len(spans) != 0 {
+		t.Fatalf("min_ms=9e12: HTTP %d, %d traces, err %v; want 200 and none", rec.Code, len(spans), err)
 	}
-	rec = httptest.NewRecorder()
-	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms=-1", nil))
-	if rec.Code != 400 {
-		t.Fatalf("negative min_ms: HTTP %d, want 400", rec.Code)
+	for _, v := range []string{"bogus", "-1", "NaN", "Inf", "1e300", "1e13"} {
+		rec = httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms="+v, nil))
+		if rec.Code != 400 {
+			t.Fatalf("min_ms=%s: HTTP %d, want 400", v, rec.Code)
+		}
 	}
 }
 

@@ -111,8 +111,7 @@ func TestObsAdminEndToEnd(t *testing.T) {
 			{Replicas: []string{s1.Addr().String()}},
 		},
 	}}}
-	co := NewClientObs()
-	store, err := Open(ctx, d, co.Option())
+	store, err := Open(ctx, d, NewObserver(ObserverConfig{}).Option())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +237,14 @@ func TestObsAdminEndToEnd(t *testing.T) {
 	}
 
 	// Client-side observability saw the same traffic.
-	snap := co.Snapshot()
+	st := store.Stats()
 	wantUnary := uint64(1 + clients + clients*perClient)
-	if snap.Retrieve.Calls != wantUnary {
-		t.Errorf("client obs Retrieve.Calls = %d, want %d", snap.Retrieve.Calls, wantUnary)
+	if st.Retrievals != wantUnary {
+		t.Errorf("client Retrievals = %d, want %d", st.Retrievals, wantUnary)
 	}
-	if snap.RetrieveBatch.Calls == 0 || snap.Retrieve.Errors != 0 {
-		t.Errorf("client obs batch=%d errors=%d, want batches > 0 and zero errors",
-			snap.RetrieveBatch.Calls, snap.Retrieve.Errors)
+	if st.BatchRetrievals == 0 || st.Errors != 0 {
+		t.Errorf("client batches=%d errors=%d, want batches > 0 and zero errors",
+			st.BatchRetrievals, st.Errors)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)

@@ -392,11 +392,14 @@ func (s *Server) Serve(lis net.Listener, party uint8) error {
 }
 
 // ServeAdmin serves the operator endpoint — GET /metrics (Prometheus
-// text exposition), /healthz (process liveness) and /readyz (503 until
+// text exposition), /healthz (process liveness), /readyz (503 until
 // the database is loaded and the query listener accepts, and again
-// while an update quiesces or a drain is underway) — on lis. It blocks
-// until ShutdownAdmin (or Shutdown, which stops the admin endpoint
-// last); the returned error is http.ErrServerClosed after a clean stop.
+// while an update quiesces or a drain is underway), /debug/traces (the
+// trace ring as JSON, filterable with ?min_ms=N) and, with
+// ServerConfig.EnablePprof, the net/http/pprof handlers under
+// /debug/pprof/ — on lis. It blocks until Shutdown (which stops the
+// admin endpoint last) or Close; the returned error is
+// http.ErrServerClosed after a clean stop.
 //
 // The admin endpoint is its own listener, separate from the binary
 // query protocol, so probes and scrapes keep answering through
@@ -406,24 +409,16 @@ func (s *Server) ServeAdmin(lis net.Listener) error {
 	return s.admin.Serve(lis)
 }
 
-// AdminAddr returns the admin listener address, or "" before ServeAdmin.
-func (s *Server) AdminAddr() string { return s.admin.Addr() }
-
 // WriteMetrics renders the server's metric families in the Prometheus
 // text exposition format — the same bytes GET /metrics serves — for
-// in-process consumers (tests, the load generator's artifact).
+// in-process consumers that run no admin listener.
 func (s *Server) WriteMetrics(w io.Writer) error { return s.reg.WriteText(w) }
 
 // RecentTraces snapshots the server's trace ring — sampled and slow
 // queries as party-local span trees, newest first, at least min long
 // (0 keeps all). The same data GET /debug/traces serves.
 func (s *Server) RecentTraces(min time.Duration) []TraceSnapshot {
-	spans := s.traces.Snapshot(min)
-	out := make([]TraceSnapshot, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, sp.Snapshot())
-	}
-	return out
+	return recentTraces(s.traces, min)
 }
 
 // Shutdown stops the server gracefully: /readyz flips to 503 first (so

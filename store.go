@@ -59,7 +59,7 @@ var _ Store = (*Client)(nil)
 // section routes RetrieveBatch through the multi-message batch planner.
 // Options configure the encoding — an
 // encoding that cannot serve a cohort's party count is refused before
-// that cohort dials — TLS, telemetry (ClientObs, Tracer), and the
+// that cohort dials — TLS, telemetry (an Observer), and the
 // default per-call policy; per-call options on each operation override
 // those defaults. Deployments whose manifest carries a keyword table
 // still open as an index store here — use OpenKV for the key→value view.

@@ -190,8 +190,8 @@ func TestClusterTracerRingsOneRootPerLogicalOp(t *testing.T) {
 	m, _ := startCluster(t, db, 2)
 	ctx := context.Background()
 
-	tr := NewTracer(TracerConfig{SampleRate: 1})
-	store, err := Open(ctx, m, tr.Option())
+	o := NewObserver(ObserverConfig{SampleRate: 1})
+	store, err := Open(ctx, m, o.Option())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestClusterTracerRingsOneRootPerLogicalOp(t *testing.T) {
 			t.Fatalf("record %d wrong through cluster", idx)
 		}
 	}
-	roots := tr.RecentTraces(0)
+	roots := o.RecentTraces(0)
 	if len(roots) != 3 {
 		t.Fatalf("%d root spans for 3 logical retrievals", len(roots))
 	}

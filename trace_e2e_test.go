@@ -141,8 +141,8 @@ func TestDistributedTracingE2E(t *testing.T) {
 	ctx := context.Background()
 	d, servers := startTracedDeployment(t, db, slowDelay)
 
-	tracer := NewTracer(TracerConfig{SampleRate: 1})
-	store, err := Open(ctx, d, tracer.Option(),
+	observer := NewObserver(ObserverConfig{SampleRate: 1})
+	store, err := Open(ctx, d, observer.Option(),
 		WithDefaultCallOptions(WithHedging(true), WithHedgeDelay(hedgeFloor)))
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +158,9 @@ func TestDistributedTracingE2E(t *testing.T) {
 		t.Fatal("wrong record")
 	}
 
-	traces := tracer.RecentTraces(0)
+	traces := observer.RecentTraces(0)
 	if len(traces) != 1 {
-		t.Fatalf("tracer ring holds %d traces, want 1", len(traces))
+		t.Fatalf("observer ring holds %d traces, want 1", len(traces))
 	}
 	root := traces[0]
 	if root.Name != "retrieve" {
@@ -231,7 +231,7 @@ func TestDistributedTracingE2E(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		lost := 0
-		for _, sn := range collectSpans(tracer.RecentTraces(0)[0]) {
+		for _, sn := range collectSpans(observer.RecentTraces(0)[0]) {
 			if v, _ := sn.Attr("outcome"); sn.Name == "attempt" && v == "lost" {
 				if c, _ := sn.Attr("cancelled"); c != "true" {
 					t.Fatalf("lost attempt not marked cancelled: %+v", sn.Attrs)
@@ -304,7 +304,7 @@ func TestDistributedTracingE2E(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledByDefault: without a Tracer the same deployment
+// TestTracingDisabledByDefault: without an Observer the same deployment
 // serves retrievals with empty server rings — nothing is traced unless
 // asked for.
 func TestTracingDisabledByDefault(t *testing.T) {
@@ -338,30 +338,10 @@ func TestSlowThresholdTracingSendsUnsampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var servers []*Server
-	var addrs []string
-	for party := uint8(0); party < 2; party++ {
-		srv, err := NewServer(ServerConfig{Engine: EngineCPU})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if err := srv.Load(db.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Serve(lis, party); err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-		addrs = append(addrs, srv.Addr().String())
-	}
+	addrs, servers := startShardCohort(t, db, 2)
 	ctx := context.Background()
-	tracer := NewTracer(TracerConfig{SlowThreshold: time.Hour})
-	store, err := Open(ctx, FlatDeployment(addrs...), tracer.Option())
+	observer := NewObserver(ObserverConfig{SlowThreshold: time.Hour})
+	store, err := Open(ctx, FlatDeployment(addrs...), observer.Option())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +351,7 @@ func TestSlowThresholdTracingSendsUnsampled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(tracer.RecentTraces(0)); n != 0 {
+	if n := len(observer.RecentTraces(0)); n != 0 {
 		t.Fatalf("client ringed %d fast unsampled traces", n)
 	}
 	time.Sleep(50 * time.Millisecond)
