@@ -12,13 +12,7 @@ import (
 
 func setupBenchServer(b *testing.B, kind EngineKind, records int) *Server {
 	b.Helper()
-	srv, err := NewServer(ServerConfig{
-		Engine:      kind,
-		DPUs:        16,
-		Tasklets:    8,
-		EvalWorkers: 2,
-		Threads:     2,
-	})
+	srv, err := NewServer(ServerConfig{Engine: kind, DPUs: 16, Threads: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

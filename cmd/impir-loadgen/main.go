@@ -177,6 +177,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.OnInterval = func(iv loadgen.Interval) { fmt.Fprintln(stderr, iv.Format()) }
 	}
 
+	// The artifact describes the final run's measured window: traces
+	// that start before it (warmup, ramp steps) are left out.
+	var measuredFrom time.Time
+	measure := func() (*loadgen.Result, error) {
+		measuredFrom = time.Now().Add(cfg.Warmup)
+		return loadgen.Run(ctx, target, cfg)
+	}
 	var res *loadgen.Result
 	if *ramp {
 		rr, err := loadgen.Saturate(ctx, target, cfg, loadgen.RampConfig{
@@ -193,17 +200,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rr.MaxGoodQPS > 0 {
 			// Full measured run at the knee, with the search attached.
 			cfg.QPS = rr.MaxGoodQPS
-			res, err = loadgen.Run(ctx, target, cfg)
+			res, err = measure()
 			if err != nil {
 				fmt.Fprintln(stderr, "impir-loadgen:", err)
 				return 1
 			}
 		} else {
 			res = &loadgen.Result{Schema: loadgen.ResultSchema}
+			measuredFrom = time.Now()
 		}
 		res.Ramp = rr
 	} else {
-		res, err = loadgen.Run(ctx, target, cfg)
+		res, err = measure()
 		if err != nil {
 			fmt.Fprintln(stderr, "impir-loadgen:", err)
 			return 1
@@ -213,7 +221,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if observers != nil {
 		var snaps []impir.TraceSnapshot
 		for _, o := range observers {
-			snaps = append(snaps, o.RecentTraces(0)...)
+			for _, sn := range o.RecentTraces(0) {
+				if !sn.Start.Before(measuredFrom) {
+					snaps = append(snaps, sn)
+				}
+			}
 		}
 		slices.SortStableFunc(snaps, func(a, b impir.TraceSnapshot) int { return b.Start.Compare(a.Start) })
 		res.Traces = traceSummaries(snaps)

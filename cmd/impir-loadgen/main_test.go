@@ -53,6 +53,29 @@ func TestSelfserveJSONArtifact(t *testing.T) {
 	}
 }
 
+// TestSelfserveTracesOnlyMeasuredWindow: with every operation sampled,
+// the artifact's trace summaries describe the measured window that
+// counts and latency describe, so warmup operations' traces stay out
+// and there are at most as many traces as offered operations.
+func TestSelfserveTracesOnlyMeasuredWindow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := shortProfile("-json", "-workload", "mixed", "-qps", "100", "-duration", "1s", "-trace-sample", "1")
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	var res loadgen.Result
+	if err := json.Unmarshal(stdout.Bytes(), &res); err != nil {
+		t.Fatalf("artifact not parseable: %v\n%s", err, stdout.String())
+	}
+	if res.WarmupOps == 0 || res.Counts.Offered == 0 {
+		t.Fatalf("run without a warmup and a measured window: warmup %d ops, %+v", res.WarmupOps, res.Counts)
+	}
+	if len(res.Traces) == 0 || uint64(len(res.Traces)) > res.Counts.Offered {
+		t.Fatalf("%d trace summaries for %d offered operations (%d warmup operations)",
+			len(res.Traces), res.Counts.Offered, res.WarmupOps)
+	}
+}
+
 func TestBadInvocations(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-workload", "nonsense", "-selfserve"}, &out, &errOut); code != 2 {

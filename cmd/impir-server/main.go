@@ -14,6 +14,10 @@
 // Deployments with more than two servers (the naive share encoding) run
 // one impir-server per party with -party 0..n-1.
 //
+// -workload picks the synthetic database: hash (the paper's evaluation
+// records, the default), or the application scenarios ct, credentials
+// and blocklist, which internal/database generates as the examples do.
+//
 // Keyword stores serve a cuckoo key→value table instead of an indexed
 // database: with -kv-manifest the server synthesises -records
 // deterministic key→value pairs from -seed, builds the cuckoo table
@@ -314,13 +318,13 @@ func buildDatabase(workload string, records int, seed int64) (*impir.DB, error) 
 	case "hash":
 		return impir.GenerateHashDB(records, seed)
 	case "ct":
-		db, _, err := impir.GenerateCTLog(records, seed)
+		db, _, err := database.GenerateCTLog(records, seed)
 		return db, err
 	case "credentials":
-		db, _, err := impir.GenerateCredentialDB(records, seed)
+		db, _, err := database.GenerateCredentialDB(records, seed)
 		return db, err
 	case "blocklist":
-		db, _, err := impir.GenerateBlocklist(records, seed)
+		db, _, err := database.GenerateBlocklist(records, seed)
 		return db, err
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want hash, ct, credentials, or blocklist)", workload)

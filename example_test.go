@@ -15,8 +15,8 @@ import (
 func Example() {
 	ctx := context.Background()
 	db, _ := impir.GenerateHashDB(1024, 7)
-	s0, _ := impir.NewServer(impir.ServerConfig{DPUs: 16, Tasklets: 8})
-	s1, _ := impir.NewServer(impir.ServerConfig{DPUs: 16, Tasklets: 8})
+	s0, _ := impir.NewServer(impir.ServerConfig{DPUs: 16})
+	s1, _ := impir.NewServer(impir.ServerConfig{DPUs: 16})
 	_ = s0.Load(db)
 	_ = s1.Load(db)
 	defer s0.Close()
@@ -90,31 +90,26 @@ func ExampleOpen_threeServers() {
 	// Output: shares true true
 }
 
-// Reconstruct XORs any number of subresults — here a three-server
-// deployment using the naive share encoding, in process.
+// Reconstruct XORs the servers' subresults; neither alone is the
+// record. Here two CPU-engine replicas each answer one key of a DPF
+// pair, in process.
 func ExampleReconstruct() {
 	ctx := context.Background()
 	db, _ := impir.GenerateHashDB(256, 3)
-	shares, _ := impir.GenerateShares(db.NumRecords(), 99, 3)
+	keys := make([]*impir.Key, 2)
+	keys[0], keys[1], _ = impir.GenerateKeys(db.NumRecords(), 99)
 
-	subresults := make([][]byte, 3)
+	subresults := make([][]byte, 2)
 	for i := range subresults {
 		s, _ := impir.NewServer(impir.ServerConfig{Engine: impir.EngineCPU, Threads: 2})
 		defer s.Close()
 		_ = s.Load(db)
-		subresults[i], _, _ = s.AnswerShare(ctx, shares[i])
+		subresults[i], _, _ = s.Answer(ctx, keys[i])
 	}
 
 	record, _ := impir.Reconstruct(subresults...)
-	fmt.Println(bytes.Equal(record, db.Record(99)))
-	// Output: true
-}
-
-// DomainFor reports the DPF tree depth for a database size.
-func ExampleDomainFor() {
-	d, _ := impir.DomainFor(1_000_000)
-	fmt.Println(d)
-	// Output: 20
+	fmt.Println(bytes.Equal(subresults[0], db.Record(99)), bytes.Equal(record, db.Record(99)))
+	// Output: false true
 }
 
 // A keyword store: BuildKVDB packs key→value pairs into an ordinary PIR

@@ -24,6 +24,7 @@ import (
 	"net"
 
 	"github.com/impir/impir"
+	"github.com/impir/impir/internal/database"
 )
 
 const (
@@ -39,14 +40,14 @@ func main() {
 
 func run() error {
 	// ——— Provider side: blocklist → cuckoo table → two replicas ———
-	_, urls, err := impir.GenerateBlocklist(blocklistSize, blocklistSeed)
+	_, urls, err := database.GenerateBlocklist(blocklistSize, blocklistSeed)
 	if err != nil {
 		return err
 	}
 	categories := []string{"malware", "phishing", "c2", "scam"}
 	pairs := make([]impir.KVPair, len(urls))
 	for i, u := range urls {
-		h := impir.CredentialHash(u)
+		h := database.CredentialHash(u)
 		pairs[i] = impir.KVPair{
 			Key:   append([]byte(nil), h[:]...),
 			Value: []byte(categories[i%len(categories)]),
@@ -59,7 +60,7 @@ func run() error {
 
 	addrs := make([]string, 2)
 	for i := range addrs {
-		srv, err := impir.NewServer(impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16, Tasklets: 8, EvalWorkers: 2})
+		srv, err := impir.NewServer(impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16})
 		if err != nil {
 			return err
 		}
@@ -93,7 +94,7 @@ func run() error {
 		urls[17], // malicious
 	}
 	for _, u := range visited {
-		h := impir.CredentialHash(u)
+		h := database.CredentialHash(u)
 		category, err := kv.Get(ctx, h[:])
 		switch {
 		case errors.Is(err, impir.ErrNotFound):

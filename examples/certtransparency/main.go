@@ -21,6 +21,7 @@ import (
 	"net"
 
 	"github.com/impir/impir"
+	"github.com/impir/impir/internal/database"
 )
 
 const (
@@ -51,7 +52,7 @@ func run() error {
 	// The auditor knows the log's contents schema: it has the certificate
 	// (and therefore can recompute its leaf hash) and the log index from
 	// the SCT (signed certificate timestamp).
-	_, entries, err := impir.GenerateCTLog(logSize, logSeed)
+	_, entries, err := database.GenerateCTLog(logSize, logSeed)
 	if err != nil {
 		return err
 	}
@@ -103,15 +104,11 @@ func run() error {
 
 // startMirror launches one PIR server with its replica of the CT log.
 func startMirror(party uint8) (addr string, stop func(), err error) {
-	db, _, err := impir.GenerateCTLog(logSize, logSeed)
+	db, _, err := database.GenerateCTLog(logSize, logSeed)
 	if err != nil {
 		return "", nil, err
 	}
-	srv, err := impir.NewServer(impir.ServerConfig{
-		Engine:   impir.EnginePIM,
-		DPUs:     16,
-		Tasklets: 8,
-	})
+	srv, err := impir.NewServer(impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16})
 	if err != nil {
 		return "", nil, err
 	}

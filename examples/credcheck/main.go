@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"github.com/impir/impir"
+	"github.com/impir/impir/internal/database"
 )
 
 const (
@@ -47,13 +48,13 @@ func main() {
 
 func run() error {
 	// ——— Operator side: breach corpus → cuckoo table → two replicas ———
-	_, breached, err := impir.GenerateCredentialDB(corpusSize, corpusSeed)
+	_, breached, err := database.GenerateCredentialDB(corpusSize, corpusSeed)
 	if err != nil {
 		return err
 	}
 	pairs := make([]impir.KVPair, len(breached))
 	for i, cred := range breached {
-		h := impir.CredentialHash(cred)
+		h := database.CredentialHash(cred)
 		// Key: the credential hash. Value: per-entry breach metadata —
 		// here the corpus entry's own digest, standing in for breach
 		// count / first-seen fields a real deployment would store.
@@ -98,7 +99,7 @@ func run() error {
 	passwords := []string{breached[1234], "correct horse battery staple", breached[8000]}
 	keys := make([][]byte, len(passwords))
 	for i, pw := range passwords {
-		h := impir.CredentialHash(pw)
+		h := database.CredentialHash(pw)
 		keys[i] = append([]byte(nil), h[:]...)
 	}
 
@@ -110,7 +111,7 @@ func run() error {
 	elapsed := time.Since(start)
 
 	for i, pw := range passwords {
-		h := impir.CredentialHash(pw)
+		h := database.CredentialHash(pw)
 		switch {
 		case values[i] == nil:
 			fmt.Printf("%-40q not in the corpus — safe\n", clip(pw))

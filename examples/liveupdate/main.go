@@ -67,7 +67,7 @@ func run() error {
 	addrs := make([]string, 2)
 	for i := range servers {
 		srv, err := impir.NewServer(impir.ServerConfig{
-			Engine: impir.EnginePIM, DPUs: 16, Tasklets: 8,
+			Engine: impir.EnginePIM, DPUs: 16,
 			QueueDepth: 1024,
 		})
 		if err != nil {

@@ -44,7 +44,7 @@ func run() error {
 	// Two non-colluding servers, each holding a full replica. The zero
 	// ServerConfig is the paper's IM-PIR setup; we shrink the modeled
 	// PIM machine so the example runs instantly.
-	cfg := impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16, Tasklets: 8}
+	cfg := impir.ServerConfig{Engine: impir.EnginePIM, DPUs: 16}
 	server0, err := impir.NewServer(cfg)
 	if err != nil {
 		return err

@@ -49,7 +49,7 @@ func run() error {
 	addrs := make([]string, len(engines))
 	for i, kind := range engines {
 		srv, err := impir.NewServer(impir.ServerConfig{
-			Engine: kind, DPUs: 16, Tasklets: 8, Threads: 2,
+			Engine: kind, DPUs: 16, Threads: 2,
 			// Bound the admission queue so overload rejects busy instead
 			// of queueing without limit. (Coalescing never applies here:
 			// it merges single DPF queries, and an n-server deployment's
@@ -110,17 +110,15 @@ func run() error {
 	}
 	fmt.Printf("batch of %d records retrieved in one round trip per server\n\n", len(indices))
 
-	// The price of n-server generality: O(N) bits per server.
-	shares, err := impir.GenerateShares(dbRecords, index, 3)
-	if err != nil {
-		return err
-	}
+	// The price of n-server generality: O(N) bits per server. A share
+	// holds one bit per record of the index space the servers announce.
 	k0, _, err := impir.GenerateKeys(dbRecords, index)
 	if err != nil {
 		return err
 	}
+	shareBytes := cli.NumRecords() / 8
 	fmt.Printf("query cost per server: %d B as a share vs %d B as a DPF key (%.0fx)\n",
-		shares[0].Len()/8, k0.WireSize(), float64(shares[0].Len()/8)/float64(k0.WireSize()))
+		shareBytes, k0.WireSize(), float64(shareBytes)/float64(k0.WireSize()))
 	fmt.Println("privacy now holds unless ALL three servers collude")
 	return nil
 }

@@ -22,11 +22,16 @@
 // with Reconstruct to obtain D[i]. Neither server learns anything about
 // i, and each server's work is a linear scan regardless of the query —
 // the "all-for-one" principle that makes PIR memory-bound and PIM a
-// natural fit.
+// natural fit. With more than two servers the DPF gives way to the
+// naive §2.3 scheme: the client sends each server an explicit N-bit
+// selector share, any proper subset of which is uniformly random. Open
+// picks that encoding from the party count (EncodingShares).
 //
 // # Quick start
 //
-// The protocol in one process, through the low-level primitives:
+// The two-server protocol in one process, through the low-level
+// primitives (network deployments, and every n-server one, go through
+// Open below):
 //
 //	ctx := context.Background()
 //	db, _ := impir.GenerateHashDB(1<<12, 1) // 4096 random 32-byte records
@@ -271,7 +276,8 @@
 // only one.
 //
 // The examples/ directory holds runnable programs; the README lists
-// them.
+// them. Their scenario data (a CT log, a breach corpus, a URL
+// blocklist) comes from internal/database, not from this package.
 package impir
 
 import (
@@ -302,18 +308,9 @@ type Breakdown = metrics.Breakdown
 // phase breakdown).
 type BatchStats = metrics.BatchStats
 
-// CTEntry is a synthetic Certificate Transparency log entry produced by
-// GenerateCTLog.
-type CTEntry = database.CTEntry
-
 // NewDatabase returns a zero-filled database with the given geometry.
 func NewDatabase(numRecords, recordSize int) (*DB, error) {
 	return database.New(numRecords, recordSize)
-}
-
-// DatabaseFromRecords builds a database from equally sized records.
-func DatabaseFromRecords(records [][]byte) (*DB, error) {
-	return database.FromRecords(records)
 }
 
 // GenerateHashDB synthesises the paper's evaluation workload: numRecords
@@ -322,34 +319,9 @@ func GenerateHashDB(numRecords int, seed int64) (*DB, error) {
 	return database.GenerateHashDB(numRecords, seed)
 }
 
-// GenerateCTLog synthesises a Certificate Transparency log and its PIR
-// database of leaf hashes (the §5.2 CT auditing use case).
-func GenerateCTLog(numCerts int, seed int64) (*DB, []CTEntry, error) {
-	return database.GenerateCTLog(numCerts, seed)
-}
-
-// GenerateCredentialDB synthesises a breached-credential hash database
-// (the §5.2 compromised-credential checking use case).
-func GenerateCredentialDB(numCreds int, seed int64) (*DB, []string, error) {
-	return database.GenerateCredentialDB(numCreds, seed)
-}
-
-// GenerateBlocklist synthesises a private-blocklist database of hashed
-// malicious URLs.
-func GenerateBlocklist(numURLs int, seed int64) (*DB, []string, error) {
-	return database.GenerateBlocklist(numURLs, seed)
-}
-
-// CredentialHash returns the digest a credential-checking deployment
-// stores for one credential.
-func CredentialHash(password string) [32]byte {
-	return database.CredentialHash(password)
-}
-
-// DomainFor returns the DPF domain (log₂ of the index space) covering a
-// database of numRecords: ⌈log₂ numRecords⌉. Keys for a database must be generated at exactly
-// this domain; GenerateKeys does so automatically.
-func DomainFor(numRecords int) (int, error) {
+// domainFor returns the DPF domain (log₂ of the index space) covering a
+// database of numRecords: ⌈log₂ numRecords⌉.
+func domainFor(numRecords int) (int, error) {
 	if numRecords < 1 {
 		return 0, fmt.Errorf("impir: numRecords %d must be ≥ 1", numRecords)
 	}
@@ -361,7 +333,7 @@ func DomainFor(numRecords int) (int, error) {
 // numRecords records. Send k0 to server 0 and k1 to server 1; neither
 // key alone reveals index.
 func GenerateKeys(numRecords int, index uint64) (k0, k1 *Key, err error) {
-	domain, err := DomainFor(numRecords)
+	domain, err := domainFor(numRecords)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,17 +6,13 @@ import (
 	"net"
 	"testing"
 	"testing/quick"
+
+	"github.com/impir/impir/internal/database"
 )
 
 // testServerConfig keeps the simulated machine small for unit tests.
 func testServerConfig(kind EngineKind) ServerConfig {
-	return ServerConfig{
-		Engine:      kind,
-		DPUs:        8,
-		Tasklets:    4,
-		EvalWorkers: 2,
-		Threads:     2,
-	}
+	return ServerConfig{Engine: kind, DPUs: 8, Threads: 2}
 }
 
 func newPair(t *testing.T, kind EngineKind, db *DB) (*Server, *Server) {
@@ -180,7 +176,7 @@ func TestBatchAPI(t *testing.T) {
 }
 
 func TestNetworkDeployment(t *testing.T) {
-	db, creds, err := GenerateCredentialDB(256, 5)
+	db, creds, err := database.GenerateCredentialDB(256, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +195,7 @@ func TestNetworkDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CredentialHash(creds[77])
+	want := database.CredentialHash(creds[77])
 	if !bytes.Equal(rec, want[:]) {
 		t.Fatal("network retrieval returned wrong record")
 	}
@@ -240,12 +236,12 @@ func TestGenerateKeysValidation(t *testing.T) {
 	if _, _, err := GenerateKeys(100, 100); err == nil {
 		t.Error("GenerateKeys accepted out-of-range index")
 	}
-	if _, err := DomainFor(-1); err == nil {
-		t.Error("DomainFor accepted negative count")
+	if _, err := domainFor(-1); err == nil {
+		t.Error("domainFor accepted negative count")
 	}
-	d, err := DomainFor(1000)
+	d, err := domainFor(1000)
 	if err != nil || d != 10 {
-		t.Errorf("DomainFor(1000) = %d, %v", d, err)
+		t.Errorf("domainFor(1000) = %d, %v", d, err)
 	}
 }
 

@@ -17,11 +17,13 @@ const recordSize = 32
 const gib = float64(1 << 30)
 
 // recordsFor converts a database size in GiB to a power-of-two-padded
-// record count (the engines pad, so the models must too).
+// record count. The modeled figures price a database padded to 2^d
+// records, a choice TestRecordsFor (0.75 GiB → 2^25 records) and
+// figures.golden.json pin; a served engine holds exactly N records.
 func recordsFor(sizeGiB float64) int { return pow2At(int(sizeGiB * gib / recordSize)) }
 
-// pow2At pads n up to the next power of two, matching what the engines
-// do before serving.
+// pow2At pads n up to the next power of two: the 2^d-record database
+// the modeled figures price.
 func pow2At(n int) int {
 	p := 1
 	for p < n {

@@ -136,7 +136,7 @@ func TestUpdateUnderConcurrentQueryLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(ServerConfig{
-		Engine: EnginePIM, DPUs: 8, Tasklets: 4, EvalWorkers: 2,
+		Engine: EnginePIM, DPUs: 8,
 		QueueDepth: 1024,
 	})
 	if err != nil {

@@ -14,8 +14,9 @@
 // Packages are grouped by kind: "library" (the root package and
 // internal/), "command" (cmd/), "example" (examples/) and "tool" (the
 // benchmark and scripts/). The production code is the libraries and
-// commands. The ledger gates nothing; a change that states a line or
-// concept budget quotes it before and after.
+// commands. The ledger gates no budget; CI checks that the committed
+// file is current. A change that states a line or concept budget
+// quotes it before and after.
 //
 // Usage, from the module root:
 //

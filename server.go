@@ -63,9 +63,10 @@ func ParseEngineKind(s string) (EngineKind, error) {
 }
 
 // ServerConfig configures one PIR server. The zero value is the paper's
-// IM-PIR evaluation setup: 2048 DPUs at 350 MHz, 16 tasklets, a single
-// cluster, subtree-parallel host evaluation, and a 256-deep request
-// queue whose queued single DPF queries share a pass, up to 64 at a time.
+// IM-PIR evaluation setup: 2048 DPUs at 350 MHz, a single cluster, and a
+// 256-deep request queue whose queued single DPF queries share a pass,
+// up to 64 at a time. The PIM pricer always prices the paper's 16
+// tasklets per DPU and 8 host DPF evaluation workers.
 type ServerConfig struct {
 	// Engine selects the machine that prices the engine's passes; zero
 	// value means EnginePIM.
@@ -76,11 +77,6 @@ type ServerConfig struct {
 	// Clusters divides the DPUs into independent clusters, each holding
 	// a full DB replica (PIM pricer only; 0 = 1).
 	Clusters int
-	// Tasklets is the per-DPU thread count (PIM pricer only; 0 = 16).
-	Tasklets int
-	// EvalWorkers is the host-side DPF evaluation thread count (PIM
-	// pricer only; 0 = 8).
-	EvalWorkers int
 	// Threads is the CPU baseline's worker count for expand and scan
 	// (CPU pricer only; 0 = 32).
 	Threads int
@@ -132,7 +128,7 @@ var _ transport.Dispatcher = (*scheduler.Scheduler)(nil)
 
 // ErrServerBusy reports a server whose admission queue was full: the
 // request was rejected without an engine pass. Retry after a backoff.
-// Answer, AnswerBatch and AnswerShare return it locally. Over the wire
+// Answer and AnswerBatch return it locally. Over the wire
 // a server replies with a MsgBusy frame instead; a Store retries that
 // within its retry budget and, once the budget is spent, returns an
 // error that errors.Is matches against ErrServerBusy.
@@ -243,12 +239,6 @@ func newPricer(cfg ServerConfig) (engine.Pricer, error) {
 		if cfg.Clusters != 0 {
 			ecfg.Clusters = cfg.Clusters
 		}
-		if cfg.Tasklets != 0 {
-			ecfg.PIM.TaskletsPerDPU = cfg.Tasklets
-		}
-		if cfg.EvalWorkers != 0 {
-			ecfg.EvalWorkers = cfg.EvalWorkers
-		}
 		return impir.NewPricer(ecfg)
 	case EngineCPU:
 		return engine.NewCPUPricer(cfg.Threads)
@@ -303,11 +293,7 @@ func (s *Server) Database() *DB { return s.eng.Database() }
 // a busy engine may be served by one shared batch pipeline pass (§3.4);
 // the returned breakdown is then the pass's per-query average.
 func (s *Server) Answer(ctx context.Context, key *Key) ([]byte, Breakdown, error) {
-	return single(s.sched.Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}}))
-}
-
-// single unpacks the one subresult of a single-query pass.
-func single(results [][]byte, st BatchStats, err error) ([]byte, Breakdown, error) {
+	results, st, err := s.sched.Query(ctx, pirproto.MsgQuery, dpf.Batch{Keys: []*dpf.Key{key}})
 	if err != nil {
 		return nil, Breakdown{}, err
 	}

@@ -34,13 +34,7 @@ func TestShrinkPIM(t *testing.T) {
 }
 
 func TestServerConfigKnobs(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Engine:      EnginePIM,
-		DPUs:        32,
-		Clusters:    2,
-		Tasklets:    12,
-		EvalWorkers: 4,
-	})
+	srv, err := NewServer(ServerConfig{Engine: EnginePIM, DPUs: 32, Clusters: 2})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -58,9 +52,6 @@ func TestServerConfigKnobs(t *testing.T) {
 	// Invalid knob combinations must surface.
 	if _, err := NewServer(ServerConfig{Engine: EnginePIM, DPUs: 10, Clusters: 3}); err == nil {
 		t.Error("non-divisible clusters accepted")
-	}
-	if _, err := NewServer(ServerConfig{Engine: EnginePIM, Tasklets: 99}); err == nil {
-		t.Error("tasklet count beyond hardware accepted")
 	}
 	if _, err := NewServer(ServerConfig{Engine: EngineKind(42)}); err == nil {
 		t.Error("unknown engine kind accepted")

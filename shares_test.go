@@ -3,45 +3,64 @@ package impir
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 )
 
 // TestShareQueriesAcrossEngines: every engine must answer the naive
-// share encoding identically to the DPF encoding.
+// share encoding, single and batched, over three loopback servers. The
+// 500 records pad to a 512-bit share, so every engine also checks that
+// shares cover the announced index space, not just the held records.
 func TestShareQueriesAcrossEngines(t *testing.T) {
-	db, err := GenerateHashDB(512, 21)
+	db, err := GenerateHashDB(500, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const index = 300
+	ctx := context.Background()
 	for _, kind := range []EngineKind{EnginePIM, EngineCPU, EngineGPU} {
 		t.Run(kind.String(), func(t *testing.T) {
-			shares, err := GenerateShares(db.NumRecords(), index, 3)
+			addrs := make([]string, 3)
+			for i := range addrs {
+				srv, err := NewServer(testServerConfig(kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				if err := srv.Load(db); err != nil {
+					t.Fatal(err)
+				}
+				lis, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Serve(lis, uint8(i)); err != nil {
+					t.Fatal(err)
+				}
+				addrs[i] = srv.Addr().String()
+			}
+			store, err := Open(ctx, FlatDeployment(addrs...), WithEncoding(EncodingShares))
 			if err != nil {
 				t.Fatal(err)
 			}
-			servers := make([]*Server, 3)
-			subresults := make([][]byte, 3)
-			for i := range servers {
-				servers[i], err = NewServer(testServerConfig(kind))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer servers[i].Close()
-				if err := servers[i].Load(db); err != nil {
-					t.Fatal(err)
-				}
-				subresults[i], _, err = servers[i].AnswerShare(context.Background(), shares[i])
-				if err != nil {
-					t.Fatalf("AnswerShare server %d: %v", i, err)
-				}
-			}
-			rec, err := Reconstruct(subresults...)
+			defer store.Close()
+
+			const index = 300
+			rec, err := store.Retrieve(ctx, index)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(rec, db.Record(index)) {
 				t.Fatalf("engine %v: 3-server share retrieval wrong", kind)
+			}
+			indices := []uint64{0, index, 499}
+			recs, err := store.RetrieveBatch(ctx, indices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, idx := range indices {
+				if !bytes.Equal(recs[i], db.Record(int(idx))) {
+					t.Fatalf("engine %v: 3-server share batch item %d (index %d) wrong", kind, i, idx)
+				}
 			}
 		})
 	}
@@ -89,34 +108,5 @@ func TestDialMultiServerValidation(t *testing.T) {
 	addrs := append(startDeployment(t, dbA, 2), startDeployment(t, dbB, 1)...)
 	if _, err := Open(ctx, FlatDeployment(addrs...)); err == nil {
 		t.Fatal("mismatched 3-server replicas accepted")
-	}
-}
-
-func TestGenerateSharesValidation(t *testing.T) {
-	if _, err := GenerateShares(0, 0, 2); err == nil {
-		t.Error("empty database accepted")
-	}
-	if _, err := GenerateShares(100, 100, 2); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	if _, err := GenerateShares(100, 0, 1); err == nil {
-		t.Error("single server accepted")
-	}
-	shares, err := GenerateShares(100, 50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shares cover the padded index space (128 for 100 records).
-	if shares[0].Len() != 128 {
-		t.Fatalf("share length %d, want 128 (padded)", shares[0].Len())
-	}
-}
-
-func TestAnswerShareValidation(t *testing.T) {
-	db, _ := GenerateHashDB(128, 1)
-	s0, _ := newPair(t, EnginePIM, db)
-	short := new(Share) // zero-length share
-	if _, _, err := s0.AnswerShare(context.Background(), short); err == nil {
-		t.Error("mis-sized share accepted")
 	}
 }
