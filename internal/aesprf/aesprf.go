@@ -9,12 +9,15 @@
 // It exposes a batch API. On amd64, Go's crypto/aes lowers to the AES-NI
 // instruction set, and issuing many independent blocks back-to-back lets
 // the hardware pipeline overlap rounds — the same batching optimisation
-// IM-PIR applies across GGM nodes at each subtree level.
+// IM-PIR applies across GGM nodes at each subtree level. The MMO
+// feed-forward XOR works on a block as two little-endian 64-bit words,
+// the form in which package dpf splits and corrects each child.
 package aesprf
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -87,8 +90,9 @@ func checkBatch(nSeeds, nLeft, nRight int) {
 	}
 }
 
+// xorInto sets dst ⊕= src as two 64-bit word XORs.
 func xorInto(dst, src *Block) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+	le := binary.LittleEndian
+	le.PutUint64(dst[:8], le.Uint64(dst[:8])^le.Uint64(src[:8]))
+	le.PutUint64(dst[8:], le.Uint64(dst[8:])^le.Uint64(src[8:]))
 }

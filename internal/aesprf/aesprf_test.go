@@ -2,6 +2,7 @@ package aesprf
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/rand"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,31 @@ func TestExpandDeterministic(t *testing.T) {
 			t.Fatal("Expand is not deterministic")
 		}
 	})
+}
+
+// TestExpandIsMMO checks Expand against the construction computed here
+// byte by byte: left = AES_K0(s) ⊕ s and right = AES_K1(s) ⊕ s.
+func TestExpandIsMMO(t *testing.T) {
+	mmo := func(key [BlockSize]byte, s Block) Block {
+		c, err := aes.NewCipher(key[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Block
+		c.Encrypt(out[:], s[:])
+		for i := range out {
+			out[i] ^= s[i]
+		}
+		return out
+	}
+	g := NewFixedKey()
+	for range 16 {
+		s := randomBlock(t)
+		l, r := g.Expand(s)
+		if l != mmo(fixedKeyLeft, s) || r != mmo(fixedKeyRight, s) {
+			t.Fatalf("Expand(%x) differs from the byte-wise MMO construction", s)
+		}
+	}
 }
 
 func TestExpandChildrenDiffer(t *testing.T) {

@@ -47,25 +47,6 @@ func New(numRecords, recordSize int) (*DB, error) {
 	}, nil
 }
 
-// FromRecords builds a database from equally sized records.
-func FromRecords(records [][]byte) (*DB, error) {
-	if len(records) == 0 {
-		return nil, errors.New("database: no records")
-	}
-	size := len(records[0])
-	db, err := New(len(records), size)
-	if err != nil {
-		return nil, err
-	}
-	for i, rec := range records {
-		if len(rec) != size {
-			return nil, fmt.Errorf("database: record %d has %d bytes, want %d", i, len(rec), size)
-		}
-		copy(db.data[i*size:], rec)
-	}
-	return db, nil
-}
-
 // FromFlat wraps an existing flat buffer as a database without copying.
 // The caller must not mutate data afterwards.
 func FromFlat(data []byte, recordSize int) (*DB, error) {

@@ -51,28 +51,6 @@ func TestRecordPanicsOutOfRange(t *testing.T) {
 	db.Record(-1)
 }
 
-func TestFromRecords(t *testing.T) {
-	records := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	db, err := FromRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.NumRecords() != 3 || db.RecordSize() != 2 {
-		t.Fatalf("geometry = (%d,%d), want (3,2)", db.NumRecords(), db.RecordSize())
-	}
-	for i, rec := range records {
-		if !bytes.Equal(db.Record(i), rec) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	if _, err := FromRecords(nil); err == nil {
-		t.Error("FromRecords accepted empty input")
-	}
-	if _, err := FromRecords([][]byte{{1}, {2, 3}}); err == nil {
-		t.Error("FromRecords accepted ragged records")
-	}
-}
-
 func TestFromFlat(t *testing.T) {
 	data := []byte{1, 2, 3, 4, 5, 6}
 	db, err := FromFlat(data, 3)

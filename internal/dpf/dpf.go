@@ -136,24 +136,26 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 	k1.CW = make([]CorrectionWord, depth)
 
 	// n0 and n1 are the two parties' nodes on the root-to-α path.
-	n0, n1 := node{seeds[0], false}, node{seeds[1], true}
+	n0, n1 := node{seeds[0], 0}, node{seeds[1], ^uint64(0)}
 	for level := 0; level < depth; level++ {
 		seeds[0], seeds[1] = n0.seed, n1.seed
 		prg.ExpandBatch(seeds, left, right)
-		l0, r0 := split(left[0]), split(right[0])
-		l1, r1 := split(left[1]), split(right[1])
 
 		// α's bit at this level, MSB first.
 		aBit := alpha>>(uint(p.Domain)-1-uint(level))&1 == 1
 
-		lose0, lose1 := r0, r1
+		lose := right
 		if aBit {
-			lose0, lose1 = l0, l1
+			lose = left
 		}
+		// A child's control bit is the low bit of its PRG half, which its
+		// seed drops.
+		seed := xorBlocks(lose[0], lose[1])
+		seed[0] &^= 1
 		cw := CorrectionWord{
-			Seed:   xorBlocks(lose0.seed, lose1.seed),
-			TLeft:  l0.t != l1.t != !aBit, // t0L ⊕ t1L ⊕ ¬aBit … see note below
-			TRight: r0.t != r1.t != aBit,
+			Seed:   seed,
+			TLeft:  (left[0][0]^left[1][0])&1 == 1 != !aBit,
+			TRight: (right[0][0]^right[1][0])&1 == 1 != aBit,
 		}
 		// Note: x != y on bools is XOR; the chained form above associates
 		// left-to-right, computing (t0L ⊕ t1L) ⊕ (aBit ⊕ 1) for TLeft and
@@ -161,8 +163,9 @@ func Gen(p Params, alpha uint64, beta []byte) (k0, k1 *Key, err error) {
 		k0.CW[level] = cw
 		k1.CW[level] = cw
 
-		l0, r0 = k0.correct(l0, r0, n0.t, level)
-		l1, r1 = k1.correct(l1, r1, n1.t, level)
+		c := k0.levelCW(level)
+		l0, r0 := c.children(&left[0], &right[0], n0.t)
+		l1, r1 := c.children(&left[1], &right[1], n1.t)
 		n0, n1 = l0, l1
 		if aBit {
 			n0, n1 = r0, r1
@@ -191,18 +194,22 @@ func (k *Key) Eval(x uint64) (bool, error) {
 	if err := k.checkShape(); err != nil {
 		return false, err
 	}
-	nd := node{k.RootSeed, k.RootT}
+	nd := node{k.RootSeed, bitMask(k.RootT)}
 	for level := range k.CW {
-		l, r := expandNode(nd.seed)
-		l, r = k.correct(l, r, nd.t, level)
-		nd = l
+		l, r := prg.Expand(nd.seed)
+		c := k.levelCW(level)
+		half, cwT := &l, c.tL
 		if x>>(uint(k.Domain)-1-uint(level))&1 == 1 {
-			nd = r
+			half, cwT = &r, c.tR
 		}
+		nd.t = c.child(&nd.seed, half, cwT, nd.t)
 	}
-	block := k.leafBlock(nd)
+	lo, hi := k.leafWords(nd)
 	j := x % leafBits
-	return block[j/8]>>(j%8)&1 == 1, nil
+	if j >= 64 {
+		lo = hi
+	}
+	return lo>>(j%64)&1 == 1, nil
 }
 
 // checkShape rejects keys whose correction-word count does not match
@@ -214,46 +221,67 @@ func (k *Key) checkShape() error {
 	return nil
 }
 
-// expandNode derives the two uncorrected children of a node.
-func expandNode(s aesprf.Block) (l, r node) {
-	sL, sR := prg.Expand(s)
-	return split(sL), split(sR)
+// node is a (seed, control-bit) pair at some tree depth. The control bit
+// is held as a mask, all ones when set and zero when clear, so applying
+// a correction under it is an AND rather than a branch.
+type node struct {
+	seed aesprf.Block
+	t    uint64
 }
 
-// split turns one PRG output half into a node, extracting and clearing the
-// control bit from the low bit of the seed.
-func split(s aesprf.Block) node {
-	t := s[0]&1 == 1
-	s[0] &^= 1
-	return node{s, t}
-}
-
-// correct applies the level's correction word to the uncorrected children
-// of a node whose control bit is t.
-func (k *Key) correct(l, r node, t bool, level int) (node, node) {
-	if t {
-		cw := &k.CW[level]
-		l.seed = xorBlocks(l.seed, cw.Seed)
-		r.seed = xorBlocks(r.seed, cw.Seed)
-		l.t = l.t != cw.TLeft
-		r.t = r.t != cw.TRight
+// bitMask is the control mask of a control bit.
+func bitMask(b bool) uint64 {
+	if b {
+		return ^uint64(0)
 	}
-	return l, r
+	return 0
 }
 
-// leafBlock is a terminal node's 128 selector bits: Conv(s) ⊕ t·LeafCW.
-func (k *Key) leafBlock(nd node) aesprf.Block {
-	b := convert(nd.seed)
-	if nd.t {
-		b = xorBlocks(b, k.LeafCW)
-	}
-	return b
+// levelCW is one level's correction word in the form the per-node step
+// applies it: the seed as two words, TLeft and TRight as masks.
+type levelCW struct{ lo, hi, tL, tR uint64 }
+
+func (k *Key) levelCW(level int) levelCW {
+	cw := &k.CW[level]
+	lo, hi := blockWords(&cw.Seed)
+	return levelCW{lo, hi, bitMask(cw.TLeft), bitMask(cw.TRight)}
 }
 
+// child writes to dst the corrected child that the uncorrected PRG half
+// s of a node with control mask t yields, and returns the child's
+// control mask. The child's control bit is the low bit of s, which its
+// seed drops; under t the level's seed correction and cwT (c.tL for a
+// left child, c.tR for a right one) are XORed in. dst may be s.
+func (c *levelCW) child(dst, s *aesprf.Block, cwT, t uint64) uint64 {
+	lo, hi := blockWords(s)
+	putWords(dst, lo&^1^c.lo&t, hi^c.hi&t)
+	return -(lo & 1) ^ cwT&t
+}
+
+// children corrects in place the uncorrected PRG halves l and r of a
+// node with control mask t and returns the two children.
+func (c *levelCW) children(l, r *aesprf.Block, t uint64) (node, node) {
+	tl := c.child(l, l, c.tL, t)
+	tr := c.child(r, r, c.tR, t)
+	return node{*l, tl}, node{*r, tr}
+}
+
+// leafWords is a terminal node's 128 selector bits, Conv(s) ⊕ t·LeafCW,
+// as two words in bitvec order.
+func (k *Key) leafWords(nd node) (lo, hi uint64) {
+	var c aesprf.Block
+	convertCipher.Encrypt(c[:], nd.seed[:])
+	lo, hi = blockWords(&c)
+	sLo, sHi := blockWords(&nd.seed)
+	cwLo, cwHi := blockWords(&k.LeafCW)
+	return lo ^ sLo ^ cwLo&nd.t, hi ^ sHi ^ cwHi&nd.t
+}
+
+// xorBlocks returns a ⊕ b, computed as two word XORs.
 func xorBlocks(a, b aesprf.Block) aesprf.Block {
-	for i := range a {
-		a[i] ^= b[i]
-	}
+	aLo, aHi := blockWords(&a)
+	bLo, bHi := blockWords(&b)
+	putWords(&a, aLo^bLo, aHi^bHi)
 	return a
 }
 
@@ -275,16 +303,14 @@ func newConvertCipher() cipher.Block {
 	return c
 }
 
-// convert is Conv(s) = AES_Kc(s) ⊕ s: the 128 selector bits of a terminal
-// seed, bit j in byte j/8 at position j%8.
-func convert(s aesprf.Block) aesprf.Block {
-	var c aesprf.Block
-	convertCipher.Encrypt(c[:], s[:])
-	return xorBlocks(c, s)
-}
-
 // blockWords splits a block into the two little-endian words that hold its
 // bits in bitvec order.
 func blockWords(b *aesprf.Block) (lo, hi uint64) {
 	return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])
+}
+
+// putWords stores two words into a block, the inverse of blockWords.
+func putWords(b *aesprf.Block, lo, hi uint64) {
+	binary.LittleEndian.PutUint64(b[:8], lo)
+	binary.LittleEndian.PutUint64(b[8:], hi)
 }

@@ -96,12 +96,6 @@ func (k *Key) EvalFull(opts FullEvalOptions) (*bitvec.Vector, error) {
 	return out, nil
 }
 
-// node is a (seed, control-bit) pair at some tree depth.
-type node struct {
-	seed aesprf.Block
-	t    bool
-}
-
 // evalSubtreeParallel implements both StrategySubtree and
 // StrategyMemoryBounded: the only difference between them is chunk size.
 // The master thread expands breadth-first down to the worker level; each
@@ -117,8 +111,7 @@ func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves, leav
 	if depth == 0 {
 		// The root is the only terminal node; its block covers all
 		// ≤ 128 indices.
-		b := k.leafBlock(node{k.RootSeed, k.RootT})
-		lo, hi := blockWords(&b)
+		lo, hi := k.leafWords(node{k.RootSeed, bitMask(k.RootT)})
 		words[0] = lo
 		if len(words) > 1 {
 			words[1] = hi
@@ -137,7 +130,7 @@ func (k *Key) evalSubtreeParallel(out *bitvec.Vector, workers, chunkLeaves, leav
 		// One worker walks the whole tree on the calling goroutine, with
 		// no frontier or goroutine bookkeeping to allocate.
 		wk := k.newWalker(chunkNodes, words, limit)
-		wk.evalRange(node{k.RootSeed, k.RootT}, 0, 0, perWorker)
+		wk.evalRange(node{k.RootSeed, bitMask(k.RootT)}, 0, 0, perWorker)
 		return
 	}
 
@@ -171,13 +164,14 @@ func clearFrom(words []uint64, leaves int) {
 // expandToLevel runs breadth-first expansion from the root down to the
 // given level, returning the 2^level frontier nodes in index order.
 func (k *Key) expandToLevel(level int) []node {
-	cur := []node{{k.RootSeed, k.RootT}}
+	cur := []node{{k.RootSeed, bitMask(k.RootT)}}
 	for d := 0; d < level; d++ {
+		c := k.levelCW(d)
 		next := make([]node, 0, 2*len(cur))
 		for _, nd := range cur {
-			l, r := expandNode(nd.seed)
-			l, r = k.correct(l, r, nd.t, d)
-			next = append(next, l, r)
+			l, r := prg.Expand(nd.seed)
+			ln, rn := c.children(&l, &r, nd.t)
+			next = append(next, ln, rn)
 		}
 		cur = next
 	}
@@ -185,7 +179,7 @@ func (k *Key) expandToLevel(level int) []node {
 }
 
 // walker is one worker's scratch, allocated once per EvalFull call and
-// reused across that worker's chunks: the seeds and control bits of a
+// reused across that worker's chunks: the seeds and control masks of a
 // chunk's current level, and PRG output space of the same size (at least
 // two blocks, for the single-node splits of the depth-first descent).
 type walker struct {
@@ -193,7 +187,7 @@ type walker struct {
 	words []uint64 // output vector storage; terminal node m owns words 2m, 2m+1
 	limit int      // terminal nodes from limit on are not evaluated
 	seeds []aesprf.Block
-	ts    []bool
+	ts    []uint64
 	tmp   []aesprf.Block
 }
 
@@ -204,7 +198,7 @@ func (k *Key) newWalker(chunkNodes int, words []uint64, limit int) walker {
 		words: words,
 		limit: limit,
 		seeds: buf[:chunkNodes],
-		ts:    make([]bool, chunkNodes),
+		ts:    make([]uint64, chunkNodes),
 		tmp:   buf[chunkNodes:],
 	}
 }
@@ -225,7 +219,8 @@ func (w *walker) evalRange(root node, depth, first, count int) {
 	// depth is at most the tree depth ≤ 55.
 	w.seeds[0] = root.seed
 	prg.ExpandBatch(w.seeds[:1], w.tmp[:1], w.tmp[1:2])
-	l, r := w.k.correct(split(w.tmp[0]), split(w.tmp[1]), root.t, depth)
+	c := w.k.levelCW(depth)
+	l, r := c.children(&w.tmp[0], &w.tmp[1], root.t)
 	half := count / 2
 	w.evalRange(l, depth+1, first, half)
 	w.evalRange(r, depth+1, first+half, half)
@@ -247,10 +242,11 @@ func (w *walker) evalChunk(root node, depth, first, count int) {
 		prg.ExpandBatch(seeds[:parents], left, right)
 		// Children of node i go to 2i and 2i+1; walking i downwards never
 		// overwrites a parent still to be read.
+		c := k.levelCW(d)
 		for i := parents - 1; i >= 0; i-- {
-			l, r := k.correct(split(left[i]), split(right[i]), ts[i], d)
-			seeds[2*i], ts[2*i] = l.seed, l.t
-			seeds[2*i+1], ts[2*i+1] = r.seed, r.t
+			t := ts[i]
+			ts[2*i] = c.child(&seeds[2*i], &left[i], c.tL, t)
+			ts[2*i+1] = c.child(&seeds[2*i+1], &right[i], c.tR, t)
 		}
 	}
 
@@ -263,16 +259,7 @@ func (w *walker) evalChunk(root node, depth, first, count int) {
 	for i := range conv {
 		lo, hi := blockWords(&conv[i])
 		sLo, sHi := blockWords(&seeds[i])
-		lo, hi = lo^sLo, hi^sHi
-		if ts[i] {
-			lo, hi = lo^cwLo, hi^cwHi
-		}
-		out[2*i], out[2*i+1] = lo, hi
+		out[2*i] = lo ^ sLo ^ cwLo&ts[i]
+		out[2*i+1] = hi ^ sHi ^ cwHi&ts[i]
 	}
-}
-
-// evalLevelByLevel holds the whole terminal level in memory with one
-// worker and one chunk. Tests compare the production walker against it.
-func (k *Key) evalLevelByLevel(out *bitvec.Vector) {
-	k.evalSubtreeParallel(out, 1, 1<<uint(k.Domain), 1<<uint(k.Domain))
 }

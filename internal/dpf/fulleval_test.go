@@ -1,6 +1,9 @@
 package dpf
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	mrand "math/rand"
 	"testing"
 
@@ -196,8 +199,9 @@ func TestStrategyString(t *testing.T) {
 }
 
 // FuzzEvalFull is the differential test for the full-domain walker: for
-// any domain, α, worker count and strategy, EvalFull must equal the
-// level-by-level oracle and, on 64 sampled indices, pointwise Eval. With
+// any domain, α, worker count and strategy, EvalFull must equal pointwise
+// Eval on every index of a domain of at most 2^12, and on 64 sampled
+// indices of a larger one (TestEvalFullDigests pins whole vectors). With
 // a leaf bound N (leavesRaw > 0), the evaluation bounded to N leaves
 // under both strategies and 1–8 workers must equal the full one on
 // [0, N) and be zero beyond it.
@@ -237,14 +241,15 @@ func FuzzEvalFull(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bitvec.New(n)
-			k.evalLevelByLevel(want)
-			if !got.Equal(want) {
-				t.Fatalf("domain=%d alpha=%d %+v party %d: walker differs from level-by-level oracle",
-					domain, alpha, opts, k.Party)
+			checks := n
+			if domain > 12 {
+				checks = 64
 			}
-			for i := 0; i < 64; i++ {
-				x := uint64(rng.Intn(n))
+			for i := 0; i < checks; i++ {
+				x := uint64(i)
+				if domain > 12 {
+					x = uint64(rng.Intn(n))
+				}
 				bit, err := k.Eval(x)
 				if err != nil {
 					t.Fatal(err)
@@ -300,19 +305,100 @@ func TestEvalFullLeafBoundRejects(t *testing.T) {
 	}
 }
 
-func benchmarkEvalFull(b *testing.B, s Strategy, domain, workers int) {
+func benchmarkEvalFull(b *testing.B, domain int, opts FullEvalOptions) {
 	k0, _, err := Gen(Params{Domain: domain}, 12345%(1<<uint(domain)), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	leaves := opts.Leaves
+	if leaves == 0 {
+		leaves = 1 << uint(domain)
+	}
 	b.SetBytes(int64(1) << uint(domain-3)) // output bits → bytes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k0.EvalFull(FullEvalOptions{Strategy: s, Workers: workers}); err != nil {
+		if _, err := k0.EvalFull(opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(leaves), "ns/leaf")
 }
 
-func BenchmarkEvalFullSubtree(b *testing.B)       { benchmarkEvalFull(b, StrategySubtree, 18, 4) }
-func BenchmarkEvalFullMemoryBounded(b *testing.B) { benchmarkEvalFull(b, StrategyMemoryBounded, 18, 4) }
+func BenchmarkEvalFullSubtree(b *testing.B) {
+	benchmarkEvalFull(b, 18, FullEvalOptions{Strategy: StrategySubtree, Workers: 4})
+}
+
+func BenchmarkEvalFullMemoryBounded(b *testing.B) {
+	benchmarkEvalFull(b, 18, FullEvalOptions{Strategy: StrategyMemoryBounded, Workers: 4})
+}
+
+// BenchmarkEvalFull runs one worker, the layout every key of a pass wider
+// than one gets, at the benchmark workloads' geometries: batch_pim's
+// 2^16 records on the PIM engine's subtree strategy, a kv_sharded_mixed
+// shard of 12,112 records and gateway_open's 2^14 on the CPU engine's
+// memory-bounded one.
+func BenchmarkEvalFull(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		domain int
+		opts   FullEvalOptions
+	}{
+		{"batch_pim", 16, FullEvalOptions{Strategy: StrategySubtree, Workers: 1}},
+		{"kv_shard", 14, FullEvalOptions{Strategy: StrategyMemoryBounded, Workers: 1, Leaves: 12112}},
+		{"gateway_open", 14, FullEvalOptions{Strategy: StrategyMemoryBounded, Workers: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchmarkEvalFull(b, bc.domain, bc.opts) })
+	}
+}
+
+// TestEvalFullDigests pins the SHA-256 of EvalFull's selector words, as
+// little-endian bytes, for keys drawn from fixed seeds: a change to the
+// walker, the PRG or the leaf conversion that moves any selector bit
+// fails here, independently of every evaluator in this package. Both
+// strategies and one or four workers must give the same words.
+func TestEvalFullDigests(t *testing.T) {
+	for _, tc := range []struct {
+		domain, leaves int
+		alpha          uint64
+		seed           int64
+		want           [2]string // party 0, party 1
+	}{
+		{0, 0, 0, 1, [2]string{
+			"7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+			"af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"}},
+		{7, 0, 100, 2, [2]string{
+			"11d6b032595cded31b909aa42d6a03732de3523be07479bca18219ed8df4fec3",
+			"d2c0b17e7356d2f4b764f7029f36881e564a7f7c27a6f2c63b1ad56189ab9130"}},
+		{16, 0, 40503, 3, [2]string{
+			"9863fad56d5f5952fb4e085acfcf724dc86308b1eebff5a5111f2a1e6dc6b58d",
+			"2fe25ceb43dfe74f26865c4f931495a0a0a8378200dd448c0c55131f3224e4fe"}},
+		{14, 12112, 12111, 4, [2]string{
+			"bee6936b63044283de84ceb909750fb52b56080f98c4e90c68f42465bc75c367",
+			"c3eeb19e947a85f740b27622a6ce6dcc36fe0443399ad8582bba23e498b4f8d7"}},
+	} {
+		rng := mrand.New(mrand.NewSource(tc.seed))
+		k0, k1, err := Gen(Params{Domain: tc.domain, Rand: rng}, tc.alpha, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, k := range []*Key{k0, k1} {
+			for _, s := range allStrategies() {
+				for _, workers := range []int{1, 4} {
+					opts := FullEvalOptions{Strategy: s, Workers: workers, Leaves: tc.leaves}
+					v, err := k.EvalFull(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := sha256.New()
+					for _, w := range v.Words() {
+						h.Write(binary.LittleEndian.AppendUint64(nil, w))
+					}
+					if got := hex.EncodeToString(h.Sum(nil)); got != tc.want[p] {
+						t.Errorf("domain=%d leaves=%d %+v party %d: digest %s, want %s",
+							tc.domain, tc.leaves, opts, p, got, tc.want[p])
+					}
+				}
+			}
+		}
+	}
+}

@@ -33,9 +33,14 @@ func retrieve(t *testing.T, db *database.DB, index uint64, servers int) []byte {
 func TestFigure2WorkedExample(t *testing.T) {
 	// The paper's running example: D = [00, 10, 01, 11] (2-bit records),
 	// retrieving D[1] = 10 with two servers.
-	db, err := database.FromRecords([][]byte{{0b00}, {0b10}, {0b01}, {0b11}})
+	db, err := database.New(4, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, rec := range [][]byte{{0b00}, {0b10}, {0b01}, {0b11}} {
+		if err := db.SetRecord(i, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := retrieve(t, db, 1, 2)
 	if got[0] != 0b10 {

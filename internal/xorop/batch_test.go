@@ -129,9 +129,9 @@ func TestAccumulateBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestScan: the engines' one functional scan must return exactly B
-// independent Accumulate results, on any thread budget, and reject what
-// the fused kernel rejects.
+// TestScan: the engines' one functional scan must return exactly the B
+// naive, byte-wise results, on any thread budget, and reject what the
+// fused kernel rejects.
 func TestScan(t *testing.T) {
 	const n, recordSize = 1000, 40
 	db := buildDB(n, recordSize, 11)
@@ -154,9 +154,9 @@ func TestScan(t *testing.T) {
 	}
 
 	// Selectors set on all 1024 bits of the padded index space over 700
-	// records: every width-1 kernel (scalar, 32-byte, wide) and the
-	// fused table must read the first 700 bits only.
-	for _, rs := range []int{1, 32, 104} {
+	// records: every width-1 kernel (scalar, 32-byte, 64-byte, wide) and
+	// the fused table must read the first 700 bits only.
+	for _, rs := range []int{1, 32, 64, 104} {
 		db := buildDB(700, rs, 13)
 		want := make([]byte, rs)
 		for i := range 700 {
@@ -262,13 +262,14 @@ func TestAccumulateBatchTableAllocs(t *testing.T) {
 }
 
 // FuzzAccumulateBatch differentially fuzzes the fused kernel against B
-// independent Accumulate calls over random record sizes, record counts
-// (up to 2 MiB of records), batch widths 1…33 (across the subset
+// independent AccumulateScalar calls — the byte-wise reference, which
+// runs none of the register kernels — over random record sizes, record
+// counts (up to 2 MiB of records), batch widths 1…33 (across the subset
 // table's 8-selector group edges), worker counts and selector contents
 // — including the tail-bit rejection path. Scan, given the same records
 // and selectors that span the padded 2^d domain with random bits beyond
-// the records, must answer as Accumulate over the zero-padded database
-// does and leave every selector as it was.
+// the records, must answer as AccumulateScalar over the zero-padded
+// database does and leave every selector as it was.
 func FuzzAccumulateBatch(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(0), uint8(4))
 	f.Add(int64(7), uint16(1), uint8(3), uint8(1))
@@ -280,6 +281,9 @@ func FuzzAccumulateBatch(f *testing.F) {
 	f.Add(int64(12), uint16(699), uint8(4), uint8(8))
 	f.Add(int64(13), uint16(12111), uint8(8), uint8(1))
 	f.Add(int64(14), uint16(12111), uint8(8), uint8(12))
+	// gateway_open's 16,384 × 64 B database, and a ragged 64 B one.
+	f.Add(int64(15), uint16(16383), uint8(6), uint8(1))
+	f.Add(int64(16), uint16(699), uint8(6), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, sizeSel, batchRaw uint8) {
 		sizes := []int{1, 8, 13, 24, 32, 40, 64, 96, 104, 4096}
 		recordSize := sizes[int(sizeSel)%len(sizes)]
@@ -292,8 +296,8 @@ func FuzzAccumulateBatch(f *testing.F) {
 		want := make([][]byte, batch)
 		for q := range want {
 			want[q] = make([]byte, recordSize)
-			if err := Accumulate(want[q], db, recordSize, words[q]); err != nil {
-				t.Fatalf("Accumulate[%d]: %v", q, err)
+			if err := AccumulateScalar(want[q], db, recordSize, words[q]); err != nil {
+				t.Fatalf("AccumulateScalar[%d]: %v", q, err)
 			}
 		}
 		for _, workers := range []int{1, 2, 3} {
@@ -325,7 +329,7 @@ func FuzzAccumulateBatch(f *testing.F) {
 			}
 			for q := range got {
 				want := make([]byte, recordSize)
-				if err := Accumulate(want, paddedDB, recordSize, long[q]); err != nil {
+				if err := AccumulateScalar(want, paddedDB, recordSize, long[q]); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got[q], want) {

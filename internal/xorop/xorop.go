@@ -5,9 +5,12 @@
 // database of N fixed-size records and an N-bit selector vector (one
 // party's DPF share), accumulate the XOR of every record whose selector
 // bit is set. The paper's CPU baseline accelerates this with AVX-256; in
-// pure Go the equivalent is processing records four 64-bit words (256
-// bits) per loop iteration and consuming selectors a machine word at a
-// time, skipping 64 records per zero word and bit-scanning set words.
+// pure Go the equivalent is processing records in 64-bit words and
+// consuming selectors a machine word at a time, skipping 64 records per
+// zero word and bit-scanning set words. The width-1 kernels for 32- and
+// 64-byte records keep the whole accumulator in four or eight uint64
+// registers; other multiples of 8 bytes accumulate into a stack buffer,
+// four words (256 bits) per loop iteration.
 //
 // The fused kernel (AccumulateBatch) answers B selectors in one scan
 // through a subset table: per group of k ≤ 8 selectors, an 8×8 bit transpose turns the selector words into one
@@ -45,6 +48,8 @@ func accumulate(acc, db []byte, recordSize int, sel []uint64) {
 	switch {
 	case recordSize == 32:
 		accumulate32(acc, db, sel)
+	case recordSize == 64:
+		accumulate64(acc, db, sel)
 	case recordSize%8 == 0:
 		accumulateWide(acc, db, recordSize, sel)
 	default:
@@ -165,6 +170,46 @@ func accumulate32(acc, db []byte, sel []uint64) {
 	le.PutUint64(acc[8:16], le.Uint64(acc[8:16])^a1)
 	le.PutUint64(acc[16:24], le.Uint64(acc[16:24])^a2)
 	le.PutUint64(acc[24:32], le.Uint64(acc[24:32])^a3)
+}
+
+// accumulate64 is accumulate32's twin for 64-byte records: eight 64-bit
+// accumulators in registers cover a full record, where accumulateWide
+// would keep them in memory and load and store each per record.
+func accumulate64(acc, db []byte, sel []uint64) {
+	le := binary.LittleEndian
+	sel, lastMask := recordWords(sel, len(db)/64)
+	last := len(sel) - 1
+	var a0, a1, a2, a3, a4, a5, a6, a7 uint64
+	for w, word := range sel {
+		if w == last {
+			word &= lastMask
+		}
+		if word == 0 {
+			continue
+		}
+		base := w << 6
+		for word != 0 {
+			i := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			rec := db[i<<6 : i<<6+64 : i<<6+64]
+			a0 ^= le.Uint64(rec[0:8])
+			a1 ^= le.Uint64(rec[8:16])
+			a2 ^= le.Uint64(rec[16:24])
+			a3 ^= le.Uint64(rec[24:32])
+			a4 ^= le.Uint64(rec[32:40])
+			a5 ^= le.Uint64(rec[40:48])
+			a6 ^= le.Uint64(rec[48:56])
+			a7 ^= le.Uint64(rec[56:64])
+		}
+	}
+	le.PutUint64(acc[0:8], le.Uint64(acc[0:8])^a0)
+	le.PutUint64(acc[8:16], le.Uint64(acc[8:16])^a1)
+	le.PutUint64(acc[16:24], le.Uint64(acc[16:24])^a2)
+	le.PutUint64(acc[24:32], le.Uint64(acc[24:32])^a3)
+	le.PutUint64(acc[32:40], le.Uint64(acc[32:40])^a4)
+	le.PutUint64(acc[40:48], le.Uint64(acc[40:48])^a5)
+	le.PutUint64(acc[48:56], le.Uint64(acc[48:56])^a6)
+	le.PutUint64(acc[56:64], le.Uint64(acc[56:64])^a7)
 }
 
 // wideStackWords caps the record width (in 64-bit words) that

@@ -293,3 +293,19 @@ func benchmarkAccumulate(b *testing.B, numRecords, recordSize int, scalar bool) 
 func BenchmarkAccumulate32Wide(b *testing.B)   { benchmarkAccumulate(b, 1<<16, 32, false) }
 func BenchmarkAccumulate32Scalar(b *testing.B) { benchmarkAccumulate(b, 1<<16, 32, true) }
 func BenchmarkAccumulate64Wide(b *testing.B)   { benchmarkAccumulate(b, 1<<15, 64, false) }
+
+// BenchmarkScan64Width1 is gateway_open's width-1 pass: one random
+// selector over 16,384 records of 64 bytes (1 MiB).
+func BenchmarkScan64Width1(b *testing.B) {
+	const n, recordSize = 16384, 64
+	db := buildDB(n, recordSize, 1)
+	sels := [][]uint64{randomSelector(n, 2).Words()}
+	b.SetBytes(n * recordSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Scan(db, recordSize, sels, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
